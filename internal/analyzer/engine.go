@@ -120,11 +120,11 @@ type shardMsg struct {
 type EngineOption func(*engineOptions)
 
 type engineOptions struct {
-	shards    int
-	queueCap  int
-	metrics   *metrics.AnalyzerMetrics
-	sink      func([]Anomaly)
-	tracer    *trace.Tracer
+	shards       int
+	queueCap     int
+	metrics      *metrics.AnalyzerMetrics
+	sink         func([]Anomaly)
+	tracer       *trace.Tracer
 	admission    *AdmissionConfig
 	release      func(*synopsis.Synopsis)
 	releaseBatch func([]*synopsis.Synopsis)
@@ -408,91 +408,87 @@ func (e *Engine) Feed(s *synopsis.Synopsis) {
 	e.send(sh, shardMsg{syn: s})
 }
 
+// stampEnqueue marks a sampled span's hand-over to its shard queue; *now
+// caches the one clock read a whole batch shares.
+func stampEnqueue(s *synopsis.Synopsis, now *int64) {
+	if sp := s.Trace; sp != nil {
+		if *now == 0 {
+			*now = time.Now().UnixNano()
+		}
+		sp.Enqueue = *now
+	}
+}
+
 // FeedBatch routes a batch, partitioning it per shard with stable order so
-// per-group FIFO is preserved while channel operations amortize.
+// per-group FIFO is preserved while channel operations amortize. With
+// admission control on, each element is admitted or shed against its
+// shard's state in batch order. The caller's slice is never mutated; only a
+// single-shard engine without admission queues it as is.
 func (e *Engine) FeedBatch(batch []*synopsis.Synopsis) {
 	if len(batch) == 0 {
 		return
 	}
-	if e.admOn {
-		e.feedBatchAdmit(batch)
+	if len(e.shards) > 1 || e.admOn {
+		e.partition(batch)
 		return
 	}
 	e.fed.Add(uint64(len(batch)))
 	var now int64
 	for _, s := range batch {
-		if sp := s.Trace; sp != nil {
-			if now == 0 {
-				now = time.Now().UnixNano()
-			}
-			sp.Enqueue = now
-		}
+		stampEnqueue(s, &now)
 	}
-	if len(e.shards) == 1 {
-		e.send(e.shards[0], shardMsg{batch: batch})
-		return
-	}
-	parts := make(map[*shard][]*synopsis.Synopsis, len(e.shards))
-	for _, s := range batch {
-		sh := e.shardFor(s)
-		parts[sh] = append(parts[sh], s)
-	}
-	for _, sh := range e.shards { // deterministic shard order
-		if part := parts[sh]; part != nil {
-			e.send(sh, shardMsg{batch: part})
-		}
-	}
+	e.send(e.shards[0], shardMsg{batch: batch})
 }
 
-// feedBatchAdmit is FeedBatch with per-synopsis admission: each element is
-// admitted or shed against its shard's state in batch order (never the
-// caller's slice mutated), so the kept subsequence preserves per-group
-// FIFO.
-func (e *Engine) feedBatchAdmit(batch []*synopsis.Synopsis) {
-	var now int64
-	stamp := func(s *synopsis.Synopsis) {
-		e.fed.Add(1)
-		if sp := s.Trace; sp != nil {
-			if now == 0 {
-				now = time.Now().UnixNano()
-			}
-			sp.Enqueue = now
-		}
+// maxStackShards bounds the shard counters partition keeps on its stack;
+// engines with more shards pay one extra allocation per batch.
+const maxStackShards = 64
+
+// partition is FeedBatch's general case, costing one allocation per batch:
+// a counting pass sizes each shard's region of a single backing array, a
+// second pass fills the regions in batch order — admitting or shedding each
+// element on the way when admission control is on — and every non-empty
+// region goes to its shard as one message, in shard order. Regions are
+// capacity-limited sub-slices, so a shard (or the release hook it hands its
+// batch to) can never reach a neighbour's records.
+func (e *Engine) partition(batch []*synopsis.Synopsis) {
+	var stack [2][maxStackShards]int
+	count, next := stack[0][:], stack[1][:]
+	if n := len(e.shards); n > maxStackShards {
+		heap := make([]int, 2*n)
+		count, next = heap[:n], heap[n:]
 	}
-	if len(e.shards) == 1 {
-		sh := e.shards[0]
-		kept := make([]*synopsis.Synopsis, 0, len(batch))
-		for _, s := range batch {
-			if !e.admit(sh) {
-				if e.release != nil {
-					e.release(s)
-				}
-				continue
-			}
-			stamp(s)
-			kept = append(kept, s)
-		}
-		if len(kept) > 0 {
-			e.send(sh, shardMsg{batch: kept})
-		}
-		return
-	}
-	parts := make(map[*shard][]*synopsis.Synopsis, len(e.shards))
 	for _, s := range batch {
-		sh := e.shardFor(s)
-		if !e.admit(sh) {
+		count[e.shardIndex(s.Host, s.Stage)]++
+	}
+	lo := 0
+	for i := range e.shards {
+		next[i] = lo
+		lo += count[i]
+	}
+	out := make([]*synopsis.Synopsis, len(batch))
+	kept := len(batch)
+	var now int64
+	for _, s := range batch {
+		i := e.shardIndex(s.Host, s.Stage)
+		if e.admOn && !e.admit(e.shards[i]) {
+			kept--
 			if e.release != nil {
 				e.release(s)
 			}
 			continue
 		}
-		stamp(s)
-		parts[sh] = append(parts[sh], s)
+		stampEnqueue(s, &now)
+		out[next[i]] = s
+		next[i]++
 	}
-	for _, sh := range e.shards { // deterministic shard order
-		if part := parts[sh]; part != nil {
-			e.send(sh, shardMsg{batch: part})
+	e.fed.Add(uint64(kept))
+	lo = 0
+	for i, sh := range e.shards { // deterministic shard order
+		if hi := next[i]; hi > lo {
+			e.send(sh, shardMsg{batch: out[lo:hi:hi]})
 		}
+		lo += count[i]
 	}
 }
 

@@ -184,7 +184,7 @@ func TestEngineSwapCheckpointRoundTrip(t *testing.T) {
 	modelA := trainedModel(t)
 	modelB := trainedModelB(t)
 	stream := multiGroupStream(4)
-	cut1 := len(stream) / 2  // swap point
+	cut1 := len(stream) / 2     // swap point
 	cut2 := 3 * len(stream) / 4 // checkpoint point
 
 	detA := NewDetector(modelA)

@@ -89,12 +89,12 @@ var BatchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 20
 // NewTCPClientMetrics registers the TCP client metric family on r.
 func NewTCPClientMetrics(r *Registry) *TCPClientMetrics {
 	return &TCPClientMetrics{
-		Dials:         r.NewCounter("saad_stream_tcp_client_dials_total", "Successful TCP connections to the analyzer (1 + reconnects)."),
-		Reconnects:    r.NewCounter("saad_stream_tcp_client_reconnects_total", "Successful TCP reconnections after the initial connect."),
-		FramesSent:    r.NewCounter("saad_stream_tcp_client_frames_sent_total", "Synopsis records encoded onto the TCP stream."),
-		FramesDropped: r.NewCounter("saad_stream_tcp_client_frames_dropped_total", "Synopses discarded by the TCP client (post-error emits, spill-ring evictions, undelivered at close)."),
-		BytesSent:     r.NewCounter("saad_stream_tcp_client_bytes_sent_total", "Bytes written to the analyzer TCP connection."),
-		SpillDepth:    r.NewGauge("saad_stream_tcp_client_spill_depth", "Synopses parked in the reconnect spill ring."),
+		Dials:           r.NewCounter("saad_stream_tcp_client_dials_total", "Successful TCP connections to the analyzer (1 + reconnects)."),
+		Reconnects:      r.NewCounter("saad_stream_tcp_client_reconnects_total", "Successful TCP reconnections after the initial connect."),
+		FramesSent:      r.NewCounter("saad_stream_tcp_client_frames_sent_total", "Synopsis records encoded onto the TCP stream."),
+		FramesDropped:   r.NewCounter("saad_stream_tcp_client_frames_dropped_total", "Synopses discarded by the TCP client (post-error emits, spill-ring evictions, undelivered at close)."),
+		BytesSent:       r.NewCounter("saad_stream_tcp_client_bytes_sent_total", "Bytes written to the analyzer TCP connection."),
+		SpillDepth:      r.NewGauge("saad_stream_tcp_client_spill_depth", "Synopses parked in the reconnect spill ring."),
 		Errors:          r.NewCounter("saad_stream_tcp_client_errors_total", "TCP client transport errors (latched without reconnect; per-attempt with it)."),
 		ProtocolVersion: r.NewGauge("saad_stream_tcp_client_protocol_version", "Wire protocol negotiated on the current connection (0 disconnected, 1 legacy, 2 batched)."),
 		BatchRecords:    r.NewHistogram("saad_stream_tcp_client_batch_records", "Records per v2 batch frame written.", BatchSizeBuckets),
@@ -142,14 +142,14 @@ type TCPServerMetrics struct {
 // NewTCPServerMetrics registers the TCP server metric family on r.
 func NewTCPServerMetrics(r *Registry) *TCPServerMetrics {
 	return &TCPServerMetrics{
-		Connections:     r.NewCounter("saad_stream_tcp_server_connections_total", "TCP synopsis stream connections accepted."),
-		OpenConnections: r.NewGauge("saad_stream_tcp_server_open_connections", "TCP synopsis stream connections currently open."),
-		FramesReceived:  r.NewCounter("saad_stream_tcp_server_frames_received_total", "Synopsis records decoded from TCP streams."),
-		BytesReceived:   r.NewCounter("saad_stream_tcp_server_bytes_received_total", "Bytes read from TCP synopsis streams."),
-		ConnErrors:      r.NewCounter("saad_stream_tcp_server_conn_errors_total", "TCP connections dropped on a decode/protocol error."),
-		Resyncs:         r.NewCounter("saad_stream_tcp_server_resyncs_total", "Connections accepted after a previous stream ended (client reconnects)."),
-		AcceptErrors:    r.NewCounter("saad_stream_tcp_server_accept_errors_total", "Transient listener accept errors retried by the server."),
-		IdleReaps:       r.NewCounter("saad_stream_tcp_server_idle_reaps_total", "Connections closed after exceeding the idle read deadline."),
+		Connections:         r.NewCounter("saad_stream_tcp_server_connections_total", "TCP synopsis stream connections accepted."),
+		OpenConnections:     r.NewGauge("saad_stream_tcp_server_open_connections", "TCP synopsis stream connections currently open."),
+		FramesReceived:      r.NewCounter("saad_stream_tcp_server_frames_received_total", "Synopsis records decoded from TCP streams."),
+		BytesReceived:       r.NewCounter("saad_stream_tcp_server_bytes_received_total", "Bytes read from TCP synopsis streams."),
+		ConnErrors:          r.NewCounter("saad_stream_tcp_server_conn_errors_total", "TCP connections dropped on a decode/protocol error."),
+		Resyncs:             r.NewCounter("saad_stream_tcp_server_resyncs_total", "Connections accepted after a previous stream ended (client reconnects)."),
+		AcceptErrors:        r.NewCounter("saad_stream_tcp_server_accept_errors_total", "Transient listener accept errors retried by the server."),
+		IdleReaps:           r.NewCounter("saad_stream_tcp_server_idle_reaps_total", "Connections closed after exceeding the idle read deadline."),
 		ProtocolConnections: r.NewCounterVec("saad_stream_tcp_server_protocol_connections_total", "Accepted connections by negotiated wire protocol version.", "version"),
 		BatchRecords:        r.NewHistogram("saad_stream_tcp_server_batch_records", "Records per v2 batch frame received.", BatchSizeBuckets),
 		InternedHeaders:     r.NewCounter("saad_stream_tcp_server_interned_headers_total", "Record headers received as intern-table references."),
@@ -209,18 +209,18 @@ type AnalyzerMetrics struct {
 // NewAnalyzerMetrics registers the analyzer metric family on r.
 func NewAnalyzerMetrics(r *Registry) *AnalyzerMetrics {
 	return &AnalyzerMetrics{
-		SynopsesFed:        r.NewCounter("saad_analyzer_synopses_fed_total", "Synopses consumed by the online detector."),
-		WindowsClosed:      r.NewCounter("saad_analyzer_windows_closed_total", "Detection windows closed."),
-		WindowCloseLatency: r.NewHistogram("saad_analyzer_window_close_seconds", "Wall-clock seconds spent closing one detection window.", LatencyBuckets),
-		Anomalies:          r.NewCounterVec("saad_analyzer_anomalies_total", "Anomalies raised before alarm filtering.", "kind", "stage"),
-		FilterHeld:         r.NewGauge("saad_analyzer_filter_held", "Anomalies currently suppressed by the alarm filter."),
-		FilterPassed:       r.NewCounter("saad_analyzer_filter_passed_total", "Anomalies that passed the alarm filter."),
-		LateSynopses:       r.NewCounter("saad_analyzer_late_synopses_total", "Synopses dropped because they arrived after their window closed."),
-		ShardQueueDepth:    r.NewGaugeVec("saad_analyzer_shard_queue_depth", "Synopses queued per engine shard.", "shard"),
-		ShardBusyNanos:     r.NewCounterVec("saad_analyzer_shard_busy_nanos_total", "Nanoseconds each engine shard spent processing synopses.", "shard"),
-		ShardSynopses:      r.NewCounterVec("saad_analyzer_shard_synopses_total", "Synopses processed per engine shard.", "shard"),
-		ShardOverflows:     r.NewCounterVec("saad_analyzer_shard_overflows_total", "Feeds that found a full shard queue and blocked (backpressure).", "shard"),
-		DetectionLatency:   r.NewHistogramVec("saad_detection_latency_seconds", "End-to-end seconds from sampled synopsis emission (or receive) to detection verdict, per stage.", LatencyBuckets, "stage"),
+		SynopsesFed:         r.NewCounter("saad_analyzer_synopses_fed_total", "Synopses consumed by the online detector."),
+		WindowsClosed:       r.NewCounter("saad_analyzer_windows_closed_total", "Detection windows closed."),
+		WindowCloseLatency:  r.NewHistogram("saad_analyzer_window_close_seconds", "Wall-clock seconds spent closing one detection window.", LatencyBuckets),
+		Anomalies:           r.NewCounterVec("saad_analyzer_anomalies_total", "Anomalies raised before alarm filtering.", "kind", "stage"),
+		FilterHeld:          r.NewGauge("saad_analyzer_filter_held", "Anomalies currently suppressed by the alarm filter."),
+		FilterPassed:        r.NewCounter("saad_analyzer_filter_passed_total", "Anomalies that passed the alarm filter."),
+		LateSynopses:        r.NewCounter("saad_analyzer_late_synopses_total", "Synopses dropped because they arrived after their window closed."),
+		ShardQueueDepth:     r.NewGaugeVec("saad_analyzer_shard_queue_depth", "Synopses queued per engine shard.", "shard"),
+		ShardBusyNanos:      r.NewCounterVec("saad_analyzer_shard_busy_nanos_total", "Nanoseconds each engine shard spent processing synopses.", "shard"),
+		ShardSynopses:       r.NewCounterVec("saad_analyzer_shard_synopses_total", "Synopses processed per engine shard.", "shard"),
+		ShardOverflows:      r.NewCounterVec("saad_analyzer_shard_overflows_total", "Feeds that found a full shard queue and blocked (backpressure).", "shard"),
+		DetectionLatency:    r.NewHistogramVec("saad_detection_latency_seconds", "End-to-end seconds from sampled synopsis emission (or receive) to detection verdict, per stage.", LatencyBuckets, "stage"),
 		ShedSynopses:        r.NewCounter("saad_analyzer_shed_synopses_total", "Synopses shed by admission control while degraded (fed + shed = offered)."),
 		DegradedShards:      r.NewGauge("saad_analyzer_degraded_shards", "Engine shards currently in degraded (load-shedding) mode."),
 		DegradedTransitions: r.NewCounter("saad_analyzer_degraded_transitions_total", "Shard degraded-mode enter/exit transitions."),

@@ -298,8 +298,8 @@ func (h *HBase) register() error {
 		lrRoll:  pt(s.LogRoller, logpoint.LevelDebug, "Rolling HLog; opening new writer"),
 		lrSkip:  pt(s.LogRoller, logpoint.LevelDebug, "HLog under threshold; skipping roll"),
 
-		ccCheck:   pt(s.CompactChecker, logpoint.LevelDebug, "Compaction check for online regions"),
-		ccNone:    pt(s.CompactChecker, logpoint.LevelDebug, "No compaction needed"),
+		ccCheck:    pt(s.CompactChecker, logpoint.LevelDebug, "Compaction check for online regions"),
+		ccNone:     pt(s.CompactChecker, logpoint.LevelDebug, "No compaction needed"),
 		ccRequest:  pt(s.CompactChecker, logpoint.LevelDebug, "Compaction requested for region"),
 		ccMajorDue: pt(s.CompactChecker, logpoint.LevelDebug, "Major compaction period elapsed for region"),
 

@@ -155,10 +155,10 @@ func (c *Client) runReconnect() {
 	var enc *synopsis.Encoder // v1 path
 	var w io.Writer           // raw (counted) conn writer, v2 path
 	var benc *synopsis.BatchEncoder
-	var frame []byte     // reusable v2 frame scratch
-	proto := 0           // negotiated version of the live conn, 0 = down
-	v1Latch := false     // peer answered v1 once: stop offering hellos...
-	dials := 0           // ...except every v1ReprobeEvery-th dial (upgrades)
+	var frame []byte // reusable v2 frame scratch
+	proto := 0       // negotiated version of the live conn, 0 = down
+	v1Latch := false // peer answered v1 once: stop offering hellos...
+	dials := 0       // ...except every v1ReprobeEvery-th dial (upgrades)
 	var lastInterned uint64
 
 	setProto := func(v int) {

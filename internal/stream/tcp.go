@@ -955,6 +955,11 @@ func (s *Server) serveV2(conn net.Conn, br *bufio.Reader) {
 			s.sink.Emit(syn)
 			continue
 		}
+		if batch == nil {
+			// The frame's first record: size the batch for the whole frame
+			// once instead of growing it record by record.
+			batch = make([]*synopsis.Synopsis, 0, dec.Remaining()+1)
+		}
 		batch = append(batch, syn)
 		if dec.Remaining() == 0 {
 			// Record counters update once per frame, not per record.

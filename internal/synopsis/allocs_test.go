@@ -1,0 +1,100 @@
+package synopsis
+
+import (
+	"bufio"
+	"bytes"
+	"testing"
+
+	"saad/internal/logpoint"
+	"saad/internal/raceflag"
+)
+
+// The allocation pins DESIGN §15 cites: the record constructor costs one
+// block (two past the inline capacity) and the steady-state codec nothing.
+
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceflag.Enabled {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+}
+
+func pointsN(n int) []PointCount {
+	pts := make([]PointCount, n)
+	for i := range pts {
+		pts[i] = PointCount{Point: logpoint.ID(n - i), Count: uint32(i + 1)}
+	}
+	return pts
+}
+
+var sinkSynopsis *Synopsis
+
+func TestNewAndCloneAllocs(t *testing.T) {
+	skipUnderRace(t)
+	for n, want := range map[int]float64{0: 1, 1: 1, inlinePoints: 1, inlinePoints + 1: 2, 9: 2} {
+		pts := pointsN(n)
+		if got := testing.AllocsPerRun(200, func() { sinkSynopsis = New(pts) }); got != want {
+			t.Errorf("New(%d points) = %v allocs, want %v", n, got, want)
+		}
+		src := New(pts)
+		if got := testing.AllocsPerRun(200, func() { sinkSynopsis = src.Clone() }); got != want {
+			t.Errorf("Clone(%d points) = %v allocs, want %v", n, got, want)
+		}
+	}
+}
+
+func TestNormalizeAllocs(t *testing.T) {
+	skipUnderRace(t)
+	for _, n := range []int{2, inlinePoints, 9, 40} {
+		unsorted := pointsN(n)
+		s := &Synopsis{Points: make([]PointCount, n)}
+		got := testing.AllocsPerRun(200, func() {
+			s.Points = s.Points[:n]
+			copy(s.Points, unsorted)
+			s.Normalize()
+		})
+		if got != 0 {
+			t.Errorf("Normalize(%d points) = %v allocs, want 0", n, got)
+		}
+	}
+}
+
+func TestAppendFramesAllocs(t *testing.T) {
+	skipUnderRace(t)
+	batch := make([]*Synopsis, 128)
+	for i := range batch {
+		batch[i] = sampleSynopsis(i)
+	}
+	enc := NewBatchEncoder()
+	dst := enc.AppendFrames(nil, batch) // warm the intern table, scratch and dst
+	got := testing.AllocsPerRun(100, func() { dst = enc.AppendFrames(dst[:0], batch) })
+	if got != 0 {
+		t.Errorf("AppendFrames = %v allocs, want 0", got)
+	}
+}
+
+func TestBatchDecodeAllocs(t *testing.T) {
+	skipUnderRace(t)
+	const runs = 1000
+	batch := make([]*Synopsis, 128)
+	for i := range batch {
+		batch[i] = sampleSynopsis(i)
+	}
+	// The first frame defines the groups and is the largest, so one decoded
+	// record warms the frame scratch and the intern table for all the rest.
+	enc := NewBatchEncoder()
+	var wire []byte
+	for n := 0; n <= runs+1; n += len(batch) {
+		wire = enc.AppendFrames(wire, batch)
+	}
+	dec := NewBatchDecoder(bufio.NewReader(bytes.NewReader(wire)))
+	s := &Synopsis{Points: make([]PointCount, 0, 16)} // a warmed pool record
+	got := testing.AllocsPerRun(runs, func() {
+		if err := dec.Decode(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("BatchDecoder.Decode = %v allocs, want 0", got)
+	}
+}

@@ -5,7 +5,9 @@
 package synopsis
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -57,23 +59,62 @@ type Synopsis struct {
 	RingEpoch uint64
 }
 
-// Clone returns a deep copy of the synopsis data. The Trace span pointer is
-// shared, not copied: a span follows one task's journey and successive
-// pipeline hops stamp the same span.
+// inlinePoints is how many distinct log points a record block holds inline.
+// 95% of the Cassandra lap's tasks touch at most four, and four keeps the
+// block (88-byte Synopsis + 32) in the 128-byte size class.
+const inlinePoints = 4
+
+// record is the single heap block behind New: the synopsis and, when they
+// fit, the points it owns.
+type record struct {
+	Synopsis
+	inline [inlinePoints]PointCount
+}
+
+// New returns a zero synopsis owning a copy of pts, in one allocation when
+// len(pts) <= 4 (Points then aliases an array inside the same block, capped
+// so an append past it reallocates instead of running on) and in two
+// beyond. The caller fills in the header fields and owns the result like
+// any other *Synopsis.
+//
+// Pinning rule: because Points may point into the block, a holder of
+// s.Points alone keeps the whole 128-byte block alive, not just the points.
+// Code that retains points past the synopsis should copy them out.
+//
+//saad:hotpath
+func New(pts []PointCount) *Synopsis {
+	r := &record{}
+	if len(pts) <= inlinePoints {
+		r.Points = r.inline[:len(pts):inlinePoints]
+		copy(r.Points, pts)
+	} else {
+		r.Points = append([]PointCount(nil), pts...) //saad:allow hotpathcheck runs once per task (never per hit), and only for the few tasks with more distinct points than the block holds inline
+	}
+	return &r.Synopsis
+}
+
+// Clone returns a deep copy of the synopsis data in a block of its own (see
+// New): the points are copied out of s, never aliased, so the clone does
+// not pin s's block nor s the clone's. The Trace span pointer is shared, not
+// copied: a span follows one task's journey and successive pipeline hops
+// stamp the same span.
 func (s *Synopsis) Clone() *Synopsis {
-	c := *s
-	c.Points = make([]PointCount, len(s.Points))
-	copy(c.Points, s.Points)
-	return &c
+	c := New(s.Points)
+	pts := c.Points
+	*c = *s
+	c.Points = pts
+	return c
 }
 
 // Normalize sorts Points by id and merges duplicates, establishing the
-// canonical form the codec and Signature rely on.
+// canonical form the codec and Signature rely on. It allocates nothing.
+//
+//saad:hotpath
 func (s *Synopsis) Normalize() {
 	if len(s.Points) < 2 {
 		return
 	}
-	sort.Slice(s.Points, func(i, j int) bool { return s.Points[i].Point < s.Points[j].Point })
+	slices.SortFunc(s.Points, func(a, b PointCount) int { return cmp.Compare(a.Point, b.Point) })
 	out := s.Points[:1]
 	for _, pc := range s.Points[1:] {
 		if last := &out[len(out)-1]; last.Point == pc.Point {

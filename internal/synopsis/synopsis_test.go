@@ -111,12 +111,35 @@ func TestSignatureCanonicalProperty(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	s := &Synopsis{Stage: 2, TaskID: 7, Points: []PointCount{{1, 1}}}
-	c := s.Clone()
-	c.Points[0].Count = 99
-	if s.Points[0].Count != 1 {
-		t.Fatal("clone shares Points")
+// TestNewAndCloneOwnTheirPoints: on both sides of the inline capacity, a
+// record built by New or Clone holds a copy of its points — writing through
+// either side, or appending to either, never shows on the other.
+func TestNewAndCloneOwnTheirPoints(t *testing.T) {
+	for n := 0; n <= 2*inlinePoints; n++ {
+		pts := make([]PointCount, n)
+		for i := range pts {
+			pts[i] = PointCount{Point: logpoint.ID(i + 1), Count: 1}
+		}
+		s := New(pts)
+		s.Stage, s.TaskID = 2, 7
+		c := s.Clone()
+		if c.Stage != 2 || c.TaskID != 7 || len(s.Points) != n || len(c.Points) != n {
+			t.Fatalf("n=%d: New/Clone lost data: %v / %v", n, s, c)
+		}
+		for i := range pts {
+			pts[i].Count = 50
+			c.Points[i].Count = 99
+		}
+		grown := append(s.Points, PointCount{Point: 1000, Count: 7})
+		grown = append(grown, grown...) // whatever capacity was left is now overrun
+		for i := range s.Points {
+			if s.Points[i] != (PointCount{Point: logpoint.ID(i + 1), Count: 1}) {
+				t.Fatalf("n=%d: New shares points with its argument or its clone: %v", n, s.Points)
+			}
+			if c.Points[i] != (PointCount{Point: logpoint.ID(i + 1), Count: 99}) {
+				t.Fatalf("n=%d: appending to the source reached the clone: %v", n, c.Points)
+			}
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ func benchLifecycle(tr *Tracker, now time.Time) {
 
 // BenchmarkTaskLifecycleSamplerOff: a sampler is attached but effectively
 // never fires — the added cost over no sampler at all must be one counter
-// increment, with zero extra allocations.
+// increment, with zero extra allocations (1 alloc/op: the record block).
 func BenchmarkTaskLifecycleSamplerOff(b *testing.B) {
 	tr := New(1, SinkFunc(func(*synopsis.Synopsis) {}))
 	tr.SetSampler(trace.NewSampler(1 << 30))
@@ -32,7 +32,7 @@ func BenchmarkTaskLifecycleSamplerOff(b *testing.B) {
 
 // BenchmarkTaskLifecycleSampled: every task is sampled, paying one span
 // allocation and one wall-clock read per End — the worst case an operator
-// can configure (-trace-sample=1).
+// can configure (-trace-sample=1): 1→2 allocs/op.
 func BenchmarkTaskLifecycleSampled(b *testing.B) {
 	tr := New(1, SinkFunc(func(*synopsis.Synopsis) {}))
 	tr.SetSampler(trace.NewSampler(1))

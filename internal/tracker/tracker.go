@@ -195,14 +195,14 @@ func (t *Task) End(now time.Time) {
 	if dur < 0 {
 		dur = 0
 	}
-	syn := &synopsis.Synopsis{
-		Stage:    t.stage,
-		Host:     tr.host,
-		TaskID:   t.id,
-		Start:    t.start,
-		Duration: dur,
-		Points:   append([]synopsis.PointCount(nil), t.points...), //saad:allow hotpathcheck the synopsis owns its points for its whole pipeline life while t.points is recycled with the task; End runs once per task, not per hit
-	}
+	// The sink owns the record from Emit on, while t.points is recycled
+	// with the task: New copies the points into the record's own block.
+	syn := synopsis.New(t.points)
+	syn.Stage = t.stage
+	syn.Host = tr.host
+	syn.TaskID = t.id
+	syn.Start = t.start
+	syn.Duration = dur
 	syn.Normalize()
 	if smp := tr.sampler; smp.Sample() {
 		syn.Trace = &trace.Span{
