@@ -77,8 +77,8 @@ type TCPClientMetrics struct {
 	// BatchRecords observes the record count of each v2 batch frame
 	// written, so the adaptive flush sizing is visible.
 	BatchRecords *Histogram
-	// InternedHeaders counts record headers that collapsed to an intern
-	// table reference instead of an inline (host, stage) pair.
+	// InternedHeaders counts records sent as an intern-table reference to a
+	// known (stage, host, signature) flow instead of an inline definition.
 	InternedHeaders *Counter
 }
 
@@ -98,7 +98,7 @@ func NewTCPClientMetrics(r *Registry) *TCPClientMetrics {
 		Errors:          r.NewCounter("saad_stream_tcp_client_errors_total", "TCP client transport errors (latched without reconnect; per-attempt with it)."),
 		ProtocolVersion: r.NewGauge("saad_stream_tcp_client_protocol_version", "Wire protocol negotiated on the current connection (0 disconnected, 1 legacy, 2 batched)."),
 		BatchRecords:    r.NewHistogram("saad_stream_tcp_client_batch_records", "Records per v2 batch frame written.", BatchSizeBuckets),
-		InternedHeaders: r.NewCounter("saad_stream_tcp_client_interned_headers_total", "Record headers collapsed to an intern-table reference."),
+		InternedHeaders: r.NewCounter("saad_stream_tcp_client_interned_headers_total", "Records sent as an intern-table reference to a known (stage, host, signature) flow."),
 	}
 }
 
@@ -134,8 +134,9 @@ type TCPServerMetrics struct {
 	// BatchRecords observes the record count of each v2 batch frame
 	// received.
 	BatchRecords *Histogram
-	// InternedHeaders counts record headers received as intern-table
-	// references instead of inline (host, stage) pairs.
+	// InternedHeaders counts records received as intern-table references
+	// to a known (stage, host, signature) flow instead of inline
+	// definitions.
 	InternedHeaders *Counter
 }
 
@@ -152,7 +153,7 @@ func NewTCPServerMetrics(r *Registry) *TCPServerMetrics {
 		IdleReaps:           r.NewCounter("saad_stream_tcp_server_idle_reaps_total", "Connections closed after exceeding the idle read deadline."),
 		ProtocolConnections: r.NewCounterVec("saad_stream_tcp_server_protocol_connections_total", "Accepted connections by negotiated wire protocol version.", "version"),
 		BatchRecords:        r.NewHistogram("saad_stream_tcp_server_batch_records", "Records per v2 batch frame received.", BatchSizeBuckets),
-		InternedHeaders:     r.NewCounter("saad_stream_tcp_server_interned_headers_total", "Record headers received as intern-table references."),
+		InternedHeaders:     r.NewCounter("saad_stream_tcp_server_interned_headers_total", "Records received as intern-table references to a known (stage, host, signature) flow."),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"saad/internal/logpoint"
@@ -106,6 +107,15 @@ func appendBody(dst []byte, s *Synopsis) []byte {
 		dst = binary.AppendUvarint(dst, uint64(pc.Count))
 		prev = pc.Point
 	}
+	return appendExtensions(dst, s)
+}
+
+// appendExtensions appends the extensions s carries — id, payload length,
+// payload each — in the form both framings share; nothing when it carries
+// none.
+//
+//saad:hotpath
+func appendExtensions(dst []byte, s *Synopsis) []byte {
 	if sp := s.Trace; sp != nil {
 		dst = binary.AppendUvarint(dst, extTrace)
 		dst = binary.AppendUvarint(dst, uint64(tracePayloadSize(sp)))
@@ -255,6 +265,14 @@ func decodeBody(buf []byte, s *Synopsis) error {
 	if npts > uint64(len(buf)) { // each point needs >= 2 bytes; cheap sanity bound
 		return fmt.Errorf("synopsis: %d points exceeds remaining %d bytes", npts, len(buf))
 	}
+	// A value too wide for its field is corruption, not something to wrap
+	// into another host's or stage's window.
+	if stage > math.MaxUint16 {
+		return fmt.Errorf("synopsis: stage %d out of range", stage)
+	}
+	if host > math.MaxUint16 {
+		return fmt.Errorf("synopsis: host %d out of range", host)
+	}
 	s.Stage = logpoint.StageID(stage)
 	s.Host = uint16(host)
 	s.TaskID = task
@@ -262,10 +280,7 @@ func decodeBody(buf []byte, s *Synopsis) error {
 	s.Duration = time.Duration(durUs) * time.Microsecond
 	s.Trace = nil // decoders reuse s; a prior record's span must not leak
 	s.RingEpoch = 0
-	if cap(s.Points) < int(npts) {
-		s.Points = make([]PointCount, npts)
-	}
-	s.Points = s.Points[:npts]
+	s.resizePoints(int(npts))
 	var prev logpoint.ID
 	for i := range s.Points {
 		delta, err := get()
@@ -275,6 +290,12 @@ func decodeBody(buf []byte, s *Synopsis) error {
 		count, err := get()
 		if err != nil {
 			return fmt.Errorf("synopsis: decode point %d count: %w", i, err)
+		}
+		if delta > math.MaxUint16 {
+			return fmt.Errorf("synopsis: point %d id delta %d out of range", i, delta)
+		}
+		if count > math.MaxUint32 {
+			return fmt.Errorf("synopsis: point %d count %d out of range", i, count)
 		}
 		prev += logpoint.ID(delta)
 		s.Points[i] = PointCount{Point: prev, Count: uint32(count)}
@@ -301,6 +322,17 @@ func decodeBody(buf []byte, s *Synopsis) error {
 		}
 	}
 	return nil
+}
+
+// resizePoints sets len(s.Points) to n, keeping the backing array when it
+// is large enough; the caller overwrites every element.
+//
+//saad:hotpath
+func (s *Synopsis) resizePoints(n int) {
+	if cap(s.Points) < n {
+		s.Points = make([]PointCount, n)
+	}
+	s.Points = s.Points[:n]
 }
 
 // applyExtension interprets one trailing frame extension on s. Unknown

@@ -84,7 +84,7 @@ func TestCodecRingEpochRoundTripV2(t *testing.T) {
 }
 
 // TestCodecRingEpochCostsNothingWhenUnset pins that a record without a ring
-// epoch encodes to exactly the pre-federation bytes in both framings.
+// epoch pays nothing for the extension in either framing.
 func TestCodecRingEpochCostsNothingWhenUnset(t *testing.T) {
 	s := traceTestSyn()
 	plain := len(AppendRecord(nil, s))
@@ -101,10 +101,23 @@ func TestCodecRingEpochCostsNothingWhenUnset(t *testing.T) {
 		t.Fatalf("unstamped record grew from %dB to %dB", plain, again)
 	}
 
-	v2plain := len(NewBatchEncoder().AppendFrames(nil, []*Synopsis{s}))
+	// v2: a clear flag bit in the record's head is all an unset epoch
+	// costs — zero bytes — and a set one adds the extension count, id,
+	// length and value.
+	enc := NewBatchEncoder()
+	enc.appendRecordV2(nil, s) // defines the flow
+	v2plain := len(enc.appendRecordV2(nil, s))
+	// One byte each of head, task delta and start delta, the duration, and
+	// (the test synopsis has a count != 1) a count per point.
+	if want := 3 + uvarintLen(uint64(s.Duration.Microseconds())) + len(s.Points); v2plain != want {
+		t.Fatalf("unstamped v2 record of a known flow is %dB, want %dB", v2plain, want)
+	}
 	s.RingEpoch = 3
-	v2stamped := len(NewBatchEncoder().AppendFrames(nil, []*Synopsis{s}))
-	if v2stamped <= v2plain {
-		t.Fatalf("stamped v2 frame (%dB) should exceed plain (%dB)", v2stamped, v2plain)
+	if v2stamped := len(enc.appendRecordV2(nil, s)); v2stamped != v2plain+4 {
+		t.Fatalf("stamped v2 record is %dB, want %dB + 4", v2stamped, v2plain)
+	}
+	s.RingEpoch = 0
+	if again := len(enc.appendRecordV2(nil, s)); again != v2plain {
+		t.Fatalf("unstamped v2 record grew from %dB to %dB", v2plain, again)
 	}
 }

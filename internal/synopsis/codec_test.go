@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -155,6 +156,31 @@ func TestDecodeBogusPointCount(t *testing.T) {
 	var s Synopsis
 	if err := NewDecoder(bytes.NewReader(rec)).Decode(&s); err == nil {
 		t.Fatal("bogus point count accepted")
+	}
+
+	// Values too wide for their fields are corruption too: they must not
+	// wrap (host 65539 is not host 3). Fields in order: stage, host, task,
+	// start, duration, point count, then (id delta, count) pairs.
+	for _, tc := range []struct {
+		name   string
+		fields []uint64
+		want   string
+	}{
+		{"in range", []uint64{65535, 65535, 1, 1, 1, 1, 65535, 1<<32 - 1}, ""},
+		{"stage", []uint64{65536, 3, 1, 1, 1, 1, 5, 1}, "stage 65536 out of range"},
+		{"host", []uint64{7, 65539, 1, 1, 1, 1, 5, 1}, "host 65539 out of range"},
+		{"point id delta", []uint64{7, 3, 1, 1, 1, 1, 65541, 1}, "id delta 65541 out of range"},
+		{"point count", []uint64{7, 3, 1, 1, 1, 1, 5, 1 << 32}, "count 4294967296 out of range"},
+	} {
+		body := uvarints(tc.fields...)
+		rec := append(uvarints(uint64(len(body))), body...)
+		err := NewDecoder(bytes.NewReader(rec)).Decode(&s)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("out-of-range %s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -73,9 +73,10 @@ func TestCodecTraceExtensionRoundTrip(t *testing.T) {
 
 // TestCodecTraceCostsNothingWhenUnsampled pins the backward-compat /
 // volume property: an unsampled synopsis encodes to exactly the same bytes
-// as before tracing existed (no flags, no placeholder fields), so old and
-// new peers interoperate frame by frame and Figure 8's volume story is
-// untouched for the 1-in-N-complement majority.
+// as before tracing existed (v1: no flags, no placeholder fields; v2: a
+// clear flag bit and nothing else), so old and new peers interoperate
+// frame by frame and Figure 8's volume story is untouched for the
+// 1-in-N-complement majority.
 func TestCodecTraceCostsNothingWhenUnsampled(t *testing.T) {
 	s := traceTestSyn()
 	plain := len(AppendRecord(nil, s))
@@ -87,6 +88,26 @@ func TestCodecTraceCostsNothingWhenUnsampled(t *testing.T) {
 	s.Trace = nil
 	if again := len(AppendRecord(nil, s)); again != plain {
 		t.Fatalf("unsampled record grew from %dB to %dB", plain, again)
+	}
+
+	// v2: the extension block hangs off a flag bit in the record's head, so
+	// an unsampled record of a known flow pays not even a zero count for
+	// it — only the one span field that differs from the plain record.
+	enc := NewBatchEncoder()
+	enc.appendRecordV2(nil, s) // defines the flow
+	v2plain := len(enc.appendRecordV2(nil, s))
+	// One byte each of head, task delta and start delta, the duration, and
+	// (the test synopsis has a count != 1) a count per point.
+	if want := 3 + uvarintLen(uint64(s.Duration.Microseconds())) + len(s.Points); v2plain != want {
+		t.Fatalf("unsampled v2 record of a known flow is %dB, want %dB", v2plain, want)
+	}
+	s.Trace = &trace.Span{Emit: 1}
+	if traced := len(enc.appendRecordV2(nil, s)); traced != v2plain+5 {
+		t.Fatalf("traced v2 record is %dB, want %dB + extension count, id, length and two stamps", traced, v2plain)
+	}
+	s.Trace = nil
+	if again := len(enc.appendRecordV2(nil, s)); again != v2plain {
+		t.Fatalf("unsampled v2 record grew from %dB to %dB", v2plain, again)
 	}
 }
 

@@ -45,14 +45,30 @@ func synopsisFromFuzz(stage, host uint16, task uint64, startUs, durUs int64, npt
 	return s
 }
 
+// recordCorpus seeds both round-trip fuzz targets: synopsisFromFuzz's
+// arguments for a small record, a traced one with no points and wide
+// fields, and a 31-point one on the last host.
+var recordCorpus = []struct {
+	stage, host    uint16
+	task           uint64
+	startUs, durUs int64
+	npts           uint8
+	ptSeed         uint64
+	traced         bool
+}{
+	{1, 2, 3, 4, 5, 3, 6, false},
+	{40, 0, 1 << 60, 1 << 40, 77, 0, 9, true},
+	{0, 65535, 0, 0, 0, 31, 1, true},
+}
+
 // FuzzRecordRoundTrip drives the same synopsis through both wire formats —
 // a v1 record and a v2 batch (encoded twice, so the second copy exercises
 // the interned-ref path) — and requires byte-exact field equality on every
 // decode.
 func FuzzRecordRoundTrip(f *testing.F) {
-	f.Add(uint16(1), uint16(2), uint64(3), int64(4), int64(5), uint8(3), uint64(6), false)
-	f.Add(uint16(40), uint16(0), uint64(1<<60), int64(1<<40), int64(77), uint8(0), uint64(9), true)
-	f.Add(uint16(0), uint16(65535), uint64(0), int64(0), int64(0), uint8(31), uint64(1), true)
+	for _, c := range recordCorpus {
+		f.Add(c.stage, c.host, c.task, c.startUs, c.durUs, c.npts, c.ptSeed, c.traced)
+	}
 	f.Fuzz(func(t *testing.T, stage, host uint16, task uint64, startUs, durUs int64, npts uint8, ptSeed uint64, traced bool) {
 		want := synopsisFromFuzz(stage, host, task, startUs, durUs, npts, ptSeed, traced)
 
@@ -65,7 +81,8 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		assertEqualSynopsis(t, 0, &got1, want)
 
 		// v2: two batches from one connection-scoped encoder; the first
-		// defines the (stage, host) group inline, the second refs it.
+		// defines the (stage, host, signature) flow inline, the second refs
+		// it.
 		enc := NewBatchEncoder()
 		wire := enc.AppendFrames(nil, []*Synopsis{want})
 		wire = enc.AppendFrames(wire, []*Synopsis{want})
@@ -80,6 +97,32 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		if enc.InternedRefs() != 1 {
 			t.Fatalf("interned refs = %d, want exactly 1 (second copy)", enc.InternedRefs())
 		}
+	})
+}
+
+// FuzzBatchSequence drives a whole connection's worth of records through
+// the stateful v2 codec: the script (two bytes a record, see
+// sequenceRecord) interleaves groups and signatures derived from the base
+// synopsis, steps task ids and starts in both directions, toggles counts
+// and both extensions, cuts batches and resets the connection, and every
+// decoded record must equal the one encoded, field for field.
+func FuzzBatchSequence(f *testing.F) {
+	scripts := [][]byte{
+		{0x00, 0x00, 0x00, 0x00},
+		// Every group, signature variant and flag once, a cut and a reset.
+		{0x10, seqUnitCounts, 0x25, seqBackwards, 0x3a, seqEpoch | seqCut, 0x4f, seqTrace, 0x0c, seqReset, 0x10, 0, 0x25, seqBackwards | seqTrace | seqEpoch},
+		bytes.Repeat([]byte{0xf3, seqBackwards, 0x07, seqUnitCounts | seqCut}, 40),
+	}
+	for i, c := range recordCorpus {
+		f.Add(c.stage, c.host, c.task, c.startUs, c.durUs, c.npts, c.ptSeed, c.traced, scripts[i%len(scripts)])
+	}
+	// The script says which records carry a span, so the corpus's traced
+	// flag has nothing to add here.
+	f.Fuzz(func(t *testing.T, stage, host uint16, task uint64, startUs, durUs int64, npts uint8, ptSeed uint64, _ bool, script []byte) {
+		if len(script) > 1<<13 {
+			script = script[:1<<13]
+		}
+		runSequence(t, synopsisFromFuzz(stage, host, task, startUs, durUs, npts, ptSeed, false), script)
 	})
 }
 

@@ -6,13 +6,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 
 	"saad/internal/logpoint"
 )
 
-// Protocol v2 — the batched, interning wire format (DESIGN §15).
+// Protocol v2 — the batched, flow-interning, delta-coded wire format
+// (DESIGN §15).
 //
 // v1 framing is one `uvarint len | body` record per synopsis. v2 is
 // negotiated per connection by a client hello and groups records into batch
@@ -20,25 +22,34 @@ import (
 //
 //	uvarint frameLen | byte kind | uvarint n | n × record
 //
-// where each record is self-delimiting (no per-record length prefix):
+// where each record is self-delimiting (no per-record length prefix) and
+// carries only what is new about the task:
 //
-//	uvarint groupRef          0 ⇒ inline def follows: uvarint stage, uvarint
-//	                          host — the pair is appended to the
-//	                          per-connection intern table (both sides apply
-//	                          the same "append while the table has room"
-//	                          rule, so no table synchronization is needed);
-//	                          k>0 ⇒ the pair is intern table entry k-1
-//	uvarint taskID
-//	uvarint startUnixMicro
+//	uvarint head              ref<<2 | hasCounts<<1 | hasExt
+//	                          ref = 0 ⇒ a flow definition follows inline:
+//	                            uvarint stage, uvarint host,
+//	                            uvarint npts | npts × uvarint pointDelta
+//	                          and, while the table has room and npts <=
+//	                          maxInternPoints, the (stage, host, signature)
+//	                          triple is appended to the per-connection intern
+//	                          table — both sides apply the same rule, so no
+//	                          table synchronization is needed;
+//	                          ref = k>0 ⇒ the triple is table entry k-1
+//	zigzag taskDelta          against the table entry's last task id
+//	                          (against 0 when the flow is not in the table)
+//	zigzag startDelta         unix µs against the previous record of the
+//	                          same frame (a frame's first record: against 0)
 //	uvarint durationMicro
-//	uvarint npts | npts × (uvarint pointDelta, uvarint count)
+//	npts × uvarint count      only when hasCounts; otherwise every count is 1
 //	uvarint extCount | extCount × (uvarint extID, uvarint extLen, payload)
+//	                          only when hasExt
 //
-// The intern table is connection state: it starts empty on every connection
-// and is never carried across reconnects — a resync resets the dictionary
-// on both ends by construction, so a server joining mid-stream (or a client
-// replaying spilled records after an outage) needs no resynchronization
-// protocol.
+// The intern table (and each entry's last task id) is connection state: it
+// starts empty on every connection and is never carried across reconnects —
+// a resync resets it on both ends by construction, so a server joining
+// mid-stream (or a client replaying spilled records after an outage) needs
+// no resynchronization protocol. Start deltas restart with every frame, so
+// a frame needs nothing but the connection's table to decode.
 //
 // Hello negotiation: a v2 client opens with
 //
@@ -55,7 +66,7 @@ import (
 const (
 	// ProtocolV1 is the original per-record framing.
 	ProtocolV1 = 1
-	// ProtocolV2 is the batched framing with header interning.
+	// ProtocolV2 is the batched framing with flow interning.
 	ProtocolV2 = 2
 	// MaxProtocolVersion is the newest protocol this build speaks.
 	MaxProtocolVersion = ProtocolV2
@@ -73,15 +84,30 @@ const (
 	// MaxBatchRecords bounds the records carried by one batch frame.
 	MaxBatchRecords = 4096
 	// maxInternEntries bounds the per-connection intern table; once full,
-	// further groups are sent inline forever (both sides stop appending at
+	// further flows are sent inline forever (both sides stop appending at
 	// the same point, keeping the tables identical).
 	maxInternEntries = 1 << 16
+	// maxInternPoints is the longest signature the table takes: a longer
+	// one is sent inline every time, by the same rule on both ends, which
+	// bounds a hostile peer's table at maxInternEntries × maxInternPoints
+	// point ids.
+	maxInternPoints = 64
 	// maxRecordExtensions bounds the trailing extensions one v2 record may
 	// carry.
 	maxRecordExtensions = 16
+	// minRecordSize is the smallest v2 record: head, task delta, start
+	// delta and duration, one byte each.
+	minRecordSize = 4
 
-	// frameBatch is the only v2 frame kind so far.
-	frameBatch = 1
+	// frameBatch is the only v2 frame kind. Kind 1 was the layout that
+	// interned (stage, host) only; a peer still sending it is refused with
+	// "unknown frame kind" rather than misparsed.
+	frameBatch = 2
+
+	// Flag bits in a record's head, below the flow ref.
+	headHasExt    = 1 << 0
+	headHasCounts = 1 << 1
+	headRefShift  = 2
 )
 
 // ErrFrameTooLarge is returned when a v2 frame length exceeds maxFrameSize.
@@ -171,94 +197,118 @@ func PeekHello(br *bufio.Reader) (int, bool, error) {
 	return int(maxVer), true, nil
 }
 
-// internKey is one (stage, host) group header.
-type internKey struct {
-	stage logpoint.StageID
-	host  uint16
-}
+// zigzag maps a signed delta onto the uvarint range so small magnitudes of
+// either sign stay one byte.
+//
+//saad:hotpath
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
-// BatchEncoder builds v2 batch frames with per-connection header
-// interning. It is connection state: allocate one per connection (or Reset
-// on reconnect) so encoder and decoder tables stay in lockstep. Not safe
-// for concurrent use.
+//saad:hotpath
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// BatchEncoder builds v2 batch frames with per-connection flow interning.
+// It is connection state: allocate one per connection (or Reset on
+// reconnect) so encoder and decoder tables stay in lockstep. Not safe for
+// concurrent use.
 type BatchEncoder struct {
-	ids      map[internKey]uint32
-	body     []byte // reusable record-section scratch
-	interned uint64
-	// lastKey/lastID cache the most recent lookup: synopses arrive in
-	// per-stage bursts, so a one-entry cache strips the map from most
-	// records' hot path.
-	lastKey internKey
-	lastID  uint32
-	lastOK  bool
+	// ids maps a flow key — stage, host and the signature's point ids, two
+	// big-endian bytes each — to its table index.
+	ids map[string]uint32
+	// lastTask is the table's other column: the task id of the latest
+	// record sent for each entry, the base of the next one's delta.
+	lastTask  []uint64
+	key       [4 + 2*maxInternPoints]byte // flow-key scratch
+	body      []byte                      // reusable record-section scratch
+	prevStart int64                       // start µs of the frame's previous record
+	interned  uint64
 }
 
 // NewBatchEncoder returns an encoder with an empty intern table.
 func NewBatchEncoder() *BatchEncoder {
-	return &BatchEncoder{ids: make(map[internKey]uint32)}
+	return &BatchEncoder{ids: make(map[string]uint32)}
 }
 
 // Reset clears the intern table for a new connection.
 func (e *BatchEncoder) Reset() {
 	clear(e.ids)
-	e.lastOK = false
+	e.lastTask = e.lastTask[:0]
 }
 
-// InternedRefs returns how many record headers were emitted as one-uvarint
-// intern references (rather than inline stage+host) since construction.
+// InternedRefs returns how many records were emitted as a one-uvarint
+// reference to a known (stage, host, signature) flow (rather than with an
+// inline definition) since construction.
 func (e *BatchEncoder) InternedRefs() uint64 { return e.interned }
 
 // appendRecordV2 appends one self-delimiting v2 record to dst, updating
-// the intern table.
+// the intern table and the frame's start-delta base. Only a definition the
+// table takes allocates (its map key).
 //
 //saad:hotpath
 func (e *BatchEncoder) appendRecordV2(dst []byte, s *Synopsis) []byte {
-	key := internKey{stage: s.Stage, host: s.Host}
-	if e.lastOK && key == e.lastKey {
-		dst = binary.AppendUvarint(dst, uint64(e.lastID)+1)
-		e.interned++
-	} else if id, ok := e.ids[key]; ok {
-		dst = binary.AppendUvarint(dst, uint64(id)+1)
-		e.interned++
-		e.lastKey, e.lastID, e.lastOK = key, id, true
-	} else {
-		dst = binary.AppendUvarint(dst, 0)
-		dst = binary.AppendUvarint(dst, uint64(s.Stage))
-		dst = binary.AppendUvarint(dst, uint64(s.Host))
-		if len(e.ids) < maxInternEntries {
-			id := uint32(len(e.ids))
-			e.ids[key] = id
-			e.lastKey, e.lastID, e.lastOK = key, id, true
+	var flags uint64
+	if s.Trace != nil || s.RingEpoch != 0 {
+		flags = headHasExt
+	}
+	for _, pc := range s.Points {
+		if pc.Count != 1 {
+			flags |= headHasCounts
+			break
 		}
 	}
-	dst = binary.AppendUvarint(dst, s.TaskID)
-	dst = binary.AppendUvarint(dst, uint64(s.Start.UnixMicro()))
+	// A signature too long for the table is never looked up, so it builds
+	// no key.
+	var key []byte
+	var id uint32
+	var known bool
+	if len(s.Points) <= maxInternPoints {
+		key = e.key[:4+2*len(s.Points)]
+		key[0], key[1], key[2], key[3] = byte(s.Stage>>8), byte(s.Stage), byte(s.Host>>8), byte(s.Host)
+		for i, pc := range s.Points {
+			key[4+2*i], key[5+2*i] = byte(pc.Point>>8), byte(pc.Point)
+		}
+		id, known = e.ids[string(key)]
+	}
+	var taskBase uint64
+	if known {
+		dst = binary.AppendUvarint(dst, (uint64(id)+1)<<headRefShift|flags)
+		taskBase, e.lastTask[id] = e.lastTask[id], s.TaskID
+		e.interned++
+	} else {
+		dst = binary.AppendUvarint(dst, flags)
+		dst = binary.AppendUvarint(dst, uint64(s.Stage))
+		dst = binary.AppendUvarint(dst, uint64(s.Host))
+		dst = binary.AppendUvarint(dst, uint64(len(s.Points)))
+		var prev logpoint.ID
+		for _, pc := range s.Points {
+			dst = binary.AppendUvarint(dst, uint64(pc.Point-prev))
+			prev = pc.Point
+		}
+		if key != nil && len(e.lastTask) < maxInternEntries {
+			id = uint32(len(e.lastTask))
+			e.ids[string(key)] = id
+			e.lastTask = append(e.lastTask, s.TaskID)
+		}
+	}
+	start := s.Start.UnixMicro()
+	dst = binary.AppendUvarint(dst, zigzag(int64(s.TaskID-taskBase)))
+	dst = binary.AppendUvarint(dst, zigzag(start-e.prevStart))
+	e.prevStart = start
 	dst = binary.AppendUvarint(dst, uint64(s.Duration.Microseconds()))
-	dst = binary.AppendUvarint(dst, uint64(len(s.Points)))
-	var prev logpoint.ID
-	for _, pc := range s.Points {
-		dst = binary.AppendUvarint(dst, uint64(pc.Point-prev))
-		dst = binary.AppendUvarint(dst, uint64(pc.Count))
-		prev = pc.Point
+	if flags&headHasCounts != 0 {
+		for _, pc := range s.Points {
+			dst = binary.AppendUvarint(dst, uint64(pc.Count))
+		}
 	}
-	var extCount uint64
-	if s.Trace != nil {
-		extCount++
-	}
-	if s.RingEpoch != 0 {
-		extCount++
-	}
-	dst = binary.AppendUvarint(dst, extCount)
-	if sp := s.Trace; sp != nil {
-		dst = binary.AppendUvarint(dst, extTrace)
-		dst = binary.AppendUvarint(dst, uint64(tracePayloadSize(sp)))
-		dst = binary.AppendUvarint(dst, uint64(sp.Emit))
-		dst = binary.AppendUvarint(dst, uint64(sp.Send))
-	}
-	if s.RingEpoch != 0 {
-		dst = binary.AppendUvarint(dst, extRingEpoch)
-		dst = binary.AppendUvarint(dst, uint64(uvarintLen(s.RingEpoch)))
-		dst = binary.AppendUvarint(dst, s.RingEpoch)
+	if flags&headHasExt != 0 {
+		var extCount uint64
+		if s.Trace != nil {
+			extCount++
+		}
+		if s.RingEpoch != 0 {
+			extCount++
+		}
+		dst = binary.AppendUvarint(dst, extCount)
+		dst = appendExtensions(dst, s)
 	}
 	return dst
 }
@@ -273,6 +323,7 @@ func (e *BatchEncoder) appendRecordV2(dst []byte, s *Synopsis) []byte {
 func (e *BatchEncoder) AppendFrames(dst []byte, batch []*Synopsis) []byte {
 	for len(batch) > 0 {
 		body := e.body[:0]
+		e.prevStart = 0 // a frame's first start is absolute
 		n := 0
 		for _, s := range batch {
 			body = e.appendRecordV2(body, s)
@@ -293,17 +344,33 @@ func (e *BatchEncoder) AppendFrames(dst []byte, batch []*Synopsis) []byte {
 	return dst
 }
 
+// flow is one decoder-side intern table entry: a (stage, host, signature)
+// triple, the signature's point ids held in the decoder's shared arena,
+// and the task id of the latest record that used the entry.
+type flow struct {
+	stage    logpoint.StageID
+	host     uint16
+	npts     uint32
+	off      uint32 // first point id in BatchDecoder.points
+	lastTask uint64
+}
+
 // BatchDecoder reads v2 batch frames from a stream, mirroring the
 // encoder's intern table. Decode has the same contract as Decoder.Decode —
 // one synopsis per call, io.EOF at a clean frame boundary end of stream —
 // so both protocol versions feed the same receive loop. Not safe for
 // concurrent use.
 type BatchDecoder struct {
-	r      *bufio.Reader
-	groups []internKey // decoder-side intern table
-	buf    []byte      // whole-frame scratch, reused
-	body   []byte      // unconsumed record bytes of the current frame
-	left   int         // records left in the current frame
+	r *bufio.Reader
+	// flows is the decoder-side intern table and points the arena its
+	// entries' signatures live in: at most maxInternEntries entries of at
+	// most maxInternPoints ids each, whatever the peer sends.
+	flows     []flow
+	points    []logpoint.ID
+	buf       []byte // whole-frame scratch, reused
+	body      []byte // unconsumed record bytes of the current frame
+	left      int    // records left in the current frame
+	prevStart int64  // start µs of the frame's previous record
 	// frameHook, when set, is called at each frame header with the record
 	// count it announces (metrics: batch-size histogram).
 	frameHook func(records int)
@@ -320,8 +387,8 @@ func NewBatchDecoder(br *bufio.Reader) *BatchDecoder {
 // SetFrameHook registers fn to observe each frame's record count.
 func (d *BatchDecoder) SetFrameHook(fn func(records int)) { d.frameHook = fn }
 
-// InternedRefs returns how many record headers arrived as intern
-// references since construction.
+// InternedRefs returns how many records arrived as references to a known
+// (stage, host, signature) flow since construction.
 func (d *BatchDecoder) InternedRefs() uint64 { return d.interned }
 
 // Remaining reports how many records of the current frame are still
@@ -369,12 +436,12 @@ func (d *BatchDecoder) nextFrame() error {
 	if count == 0 || count > MaxBatchRecords {
 		return fmt.Errorf("synopsis: frame record count %d out of range", count)
 	}
-	// Each record needs at least 6 bytes (six mandatory uvarints).
-	if count > uint64(len(rest)) {
-		return fmt.Errorf("synopsis: %d records exceed remaining %d frame bytes", count, len(rest))
+	if count*minRecordSize > uint64(len(rest)) {
+		return fmt.Errorf("synopsis: %d records of at least %d bytes exceed remaining %d frame bytes", count, minRecordSize, len(rest))
 	}
 	d.body = rest
 	d.left = int(count)
+	d.prevStart = 0
 	if d.frameHook != nil {
 		d.frameHook(int(count))
 	}
@@ -410,8 +477,8 @@ func (d *BatchDecoder) Decode(s *Synopsis) error {
 
 // uvarint decodes one uvarint at the head of buf, returning the value and
 // the remainder; ok is false on truncation or overflow. The one-byte fast
-// path is taken by nearly every field of a steady-state record (interned
-// refs, deltas, counts), keeping the whole call inlinable.
+// path is taken by nearly every field of a steady-state record (flow refs,
+// deltas, counts), keeping the whole call inlinable.
 //
 //saad:hotpath
 func uvarint(buf []byte) (v uint64, rest []byte, ok bool) {
@@ -429,91 +496,123 @@ func uvarint(buf []byte) (v uint64, rest []byte, ok bool) {
 func (d *BatchDecoder) decodeRecordV2(s *Synopsis) error {
 	buf := d.body
 	var ok bool
-	var ref uint64
-	if ref, buf, ok = uvarint(buf); !ok {
-		return fmt.Errorf("synopsis: decode group ref: %w", io.ErrUnexpectedEOF)
+	var head uint64
+	if head, buf, ok = uvarint(buf); !ok {
+		return fmt.Errorf("synopsis: decode record head: %w", io.ErrUnexpectedEOF)
 	}
-	var key internKey
-	if ref == 0 {
-		var stage, host uint64
+	var entry *flow // nil for a flow the table does not hold
+	if ref := head >> headRefShift; ref == 0 {
+		var stage, host, npts uint64
 		if stage, buf, ok = uvarint(buf); !ok {
 			return fmt.Errorf("synopsis: decode stage: %w", io.ErrUnexpectedEOF)
+		}
+		if stage > math.MaxUint16 {
+			return fmt.Errorf("synopsis: stage %d out of range", stage)
 		}
 		if host, buf, ok = uvarint(buf); !ok {
 			return fmt.Errorf("synopsis: decode host: %w", io.ErrUnexpectedEOF)
 		}
-		key = internKey{stage: logpoint.StageID(stage), host: uint16(host)}
-		if len(d.groups) < maxInternEntries {
-			d.groups = append(d.groups, key)
+		if host > math.MaxUint16 {
+			return fmt.Errorf("synopsis: host %d out of range", host)
+		}
+		if npts, buf, ok = uvarint(buf); !ok {
+			return fmt.Errorf("synopsis: decode point count: %w", io.ErrUnexpectedEOF)
+		}
+		if npts > uint64(len(buf)) { // each point id needs >= 1 byte; cheap sanity bound
+			return fmt.Errorf("synopsis: %d points exceeds remaining %d bytes", npts, len(buf))
+		}
+		s.Stage = logpoint.StageID(stage)
+		s.Host = uint16(host)
+		s.resizePoints(int(npts))
+		var prev logpoint.ID
+		for i := range s.Points {
+			var delta uint64
+			if delta, buf, ok = uvarint(buf); !ok {
+				return fmt.Errorf("synopsis: decode point %d id: %w", i, io.ErrUnexpectedEOF)
+			}
+			if delta > math.MaxUint16 {
+				return fmt.Errorf("synopsis: point %d id delta %d out of range", i, delta)
+			}
+			prev += logpoint.ID(delta)
+			s.Points[i] = PointCount{Point: prev, Count: 1}
+		}
+		if len(d.flows) < maxInternEntries && npts <= maxInternPoints {
+			d.flows = append(d.flows, flow{stage: s.Stage, host: s.Host, npts: uint32(npts), off: uint32(len(d.points))})
+			for _, pc := range s.Points {
+				d.points = append(d.points, pc.Point)
+			}
+			entry = &d.flows[len(d.flows)-1]
 		}
 	} else {
-		if ref > uint64(len(d.groups)) {
-			return fmt.Errorf("synopsis: group ref %d beyond intern table size %d", ref, len(d.groups))
+		if ref > uint64(len(d.flows)) {
+			return fmt.Errorf("synopsis: flow ref %d beyond intern table size %d", ref, len(d.flows))
 		}
-		key = d.groups[ref-1]
+		entry = &d.flows[ref-1]
+		s.Stage = entry.stage
+		s.Host = entry.host
+		// Copy, never alias: s.Points is recycled and mutated downstream.
+		s.resizePoints(int(entry.npts))
+		for i, id := range d.points[entry.off : entry.off+entry.npts] {
+			s.Points[i] = PointCount{Point: id, Count: 1}
+		}
 		d.interned++
 	}
-	var task, startUs, durUs, npts uint64
-	if task, buf, ok = uvarint(buf); !ok {
+	var taskDelta, startDelta, durUs uint64
+	if taskDelta, buf, ok = uvarint(buf); !ok {
 		return fmt.Errorf("synopsis: decode task id: %w", io.ErrUnexpectedEOF)
 	}
-	if startUs, buf, ok = uvarint(buf); !ok {
+	if startDelta, buf, ok = uvarint(buf); !ok {
 		return fmt.Errorf("synopsis: decode start: %w", io.ErrUnexpectedEOF)
 	}
 	if durUs, buf, ok = uvarint(buf); !ok {
 		return fmt.Errorf("synopsis: decode duration: %w", io.ErrUnexpectedEOF)
 	}
-	if npts, buf, ok = uvarint(buf); !ok {
-		return fmt.Errorf("synopsis: decode point count: %w", io.ErrUnexpectedEOF)
+	s.TaskID = uint64(unzigzag(taskDelta))
+	if entry != nil {
+		s.TaskID += entry.lastTask
+		entry.lastTask = s.TaskID
 	}
-	if npts > uint64(len(buf)) { // each point needs >= 2 bytes; cheap sanity bound
-		return fmt.Errorf("synopsis: %d points exceeds remaining %d bytes", npts, len(buf))
-	}
-	s.Stage = key.stage
-	s.Host = key.host
-	s.TaskID = task
-	s.Start = time.UnixMicro(int64(startUs)).UTC()
+	d.prevStart += unzigzag(startDelta)
+	s.Start = time.UnixMicro(d.prevStart).UTC()
 	s.Duration = time.Duration(durUs) * time.Microsecond
 	s.Trace = nil // decoders reuse s; a prior record's span must not leak
 	s.RingEpoch = 0
-	if cap(s.Points) < int(npts) {
-		s.Points = make([]PointCount, npts)
+	if head&headHasCounts != 0 {
+		for i := range s.Points {
+			var count uint64
+			if count, buf, ok = uvarint(buf); !ok {
+				return fmt.Errorf("synopsis: decode point %d count: %w", i, io.ErrUnexpectedEOF)
+			}
+			if count > math.MaxUint32 {
+				return fmt.Errorf("synopsis: point %d count %d out of range", i, count)
+			}
+			s.Points[i].Count = uint32(count)
+		}
 	}
-	s.Points = s.Points[:npts]
-	var prev logpoint.ID
-	for i := range s.Points {
-		var delta, count uint64
-		if delta, buf, ok = uvarint(buf); !ok {
-			return fmt.Errorf("synopsis: decode point %d id: %w", i, io.ErrUnexpectedEOF)
+	if head&headHasExt != 0 {
+		var extCount uint64
+		if extCount, buf, ok = uvarint(buf); !ok {
+			return fmt.Errorf("synopsis: decode extension count: %w", io.ErrUnexpectedEOF)
 		}
-		if count, buf, ok = uvarint(buf); !ok {
-			return fmt.Errorf("synopsis: decode point %d count: %w", i, io.ErrUnexpectedEOF)
+		if extCount > maxRecordExtensions {
+			return fmt.Errorf("synopsis: extension count %d out of range", extCount)
 		}
-		prev += logpoint.ID(delta)
-		s.Points[i] = PointCount{Point: prev, Count: uint32(count)}
-	}
-	var extCount uint64
-	if extCount, buf, ok = uvarint(buf); !ok {
-		return fmt.Errorf("synopsis: decode extension count: %w", io.ErrUnexpectedEOF)
-	}
-	if extCount > maxRecordExtensions {
-		return fmt.Errorf("synopsis: extension count %d out of range", extCount)
-	}
-	for i := uint64(0); i < extCount; i++ {
-		var extID, extLen uint64
-		if extID, buf, ok = uvarint(buf); !ok {
-			return fmt.Errorf("synopsis: decode extension id: %w", io.ErrUnexpectedEOF)
-		}
-		if extLen, buf, ok = uvarint(buf); !ok {
-			return fmt.Errorf("synopsis: decode extension length: %w", io.ErrUnexpectedEOF)
-		}
-		if extLen > uint64(len(buf)) {
-			return fmt.Errorf("synopsis: extension %d length %d exceeds remaining %d bytes", extID, extLen, len(buf))
-		}
-		payload := buf[:extLen]
-		buf = buf[extLen:]
-		if err := applyExtension(s, extID, payload); err != nil {
-			return err
+		for i := uint64(0); i < extCount; i++ {
+			var extID, extLen uint64
+			if extID, buf, ok = uvarint(buf); !ok {
+				return fmt.Errorf("synopsis: decode extension id: %w", io.ErrUnexpectedEOF)
+			}
+			if extLen, buf, ok = uvarint(buf); !ok {
+				return fmt.Errorf("synopsis: decode extension length: %w", io.ErrUnexpectedEOF)
+			}
+			if extLen > uint64(len(buf)) {
+				return fmt.Errorf("synopsis: extension %d length %d exceeds remaining %d bytes", extID, extLen, len(buf))
+			}
+			payload := buf[:extLen]
+			buf = buf[extLen:]
+			if err := applyExtension(s, extID, payload); err != nil {
+				return err
+			}
 		}
 	}
 	d.body = buf

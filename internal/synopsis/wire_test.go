@@ -3,8 +3,10 @@ package synopsis
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -123,11 +125,14 @@ func assertEqualSynopsis(t *testing.T, i int, got, want *Synopsis) {
 	if want.Trace != nil && (got.Trace.Emit != want.Trace.Emit || got.Trace.Send != want.Trace.Send) {
 		t.Fatalf("synopsis %d trace stamps mismatch: got %+v want %+v", i, got.Trace, want.Trace)
 	}
+	if got.RingEpoch != want.RingEpoch {
+		t.Fatalf("synopsis %d ring epoch mismatch: got %d want %d", i, got.RingEpoch, want.RingEpoch)
+	}
 }
 
-// TestBatchInterning verifies repeated group headers shrink to one uvarint:
-// the second batch of the same group must be strictly smaller than the
-// first, and a Reset must re-emit the inline definition.
+// TestBatchInterning verifies a repeated flow shrinks to one uvarint: the
+// second batch of the same (stage, host, signature) must be strictly
+// smaller than the first, and a Reset must re-emit the inline definition.
 func TestBatchInterning(t *testing.T) {
 	mk := func(n int) []*Synopsis {
 		out := make([]*Synopsis, n)
@@ -221,6 +226,103 @@ func TestBatchDecoderCorruptInputs(t *testing.T) {
 	var s Synopsis
 	if err := dec.Decode(&s); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame: got %v, want ErrFrameTooLarge", err)
+	}
+
+	// Hand-built records. A definition is head (0 plus flag bits), stage,
+	// host, point count and id deltas; every record goes on with task,
+	// start, duration and — with the counts flag — one count per point.
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		want  string
+	}{
+		{"valid definition", testFrame(frameBatch, 1, uvarints(0, 7, 3, 1, 5, 2, 2, 9)), ""},
+		// A value too wide for its field must not wrap into another host's
+		// (stage's, point's) window: host 65539 is not host 3.
+		{"host beyond uint16", testFrame(frameBatch, 1, uvarints(0, 7, 65539, 1, 5, 2, 2, 9)), "host 65539 out of range"},
+		{"stage beyond uint16", testFrame(frameBatch, 1, uvarints(0, 1<<16, 3, 1, 5, 2, 2, 9)), "stage 65536 out of range"},
+		{"point delta beyond uint16", testFrame(frameBatch, 1, uvarints(0, 7, 3, 1, 65541, 2, 2, 9)), "id delta 65541 out of range"},
+		{"count beyond uint32", testFrame(frameBatch, 1, uvarints(headHasCounts, 7, 3, 1, 5, 2, 2, 9, 1<<32+1)), "count 4294967297 out of range"},
+		{"flow ref into an empty table", testFrame(frameBatch, 1, uvarints(1<<headRefShift, 2, 2, 9)), "beyond intern table"},
+		{"more points than bytes", testFrame(frameBatch, 1, uvarints(0, 7, 3, 1<<30)), "points exceeds remaining"},
+		{"too many extensions", testFrame(frameBatch, 1, uvarints(headHasExt, 7, 3, 1, 5, 2, 2, 9, maxRecordExtensions+1)), "extension count"},
+		{"extension longer than the frame", testFrame(frameBatch, 1, uvarints(headHasExt, 7, 3, 1, 5, 2, 2, 9, 1, extTrace, 40)), "exceeds remaining"},
+		{"trailing bytes", testFrame(frameBatch, 1, uvarints(0, 7, 3, 1, 5, 2, 2, 9, 0)), "trailing bytes"},
+		// The pre-interning record layout shipped as kind 1: a stale peer is
+		// refused by name instead of being misparsed.
+		{"stale kind-1 frame", testFrame(1, 1, uvarints(0, 7, 3, 1, 5, 2, 2, 9)), "unknown frame kind 1"},
+		{"zero records", testFrame(frameBatch, 0, nil), "record count 0 out of range"},
+		{"too many records", testFrame(frameBatch, MaxBatchRecords+1, make([]byte, minRecordSize*(MaxBatchRecords+1))), "out of range"},
+	} {
+		dec := NewBatchDecoder(bufio.NewReader(bytes.NewReader(tc.frame)))
+		err := dec.Decode(&s)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// uvarints encodes vs one after another: a hand-built record or body.
+func uvarints(vs ...uint64) []byte {
+	var out []byte
+	for _, v := range vs {
+		out = binary.AppendUvarint(out, v)
+	}
+	return out
+}
+
+// testFrame wraps a record section in a batch frame header announcing n
+// records.
+func testFrame(kind byte, n uint64, body []byte) []byte {
+	out := binary.AppendUvarint(nil, uint64(1+uvarintLen(n)+len(body)))
+	out = append(out, kind)
+	out = binary.AppendUvarint(out, n)
+	return append(out, body...)
+}
+
+// TestFrameRecordCountBound pins nextFrame's sanity bound to the layout's
+// true minimum record: a frame of minimum-size records decodes, and the
+// same bytes announcing one record more are refused at the frame header,
+// before any record is parsed.
+func TestFrameRecordCountBound(t *testing.T) {
+	const n = 10
+	batch := make([]*Synopsis, n)
+	for i := range batch {
+		batch[i] = &Synopsis{
+			Stage: 7, Host: 3, TaskID: uint64(i + 1),
+			Start:    time.UnixMicro(int64(5 + i)).UTC(),
+			Duration: 9 * time.Microsecond,
+			Points:   []PointCount{{Point: 5, Count: 1}},
+		}
+	}
+	enc := NewBatchEncoder()
+	warm := enc.AppendFrames(nil, batch[:1])
+	frame := enc.AppendFrames(nil, batch)
+	if got, want := len(frame), 3+n*minRecordSize; got != want {
+		t.Fatalf("frame of %d known-flow records is %d bytes, want header 3 + %d × %d", n, got, n, minRecordSize)
+	}
+	decodeAll := func(wire []byte) (int, error) {
+		dec := NewBatchDecoder(bufio.NewReader(bytes.NewReader(wire)))
+		var s Synopsis
+		for i := 0; ; i++ {
+			if err := dec.Decode(&s); err != nil {
+				return i, err
+			}
+		}
+	}
+	if got, err := decodeAll(append(append([]byte(nil), warm...), frame...)); got != 1+n || !errors.Is(err, io.EOF) {
+		t.Fatalf("decoded %d records (%v), want %d then EOF", got, err, 1+n)
+	}
+	if frame[2] != n {
+		t.Fatalf("frame header %v: record count not where the test expects it", frame[:3])
+	}
+	frame[2] = n + 1
+	got, err := decodeAll(append(append([]byte(nil), warm...), frame...))
+	if got != 1 || err == nil || !strings.Contains(err.Error(), "exceed remaining") {
+		t.Fatalf("frame announcing %d records in %d bytes: decoded %d records of it, err %v; want refusal at the frame header", n+1, n*minRecordSize, got-1, err)
 	}
 }
 
