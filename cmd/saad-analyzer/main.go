@@ -381,9 +381,9 @@ type statuszInfo struct {
 	trainedOn   int
 	start       time.Time
 	anomalies   func() int
-	// protocols snapshots the live connections' negotiated wire protocol
-	// versions and the cumulative per-version connection counts.
-	protocols func() ([]stream.ConnProtocol, []uint64)
+	// connections snapshots the remote addresses of the live synopsis
+	// streams.
+	connections func() []string
 	// federation snapshots the fleet membership view (nil = standalone).
 	federation func() *federation.Status
 }
@@ -414,11 +414,8 @@ func statuszHandler(info statuszInfo) http.Handler {
 			ShedSynopses   uint64        `json:"shed_synopses"`
 			TraceSample    int           `json:"trace_sample_every"`
 			TracedSpans    int           `json:"traced_spans_retained"`
-			// Connections lists each live synopsis stream's negotiated wire
-			// protocol; ProtocolConns counts connections ever accepted per
-			// version (index = version, slot 0 unused).
-			Connections   []stream.ConnProtocol `json:"connections"`
-			ProtocolConns []uint64              `json:"protocol_connections_total"`
+			// Connections lists each live synopsis stream's remote address.
+			Connections []string `json:"connections"`
 			// Federation is the fleet membership view: peers with state and
 			// heartbeat age, this peer's owned hash arcs, the ring epoch and
 			// the handoff/forward counters. Absent for a standalone analyzer.
@@ -440,8 +437,8 @@ func statuszHandler(info statuszInfo) http.Handler {
 		for _, st := range info.engine.ShardStats() {
 			doc.Shards = append(doc.Shards, shardStatus{Shard: st.Shard, Fed: st.Fed, Pending: st.Pending, QueueLen: st.QueueLen, Degraded: st.Degraded})
 		}
-		if info.protocols != nil {
-			doc.Connections, doc.ProtocolConns = info.protocols()
+		if info.connections != nil {
+			doc.Connections = info.connections()
 		}
 		if info.federation != nil {
 			doc.Federation = info.federation()
@@ -765,7 +762,7 @@ func detectMode(listen, modelPath string, dict *logpoint.Dictionary, opts detect
 				defer sinkMu.Unlock()
 				return anomalies
 			},
-			protocols: srv.ProtocolStats,
+			connections: srv.Remotes,
 			federation: func() *federation.Status {
 				if peer == nil {
 					return nil

@@ -8,9 +8,9 @@
 // Experiments: fig6 fig7 fig8 sec533 table1 table2 table3 fig9a fig9b
 // fig9c fig9d fig10 fig11 scenarios wirepath fleet all
 //
-// "wirepath" benchmarks this repo's own synopsis wire path (protocol v1 vs
-// v2 over a TCP loopback into the engine, plus a multi-link saturation leg
-// recorded as "wirepath-saturation"); "fleet" plays a faulted trace through
+// "wirepath" benchmarks this repo's own synopsis wire path (one link over a
+// TCP loopback into the engine, plus a multi-link saturation leg recorded
+// as "wirepath-saturation"); "fleet" plays a faulted trace through
 // a 3-peer federated analyzer tier with a graceful mid-stream leave and
 // verifies the merged anomaly union against a single engine; "compare"
 // diffs the synopses-per-second series of two -json record files and fails
@@ -171,8 +171,8 @@ func runOne(cfg experiments.Config, name, csvDir, jsonOut string) error {
 	case "fig11":
 		out, err = experiments.Fig11(cfg)
 	case "wirepath":
-		// Not a paper artifact: this repo's own wire-protocol throughput
-		// trajectory (v1 vs v2), gated in CI via `saad-bench compare`.
+		// Not a paper artifact: this repo's own wire-path throughput
+		// trajectory, gated in CI via `saad-bench compare`.
 		out, err = experiments.Wirepath(cfg)
 	case "fleet":
 		// Not a paper artifact: the federated analyzer tier end to end —

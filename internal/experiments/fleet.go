@@ -10,7 +10,6 @@ import (
 	"saad/internal/faults"
 	"saad/internal/federation"
 	"saad/internal/stream"
-	"saad/internal/synopsis"
 )
 
 // FleetResult is the federated-tier trajectory experiment (not a paper
@@ -163,7 +162,7 @@ func Fleet(cfg Config) (FleetResult, error) {
 		fleet = append(fleet, &fleetMember{
 			eng:  eng,
 			peer: p,
-			srv:  stream.NewServer(ln, p, stream.WithServerProtocol(synopsis.ProtocolV2)),
+			srv:  stream.NewServer(ln, p),
 		})
 	}
 	for i, m := range fleet {
@@ -180,7 +179,7 @@ func Fleet(cfg Config) (FleetResult, error) {
 
 	// Phase 1: 60% of the stream across the 3-peer ring.
 	start := time.Now()
-	rc := stream.NewRingClient(federation.NewStaticRouter(infos, 0), time.Millisecond, stream.WithProtocol(synopsis.ProtocolV2))
+	rc := stream.NewRingClient(federation.NewStaticRouter(infos, 0), time.Millisecond)
 	for _, s := range syns[:out.Phase1Records] {
 		rc.Emit(s)
 	}
@@ -206,8 +205,7 @@ func Fleet(cfg Config) (FleetResult, error) {
 	leaving.shutdown()
 
 	// Phase 2: the remaining 40% across the 2-peer ring.
-	rc2 := stream.NewRingClient(federation.NewStaticRouter([]federation.PeerInfo{infos[0], infos[2]}, 0),
-		time.Millisecond, stream.WithProtocol(synopsis.ProtocolV2))
+	rc2 := stream.NewRingClient(federation.NewStaticRouter([]federation.PeerInfo{infos[0], infos[2]}, 0), time.Millisecond)
 	for _, s := range syns[out.Phase1Records:] {
 		rc2.Emit(s)
 	}

@@ -12,20 +12,18 @@ import (
 	"saad/internal/synopsis"
 )
 
-// WireLeg is one protocol version's measured pass over the TCP loopback
-// path: encode → wire → decode → engine feed, end to end.
+// WireLeg is one measured pass over the TCP loopback path: encode → wire →
+// decode → engine feed, end to end.
 type WireLeg struct {
-	Protocol       int
 	Duration       time.Duration
 	SynopsesPerSec float64
-	// BytesOnWire is what actually crossed the socket (v2 is smaller:
-	// interned headers and delta-encoded batches).
+	// BytesOnWire is what actually crossed the socket.
 	BytesOnWire uint64
 	// BytesPerSynopsis is the average wire cost of one record.
 	BytesPerSynopsis float64
 }
 
-// SaturationLeg is the multi-link saturation pass: Links concurrent v2
+// SaturationLeg is the multi-link saturation pass: Links concurrent
 // connections stream disjoint slices of the same trace into one server, so
 // the measurement covers the server's accept/decode/feed path under
 // connection-level parallelism rather than a single socket's ceiling.
@@ -39,52 +37,44 @@ type SaturationLeg struct {
 }
 
 // WirepathResult benchmarks the synopsis wire path: the same trace is
-// streamed over a real TCP loopback into a sharded engine once per protocol
-// version. v1 is the legacy per-record framing; v2 adds batch frames,
-// per-connection header interning and the pooled zero-allocation receive
+// streamed over a real TCP loopback into a sharded engine — batch frames,
+// per-connection flow interning and the pooled zero-allocation receive
 // path. Not a paper artifact — it records this repo's own perf trajectory,
 // and CI gates on SynopsesPerSec.
 type WirepathResult struct {
 	Records int
-	V1, V2  WireLeg
-	// Saturation is the multi-link v2 leg: the same records fanned across
+	Single  WireLeg
+	// Saturation is the multi-link leg: the same records fanned across
 	// saturationLinks concurrent connections into one server, recorded (and
 	// CI-gated) as its own aggregate SynopsesPerSec series.
 	Saturation SaturationLeg
-	// Speedup is the v2 over v1 throughput ratio.
-	Speedup float64
-	// SynopsesPerSec mirrors the v2 leg's rate at the top level — the
-	// headline series regression tracking and the CI gate compare.
+	// SynopsesPerSec mirrors the single-link leg's rate at the top level —
+	// the headline series regression tracking and the CI gate compare.
 	SynopsesPerSec float64
 }
 
-// String renders the comparison.
+// String renders the result.
 func (r WirepathResult) String() string {
 	var b strings.Builder
-	b.WriteString("Wire path: v1 per-record framing vs v2 batched+interned protocol\n")
-	leg := func(l WireLeg) {
-		fmt.Fprintf(&b, "  v%d: %d synopses in %v  (%.0f synopses/s, %.1f B/synopsis on the wire)\n",
-			l.Protocol, r.Records, l.Duration.Round(time.Millisecond), l.SynopsesPerSec, l.BytesPerSynopsis)
-	}
-	leg(r.V1)
-	leg(r.V2)
-	fmt.Fprintf(&b, "  v2 moves the same stream %.2fx faster\n", r.Speedup)
+	b.WriteString("Wire path: tracker client → TCP loopback → server → engine\n")
+	fmt.Fprintf(&b, "  single link: %d synopses in %v  (%.0f synopses/s, %.1f B/synopsis on the wire)\n",
+		r.Records, r.Single.Duration.Round(time.Millisecond), r.Single.SynopsesPerSec, r.Single.BytesPerSynopsis)
 	if r.Saturation.Links > 0 {
-		fmt.Fprintf(&b, "  saturation: %d concurrent v2 links, %.0f synopses/s aggregate (%.0f per link)\n",
+		fmt.Fprintf(&b, "  saturation: %d concurrent links, %.0f synopses/s aggregate (%.0f per link)\n",
 			r.Saturation.Links, r.Saturation.SynopsesPerSec, r.Saturation.PerLinkPerSec)
 	}
 	return b.String()
 }
 
-// legRuns is how many times each protocol leg repeats; the fastest pass is
+// legRuns is how many times each leg repeats; the fastest pass is
 // reported.
 const legRuns = 3
 
 // bestLeg runs wireLeg legRuns times and returns the fastest pass.
-func bestLeg(model *analyzer.Model, trace []*synopsis.Synopsis, ver int) (WireLeg, error) {
+func bestLeg(model *analyzer.Model, trace []*synopsis.Synopsis) (WireLeg, error) {
 	var best WireLeg
 	for i := 0; i < legRuns; i++ {
-		leg, err := wireLeg(model, cloneTrace(trace), ver)
+		leg, err := wireLeg(model, cloneTrace(trace))
 		if err != nil {
 			return best, err
 		}
@@ -115,22 +105,27 @@ func bestSaturationLeg(model *analyzer.Model, trace []*synopsis.Synopsis, links 
 	return best, nil
 }
 
-// saturationLeg fans the trace round-robin across links concurrent v2
-// connections into one pooled server/engine and measures the aggregate
-// end-to-end rate: first byte sent to last record fed.
-func saturationLeg(model *analyzer.Model, trace []*synopsis.Synopsis, links int) (SaturationLeg, error) {
-	leg := SaturationLeg{Links: links}
+// pooledEngine builds an engine that releases synopses into a pre-stocked
+// receive pool.
+func pooledEngine(model *analyzer.Model) (*synopsis.Pool, *analyzer.Engine) {
 	pool := synopsis.NewPool(32768)
 	warm := make([]*synopsis.Synopsis, 16384)
 	for i := range warm {
 		warm[i] = &synopsis.Synopsis{Points: make([]synopsis.PointCount, 0, 16)}
 	}
 	pool.PutN(warm)
-	eng := analyzer.NewEngine(model,
+	return pool, analyzer.NewEngine(model,
 		analyzer.WithSynopsisRelease(pool.Put),
 		analyzer.WithSynopsisReleaseBatch(pool.PutN))
-	srv, err := stream.Listen("127.0.0.1:0", eng,
-		stream.WithServerProtocol(synopsis.ProtocolV2), stream.WithServerPool(pool))
+}
+
+// saturationLeg fans the trace round-robin across links concurrent
+// connections into one pooled server/engine and measures the aggregate
+// end-to-end rate: first byte sent to last record fed.
+func saturationLeg(model *analyzer.Model, trace []*synopsis.Synopsis, links int) (SaturationLeg, error) {
+	leg := SaturationLeg{Links: links}
+	pool, eng := pooledEngine(model)
+	srv, err := stream.Listen("127.0.0.1:0", eng, stream.WithServerPool(pool))
 	if err != nil {
 		return leg, err
 	}
@@ -149,7 +144,7 @@ func saturationLeg(model *analyzer.Model, trace []*synopsis.Synopsis, links int)
 		wg.Add(1)
 		go func(chunk []*synopsis.Synopsis) {
 			defer wg.Done()
-			cli, err := stream.Dial(srv.Addr(), 2*time.Millisecond, stream.WithProtocol(synopsis.ProtocolV2))
+			cli, err := stream.Dial(srv.Addr(), 2*time.Millisecond)
 			if err != nil {
 				errs <- err
 				return
@@ -187,47 +182,23 @@ func saturationLeg(model *analyzer.Model, trace []*synopsis.Synopsis, links int)
 	return leg, nil
 }
 
-// wireLeg streams trace once over a TCP loopback at the given protocol
-// version and measures end-to-end throughput into a fresh engine.
-func wireLeg(model *analyzer.Model, trace []*synopsis.Synopsis, ver int) (WireLeg, error) {
-	leg := WireLeg{Protocol: ver}
+// wireLeg streams trace once over a TCP loopback and measures end-to-end
+// throughput into a fresh engine on the pooled receive path (pool
+// pre-stocked past the engine's queue depth so the leg measures the warmed
+// steady state).
+func wireLeg(model *analyzer.Model, trace []*synopsis.Synopsis) (WireLeg, error) {
+	var leg WireLeg
 	reg := metrics.NewRegistry()
 	cm := metrics.NewTCPClientMetrics(reg)
-
-	// The v1 leg reproduces the path as it shipped before this refactor:
-	// per-record framing, a fresh allocation per received record, and
-	// per-record engine feed — no pool, no release hooks. The v2 leg gets
-	// the new path end to end: batch frames, interning, and the pooled
-	// zero-allocation receive loop (pool pre-stocked past the engine's
-	// queue depth so the leg measures the warmed steady state).
-	var engOpts []analyzer.EngineOption
-	var srvOpts = []stream.ServerOption{stream.WithServerProtocol(ver)}
-	if ver >= synopsis.ProtocolV2 {
-		pool := synopsis.NewPool(32768)
-		warm := make([]*synopsis.Synopsis, 16384)
-		for i := range warm {
-			warm[i] = &synopsis.Synopsis{Points: make([]synopsis.PointCount, 0, 16)}
-		}
-		pool.PutN(warm)
-		engOpts = append(engOpts,
-			analyzer.WithSynopsisRelease(pool.Put),
-			analyzer.WithSynopsisReleaseBatch(pool.PutN))
-		srvOpts = append(srvOpts, stream.WithServerPool(pool))
-	}
-	eng := analyzer.NewEngine(model, engOpts...)
-	srv, err := stream.Listen("127.0.0.1:0", eng, srvOpts...)
+	pool, eng := pooledEngine(model)
+	srv, err := stream.Listen("127.0.0.1:0", eng, stream.WithServerPool(pool))
 	if err != nil {
 		return leg, err
 	}
 	defer srv.Close()
-	cli, err := stream.Dial(srv.Addr(), 2*time.Millisecond,
-		stream.WithProtocol(ver), stream.WithClientMetrics(cm))
+	cli, err := stream.Dial(srv.Addr(), 2*time.Millisecond, stream.WithClientMetrics(cm))
 	if err != nil {
 		return leg, err
-	}
-	if cli.Protocol() != ver {
-		_ = cli.Close()
-		return leg, fmt.Errorf("wirepath: negotiated v%d, want v%d", cli.Protocol(), ver)
 	}
 
 	start := time.Now()
@@ -242,7 +213,7 @@ func wireLeg(model *analyzer.Model, trace []*synopsis.Synopsis, ver int) (WireLe
 	deadline := time.Now().Add(2 * time.Minute)
 	for eng.Fed() < uint64(len(trace)) {
 		if time.Now().After(deadline) {
-			return leg, fmt.Errorf("wirepath v%d: engine consumed %d/%d synopses", ver, eng.Fed(), len(trace))
+			return leg, fmt.Errorf("wirepath: engine consumed %d/%d synopses", eng.Fed(), len(trace))
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
@@ -262,7 +233,7 @@ func wireLeg(model *analyzer.Model, trace []*synopsis.Synopsis, ver int) (WireLe
 }
 
 // Wirepath generates a Cassandra trace, trains the analyzer, and streams
-// the detection trace over TCP once per protocol version.
+// the detection trace over TCP: one link, then saturationLinks at once.
 func Wirepath(cfg Config) (WirepathResult, error) {
 	cfg.applyDefaults()
 	var out WirepathResult
@@ -288,19 +259,13 @@ func Wirepath(cfg Config) (WirepathResult, error) {
 	// Each leg runs legRuns times and keeps the fastest pass: the legs are
 	// short enough that scheduler and GC noise swamp a single measurement,
 	// and the fastest pass is the least contaminated estimate.
-	if out.V1, err = bestLeg(model, trace, synopsis.ProtocolV1); err != nil {
-		return out, err
-	}
-	if out.V2, err = bestLeg(model, trace, synopsis.ProtocolV2); err != nil {
+	if out.Single, err = bestLeg(model, trace); err != nil {
 		return out, err
 	}
 	if out.Saturation, err = bestSaturationLeg(model, trace, saturationLinks); err != nil {
 		return out, err
 	}
-	if out.V1.SynopsesPerSec > 0 {
-		out.Speedup = out.V2.SynopsesPerSec / out.V1.SynopsesPerSec
-	}
-	out.SynopsesPerSec = out.V2.SynopsesPerSec
+	out.SynopsesPerSec = out.Single.SynopsesPerSec
 	return out, nil
 }
 

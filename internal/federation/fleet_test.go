@@ -133,7 +133,7 @@ func startFleet(t *testing.T, model *analyzer.Model, ids []string, mcfg Membersh
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := stream.NewServer(ln, p, stream.WithServerProtocol(2))
+		srv := stream.NewServer(ln, p)
 		fleet = append(fleet, &fleetPeer{eng: eng, peer: p, srv: srv})
 	}
 	return fleet
@@ -203,7 +203,7 @@ func TestFleetEquivalenceGracefulLeave(t *testing.T) {
 	joinMesh(fleet)
 
 	// Phase 1: trackers route 60% of the stream across the 3-peer ring.
-	rc := stream.NewRingClient(NewStaticRouter(fleetInfos(fleet), 0), time.Millisecond, stream.WithProtocol(2))
+	rc := stream.NewRingClient(NewStaticRouter(fleetInfos(fleet), 0), time.Millisecond)
 	cut := len(full) * 6 / 10
 	for _, s := range full[:cut] {
 		rc.Emit(s)
@@ -246,7 +246,7 @@ func TestFleetEquivalenceGracefulLeave(t *testing.T) {
 	}
 
 	// Phase 2: the remaining 40% routes across the 2-peer ring.
-	rc2 := stream.NewRingClient(NewStaticRouter(fleetInfos(survivors), 0), time.Millisecond, stream.WithProtocol(2))
+	rc2 := stream.NewRingClient(NewStaticRouter(fleetInfos(survivors), 0), time.Millisecond)
 	for _, s := range full[cut:] {
 		rc2.Emit(s)
 	}
@@ -343,7 +343,7 @@ func TestFleetChaos(t *testing.T) {
 	}
 
 	infos := fleetInfos(fleet)
-	rc := stream.NewRingClient(NewStaticRouter(infos, 0), time.Millisecond, stream.WithProtocol(2))
+	rc := stream.NewRingClient(NewStaticRouter(infos, 0), time.Millisecond)
 	for _, s := range phase1 {
 		rc.Emit(s)
 	}
@@ -384,7 +384,7 @@ func TestFleetChaos(t *testing.T) {
 	stale := make([]PeerInfo, len(infos))
 	copy(stale, infos)
 	stale[1].Addr = infos[0].Addr
-	rc2 := stream.NewRingClient(NewStaticRouter(stale, 0), time.Millisecond, stream.WithProtocol(2))
+	rc2 := stream.NewRingClient(NewStaticRouter(stale, 0), time.Millisecond)
 	for _, s := range phase2 {
 		rc2.Emit(s)
 	}

@@ -1,0 +1,71 @@
+package federation
+
+import (
+	"testing"
+	"time"
+
+	"saad/internal/stream"
+)
+
+// TestForwardLinkRedialsRestartedPeer: a peer whose ingest server dies and
+// comes back on the same address is forwarded to again. The forward link
+// latches its transport error; the forwarding peer must evict it, count the
+// records that met the gap as dropped, and redial.
+func TestForwardLinkRedialsRestartedPeer(t *testing.T) {
+	model := fedTrainedModel(t)
+	fleet := startFleet(t, model, []string{"a", "b"}, MembershipConfig{})
+	joinMesh(fleet)
+	a, b := fleet[0], fleet[1]
+	defer func() {
+		for _, fp := range fleet {
+			fp.kill(t)
+			if err := fp.eng.Close(); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+
+	// A group b owns in a's view: everything a receives for it is forwarded.
+	host := uint16(0)
+	for a.peer.Membership().Ring().Owner(host, 1) != "b" {
+		host++
+	}
+	ts := fedEpoch
+	forward := func() {
+		a.peer.Emit(fedSyn(1, host, ts, 10*time.Millisecond, 1, 2, 4, 5))
+		ts = ts.Add(time.Millisecond)
+	}
+	poll := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+
+	forward()
+	poll("the first forward to arrive", func() bool { return b.eng.Fed() == 1 })
+
+	addr := b.srv.Addr()
+	if err := b.srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	poll("the gap to be counted", func() bool {
+		forward()
+		return a.peer.Status().ForwardsDropped > 0
+	})
+
+	srv, err := stream.Listen(addr, b.peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.srv = srv
+	before := b.eng.Fed()
+	poll("forwarding to resume on the restarted peer", func() bool {
+		forward()
+		return b.eng.Fed() > before
+	})
+}

@@ -192,7 +192,11 @@ func (p *Peer) forward(s *synopsis.Synopsis, owner string, epoch uint64) {
 	p.m.Forwards.Inc()
 }
 
-// link returns (dialing on first use) the forward link to a peer.
+// link returns the forward link to a peer, dialing when there is none. A
+// cached link that has latched a transport error is closed and evicted
+// (nil for this record, which the caller drops and counts), so the next
+// record redials and a peer that restarted on the same address is found
+// again.
 func (p *Peer) link(owner string) *stream.Client {
 	p.fwdMu.Lock()
 	c, closed := p.fwd[owner], p.closed
@@ -201,13 +205,22 @@ func (p *Peer) link(owner string) *stream.Client {
 		return nil
 	}
 	if c != nil {
-		return c
+		if c.Err() == nil {
+			return c
+		}
+		p.fwdMu.Lock()
+		if p.fwd[owner] == c {
+			delete(p.fwd, owner)
+		}
+		p.fwdMu.Unlock()
+		c.Close()
+		return nil
 	}
 	info, ok := p.ms.Info(owner)
 	if !ok || info.Addr == "" {
 		return nil
 	}
-	nc, err := stream.Dial(info.Addr, p.cfg.FlushEvery, stream.WithProtocol(2))
+	nc, err := stream.Dial(info.Addr, p.cfg.FlushEvery)
 	if err != nil {
 		p.logf("federation: dial forward link to %s (%s): %v", owner, info.Addr, err)
 		return nil

@@ -21,8 +21,7 @@ func registerPipelineFixture(t *testing.T) *Registry {
 		func() uint64 { return 7 }, func() uint64 { return 2 },
 		func() int { return 3 }, func() int { return 16 })
 	NewTCPClientMetrics(r)
-	tcpServer := NewTCPServerMetrics(r)
-	tcpServer.ProtocolConnections.With("2").Inc()
+	NewTCPServerMetrics(r)
 	p.Tracker.TasksBegun.Add(10)
 	p.Analyzer.WindowCloseLatency.Observe(0.004)
 	p.Analyzer.Anomalies.With("flow", "3").Inc()

@@ -70,9 +70,8 @@ type TCPClientMetrics struct {
 	// means the stream is dead; with reconnect enabled each error only
 	// marks one failed delivery attempt before the client redials.
 	Errors *Counter
-	// ProtocolVersion is the wire protocol negotiated on the current
-	// connection (0 while disconnected, 1 legacy per-record, 2 batched
-	// with interning).
+	// ProtocolVersion is the wire protocol of the current connection: 2
+	// while connected, 0 while disconnected.
 	ProtocolVersion *Gauge
 	// BatchRecords observes the record count of each v2 batch frame
 	// written, so the adaptive flush sizing is visible.
@@ -96,7 +95,7 @@ func NewTCPClientMetrics(r *Registry) *TCPClientMetrics {
 		BytesSent:       r.NewCounter("saad_stream_tcp_client_bytes_sent_total", "Bytes written to the analyzer TCP connection."),
 		SpillDepth:      r.NewGauge("saad_stream_tcp_client_spill_depth", "Synopses parked in the reconnect spill ring."),
 		Errors:          r.NewCounter("saad_stream_tcp_client_errors_total", "TCP client transport errors (latched without reconnect; per-attempt with it)."),
-		ProtocolVersion: r.NewGauge("saad_stream_tcp_client_protocol_version", "Wire protocol negotiated on the current connection (0 disconnected, 1 legacy, 2 batched)."),
+		ProtocolVersion: r.NewGauge("saad_stream_tcp_client_protocol_version", "Wire protocol of the current connection (0 disconnected, 2 connected)."),
 		BatchRecords:    r.NewHistogram("saad_stream_tcp_client_batch_records", "Records per v2 batch frame written.", BatchSizeBuckets),
 		InternedHeaders: r.NewCounter("saad_stream_tcp_client_interned_headers_total", "Records sent as an intern-table reference to a known (stage, host, signature) flow."),
 	}
@@ -115,7 +114,8 @@ type TCPServerMetrics struct {
 	// BytesReceived counts bytes read across all connections.
 	BytesReceived *Counter
 	// ConnErrors counts connections dropped on a decode error other than
-	// a clean EOF (protocol errors, truncated streams).
+	// a clean EOF (protocol errors, truncated streams) or refused at the
+	// handshake (no hello, or one offering less than protocol v2).
 	ConnErrors *Counter
 	// Resyncs counts connections accepted after an earlier connection had
 	// already ended — with SAAD's long-lived per-node streams these are
@@ -128,9 +128,6 @@ type TCPServerMetrics struct {
 	// deadline — half-dead clients (e.g. behind an asymmetric partition)
 	// that stopped sending frames but never closed.
 	IdleReaps *Counter
-	// ProtocolConnections counts accepted connections by negotiated wire
-	// protocol version.
-	ProtocolConnections *CounterVec
 	// BatchRecords observes the record count of each v2 batch frame
 	// received.
 	BatchRecords *Histogram
@@ -143,17 +140,16 @@ type TCPServerMetrics struct {
 // NewTCPServerMetrics registers the TCP server metric family on r.
 func NewTCPServerMetrics(r *Registry) *TCPServerMetrics {
 	return &TCPServerMetrics{
-		Connections:         r.NewCounter("saad_stream_tcp_server_connections_total", "TCP synopsis stream connections accepted."),
-		OpenConnections:     r.NewGauge("saad_stream_tcp_server_open_connections", "TCP synopsis stream connections currently open."),
-		FramesReceived:      r.NewCounter("saad_stream_tcp_server_frames_received_total", "Synopsis records decoded from TCP streams."),
-		BytesReceived:       r.NewCounter("saad_stream_tcp_server_bytes_received_total", "Bytes read from TCP synopsis streams."),
-		ConnErrors:          r.NewCounter("saad_stream_tcp_server_conn_errors_total", "TCP connections dropped on a decode/protocol error."),
-		Resyncs:             r.NewCounter("saad_stream_tcp_server_resyncs_total", "Connections accepted after a previous stream ended (client reconnects)."),
-		AcceptErrors:        r.NewCounter("saad_stream_tcp_server_accept_errors_total", "Transient listener accept errors retried by the server."),
-		IdleReaps:           r.NewCounter("saad_stream_tcp_server_idle_reaps_total", "Connections closed after exceeding the idle read deadline."),
-		ProtocolConnections: r.NewCounterVec("saad_stream_tcp_server_protocol_connections_total", "Accepted connections by negotiated wire protocol version.", "version"),
-		BatchRecords:        r.NewHistogram("saad_stream_tcp_server_batch_records", "Records per v2 batch frame received.", BatchSizeBuckets),
-		InternedHeaders:     r.NewCounter("saad_stream_tcp_server_interned_headers_total", "Records received as intern-table references to a known (stage, host, signature) flow."),
+		Connections:     r.NewCounter("saad_stream_tcp_server_connections_total", "TCP synopsis stream connections accepted."),
+		OpenConnections: r.NewGauge("saad_stream_tcp_server_open_connections", "TCP synopsis stream connections currently open."),
+		FramesReceived:  r.NewCounter("saad_stream_tcp_server_frames_received_total", "Synopsis records decoded from TCP streams."),
+		BytesReceived:   r.NewCounter("saad_stream_tcp_server_bytes_received_total", "Bytes read from TCP synopsis streams."),
+		ConnErrors:      r.NewCounter("saad_stream_tcp_server_conn_errors_total", "TCP connections dropped on a decode/protocol error."),
+		Resyncs:         r.NewCounter("saad_stream_tcp_server_resyncs_total", "Connections accepted after a previous stream ended (client reconnects)."),
+		AcceptErrors:    r.NewCounter("saad_stream_tcp_server_accept_errors_total", "Transient listener accept errors retried by the server."),
+		IdleReaps:       r.NewCounter("saad_stream_tcp_server_idle_reaps_total", "Connections closed after exceeding the idle read deadline."),
+		BatchRecords:    r.NewHistogram("saad_stream_tcp_server_batch_records", "Records per v2 batch frame received.", BatchSizeBuckets),
+		InternedHeaders: r.NewCounter("saad_stream_tcp_server_interned_headers_total", "Records received as intern-table references to a known (stage, host, signature) flow."),
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"saad/internal/faults"
 	"saad/internal/metrics"
-	"saad/internal/synopsis"
 )
 
 // TestServerReadIdleTimeoutReapsSilentConns: a connection that stops
@@ -25,36 +24,19 @@ func TestServerReadIdleTimeoutReapsSilentConns(t *testing.T) {
 	}
 	defer srv.Close()
 
-	active, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	active := dialRaw(t, srv.Addr())
 	defer active.Close()
-	silent, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	silent := dialRaw(t, srv.Addr())
 	defer silent.Close()
 
-	encS := synopsis.NewEncoder(silent)
-	if err := encS.Encode(syn(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := encS.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	silent.send(t, syn(1))
 
-	// The active connection sends a frame every 20 ms: each read refreshes
-	// the deadline, so 15 frames outlive the 60 ms budget five times over.
-	encA := synopsis.NewEncoder(active)
+	// The active connection sends a frame every 20 ms: each frame boundary
+	// refreshes the deadline, so 15 frames outlive the 60 ms budget five
+	// times over.
 	const activeFrames = 15
 	for i := 0; i < activeFrames; i++ {
-		if err := encA.Encode(syn(uint64(100 + i))); err != nil {
-			t.Fatalf("active frame %d: %v", i, err)
-		}
-		if err := encA.Flush(); err != nil {
-			t.Fatalf("active flush %d: %v", i, err)
-		}
+		active.send(t, syn(uint64(100+i)))
 		time.Sleep(20 * time.Millisecond)
 	}
 
@@ -76,12 +58,7 @@ func TestServerReadIdleTimeoutReapsSilentConns(t *testing.T) {
 	if _, err := silent.Read(make([]byte, 1)); err == nil {
 		t.Fatal("silent connection still open after reap")
 	}
-	if err := encA.Encode(syn(999)); err != nil {
-		t.Fatal(err)
-	}
-	if err := encA.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	active.send(t, syn(999))
 	waitUntil(t, 5*time.Second, "post-reap frame to arrive", func() bool {
 		return got.Emitted() >= activeFrames+2
 	})

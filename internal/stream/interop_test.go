@@ -1,10 +1,14 @@
 package stream
 
 import (
+	"bufio"
+	"io"
+	"net"
 	"testing"
 	"time"
 
 	"saad/internal/logpoint"
+	"saad/internal/metrics"
 	"saad/internal/synopsis"
 )
 
@@ -75,56 +79,100 @@ func drainN(t *testing.T, ch *Channel, n int) []*synopsis.Synopsis {
 	return out
 }
 
-// TestProtocolInteropMatrix drives every version pairing over real TCP and
-// requires each to deliver exactly what a direct feed would have: a v1-only
-// client against a v2 server (no hello on the wire), a v2 client against a
-// v1-only server (hello rejected, client falls back), and v2 end-to-end.
-func TestProtocolInteropMatrix(t *testing.T) {
+// TestHelloRequiredRefusesOlderPeers: a peer that opens with bare record
+// framing (the retired v1 wire format), or with a hello offering only
+// version 1, is hung up on without a byte written and counted; a current
+// client on the same listener still delivers exactly what a direct feed
+// would have.
+func TestHelloRequiredRefusesOlderPeers(t *testing.T) {
 	const n = 400
+	got := NewChannel(2 * n)
+	sm := metrics.NewTCPServerMetrics(metrics.NewRegistry())
+	srv, err := Listen("127.0.0.1:0", got, WithServerMetrics(sm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	refused := []struct {
+		name    string
+		opening []byte
+	}{
+		{"bare-record-framing", synopsis.AppendRecord(nil, interopSyn(1))},
+		{"hello-offering-v1", synopsis.AppendHello(nil, 1)},
+	}
+	for i, tc := range refused {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(tc.opening); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 16)); n != 0 || err != io.EOF {
+			t.Fatalf("%s: read %d bytes, err %v; want 0 bytes and io.EOF", tc.name, n, err)
+		}
+		_ = conn.Close()
+		// The refusal is counted before the server hangs up.
+		if ce := sm.ConnErrors.Value(); ce != uint64(i+1) {
+			t.Fatalf("%s: ConnErrors = %d, want %d", tc.name, ce, i+1)
+		}
+	}
+	if fr := sm.FramesReceived.Value(); fr != 0 {
+		t.Fatalf("FramesReceived = %d from refused peers, want 0", fr)
+	}
+
 	want := make([]*synopsis.Synopsis, n)
 	for i := range want {
 		want[i] = interopSyn(i)
 	}
-
-	cases := []struct {
-		name       string
-		clientMax  int
-		serverMax  int
-		wantClient int // negotiated version the client must report
-	}{
-		{"v1-client_v2-server", synopsis.ProtocolV1, synopsis.MaxProtocolVersion, synopsis.ProtocolV1},
-		{"v2-client_v1-server", synopsis.MaxProtocolVersion, synopsis.ProtocolV1, synopsis.ProtocolV1},
-		{"v2-client_v2-server", synopsis.MaxProtocolVersion, synopsis.MaxProtocolVersion, synopsis.ProtocolV2},
+	cli, err := Dial(srv.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := NewChannel(2 * n)
-			srv, err := Listen("127.0.0.1:0", got, WithServerProtocol(tc.serverMax))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			cli, err := Dial(srv.Addr(), 0, WithProtocol(tc.clientMax))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cli.Protocol() != tc.wantClient {
-				t.Fatalf("negotiated v%d, want v%d", cli.Protocol(), tc.wantClient)
-			}
-			for _, s := range want {
-				cli.Emit(s)
-			}
-			if err := cli.Close(); err != nil {
-				t.Fatal(err)
-			}
-			assertSameAsDirect(t, drainN(t, got, n), want)
+	for _, s := range want {
+		cli.Emit(s)
+	}
+	if err := cli.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertSameAsDirect(t, drainN(t, got, n), want)
+	if ce := sm.ConnErrors.Value(); ce != uint64(len(refused)) {
+		t.Fatalf("ConnErrors = %d after the current client, want %d", ce, len(refused))
+	}
+}
 
-			if tc.wantClient >= synopsis.ProtocolV2 {
-				stats, counts := srv.ProtocolStats()
-				if counts[synopsis.ProtocolV2] == 0 {
-					t.Fatalf("server protocol counts = %v, want a v2 connection", counts)
+// TestDialFailsWithoutV2Ack: a server that hangs up on the hello, or acks a
+// version other than 2, is a failed dial — the client never falls back to
+// another framing.
+func TestDialFailsWithoutV2Ack(t *testing.T) {
+	for name, ack := range map[string][]byte{
+		"hangs-up": nil,
+		"acks-v1":  synopsis.AppendHelloAck(nil, 1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
 				}
-				_ = stats
+				_, _, _ = synopsis.PeekHello(bufio.NewReader(conn))
+				_, _ = conn.Write(ack)
+				_ = conn.Close()
+			}()
+			cm := metrics.NewTCPClientMetrics(metrics.NewRegistry())
+			if cli, err := Dial(ln.Addr().String(), 0, WithClientMetrics(cm)); err == nil {
+				_ = cli.Close()
+				t.Fatal("Dial succeeded against a server that did not ack v2")
+			}
+			if d := cm.Dials.Value(); d != 0 {
+				t.Fatalf("Dials = %d, want 0", d)
 			}
 		})
 	}
@@ -137,6 +185,7 @@ func TestProtocolInteropMatrix(t *testing.T) {
 // every delivered record must still decode exactly as a direct feed.
 func TestProtocolInteropReconnectReset(t *testing.T) {
 	got := NewChannel(8192)
+	sm := metrics.NewTCPServerMetrics(metrics.NewRegistry()) // the restarted server's
 	srv, err := Listen("127.0.0.1:0", got)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +224,7 @@ func TestProtocolInteropReconnectReset(t *testing.T) {
 			// written into the dead socket (the chaos suite covers lossy
 			// mid-flight kills; this test pins decode exactness).
 			time.Sleep(50 * time.Millisecond)
-			if srv, err = Listen(addr, got); err != nil {
+			if srv, err = Listen(addr, got, WithServerMetrics(sm)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -190,8 +239,7 @@ func TestProtocolInteropReconnectReset(t *testing.T) {
 
 	received := drainN(t, got, n)
 	assertSameAsDirect(t, received, want)
-	_, counts := srv.ProtocolStats()
-	if counts[synopsis.ProtocolV2] == 0 {
-		t.Fatalf("restarted server protocol counts = %v, want a renegotiated v2 connection", counts)
+	if c := sm.Connections.Value(); c == 0 {
+		t.Fatal("restarted server accepted no connection, want a renegotiated one")
 	}
 }

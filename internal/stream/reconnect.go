@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"io"
 	"net"
 	"time"
 
@@ -151,102 +150,34 @@ func (c *Client) runReconnect() {
 	rc := c.reconnect
 	rng := vtime.NewRNG(rc.Seed)
 	backoff := rc.InitialBackoff
-	var conn net.Conn
-	var enc *synopsis.Encoder // v1 path
-	var w io.Writer           // raw (counted) conn writer, v2 path
-	var benc *synopsis.BatchEncoder
-	var frame []byte // reusable v2 frame scratch
-	proto := 0       // negotiated version of the live conn, 0 = down
-	v1Latch := false // peer answered v1 once: stop offering hellos...
-	dials := 0       // ...except every v1ReprobeEvery-th dial (upgrades)
-	var lastInterned uint64
+	var l *link // the live link, nil while down
 
-	setProto := func(v int) {
-		proto = v
-		c.mu.Lock()
-		c.proto = v
-		c.mu.Unlock()
-		if m := c.metrics; m != nil {
-			m.ProtocolVersion.Set(float64(v))
+	dropLink := func() {
+		if l != nil {
+			_ = c.shut(l)
+			l = nil
 		}
 	}
+	defer dropLink()
 
-	dropConn := func() {
-		if conn != nil {
-			_ = conn.Close()
-			conn, enc, w = nil, nil, nil
-			setProto(0)
-		}
-	}
-	defer dropConn()
-
-	// connect performs one dial attempt, negotiates the wire protocol and
-	// wires the encoder. The hello is skipped while the peer is latched as
-	// v1, with a periodic reprobe so a server upgrade is eventually noticed.
+	// connect performs one dial attempt.
 	connect := func() bool {
-		fail := func(nc net.Conn, err error) bool {
-			if nc != nil {
-				_ = nc.Close()
-			}
+		nl, err := c.open()
+		if err != nil {
 			c.setErr(err)
 			if m := c.metrics; m != nil {
 				m.Errors.Inc()
 			}
 			return false
 		}
-		nc, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
-		if err != nil {
-			return fail(nil, err)
-		}
-		dials++
-		ver := synopsis.ProtocolV1
-		if c.protoMax >= synopsis.ProtocolV2 && (!v1Latch || dials%v1ReprobeEvery == 0) {
-			v, nerr := negotiate(nc, c.protoMax, c.dialTimeout)
-			switch {
-			case nerr == nil:
-				ver = v
-				v1Latch = ver < synopsis.ProtocolV2
-			case peerSpeaksV1(nerr):
-				// Legacy server: it already dropped the connection on the
-				// hello bytes, so redial and speak plain v1 from byte one.
-				v1Latch = true
-				_ = nc.Close()
-				if nc, err = net.DialTimeout("tcp", c.addr, c.dialTimeout); err != nil {
-					return fail(nil, err)
-				}
-			default:
-				return fail(nc, nerr)
-			}
-		}
-		if m := c.metrics; m != nil {
-			m.Dials.Inc()
-			if c.everConnected {
-				m.Reconnects.Inc()
-			}
+		if m := c.metrics; m != nil && c.everConnected {
+			m.Reconnects.Inc()
 		}
 		c.everConnected = true
 		backoff = rc.InitialBackoff
-		conn = nc
-		w = io.Writer(conn)
-		if m := c.metrics; m != nil {
-			w = countingWriter{w: conn, c: m.BytesSent}
-		}
-		if ver >= synopsis.ProtocolV2 {
-			// Fresh connection ⇒ the server's intern table is empty too:
-			// reset ours so every group is redefined inline in lockstep.
-			if benc == nil {
-				benc = synopsis.NewBatchEncoder()
-			} else {
-				benc.Reset()
-			}
-			lastInterned = benc.InternedRefs()
-			enc = nil
-		} else {
-			enc = synopsis.NewEncoder(w)
-		}
-		setProto(ver)
+		l = nl
 		// Death probe: the synopsis protocol is strictly one-way after the
-		// hello ack (already consumed above), so a returning Read means the
+		// hello ack (already consumed by open), so a returning Read means the
 		// analyzer hung up (FIN/RST). Closing the connection here makes the
 		// supervisor's next write fail locally and replay its batch,
 		// instead of flushing frames into a dead socket where they would
@@ -255,14 +186,14 @@ func (c *Client) runReconnect() {
 			var b [1]byte
 			_, _ = nc.Read(b[:])
 			_ = nc.Close()
-		}(nc)
+		}(nl.conn)
 		return true
 	}
 
 	// ensure dials until connected, sleeping the jittered backoff between
 	// attempts; it returns false when the client closed meanwhile.
 	ensure := func() bool {
-		for conn == nil {
+		for l == nil {
 			if connect() {
 				return true
 			}
@@ -283,20 +214,12 @@ func (c *Client) runReconnect() {
 	popBatch := func() []*synopsis.Synopsis {
 		c.mu.Lock()
 		defer c.mu.Unlock()
+		// Load-responsive drain: a deep ring (post-outage backlog) is
+		// flushed in larger frames so the catch-up amortizes framing and
+		// write syscalls, bounded by the protocol's frame limit.
 		target := rc.BatchSize
-		if proto >= synopsis.ProtocolV2 {
-			// Load-responsive drain: a deep ring (post-outage backlog) is
-			// flushed in larger frames so the catch-up amortizes framing
-			// and write syscalls, bounded by the protocol's frame limit.
-			if depth := c.ring.len(); depth > 4*rc.BatchSize {
-				target = depth
-				if max := 8 * rc.BatchSize; target > max {
-					target = max
-				}
-				if target > synopsis.MaxBatchRecords {
-					target = synopsis.MaxBatchRecords
-				}
-			}
+		if depth := c.ring.len(); depth > 4*rc.BatchSize {
+			target = min(depth, 8*rc.BatchSize, synopsis.MaxBatchRecords)
 		}
 		return c.ring.popBatch(target)
 	}
@@ -309,73 +232,26 @@ func (c *Client) runReconnect() {
 		}
 	}
 
-	// deliver encodes and flushes one batch; on failure the batch goes
-	// back to the ring head and the connection is torn down for redial.
+	// deliver writes one batch; on failure the batch goes back to the ring
+	// head and the link is torn down for redial.
 	deliver := func(batch []*synopsis.Synopsis) {
-		if c.writeTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+		if err := c.write(l, batch); err != nil {
+			c.setErr(err)
+			dropLink()
+			replay(batch)
 		}
-		var err error
-		if proto >= synopsis.ProtocolV2 {
-			now := time.Now().UnixNano()
-			for _, s := range batch {
-				if sp := s.Trace; sp != nil {
-					// Stamp (and on replay re-stamp) Send at the encode
-					// that actually reaches the wire, so Send-Emit includes
-					// the spill-ring dwell across an outage.
-					sp.Send = now
-				}
-			}
-			frame = benc.AppendFrames(frame[:0], batch)
-			_, err = w.Write(frame)
-			if err == nil {
-				if m := c.metrics; m != nil {
-					m.FramesSent.Add(uint64(len(batch)))
-					m.BatchRecords.Observe(float64(len(batch)))
-					if refs := benc.InternedRefs(); refs > lastInterned {
-						m.InternedHeaders.Add(refs - lastInterned)
-						lastInterned = refs
-					}
-				}
-				return
-			}
-		} else {
-			for _, s := range batch {
-				if sp := s.Trace; sp != nil {
-					sp.Send = time.Now().UnixNano()
-				}
-				if err = enc.Encode(s); err != nil {
-					break
-				}
-			}
-			if err == nil {
-				err = enc.Flush()
-			}
-			if err == nil {
-				if m := c.metrics; m != nil {
-					m.FramesSent.Add(uint64(len(batch)))
-				}
-				return
-			}
-		}
-		c.setErr(err)
-		if m := c.metrics; m != nil {
-			m.Errors.Inc()
-		}
-		dropConn()
-		replay(batch)
 	}
 
 	// finalize is the shutdown drain: at most one fresh dial and one
 	// attempt per batch — shutdown must not hang on a dead analyzer.
-	// deliver tears the connection down on error, which ends the loop;
+	// deliver tears the link down on error, which ends the loop;
 	// whatever stays spilled is counted as dropped, keeping the
 	// sent+dropped accounting complete.
 	finalize := func() {
-		if conn == nil {
+		if l == nil {
 			connect()
 		}
-		for conn != nil {
+		for l != nil {
 			batch := popBatch()
 			if len(batch) == 0 {
 				break
@@ -403,7 +279,7 @@ func (c *Client) runReconnect() {
 			if len(batch) == 0 {
 				break
 			}
-			if conn == nil {
+			if l == nil {
 				// Frames must not be stranded outside the ring while we
 				// dial; return them (accounted) and reclaim after.
 				replay(batch)

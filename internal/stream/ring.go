@@ -54,7 +54,11 @@ func NewRingClient(router Router, flushEvery time.Duration, opts ...ClientOption
 }
 
 // Emit routes one synopsis to its owning peer. Records with no reachable
-// owner are dropped and counted, never blocked on.
+// owner are dropped and counted, never blocked on. So is a record that
+// meets a link which can take nothing any more (a direct-mode link latches
+// its first transport error): that link is closed and evicted, so the next
+// record redials and a peer that restarted on the same address is found
+// again.
 func (rc *RingClient) Emit(s *synopsis.Synopsis) {
 	addr, epoch := rc.router.Route(s.Host, s.Stage)
 	if addr == "" {
@@ -67,7 +71,15 @@ func (rc *RingClient) Emit(s *synopsis.Synopsis) {
 		return
 	}
 	s.RingEpoch = epoch
-	c.Emit(s)
+	if !c.offer(s) {
+		rc.dropped.Add(1)
+		rc.mu.Lock()
+		if rc.clients[addr] == c {
+			delete(rc.clients, addr)
+		}
+		rc.mu.Unlock()
+		_ = c.Close()
+	}
 }
 
 // EmitBatch routes each record of a batch individually — a batch from one
@@ -79,26 +91,35 @@ func (rc *RingClient) EmitBatch(batch []*synopsis.Synopsis) {
 	}
 }
 
-// client returns (dialing if needed) the link to addr, nil if the dial
-// failed or the ring client is closed.
+// client returns the link to addr, dialing when there is none; nil if the
+// dial failed or the ring client is closed. The dial runs outside rc.mu, so
+// one unreachable peer never stalls emits to the others.
 func (rc *RingClient) client(addr string) *Client {
 	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.closed {
-		return nil
-	}
-	if c, ok := rc.clients[addr]; ok {
+	c, closed := rc.clients[addr], rc.closed
+	rc.mu.Unlock()
+	if c != nil || closed {
 		return c
 	}
-	c, err := Dial(addr, rc.flushEvery, rc.opts...)
+	nc, err := Dial(addr, rc.flushEvery, rc.opts...)
 	if err != nil {
 		return nil
 	}
-	rc.clients[addr] = c
-	return c
+	rc.mu.Lock()
+	keep := rc.clients[addr] // a raced dial's link wins; nil after Close
+	if keep == nil && !rc.closed {
+		keep = nc
+		rc.clients[addr] = nc
+	}
+	rc.mu.Unlock()
+	if keep != nc {
+		_ = nc.Close()
+	}
+	return keep
 }
 
-// Dropped reports how many synopses had no routable owner.
+// Dropped reports how many synopses had no routable owner or met a dead
+// link.
 func (rc *RingClient) Dropped() uint64 { return rc.dropped.Load() }
 
 // Links reports how many peer links are currently open.

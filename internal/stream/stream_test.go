@@ -267,15 +267,12 @@ func TestTCPServerSurvivesGarbageConnection(t *testing.T) {
 	defer srv.Close()
 
 	// A connection that writes garbage must not break the server.
-	garbage, err := Dial(srv.Addr(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	garbage := dialRaw(t, srv.Addr())
 	// Write a huge bogus length prefix directly.
-	if _, err := garbage.conn.Write([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}); err != nil {
+	if _, err := garbage.Write([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}); err != nil {
 		t.Fatal(err)
 	}
-	_ = garbage.conn.Close()
+	_ = garbage.Close()
 
 	// A well-behaved client still gets through.
 	cli, err := Dial(srv.Addr(), 0)

@@ -7,9 +7,7 @@ import (
 	"io"
 	"net"
 	"sort"
-	"strconv"
 	"sync"
-	"syscall"
 	"time"
 
 	"saad/internal/metrics"
@@ -26,26 +24,18 @@ const DefaultDialTimeout = 10 * time.Second
 // wedged connection before it is treated as a transport error.
 const DefaultWriteTimeout = 10 * time.Second
 
-// Direct-mode adaptive batching bounds (protocol v2): the pending batch is
-// flushed when it reaches the current target (size trigger) or on the
-// background flush tick (latency trigger); the target doubles on size
-// triggers and halves when a tick finds the batch underfilled, so batch
-// size tracks offered load.
+// Direct-mode adaptive batching bounds: the pending batch is flushed when it
+// reaches the current target (size trigger) or on the background flush tick
+// (latency trigger); the target doubles on size triggers and halves when a
+// tick finds the batch underfilled, so batch size tracks offered load.
 const (
 	minDirectBatch     = 8
 	initialDirectBatch = 16
 	maxDirectBatch     = 2048
 )
 
-// v1ReprobeEvery is how often a reconnecting client that latched a v1 peer
-// re-attempts the hello (every Nth dial): a legacy analyzer replaced by an
-// upgraded one is re-detected within a few reconnects, while the steady
-// v1 cost stays one wasted probe connection per N dials.
-const v1ReprobeEvery = 16
-
 // countingWriter charges bytes written to a counter; it wraps the client
-// connection below the encoder's bufio layer, so it observes flushed wire
-// bytes, not buffered user-space bytes.
+// connection, so it observes wire bytes.
 type countingWriter struct {
 	w io.Writer
 	c *metrics.Counter
@@ -69,10 +59,10 @@ func (cr countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Client streams synopses to a remote analyzer over TCP using the compact
-// binary codec. It implements tracker.Sink. Emit never blocks on the
-// network beyond the kernel send buffer plus the encoder's user-space
-// buffer, because a monitoring layer must not take the server down with it.
+// Client streams synopses to a remote analyzer over TCP in batch frames
+// (DESIGN §15). It implements tracker.Sink. Emit never blocks on the
+// network beyond the kernel send buffer, because a monitoring layer must
+// not take the server down with it.
 //
 // Without WithReconnect the client latches the first transport error and
 // drops (and counts) every subsequent emit. With WithReconnect the client
@@ -82,30 +72,20 @@ func (cr countingReader) Read(p []byte) (int, error) {
 // oldest synopsis is dropped and counted.
 type Client struct {
 	addr         string
-	flushEvery   time.Duration
 	dialTimeout  time.Duration
 	writeTimeout time.Duration
 	metrics      *metrics.TCPClientMetrics
 
-	// protoMax caps the negotiated wire protocol (WithProtocol); 1 selects
-	// the legacy framing with no hello.
-	protoMax int
-
 	mu     sync.Mutex
-	conn   net.Conn // direct mode only; the reconnect supervisor owns its own
-	enc    *synopsis.Encoder
 	err    error
 	closed bool
 
-	// Direct-mode v2 state: records pend in a batch and are flushed by
-	// size trigger, the background flush tick, or Close.
-	proto        int // negotiated protocol of the live connection (0 = none)
-	w            io.Writer
-	benc         *synopsis.BatchEncoder
-	pending      []*synopsis.Synopsis
-	frame        []byte
-	batchTarget  int
-	lastInterned uint64
+	// Direct mode: records pend in a batch and are flushed onto link by
+	// size trigger, the background flush tick, or Close. The reconnect
+	// supervisor owns its own link.
+	link        *link
+	pending     []*synopsis.Synopsis
+	batchTarget int
 
 	// Reconnect mode state (nil ring = direct mode).
 	reconnect     ReconnectConfig
@@ -119,6 +99,16 @@ type Client struct {
 
 var _ tracker.Sink = (*Client)(nil)
 
+// link is one negotiated connection. The frame encoder lives and dies with
+// it, so a new connection starts with an empty intern table on both ends.
+type link struct {
+	conn         net.Conn
+	w            io.Writer // conn, counted when the client is instrumented
+	enc          *synopsis.BatchEncoder
+	frame        []byte // reusable frame scratch
+	lastInterned uint64
+}
+
 // ClientOption customizes a Client.
 type ClientOption func(*Client)
 
@@ -128,8 +118,8 @@ func WithClientMetrics(m *metrics.TCPClientMetrics) ClientOption {
 	return func(c *Client) { c.metrics = m }
 }
 
-// WithDialTimeout bounds connection establishment (default
-// DefaultDialTimeout; d <= 0 keeps the default).
+// WithDialTimeout bounds connection establishment, hello exchange included
+// (default DefaultDialTimeout; d <= 0 keeps the default).
 func WithDialTimeout(d time.Duration) ClientOption {
 	return func(c *Client) {
 		if d > 0 {
@@ -138,7 +128,7 @@ func WithDialTimeout(d time.Duration) ClientOption {
 	}
 }
 
-// WithWriteTimeout bounds each encode/flush on the connection (default
+// WithWriteTimeout bounds each frame write on the connection (default
 // DefaultWriteTimeout; d <= 0 keeps the default).
 func WithWriteTimeout(d time.Duration) ClientOption {
 	return func(c *Client) {
@@ -148,18 +138,10 @@ func WithWriteTimeout(d time.Duration) ClientOption {
 	}
 }
 
-// WithProtocol caps the wire protocol version the client negotiates
-// (default synopsis.MaxProtocolVersion). WithProtocol(1) speaks the legacy
-// per-record framing and sends no hello — byte-identical on the wire to a
-// pre-v2 client, which is what the interop tests (and genuinely old
-// analyzers) rely on.
-func WithProtocol(v int) ClientOption {
-	return func(c *Client) {
-		if v >= synopsis.ProtocolV1 && v <= synopsis.MaxProtocolVersion {
-			c.protoMax = v
-		}
-	}
-}
+// WithProtocol is a no-op: protocol v2 is the only wire format. The name
+// survives because benchmark/ calls it; it goes when benchmark/ is next
+// edited (ROADMAP item 2).
+func WithProtocol(int) ClientOption { return func(*Client) {} }
 
 // WithReconnect makes the client self-healing (see Client). The zero
 // ReconnectConfig selects the documented defaults. With reconnect enabled,
@@ -171,16 +153,15 @@ func WithReconnect(cfg ReconnectConfig) ClientOption {
 }
 
 // Dial connects to a synopsis server at addr. flushEvery bounds how long a
-// synopsis may sit in the user-space buffer (0 disables the background
+// synopsis may sit in the pending batch (0 disables the background
 // flusher; Close still flushes). In reconnect mode delivery is batched and
 // flushed per batch, and flushEvery is ignored.
 func Dial(addr string, flushEvery time.Duration, opts ...ClientOption) (*Client, error) {
 	c := &Client{
 		addr:         addr,
-		flushEvery:   flushEvery,
 		dialTimeout:  DefaultDialTimeout,
 		writeTimeout: DefaultWriteTimeout,
-		protoMax:     synopsis.MaxProtocolVersion,
+		batchTarget:  initialDirectBatch,
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 	}
@@ -197,58 +178,17 @@ func Dial(addr string, flushEvery time.Duration, opts ...ClientOption) (*Client,
 		go c.runReconnect()
 		return c, nil
 	}
-	conn, err := net.DialTimeout("tcp", addr, c.dialTimeout)
+	l, err := c.open()
 	if err != nil {
-		return nil, fmt.Errorf("stream: dial %s: %w", addr, err)
+		return nil, err
 	}
-	ver := synopsis.ProtocolV1
-	if c.protoMax >= synopsis.ProtocolV2 {
-		v, nerr := negotiate(conn, c.protoMax, c.dialTimeout)
-		switch {
-		case nerr == nil:
-			ver = v
-		case peerSpeaksV1(nerr):
-			// Legacy analyzer: it read the hello magic as an oversized v1
-			// record and hung up. Redial speaking v1.
-			_ = conn.Close()
-			conn, err = net.DialTimeout("tcp", addr, c.dialTimeout)
-			if err != nil {
-				return nil, fmt.Errorf("stream: redial %s as v1: %w", addr, err)
-			}
-		default:
-			_ = conn.Close()
-			return nil, fmt.Errorf("stream: negotiate %s: %w", addr, nerr)
-		}
-	}
-	c.conn = conn
-	c.proto = ver
-	w := io.Writer(conn)
-	if m := c.metrics; m != nil {
-		m.Dials.Inc()
-		m.ProtocolVersion.Set(float64(ver))
-		w = countingWriter{w: conn, c: m.BytesSent}
-	}
-	c.w = w
-	if ver >= synopsis.ProtocolV2 {
-		c.benc = synopsis.NewBatchEncoder()
-		c.batchTarget = initialDirectBatch
-	} else {
-		c.enc = synopsis.NewEncoder(w)
-	}
+	c.link = l
 	if flushEvery > 0 {
 		go c.flushLoop(flushEvery)
 	} else {
 		close(c.done)
 	}
 	return c, nil
-}
-
-// Protocol returns the wire protocol version of the live connection (0
-// while a reconnecting client is between connections).
-func (c *Client) Protocol() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.proto
 }
 
 // connByteReader adapts a net.Conn to io.ByteReader for the hello ack —
@@ -264,34 +204,78 @@ func (r connByteReader) ReadByte() (byte, error) {
 	return b[0], nil
 }
 
-// negotiate performs the client half of the hello exchange on nc: write
-// the hello, read the ack, return the version the server chose. The whole
-// exchange is bounded by timeout.
-func negotiate(nc net.Conn, maxVer int, timeout time.Duration) (int, error) {
-	if timeout > 0 {
-		_ = nc.SetDeadline(time.Now().Add(timeout))
-		defer func() { _ = nc.SetDeadline(time.Time{}) }()
+// open establishes one link: dial, send the hello, require the server to
+// ack protocol v2. The whole exchange is bounded by the dial timeout. A
+// server that hangs up on the hello or acks anything else is a failed dial
+// like any other — there is no older framing to fall back to.
+func (c *Client) open() (*link, error) {
+	conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
+	if err != nil {
+		return nil, fmt.Errorf("stream: dial %s: %w", c.addr, err)
 	}
+	_ = conn.SetDeadline(time.Now().Add(c.dialTimeout))
 	var hb [16]byte
-	if _, err := nc.Write(synopsis.AppendHello(hb[:0], maxVer)); err != nil {
-		return 0, err
+	_, err = conn.Write(synopsis.AppendHello(hb[:0], synopsis.ProtocolV2))
+	var ver int
+	if err == nil {
+		ver, err = synopsis.ReadHelloAck(connByteReader{c: conn})
 	}
-	return synopsis.ReadHelloAck(connByteReader{c: nc})
+	if err == nil && ver != synopsis.ProtocolV2 {
+		err = fmt.Errorf("server acked protocol v%d, want v%d", ver, synopsis.ProtocolV2)
+	}
+	if err != nil {
+		_ = conn.Close()
+		return nil, fmt.Errorf("stream: negotiate %s: %w", c.addr, err)
+	}
+	_ = conn.SetDeadline(time.Time{})
+	l := &link{conn: conn, w: conn, enc: synopsis.NewBatchEncoder()}
+	if m := c.metrics; m != nil {
+		m.Dials.Inc()
+		m.ProtocolVersion.Set(synopsis.ProtocolV2)
+		l.w = countingWriter{w: conn, c: m.BytesSent}
+	}
+	return l, nil
 }
 
-// peerSpeaksV1 classifies a failed hello exchange. A pre-v2 server reads
-// the hello magic as an oversized record length and drops the connection
-// immediately, surfacing here as an EOF or reset — the deterministic
-// downgrade signal. A timeout or any other transport error is NOT a
-// downgrade signal: the peer's version is unknown, so the caller should
-// treat it as an ordinary connection failure and retry.
-func peerSpeaksV1(err error) bool {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return false
+// shut closes l's connection and zeroes the protocol gauge.
+func (c *Client) shut(l *link) error {
+	if m := c.metrics; m != nil {
+		m.ProtocolVersion.Set(0)
 	}
-	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
+	return l.conn.Close()
+}
+
+// write sends one batch on l as v2 frames, bounded by the write timeout.
+// Send is stamped (and on a replay re-stamped) at the encode that actually
+// reaches the wire, so Send-Emit includes any spill-ring dwell. What a
+// failed write means for the batch — drop or replay — is the caller's
+// policy.
+func (c *Client) write(l *link, batch []*synopsis.Synopsis) error {
+	var now int64
+	for _, s := range batch {
+		if sp := s.Trace; sp != nil {
+			if now == 0 {
+				now = time.Now().UnixNano()
+			}
+			sp.Send = now
+		}
+	}
+	l.frame = l.enc.AppendFrames(l.frame[:0], batch)
+	_ = l.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+	_, err := l.w.Write(l.frame)
+	if m := c.metrics; m != nil {
+		if err != nil {
+			m.Errors.Inc()
+			return err
+		}
+		m.FramesSent.Add(uint64(len(batch)))
+		m.BatchRecords.Observe(float64(len(batch)))
+		if refs := l.enc.InternedRefs(); refs > l.lastInterned {
+			m.InternedHeaders.Add(refs - l.lastInterned)
+			l.lastInterned = refs
+		}
+	}
+	return err
 }
 
 func (c *Client) flushLoop(every time.Duration) {
@@ -303,20 +287,12 @@ func (c *Client) flushLoop(every time.Duration) {
 		case <-ticker.C:
 			c.mu.Lock()
 			if c.err == nil && !c.closed {
-				if c.benc != nil {
-					// Latency trigger: ship whatever pended since the last
-					// tick, and shrink the size target when load is light.
-					underfilled := len(c.pending) < c.batchTarget/4
-					c.flushPendingLocked()
-					if underfilled && c.batchTarget > minDirectBatch {
-						c.batchTarget /= 2
-					}
-				} else {
-					c.armWriteDeadline()
-					c.err = c.enc.Flush()
-					if m := c.metrics; m != nil && c.err != nil {
-						m.Errors.Inc()
-					}
+				// Latency trigger: ship whatever pended since the last
+				// tick, and shrink the size target when load is light.
+				underfilled := len(c.pending) < c.batchTarget/4
+				c.flushPendingLocked()
+				if underfilled && c.batchTarget > minDirectBatch {
+					c.batchTarget /= 2
 				}
 			}
 			c.mu.Unlock()
@@ -326,27 +302,28 @@ func (c *Client) flushLoop(every time.Duration) {
 	}
 }
 
-// armWriteDeadline refreshes the direct-mode connection's write deadline;
-// callers hold c.mu and are about to write.
-func (c *Client) armWriteDeadline() {
-	if c.writeTimeout > 0 && c.conn != nil {
-		_ = c.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
-	}
-}
-
 // Emit implements tracker.Sink. It never blocks beyond the configured write
 // timeout; synopses that cannot be delivered (or buffered for delivery) are
 // dropped and counted in FramesDropped.
 func (c *Client) Emit(s *synopsis.Synopsis) {
+	if !c.offer(s) {
+		if m := c.metrics; m != nil {
+			m.FramesDropped.Inc()
+		}
+	}
+}
+
+// offer takes s for delivery. It returns false, leaving s unaccounted, when
+// the client can take nothing any more: it is closed, or it is a
+// direct-mode client with a latched error (in reconnect mode an error is
+// one failed attempt and the ring keeps accepting).
+func (c *Client) offer(s *synopsis.Synopsis) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed || (c.ring == nil && c.err != nil) {
+		return false
+	}
 	if c.ring != nil {
-		if c.closed {
-			if m := c.metrics; m != nil {
-				m.FramesDropped.Inc()
-			}
-			return
-		}
 		if evicted := c.ring.push(s); evicted > 0 {
 			if m := c.metrics; m != nil {
 				m.FramesDropped.Add(uint64(evicted))
@@ -356,104 +333,46 @@ func (c *Client) Emit(s *synopsis.Synopsis) {
 		case c.wake <- struct{}{}:
 		default:
 		}
-		return
+		return true
 	}
-	if c.err != nil || c.closed {
-		if m := c.metrics; m != nil {
-			m.FramesDropped.Inc()
-		}
-		return
-	}
-	if c.benc != nil {
-		// v2 direct mode: pend into the adaptive batch; the size trigger
-		// flushes a full batch, the background tick bounds latency.
-		c.pending = append(c.pending, s)
-		if len(c.pending) >= c.batchTarget {
-			c.flushPendingLocked()
-			if c.err == nil && c.batchTarget < maxDirectBatch {
-				c.batchTarget *= 2 // size-triggered: load supports bigger batches
-			}
-		}
-		return
-	}
-	c.armWriteDeadline()
-	if sp := s.Trace; sp != nil {
-		sp.Send = time.Now().UnixNano()
-	}
-	c.err = c.enc.Encode(s)
-	if m := c.metrics; m != nil {
-		if c.err != nil {
-			m.Errors.Inc()
-		} else {
-			m.FramesSent.Inc()
+	// Direct mode: pend into the adaptive batch; the size trigger flushes
+	// a full batch, the background tick bounds latency.
+	c.pending = append(c.pending, s)
+	if len(c.pending) >= c.batchTarget {
+		c.flushPendingLocked()
+		if c.err == nil && c.batchTarget < maxDirectBatch {
+			c.batchTarget *= 2 // size-triggered: load supports bigger batches
 		}
 	}
+	return true
 }
 
-// flushPendingLocked encodes the pending direct-mode batch as v2 frames
-// and writes them to the connection. Callers hold c.mu. On a write error
-// the pending records are dropped and counted — the direct-mode contract
-// (first transport error latches, every Emit lands in FramesSent or
-// FramesDropped) is unchanged from v1.
+// flushPendingLocked writes the pending direct-mode batch to the link.
+// Callers hold c.mu. A write error latches and the batch is dropped and
+// counted: the direct-mode contract is that every Emit lands in FramesSent
+// or FramesDropped.
 func (c *Client) flushPendingLocked() {
 	if len(c.pending) == 0 || c.err != nil {
 		return
 	}
 	n := len(c.pending)
-	var now int64
-	for _, s := range c.pending {
-		if sp := s.Trace; sp != nil {
-			if now == 0 {
-				now = time.Now().UnixNano()
-			}
-			sp.Send = now
-		}
-	}
-	c.frame = c.benc.AppendFrames(c.frame[:0], c.pending)
-	for i := range c.pending {
-		c.pending[i] = nil
-	}
+	c.err = c.write(c.link, c.pending)
+	clear(c.pending)
 	c.pending = c.pending[:0]
-	c.armWriteDeadline()
-	_, err := c.w.Write(c.frame)
-	m := c.metrics
-	if err != nil {
-		c.err = err
-		if m != nil {
-			m.Errors.Inc()
-			m.FramesDropped.Add(uint64(n))
-		}
-		return
-	}
-	if m != nil {
-		m.FramesSent.Add(uint64(n))
-		m.BatchRecords.Observe(float64(n))
-		if refs := c.benc.InternedRefs(); refs > c.lastInterned {
-			m.InternedHeaders.Add(refs - c.lastInterned)
-			c.lastInterned = refs
-		}
+	if m := c.metrics; m != nil && c.err != nil {
+		m.FramesDropped.Add(uint64(n))
 	}
 }
 
-// Flush pushes everything buffered so far onto the wire: the v2 pending
-// batch (direct mode) or the encoder's user-space buffer. A delivery
+// Flush pushes the pending direct-mode batch onto the wire. A delivery
 // barrier for callers that need bounded handoff latency — the federation
 // forward path uses it before control-plane transitions. In reconnect
 // mode delivery is the supervisor's business and Flush is a no-op.
 func (c *Client) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ring != nil || c.closed || c.err != nil {
-		return c.err
-	}
-	if c.benc != nil {
+	if c.ring == nil && !c.closed {
 		c.flushPendingLocked()
-		return c.err
-	}
-	c.armWriteDeadline()
-	c.err = c.enc.Flush()
-	if m := c.metrics; m != nil && c.err != nil {
-		m.Errors.Inc()
 	}
 	return c.err
 }
@@ -519,19 +438,9 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	var flushErr error
-	if c.benc != nil {
-		c.flushPendingLocked()
-		flushErr = c.err
-	} else {
-		c.armWriteDeadline()
-		flushErr = c.enc.Flush()
-	}
-	closeErr := c.conn.Close()
-	if m := c.metrics; m != nil {
-		m.ProtocolVersion.Set(0)
-	}
-	c.proto = 0
+	c.flushPendingLocked()
+	flushErr := c.err
+	closeErr := c.shut(c.link)
 	c.mu.Unlock()
 
 	close(c.stop)
@@ -560,26 +469,19 @@ type Server struct {
 	sampler  *trace.Sampler
 	readIdle time.Duration
 
-	// protoMax caps the protocol the server negotiates
-	// (WithServerProtocol); 1 reproduces a pre-v2 server exactly — no
-	// hello peek, so a v2 client's hello is rejected as an oversized
-	// record and the client downgrades.
-	protoMax int
 	// pool, when set, recycles decoded synopses: the handler draws each
 	// record's synopsis from the pool and the sink (an engine built
 	// WithSynopsisRelease) returns it after detection — the zero-alloc
 	// receive path.
 	pool *synopsis.Pool
-	// batchSink is sink's batch extension, when it has one: a whole v2
+	// batchSink is sink's batch extension, when it has one: a whole
 	// frame is delivered in one call, amortizing sink synchronization.
 	batchSink BatchSink
 
-	mu        sync.Mutex
-	conns     map[net.Conn]struct{}
-	connVers  map[net.Conn]int
-	closed    bool
-	ended     uint64 // connections that have come and gone
-	verCounts [synopsis.MaxProtocolVersion + 1]uint64
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+	ended  uint64 // connections that have come and gone
 
 	wg sync.WaitGroup
 }
@@ -628,17 +530,8 @@ func WithReadIdleTimeout(d time.Duration) ServerOption {
 	}
 }
 
-// WithServerProtocol caps the wire protocol version the server negotiates
-// (default synopsis.MaxProtocolVersion). WithServerProtocol(1) reproduces
-// a pre-v2 server byte-for-byte: no hello detection, v2 clients are
-// rejected into their v1 fallback.
-func WithServerProtocol(v int) ServerOption {
-	return func(s *Server) {
-		if v >= synopsis.ProtocolV1 && v <= synopsis.MaxProtocolVersion {
-			s.protoMax = v
-		}
-	}
-}
+// WithServerProtocol is a no-op, kept for benchmark/ like WithProtocol.
+func WithServerProtocol(int) ServerOption { return func(*Server) {} }
 
 // WithServerPool recycles decoded synopses through p. Pair it with an
 // engine built analyzer.WithSynopsisRelease(p.Put): the handler draws from
@@ -665,11 +558,9 @@ func Listen(addr string, sink tracker.Sink, opts ...ServerOption) (*Server, erro
 // sink. The server takes ownership of ln.
 func NewServer(ln net.Listener, sink tracker.Sink, opts ...ServerOption) *Server {
 	s := &Server{
-		ln:       ln,
-		sink:     sink,
-		conns:    make(map[net.Conn]struct{}),
-		connVers: make(map[net.Conn]int),
-		protoMax: synopsis.MaxProtocolVersion,
+		ln:    ln,
+		sink:  sink,
+		conns: make(map[net.Conn]struct{}),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -784,7 +675,6 @@ func (s *Server) handle(conn net.Conn) {
 		_ = conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
-		delete(s.connVers, conn)
 		s.ended++
 		s.mu.Unlock()
 		if m != nil {
@@ -797,49 +687,35 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	br := bufio.NewReaderSize(r, 64<<10)
 
-	ver := synopsis.ProtocolV1
-	if s.protoMax >= synopsis.ProtocolV2 {
-		if s.readIdle > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.readIdle))
-		}
-		maxVer, isHello, err := synopsis.PeekHello(br)
-		if err != nil {
-			s.classifyReadErr(err)
-			return
-		}
-		if isHello {
-			if maxVer > s.protoMax {
-				maxVer = s.protoMax
-			}
-			ver = maxVer
-			_ = conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
-			var ab [16]byte
-			if _, err := conn.Write(synopsis.AppendHelloAck(ab[:0], ver)); err != nil {
-				if m != nil {
-					m.ConnErrors.Inc()
-				}
-				return
-			}
-			// The ack is the server's only write, ever: v2 stays strictly
-			// one-way after the handshake, so the client death probe keeps
-			// working (any later inbound byte still means "server gone").
-		}
-		// No hello: a v1 client; the peeked bytes stay buffered for the
-		// legacy decoder, and the server never writes — exactly the old
-		// wire contract.
+	// The hello is mandatory. A peer that opens with anything else, or
+	// offers only a version below 2, is counted and hung up on without a
+	// byte written: there is no older framing to fall back to.
+	if s.readIdle > 0 {
+		_ = conn.SetReadDeadline(time.Now().Add(s.readIdle))
 	}
-	s.mu.Lock()
-	s.connVers[conn] = ver
-	s.verCounts[ver]++
-	s.mu.Unlock()
-	if m != nil {
-		m.ProtocolConnections.With(strconv.Itoa(ver)).Inc()
-	}
-	if ver >= synopsis.ProtocolV2 {
-		s.serveV2(conn, br)
+	maxVer, isHello, err := synopsis.PeekHello(br)
+	if err != nil {
+		s.classifyReadErr(err)
 		return
 	}
-	s.serveV1(conn, br)
+	if !isHello || maxVer < synopsis.ProtocolV2 {
+		if m != nil {
+			m.ConnErrors.Inc()
+		}
+		return
+	}
+	// The ack is the server's only write, ever: the stream stays strictly
+	// one-way after the handshake, so the client death probe keeps working
+	// (any later inbound byte still means "server gone").
+	_ = conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
+	var ab [16]byte
+	if _, err := conn.Write(synopsis.AppendHelloAck(ab[:0], synopsis.ProtocolV2)); err != nil {
+		if m != nil {
+			m.ConnErrors.Inc()
+		}
+		return
+	}
+	s.receive(conn, br)
 }
 
 // connRefill is the per-connection free-list chunk size: the receive loop
@@ -887,35 +763,11 @@ func (c *connPool) release() {
 	c.local = nil
 }
 
-// serveV1 is the legacy per-record receive loop.
-func (s *Server) serveV1(conn net.Conn, br *bufio.Reader) {
-	m := s.metrics
-	dec := synopsis.NewDecoder(br)
-	free := newConnPool(s.pool)
-	defer free.release()
-	for {
-		if s.readIdle > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.readIdle))
-		}
-		syn := free.get()
-		if err := dec.Decode(syn); err != nil {
-			s.classifyReadErr(err)
-			return
-		}
-		if m != nil {
-			m.FramesReceived.Inc()
-		}
-		s.stampRecv(syn)
-		if s.sink != nil {
-			s.sink.Emit(syn)
-		}
-	}
-}
-
-// serveV2 is the batched receive loop: records decode into pool-drawn
-// synopses and whole frames are handed to the sink's batch entry point
-// when it has one, so queue synchronization amortizes across the batch.
-func (s *Server) serveV2(conn net.Conn, br *bufio.Reader) {
+// receive is the per-connection receive loop: records decode into
+// pool-drawn synopses and whole frames are handed to the sink's batch entry
+// point when it has one, so queue synchronization amortizes across the
+// batch.
+func (s *Server) receive(conn net.Conn, br *bufio.Reader) {
 	m := s.metrics
 	dec := synopsis.NewBatchDecoder(br)
 	if m != nil {
@@ -978,25 +830,17 @@ func (s *Server) serveV2(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// ConnProtocol is one live connection's negotiated protocol, for /statusz.
-type ConnProtocol struct {
-	Remote  string `json:"remote"`
-	Version int    `json:"version"`
-}
-
-// ProtocolStats snapshots the negotiated protocol version of every live
-// connection (sorted by remote address) plus cumulative per-version
-// connection counts indexed by version (index 0 unused).
-func (s *Server) ProtocolStats() ([]ConnProtocol, []uint64) {
+// Remotes lists the remote address of every live connection, sorted, for
+// /statusz.
+func (s *Server) Remotes() []string {
 	s.mu.Lock()
-	out := make([]ConnProtocol, 0, len(s.connVers))
-	for conn, ver := range s.connVers {
-		out = append(out, ConnProtocol{Remote: conn.RemoteAddr().String(), Version: ver})
+	out := make([]string, 0, len(s.conns))
+	for conn := range s.conns {
+		out = append(out, conn.RemoteAddr().String())
 	}
-	counts := append([]uint64(nil), s.verCounts[:]...)
 	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Remote < out[j].Remote })
-	return out, counts
+	sort.Strings(out)
+	return out
 }
 
 // Close stops accepting, closes live connections and waits for handlers.

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/binary"
 	"net"
 	"testing"
@@ -192,35 +193,63 @@ func TestReconnectSpillOverflowAccounting(t *testing.T) {
 	}
 }
 
-// TestServerSurvivesMalformedFrames drives the listener through a table of
-// corrupt and truncated frames; after each one the listener and a
+// rawPeer is a bare socket that has completed the hello exchange, so what a
+// test writes next lands in the server's receive loop. It carries the
+// connection's frame encoder for the well-formed frames a test sends.
+type rawPeer struct {
+	net.Conn
+	enc *synopsis.BatchEncoder
+}
+
+func dialRaw(t *testing.T, addr string) *rawPeer {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(synopsis.AppendHello(nil, synopsis.ProtocolV2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := synopsis.ReadHelloAck(connByteReader{c: conn}); err != nil {
+		t.Fatalf("hello ack: %v", err)
+	}
+	return &rawPeer{Conn: conn, enc: synopsis.NewBatchEncoder()}
+}
+
+// send writes the synopses as one well-formed batch.
+func (p *rawPeer) send(t *testing.T, syns ...*synopsis.Synopsis) {
+	t.Helper()
+	if _, err := p.Write(p.enc.AppendFrames(nil, syns)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rawFrame prefixes a frame body with its length.
+func rawFrame(body ...byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+}
+
+// TestServerSurvivesMalformedFrames drives the receive loop through a
+// table of corrupt and truncated frames; after each one the listener and a
 // well-behaved connection must still work, and the protocol error must be
 // counted.
 func TestServerSurvivesMalformedFrames(t *testing.T) {
-	appendUvarints := func(vals ...uint64) []byte {
-		var b []byte
-		for _, v := range vals {
-			b = binary.AppendUvarint(b, v)
-		}
-		return b
-	}
-	validRecord := synopsis.AppendRecord(nil, syn(1))
-
+	overLimit := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	const batchKind = 2 // the one live frame kind; 1 is retired
 	cases := []struct {
 		name    string
 		payload []byte
-		// extraFrames is how many well-formed frames precede the garbage
-		// and must still be delivered.
-		extraFrames uint64
+		// valid is how many well-formed records precede the garbage and
+		// must still be delivered.
+		valid int
 	}{
-		{name: "length-prefix-over-limit", payload: []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}},
-		{name: "unterminated-length-varint", payload: []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}},
-		{name: "truncated-body", payload: appendUvarints(100, 1, 2, 3)},
-		{name: "point-count-exceeds-body", payload: func() []byte {
-			body := appendUvarints(1, 1, 1, 1, 1, 1<<40)
-			return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
-		}()},
-		{name: "garbage-after-valid-frame", payload: append(append([]byte{}, validRecord...), 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f), extraFrames: 1},
+		{name: "frame-length-over-limit", payload: overLimit},
+		{name: "unterminated-length-varint", payload: bytes.Repeat([]byte{0x80}, 10)},
+		{name: "truncated-body", payload: append(binary.AppendUvarint(nil, 100), batchKind, 1, 0, 0)},
+		{name: "record-count-exceeds-body", payload: rawFrame(batchKind, 0xe8, 0x07)}, // 1000 records, no bytes
+		{name: "retired-frame-kind-1", payload: rawFrame(1, 1, 0, 0, 0, 0)},
+		{name: "stale-flow-ref", payload: rawFrame(batchKind, 1, 5<<2, 0, 0, 0)},
+		{name: "garbage-after-valid-frame", payload: overLimit, valid: 1},
 	}
 
 	for _, tc := range cases {
@@ -234,21 +263,21 @@ func TestServerSurvivesMalformedFrames(t *testing.T) {
 			}
 			defer srv.Close()
 
-			conn, err := net.Dial("tcp", srv.Addr())
-			if err != nil {
-				t.Fatal(err)
+			peer := dialRaw(t, srv.Addr())
+			for i := 0; i < tc.valid; i++ {
+				peer.send(t, syn(uint64(i)))
 			}
-			if _, err := conn.Write(tc.payload); err != nil {
+			if _, err := peer.Write(tc.payload); err != nil {
 				t.Fatal(err)
 			}
 			// Close before waiting: a truncated body only turns into a
 			// decode error once the stream ends.
-			_ = conn.Close()
+			_ = peer.Close()
 			waitUntil(t, 10*time.Second, "protocol error to be counted", func() bool {
 				return sm.ConnErrors.Value() == 1
 			})
-			if fr := sm.FramesReceived.Value(); fr != tc.extraFrames {
-				t.Fatalf("FramesReceived = %d, want %d", fr, tc.extraFrames)
+			if fr := sm.FramesReceived.Value(); fr != uint64(tc.valid) {
+				t.Fatalf("FramesReceived = %d, want %d", fr, tc.valid)
 			}
 
 			// The listener must still serve a well-behaved client.
@@ -261,13 +290,16 @@ func TestServerSurvivesMalformedFrames(t *testing.T) {
 				t.Fatal(err)
 			}
 			waitUntil(t, 10*time.Second, "well-behaved frame after garbage", func() bool {
-				return got.Emitted() >= tc.extraFrames+1
+				return got.Emitted() == uint64(tc.valid)+1
 			})
 			// The gauge drops when the handler goroutine exits, which can
 			// trail the sink's last Emit.
 			waitUntil(t, 10*time.Second, "connection handlers to retire", func() bool {
 				return sm.OpenConnections.Value() == 0
 			})
+			if ce := sm.ConnErrors.Value(); ce != 1 {
+				t.Fatalf("ConnErrors = %d after the well-behaved client, want 1", ce)
+			}
 		})
 	}
 }

@@ -149,45 +149,6 @@ func EncodedSize(s *Synopsis) int {
 	return uvarintLen(uint64(b)) + b
 }
 
-// Encoder writes length-prefixed synopsis records to an io.Writer.
-// Construct with NewEncoder; call Flush (or Close on the underlying sink)
-// when done. Encoder is not safe for concurrent use.
-type Encoder struct {
-	w   *bufio.Writer
-	buf []byte
-	n   int64
-}
-
-// NewEncoder returns an encoder writing to w.
-func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{w: bufio.NewWriter(w)}
-}
-
-// Encode writes one record.
-//
-//saad:hotpath
-func (e *Encoder) Encode(s *Synopsis) error {
-	e.buf = AppendRecord(e.buf[:0], s)
-	n, err := e.w.Write(e.buf)
-	e.n += int64(n)
-	if err != nil {
-		return fmt.Errorf("synopsis: write record: %w", err)
-	}
-	return nil
-}
-
-// Flush flushes buffered records to the underlying writer.
-func (e *Encoder) Flush() error {
-	if err := e.w.Flush(); err != nil {
-		return fmt.Errorf("synopsis: flush: %w", err)
-	}
-	return nil
-}
-
-// BytesWritten returns the total bytes produced so far (pre-flush bytes
-// included).
-func (e *Encoder) BytesWritten() int64 { return e.n }
-
 // Decoder reads length-prefixed synopsis records from an io.Reader.
 // Decoder is not safe for concurrent use.
 type Decoder struct {

@@ -15,21 +15,12 @@ func TestCodecRingEpochRoundTripV1(t *testing.T) {
 	s := traceTestSyn()
 	s.RingEpoch = 42
 
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	if err := enc.Encode(s); err != nil {
-		t.Fatal(err)
-	}
+	wire := AppendRecord(nil, s)
 	plain := traceTestSyn()
 	plain.TaskID = 78
-	if err := enc.Encode(plain); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	wire = AppendRecord(wire, plain)
 
-	dec := NewDecoder(&buf)
+	dec := NewDecoder(bytes.NewReader(wire))
 	var got Synopsis
 	if err := dec.Decode(&got); err != nil {
 		t.Fatal(err)

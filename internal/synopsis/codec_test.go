@@ -31,22 +31,18 @@ func sampleSynopsis(i int) *Synopsis {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	var wire []byte
 	const n = 1000
+	size := 0
 	for i := 0; i < n; i++ {
-		if err := enc.Encode(sampleSynopsis(i)); err != nil {
-			t.Fatal(err)
-		}
+		wire = AppendRecord(wire, sampleSynopsis(i))
+		size += EncodedSize(sampleSynopsis(i))
 	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if enc.BytesWritten() != int64(buf.Len()) {
-		t.Fatalf("BytesWritten = %d, buffer has %d", enc.BytesWritten(), buf.Len())
+	if size != len(wire) {
+		t.Fatalf("EncodedSize sums to %d, buffer has %d", size, len(wire))
 	}
 
-	dec := NewDecoder(&buf)
+	dec := NewDecoder(bytes.NewReader(wire))
 	var got Synopsis
 	for i := 0; i < n; i++ {
 		if err := dec.Decode(&got); err != nil {
@@ -78,17 +74,9 @@ func TestCodecRoundTrip(t *testing.T) {
 
 func TestCodecEmptyPoints(t *testing.T) {
 	s := &Synopsis{Stage: 1, TaskID: 9, Start: time.UnixMicro(12345).UTC()}
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	if err := enc.Encode(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	var got Synopsis
 	got.Points = []PointCount{{1, 1}} // must be reset by decode
-	if err := NewDecoder(&buf).Decode(&got); err != nil {
+	if err := NewDecoder(bytes.NewReader(AppendRecord(nil, s))).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Points) != 0 {
@@ -115,15 +103,7 @@ func TestCodecCompactness(t *testing.T) {
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	if err := enc.Encode(sampleSynopsis(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := AppendRecord(nil, sampleSynopsis(1))
 	for cut := 1; cut < len(full); cut++ {
 		dec := NewDecoder(bytes.NewReader(full[:cut]))
 		var s Synopsis
@@ -202,16 +182,8 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			s.Points = append(s.Points, PointCount{Point: logpoint.ID(p), Count: c})
 		}
 		s.Normalize()
-		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
-		if err := enc.Encode(s); err != nil {
-			return false
-		}
-		if err := enc.Flush(); err != nil {
-			return false
-		}
 		var got Synopsis
-		if err := NewDecoder(&buf).Decode(&got); err != nil {
+		if err := NewDecoder(bytes.NewReader(AppendRecord(nil, s))).Decode(&got); err != nil {
 			return false
 		}
 		if got.Stage != s.Stage || got.Host != s.Host || got.TaskID != s.TaskID ||

@@ -26,23 +26,14 @@ func TestCodecTraceExtensionRoundTrip(t *testing.T) {
 	s := traceTestSyn()
 	s.Trace = &trace.Span{Stage: 3, Host: 9, TaskID: 77, Emit: 1_000_000, Send: 2_000_000}
 
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	if err := enc.Encode(s); err != nil {
-		t.Fatal(err)
-	}
+	wire := AppendRecord(nil, s)
 	// A second, untraced record: decoding it into the same struct must
 	// clear the first record's span.
 	plain := traceTestSyn()
 	plain.TaskID = 78
-	if err := enc.Encode(plain); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	wire = AppendRecord(wire, plain)
 
-	dec := NewDecoder(&buf)
+	dec := NewDecoder(bytes.NewReader(wire))
 	var got Synopsis
 	if err := dec.Decode(&got); err != nil {
 		t.Fatal(err)

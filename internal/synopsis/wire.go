@@ -16,9 +16,8 @@ import (
 // Protocol v2 — the batched, flow-interning, delta-coded wire format
 // (DESIGN §15).
 //
-// v1 framing is one `uvarint len | body` record per synopsis. v2 is
-// negotiated per connection by a client hello and groups records into batch
-// frames:
+// Every connection opens with a client hello (below); after the server's
+// ack the stream is batch frames:
 //
 //	uvarint frameLen | byte kind | uvarint n | n × record
 //
@@ -51,28 +50,27 @@ import (
 // no resynchronization protocol. Start deltas restart with every frame, so
 // a frame needs nothing but the connection's table to decode.
 //
-// Hello negotiation: a v2 client opens with
+// Hello: the client opens with
 //
 //	uvarint helloMagic | uvarint maxVersion | uvarint flags
 //
-// and waits for the server's ack (same three fields, version = chosen). The
-// magic is deliberately larger than maxRecordSize: a pre-v2 server reads it
-// as an oversized v1 record length and drops the connection at once, which
-// is the client's downgrade signal (redial speaking v1). A v1 client never
-// sends a hello; a v2 server distinguishes the two by peeking at the first
-// uvarint — v2 is therefore silent toward v1 clients, preserving the
-// strictly one-way property old peers rely on.
+// and waits for the server's ack (same three fields, version = 2). The
+// hello is mandatory and there is no downgrade: version 2 is the only
+// protocol either side speaks, so a server hangs up — without writing a
+// byte — on a peer that opens with anything else or offers less, and a
+// client treats a missing or different ack as a failed dial. The ack is the
+// server's only write; the stream is strictly one-way afterwards.
 
 const (
-	// ProtocolV1 is the original per-record framing.
-	ProtocolV1 = 1
-	// ProtocolV2 is the batched framing with flow interning.
+	// ProtocolV2 is the batched framing with flow interning — the wire
+	// protocol. (Version 1, bare per-record framing with no hello, is
+	// retired; a peer offering it is refused.)
 	ProtocolV2 = 2
 	// MaxProtocolVersion is the newest protocol this build speaks.
 	MaxProtocolVersion = ProtocolV2
 
-	// helloMagic opens a client hello. It must exceed maxRecordSize so v1
-	// servers reject it (and hang up) instead of waiting for a giant record.
+	// helloMagic opens a client hello. It exceeds maxRecordSize, so no bare
+	// record stream can start with it.
 	helloMagic = 0x53414144 // "SAAD"
 
 	// maxFrameSize bounds one v2 batch frame (corrupt length prefixes must
@@ -155,23 +153,22 @@ func ReadHelloAck(r io.ByteReader) (int, error) {
 	return int(ver), nil
 }
 
-// PeekHello inspects the start of a freshly accepted stream without
-// consuming v1 bytes. It returns (maxVersion, true, nil) after consuming a
-// client hello, or (0, false, nil) when the peer opened with v1 framing
-// (nothing consumed). An error is a read failure surfaced to the caller
-// unchanged (timeout, EOF, ...).
+// PeekHello inspects the start of a freshly accepted stream. It returns
+// (maxVersion, true, nil) after consuming a client hello, or (0, false, nil)
+// when the peer opened with anything else (nothing consumed) — a peer the
+// caller refuses. An error is a read failure surfaced to the caller
+// unchanged (timeout, EOF, ...) or a malformed hello.
 //
-// The discrimination is cheap and exact: a v1 record length below
-// maxRecordSize encodes in at most 3 uvarint bytes, while helloMagic needs
-// 5, and the first byte of the magic has the continuation bit set — so one
-// peeked byte settles most streams and five settle all of them.
+// The first byte of the magic has the continuation bit set and the magic
+// needs 5 uvarint bytes — so one peeked byte settles most foreign streams
+// and five settle all of them.
 func PeekHello(br *bufio.Reader) (int, bool, error) {
 	first, err := br.Peek(1)
 	if err != nil {
 		return 0, false, err
 	}
 	if first[0]&0x80 == 0 {
-		return 0, false, nil // short v1 record length; cannot be the magic
+		return 0, false, nil // a one-byte uvarint cannot be the magic
 	}
 	head, err := br.Peek(binary.MaxVarintLen32)
 	if err != nil && len(head) == 0 {
@@ -179,7 +176,7 @@ func PeekHello(br *bufio.Reader) (int, bool, error) {
 	}
 	v, n := binary.Uvarint(head)
 	if n <= 0 || v != helloMagic {
-		return 0, false, nil // v1 record with a long length prefix
+		return 0, false, nil // some other uvarint
 	}
 	if _, err := br.Discard(n); err != nil {
 		return 0, false, err
@@ -207,8 +204,8 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // BatchEncoder builds v2 batch frames with per-connection flow interning.
-// It is connection state: allocate one per connection (or Reset on
-// reconnect) so encoder and decoder tables stay in lockstep. Not safe for
+// It is connection state: allocate one per connection so encoder and
+// decoder tables stay in lockstep. Not safe for
 // concurrent use.
 type BatchEncoder struct {
 	// ids maps a flow key — stage, host and the signature's point ids, two
@@ -226,12 +223,6 @@ type BatchEncoder struct {
 // NewBatchEncoder returns an encoder with an empty intern table.
 func NewBatchEncoder() *BatchEncoder {
 	return &BatchEncoder{ids: make(map[string]uint32)}
-}
-
-// Reset clears the intern table for a new connection.
-func (e *BatchEncoder) Reset() {
-	clear(e.ids)
-	e.lastTask = e.lastTask[:0]
 }
 
 // InternedRefs returns how many records were emitted as a one-uvarint

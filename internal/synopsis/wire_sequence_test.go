@@ -31,7 +31,7 @@ const (
 	seqEpoch      = 1 << 2 // ring-epoch extension
 	seqTrace      = 1 << 3 // trace extension
 	seqCut        = 1 << 4 // the AppendFrames batch ends after this record
-	seqReset      = 1 << 5 // ... and so does the connection: Reset() and a fresh decoder
+	seqReset      = 1 << 5 // ... and so does the connection: a fresh encoder and decoder
 )
 
 // sequenceRecord derives record i of a script from base.
@@ -124,7 +124,7 @@ func runSequence(t *testing.T, base *Synopsis, script []byte) (calls, frames int
 		switch flags := script[i+1]; {
 		case flags&seqReset != 0:
 			endConnection()
-			enc.Reset()
+			enc = NewBatchEncoder()
 		case flags&seqCut != 0:
 			flush()
 		}

@@ -132,7 +132,8 @@ func assertEqualSynopsis(t *testing.T, i int, got, want *Synopsis) {
 
 // TestBatchInterning verifies a repeated flow shrinks to one uvarint: the
 // second batch of the same (stage, host, signature) must be strictly
-// smaller than the first, and a Reset must re-emit the inline definition.
+// smaller than the first, and a new connection's encoder must re-emit the
+// inline definition.
 func TestBatchInterning(t *testing.T) {
 	mk := func(n int) []*Synopsis {
 		out := make([]*Synopsis, n)
@@ -151,10 +152,9 @@ func TestBatchInterning(t *testing.T) {
 	if second >= first {
 		t.Fatalf("interned batch (%dB) not smaller than defining batch (%dB)", second, first)
 	}
-	enc.Reset()
-	third := len(enc.AppendFrames(nil, mk(10)))
+	third := len(NewBatchEncoder().AppendFrames(nil, mk(10)))
 	if third != first {
-		t.Fatalf("post-Reset batch %dB, want the defining size %dB again", third, first)
+		t.Fatalf("new encoder's batch %dB, want the defining size %dB again", third, first)
 	}
 }
 
