@@ -2,13 +2,14 @@ package analyzer
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"saad/internal/logpoint"
@@ -96,21 +97,16 @@ func decodeSynopses(in []string) ([]*synopsis.Synopsis, error) {
 // group keys are unique across shards, so concatenating per-shard sections
 // and sorting yields exactly a single detector's checkpoint layout.
 func (d *Detector) windowsJSON() []windowJSON {
-	keys := make([]groupKey, 0, len(d.open))
-	for k := range d.open {
-		keys = append(keys, k)
-	}
-	sortGroupKeys(keys)
-	out := make([]windowJSON, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, windowToJSON(d.model, k, d.open[k]))
+	out := make([]windowJSON, 0, len(d.open))
+	for _, k := range d.openKeys() {
+		out = append(out, windowToJSON(k, d.open[k]))
 	}
 	return out
 }
 
 // windowToJSON serializes one open window in the checkpoint wire form
 // (shared by whole-detector checkpoints and per-group federation handoff).
-func windowToJSON(model *Model, k groupKey, ws *windowState) windowJSON {
+func windowToJSON(k groupKey, ws *windowState) windowJSON {
 	wj := windowJSON{
 		Host:         k.host,
 		Stage:        k.stage,
@@ -128,17 +124,13 @@ func windowToJSON(model *Model, k groupKey, ws *windowState) windowJSON {
 		})
 	}
 	// Interned ids sort like their signatures, so iterating ids in
-	// numeric order keeps the serialized order lexicographic.
-	sm := model.Stage(k.stage)
-	ids := make([]int32, 0, len(ws.perSig))
-	for id := range ws.perSig {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		sw := ws.perSig[id]
+	// numeric order keeps the serialized order lexicographic. (Sorting
+	// touched in place is harmless: its order carries no meaning.)
+	slices.Sort(ws.touched)
+	for _, id := range ws.touched {
+		sw := &ws.perSig[id]
 		wj.PerSig = append(wj.PerSig, sigWindowJSON{
-			SignatureHex: hex.EncodeToString([]byte(sm.sigByID[id].Signature)),
+			SignatureHex: hex.EncodeToString([]byte(ws.sm.sigByID[id].Signature)),
 			Tasks:        sw.tasks,
 			PerfOutliers: sw.perfOutliers,
 			Examples:     encodeSynopses(sw.examples),
@@ -207,7 +199,11 @@ func ReadCheckpoint(r io.Reader) (*Detector, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.open[groupKey{host: wj.Host, stage: wj.Stage}] = ws
+		key := groupKey{host: wj.Host, stage: wj.Stage}
+		if d.open[key] != nil {
+			return nil, wj.errorf("more than one window for the group")
+		}
+		d.open[key] = ws
 	}
 	for _, st := range raw.History {
 		d.stats = append(d.stats, WindowStats{
@@ -223,33 +219,51 @@ func ReadCheckpoint(r io.Reader) (*Detector, error) {
 	return d, nil
 }
 
+// errorf names the window's group in front of a reason to reject it.
+func (wj *windowJSON) errorf(format string, args ...any) error {
+	return fmt.Errorf("analyzer: checkpoint window host=%d stage=%d: %w", wj.Host, wj.Stage, fmt.Errorf(format, args...))
+}
+
 // windowFromJSON rebuilds one open window from its checkpoint wire form.
 // The model must be the one the window was serialized against: perSig
-// entries reference model-known signatures by content.
+// entries reference model-known signatures by content. The blob may come
+// from a peer (federation handoff), so what no detector writes is refused:
+// a signature listed twice, and counts that are negative, exceed the tasks
+// they are drawn from, or (per signature) are zero.
 func windowFromJSON(model *Model, wj windowJSON) (*windowState, error) {
 	ws := &windowState{
 		start:        time.Unix(0, wj.StartUnixNs).UTC(),
 		tasks:        wj.Tasks,
 		flowOutliers: wj.FlowOutliers,
-		newSigs:      make(map[synopsis.Signature]*sigEvidence, len(wj.NewSigs)),
-		perSig:       make(map[int32]*sigWindow, len(wj.PerSig)),
+	}
+	if wj.FlowOutliers < 0 || wj.FlowOutliers > wj.Tasks {
+		return nil, wj.errorf("%d flow outliers of %d tasks", wj.FlowOutliers, wj.Tasks)
 	}
 	var err error
 	if ws.flowExamples, err = decodeSynopses(wj.FlowExamples); err != nil {
-		return nil, fmt.Errorf("analyzer: checkpoint window host=%d stage=%d: %w", wj.Host, wj.Stage, err)
+		return nil, wj.errorf("%w", err)
 	}
 	for _, ej := range wj.NewSigs {
 		sig, examples, err := decodeSigEntry(ej.SignatureHex, ej.Examples)
 		if err != nil {
-			return nil, fmt.Errorf("analyzer: checkpoint window host=%d stage=%d: %w", wj.Host, wj.Stage, err)
+			return nil, wj.errorf("%w", err)
+		}
+		if ws.newSigs == nil {
+			ws.newSigs = make(map[synopsis.Signature]*sigEvidence, len(wj.NewSigs))
+		}
+		if ws.newSigs[sig] != nil {
+			return nil, wj.errorf("new signature %s listed twice", sig)
+		}
+		if ej.Count < 1 || ej.Count > wj.Tasks {
+			return nil, wj.errorf("new signature %s: count %d of %d tasks", sig, ej.Count, wj.Tasks)
 		}
 		ws.newSigs[sig] = &sigEvidence{count: ej.Count, examples: examples}
 	}
-	sm := model.Stage(wj.Stage)
+	ws.setStage(model.Stage(wj.Stage))
 	for _, sj := range wj.PerSig {
 		sig, examples, err := decodeSigEntry(sj.SignatureHex, sj.Examples)
 		if err != nil {
-			return nil, fmt.Errorf("analyzer: checkpoint window host=%d stage=%d: %w", wj.Host, wj.Stage, err)
+			return nil, wj.errorf("%w", err)
 		}
 		// perSig entries only ever hold model-known signatures, so a
 		// miss means the checkpoint does not match its own model.
@@ -257,13 +271,20 @@ func windowFromJSON(model *Model, wj windowJSON) (*windowState, error) {
 			id int32
 			ok bool
 		)
-		if sm != nil {
-			id, ok = sm.sigIDs[string(sig)]
+		if ws.sm != nil {
+			id, ok = ws.sm.sigIDs[string(sig)]
 		}
 		if !ok {
-			return nil, fmt.Errorf("analyzer: checkpoint window host=%d stage=%d: signature %s not in model", wj.Host, wj.Stage, sig)
+			return nil, wj.errorf("signature %s not in model", sig)
 		}
-		ws.perSig[id] = &sigWindow{tasks: sj.Tasks, perfOutliers: sj.PerfOutliers, examples: examples}
+		if ws.perSig[id].tasks != 0 {
+			return nil, wj.errorf("signature %s listed twice", sig)
+		}
+		if sj.Tasks < 1 || sj.Tasks > wj.Tasks || sj.PerfOutliers < 0 || sj.PerfOutliers > sj.Tasks {
+			return nil, wj.errorf("signature %s: %d perf outliers of %d tasks in a window of %d", sig, sj.PerfOutliers, sj.Tasks, wj.Tasks)
+		}
+		ws.perSig[id] = sigWindow{tasks: sj.Tasks, perfOutliers: sj.PerfOutliers, examples: examples}
+		ws.touched = append(ws.touched, id)
 	}
 	return ws, nil
 }
@@ -328,20 +349,17 @@ func LoadCheckpointFile(path string) (*Detector, error) {
 	return ReadCheckpoint(f)
 }
 
-// sortGroupKeys orders keys by host then stage for deterministic output.
-func sortGroupKeys(keys []groupKey) {
-	for i := 1; i < len(keys); i++ { // insertion sort; open-window counts are small
-		for j := i; j > 0 && lessGroupKey(keys[j], keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
+// openKeys lists the groups with an open window by host then stage, the
+// order of everything the detector emits group by group.
+func (d *Detector) openKeys() []groupKey {
+	keys := make([]groupKey, 0, len(d.open))
+	for k := range d.open {
+		keys = append(keys, k)
 	}
-}
-
-func lessGroupKey(a, b groupKey) bool {
-	if a.host != b.host {
-		return a.host < b.host
-	}
-	return a.stage < b.stage
+	slices.SortFunc(keys, func(a, b groupKey) int {
+		return cmp.Or(cmp.Compare(a.host, b.host), cmp.Compare(a.stage, b.stage))
+	})
+	return keys
 }
 
 // sortedSignatures returns the map's keys in lexicographic order.
@@ -350,10 +368,6 @@ func sortedSignatures[V any](m map[synopsis.Signature]V) []synopsis.Signature {
 	for sig := range m {
 		out = append(out, sig)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }

@@ -2,6 +2,7 @@ package analyzer
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -187,6 +188,71 @@ func TestCheckpointRejectsBadInput(t *testing.T) {
 	if _, err := ReadCheckpoint(strings.NewReader(bad)); err == nil {
 		t.Fatal("corrupt example record accepted")
 	}
+
+	// Windows no detector writes: each must be refused by name, not adopted
+	// with the later duplicate winning or with counts the proportion tests
+	// choke on.
+	det := NewDetector(trainedModel(t))
+	for _, s := range hostileWindowSeed() {
+		det.Feed(s)
+	}
+	good := checkpointBytes(t, det)
+	for _, tc := range hostileWindows {
+		var raw checkpointJSON
+		if err := json.Unmarshal(good, &raw); err != nil {
+			t.Fatal(err)
+		}
+		raw.Windows = tc.mutate(raw.Windows)
+		var buf bytes.Buffer
+		if _, err := writeCheckpointJSON(&buf, raw); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadCheckpoint(&buf); err == nil || !strings.Contains(err.Error(), "host=1 stage=1") {
+			t.Errorf("%s: accepted, or rejected without naming the group: %v", tc.name, err)
+		}
+	}
+}
+
+// hostileWindowSeed opens one (host 1, stage 1) window holding a perSig
+// entry with a perf outlier, a known rare flow and a new signature.
+func hostileWindowSeed() []*synopsis.Synopsis {
+	return []*synopsis.Synopsis{
+		makeSyn(1, 1, epoch, 10*time.Millisecond, 1, 2, 4, 5),
+		makeSyn(1, 1, epoch, 40*time.Millisecond, 1, 2, 4, 5),
+		makeSyn(1, 1, epoch, 10*time.Millisecond, 1, 2, 3, 4, 5),
+		makeSyn(1, 1, epoch, time.Millisecond, 1),
+	}
+}
+
+// hostileWindows are the ways a checkpoint or handoff blob can contradict
+// itself; each mutates the single window hostileWindowSeed leaves open.
+var hostileWindows = []struct {
+	name   string
+	mutate func([]windowJSON) []windowJSON
+}{
+	{"two windows for one group", func(w []windowJSON) []windowJSON { return append(w, w[0]) }},
+	{"perSig signature twice", func(w []windowJSON) []windowJSON {
+		w[0].PerSig = append(w[0].PerSig, w[0].PerSig[0])
+		return w
+	}},
+	{"new signature twice", func(w []windowJSON) []windowJSON {
+		w[0].NewSigs = append(w[0].NewSigs, w[0].NewSigs[0])
+		return w
+	}},
+	{"negative tasks", func(w []windowJSON) []windowJSON { w[0].Tasks = -4; return w }},
+	{"negative flow outliers", func(w []windowJSON) []windowJSON { w[0].FlowOutliers = -1; return w }},
+	{"more flow outliers than tasks", func(w []windowJSON) []windowJSON { w[0].FlowOutliers = w[0].Tasks + 1; return w }},
+	{"negative perf outliers", func(w []windowJSON) []windowJSON { w[0].PerSig[0].PerfOutliers = -1; return w }},
+	{"more perf outliers than tasks", func(w []windowJSON) []windowJSON {
+		w[0].PerSig[0].PerfOutliers = w[0].PerSig[0].Tasks + 1
+		return w
+	}},
+	{"perSig entry without tasks", func(w []windowJSON) []windowJSON {
+		w[0].PerSig[0].Tasks, w[0].PerSig[0].PerfOutliers = 0, 0
+		return w
+	}},
+	{"perSig tasks beyond the window's", func(w []windowJSON) []windowJSON { w[0].PerSig[0].Tasks = w[0].Tasks + 1; return w }},
+	{"new signature without a count", func(w []windowJSON) []windowJSON { w[0].NewSigs[0].Count = 0; return w }},
 }
 
 // TestCheckpointTimePrecision: window starts survive the round trip at

@@ -2,7 +2,7 @@ package analyzer
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -93,6 +93,9 @@ type Detector struct {
 	cfg   Config
 
 	open map[groupKey]*windowState
+	// free holds the storage of closed windows for Feed to open the next
+	// window in; it never outgrows the most windows open at once.
+	free []*windowState
 	// closedStats accumulates per-window statistics for reporting.
 	stats []WindowStats
 	// late counts synopses dropped because their Start preceded the open
@@ -118,16 +121,21 @@ type groupKey struct {
 }
 
 type windowState struct {
-	start        time.Time
+	start time.Time
+	// sm is the model of the window's stage, nil for a stage that never
+	// appeared in training (every task there is a new signature).
+	sm           *StageModel
 	tasks        int
 	flowOutliers int
+	// newSigs is nil until a signature unknown to the model appears.
 	newSigs      map[synopsis.Signature]*sigEvidence
 	flowExamples []*synopsis.Synopsis
-	// perSig keys on the model's interned signature id (see
-	// StageModel.buildIndex); only signatures known to the model land here,
-	// so an id always exists. Unknown signatures go to newSigs, keyed by
-	// the signature itself.
-	perSig map[int32]*sigWindow
+	// perSig is indexed by the model's interned signature id (dense per
+	// stage, see StageModel.buildIndex) and sized to the stage; touched
+	// lists the ids whose entry has tasks > 0. Only signatures known to the
+	// model land here; unknown ones go to newSigs, keyed by the signature.
+	perSig  []sigWindow
+	touched []int32
 }
 
 type sigEvidence struct {
@@ -217,16 +225,53 @@ func (d *Detector) Feed(s *synopsis.Synopsis) []Anomaly {
 		w = nil
 	}
 	if w == nil {
-		w = &windowState{
-			start:   s.Start.Truncate(d.cfg.Window),
-			perSig:  make(map[int32]*sigWindow),
-			newSigs: make(map[synopsis.Signature]*sigEvidence),
-		}
+		w = d.newWindow(key.stage, s.Start.Truncate(d.cfg.Window))
 		d.open[key] = w
 		d.flight.Record(trace.EventWindowOpen, uint16(key.stage), key.host, uint64(w.start.UnixNano()), 0)
 	}
 	d.observe(w, s)
 	return out
+}
+
+// newWindow returns an empty window of stage beginning at start, in a closed
+// window's storage when the free list has one.
+func (d *Detector) newWindow(stage logpoint.StageID, start time.Time) *windowState {
+	var w *windowState
+	if n := len(d.free); n > 0 {
+		w, d.free = d.free[n-1], d.free[:n-1]
+	} else {
+		w = new(windowState)
+	}
+	w.start = start
+	w.setStage(d.model.Stage(stage))
+	return w
+}
+
+// setStage points an empty window at its stage's model (nil if untrained)
+// and sizes the per-signature block to it. A recycled block only needs
+// re-slicing: recycle left every entry within its capacity zero.
+func (w *windowState) setStage(sm *StageModel) {
+	w.sm = sm
+	n := 0
+	if sm != nil {
+		n = len(sm.sigByID)
+	}
+	if cap(w.perSig) < n {
+		w.perSig = make([]sigWindow, n)
+	}
+	w.perSig = w.perSig[:n]
+}
+
+// recycle puts a window that left d.open on the free list. The counts and
+// the per-signature block are reused; example slices and the new-signature
+// map are dropped, not pooled, because the anomalies the window produced
+// alias them.
+func (d *Detector) recycle(w *windowState) {
+	for _, id := range w.touched {
+		w.perSig[id] = sigWindow{}
+	}
+	*w = windowState{perSig: w.perSig[:0], touched: w.touched[:0]}
+	d.free = append(d.free, w)
 }
 
 // LateSynopses returns how many synopses were dropped as late arrivals.
@@ -264,9 +309,11 @@ func (d *Detector) retain(s *synopsis.Synopsis) *synopsis.Synopsis {
 }
 
 // observe classifies one synopsis against the model inside window w.
+//
+//saad:hotpath
 func (d *Detector) observe(w *windowState, s *synopsis.Synopsis) {
 	w.tasks++
-	sm := d.model.Stage(s.Stage)
+	sm := w.sm
 	buf := d.sigKey(s)
 	var (
 		id int32
@@ -281,6 +328,9 @@ func (d *Detector) observe(w *windowState, s *synopsis.Synopsis) {
 		// Never seen in training: a new execution flow. Materialize the
 		// signature (cold path — only unknown flows allocate).
 		sig := synopsis.Signature(buf)
+		if w.newSigs == nil {
+			w.newSigs = make(map[synopsis.Signature]*sigEvidence)
+		}
 		ev := w.newSigs[sig]
 		if ev == nil {
 			ev = &sigEvidence{}
@@ -302,10 +352,9 @@ func (d *Detector) observe(w *windowState, s *synopsis.Synopsis) {
 		return
 	}
 	// Normal flow: eligible for performance-outlier classification.
-	sw := w.perSig[id]
-	if sw == nil {
-		sw = &sigWindow{}
-		w.perSig[id] = sw
+	sw := &w.perSig[id]
+	if sw.tasks == 0 {
+		w.touched = append(w.touched, id)
 	}
 	sw.tasks++
 	if sigModel.PerfEligible && s.Duration > sigModel.DurationThreshold {
@@ -328,18 +377,8 @@ func cap1(n int) int {
 // Flush closes all open windows and returns their anomalies. Call at end of
 // stream.
 func (d *Detector) Flush() []Anomaly {
-	keys := make([]groupKey, 0, len(d.open))
-	for k := range d.open {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].host != keys[j].host {
-			return keys[i].host < keys[j].host
-		}
-		return keys[i].stage < keys[j].stage
-	})
 	var out []Anomaly
-	for _, k := range keys {
+	for _, k := range d.openKeys() {
 		out = append(out, d.closeWindow(k, d.open[k])...)
 	}
 	return out
@@ -365,14 +404,8 @@ func (d *Detector) closeWindow(key groupKey, w *windowState) []Anomaly {
 	perf := 0
 	var anomalies []Anomaly
 
-	sm := d.model.Stage(key.stage)
-
 	// Flow condition (ii): any signature unseen in training.
-	newSigs := make([]synopsis.Signature, 0, len(w.newSigs))
-	for sig := range w.newSigs {
-		newSigs = append(newSigs, sig)
-	}
-	sort.Slice(newSigs, func(i, j int) bool { return newSigs[i] < newSigs[j] })
+	newSigs := sortedSignatures(w.newSigs)
 	for _, sig := range newSigs {
 		ev := w.newSigs[sig]
 		anomalies = append(anomalies, Anomaly{
@@ -392,8 +425,8 @@ func (d *Detector) closeWindow(key groupKey, w *windowState) []Anomaly {
 	}
 
 	// Flow condition (i): proportion test against the training share.
-	if sm != nil && w.tasks > 0 {
-		res, err := d.propTest(w.flowOutliers, w.tasks, sm.FlowOutlierShare)
+	if w.sm != nil && w.tasks > 0 {
+		res, err := d.propTest(w.flowOutliers, w.tasks, w.sm.FlowOutlierShare)
 		if err == nil && res.Reject && len(newSigs) == 0 {
 			// Known-but-rare signatures spiked. (When new signatures are
 			// present they already produced anomalies above; avoid double
@@ -413,19 +446,13 @@ func (d *Detector) closeWindow(key groupKey, w *windowState) []Anomaly {
 
 	// Performance anomalies: per signature group (Section 3.3.3). Interned
 	// ids were assigned in lexicographic signature order, so numeric id
-	// order reproduces the historical signature sort.
-	ids := make([]int32, 0, len(w.perSig))
-	for id := range w.perSig {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		sw := w.perSig[id]
+	// order reproduces the historical signature sort. A touched id implies
+	// a model-known signature, hence w.sm != nil here.
+	slices.Sort(w.touched)
+	for _, id := range w.touched {
+		sw := &w.perSig[id]
 		perf += sw.perfOutliers
-		if sm == nil || sw.tasks == 0 {
-			continue
-		}
-		sigModel := sm.sigByID[id]
+		sigModel := w.sm.sigByID[id]
 		if !sigModel.PerfEligible {
 			continue
 		}
@@ -464,6 +491,7 @@ func (d *Detector) closeWindow(key groupKey, w *windowState) []Anomaly {
 		PerfOutliers: perf,
 	})
 	d.flight.Record(trace.EventWindowClose, uint16(key.stage), key.host, uint64(w.tasks), uint64(len(anomalies)))
+	d.recycle(w)
 	if m := d.metrics; m != nil {
 		for _, a := range anomalies {
 			m.Anomalies.With(a.Kind.String(), strconv.Itoa(int(a.Stage))).Inc()

@@ -37,16 +37,12 @@ func (e *Engine) ExportGroups(selectGroup func(host uint16, stage logpoint.Stage
 	secs := make([][]windowJSON, len(e.shards))
 	e.quiesce(func(i int, sh *shard) {
 		d := sh.core
-		var keys []groupKey
-		for k := range d.open {
+		for _, k := range d.openKeys() {
 			if selectGroup(k.host, k.stage) {
-				keys = append(keys, k)
+				secs[i] = append(secs[i], windowToJSON(k, d.open[k]))
+				d.recycle(d.open[k])
+				delete(d.open, k)
 			}
-		}
-		sortGroupKeys(keys)
-		for _, k := range keys {
-			secs[i] = append(secs[i], windowToJSON(d.model, k, d.open[k]))
-			delete(d.open, k)
 		}
 	})
 	out := groupExportJSON{Version: checkpointVersion}
@@ -107,7 +103,11 @@ func (e *Engine) importGroups(data []byte, dropConflicts bool) (int, int, error)
 		if parts[i] == nil {
 			parts[i] = make(map[groupKey]*windowState)
 		}
-		parts[i][groupKey{host: wj.Host, stage: wj.Stage}] = ws
+		key := groupKey{host: wj.Host, stage: wj.Stage}
+		if parts[i][key] != nil {
+			return 0, 0, wj.errorf("more than one window for the group")
+		}
+		parts[i][key] = ws
 	}
 	// Two quiesce passes: find conflicts everywhere, then adopt — so in
 	// strict mode a conflict on one shard cannot leave a partial import.

@@ -1,7 +1,9 @@
 package analyzer
 
 import (
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"saad/internal/logpoint"
@@ -117,6 +119,27 @@ func TestImportGroupsConflict(t *testing.T) {
 	}
 	if groups := c.OpenGroups(); len(groups) != n {
 		t.Fatalf("fresh engine has %d open groups, want %d", len(groups), n)
+	}
+
+	// A blob that contradicts itself (it arrives over the handoff channel,
+	// so a peer wrote it) is refused whole, strict or not.
+	seed := NewDetector(model)
+	for _, s := range hostileWindowSeed() {
+		seed.Feed(s)
+	}
+	for _, tc := range hostileWindows {
+		hostile, err := json.Marshal(groupExportJSON{Version: checkpointVersion, Windows: tc.mutate(seed.windowsJSON())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewEngine(model, WithShards(2))
+		if m, dropped, err := d.ImportGroupsDropConflicts(hostile); err == nil || !strings.Contains(err.Error(), "host=1 stage=1") {
+			t.Errorf("%s: imported %d, dropped %d, err %v; want an error naming the group", tc.name, m, dropped, err)
+		}
+		if groups := d.OpenGroups(); len(groups) != 0 {
+			t.Errorf("%s: the refused blob left %d groups open", tc.name, len(groups))
+		}
+		d.Close()
 	}
 }
 
