@@ -284,21 +284,23 @@ func trainMode(listen, modelPath, storeDir string, n int, window time.Duration, 
 	if err != nil {
 		return err
 	}
+	// The server calls the sink from every connection's goroutine, and the
+	// paper's deployment has one tracker per node: mu guards the trainer
+	// (plain maps) and makes the n-th Add the only one to close done.
+	// srv.Close below waits for every handler, so Train runs after the last.
 	done := make(chan struct{})
-	var sinkClosed bool
+	var mu sync.Mutex
 	sink := tracker.SinkFunc(func(s *synopsis.Synopsis) {
-		if sinkClosed {
+		mu.Lock()
+		defer mu.Unlock()
+		if trainer.Count() >= n {
 			return
 		}
 		trainer.Add(s)
-		if trainer.Count() >= n {
-			sinkClosed = true
+		if trainer.Count() == n {
 			close(done)
 		}
 	})
-	// The TCP server serializes Emit per connection; a single training
-	// producer is the expected deployment. For multi-producer training,
-	// synopses interleave and the trainer handles them identically.
 	srv, err := stream.Listen(listen, sink)
 	if err != nil {
 		return err

@@ -23,16 +23,20 @@ func emit(t *testing.T, addr string, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := tracker.New(1, cli)
+	healthyTasks(tracker.New(1, cli), n)
+	if err := cli.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// healthyTasks runs n healthy {1,2} tasks of stage 1 through tr, 1 ms apart.
+func healthyTasks(tr *tracker.Tracker, n int) {
 	for i := 0; i < n; i++ {
 		at := epoch.Add(time.Duration(i) * time.Millisecond)
 		task := tr.Begin(1, at)
 		task.Hit(1, at.Add(time.Millisecond))
 		task.Hit(2, at.Add(2*time.Millisecond))
 		task.End(at.Add(2 * time.Millisecond))
-	}
-	if err := cli.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -52,29 +56,46 @@ func TestTrainAndDetectOnFixedPort(t *testing.T) {
 	go func() {
 		trainDone <- trainMode(addr, modelPath, "", 500, time.Minute, 0.001)
 	}()
-	// Retry until the trainer is listening.
+	waitListening(t, addr)
+	emit(t, addr, 600)
+	model := awaitModel(t, trainDone, modelPath)
+	if model.TrainedOn < 500 {
+		t.Fatalf("TrainedOn = %d", model.TrainedOn)
+	}
+	sig := synopsis.Compute([]logpoint.ID{1, 2})
+	if !model.Knows(1, sig) {
+		t.Fatal("model missing the trained signature")
+	}
+}
+
+// waitListening retries until something accepts synopsis connections on addr.
+func waitListening(t *testing.T, addr string) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		cli, err := stream.Dial(addr, 0)
 		if err == nil {
 			_ = cli.Close()
-			break
+			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("trainer never listened")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	emit(t, addr, 600)
+}
+
+// awaitModel waits for trainMode to return and reads the model it wrote.
+func awaitModel(t *testing.T, trainDone <-chan error, modelPath string) *analyzer.Model {
+	t.Helper()
 	select {
 	case err := <-trainDone:
 		if err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
+	case <-time.After(30 * time.Second):
 		t.Fatal("training never finished")
 	}
-
 	f, err := os.Open(modelPath)
 	if err != nil {
 		t.Fatal(err)
@@ -86,12 +107,46 @@ func TestTrainAndDetectOnFixedPort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if model.TrainedOn < 500 {
-		t.Fatalf("TrainedOn = %d", model.TrainedOn)
+	return model
+}
+
+// TestTrainModeConcurrentTrackers trains from four trackers at once — the
+// paper's deployment, one per Cassandra node. The server calls the sink
+// from each connection's goroutine, so the trainer's maps and the done
+// latch must be guarded: unguarded, this test is a -race report in
+// Trainer.Add (and at worst "concurrent map writes" or a double close).
+func TestTrainModeConcurrentTrackers(t *testing.T) {
+	const clients, perClient, want = 4, 8000, 20000
+	addr := freePort(t)
+	modelPath := filepath.Join(t.TempDir(), "model.json")
+	trainDone := make(chan error, 1)
+	go func() {
+		trainDone <- trainMode(addr, modelPath, "", want, time.Minute, 0.001)
+	}()
+	waitListening(t, addr)
+
+	dialErrs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		go func(host uint16) {
+			cli, err := stream.Dial(addr, 0)
+			if err != nil {
+				dialErrs <- err
+				return
+			}
+			dialErrs <- nil
+			healthyTasks(tracker.New(host, cli), perClient)
+			// The trainer hangs up once it has enough, so the slower
+			// clients' last frames fail to send: not this test's concern.
+			_ = cli.Close()
+		}(uint16(c + 1))
 	}
-	sig := synopsis.Compute([]logpoint.ID{1, 2})
-	if !model.Knows(1, sig) {
-		t.Fatal("model missing the trained signature")
+	for c := 0; c < clients; c++ {
+		if err := <-dialErrs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if model := awaitModel(t, trainDone, modelPath); model.TrainedOn < want {
+		t.Fatalf("TrainedOn = %d, want >= %d", model.TrainedOn, want)
 	}
 }
 

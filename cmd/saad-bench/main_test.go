@@ -34,6 +34,49 @@ func TestRunArgErrors(t *testing.T) {
 	if err := run([]string{"-bogusflag"}); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
+	// The retired bench stack is gone from the dispatch, not just from "all".
+	for _, args := range [][]string{
+		{"wirepath"},
+		{"fleet"},
+		{"compare", "-baseline", "x", "-current", "y"},
+	} {
+		if err := run(args); err == nil {
+			t.Fatalf("retired subcommand accepted: %v", args)
+		}
+	}
+}
+
+// TestExperimentTable pins the one list: every name the usage text prints
+// dispatches, "all" is the paper's eleven measured artifacts, and no name
+// is listed twice.
+func TestExperimentTable(t *testing.T) {
+	var all []string
+	seen := map[string]bool{}
+	for _, name := range strings.Fields(usageNames()) {
+		if seen[name] {
+			t.Fatalf("%q listed twice", name)
+		}
+		seen[name] = true
+		if name == "all" {
+			continue
+		}
+		exp, ok := lookup(name)
+		if !ok || exp.run == nil {
+			t.Fatalf("usage lists %q but runOne does not dispatch it", name)
+		}
+		if exp.all {
+			all = append(all, name)
+		}
+	}
+	want := "fig6 fig7 fig8 sec533 table1 fig9a fig9b fig9c fig9d fig10 fig11"
+	if got := strings.Join(all, " "); got != want {
+		t.Fatalf("all runs %q, want %q", got, want)
+	}
+	for _, name := range []string{"table2", "table3", "scenarios", "model"} {
+		if exp, ok := lookup(name); !ok || exp.all {
+			t.Fatalf("%q: listed=%v, in all=%v; want listed and not in all", name, ok, exp.all)
+		}
+	}
 }
 
 func TestRunOneStaticTables(t *testing.T) {
@@ -54,6 +97,11 @@ func TestRunOneFig9CSV(t *testing.T) {
 	dir := t.TempDir()
 	if err := runOne(fastConfig(), "fig9c", dir, ""); err != nil {
 		t.Fatal(err)
+	}
+	for _, name := range []string{"fig9c-throughput.csv", "fig9c-anomalies.csv"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -32,12 +32,9 @@ type Monitor struct {
 	mode     monitorMode
 	trainer  *analyzer.Trainer
 	model    *Model
-	detector *Detector
 	engine   *analyzer.Engine
-	shards   int
+	opts     monitorOptions // engine size and alarm-filter thresholds
 	filter   *AlarmFilter
-	filterMW int
-	filterSp int
 	store    *lifecycle.Store
 	modelVer int
 }
@@ -95,20 +92,15 @@ func WithAlarmFilter(minWindows, span int) MonitorOption {
 	}
 }
 
-// WithEngineShards runs detection on the sharded concurrent analyzer
-// engine with n shard workers (n < 1 selects GOMAXPROCS) instead of a
-// single in-line detector. Detection semantics are identical — the engine
-// routes each (host, stage) group wholly to one shard, preserving the
-// per-group order the windowed statistics depend on — but Poll and Flush
-// fan the drained synopses out across cores, which pays off when many
-// hosts or stages stream through one monitor.
+// WithEngineShards sizes the analyzer engine the monitor detects on: n
+// shard workers, n < 1 selects GOMAXPROCS, and without the option there is
+// one. The monitor always runs the engine and the verdicts do not depend on
+// n — the engine routes each (host, stage) group wholly to one shard,
+// preserving the per-group order the windowed statistics depend on — but
+// more shards fan the synopses Poll and Flush drain out across cores, which
+// pays off when many hosts or stages stream through one monitor.
 func WithEngineShards(n int) MonitorOption {
-	return func(o *monitorOptions) {
-		if n < 1 {
-			n = -1 // engine mode with the auto (GOMAXPROCS) shard count
-		}
-		o.engineShards = n
-	}
+	return func(o *monitorOptions) { o.engineShards = n }
 }
 
 // WithModelStore versions the monitor's trained models in the on-disk
@@ -130,7 +122,7 @@ func WithMetricsAddr(addr string) MonitorOption {
 
 // NewMonitor creates a monitor in training mode.
 func NewMonitor(opts ...MonitorOption) (*Monitor, error) {
-	o := monitorOptions{host: 1, buffer: 1 << 16, analyzer: DefaultAnalyzerConfig()}
+	o := monitorOptions{host: 1, buffer: 1 << 16, analyzer: DefaultAnalyzerConfig(), engineShards: 1}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -150,9 +142,7 @@ func NewMonitor(opts ...MonitorOption) (*Monitor, error) {
 		pipeline: pipeline,
 		mode:     modeTraining,
 		trainer:  trainer,
-		shards:   o.engineShards,
-		filterMW: o.filterMinWindows,
-		filterSp: o.filterSpan,
+		opts:     o,
 	}
 	pipeline.Monitor.Mode.Set(float64(modeTraining))
 	if o.storeDir != "" {
@@ -201,8 +191,8 @@ func (m *Monitor) MetricsAddr() string {
 	return m.msrv.Addr()
 }
 
-// Close stops the metrics HTTP server (if any), the synopsis channel, and
-// — in engine mode — the shard workers. The tracker side stays safe to
+// Close stops the metrics HTTP server (if any), the synopsis channel and
+// the engine's shard workers. The tracker side stays safe to
 // call: synopses emitted after Close are dropped and counted. Call Flush
 // before Close to report the open windows' anomalies.
 func (m *Monitor) Close() error {
@@ -301,35 +291,20 @@ func (m *Monitor) ModelVersion() int {
 // WithModelStore.
 func (m *Monitor) ModelStore() *lifecycle.Store { return m.store }
 
-// installDetector wires the detection backend for model — a sharded engine
-// when WithEngineShards was given, a single in-line detector otherwise —
-// and flips to detection mode.
+// installDetector starts the analyzer engine (and the alarm filter, when
+// one was requested) for model and flips to detection mode.
 func (m *Monitor) installDetector(model *Model) {
 	if m.engine != nil {
 		_ = m.engine.Close() // SetModel over a live engine: retire its workers
-		m.engine = nil
 	}
-	m.detector = nil
-	if m.shards != 0 {
-		// WithShards treats n < 1 as "pick GOMAXPROCS", matching the -1
-		// auto sentinel WithEngineShards stores.
-		m.engine = analyzer.NewEngine(model,
-			analyzer.WithShards(m.shards),
-			analyzer.WithEngineMetrics(m.pipeline.Analyzer))
-	} else {
-		m.detector = analyzer.NewDetector(model)
-		m.detector.SetMetrics(m.pipeline.Analyzer)
+	m.engine = analyzer.NewEngine(model,
+		analyzer.WithShards(m.opts.engineShards),
+		analyzer.WithEngineMetrics(m.pipeline.Analyzer))
+	if m.opts.filterMinWindows > 0 {
+		m.filter = analyzer.NewAlarmFilter(m.opts.filterMinWindows, m.opts.filterSpan, model.Config.Window)
 	}
-	m.installFilter(model)
 	m.mode = modeDetecting
 	m.pipeline.Monitor.Mode.Set(float64(modeDetecting))
-}
-
-// installFilter builds the alarm filter when one was requested.
-func (m *Monitor) installFilter(model *Model) {
-	if m.filterMW > 0 {
-		m.filter = analyzer.NewAlarmFilter(m.filterMW, m.filterSp, model.Config.Window)
-	}
 }
 
 // SetModel installs a previously trained model (e.g. loaded with
@@ -349,58 +324,39 @@ func (m *Monitor) Model() *Model {
 	return m.model
 }
 
-// Poll drains pending synopses through the detector and returns any
-// anomalies from windows that closed.
+// Poll drains pending synopses through the engine and returns any
+// anomalies from windows that closed, in the engine's canonical order: by
+// host, then stage, then window (analyzer.SortAnomalies). Under
+// WithAlarmFilter the earlier-window anomalies a burst had held back come
+// out immediately before the one that confirmed it.
 func (m *Monitor) Poll() ([]Anomaly, error) {
+	return m.detect((*analyzer.Engine).Drain)
+}
+
+// detect feeds the pending synopses to the engine and passes what collect
+// (Drain or Flush) returns through the optional de-bouncer.
+func (m *Monitor) detect(collect func(*analyzer.Engine) []Anomaly) ([]Anomaly, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.mode != modeDetecting {
 		return nil, ErrNotDetecting
 	}
-	if m.engine != nil {
-		if syns := m.ch.Drain(); len(syns) > 0 && !m.engine.Closed() {
-			m.engine.FeedBatch(syns)
-		}
-		return m.applyFilter(m.engine.Drain()), nil
+	if syns := m.ch.Drain(); len(syns) > 0 && !m.engine.Closed() {
+		m.engine.FeedBatch(syns)
 	}
-	var out []Anomaly
-	for _, s := range m.ch.Drain() {
-		out = append(out, m.applyFilter(m.detector.Feed(s))...)
+	anoms := collect(m.engine)
+	if m.filter != nil {
+		anoms = m.filter.Filter(anoms)
+		m.pipeline.Analyzer.FilterHeld.Set(float64(m.filter.Suppressed()))
 	}
-	return out, nil
+	m.pipeline.Analyzer.FilterPassed.Add(uint64(len(anoms)))
+	return anoms, nil
 }
 
-// applyFilter passes anomalies through the optional de-bouncer.
-func (m *Monitor) applyFilter(anoms []Anomaly) []Anomaly {
-	if m.filter == nil {
-		m.pipeline.Analyzer.FilterPassed.Add(uint64(len(anoms)))
-		return anoms
-	}
-	passed := m.filter.Filter(anoms)
-	m.pipeline.Analyzer.FilterPassed.Add(uint64(len(passed)))
-	m.pipeline.Analyzer.FilterHeld.Set(float64(m.filter.Suppressed()))
-	return passed
-}
-
-// Flush closes all open detection windows and returns their anomalies;
-// call at shutdown.
+// Flush closes all open detection windows and returns their anomalies, in
+// the same order as Poll; call at shutdown.
 func (m *Monitor) Flush() ([]Anomaly, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.mode != modeDetecting {
-		return nil, ErrNotDetecting
-	}
-	if m.engine != nil {
-		if syns := m.ch.Drain(); len(syns) > 0 && !m.engine.Closed() {
-			m.engine.FeedBatch(syns)
-		}
-		return m.applyFilter(m.engine.Flush()), nil
-	}
-	var out []Anomaly
-	for _, s := range m.ch.Drain() {
-		out = append(out, m.applyFilter(m.detector.Feed(s))...)
-	}
-	return append(out, m.applyFilter(m.detector.Flush())...), nil
+	return m.detect((*analyzer.Engine).Flush)
 }
 
 // Dropped reports synopses lost to buffer overflow (monitoring never

@@ -203,9 +203,10 @@ func TestMonitorSetModelAndSerialization(t *testing.T) {
 	}
 }
 
-// TestMonitorEngineMode runs the end-to-end monitor flow on the sharded
-// engine backend and checks it reports the same class of anomaly the
-// in-line detector does.
+// TestMonitorEngineMode runs the end-to-end monitor flow through executors
+// on a four-shard engine and checks the premature exit is reported, and that
+// Flush after Close is safe. TestMonitorMatchesReferenceDetector holds the
+// verdicts themselves to the reference detector's.
 func TestMonitorEngineMode(t *testing.T) {
 	cfg := saad.DefaultAnalyzerConfig()
 	cfg.Window = time.Second
