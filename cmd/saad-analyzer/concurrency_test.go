@@ -29,7 +29,9 @@ func TestConcurrentScrapeAdminAndFeed(t *testing.T) {
 	done := make(chan error, 1)
 	httpCh := make(chan string, 1)
 	go func() {
-		done <- detectMode(addr, modelPath, logpoint.NewDictionary(), detectOptions{
+		done <- detectMode(logpoint.NewDictionary(), detectOptions{
+			listen:      addr,
+			modelPath:   modelPath,
 			httpAddr:    "127.0.0.1:0",
 			traceSample: 4,
 			storeDir:    filepath.Join(dir, "models"),

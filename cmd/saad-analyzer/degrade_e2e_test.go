@@ -86,7 +86,9 @@ func TestShutdownFlipsReadyBeforeDrain(t *testing.T) {
 	done := make(chan error, 1)
 	httpCh := make(chan string, 1)
 	go func() {
-		done <- detectMode(addr, modelPath, logpoint.NewDictionary(), detectOptions{
+		done <- detectMode(logpoint.NewDictionary(), detectOptions{
+			listen:     addr,
+			modelPath:  modelPath,
 			httpAddr:   "127.0.0.1:0",
 			drainGrace: 800 * time.Millisecond,
 			stop:       stop,
@@ -171,12 +173,14 @@ func TestChaosRetryStormDegradesAndRecovers(t *testing.T) {
 	done := make(chan error, 1)
 	httpCh := make(chan string, 1)
 	go func() {
-		done <- detectMode(addr, modelPath, logpoint.NewDictionary(), detectOptions{
+		done <- detectMode(logpoint.NewDictionary(), detectOptions{
+			listen:     addr,
+			modelPath:  modelPath,
 			eventsPath: eventsPath,
 			httpAddr:   "127.0.0.1:0",
 			shards:     1,
 			shardQueue: 64,
-			admission: &analyzer.AdmissionConfig{
+			admission: analyzer.AdmissionConfig{
 				HighWater:     0.5,
 				LowWater:      0.05,
 				SaturateAfter: 8,

@@ -97,21 +97,21 @@ func TestFederationTwoPeerE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	start := func(id, ingest, gossip string, seeds []federation.PeerInfo) (string, chan struct{}, chan error) {
+	start := func(id, ingest, gossip, seeds string) (string, chan struct{}, chan error) {
 		httpCh := make(chan string, 1)
 		stop := make(chan struct{})
 		done := make(chan error, 1)
 		go func() {
-			done <- detectMode(ingest, modelPath, logpoint.NewDictionary(), detectOptions{
-				httpAddr: "127.0.0.1:0",
-				federation: &federationOptions{
-					id:          id,
-					seeds:       seeds,
-					gossipAddr:  gossip,
-					handoffAddr: "127.0.0.1:0",
-				},
-				stop:      stop,
-				httpBound: func(addr string) { httpCh <- addr },
+			done <- detectMode(logpoint.NewDictionary(), detectOptions{
+				listen:      ingest,
+				modelPath:   modelPath,
+				httpAddr:    "127.0.0.1:0",
+				peerID:      id,
+				peers:       seeds,
+				gossipAddr:  gossip,
+				handoffAddr: "127.0.0.1:0",
+				stop:        stop,
+				httpBound:   func(addr string) { httpCh <- addr },
 			})
 		}()
 		select {
@@ -126,9 +126,8 @@ func TestFederationTwoPeerE2E(t *testing.T) {
 	}
 
 	ingestA := freePort(t)
-	httpA, stopA, doneA := start("a1", ingestA, gossipA, nil)
-	httpB, stopB, doneB := start("a2", freePort(t), "127.0.0.1:0",
-		[]federation.PeerInfo{{ID: "a1", GossipAddr: gossipA}})
+	httpA, stopA, doneA := start("a1", ingestA, gossipA, "")
+	httpB, stopB, doneB := start("a2", freePort(t), "127.0.0.1:0", "a1="+gossipA)
 
 	type statusDoc struct {
 		Processed  uint64             `json:"processed"`

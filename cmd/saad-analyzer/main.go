@@ -81,12 +81,6 @@
 // hash ranges, ring epoch, handoff counters) and the saad_federation_*
 // metric family tracks forwards and handoffs.
 //
-// Flag reference (detect mode): -listen, -model, -dict, -shards, -http,
-// -events, -stats-interval, -trace-sample, -checkpoint,
-// -checkpoint-interval, -model-store, -retrain-every, -shadow, -model-keep,
-// -read-idle-timeout, -drain-grace, -admission-keep, -shard-queue,
-// -peer-id, -peers, -gossip-addr, -handoff-addr, -ring-vnodes.
-//
 // On SIGINT/SIGTERM the analyzer shuts down gracefully: it flips /readyz
 // to not-ready first (with -drain-grace it keeps serving that long so load
 // balancers stop routing before the listener goes away), then stops
@@ -96,6 +90,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -139,6 +134,27 @@ func readModelFile(path string) (*analyzer.Model, error) {
 	return model, nil
 }
 
+// latestIfServing reports whether the store's latest version is the model
+// being served — the two serialise to the same bytes — and that version's
+// metadata. An empty store holds no version of anything.
+func latestIfServing(store *lifecycle.Store, serving *analyzer.Model) (lifecycle.Meta, bool, error) {
+	latest, meta, err := store.LoadLatest()
+	if errors.Is(err, lifecycle.ErrEmptyStore) {
+		return lifecycle.Meta{}, false, nil
+	}
+	if err != nil {
+		return lifecycle.Meta{}, false, err
+	}
+	var a, b bytes.Buffer
+	if _, err := serving.WriteTo(&a); err != nil {
+		return lifecycle.Meta{}, false, err
+	}
+	if _, err := latest.WriteTo(&b); err != nil {
+		return lifecycle.Meta{}, false, err
+	}
+	return meta, bytes.Equal(a.Bytes(), b.Bytes()), nil
+}
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "saad-analyzer:", err)
@@ -148,41 +164,14 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("saad-analyzer", flag.ContinueOnError)
-	var (
-		listen    = fs.String("listen", "127.0.0.1:7077", "address to accept synopsis streams on")
-		modelPath = fs.String("model", "saad-model.json", "model file (output when -train, input otherwise)")
-		dictPath  = fs.String("dict", "", "optional log template dictionary for readable reports")
-		trainN    = fs.Int("train", 0, "train on the first N synopses and exit (0 = detect mode)")
-		window    = fs.Duration("window", time.Minute, "detection window")
-		alpha     = fs.Float64("alpha", 0.001, "significance level")
-		httpAddr  = fs.String("http", "", "serve /metrics, /debug/vars and pprof on this address (detect mode; empty = off)")
-		events    = fs.String("events", "", "append anomalies as JSONL to this file (detect mode; empty = off)")
-		statsIntv = fs.Duration("stats-interval", 30*time.Second, "stderr stats heartbeat interval (detect mode; 0 = off)")
-		ckptPath  = fs.String("checkpoint", "", "restore detector state from this file at startup and persist it periodically (detect mode; empty = off)")
-		ckptIntv  = fs.Duration("checkpoint-interval", 30*time.Second, "how often to persist the checkpoint (detect mode; 0 = only at shutdown)")
-		shards    = fs.Int("shards", 0, "analyzer shard workers (detect mode; 0 = GOMAXPROCS)")
-		traceSmp  = fs.Int("trace-sample", 0, "trace one in N synopses end to end through the pipeline and run the anomaly flight recorder (detect mode; 0 = off)")
-		storeDir  = fs.String("model-store", "", "versioned model store directory: serve its latest version, record retrains as new versions (empty = off)")
-		retrainEv = fs.Duration("retrain-every", 0, "retrain a candidate from the live stream this often (detect mode; needs -model-store; 0 = only via POST /model)")
-		shadowOn  = fs.Bool("shadow", true, "shadow-evaluate retrained candidates against the serving model before promoting (detect mode; false = promote immediately)")
-		keepVers  = fs.Int("model-keep", 16, "model store versions to retain, older ones are garbage-collected after each retrain (0 = keep all, unbounded)")
-		readIdle  = fs.Duration("read-idle-timeout", 0, "reap synopsis connections that deliver nothing for this long (0 = off)")
-		drainGrc  = fs.Duration("drain-grace", 0, "on SIGTERM, keep serving with /readyz not-ready for this long before draining, so load balancers stop routing first (detect mode; 0 = drain immediately)")
-		admKeep   = fs.Int("admission-keep", 0, "enable graceful degradation: past sustained shard-queue saturation, shed to 1-in-N sampling instead of blocking readers (detect mode; 0 = off, pure backpressure)")
-		shardQ    = fs.Int("shard-queue", 0, "per-shard synopsis queue capacity (detect mode; 0 = default 1024)")
-		peerID    = fs.String("peer-id", "", "federation: this analyzer's unique fleet id (detect mode; empty = standalone)")
-		peerSeeds = fs.String("peers", "", "federation: comma-separated seed peers as id=gossip-addr (needs -peer-id)")
-		gossipAdr = fs.String("gossip-addr", "127.0.0.1:0", "federation: UDP gossip bind address (needs -peer-id)")
-		handoffAd = fs.String("handoff-addr", "127.0.0.1:0", "federation: TCP checkpoint-handoff bind address (needs -peer-id)")
-		ringVN    = fs.Int("ring-vnodes", 0, "federation: virtual nodes per peer on the consistent-hash ring (0 = 128)")
-	)
+	opts := bindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	dict := logpoint.NewDictionary()
-	if *dictPath != "" {
-		f, err := os.Open(*dictPath)
+	if opts.dictPath != "" {
+		f, err := os.Open(opts.dictPath)
 		if err != nil {
 			return err
 		}
@@ -197,59 +186,97 @@ func run(args []string) error {
 		dict = loaded
 	}
 
-	if *trainN > 0 {
-		return trainMode(*listen, *modelPath, *storeDir, *trainN, *window, *alpha)
+	if opts.trainN > 0 {
+		return trainMode(opts.listen, opts.modelPath, opts.storeDir, opts.trainN, opts.window, opts.alpha)
 	}
-	var admission *analyzer.AdmissionConfig
-	if *admKeep > 0 {
-		admission = &analyzer.AdmissionConfig{KeepEvery: *admKeep}
-	}
-	var fed *federationOptions
-	if *peerID != "" {
-		if *storeDir != "" {
-			return errors.New("federation (-peer-id) and the model lifecycle (-model-store) cannot be combined yet: a fleet must serve one shared model")
-		}
-		seeds, err := parsePeerSeeds(*peerSeeds)
-		if err != nil {
-			return err
-		}
-		fed = &federationOptions{
-			id:          *peerID,
-			seeds:       seeds,
-			gossipAddr:  *gossipAdr,
-			handoffAddr: *handoffAd,
-			vnodes:      *ringVN,
-		}
-	} else if *peerSeeds != "" {
-		return errors.New("-peers needs -peer-id")
-	}
-	return detectMode(*listen, *modelPath, dict, detectOptions{
-		httpAddr:           *httpAddr,
-		eventsPath:         *events,
-		statsInterval:      *statsIntv,
-		checkpointPath:     *ckptPath,
-		checkpointInterval: *ckptIntv,
-		shards:             *shards,
-		traceSample:        *traceSmp,
-		storeDir:           *storeDir,
-		retrainEvery:       *retrainEv,
-		shadow:             *shadowOn,
-		keepVersions:       *keepVers,
-		readIdleTimeout:    *readIdle,
-		drainGrace:         *drainGrc,
-		admission:          admission,
-		shardQueue:         *shardQ,
-		federation:         fed,
-	})
+	return detectMode(dict, *opts)
 }
 
-// federationOptions carries the analyzer-fleet settings of detect mode.
-type federationOptions struct {
-	id          string
-	seeds       []federation.PeerInfo
+// detectOptions is the daemon's configuration: one field per flag, bound by
+// bindFlags, and two hooks for tests. The zero value of every detect-mode
+// field means "off" or "the default".
+type detectOptions struct {
+	listen    string
+	modelPath string
+	dictPath  string
+	trainN    int           // train mode: exit after this many synopses (0 = detect mode)
+	window    time.Duration // train mode: detection window of the trained model
+	alpha     float64       // train mode: significance level of the trained model
+
+	httpAddr           string // serve /metrics, /debug/vars, pprof ("" = off)
+	eventsPath         string // append anomalies as JSONL ("" = off)
+	statsInterval      time.Duration
+	checkpointPath     string        // persist/restore detector state ("" = off)
+	checkpointInterval time.Duration // 0 = only at shutdown
+	shards             int           // engine shard workers (0 = GOMAXPROCS)
+	traceSample        int           // trace 1 in N synopses end to end (0 = off)
+	storeDir           string        // versioned model store ("" = off)
+	retrainEvery       time.Duration // periodic live retraining (0 = off)
+	shadow             bool          // shadow-evaluate candidates before promotion
+	keepVersions       int           // store versions retained by GC (0 = unbounded)
+	readIdleTimeout    time.Duration // reap silent synopsis connections (0 = off)
+	drainGrace         time.Duration // serve not-ready before draining on shutdown (0 = immediate)
+	shardQueue         int           // per-shard queue capacity (0 = engine default)
+	// admission is the graceful-degradation policy; -admission-keep sets
+	// its KeepEvery, and KeepEvery 0 means pure backpressure.
+	admission analyzer.AdmissionConfig
+
+	peerID      string // analyzer fleet membership ("" = standalone)
+	peers       string // seed peers, "id=gossip-addr,..."
 	gossipAddr  string
 	handoffAddr string
-	vnodes      int
+	ringVnodes  int
+
+	stop      <-chan struct{}   // optional programmatic shutdown (tests)
+	httpBound func(addr string) // called with the observability server's bound address (tests)
+}
+
+// bindFlags declares the command's flags on fs, each bound to its field of
+// the returned options.
+func bindFlags(fs *flag.FlagSet) *detectOptions {
+	o := new(detectOptions)
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:7077", "address to accept synopsis streams on")
+	fs.StringVar(&o.modelPath, "model", "saad-model.json", "model file (output when -train, input otherwise)")
+	fs.StringVar(&o.dictPath, "dict", "", "optional log template dictionary for readable reports")
+	fs.IntVar(&o.trainN, "train", 0, "train on the first N synopses and exit (0 = detect mode)")
+	fs.DurationVar(&o.window, "window", time.Minute, "detection window")
+	fs.Float64Var(&o.alpha, "alpha", 0.001, "significance level")
+	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics, /debug/vars and pprof on this address (detect mode; empty = off)")
+	fs.StringVar(&o.eventsPath, "events", "", "append anomalies as JSONL to this file (detect mode; empty = off)")
+	fs.DurationVar(&o.statsInterval, "stats-interval", 30*time.Second, "stderr stats heartbeat interval (detect mode; 0 = off)")
+	fs.StringVar(&o.checkpointPath, "checkpoint", "", "restore detector state from this file at startup and persist it periodically (detect mode; empty = off)")
+	fs.DurationVar(&o.checkpointInterval, "checkpoint-interval", 30*time.Second, "how often to persist the checkpoint (detect mode; 0 = only at shutdown)")
+	fs.IntVar(&o.shards, "shards", 0, "analyzer shard workers (detect mode; 0 = GOMAXPROCS)")
+	fs.IntVar(&o.traceSample, "trace-sample", 0, "trace one in N synopses end to end through the pipeline and run the anomaly flight recorder (detect mode; 0 = off)")
+	fs.StringVar(&o.storeDir, "model-store", "", "versioned model store directory: serve its latest version, record retrains as new versions (empty = off)")
+	fs.DurationVar(&o.retrainEvery, "retrain-every", 0, "retrain a candidate from the live stream this often (detect mode; needs -model-store; 0 = only via POST /model)")
+	fs.BoolVar(&o.shadow, "shadow", true, "shadow-evaluate retrained candidates against the serving model before promoting (detect mode; false = promote immediately)")
+	fs.IntVar(&o.keepVersions, "model-keep", 16, "model store versions to retain, older ones are garbage-collected after each retrain (0 = keep all, unbounded)")
+	fs.DurationVar(&o.readIdleTimeout, "read-idle-timeout", 0, "reap synopsis connections that deliver nothing for this long (0 = off)")
+	fs.DurationVar(&o.drainGrace, "drain-grace", 0, "on SIGTERM, keep serving with /readyz not-ready for this long before draining, so load balancers stop routing first (detect mode; 0 = drain immediately)")
+	fs.IntVar(&o.admission.KeepEvery, "admission-keep", 0, "enable graceful degradation: past sustained shard-queue saturation, shed to 1-in-N sampling instead of blocking readers (detect mode; 0 = off, pure backpressure)")
+	fs.IntVar(&o.shardQueue, "shard-queue", 0, "per-shard synopsis queue capacity (detect mode; 0 = default 1024)")
+	fs.StringVar(&o.peerID, "peer-id", "", "federation: this analyzer's unique fleet id (detect mode; empty = standalone)")
+	fs.StringVar(&o.peers, "peers", "", "federation: comma-separated seed peers as id=gossip-addr (needs -peer-id)")
+	fs.StringVar(&o.gossipAddr, "gossip-addr", "127.0.0.1:0", "federation: UDP gossip bind address (needs -peer-id)")
+	fs.StringVar(&o.handoffAddr, "handoff-addr", "127.0.0.1:0", "federation: TCP checkpoint-handoff bind address (needs -peer-id)")
+	fs.IntVar(&o.ringVnodes, "ring-vnodes", 0, "federation: virtual nodes per peer on the consistent-hash ring (0 = 128)")
+	return o
+}
+
+// fleetSeeds checks the federation settings and parses the seed list (nil
+// for a standalone analyzer).
+func (o *detectOptions) fleetSeeds() ([]federation.PeerInfo, error) {
+	if o.peerID == "" {
+		if o.peers != "" {
+			return nil, errors.New("-peers needs -peer-id")
+		}
+		return nil, nil
+	}
+	if o.storeDir != "" {
+		return nil, errors.New("federation (-peer-id) and the model lifecycle (-model-store) cannot be combined yet: a fleet must serve one shared model")
+	}
+	return parsePeerSeeds(o.peers)
 }
 
 // parsePeerSeeds parses "-peers id=gossip-addr,id=gossip-addr". Seeds need
@@ -348,29 +375,6 @@ func trainMode(listen, modelPath, storeDir string, n int, window time.Duration, 
 		fmt.Printf("model stored as version %d in %s\n", meta.Version, storeDir)
 	}
 	return nil
-}
-
-// detectOptions carries the opt-in observability and fault-tolerance
-// settings of detect mode.
-type detectOptions struct {
-	httpAddr           string // serve /metrics, /debug/vars, pprof ("" = off)
-	eventsPath         string // append anomalies as JSONL ("" = off)
-	statsInterval      time.Duration
-	checkpointPath     string                    // persist/restore detector state ("" = off)
-	checkpointInterval time.Duration             // 0 = only at shutdown
-	shards             int                       // engine shard workers (0 = GOMAXPROCS)
-	traceSample        int                       // trace 1 in N synopses end to end (0 = off)
-	storeDir           string                    // versioned model store ("" = off)
-	retrainEvery       time.Duration             // periodic live retraining (0 = off)
-	shadow             bool                      // shadow-evaluate candidates before promotion
-	keepVersions       int                       // store versions retained by GC (0 = unbounded)
-	readIdleTimeout    time.Duration             // reap silent synopsis connections (0 = off)
-	drainGrace         time.Duration             // serve not-ready before draining on shutdown (0 = immediate)
-	admission          *analyzer.AdmissionConfig // graceful degradation (nil = pure backpressure)
-	shardQueue         int                       // per-shard queue capacity (0 = engine default)
-	federation         *federationOptions        // analyzer fleet membership (nil = standalone)
-	stop               <-chan struct{}           // optional programmatic shutdown (tests)
-	httpBound          func(addr string)         // called with the observability server's bound address (tests)
 }
 
 // statuszInfo feeds the /statusz handler: static identity plus live
@@ -486,9 +490,10 @@ func (t *lifecycleTee) EmitBatch(batch []*synopsis.Synopsis) {
 // every connection handler feeds decoded synopses straight into the engine,
 // which fans them out across shard workers by (host, stage). Anomalies are
 // printed (and logged) from the engine's anomaly sink as windows close.
-func detectMode(listen, modelPath string, dict *logpoint.Dictionary, opts detectOptions) error {
-	if opts.federation != nil && opts.storeDir != "" {
-		return errors.New("federation and the model lifecycle cannot be combined")
+func detectMode(dict *logpoint.Dictionary, opts detectOptions) error {
+	seeds, err := opts.fleetSeeds()
+	if err != nil {
+		return err
 	}
 	// The full pipeline family is registered even though the standalone
 	// analyzer tracks no tasks itself: every series exists at zero, so the
@@ -547,8 +552,8 @@ func detectMode(listen, modelPath string, dict *logpoint.Dictionary, opts detect
 	if opts.shardQueue > 0 {
 		engineOpts = append(engineOpts, analyzer.WithShardQueue(opts.shardQueue))
 	}
-	if opts.admission != nil {
-		engineOpts = append(engineOpts, analyzer.WithAdmission(*opts.admission))
+	if opts.admission.KeepEvery > 0 {
+		engineOpts = append(engineOpts, analyzer.WithAdmission(opts.admission))
 	}
 	var store *lifecycle.Store
 	if opts.storeDir != "" {
@@ -583,7 +588,7 @@ func detectMode(listen, modelPath string, dict *logpoint.Dictionary, opts detect
 			servingMeta, hasServing = meta, true
 			fmt.Printf("serving model version %d from %s\n", meta.Version, opts.storeDir)
 		case errors.Is(err, lifecycle.ErrEmptyStore):
-			model, err := readModelFile(modelPath)
+			model, err := readModelFile(opts.modelPath)
 			if err != nil {
 				return err
 			}
@@ -593,13 +598,13 @@ func detectMode(listen, modelPath string, dict *logpoint.Dictionary, opts detect
 			}
 			eng = analyzer.NewEngine(model, engineOpts...)
 			servingMeta, hasServing = meta, true
-			fmt.Printf("imported %s into %s as version %d\n", modelPath, opts.storeDir, meta.Version)
+			fmt.Printf("imported %s into %s as version %d\n", opts.modelPath, opts.storeDir, meta.Version)
 		default:
 			return err
 		}
 	}
 	if eng == nil {
-		model, err := readModelFile(modelPath)
+		model, err := readModelFile(opts.modelPath)
 		if err != nil {
 			return err
 		}
@@ -616,6 +621,22 @@ func detectMode(listen, modelPath string, dict *logpoint.Dictionary, opts detect
 		return err
 	}
 
+	if store != nil && !hasServing {
+		// Restored from a checkpoint, which carries the serving model but
+		// not its version: find it in the store, or the manager would
+		// report version 0 and record the next retrain as a root.
+		meta, same, err := latestIfServing(store, model)
+		if err != nil {
+			return fail(err)
+		}
+		if same {
+			servingMeta, hasServing = meta, true
+			fmt.Printf("restored model is version %d of %s\n", meta.Version, opts.storeDir)
+		} else {
+			fmt.Printf("restored model is not the latest version in %s: serving it as version 0, lineage restarts\n", opts.storeDir)
+		}
+	}
+
 	if opts.eventsPath != "" {
 		ef, err := os.OpenFile(opts.eventsPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -623,9 +644,9 @@ func detectMode(listen, modelPath string, dict *logpoint.Dictionary, opts detect
 		}
 		closers = append(closers, sync.OnceValue(ef.Close))
 		events = report.NewEventWriter(ef, dict, model.Config.Window)
-		if opts.federation != nil {
+		if opts.peerID != "" {
 			// Merged fleet event logs stay attributable to the emitting peer.
-			events.SetPeer(opts.federation.id)
+			events.SetPeer(opts.peerID)
 		}
 		if tracer != nil {
 			// Each anomaly event carries what the pipeline was doing around
@@ -673,11 +694,11 @@ func detectMode(listen, modelPath string, dict *logpoint.Dictionary, opts detect
 	// the checkpoint-handoff channel.
 	var peer *federation.Peer
 	var gossiper *federation.Gossiper
-	if fed := opts.federation; fed != nil {
+	if opts.peerID != "" {
 		p, err := federation.NewPeer(federation.PeerConfig{
-			Self:       federation.PeerInfo{ID: fed.id, HandoffAddr: fed.handoffAddr},
+			Self:       federation.PeerInfo{ID: opts.peerID, HandoffAddr: opts.handoffAddr},
 			Engine:     eng,
-			Membership: federation.MembershipConfig{VNodes: fed.vnodes},
+			Membership: federation.MembershipConfig{VNodes: opts.ringVnodes},
 			Metrics:    metrics.NewFederationMetrics(pipe.Registry),
 			Release:    pool.Put,
 			Logf: func(format string, args ...any) {
@@ -704,31 +725,31 @@ func detectMode(listen, modelPath string, dict *logpoint.Dictionary, opts detect
 		// originated at arrival, so wire-side latency still shows up.
 		srvOpts = append(srvOpts, stream.WithServerSampler(tracer.Sampler()))
 	}
-	srv, err := stream.Listen(listen, sink, srvOpts...)
+	srv, err := stream.Listen(opts.listen, sink, srvOpts...)
 	if err != nil {
 		return fail(err)
 	}
 	fmt.Printf("detecting: listening on %s (model trained on %d synopses, %d shards)\n",
 		srv.Addr(), model.TrainedOn, eng.Shards())
-	if fed := opts.federation; fed != nil {
+	if peer != nil {
 		// The ingest address resolves only now (a "-listen :0" binds late);
 		// publish it so peers can open forward links, then start gossiping
 		// and seed the fleet view.
 		peer.Membership().SetSelfIngestAddr(srv.Addr())
-		g, err := federation.StartGossiper(peer.Membership(), fed.gossipAddr, 0)
+		g, err := federation.StartGossiper(peer.Membership(), opts.gossipAddr, 0)
 		if err != nil {
 			_ = srv.Close()
 			return fail(err)
 		}
 		gossiper = g
-		for _, seed := range fed.seeds {
-			if seed.ID == fed.id {
+		for _, seed := range seeds {
+			if seed.ID == opts.peerID {
 				continue // self in a shared seed list
 			}
 			peer.Membership().AddPeer(seed)
 		}
 		fmt.Printf("federation: peer %s gossiping on %s, handoff on %s (%d seeds)\n",
-			fed.id, gossiper.Addr(), peer.Self().HandoffAddr, len(fed.seeds))
+			opts.peerID, gossiper.Addr(), peer.Self().HandoffAddr, len(seeds))
 	}
 	var ready atomic.Bool
 	ready.Store(true)

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +11,7 @@ import (
 	"time"
 
 	"saad/internal/analyzer"
+	"saad/internal/lifecycle"
 	"saad/internal/logpoint"
 	"saad/internal/stream"
 	"saad/internal/synopsis"
@@ -232,7 +236,9 @@ func TestDetectCheckpointRestart(t *testing.T) {
 		stop := make(chan struct{})
 		done := make(chan error, 1)
 		go func() {
-			done <- detectMode(addr, modelPath, logpoint.NewDictionary(), detectOptions{
+			done <- detectMode(logpoint.NewDictionary(), detectOptions{
+				listen:             addr,
+				modelPath:          modelPath,
 				eventsPath:         eventsPath,
 				checkpointPath:     ckptPath,
 				checkpointInterval: 20 * time.Millisecond,
@@ -332,7 +338,8 @@ func TestDetectCheckpointRestart(t *testing.T) {
 }
 
 func TestDetectModeRejectsMissingModel(t *testing.T) {
-	if err := detectMode("127.0.0.1:0", filepath.Join(t.TempDir(), "nope.json"), logpoint.NewDictionary(), detectOptions{}); err == nil {
+	opts := detectOptions{listen: "127.0.0.1:0", modelPath: filepath.Join(t.TempDir(), "nope.json")}
+	if err := detectMode(logpoint.NewDictionary(), opts); err == nil {
 		t.Fatal("missing model accepted")
 	}
 }
@@ -343,5 +350,114 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 	if err := run([]string{"-dict", "/nonexistent.json", "-train", "1"}); err == nil {
 		t.Fatal("missing dictionary accepted")
+	}
+}
+
+// TestCheckpointRestartKeepsModelLineage: a daemon run with both a
+// checkpoint and a model store comes back from the checkpoint still knowing
+// which store version it serves — /model reports it, and the next retrain
+// records it as the parent rather than starting a new root.
+func TestCheckpointRestartKeepsModelLineage(t *testing.T) {
+	dir := t.TempDir()
+	modelPath := filepath.Join(dir, "model.json")
+	trainModelFile(t, modelPath)
+
+	// run starts the daemon on the shared checkpoint and store and returns
+	// its ingest and /model addresses and a stop function.
+	run := func() (addr, modelURL string, stop func()) {
+		t.Helper()
+		addr = freePort(t)
+		httpCh := make(chan string, 1)
+		stopCh := make(chan struct{})
+		done := make(chan error, 1)
+		go func() {
+			done <- detectMode(logpoint.NewDictionary(), detectOptions{
+				listen:         addr,
+				modelPath:      modelPath,
+				httpAddr:       "127.0.0.1:0",
+				checkpointPath: filepath.Join(dir, "analyzer.ckpt"),
+				storeDir:       filepath.Join(dir, "models"),
+				shadow:         true,
+				stop:           stopCh,
+				httpBound:      func(a string) { httpCh <- a },
+			})
+		}()
+		select {
+		case a := <-httpCh:
+			modelURL = "http://" + a + "/model"
+		case err := <-done:
+			t.Fatalf("detect mode exited early: %v", err)
+		case <-time.After(10 * time.Second):
+			t.Fatal("observability server never bound")
+		}
+		return addr, modelURL, func() {
+			t.Helper()
+			close(stopCh)
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("detect mode never shut down")
+			}
+		}
+	}
+	status := func(modelURL string) (st lifecycle.Status) {
+		t.Helper()
+		getJSON(t, modelURL, &st)
+		return st
+	}
+	// retrain feeds enough for a retrain, waits for the manager to have
+	// buffered it, and returns the candidate the retrain stored.
+	retrain := func(addr, modelURL string) (meta lifecycle.Meta) {
+		t.Helper()
+		emit(t, addr, 2500)
+		deadline := time.Now().Add(10 * time.Second)
+		for status(modelURL).Buffered < 2500 {
+			if time.Now().After(deadline) {
+				t.Fatal("the lifecycle manager never buffered the stream")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		resp, err := http.PostForm(modelURL, url.Values{"action": {"retrain"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("retrain: status %d", resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&meta); err != nil {
+			t.Fatal(err)
+		}
+		return meta
+	}
+
+	// Run 1 imports the model file as version 1, retrains version 2 from
+	// the stream and promotes it; the shutdown checkpoint carries its model.
+	addr, modelURL, stop := run()
+	cand := retrain(addr, modelURL)
+	if cand.Version != 2 || cand.Parent != 1 {
+		t.Fatalf("first retrain stored version %d with parent %d, want 2 and 1", cand.Version, cand.Parent)
+	}
+	resp, err := http.PostForm(modelURL, url.Values{"action": {"promote"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := status(modelURL).ServingVersion; got != 2 {
+		t.Fatalf("serving version after promote = %d, want 2", got)
+	}
+	stop()
+
+	// Run 2 restores the checkpoint: same serving version, same lineage.
+	addr, modelURL, stop = run()
+	defer stop()
+	if got := status(modelURL).ServingVersion; got != 2 {
+		t.Fatalf("serving version after restart = %d, want 2", got)
+	}
+	if cand := retrain(addr, modelURL); cand.Version != 3 || cand.Parent != 2 {
+		t.Fatalf("retrain after restart stored version %d with parent %d, want 3 and 2", cand.Version, cand.Parent)
 	}
 }

@@ -77,7 +77,9 @@ func TestTraceEndToEnd(t *testing.T) {
 	done := make(chan error, 1)
 	httpCh := make(chan string, 1)
 	go func() {
-		done <- detectMode(addr, modelPath, logpoint.NewDictionary(), detectOptions{
+		done <- detectMode(logpoint.NewDictionary(), detectOptions{
+			listen:      addr,
+			modelPath:   modelPath,
 			eventsPath:  eventsPath,
 			httpAddr:    "127.0.0.1:0",
 			traceSample: 1,

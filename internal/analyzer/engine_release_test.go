@@ -65,7 +65,9 @@ func TestEngineReleaseWithPoolKeepsExamplesIntact(t *testing.T) {
 	// anomalies whose examples retain the fed synopsis.
 	ts := epoch
 	for i := 0; i < 3000; i++ {
-		s := pool.Get()
+		var one [1]*synopsis.Synopsis
+		pool.GetN(one[:])
+		s := one[0]
 		s.Stage, s.Host = 1, 1
 		s.Start, s.Duration = ts, 9*time.Millisecond
 		s.Points = append(s.Points[:0],

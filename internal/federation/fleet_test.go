@@ -188,7 +188,7 @@ func TestFleetEquivalenceGracefulLeave(t *testing.T) {
 
 	ref := analyzer.NewEngine(model, analyzer.WithShards(4))
 	for _, s := range full {
-		ref.Feed(s.Clone()) // clones: the fleet path mutates RingEpoch on send
+		ref.Feed(s)
 	}
 	want := ref.Flush()
 	if err := ref.Close(); err != nil {

@@ -280,24 +280,6 @@ func (m *Membership) RemovePeer(id string) {
 	m.notify(old, cur)
 }
 
-// MarkDead forces a peer into the dead state immediately (failure detected
-// out of band, e.g. a connection refused on the data path, or chaos tests).
-func (m *Membership) MarkDead(id string) {
-	m.mu.Lock()
-	mb, ok := m.members[id]
-	if !ok || id == m.self.ID || mb.state == StateDead {
-		m.mu.Unlock()
-		return
-	}
-	now := m.cfg.Now()
-	mb.state = StateDead
-	mb.probeEvery = m.cfg.ProbeBase
-	mb.nextProbe = now.Add(mb.probeEvery)
-	old, cur := m.rebuildLocked()
-	m.mu.Unlock()
-	m.notify(old, cur)
-}
-
 // Beat advances and returns the self heartbeat counter.
 func (m *Membership) Beat() uint64 {
 	m.mu.Lock()

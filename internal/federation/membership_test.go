@@ -97,7 +97,11 @@ func TestMembershipProbeFalloff(t *testing.T) {
 	}
 	m := NewMembership(info("a"), cfg)
 	m.AddPeer(info("b"))
-	m.MarkDead("b")
+	now = now.Add(7 * time.Second) // silence past the default DeadAfter
+	m.Tick()
+	if st := stateOf(t, m, "b"); st != "dead" {
+		t.Fatalf("b state %s, want dead", st)
+	}
 
 	probes := 0
 	// Scan 60s in 1s steps: probes should land at +1s, then +2s, +4s, +4s…
@@ -192,23 +196,19 @@ func TestGossipConvergence(t *testing.T) {
 	}
 }
 
-// TestRouteStampsEpoch pins the Route contract: owner address plus the
-// epoch the routing decision used.
-func TestRouteStampsEpoch(t *testing.T) {
+// TestRouteReturnsOwnerAddress pins the Route contract: the ring owner's
+// ingest address, the same from the live and the static router.
+func TestRouteReturnsOwnerAddress(t *testing.T) {
 	m := NewMembership(info("a"), MembershipConfig{})
 	m.AddPeer(info("b"))
-	addr, epoch := m.Route(7, 1)
-	if epoch != m.Epoch() {
-		t.Fatalf("route epoch %d, ring epoch %d", epoch, m.Epoch())
-	}
+	addr := m.Route(7, 1)
 	owner := m.Ring().Owner(7, 1)
 	if want := owner + ":ingest"; addr != want {
 		t.Fatalf("route addr %q, want %q", addr, want)
 	}
 
 	sr := NewStaticRouter([]PeerInfo{info("a"), info("b")}, 0)
-	saddr, _ := sr.Route(7, 1)
-	if saddr != addr {
+	if saddr := sr.Route(7, 1); saddr != addr {
 		t.Fatalf("static router disagrees with membership router: %q vs %q", saddr, addr)
 	}
 }

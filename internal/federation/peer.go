@@ -36,9 +36,8 @@ type Peer struct {
 	handoffLn   listener
 	handoffDone chan struct{}
 
-	fwdMu  sync.Mutex
-	fwd    map[string]*stream.Client // forward links by peer id
-	closed bool
+	// fwd holds the forward links, one per owner ingest address.
+	fwd *stream.RingClient
 
 	// parkMu guards the rebalance parking buffer. While a rebalance is in
 	// flight (parkDepth > 0) arriving records are parked and re-dispatched
@@ -120,7 +119,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		logf:        cfg.Logf,
 		handoffLn:   ln,
 		handoffDone: make(chan struct{}),
-		fwd:         make(map[string]*stream.Client),
+		fwd:         stream.NewRingClient(nil, cfg.FlushEvery),
 	}
 	p.selfID = cfg.Self.ID
 	p.ms = NewMembership(cfg.Self, cfg.Membership)
@@ -159,86 +158,32 @@ func (p *Peer) EmitBatch(batch []*synopsis.Synopsis) {
 
 // dispatch routes one record by current ring ownership.
 func (p *Peer) dispatch(s *synopsis.Synopsis) {
-	ring := p.ms.Ring()
-	owner := ring.OwnerOfHash(KeyHash(s.Host, s.Stage))
+	owner := p.ms.Ring().OwnerOfHash(KeyHash(s.Host, s.Stage))
 	if owner == p.selfID {
 		p.eng.Emit(s)
 		return
 	}
-	p.forward(s, owner, ring.Epoch())
+	p.forward(s, owner)
 }
 
-// forward pushes a misrouted record to its owner, stamped with the ring
-// epoch the decision used. With a Release hook in play the record is
-// cloned first: the outbound link retains pointers until its next flush,
-// while the original goes straight back to the receive pool.
-func (p *Peer) forward(s *synopsis.Synopsis, owner string, epoch uint64) {
-	c := p.link(owner)
-	if c == nil {
-		p.fwdDropped.Add(1)
-		if p.cfg.Release != nil {
-			p.cfg.Release(s)
-		}
-		return
-	}
+// forward pushes a misrouted record to its owner; one the owner's link does
+// not take (no known address, failed dial, latched error) is dropped and
+// counted. With a Release hook in play the record is cloned first: the
+// outbound link retains pointers until its next flush, while the original
+// goes straight back to the receive pool.
+func (p *Peer) forward(s *synopsis.Synopsis, owner string) {
 	rec := s
 	if p.cfg.Release != nil {
 		rec = s.Clone()
 		p.cfg.Release(s)
 	}
-	rec.RingEpoch = epoch
-	c.Emit(rec)
+	info, _ := p.ms.Info(owner) // an unknown owner has no address
+	if info.Addr == "" || !p.fwd.Send(info.Addr, rec) {
+		p.fwdDropped.Add(1)
+		return
+	}
 	p.forwards.Add(1)
 	p.m.Forwards.Inc()
-}
-
-// link returns the forward link to a peer, dialing when there is none. A
-// cached link that has latched a transport error is closed and evicted
-// (nil for this record, which the caller drops and counts), so the next
-// record redials and a peer that restarted on the same address is found
-// again.
-func (p *Peer) link(owner string) *stream.Client {
-	p.fwdMu.Lock()
-	c, closed := p.fwd[owner], p.closed
-	p.fwdMu.Unlock()
-	if closed {
-		return nil
-	}
-	if c != nil {
-		if c.Err() == nil {
-			return c
-		}
-		p.fwdMu.Lock()
-		if p.fwd[owner] == c {
-			delete(p.fwd, owner)
-		}
-		p.fwdMu.Unlock()
-		c.Close()
-		return nil
-	}
-	info, ok := p.ms.Info(owner)
-	if !ok || info.Addr == "" {
-		return nil
-	}
-	nc, err := stream.Dial(info.Addr, p.cfg.FlushEvery)
-	if err != nil {
-		p.logf("federation: dial forward link to %s (%s): %v", owner, info.Addr, err)
-		return nil
-	}
-	p.fwdMu.Lock()
-	if p.closed {
-		p.fwdMu.Unlock()
-		nc.Close()
-		return nil
-	}
-	if prev := p.fwd[owner]; prev != nil { // raced another dial; keep the first
-		p.fwdMu.Unlock()
-		nc.Close()
-		return prev
-	}
-	p.fwd[owner] = nc
-	p.fwdMu.Unlock()
-	return nc
 }
 
 // parkIfRebalancing buffers s while a rebalance is in flight.
@@ -345,33 +290,13 @@ func (p *Peer) Leave() {
 
 // Flush drains the forward links so everything emitted so far is on the
 // wire (test/shutdown barrier; Close also flushes).
-func (p *Peer) Flush() {
-	p.fwdMu.Lock()
-	clients := make([]*stream.Client, 0, len(p.fwd))
-	for _, c := range p.fwd {
-		clients = append(clients, c)
-	}
-	p.fwdMu.Unlock()
-	for _, c := range clients {
-		c.Flush()
-	}
-}
+func (p *Peer) Flush() { p.fwd.Flush() }
 
 // Close flushes and closes the forward links and stops the handoff
 // listener. The engine stays open — its anomalies are the caller's to
 // collect.
 func (p *Peer) Close() error {
-	p.fwdMu.Lock()
-	clients := p.fwd
-	p.fwd = make(map[string]*stream.Client)
-	p.closed = true
-	p.fwdMu.Unlock()
-	var first error
-	for _, c := range clients {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
+	first := p.fwd.Close()
 	if err := p.handoffLn.Close(); err != nil && first == nil {
 		first = err
 	}

@@ -8,10 +8,8 @@
 package federation
 
 import (
-	"fmt"
 	"hash/fnv"
 	"sort"
-	"strings"
 
 	"saad/internal/logpoint"
 )
@@ -116,9 +114,6 @@ func (r *Ring) Epoch() uint64 { return r.epoch }
 // Peers returns the sorted member ids (shared slice; do not mutate).
 func (r *Ring) Peers() []string { return r.peers }
 
-// Len returns the member count.
-func (r *Ring) Len() int { return len(r.peers) }
-
 // OwnerOfHash returns the peer owning a precomputed key hash: the first
 // virtual node clockwise from the hash. Empty string on an empty ring.
 //
@@ -149,13 +144,6 @@ func (r *Ring) OwnerOfHash(h uint64) string {
 //saad:hotpath
 func (r *Ring) Owner(host uint16, stage logpoint.StageID) string {
 	return r.OwnerOfHash(KeyHash(host, stage))
-}
-
-// String renders the ring compactly for /statusz and logs.
-func (r *Ring) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "ring{epoch=%d peers=[%s] vnodes=%d}", r.epoch, strings.Join(r.peers, " "), len(r.points))
-	return b.String()
 }
 
 // OwnedRanges returns the arcs of the key circle owned by peer as

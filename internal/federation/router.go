@@ -5,22 +5,18 @@ import (
 )
 
 // Route implements stream.Router over the live membership view: the ring
-// owner's ingest address, stamped with the ring epoch the decision used.
-// Safe from any goroutine; the ring load is wait-free.
-func (m *Membership) Route(host uint16, stage logpoint.StageID) (string, uint64) {
-	r := m.Ring()
-	info, ok := m.Info(r.Owner(host, stage))
-	if !ok {
-		return "", r.Epoch()
-	}
-	return info.Addr, r.Epoch()
+// owner's ingest address, "" when the owner is unknown. Safe from any
+// goroutine; the ring load is wait-free.
+func (m *Membership) Route(host uint16, stage logpoint.StageID) string {
+	info, _ := m.Info(m.Ring().Owner(host, stage))
+	return info.Addr
 }
 
 // StaticRouter implements stream.Router from a fixed peer list — the
 // tracker-side configuration (-analyzer-peers), where trackers do not join
-// the gossip mesh. Its view can go stale when the fleet loses a peer;
-// receiving peers detect the stale epoch/ownership and forward the record
-// to the current owner, so a static route is never wrong for long.
+// the gossip mesh. Its view can go stale when the fleet loses a peer; a
+// receiving peer routes by its own ring and forwards the record to the
+// current owner, so a static route is never wrong for long.
 type StaticRouter struct {
 	ring  *Ring
 	addrs map[string]string
@@ -43,8 +39,8 @@ func NewStaticRouter(peers []PeerInfo, vnodes int) *StaticRouter {
 }
 
 // Route implements stream.Router.
-func (r *StaticRouter) Route(host uint16, stage logpoint.StageID) (string, uint64) {
-	return r.addrs[r.ring.Owner(host, stage)], r.ring.Epoch()
+func (r *StaticRouter) Route(host uint16, stage logpoint.StageID) string {
+	return r.addrs[r.ring.Owner(host, stage)]
 }
 
 // Ring exposes the underlying static ring (diagnostics, tests).

@@ -69,15 +69,3 @@ func namedTypePath(t types.Type) (pkgPath, name string) {
 	}
 	return obj.Pkg().Path(), obj.Name()
 }
-
-// enclosingFuncs yields the innermost enclosing function-ish node (FuncDecl
-// or FuncLit) from a parent stack, or nil.
-func enclosingFunc(parents []ast.Node) ast.Node {
-	for i := len(parents) - 1; i >= 0; i-- {
-		switch parents[i].(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			return parents[i]
-		}
-	}
-	return nil
-}

@@ -130,13 +130,6 @@ type Server struct {
 	srv *http.Server
 }
 
-// Serve starts an HTTP server on addr (e.g. ":9090" or "127.0.0.1:0")
-// exposing NewMux(r). It returns once the listener is bound, so Addr is
-// immediately valid.
-func Serve(addr string, r *Registry) (*Server, error) {
-	return ServeMux(addr, NewMux(r))
-}
-
 // ServeMux starts an HTTP server on addr with a caller-built mux —
 // typically NewMux(r) with extra admin endpoints mounted on top (the
 // analyzer's /model lifecycle endpoint rides the metrics mux this way).

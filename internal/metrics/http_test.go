@@ -196,7 +196,7 @@ func TestMuxServesPprof(t *testing.T) {
 
 func TestServeBindsAndCloses(t *testing.T) {
 	r := registerPipelineFixture(t)
-	srv, err := Serve("127.0.0.1:0", r)
+	srv, err := ServeMux("127.0.0.1:0", NewMux(r))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,20 +159,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 // 1µs to 10s in decades, in seconds.
 var LatencyBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
 
-// ExponentialBuckets returns n upper bounds starting at start, each factor
-// times the previous. It panics on invalid arguments (programmer error).
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("metrics: ExponentialBuckets needs start > 0, factor > 1, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
 // CounterVec is a family of counters partitioned by label values (a small
 // subset of Prometheus's vector metrics). Looking up a child takes a mutex;
 // callers on hot paths should hold on to the returned *Counter.

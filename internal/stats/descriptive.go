@@ -33,9 +33,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the running mean (0 with no data).
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -50,22 +47,6 @@ func (w *Welford) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Merge combines another accumulator into w (parallel Welford merge).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	mean := w.mean + delta*float64(o.n)/float64(n)
-	m2 := w.m2 + o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.n, w.mean, w.m2 = n, mean, m2
-}
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. xs is not modified.
@@ -83,21 +64,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	copy(sorted, xs)
 	sort.Float64s(sorted)
 	return percentileSorted(sorted, p), nil
-}
-
-// PercentileSorted is like Percentile but requires xs to be sorted ascending
-// and avoids the copy.
-func PercentileSorted(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrNoData
-	}
-	if p <= 0 {
-		return xs[0], nil
-	}
-	if p >= 100 {
-		return xs[len(xs)-1], nil
-	}
-	return percentileSorted(xs, p), nil
 }
 
 func percentileSorted(sorted []float64, p float64) float64 {

@@ -24,30 +24,6 @@ func TestNormalCDFKnownValues(t *testing.T) {
 	}
 }
 
-func TestNormalQuantileRoundTrip(t *testing.T) {
-	for _, p := range []float64{0.001, 0.01, 0.025, 0.1, 0.5, 0.9, 0.975, 0.99, 0.999} {
-		z := NormalQuantile(p)
-		if got := NormalCDF(z); !almostEqual(got, p, 1e-8) {
-			t.Errorf("CDF(Quantile(%v)) = %v", p, got)
-		}
-	}
-}
-
-func TestNormalQuantileEdges(t *testing.T) {
-	if !math.IsInf(NormalQuantile(0), -1) {
-		t.Error("Quantile(0) != -Inf")
-	}
-	if !math.IsInf(NormalQuantile(1), 1) {
-		t.Error("Quantile(1) != +Inf")
-	}
-	if !math.IsNaN(NormalQuantile(-0.1)) || !math.IsNaN(NormalQuantile(1.1)) {
-		t.Error("out-of-range quantile not NaN")
-	}
-	if !math.IsNaN(NormalQuantile(math.NaN())) {
-		t.Error("NaN quantile not NaN")
-	}
-}
-
 func TestRegularizedIncompleteBeta(t *testing.T) {
 	tests := []struct {
 		a, b, x, want, tol float64

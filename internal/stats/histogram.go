@@ -2,13 +2,11 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"strings"
 )
 
 // Histogram is a fixed-bucket histogram over float64 observations, used by
-// the report package for duration distributions and by diagnostics.
+// the lifecycle drift monitor for duration distributions.
 // The zero value is not usable; construct with NewHistogram.
 type Histogram struct {
 	min, max float64
@@ -16,7 +14,6 @@ type Histogram struct {
 	counts   []int
 	under    int
 	over     int
-	total    int
 }
 
 // NewHistogram builds a histogram with n equal-width buckets over [min, max).
@@ -38,7 +35,6 @@ func NewHistogram(min, max float64, n int) (*Histogram, error) {
 
 // Add records one observation.
 func (h *Histogram) Add(x float64) {
-	h.total++
 	switch {
 	case x < h.min:
 		h.under++
@@ -53,16 +49,6 @@ func (h *Histogram) Add(x float64) {
 	}
 }
 
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// Counts returns a copy of the per-bucket counts (excluding under/overflow).
-func (h *Histogram) Counts() []int {
-	out := make([]int, len(h.counts))
-	copy(out, h.counts)
-	return out
-}
-
 // CountsWithTails returns the per-bucket counts with the underflow count
 // prepended and the overflow count appended — the fixed-length vector the
 // two-sample distribution tests compare, where tail mass matters as much
@@ -74,55 +60,13 @@ func (h *Histogram) CountsWithTails() []int {
 	return append(out, h.over)
 }
 
-// Underflow returns the number of observations below the histogram range.
-func (h *Histogram) Underflow() int { return h.under }
-
-// Overflow returns the number of observations at or above the histogram
-// range's upper bound.
-func (h *Histogram) Overflow() int { return h.over }
-
 // Reset zeroes every bucket and tail count so the histogram can accumulate
 // a fresh epoch with identical bucketing.
 func (h *Histogram) Reset() {
 	for i := range h.counts {
 		h.counts[i] = 0
 	}
-	h.under, h.over, h.total = 0, 0, 0
-}
-
-// Render draws an ASCII bar chart with the given maximum bar width.
-func (h *Histogram) Render(barWidth int) string {
-	if barWidth <= 0 {
-		barWidth = 40
-	}
-	peak := h.under
-	for _, c := range h.counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	if h.over > peak {
-		peak = h.over
-	}
-	if peak == 0 {
-		peak = 1
-	}
-	var b strings.Builder
-	bar := func(label string, c int) {
-		n := int(math.Round(float64(c) / float64(peak) * float64(barWidth)))
-		fmt.Fprintf(&b, "%16s | %-*s %d\n", label, barWidth, strings.Repeat("#", n), c)
-	}
-	if h.under > 0 {
-		bar(fmt.Sprintf("< %.3g", h.min), h.under)
-	}
-	for i, c := range h.counts {
-		lo := h.min + float64(i)*h.width
-		bar(fmt.Sprintf("[%.3g,%.3g)", lo, lo+h.width), c)
-	}
-	if h.over > 0 {
-		bar(fmt.Sprintf(">= %.3g", h.max), h.over)
-	}
-	return b.String()
+	h.under, h.over = 0, 0
 }
 
 // CumulativeShare reports, for counts sorted descending, the minimum number

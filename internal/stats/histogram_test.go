@@ -1,7 +1,7 @@
 package stats
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -14,18 +14,10 @@ func TestHistogramBasic(t *testing.T) {
 	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 100} {
 		h.Add(x)
 	}
-	if h.Total() != 8 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	counts := h.Counts()
-	want := []int{2, 1, 1, 0, 1} // [0,2):{0,1.9}, [2,4):{2}, [4,6):{5}, [8,10):{9.99}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("counts = %v, want %v", counts, want)
-		}
-	}
-	if h.under != 1 || h.over != 2 {
-		t.Fatalf("under=%d over=%d", h.under, h.over)
+	// under:{-1}, [0,2):{0,1.9}, [2,4):{2}, [4,6):{5}, [8,10):{9.99}, over:{10,100}
+	want := []int{1, 2, 1, 1, 0, 1, 2}
+	if got := h.CountsWithTails(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("counts = %v, want %v", got, want)
 	}
 }
 
@@ -38,48 +30,6 @@ func TestHistogramErrors(t *testing.T) {
 	}
 	if _, err := NewHistogram(10, 5, 3); err == nil {
 		t.Fatal("inverted range accepted")
-	}
-}
-
-func TestHistogramRender(t *testing.T) {
-	h, err := NewHistogram(0, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(-1)
-	h.Add(1)
-	h.Add(1)
-	h.Add(3)
-	h.Add(9)
-	out := h.Render(10)
-	if !strings.Contains(out, "#") {
-		t.Fatalf("render missing bars:\n%s", out)
-	}
-	if !strings.Contains(out, "< 0") || !strings.Contains(out, ">= 4") {
-		t.Fatalf("render missing under/overflow rows:\n%s", out)
-	}
-	// Renders with default width when given nonsense.
-	if out := h.Render(-1); out == "" {
-		t.Fatal("negative width render empty")
-	}
-	// Empty histogram renders without panic.
-	h2, err := NewHistogram(0, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = h2.Render(5)
-}
-
-func TestHistogramCountsIsCopy(t *testing.T) {
-	h, err := NewHistogram(0, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(1)
-	c := h.Counts()
-	c[0] = 999
-	if h.Counts()[0] == 999 {
-		t.Fatal("Counts exposed internal slice")
 	}
 }
 

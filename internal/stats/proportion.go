@@ -114,43 +114,6 @@ func ProportionTTest(successes, n int, p0, alpha float64) (ProportionTestResult,
 	return res, nil
 }
 
-// WelchTTest performs a one-sided two-sample Welch t-test of
-// H0: mean(a) <= mean(b) vs H1: mean(a) > mean(b). It is exposed for
-// duration comparisons in diagnostics and ablation benchmarks.
-func WelchTTest(a, b []float64, alpha float64) (ProportionTestResult, error) {
-	if len(a) < 2 || len(b) < 2 {
-		return ProportionTestResult{}, ErrNoData
-	}
-	var wa, wb Welford
-	for _, x := range a {
-		wa.Add(x)
-	}
-	for _, x := range b {
-		wb.Add(x)
-	}
-	va := wa.Variance() / float64(wa.N())
-	vb := wb.Variance() / float64(wb.N())
-	se := math.Sqrt(va + vb)
-	res := ProportionTestResult{N: len(a) + len(b), Alpha: alpha}
-	if se == 0 {
-		if wa.Mean() > wb.Mean() {
-			res.Stat = math.Inf(1)
-			res.PValue = 0
-			res.Reject = true
-		} else {
-			res.PValue = 1
-		}
-		return res, nil
-	}
-	res.Stat = (wa.Mean() - wb.Mean()) / se
-	// Welch-Satterthwaite degrees of freedom.
-	df := (va + vb) * (va + vb) /
-		(va*va/float64(wa.N()-1) + vb*vb/float64(wb.N()-1))
-	res.PValue = 1 - StudentTCDF(res.Stat, df)
-	res.Reject = res.PValue < alpha
-	return res, nil
-}
-
 // KFoldIndices partitions [0, n) into k contiguous folds of near-equal size
 // and returns, for each fold, the held-out index range [start, end). It is
 // the partitioning used by the analyzer's cross-validation discard step

@@ -155,46 +155,6 @@ func TestProportionMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestWelchTTest(t *testing.T) {
-	slow := []float64{20, 21, 19, 22, 20, 21, 20, 19.5}
-	fast := []float64{10, 11, 9, 10.5, 10, 9.5, 10, 10.2}
-	res, err := WelchTTest(slow, fast, 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Reject {
-		t.Fatalf("clear slowdown not detected: %v", res)
-	}
-	// Reverse direction must not reject.
-	res, err = WelchTTest(fast, slow, 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reject {
-		t.Fatalf("reverse direction rejected: %v", res)
-	}
-}
-
-func TestWelchTTestDegenerate(t *testing.T) {
-	if _, err := WelchTTest([]float64{1}, []float64{1, 2}, 0.01); !errors.Is(err, ErrNoData) {
-		t.Fatalf("short sample err = %v", err)
-	}
-	res, err := WelchTTest([]float64{5, 5, 5}, []float64{3, 3, 3}, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Reject {
-		t.Fatalf("zero-variance clear difference not rejected: %v", res)
-	}
-	res, err = WelchTTest([]float64{3, 3, 3}, []float64{3, 3, 3}, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reject {
-		t.Fatalf("identical zero-variance samples rejected: %v", res)
-	}
-}
-
 func TestKFoldIndices(t *testing.T) {
 	folds := KFoldIndices(10, 3)
 	if len(folds) != 3 {

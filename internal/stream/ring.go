@@ -18,18 +18,18 @@ import (
 // package never imports the federation package (federation builds on
 // stream for its forwarding links).
 type Router interface {
-	// Route returns the ingest address of the peer that owns the group and
-	// the ring epoch the decision was made under. An empty address means no
-	// owner is reachable (the caller drops and counts).
-	Route(host uint16, stage logpoint.StageID) (addr string, epoch uint64)
+	// Route returns the ingest address of the peer that owns the group. An
+	// empty address means no owner is reachable (the caller drops and
+	// counts).
+	Route(host uint16, stage logpoint.StageID) string
 }
 
-// RingClient is the tracker-side federation fan-out: a tracker.Sink that
-// routes every synopsis to the analyzer peer owning its (host, stage)
-// group, maintaining one lazily-dialed Client per peer address. Each
-// outgoing record is stamped with the routing ring epoch so a receiving
-// peer whose topology disagrees can detect staleness and forward
-// peer-to-peer instead of mis-binning.
+// RingClient is the federation fan-out: one lazily-dialed Client per peer
+// address. A tracker uses it as a tracker.Sink that routes every synopsis
+// to the analyzer peer owning its (host, stage) group; an analyzer peer
+// forwards through one with Send, having resolved the owner itself. It
+// sends records as they are: a receiving peer whose topology disagrees
+// routes by its own ring and forwards peer-to-peer instead of mis-binning.
 type RingClient struct {
 	router     Router
 	flushEvery time.Duration
@@ -43,7 +43,8 @@ type RingClient struct {
 }
 
 // NewRingClient builds a routing client. flushEvery and opts are applied
-// to every per-peer link it dials.
+// to every per-peer link it dials. router may be nil for a caller that
+// only uses Send.
 func NewRingClient(router Router, flushEvery time.Duration, opts ...ClientOption) *RingClient {
 	return &RingClient{
 		router:     router,
@@ -54,41 +55,36 @@ func NewRingClient(router Router, flushEvery time.Duration, opts ...ClientOption
 }
 
 // Emit routes one synopsis to its owning peer. Records with no reachable
-// owner are dropped and counted, never blocked on. So is a record that
-// meets a link which can take nothing any more (a direct-mode link latches
-// its first transport error): that link is closed and evicted, so the next
-// record redials and a peer that restarted on the same address is found
-// again.
+// owner, or that Send could not hand to a link, are dropped and counted,
+// never blocked on.
 func (rc *RingClient) Emit(s *synopsis.Synopsis) {
-	addr, epoch := rc.router.Route(s.Host, s.Stage)
-	if addr == "" {
+	addr := rc.router.Route(s.Host, s.Stage)
+	if addr == "" || !rc.Send(addr, s) {
 		rc.dropped.Add(1)
-		return
-	}
-	c := rc.client(addr)
-	if c == nil {
-		rc.dropped.Add(1)
-		return
-	}
-	s.RingEpoch = epoch
-	if !c.offer(s) {
-		rc.dropped.Add(1)
-		rc.mu.Lock()
-		if rc.clients[addr] == c {
-			delete(rc.clients, addr)
-		}
-		rc.mu.Unlock()
-		_ = c.Close()
 	}
 }
 
-// EmitBatch routes each record of a batch individually — a batch from one
-// tracker spans whatever groups its host produced, which the ring may
-// scatter across peers.
-func (rc *RingClient) EmitBatch(batch []*synopsis.Synopsis) {
-	for _, s := range batch {
-		rc.Emit(s)
+// Send hands s to the link for addr, dialing when there is none, and
+// reports whether the link took it. It did not when the dial failed, the
+// ring client is closed, or the link can take nothing any more (a
+// direct-mode link latches its first transport error): that link is closed
+// and evicted, so the next record redials and a peer that restarted on the
+// same address is found again.
+func (rc *RingClient) Send(addr string, s *synopsis.Synopsis) bool {
+	c := rc.client(addr)
+	if c == nil {
+		return false
 	}
+	if c.offer(s) {
+		return true
+	}
+	rc.mu.Lock()
+	if rc.clients[addr] == c {
+		delete(rc.clients, addr)
+	}
+	rc.mu.Unlock()
+	_ = c.Close()
+	return false
 }
 
 // client returns the link to addr, dialing when there is none; nil if the
@@ -118,15 +114,24 @@ func (rc *RingClient) client(addr string) *Client {
 	return keep
 }
 
-// Dropped reports how many synopses had no routable owner or met a dead
-// link.
+// Dropped reports how many synopses Emit could not deliver: no routable
+// owner, or a link that did not take them.
 func (rc *RingClient) Dropped() uint64 { return rc.dropped.Load() }
 
-// Links reports how many peer links are currently open.
-func (rc *RingClient) Links() int {
+// Flush pushes every link's pending batch onto the wire, so everything
+// taken so far has been written (test/shutdown barrier; Close also
+// flushes). A link's write error is its own to latch: the next Send evicts
+// it.
+func (rc *RingClient) Flush() {
 	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return len(rc.clients)
+	clients := make([]*Client, 0, len(rc.clients))
+	for _, c := range rc.clients {
+		clients = append(clients, c)
+	}
+	rc.mu.Unlock()
+	for _, c := range clients {
+		_ = c.Flush()
+	}
 }
 
 // Close flushes and closes every peer link; the first error wins.

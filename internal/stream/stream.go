@@ -9,7 +9,6 @@
 package stream
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"saad/internal/metrics"
@@ -119,52 +118,4 @@ func (c *Channel) Drain() []*synopsis.Synopsis {
 			return out
 		}
 	}
-}
-
-// Tee duplicates synopses to several sinks, e.g. a live analyzer plus a
-// volume accountant.
-type Tee []tracker.Sink
-
-var _ tracker.Sink = Tee(nil)
-
-// Emit implements tracker.Sink.
-func (t Tee) Emit(s *synopsis.Synopsis) {
-	for _, sink := range t {
-		if sink != nil {
-			sink.Emit(s)
-		}
-	}
-}
-
-// Counter is a sink that counts synopses and their encoded volume; it backs
-// the Figure 8 storage-overhead measurements.
-type Counter struct {
-	mu    sync.Mutex
-	count uint64
-	bytes uint64
-}
-
-var _ tracker.Sink = (*Counter)(nil)
-
-// Emit implements tracker.Sink.
-func (c *Counter) Emit(s *synopsis.Synopsis) {
-	n := synopsis.EncodedSize(s)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.count++
-	c.bytes += uint64(n)
-}
-
-// Count returns the number of synopses observed.
-func (c *Counter) Count() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.count
-}
-
-// Bytes returns the total encoded volume observed.
-func (c *Counter) Bytes() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
 }

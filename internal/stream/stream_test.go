@@ -143,26 +143,6 @@ func TestChannelEmittedCounter(t *testing.T) {
 	}
 }
 
-func TestTee(t *testing.T) {
-	a := &Counter{}
-	b := &Counter{}
-	tee := Tee{a, nil, b}
-	tee.Emit(syn(1))
-	tee.Emit(syn(2))
-	if a.Count() != 2 || b.Count() != 2 {
-		t.Fatalf("tee counts = %d, %d", a.Count(), b.Count())
-	}
-}
-
-func TestCounterBytesMatchesEncoder(t *testing.T) {
-	c := &Counter{}
-	s := syn(7)
-	c.Emit(s)
-	if c.Bytes() != uint64(synopsis.EncodedSize(s)) {
-		t.Fatalf("bytes = %d, want %d", c.Bytes(), synopsis.EncodedSize(s))
-	}
-}
-
 func TestTCPEndToEnd(t *testing.T) {
 	got := NewChannel(4096)
 	srv, err := Listen("127.0.0.1:0", got)

@@ -29,13 +29,10 @@ import (
 // every frame.
 
 // extTrace carries the sampled pipeline span's origin timestamps: uvarint
-// Emit then uvarint Send, both unix nanoseconds (0 = not stamped).
+// Emit then uvarint Send, both unix nanoseconds (0 = not stamped). Id 2 is
+// retired, not free: peers built before the ring-epoch stamp was deleted
+// still send it, and it is skipped as unknown.
 const extTrace = 1
-
-// extRingEpoch carries the sender's federation ring epoch as one uvarint.
-// Only emitted when nonzero, so non-federated streams stay byte-identical
-// to their pre-extension encodings.
-const extRingEpoch = 2
 
 // maxRecordSize bounds a single encoded record to keep a corrupt or
 // malicious length prefix from allocating unbounded memory.
@@ -84,10 +81,6 @@ func bodySize(s *Synopsis) int {
 		p := tracePayloadSize(sp)
 		n += uvarintLen(extTrace) + uvarintLen(uint64(p)) + p
 	}
-	if s.RingEpoch != 0 {
-		p := uvarintLen(s.RingEpoch)
-		n += uvarintLen(extRingEpoch) + uvarintLen(uint64(p)) + p
-	}
 	return n
 }
 
@@ -121,11 +114,6 @@ func appendExtensions(dst []byte, s *Synopsis) []byte {
 		dst = binary.AppendUvarint(dst, uint64(tracePayloadSize(sp)))
 		dst = binary.AppendUvarint(dst, uint64(sp.Emit))
 		dst = binary.AppendUvarint(dst, uint64(sp.Send))
-	}
-	if s.RingEpoch != 0 {
-		dst = binary.AppendUvarint(dst, extRingEpoch)
-		dst = binary.AppendUvarint(dst, uint64(uvarintLen(s.RingEpoch)))
-		dst = binary.AppendUvarint(dst, s.RingEpoch)
 	}
 	return dst
 }
@@ -240,7 +228,6 @@ func decodeBody(buf []byte, s *Synopsis) error {
 	s.Start = time.UnixMicro(int64(startUs)).UTC()
 	s.Duration = time.Duration(durUs) * time.Microsecond
 	s.Trace = nil // decoders reuse s; a prior record's span must not leak
-	s.RingEpoch = 0
 	s.resizePoints(int(npts))
 	var prev logpoint.ID
 	for i := range s.Points {
@@ -300,14 +287,6 @@ func (s *Synopsis) resizePoints(n int) {
 // extension ids are skipped so newer peers can extend the record without
 // breaking this decoder.
 func applyExtension(s *Synopsis, extID uint64, payload []byte) error {
-	if extID == extRingEpoch {
-		epoch, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return fmt.Errorf("synopsis: decode ring epoch: %w", io.ErrUnexpectedEOF)
-		}
-		s.RingEpoch = epoch
-		return nil
-	}
 	if extID != extTrace {
 		return nil
 	}

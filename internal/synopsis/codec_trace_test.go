@@ -1,6 +1,7 @@
 package synopsis
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"testing"
@@ -158,4 +159,59 @@ func TestCodecUnknownExtensionSkipped(t *testing.T) {
 	if err := NewDecoder(bytes.NewReader(badRec)).Decode(&got); err == nil {
 		t.Fatal("truncated extension decoded without error")
 	}
+}
+
+// TestCodecRetiredExtensionSkipped: a peer built before the
+// ring-epoch stamp was deleted still sends extension id 2 (one uvarint)
+// after the trace extension. Both decoders take such a record with every
+// other field exact — the stamp falls through the skip-unknown rule.
+func TestCodecRetiredExtensionSkipped(t *testing.T) {
+	want := traceTestSyn()
+	want.Trace = &trace.Span{Emit: 1_000_000, Send: 2_000_000}
+	stamp := []byte{2, 1, 42} // id 2, one payload byte, epoch 42
+
+	t.Run("record", func(t *testing.T) {
+		body := append(appendBody(nil, want), stamp...)
+		rec := append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+		// A record of ours behind it: the stamp's bytes were consumed exactly.
+		rec = AppendRecord(rec, want)
+		dec := NewDecoder(bytes.NewReader(rec))
+		for i := 0; i < 2; i++ {
+			var got Synopsis
+			if err := dec.Decode(&got); err != nil {
+				t.Fatalf("record %d: %v", i, err)
+			}
+			assertEqualSynopsis(t, i, &got, want)
+		}
+	})
+
+	t.Run("v2 frame", func(t *testing.T) {
+		// Our encoder ends a traced record with [count 1][trace extension];
+		// the old one wrote count 2 and the stamp behind it.
+		rec := NewBatchEncoder().appendRecordV2(nil, want)
+		rec[len(rec)-len(appendExtensions(nil, want))-1] = 2
+		rec = append(rec, stamp...)
+		frame := binary.AppendUvarint(nil, uint64(2+len(rec))) // kind, count, records
+		frame = append(frame, frameBatch, 1)
+		frame = append(frame, rec...)
+		// A frame of ours behind it, on the same connection: the flow the old
+		// frame defined is referenced, so the tables stayed in step.
+		next := *want
+		next.TaskID++
+		enc := NewBatchEncoder()
+		enc.AppendFrames(nil, []*Synopsis{want})
+		frame = enc.AppendFrames(frame, []*Synopsis{&next})
+
+		dec := NewBatchDecoder(bufio.NewReader(bytes.NewReader(frame)))
+		for i, w := range []*Synopsis{want, &next} {
+			var got Synopsis
+			if err := dec.Decode(&got); err != nil {
+				t.Fatalf("record %d: %v", i, err)
+			}
+			assertEqualSynopsis(t, i, &got, w)
+		}
+		if dec.InternedRefs() != 1 {
+			t.Fatalf("InternedRefs = %d, want 1 (the second frame's record)", dec.InternedRefs())
+		}
+	})
 }

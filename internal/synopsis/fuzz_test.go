@@ -104,13 +104,13 @@ func FuzzRecordRoundTrip(f *testing.F) {
 // the stateful v2 codec: the script (two bytes a record, see
 // sequenceRecord) interleaves groups and signatures derived from the base
 // synopsis, steps task ids and starts in both directions, toggles counts
-// and both extensions, cuts batches and resets the connection, and every
+// and the trace extension, cuts batches and resets the connection, and every
 // decoded record must equal the one encoded, field for field.
 func FuzzBatchSequence(f *testing.F) {
 	scripts := [][]byte{
 		{0x00, 0x00, 0x00, 0x00},
 		// Every group, signature variant and flag once, a cut and a reset.
-		{0x10, seqUnitCounts, 0x25, seqBackwards, 0x3a, seqEpoch | seqCut, 0x4f, seqTrace, 0x0c, seqReset, 0x10, 0, 0x25, seqBackwards | seqTrace | seqEpoch},
+		{0x10, seqUnitCounts, 0x25, seqBackwards, 0x3a, seqCut, 0x4f, seqTrace, 0x0c, seqReset, 0x10, 0, 0x25, seqBackwards | seqTrace},
 		bytes.Repeat([]byte{0xf3, seqBackwards, 0x07, seqUnitCounts | seqCut}, 40),
 	}
 	for i, c := range recordCorpus {

@@ -51,11 +51,10 @@ type Synopsis struct {
 	// trailing frame extension old decoders skip, so tracing peers
 	// interoperate with untraced ones.
 	Trace *trace.Span
-	// RingEpoch is the sender's view of the federation ring topology when
-	// it routed this synopsis, 0 when the sender is not federation-aware.
-	// A receiving peer whose ring disagrees forwards the record to the
-	// current owner instead of dropping it. Carried as a trailing frame
-	// extension, so non-federated peers interoperate unchanged.
+	// RingEpoch is inert: nothing sets it, the codec does not carry it and
+	// nothing reads it (a receiving peer routes by its own ring). It is
+	// declared only because benchmark/layers.go still assigns it, and goes
+	// with those lines in the next benchmark-only PR.
 	RingEpoch uint64
 }
 

@@ -237,7 +237,7 @@ func (e *BatchEncoder) InternedRefs() uint64 { return e.interned }
 //saad:hotpath
 func (e *BatchEncoder) appendRecordV2(dst []byte, s *Synopsis) []byte {
 	var flags uint64
-	if s.Trace != nil || s.RingEpoch != 0 {
+	if s.Trace != nil {
 		flags = headHasExt
 	}
 	for _, pc := range s.Points {
@@ -291,14 +291,7 @@ func (e *BatchEncoder) appendRecordV2(dst []byte, s *Synopsis) []byte {
 		}
 	}
 	if flags&headHasExt != 0 {
-		var extCount uint64
-		if s.Trace != nil {
-			extCount++
-		}
-		if s.RingEpoch != 0 {
-			extCount++
-		}
-		dst = binary.AppendUvarint(dst, extCount)
+		dst = append(dst, 1) // extension count: the trace span
 		dst = appendExtensions(dst, s)
 	}
 	return dst
@@ -567,7 +560,6 @@ func (d *BatchDecoder) decodeRecordV2(s *Synopsis) error {
 	s.Start = time.UnixMicro(d.prevStart).UTC()
 	s.Duration = time.Duration(durUs) * time.Microsecond
 	s.Trace = nil // decoders reuse s; a prior record's span must not leak
-	s.RingEpoch = 0
 	if head&headHasCounts != 0 {
 		for i := range s.Points {
 			var count uint64
@@ -631,26 +623,6 @@ func NewPool(capacity int) *Pool {
 		capacity = 1
 	}
 	return &Pool{free: make([]*Synopsis, 0, capacity)}
-}
-
-// Get returns an idle synopsis (fields zeroed, point capacity retained) or
-// a fresh one when the pool is empty or nil.
-//
-//saad:hotpath
-func (p *Pool) Get() *Synopsis {
-	if p == nil {
-		return &Synopsis{}
-	}
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		s := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		return s
-	}
-	p.mu.Unlock()
-	return &Synopsis{}
 }
 
 // GetN fills every element of dst with an idle or fresh synopsis under a

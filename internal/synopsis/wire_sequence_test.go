@@ -28,7 +28,6 @@ const (
 
 	seqUnitCounts = 1 << 0 // byte 1: every count is 1
 	seqBackwards  = 1 << 1 // task id and start step backwards: negative deltas
-	seqEpoch      = 1 << 2 // ring-epoch extension
 	seqTrace      = 1 << 3 // trace extension
 	seqCut        = 1 << 4 // the AppendFrames batch ends after this record
 	seqReset      = 1 << 5 // ... and so does the connection: a fresh encoder and decoder
@@ -72,9 +71,6 @@ func sequenceRecord(base *Synopsis, i int, flow, flags byte, task *uint64, start
 		*start = start.Add(time.Duration(step) * 250 * time.Microsecond)
 	}
 	s.TaskID, s.Start = *task, *start
-	if flags&seqEpoch != 0 {
-		s.RingEpoch = uint64(i)*step + 1
-	}
 	if flags&seqTrace != 0 {
 		s.Trace = &trace.Span{Emit: int64(i) * 1e6, Send: int64(i)*1e6 + int64(step)}
 	}
@@ -101,7 +97,7 @@ func runSequence(t *testing.T, base *Synopsis, script []byte) (calls, frames int
 		flush()
 		dec := NewBatchDecoder(bufio.NewReader(bytes.NewReader(wire)))
 		dec.SetFrameHook(func(int) { frames++ })
-		var got Synopsis // reused: stale points, spans and epochs must not leak
+		var got Synopsis // reused: stale points and spans must not leak
 		for i, w := range want {
 			if err := dec.Decode(&got); err != nil {
 				t.Fatalf("decode record %d of %d: %v", i, len(want), err)
@@ -134,7 +130,7 @@ func runSequence(t *testing.T, base *Synopsis, script []byte) (calls, frames int
 }
 
 // TestBatchSequenceProperty drives random scripts — interleaved groups and
-// signatures, steps in both directions, counts, both extensions, the
+// signatures, steps in both directions, counts, the trace extension, the
 // uninternable signature, cuts and resets — through the sequence runner.
 func TestBatchSequenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20141208))

@@ -125,9 +125,6 @@ func assertEqualSynopsis(t *testing.T, i int, got, want *Synopsis) {
 	if want.Trace != nil && (got.Trace.Emit != want.Trace.Emit || got.Trace.Send != want.Trace.Send) {
 		t.Fatalf("synopsis %d trace stamps mismatch: got %+v want %+v", i, got.Trace, want.Trace)
 	}
-	if got.RingEpoch != want.RingEpoch {
-		t.Fatalf("synopsis %d ring epoch mismatch: got %d want %d", i, got.RingEpoch, want.RingEpoch)
-	}
 }
 
 // TestBatchInterning verifies a repeated flow shrinks to one uvarint: the
@@ -382,12 +379,15 @@ func TestHelloRejectedByV1Decoder(t *testing.T) {
 
 func TestPool(t *testing.T) {
 	p := NewPool(2)
-	s := p.Get()
+	var one [1]*Synopsis
+	p.GetN(one[:])
+	s := one[0]
 	s.Stage, s.Host, s.TaskID = 3, 4, 5
 	s.Points = append(s.Points, PointCount{Point: 9, Count: 2})
 	s.Trace = &trace.Span{}
 	p.Put(s)
-	got := p.Get()
+	p.GetN(one[:])
+	got := one[0]
 	if got != s {
 		t.Fatal("pool did not recycle the released synopsis")
 	}
@@ -399,8 +399,8 @@ func TestPool(t *testing.T) {
 	}
 	// nil pool degrades to allocation, never panics.
 	var np *Pool
-	if np.Get() == nil {
-		t.Fatal("nil pool Get returned nil")
+	if np.GetN(one[:]); one[0] == nil || one[0] == s {
+		t.Fatal("nil pool GetN did not allocate")
 	}
 	np.Put(&Synopsis{})
 }

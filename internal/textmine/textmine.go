@@ -217,25 +217,3 @@ func (m *Matcher) MatchAll(r io.Reader, workers int) (MatchStats, error) {
 	}
 	return total, nil
 }
-
-// GrepAlerts counts ERROR- and WARN-level lines in a log stream — the
-// conventional log-monitoring alert baseline the paper shows missing the
-// frozen-MemTable fault entirely.
-func GrepAlerts(r io.Reader) (errors, warnings int, err error) {
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 64<<10), 1<<20)
-	reErr := regexp.MustCompile(`\bERROR\b`)
-	reWarn := regexp.MustCompile(`\bWARN\b`)
-	for scanner.Scan() {
-		switch {
-		case reErr.Match(scanner.Bytes()):
-			errors++
-		case reWarn.Match(scanner.Bytes()):
-			warnings++
-		}
-	}
-	if serr := scanner.Err(); serr != nil {
-		return errors, warnings, fmt.Errorf("textmine: grep: %w", serr)
-	}
-	return errors, warnings, nil
-}

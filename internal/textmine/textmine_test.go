@@ -181,24 +181,3 @@ func TestMatcherPrefixCollision(t *testing.T) {
 		t.Fatalf("matched %d, %v; want %d", id, ok, ids[1])
 	}
 }
-
-func TestGrepAlerts(t *testing.T) {
-	dict, ids := fixture(t)
-	var buf bytes.Buffer
-	// 3 DEBUG tasks and one task with an ERROR point.
-	for i := 0; i < 3; i++ {
-		if _, _, err := RenderSynopsis(&buf, dict, syn(ids[:3], []uint32{1, 1, 1})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := RenderSynopsis(&buf, dict, syn(ids[3:4], []uint32{2})); err != nil {
-		t.Fatal(err)
-	}
-	errs, warns, err := GrepAlerts(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if errs != 2 || warns != 0 {
-		t.Fatalf("errs=%d warns=%d", errs, warns)
-	}
-}

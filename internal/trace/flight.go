@@ -112,14 +112,6 @@ func NewFlightRing(capacity int) *FlightRing {
 	return &FlightRing{slots: make([]slot, n), mask: uint64(n - 1)}
 }
 
-// Cap returns the ring's slot count.
-func (r *FlightRing) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.slots)
-}
-
 // Record appends one event, overwriting the oldest when full. It is safe
 // from any goroutine, allocation-free, and nil-receiver-safe. The event
 // timestamp is the wall clock at the call.

@@ -27,10 +27,6 @@ type spanJSON struct {
 	Complete   bool  `json:"complete"`
 }
 
-// SpanJSON converts a span to its JSON-facing shape (shared by /trace and
-// the anomaly event writer).
-func SpanJSON(sp *Span) any { return toSpanJSON(sp) }
-
 func toSpanJSON(sp *Span) *spanJSON {
 	if sp == nil {
 		return nil

@@ -22,7 +22,6 @@ package trace
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Span is one sampled task's journey through the pipeline, stamped with
@@ -204,7 +203,6 @@ type Tracer struct {
 	cfg     Config
 	sampler *Sampler
 	spans   *SpanBuffer
-	start   time.Time
 
 	// OnSpanDone, when set, observes every completed span (the wiring
 	// point for the detection-latency histogram). Set before the tracer is
@@ -223,7 +221,6 @@ func New(cfg Config) *Tracer {
 		cfg:     cfg,
 		sampler: NewSampler(cfg.SampleEvery),
 		spans:   NewSpanBuffer(cfg.SpanCapacity),
-		start:   time.Now(),
 	}
 }
 
@@ -234,15 +231,6 @@ func (t *Tracer) Sampler() *Sampler {
 		return nil
 	}
 	return t.sampler
-}
-
-// Uptime returns how long the tracer (and so the hosting process) has been
-// up.
-func (t *Tracer) Uptime() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.start)
 }
 
 // ShardRing returns (creating on first use) the flight ring for engine

@@ -144,8 +144,8 @@ func TestSpanBuffer(t *testing.T) {
 
 func TestFlightRingBasics(t *testing.T) {
 	r := NewFlightRing(5) // rounds up to 16
-	if r.Cap() != 16 {
-		t.Fatalf("Cap = %d, want 16", r.Cap())
+	if len(r.slots) != 16 {
+		t.Fatalf("slots = %d, want 16", len(r.slots))
 	}
 	if r.Len() != 0 || len(r.Snapshot()) != 0 {
 		t.Fatal("new ring must be empty")
@@ -167,7 +167,7 @@ func TestFlightRingBasics(t *testing.T) {
 	}
 	var nilR *FlightRing
 	nilR.Record(EventSynopsis, 0, 0, 0, 0)
-	if nilR.Len() != 0 || nilR.Snapshot() != nil || nilR.Cap() != 0 {
+	if nilR.Len() != 0 || nilR.Snapshot() != nil {
 		t.Fatal("nil ring must be inert")
 	}
 }
@@ -284,9 +284,6 @@ func TestTracerLifecycle(t *testing.T) {
 	if got := tr.FlightSnapshot(1); len(got) != 1 {
 		t.Fatalf("FlightSnapshot(1) returned %d events", len(got))
 	}
-	if tr.Uptime() <= 0 {
-		t.Fatal("uptime must be positive")
-	}
 }
 
 func TestTracerNilSafe(t *testing.T) {
@@ -298,9 +295,6 @@ func TestTracerNilSafe(t *testing.T) {
 		t.Fatal("nil tracer rings must be nil")
 	}
 	tr.SpanDone(&Span{}) // must not panic
-	if tr.Uptime() != 0 {
-		t.Fatal("nil tracer uptime must be 0")
-	}
 }
 
 func TestHandlersServeJSON(t *testing.T) {

@@ -60,14 +60,6 @@ type KeyChooser interface {
 	Next(r *vtime.RNG, n int) int
 }
 
-// UniformChooser picks keys uniformly.
-type UniformChooser struct{}
-
-var _ KeyChooser = UniformChooser{}
-
-// Next implements KeyChooser.
-func (UniformChooser) Next(r *vtime.RNG, n int) int { return r.Intn(n) }
-
 // ZipfianChooser implements the Gray et al. zipfian generator YCSB uses,
 // with the standard constant 0.99 and hashing to scatter the hot items
 // across the keyspace (YCSB's "scrambled zipfian").
@@ -135,29 +127,6 @@ func (z *ZipfianChooser) Next(r *vtime.RNG, n int) int {
 	return idx
 }
 
-// LatestChooser skews toward the most recently inserted records (YCSB's
-// "latest" distribution); it wraps a zipfian over the distance from the
-// head of the keyspace.
-type LatestChooser struct {
-	z *ZipfianChooser
-}
-
-var _ KeyChooser = (*LatestChooser)(nil)
-
-// NewLatestChooser returns a latest-skewed chooser.
-func NewLatestChooser() *LatestChooser {
-	return &LatestChooser{z: NewZipfianChooser(false)}
-}
-
-// Next implements KeyChooser.
-func (l *LatestChooser) Next(r *vtime.RNG, n int) int {
-	if n <= 0 {
-		return 0
-	}
-	off := l.z.Next(r, n)
-	return n - 1 - off
-}
-
 func fnvHash(v uint64) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < 8; i++ {
@@ -177,9 +146,6 @@ type Mix struct {
 // storage tier are writes because reads are absorbed by caches above it
 // (Section 5.2).
 func WriteHeavy() Mix { return Mix{Read: 0.10, Update: 0.80, Insert: 0.10} }
-
-// ReadMostly is YCSB workload B's shape, used for comparison runs.
-func ReadMostly() Mix { return Mix{Read: 0.95, Update: 0.05} }
 
 // Config configures a Generator.
 type Config struct {
@@ -236,9 +202,6 @@ func NewGenerator(cfg Config) *Generator {
 	g.total = cfg.Mix.Read + cfg.Mix.Update + cfg.Mix.Insert + cfg.Mix.Scan
 	return g
 }
-
-// Records returns the current keyspace size (grows with inserts).
-func (g *Generator) Records() int { return g.records }
 
 // Key renders the i-th record's key in YCSB style.
 func Key(i int) string { return "user" + strconv.Itoa(i) }

@@ -26,24 +26,6 @@ func TestOpTypeStringsAndIsWrite(t *testing.T) {
 	}
 }
 
-func TestUniformChooserRange(t *testing.T) {
-	r := vtime.NewRNG(1)
-	c := UniformChooser{}
-	seen := make(map[int]int)
-	for i := 0; i < 10000; i++ {
-		v := c.Next(r, 10)
-		if v < 0 || v >= 10 {
-			t.Fatalf("out of range: %d", v)
-		}
-		seen[v]++
-	}
-	for v, n := range seen {
-		if n < 700 || n > 1300 {
-			t.Fatalf("uniform bucket %d has %d/10000", v, n)
-		}
-	}
-}
-
 func TestZipfianSkew(t *testing.T) {
 	r := vtime.NewRNG(2)
 	z := NewZipfianChooser(false)
@@ -109,28 +91,6 @@ func TestZipfianAdaptsToN(t *testing.T) {
 	}
 }
 
-func TestLatestChooserSkewsToNewest(t *testing.T) {
-	r := vtime.NewRNG(5)
-	l := NewLatestChooser()
-	const n = 1000
-	newest := 0
-	for i := 0; i < 10000; i++ {
-		v := l.Next(r, n)
-		if v < 0 || v >= n {
-			t.Fatalf("out of range: %d", v)
-		}
-		if v >= n-10 {
-			newest++
-		}
-	}
-	if newest < 2000 {
-		t.Fatalf("newest-10 share = %d/10000, not latest-skewed", newest)
-	}
-	if l.Next(r, 0) != 0 {
-		t.Fatal("n=0 not handled")
-	}
-}
-
 func TestGeneratorMix(t *testing.T) {
 	g := NewGenerator(Config{Records: 1000, Seed: 6, Mix: WriteHeavy()})
 	var reads, updates, inserts, scans int
@@ -162,8 +122,8 @@ func TestGeneratorMix(t *testing.T) {
 	if scans != 0 {
 		t.Fatalf("scans = %d in WriteHeavy", scans)
 	}
-	if g.Records() != 1000+inserts {
-		t.Fatalf("Records = %d after %d inserts", g.Records(), inserts)
+	if g.records != 1000+inserts {
+		t.Fatalf("records = %d after %d inserts", g.records, inserts)
 	}
 }
 
@@ -186,8 +146,8 @@ func TestGeneratorDefaults(t *testing.T) {
 	if op.Key == "" {
 		t.Fatal("default generator broken")
 	}
-	if g.Records() < 1000 {
-		t.Fatalf("default records = %d", g.Records())
+	if g.records < 1000 {
+		t.Fatalf("default records = %d", g.records)
 	}
 }
 
