@@ -473,7 +473,8 @@ func (t *lifecycleTee) Emit(s *synopsis.Synopsis) {
 }
 
 // EmitBatch implements stream.BatchSink so v2 connections keep their
-// amortized per-frame engine hand-off through the tee.
+// amortized per-frame engine hand-off through the tee. The borrowed slice
+// is read, passed on to FeedBatch (which copies out of it) and dropped.
 func (t *lifecycleTee) EmitBatch(batch []*synopsis.Synopsis) {
 	clones := make([]*synopsis.Synopsis, len(batch))
 	for i, s := range batch {

@@ -30,7 +30,7 @@ func park(t *testing.T, sh *shard) (release func()) {
 	t.Helper()
 	gate := make(chan struct{})
 	entered := make(chan struct{})
-	sh.ch <- shardMsg{cmd: func(*Detector) { close(entered); <-gate }}
+	sh.ch <- shardMsg{ctl: &control{cmd: func(*Detector) { close(entered); <-gate }}}
 	select {
 	case <-entered:
 	case <-time.After(5 * time.Second):
@@ -297,7 +297,7 @@ func TestEngineAdmissionConcurrentStorm(t *testing.T) {
 			for _, sh := range e.shards {
 				gate := make(chan struct{})
 				select {
-				case sh.ch <- shardMsg{cmd: func(*Detector) { <-gate }}:
+				case sh.ch <- shardMsg{ctl: &control{cmd: func(*Detector) { <-gate }}}:
 					gates = append(gates, func() { close(gate) })
 				case <-time.After(10 * time.Millisecond):
 				}

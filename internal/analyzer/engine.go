@@ -108,12 +108,60 @@ type shard struct {
 
 // shardMsg carries either synopses or a control function through the same
 // FIFO channel; a control function therefore runs after everything queued
-// before it, with exclusive access to the shard's core.
+// before it, with exclusive access to the shard's core. Every shard channel
+// holds queueCap of these, so the struct stays at 48 bytes: the control
+// fields, which data messages never set, share one pointer.
 type shardMsg struct {
-	syn   *synopsis.Synopsis
+	syn *synopsis.Synopsis
+	// batch is one shard's region of buf, FeedBatch's recycled backing
+	// array; the two are set together.
 	batch []*synopsis.Synopsis
-	cmd   func(core *Detector)
-	done  chan<- struct{}
+	buf   *feedBuf
+	ctl   *control
+}
+
+// control is a control message's payload: cmd runs on the worker, which
+// then signals done when it is set.
+type control struct {
+	cmd  func(core *Detector)
+	done chan<- struct{}
+}
+
+// feedBuf is the backing array of one FeedBatch call, cut into per-shard
+// regions. It is recycled rather than garbage: refs counts the regions
+// still queued or being observed (plus the feeder while it queues them),
+// and whoever drops the last reference returns the buffer, every slot nil
+// again, to feedBufs.
+type feedBuf struct {
+	recs []*synopsis.Synopsis
+	refs atomic.Int32
+}
+
+// feedBufs holds idle feed buffers for every engine in the process. A
+// sync.Pool rather than a free list on the engine: the collector empties
+// it, so buffers grown for a burst do not outlive it (see DESIGN §15 for the
+// measurement).
+var feedBufs = sync.Pool{New: func() any { return new(feedBuf) }}
+
+// getFeedBuf returns an idle buffer of at least n slots, all nil.
+func getFeedBuf(n int) *feedBuf {
+	fb := feedBufs.Get().(*feedBuf)
+	if cap(fb.recs) < n {
+		// Doubling keeps a buffer that meets slowly growing batches from
+		// being re-made for each.
+		fb.recs = make([]*synopsis.Synopsis, max(n, 2*cap(fb.recs)))
+	}
+	return fb
+}
+
+// done drops one reference. A worker passes the region it is finished with,
+// whose records the buffer must forget if the release hook has not already
+// cleared them; the feeder passes nil.
+func (fb *feedBuf) done(region []*synopsis.Synopsis) {
+	clear(region)
+	if fb.refs.Add(-1) == 0 {
+		feedBufs.Put(fb)
+	}
 }
 
 // EngineOption configures NewEngine.
@@ -302,15 +350,16 @@ func (e *Engine) run(sh *shard) {
 					}
 				}
 			}
-		case msg.cmd != nil:
-			msg.cmd(sh.core)
+			msg.buf.done(msg.batch)
+		case msg.ctl != nil:
+			msg.ctl.cmd(sh.core)
 		}
 		if timed {
 			sh.busy.Add(uint64(time.Since(start)))
 			sh.depth.Set(float64(len(sh.ch)))
 		}
-		if msg.done != nil {
-			msg.done <- struct{}{}
+		if msg.ctl != nil && msg.ctl.done != nil {
+			msg.ctl.done <- struct{}{}
 		}
 	}
 }
@@ -422,35 +471,26 @@ func stampEnqueue(s *synopsis.Synopsis, now *int64) {
 // FeedBatch routes a batch, partitioning it per shard with stable order so
 // per-group FIFO is preserved while channel operations amortize. With
 // admission control on, each element is admitted or shed against its
-// shard's state in batch order. The caller's slice is never mutated; only a
-// single-shard engine without admission queues it as is.
+// shard's state in batch order. The engine takes the records and borrows
+// the slice: it is neither mutated nor kept, so the caller may reuse it as
+// soon as the call returns.
 func (e *Engine) FeedBatch(batch []*synopsis.Synopsis) {
-	if len(batch) == 0 {
-		return
-	}
-	if len(e.shards) > 1 || e.admOn {
+	if len(batch) > 0 {
 		e.partition(batch)
-		return
 	}
-	e.fed.Add(uint64(len(batch)))
-	var now int64
-	for _, s := range batch {
-		stampEnqueue(s, &now)
-	}
-	e.send(e.shards[0], shardMsg{batch: batch})
 }
 
 // maxStackShards bounds the shard counters partition keeps on its stack;
 // engines with more shards pay one extra allocation per batch.
 const maxStackShards = 64
 
-// partition is FeedBatch's general case, costing one allocation per batch:
-// a counting pass sizes each shard's region of a single backing array, a
-// second pass fills the regions in batch order — admitting or shedding each
-// element on the way when admission control is on — and every non-empty
-// region goes to its shard as one message, in shard order. Regions are
-// capacity-limited sub-slices, so a shard (or the release hook it hands its
-// batch to) can never reach a neighbour's records.
+// partition is FeedBatch on every engine, allocating nothing once the feed
+// buffers are warm: a counting pass sizes each shard's region of one
+// recycled backing array, a second pass fills the regions in batch order —
+// admitting or shedding each element on the way when admission control is
+// on — and every non-empty region goes to its shard as one message, in
+// shard order. Regions are capacity-limited sub-slices, so a shard (or the
+// release hook it hands its batch to) can never reach a neighbour's records.
 func (e *Engine) partition(batch []*synopsis.Synopsis) {
 	var stack [2][maxStackShards]int
 	count, next := stack[0][:], stack[1][:]
@@ -466,7 +506,8 @@ func (e *Engine) partition(batch []*synopsis.Synopsis) {
 		next[i] = lo
 		lo += count[i]
 	}
-	out := make([]*synopsis.Synopsis, len(batch))
+	fb := getFeedBuf(len(batch))
+	out := fb.recs[:len(batch)]
 	kept := len(batch)
 	var now int64
 	for _, s := range batch {
@@ -483,13 +524,18 @@ func (e *Engine) partition(batch []*synopsis.Synopsis) {
 		next[i]++
 	}
 	e.fed.Add(uint64(kept))
+	// The feeder holds a reference of its own while it queues the regions: a
+	// worker may be done with one before the next is sent.
+	fb.refs.Store(1)
 	lo = 0
 	for i, sh := range e.shards { // deterministic shard order
 		if hi := next[i]; hi > lo {
-			e.send(sh, shardMsg{batch: out[lo:hi:hi]})
+			fb.refs.Add(1)
+			e.send(sh, shardMsg{batch: out[lo:hi:hi], buf: fb})
 		}
 		lo += count[i]
 	}
+	fb.done(nil) // a batch shed whole goes back here, at once
 }
 
 // Emit implements tracker.Sink, so the engine can terminate any synopsis
@@ -499,7 +545,7 @@ func (e *Engine) Emit(s *synopsis.Synopsis) { e.Feed(s) }
 // EmitBatch implements stream.BatchSink: a v2 TCP connection hands each
 // decoded frame over in one call, so the engine's per-shard partitioning
 // and channel sends amortize across the whole frame. Ownership of the
-// slice and its synopses passes to the engine.
+// synopses passes to the engine; the slice stays the caller's (FeedBatch).
 func (e *Engine) EmitBatch(batch []*synopsis.Synopsis) { e.FeedBatch(batch) }
 
 // Fed returns how many synopses the engine accepted.
@@ -543,7 +589,7 @@ func (e *Engine) quiesce(fn func(i int, sh *shard)) {
 		i, sh := i, sh
 		// Blocking send, not e.send: a control message on a full queue is
 		// backpressure by design, not a feed overflow worth counting.
-		sh.ch <- shardMsg{cmd: func(*Detector) { fn(i, sh) }, done: done}
+		sh.ch <- shardMsg{ctl: &control{cmd: func(*Detector) { fn(i, sh) }, done: done}}
 	}
 	for range e.shards {
 		<-done

@@ -149,7 +149,8 @@ func (p *Peer) Emit(s *synopsis.Synopsis) {
 
 // EmitBatch implements stream.BatchSink. Records are dispatched
 // individually: a tracker batch spans whatever groups its host produced,
-// which the ring may scatter across peers.
+// which the ring may scatter across peers, and the rebalance park check
+// stays one record wide. The borrowed slice is only ranged over.
 func (p *Peer) EmitBatch(batch []*synopsis.Synopsis) {
 	for _, s := range batch {
 		p.Emit(s)

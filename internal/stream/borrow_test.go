@@ -1,0 +1,211 @@
+package stream
+
+import (
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"saad/internal/raceflag"
+	"saad/internal/synopsis"
+)
+
+// batchRecorder is a BatchSink that notes the task ids it is handed, in
+// order, and then treats the borrowed slice one of the two ways the contract
+// allows.
+type batchRecorder struct {
+	// clears overwrites the slice before returning, as a sink that recycles
+	// through synopsis.Pool.PutN does; otherwise the sink keeps the records
+	// (in a slice of its own) and leaves the server's alone.
+	clears bool
+
+	mu   sync.Mutex
+	ids  []uint64
+	kept []*synopsis.Synopsis
+}
+
+func (b *batchRecorder) Emit(*synopsis.Synopsis) { panic("a BatchSink is fed by the frame") }
+
+func (b *batchRecorder) EmitBatch(batch []*synopsis.Synopsis) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, s := range batch {
+		b.ids = append(b.ids, s.TaskID)
+	}
+	if b.clears {
+		clear(batch)
+	} else {
+		b.kept = append(b.kept, batch...)
+	}
+}
+
+func (b *batchRecorder) seen() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.ids)
+}
+
+// TestServerBorrowsBatch: the server lends one slice per connection to the
+// sink, frame after frame. Over 50 frames of 1 to 4096 records — growing,
+// shrinking, the bounds included — a sink that clears what it is lent and one
+// that keeps the records both see every record once, in order, and the
+// records kept are still the ones received after the slice has moved on.
+func TestServerBorrowsBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	sizes := []int{1, synopsis.MaxBatchRecords, 1, 2}
+	for len(sizes) < 50 {
+		sizes = append(sizes, 1+rng.Intn(synopsis.MaxBatchRecords))
+	}
+	for _, clears := range []bool{true, false} {
+		sink := &batchRecorder{clears: clears}
+		srv, err := Listen("127.0.0.1:0", sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer := dialRaw(t, srv.Addr())
+		next := uint64(0)
+		for _, n := range sizes {
+			frame := make([]*synopsis.Synopsis, n)
+			for i := range frame {
+				frame[i] = syn(next)
+				next++
+			}
+			peer.send(t, frame...)
+		}
+		_ = peer.Close()
+		waitUntil(t, 10*time.Second, "every frame to be delivered", func() bool {
+			return sink.seen() == int(next)
+		})
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range sink.ids {
+			if id != uint64(i) {
+				t.Fatalf("clears=%v: record %d delivered in position %d", clears, id, i)
+			}
+		}
+		for i, s := range sink.kept {
+			if s == nil || s.TaskID != uint64(i) {
+				t.Fatalf("a record the sink kept changed under it at position %d: %+v", i, s)
+			}
+		}
+	}
+}
+
+// recyclingSink is the benchmark's server-leg sink: count, and put the
+// frame's records straight back in the receive pool.
+type recyclingSink struct {
+	pool *synopsis.Pool
+	n    atomic.Int64
+}
+
+func (r *recyclingSink) Emit(s *synopsis.Synopsis) {
+	r.pool.Put(s)
+	r.n.Add(1)
+}
+
+func (r *recyclingSink) EmitBatch(batch []*synopsis.Synopsis) {
+	n := int64(len(batch)) // PutN clears the batch
+	r.pool.PutN(batch)
+	r.n.Add(n)
+}
+
+// TestServerReceiveAllocs pins the receive path of one frame — socket read,
+// decode into pooled records, delivery to a BatchSink that recycles them —
+// at no allocation once the connection's buffers have seen a frame.
+func TestServerReceiveAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	const perFrame, warm, runs = 512, 4, 50
+	pool := synopsis.NewPool(4096)
+	sink := &recyclingSink{pool: pool}
+	srv, err := Listen("127.0.0.1:0", sink, WithServerPool(pool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	peer := dialRaw(t, srv.Addr())
+	defer peer.Close()
+
+	// The codec is stateful, so each frame is encoded once, in order, ahead
+	// of the measurement: all the measured call does is write bytes.
+	frames := make([][]byte, warm+runs+1)
+	batch := make([]*synopsis.Synopsis, perFrame)
+	id := uint64(0)
+	for f := range frames {
+		for i := range batch {
+			batch[i] = syn(id)
+			batch[i].Host = uint16(1 + i%4)
+			id++
+		}
+		frames[f] = peer.enc.AppendFrames(nil, batch)
+	}
+	sent := 0
+	deliver := func() {
+		if _, err := peer.Write(frames[sent]); err != nil {
+			t.Fatal(err)
+		}
+		sent++
+		for sink.n.Load() < int64(sent*perFrame) {
+			runtime.Gosched()
+		}
+	}
+	for sent < warm {
+		deliver()
+	}
+	if got := testing.AllocsPerRun(runs, deliver); got != 0 {
+		t.Fatalf("receiving a %d-record frame allocates %v times, want 0", perFrame, got)
+	}
+}
+
+// TestServerReturnsCutFrameToPool: when a connection dies with a frame half
+// decoded, the records the server holds for it — those already decoded and
+// the one in hand — go back to the receive pool with the rest of the
+// connection's refill chunk. After every entry of the malformed-frame table
+// has cut a connection in turn, the 64-record pool still hands out only the
+// 64 records it was stocked with.
+func TestServerReturnsCutFrameToPool(t *testing.T) {
+	const stock = 64
+	pool := synopsis.NewPool(stock)
+	own := make(map[*synopsis.Synopsis]bool, stock)
+	recs := make([]*synopsis.Synopsis, stock)
+	for i := range recs {
+		recs[i] = &synopsis.Synopsis{}
+		own[recs[i]] = true
+	}
+	pool.PutN(recs)
+
+	sink := &recyclingSink{pool: pool}
+	srv, err := Listen("127.0.0.1:0", sink, WithServerPool(pool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for i, tc := range malformedFrames() {
+		peer := dialRaw(t, srv.Addr())
+		for j := 0; j < tc.valid; j++ {
+			peer.send(t, syn(uint64(j)))
+		}
+		if _, err := peer.Write(tc.payload); err != nil {
+			t.Fatal(err)
+		}
+		_ = peer.Close()
+		// One connection at a time: two would split the stock between their
+		// refill chunks.
+		waitUntil(t, 10*time.Second, "the cut connection's handler to retire", func() bool {
+			srv.mu.Lock()
+			defer srv.mu.Unlock()
+			return srv.ended == uint64(i+1)
+		})
+	}
+	pool.GetN(recs)
+	for i, s := range recs {
+		if !own[s] {
+			t.Fatalf("record %d of %d out of the pool is fresh: a cut connection kept one of the pool's", i, stock)
+		}
+		delete(own, s)
+	}
+}

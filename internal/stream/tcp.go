@@ -489,7 +489,10 @@ type Server struct {
 // BatchSink is the batch extension of tracker.Sink: a sink that also
 // implements EmitBatch receives each decoded v2 batch frame as one call —
 // the engine maps it to FeedBatch, amortizing per-record queue operations.
-// Ownership of the slice and the synopses passes to the sink.
+// Ownership of the synopses passes to the sink; the slice is only lent. The
+// sink may overwrite its elements during the call (synopsis.Pool.PutN clears
+// them) and must not keep the slice once EmitBatch returns: the connection
+// refills it with the next frame.
 type BatchSink interface {
 	EmitBatch(batch []*synopsis.Synopsis)
 }
@@ -766,7 +769,8 @@ func (c *connPool) release() {
 // receive is the per-connection receive loop: records decode into
 // pool-drawn synopses and whole frames are handed to the sink's batch entry
 // point when it has one, so queue synchronization amortizes across the
-// batch.
+// batch. The batch slice is the connection's own, lent to the sink one frame
+// at a time (see BatchSink), so a frame costs no allocation here.
 func (s *Server) receive(conn net.Conn, br *bufio.Reader) {
 	m := s.metrics
 	dec := synopsis.NewBatchDecoder(br)
@@ -790,6 +794,11 @@ func (s *Server) receive(conn net.Conn, br *bufio.Reader) {
 		}
 		syn := free.get()
 		if err := dec.Decode(syn); err != nil {
+			// The connection is over, possibly mid-frame: the record in hand
+			// and those already decoded for the frame are still the
+			// server's, and go back ahead of the unconsumed refill chunk.
+			s.pool.Put(syn)
+			s.pool.PutN(batch)
 			s.classifyReadErr(err)
 			return
 		}
@@ -807,10 +816,11 @@ func (s *Server) receive(conn net.Conn, br *bufio.Reader) {
 			s.sink.Emit(syn)
 			continue
 		}
-		if batch == nil {
-			// The frame's first record: size the batch for the whole frame
-			// once instead of growing it record by record.
-			batch = make([]*synopsis.Synopsis, 0, dec.Remaining()+1)
+		if frame := dec.Remaining() + 1; len(batch) == 0 && cap(batch) < frame {
+			// The first record of a frame larger than any before it: size
+			// the slice for the whole frame (the decoder admits at most
+			// synopsis.MaxBatchRecords) instead of growing it by append.
+			batch = make([]*synopsis.Synopsis, 0, frame)
 		}
 		batch = append(batch, syn)
 		if dec.Remaining() == 0 {
@@ -819,7 +829,8 @@ func (s *Server) receive(conn net.Conn, br *bufio.Reader) {
 				m.FramesReceived.Add(uint64(len(batch)))
 			}
 			s.batchSink.EmitBatch(batch)
-			batch = nil // ownership passed to the sink
+			clear(batch) // the records are the sink's now
+			batch = batch[:0]
 			if m != nil {
 				if refs := dec.InternedRefs(); refs > lastInterned {
 					m.InternedHeaders.Add(refs - lastInterned)

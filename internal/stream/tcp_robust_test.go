@@ -229,30 +229,47 @@ func rawFrame(body ...byte) []byte {
 	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
 }
 
-// TestServerSurvivesMalformedFrames drives the receive loop through a
-// table of corrupt and truncated frames; after each one the listener and a
-// well-behaved connection must still work, and the protocol error must be
-// counted.
-func TestServerSurvivesMalformedFrames(t *testing.T) {
+// malformedFrame is one way a peer's stream can go wrong once the hello is
+// done.
+type malformedFrame struct {
+	name    string
+	payload []byte
+	// valid is how many well-formed records precede the garbage and
+	// must still be delivered.
+	valid int
+	// partial is how many records of the broken frame itself decode before
+	// it fails: a per-record sink has them by then, a BatchSink never sees
+	// them.
+	partial int
+}
+
+// malformedFrames is the table of corrupt and truncated frames the receive
+// loop is driven through.
+func malformedFrames() []malformedFrame {
 	overLimit := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
 	const batchKind = 2 // the one live frame kind; 1 is retired
-	cases := []struct {
-		name    string
-		payload []byte
-		// valid is how many well-formed records precede the garbage and
-		// must still be delivered.
-		valid int
-	}{
+	// A connection's first frame, three good records, announcing a fourth
+	// that is not there: the decoder fails with three records out and one in
+	// hand. The count is the byte after the one-byte length and the kind.
+	short := synopsis.NewBatchEncoder().AppendFrames(nil, []*synopsis.Synopsis{syn(1), syn(2), syn(3)})
+	short[2] = 4
+	return []malformedFrame{
 		{name: "frame-length-over-limit", payload: overLimit},
 		{name: "unterminated-length-varint", payload: bytes.Repeat([]byte{0x80}, 10)},
 		{name: "truncated-body", payload: append(binary.AppendUvarint(nil, 100), batchKind, 1, 0, 0)},
 		{name: "record-count-exceeds-body", payload: rawFrame(batchKind, 0xe8, 0x07)}, // 1000 records, no bytes
 		{name: "retired-frame-kind-1", payload: rawFrame(1, 1, 0, 0, 0, 0)},
 		{name: "stale-flow-ref", payload: rawFrame(batchKind, 1, 5<<2, 0, 0, 0)},
+		{name: "record-missing-mid-frame", payload: short, partial: 3},
 		{name: "garbage-after-valid-frame", payload: overLimit, valid: 1},
 	}
+}
 
-	for _, tc := range cases {
+// TestServerSurvivesMalformedFrames drives the receive loop through the
+// table; after each entry the listener and a well-behaved connection must
+// still work, and the protocol error must be counted.
+func TestServerSurvivesMalformedFrames(t *testing.T) {
+	for _, tc := range malformedFrames() {
 		t.Run(tc.name, func(t *testing.T) {
 			got := NewChannel(64)
 			reg := metrics.NewRegistry()
@@ -276,8 +293,9 @@ func TestServerSurvivesMalformedFrames(t *testing.T) {
 			waitUntil(t, 10*time.Second, "protocol error to be counted", func() bool {
 				return sm.ConnErrors.Value() == 1
 			})
-			if fr := sm.FramesReceived.Value(); fr != uint64(tc.valid) {
-				t.Fatalf("FramesReceived = %d, want %d", fr, tc.valid)
+			delivered := uint64(tc.valid + tc.partial) // the channel is a per-record sink
+			if fr := sm.FramesReceived.Value(); fr != delivered {
+				t.Fatalf("FramesReceived = %d, want %d", fr, delivered)
 			}
 
 			// The listener must still serve a well-behaved client.
@@ -290,7 +308,7 @@ func TestServerSurvivesMalformedFrames(t *testing.T) {
 				t.Fatal(err)
 			}
 			waitUntil(t, 10*time.Second, "well-behaved frame after garbage", func() bool {
-				return got.Emitted() == uint64(tc.valid)+1
+				return got.Emitted() == delivered+1
 			})
 			// The gauge drops when the handler goroutine exits, which can
 			// trail the sink's last Emit.

@@ -98,3 +98,39 @@ func TestBatchDecodeAllocs(t *testing.T) {
 		t.Errorf("BatchDecoder.Decode = %v allocs, want 0", got)
 	}
 }
+
+// TestDecodeGrowingPointsAllocs pins how a pooled record's Points array
+// grows: a record that meets tasks of 1, 2, … 12 distinct points in turn
+// re-makes the array three times (4, 8, 16), not once per size. The cost of
+// the decoder itself is taken off by decoding the same bytes into a record
+// that already has the room.
+func TestDecodeGrowingPointsAllocs(t *testing.T) {
+	skipUnderRace(t)
+	const sizes = 12
+	batch := make([]*Synopsis, sizes)
+	for i := range batch {
+		batch[i] = sampleSynopsis(i)
+		batch[i].Points = pointsN(i + 1)
+		batch[i].Normalize()
+	}
+	wire := NewBatchEncoder().AppendFrames(nil, batch)
+	var last *Synopsis
+	decodeAll := func(room int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			last = &Synopsis{Points: make([]PointCount, 0, room)}
+			dec := NewBatchDecoder(bufio.NewReader(bytes.NewReader(wire)))
+			for range batch {
+				if err := dec.Decode(last); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	roomy := decodeAll(16) - 1 // less the array it starts with
+	if growths := decodeAll(0) - roomy; growths > 3 {
+		t.Errorf("one record decoding 1..%d points re-made its Points array %v times, want at most 3", sizes, growths)
+	}
+	if len(last.Points) != sizes {
+		t.Fatalf("the last record decoded has %d points, want %d", len(last.Points), sizes)
+	}
+}

@@ -273,12 +273,15 @@ func decodeBody(buf []byte, s *Synopsis) error {
 }
 
 // resizePoints sets len(s.Points) to n, keeping the backing array when it
-// is large enough; the caller overwrites every element.
+// is large enough; the caller overwrites every element. A new array is at
+// least the inline size and twice the old one: a pooled record meets tasks
+// of every size in turn, and growing to exactly n would re-make its array
+// for each one point larger than the last.
 //
 //saad:hotpath
 func (s *Synopsis) resizePoints(n int) {
-	if cap(s.Points) < n {
-		s.Points = make([]PointCount, n)
+	if c := cap(s.Points); c < n {
+		s.Points = make([]PointCount, max(n, inlinePoints, 2*c))
 	}
 	s.Points = s.Points[:n]
 }
