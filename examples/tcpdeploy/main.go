@@ -36,8 +36,9 @@ func main() {
 // node simulates one server process: a Checkout stage executing tasks at a
 // deterministic virtual cadence, streaming synopses to addr. When faulty,
 // tasks terminate prematurely after the first log point. The reconnecting
-// client rides out analyzer restarts: synopses spill to a bounded in-memory
-// ring and replay once the analyzer is back.
+// client rides out analyzer restarts: a write that fails parks its batch,
+// and everything emitted while the link is down, in a bounded in-memory
+// ring that is replayed in order once the analyzer is back.
 func node(host uint16, addr string, tasks int, start time.Time, faulty bool) error {
 	client, err := saad.DialAnalyzer(addr, 0, saad.WithReconnect(saad.ReconnectConfig{
 		SpillCapacity: 1 << 14,

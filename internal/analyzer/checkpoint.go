@@ -2,7 +2,6 @@ package analyzer
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -357,7 +356,7 @@ func (d *Detector) openKeys() []groupKey {
 		keys = append(keys, k)
 	}
 	slices.SortFunc(keys, func(a, b groupKey) int {
-		return cmp.Or(cmp.Compare(a.host, b.host), cmp.Compare(a.stage, b.stage))
+		return cmpGroup(a.host, a.stage, b.host, b.stage)
 	})
 	return keys
 }

@@ -1,9 +1,10 @@
 package analyzer
 
 import (
+	"cmp"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -265,9 +266,11 @@ func newEngine(model *Model, opts ...EngineOption) (*Engine, *engineOptions) {
 		queueCap: o.queueCap,
 	}
 	e.releaseBatch = o.releaseBatch
-	if e.release == nil && e.releaseBatch != nil {
-		// Keep the exactly-once contract for single-record feeds and
-		// admission sheds even when only the bulk hook was given.
+	// Given one hook, derive the other: the worker releases whole batch
+	// messages through releaseBatch and everything else (single-record
+	// feeds, admission sheds) through release, exactly once either way.
+	switch {
+	case e.release == nil && e.releaseBatch != nil:
 		rb := e.releaseBatch
 		one := make([]*synopsis.Synopsis, 1)
 		var mu sync.Mutex
@@ -276,6 +279,13 @@ func newEngine(model *Model, opts ...EngineOption) (*Engine, *engineOptions) {
 			one[0] = s
 			rb(one)
 			mu.Unlock()
+		}
+	case e.releaseBatch == nil && e.release != nil:
+		r := e.release
+		e.releaseBatch = func(batch []*synopsis.Synopsis) {
+			for _, s := range batch {
+				r(s)
+			}
 		}
 	}
 	if o.shards&(o.shards-1) == 0 {
@@ -308,7 +318,7 @@ func newEngine(model *Model, opts ...EngineOption) (*Engine, *engineOptions) {
 			sh.flight = t.ShardRing(i)
 			sh.core.SetFlight(sh.flight)
 		}
-		if e.release != nil || e.releaseBatch != nil {
+		if e.release != nil {
 			sh.core.SetRetainCopy(true)
 		}
 		e.shards[i] = sh
@@ -337,18 +347,11 @@ func (e *Engine) run(sh *shard) {
 				e.release(msg.syn)
 			}
 		case msg.batch != nil:
+			for _, s := range msg.batch {
+				sh.observe(e, s)
+			}
 			if e.releaseBatch != nil {
-				for _, s := range msg.batch {
-					sh.observe(e, s)
-				}
 				e.releaseBatch(msg.batch)
-			} else {
-				for _, s := range msg.batch {
-					sh.observe(e, s)
-					if e.release != nil {
-						e.release(s)
-					}
-				}
 			}
 			msg.buf.done(msg.batch)
 		case msg.ctl != nil:
@@ -596,19 +599,29 @@ func (e *Engine) quiesce(fn func(i int, sh *shard)) {
 	}
 }
 
+// gather runs fn against every shard under quiesce and returns the results
+// indexed by shard: the per-shard slots quiesce asks for, merged by the
+// caller once it has returned.
+func gather[T any](e *Engine, fn func(i int, sh *shard) T) []T {
+	out := make([]T, len(e.shards))
+	e.quiesce(func(i int, sh *shard) { out[i] = fn(i, sh) })
+	return out
+}
+
+// cmpGroup is the (host, stage) order of everything the analyzer emits
+// group by group: anomalies, window history, checkpoints, exports.
+func cmpGroup(aHost uint16, aStage logpoint.StageID, bHost uint16, bStage logpoint.StageID) int {
+	return cmp.Or(cmp.Compare(aHost, bHost), cmp.Compare(aStage, bStage))
+}
+
 // takeBuffered collects (and clears) every shard's buffered anomalies under
 // quiesce.
 func (e *Engine) takeBuffered() []Anomaly {
-	parts := make([][]Anomaly, len(e.shards))
-	e.quiesce(func(i int, sh *shard) {
-		parts[i] = sh.out
+	return slices.Concat(gather(e, func(_ int, sh *shard) []Anomaly {
+		part := sh.out
 		sh.out = nil
-	})
-	var out []Anomaly
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
+		return part
+	})...)
 }
 
 // Drain processes everything queued so far and returns the anomalies
@@ -623,29 +636,29 @@ func (e *Engine) Drain() []Anomaly {
 	return out
 }
 
+// flushShard closes the shard's open windows and returns their anomalies
+// behind the ones it had buffered; with an anomaly sink attached the
+// windows' anomalies go to the sink. It runs under quiesce.
+func (e *Engine) flushShard(sh *shard) []Anomaly {
+	part := sh.out
+	sh.out = nil
+	if fl := sh.core.Flush(); len(fl) > 0 {
+		if e.sink != nil {
+			e.sink(fl)
+		} else {
+			part = append(part, fl...)
+		}
+	}
+	return part
+}
+
 // Flush closes all open windows on every shard and returns their anomalies
 // together with any buffered ones, in canonical order. Call at end of
 // stream. With an anomaly sink attached, flush anomalies go to the sink.
 func (e *Engine) Flush() []Anomaly {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
-	parts := make([][]Anomaly, len(e.shards))
-	e.quiesce(func(i int, sh *shard) {
-		part := sh.out
-		sh.out = nil
-		if fl := sh.core.Flush(); len(fl) > 0 {
-			if e.sink != nil {
-				e.sink(fl)
-			} else {
-				part = append(part, fl...)
-			}
-		}
-		parts[i] = part
-	})
-	var out []Anomaly
-	for _, p := range parts {
-		out = append(out, p...)
-	}
+	out := slices.Concat(gather(e, func(_ int, sh *shard) []Anomaly { return e.flushShard(sh) })...)
 	sortAnomalies(out)
 	return out
 }
@@ -655,23 +668,9 @@ func (e *Engine) Flush() []Anomaly {
 func (e *Engine) WindowHistory() []WindowStats {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
-	parts := make([][]WindowStats, len(e.shards))
-	e.quiesce(func(i int, sh *shard) {
-		parts[i] = sh.core.stats
-	})
-	var out []WindowStats
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Host != b.Host {
-			return a.Host < b.Host
-		}
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
-		}
-		return a.Window.Before(b.Window)
+	out := slices.Concat(gather(e, func(_ int, sh *shard) []WindowStats { return sh.core.stats })...)
+	slices.SortFunc(out, func(a, b WindowStats) int {
+		return cmp.Or(cmpGroup(a.Host, a.Stage, b.Host, b.Stage), a.Window.Compare(b.Window))
 	})
 	return out
 }
@@ -680,10 +679,8 @@ func (e *Engine) WindowHistory() []WindowStats {
 func (e *Engine) PendingTasks() int {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
-	counts := make([]int, len(e.shards))
-	e.quiesce(func(i int, sh *shard) { counts[i] = sh.core.PendingTasks() })
 	n := 0
-	for _, c := range counts {
+	for _, c := range gather(e, func(_ int, sh *shard) int { return sh.core.PendingTasks() }) {
 		n += c
 	}
 	return n
@@ -693,10 +690,8 @@ func (e *Engine) PendingTasks() int {
 func (e *Engine) LateSynopses() uint64 {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
-	counts := make([]uint64, len(e.shards))
-	e.quiesce(func(i int, sh *shard) { counts[i] = sh.core.late })
 	var n uint64
-	for _, c := range counts {
+	for _, c := range gather(e, func(_ int, sh *shard) uint64 { return sh.core.late }) {
 		n += c
 	}
 	return n
@@ -720,9 +715,8 @@ type ShardStat struct {
 func (e *Engine) ShardStats() []ShardStat {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
-	out := make([]ShardStat, len(e.shards))
-	e.quiesce(func(i int, sh *shard) {
-		out[i] = ShardStat{
+	return gather(e, func(i int, sh *shard) ShardStat {
+		return ShardStat{
 			Shard:    i,
 			QueueLen: len(sh.ch),
 			QueueCap: e.queueCap,
@@ -731,7 +725,6 @@ func (e *Engine) ShardStats() []ShardStat {
 			Degraded: sh.adm.degraded.Load(),
 		}
 	})
-	return out
 }
 
 // WriteCheckpoint serializes the engine in the single-detector checkpoint
@@ -749,31 +742,18 @@ func (e *Engine) WriteCheckpoint(w io.Writer) (int64, error) {
 		history []windowStatsJSON
 		late    uint64
 	}
-	secs := make([]section, len(e.shards))
-	e.quiesce(func(i int, sh *shard) {
-		secs[i] = section{sh.core.windowsJSON(), sh.core.historyJSON(), sh.core.late}
-	})
-	for _, sec := range secs {
+	for _, sec := range gather(e, func(_ int, sh *shard) section {
+		return section{sh.core.windowsJSON(), sh.core.historyJSON(), sh.core.late}
+	}) {
 		out.Windows = append(out.Windows, sec.windows...)
 		out.History = append(out.History, sec.history...)
 		out.Late += sec.late
 	}
-	sort.Slice(out.Windows, func(i, j int) bool {
-		a, b := out.Windows[i], out.Windows[j]
-		if a.Host != b.Host {
-			return a.Host < b.Host
-		}
-		return a.Stage < b.Stage
+	slices.SortFunc(out.Windows, func(a, b windowJSON) int {
+		return cmpGroup(a.Host, a.Stage, b.Host, b.Stage)
 	})
-	sort.SliceStable(out.History, func(i, j int) bool {
-		a, b := out.History[i], out.History[j]
-		if a.Host != b.Host {
-			return a.Host < b.Host
-		}
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
-		}
-		return a.WindowUnixNs < b.WindowUnixNs
+	slices.SortStableFunc(out.History, func(a, b windowStatsJSON) int {
+		return cmp.Or(cmpGroup(a.Host, a.Stage, b.Host, b.Stage), cmp.Compare(a.WindowUnixNs, b.WindowUnixNs))
 	})
 	return writeCheckpointJSON(w, out)
 }
@@ -870,21 +850,13 @@ func (e *Engine) Close() error {
 // performance anomalies sorted by signature) — so a merged multi-shard
 // drain reads exactly like a single detector's output re-sorted by group.
 func sortAnomalies(out []Anomaly) {
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Host != b.Host {
-			return a.Host < b.Host
-		}
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
-		}
-		if !a.Window.Equal(b.Window) {
-			return a.Window.Before(b.Window)
-		}
-		if ar, br := anomalyRank(a), anomalyRank(b); ar != br {
-			return ar < br
-		}
-		return a.Signature < b.Signature
+	slices.SortStableFunc(out, func(a, b Anomaly) int {
+		return cmp.Or(
+			cmpGroup(a.Host, a.Stage, b.Host, b.Stage),
+			a.Window.Compare(b.Window),
+			cmp.Compare(anomalyRank(a), anomalyRank(b)),
+			cmp.Compare(a.Signature, b.Signature),
+		)
 	})
 }
 

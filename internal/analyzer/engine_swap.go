@@ -1,6 +1,10 @@
 package analyzer
 
-import "saad/internal/trace"
+import (
+	"slices"
+
+	"saad/internal/trace"
+)
 
 // Hot model swap: SwapModel rides the same quiesce control plane as the
 // engine's snapshot operations, so the cutover needs no new locks and
@@ -32,17 +36,8 @@ func (e *Engine) SwapModel(model *Model) []Anomaly {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
 	model.ensureIndex()
-	parts := make([][]Anomaly, len(e.shards))
-	e.quiesce(func(i int, sh *shard) {
-		part := sh.out
-		sh.out = nil
-		if fl := sh.core.Flush(); len(fl) > 0 {
-			if e.sink != nil {
-				e.sink(fl)
-			} else {
-				part = append(part, fl...)
-			}
-		}
+	parts := gather(e, func(_ int, sh *shard) []Anomaly {
+		part := e.flushShard(sh)
 		fresh := NewDetector(model)
 		fresh.stats = sh.core.stats
 		fresh.late = sh.core.late
@@ -55,7 +50,7 @@ func (e *Engine) SwapModel(model *Model) []Anomaly {
 		// swap exactly between the last old-model and first new-model
 		// verdicts.
 		sh.flight.Record(trace.EventModelSwap, 0, 0, 0, 0)
-		parts[i] = part
+		return part
 	})
 	// Safe to write outside the quiesce: e.model is only touched by
 	// control-plane methods (WriteCheckpoint, Model), which hold e.ctl like
@@ -64,10 +59,7 @@ func (e *Engine) SwapModel(model *Model) []Anomaly {
 	if e.sink != nil {
 		return nil
 	}
-	var out []Anomaly
-	for _, p := range parts {
-		out = append(out, p...)
-	}
+	out := slices.Concat(parts...)
 	sortAnomalies(out)
 	return out
 }

@@ -3,7 +3,7 @@ package analyzer
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"saad/internal/logpoint"
 )
@@ -34,27 +34,20 @@ type groupExportJSON struct {
 func (e *Engine) ExportGroups(selectGroup func(host uint16, stage logpoint.StageID) bool) ([]byte, int, error) {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
-	secs := make([][]windowJSON, len(e.shards))
-	e.quiesce(func(i int, sh *shard) {
+	out := groupExportJSON{Version: checkpointVersion}
+	out.Windows = slices.Concat(gather(e, func(_ int, sh *shard) (sec []windowJSON) {
 		d := sh.core
 		for _, k := range d.openKeys() {
 			if selectGroup(k.host, k.stage) {
-				secs[i] = append(secs[i], windowToJSON(k, d.open[k]))
+				sec = append(sec, windowToJSON(k, d.open[k]))
 				d.recycle(d.open[k])
 				delete(d.open, k)
 			}
 		}
-	})
-	out := groupExportJSON{Version: checkpointVersion}
-	for _, sec := range secs {
-		out.Windows = append(out.Windows, sec...)
-	}
-	sort.Slice(out.Windows, func(i, j int) bool {
-		a, b := out.Windows[i], out.Windows[j]
-		if a.Host != b.Host {
-			return a.Host < b.Host
-		}
-		return a.Stage < b.Stage
+		return sec
+	})...)
+	slices.SortFunc(out.Windows, func(a, b windowJSON) int {
+		return cmpGroup(a.Host, a.Stage, b.Host, b.Stage)
 	})
 	data, err := json.Marshal(out)
 	if err != nil {
@@ -111,13 +104,13 @@ func (e *Engine) importGroups(data []byte, dropConflicts bool) (int, int, error)
 	}
 	// Two quiesce passes: find conflicts everywhere, then adopt — so in
 	// strict mode a conflict on one shard cannot leave a partial import.
-	conflicts := make([][]groupKey, len(e.shards))
-	e.quiesce(func(i int, sh *shard) {
+	conflicts := gather(e, func(i int, sh *shard) (found []groupKey) {
 		for k := range parts[i] {
 			if _, exists := sh.core.open[k]; exists {
-				conflicts[i] = append(conflicts[i], k)
+				found = append(found, k)
 			}
 		}
+		return found
 	})
 	dropped := 0
 	for i, ks := range conflicts {
@@ -146,22 +139,14 @@ func (e *Engine) importGroups(data []byte, dropConflicts bool) (int, int, error)
 func (e *Engine) OpenGroups() []GroupKey {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
-	secs := make([][]GroupKey, len(e.shards))
-	e.quiesce(func(i int, sh *shard) {
+	out := slices.Concat(gather(e, func(_ int, sh *shard) (sec []GroupKey) {
 		for k := range sh.core.open {
-			secs[i] = append(secs[i], GroupKey{Host: k.host, Stage: k.stage})
+			sec = append(sec, GroupKey{Host: k.host, Stage: k.stage})
 		}
-	})
-	var out []GroupKey
-	for _, sec := range secs {
-		out = append(out, sec...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Host != b.Host {
-			return a.Host < b.Host
-		}
-		return a.Stage < b.Stage
+		return sec
+	})...)
+	slices.SortFunc(out, func(a, b GroupKey) int {
+		return cmpGroup(a.Host, a.Stage, b.Host, b.Stage)
 	})
 	return out
 }

@@ -159,125 +159,78 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 // 1µs to 10s in decades, in seconds.
 var LatencyBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
 
-// CounterVec is a family of counters partitioned by label values (a small
-// subset of Prometheus's vector metrics). Looking up a child takes a mutex;
-// callers on hot paths should hold on to the returned *Counter.
-type CounterVec struct {
+// vec is a family of metrics of one type partitioned by label values (a
+// small subset of Prometheus's vector metrics). Looking up a child takes a
+// mutex; callers on hot paths should hold on to the child With returns.
+type vec[M any] struct {
+	typeName   string // the exported alias, for the panic text
 	labelNames []string
+	newChild   func() *M
 
 	mu       sync.Mutex
-	children map[string]*Counter
+	children map[string]*M
 	values   map[string][]string
 }
 
-// With returns the counter for the given label values (created on first
-// use). The number of values must match the label names the vector was
-// registered with; a mismatch panics (programmer error).
-func (v *CounterVec) With(values ...string) *Counter {
-	if v == nil {
-		return nil
-	}
-	if len(values) != len(v.labelNames) {
-		panic(fmt.Sprintf("metrics: CounterVec got %d label values for %d labels", len(values), len(v.labelNames)))
-	}
-	key := labelKey(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c := v.children[key]
-	if c == nil {
-		c = &Counter{}
-		v.children[key] = c
-		v.values[key] = append([]string(nil), values...)
-	}
-	return c
-}
+// CounterVec is a family of counters partitioned by label values.
+type CounterVec = vec[Counter]
 
-// GaugeVec is a family of gauges partitioned by label values, mirroring
-// CounterVec. Looking up a child takes a mutex; callers on hot paths should
-// hold on to the returned *Gauge.
-type GaugeVec struct {
-	labelNames []string
-
-	mu       sync.Mutex
-	children map[string]*Gauge
-	values   map[string][]string
-}
-
-// With returns the gauge for the given label values (created on first use).
-// The number of values must match the label names the vector was registered
-// with; a mismatch panics (programmer error).
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	if len(values) != len(v.labelNames) {
-		panic(fmt.Sprintf("metrics: GaugeVec got %d label values for %d labels", len(values), len(v.labelNames)))
-	}
-	key := labelKey(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g := v.children[key]
-	if g == nil {
-		g = &Gauge{}
-		v.children[key] = g
-		v.values[key] = append([]string(nil), values...)
-	}
-	return g
-}
+// GaugeVec is a family of gauges partitioned by label values.
+type GaugeVec = vec[Gauge]
 
 // HistogramVec is a family of fixed-bucket histograms partitioned by label
-// values, mirroring CounterVec. Every child shares the vector's bucket
-// bounds. Looking up a child takes a mutex; callers on hot paths should
-// hold on to the returned *Histogram.
-type HistogramVec struct {
-	labelNames []string
-	bounds     []float64
+// values. Every child shares the vector's bucket bounds.
+type HistogramVec = vec[Histogram]
 
-	mu       sync.Mutex
-	children map[string]*Histogram
-	values   map[string][]string
+func newVec[M any](typeName string, labelNames []string, newChild func() *M) *vec[M] {
+	for _, l := range labelNames {
+		validName(l)
+	}
+	return &vec[M]{
+		typeName:   typeName,
+		labelNames: labelNames,
+		newChild:   newChild,
+		children:   map[string]*M{},
+		values:     map[string][]string{},
+	}
 }
 
-// With returns the histogram for the given label values (created on first
-// use). The number of values must match the label names the vector was
-// registered with; a mismatch panics (programmer error).
-func (v *HistogramVec) With(values ...string) *Histogram {
+// With returns the child for the given label values (created on first
+// use; nil from a nil vector). The number of values must match the label
+// names the vector was registered with; a mismatch panics (programmer
+// error).
+func (v *vec[M]) With(values ...string) *M {
 	if v == nil {
 		return nil
 	}
 	if len(values) != len(v.labelNames) {
-		panic(fmt.Sprintf("metrics: HistogramVec got %d label values for %d labels", len(values), len(v.labelNames)))
+		panic(fmt.Sprintf("metrics: %s got %d label values for %d labels", v.typeName, len(values), len(v.labelNames)))
 	}
 	key := labelKey(values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	h := v.children[key]
-	if h == nil {
-		h = newHistogram(v.bounds)
-		v.children[key] = h
+	m := v.children[key]
+	if m == nil {
+		m = v.newChild()
+		v.children[key] = m
 		v.values[key] = append([]string(nil), values...)
 	}
-	return h
+	return m
 }
 
-// sortedKeys returns child keys in deterministic (label-value) order.
-func (v *HistogramVec) sortedKeys() []string {
+// each calls fn with every child and its rendered label set, in
+// deterministic (label-value) order, holding the vector's lock.
+func (v *vec[M]) each(fn func(labels string, m *M)) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	keys := make([]string, 0, len(v.children))
 	for k := range v.children {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	return keys
-}
-
-// sortedKeys returns child keys in deterministic (label-value) order.
-func (v *GaugeVec) sortedKeys() []string {
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
+	for _, k := range keys {
+		fn(renderLabels(v.labelNames, v.values[k]), v.children[k])
 	}
-	sort.Strings(keys)
-	return keys
 }
 
 // labelKey joins label values unambiguously (values may contain commas).
@@ -287,16 +240,6 @@ func labelKey(values []string) string {
 		key += fmt.Sprintf("%d:%s", len(v), v)
 	}
 	return key
-}
-
-// sortedKeys returns child keys in deterministic (label-value) order.
-func (v *CounterVec) sortedKeys() []string {
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // BucketCount is one cumulative histogram bucket.

@@ -67,8 +67,8 @@ type TCPClientMetrics struct {
 	SpillDepth *Gauge
 	// Errors counts transport errors. Without WithReconnect the client
 	// latches the first error and drops subsequent emits, so nonzero
-	// means the stream is dead; with reconnect enabled each error only
-	// marks one failed delivery attempt before the client redials.
+	// means the stream is dead; with reconnect enabled each error is one
+	// failed write or dial, after which the client spills and redials.
 	Errors *Counter
 	// ProtocolVersion is the wire protocol of the current connection: 2
 	// while connected, 0 while disconnected.

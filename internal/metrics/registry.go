@@ -112,14 +112,7 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram 
 
 // NewCounterVec registers and returns a labeled counter family.
 func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *CounterVec {
-	for _, l := range labelNames {
-		validName(l)
-	}
-	v := &CounterVec{
-		labelNames: labelNames,
-		children:   make(map[string]*Counter),
-		values:     make(map[string][]string),
-	}
+	v := newVec("CounterVec", labelNames, func() *Counter { return new(Counter) })
 	r.register(&entry{name: name, help: help, kind: kindCounter, vec: v})
 	return v
 }
@@ -128,29 +121,15 @@ func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *Count
 // child shares the same bucket upper bounds (an implicit +Inf bucket is
 // added).
 func (r *Registry) NewHistogramVec(name, help string, bounds []float64, labelNames ...string) *HistogramVec {
-	for _, l := range labelNames {
-		validName(l)
-	}
-	v := &HistogramVec{
-		labelNames: labelNames,
-		bounds:     append([]float64(nil), bounds...),
-		children:   make(map[string]*Histogram),
-		values:     make(map[string][]string),
-	}
+	bounds = append([]float64(nil), bounds...)
+	v := newVec("HistogramVec", labelNames, func() *Histogram { return newHistogram(bounds) })
 	r.register(&entry{name: name, help: help, kind: kindHistogram, hvec: v})
 	return v
 }
 
 // NewGaugeVec registers and returns a labeled gauge family.
 func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	for _, l := range labelNames {
-		validName(l)
-	}
-	v := &GaugeVec{
-		labelNames: labelNames,
-		children:   make(map[string]*Gauge),
-		values:     make(map[string][]string),
-	}
+	v := newVec("GaugeVec", labelNames, func() *Gauge { return new(Gauge) })
 	r.register(&entry{name: name, help: help, kind: kindGauge, gvec: v})
 	return v
 }
@@ -188,17 +167,9 @@ func (r *Registry) Snapshot() Snapshot {
 		case e.counterFn != nil:
 			s.Counters[e.name] = e.counterFn()
 		case e.vec != nil:
-			e.vec.mu.Lock()
-			for key, c := range e.vec.children {
-				s.Counters[e.name+renderLabels(e.vec.labelNames, e.vec.values[key])] = c.Value()
-			}
-			e.vec.mu.Unlock()
+			e.vec.each(func(lbl string, c *Counter) { s.Counters[e.name+lbl] = c.Value() })
 		case e.gvec != nil:
-			e.gvec.mu.Lock()
-			for key, g := range e.gvec.children {
-				s.Gauges[e.name+renderLabels(e.gvec.labelNames, e.gvec.values[key])] = g.Value()
-			}
-			e.gvec.mu.Unlock()
+			e.gvec.each(func(lbl string, g *Gauge) { s.Gauges[e.name+lbl] = g.Value() })
 		case e.gauge != nil:
 			s.Gauges[e.name] = e.gauge.Value()
 		case e.gaugeFn != nil:
@@ -206,11 +177,7 @@ func (r *Registry) Snapshot() Snapshot {
 		case e.hist != nil:
 			s.Histograms[e.name] = e.hist.snapshot()
 		case e.hvec != nil:
-			e.hvec.mu.Lock()
-			for key, h := range e.hvec.children {
-				s.Histograms[e.name+renderLabels(e.hvec.labelNames, e.hvec.values[key])] = h.snapshot()
-			}
-			e.hvec.mu.Unlock()
+			e.hvec.each(func(lbl string, h *Histogram) { s.Histograms[e.name+lbl] = h.snapshot() })
 		}
 	}
 	return s
@@ -231,19 +198,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case e.counterFn != nil:
 			fmt.Fprintf(&b, "%s %d\n", e.name, e.counterFn())
 		case e.vec != nil:
-			e.vec.mu.Lock()
-			for _, key := range e.vec.sortedKeys() {
-				fmt.Fprintf(&b, "%s%s %d\n", e.name,
-					renderLabels(e.vec.labelNames, e.vec.values[key]), e.vec.children[key].Value())
-			}
-			e.vec.mu.Unlock()
+			e.vec.each(func(lbl string, c *Counter) {
+				fmt.Fprintf(&b, "%s%s %d\n", e.name, lbl, c.Value())
+			})
 		case e.gvec != nil:
-			e.gvec.mu.Lock()
-			for _, key := range e.gvec.sortedKeys() {
-				fmt.Fprintf(&b, "%s%s %s\n", e.name,
-					renderLabels(e.gvec.labelNames, e.gvec.values[key]), formatFloat(e.gvec.children[key].Value()))
-			}
-			e.gvec.mu.Unlock()
+			e.gvec.each(func(lbl string, g *Gauge) {
+				fmt.Fprintf(&b, "%s%s %s\n", e.name, lbl, formatFloat(g.Value()))
+			})
 		case e.gauge != nil:
 			fmt.Fprintf(&b, "%s %s\n", e.name, formatFloat(e.gauge.Value()))
 		case e.gaugeFn != nil:
@@ -256,18 +217,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "%s_sum %s\n", e.name, formatFloat(snap.Sum))
 			fmt.Fprintf(&b, "%s_count %d\n", e.name, snap.Count)
 		case e.hvec != nil:
-			e.hvec.mu.Lock()
-			for _, key := range e.hvec.sortedKeys() {
-				lbl := renderLabels(e.hvec.labelNames, e.hvec.values[key])
-				snap := e.hvec.children[key].snapshot()
+			e.hvec.each(func(lbl string, h *Histogram) {
+				snap := h.snapshot()
 				for _, bucket := range snap.Buckets {
 					fmt.Fprintf(&b, "%s_bucket%s %d\n", e.name,
 						mergeLE(lbl, formatBound(bucket.UpperBound)), bucket.Count)
 				}
 				fmt.Fprintf(&b, "%s_sum%s %s\n", e.name, lbl, formatFloat(snap.Sum))
 				fmt.Fprintf(&b, "%s_count%s %d\n", e.name, lbl, snap.Count)
-			}
-			e.hvec.mu.Unlock()
+			})
 		}
 	}
 	_, err := io.WriteString(w, b.String())

@@ -28,8 +28,11 @@ type ReconnectConfig struct {
 	// counted in TCPClientMetrics.FramesDropped: fresh evidence beats
 	// stale evidence for anomaly detection.
 	SpillCapacity int
-	// BatchSize bounds the frames encoded per flush (default 128); a
-	// flush failure replays at most one batch.
+	// BatchSize is the frame size, in records, of the replay that drains
+	// the spill ring after a reconnect (default 128): a write that fails
+	// mid-replay returns at most that many to the ring. On a live link the
+	// frame is the client's adaptive pending batch, as without
+	// WithReconnect.
 	BatchSize int
 	// Seed seeds the deterministic jitter generator (default 1).
 	Seed uint64
@@ -68,7 +71,7 @@ func (rc ReconnectConfig) withDefaults() ReconnectConfig {
 // appends at the tail evicting the oldest entry when full (drop-oldest);
 // popBatch removes from the head; pushFront returns an undeliverable batch
 // to the head for replay after a reconnect. Callers synchronize access
-// (the Client uses its mutex: Emit pushes while the writer goroutine
+// (the Client uses its mutex: Emit pushes while the background goroutine
 // drains).
 type spillRing struct {
 	buf        []*synopsis.Synopsis
@@ -83,7 +86,13 @@ func newSpillRing(capacity int, depth func(int)) *spillRing {
 	return &spillRing{buf: make([]*synopsis.Synopsis, capacity), depthGauge: depth}
 }
 
-func (r *spillRing) len() int { return r.n }
+// len is the ring's depth; a nil ring (no WithReconnect) is empty.
+func (r *spillRing) len() int {
+	if r == nil {
+		return 0
+	}
+	return r.n
+}
 
 // push appends s, evicting the oldest entry when full; it returns the
 // number of evicted synopses (0 or 1).
@@ -140,156 +149,84 @@ func (r *spillRing) pushFront(batch []*synopsis.Synopsis) int {
 	return evicted
 }
 
-// runReconnect is the supervised delivery loop of a WithReconnect client:
-// it owns the connection, dials (and redials) with capped exponential
-// backoff + jitter, drains the spill ring in batches, and replays the
-// in-flight batch after a transport error. It exits on Close after a final
-// best-effort drain; synopses still spilled then are counted as dropped.
-func (c *Client) runReconnect() {
-	defer close(c.done)
+// dial is one connection attempt of a WithReconnect client: the outcome is
+// recorded in Err and the metrics, and a new link gets its death probe. It
+// runs on the background goroutine, or in Close once that has exited.
+func (c *Client) dial() *link {
+	l, err := c.open()
+	if err != nil {
+		c.mu.Lock()
+		c.err = err
+		c.mu.Unlock()
+		if m := c.metrics; m != nil {
+			m.Errors.Inc()
+		}
+		return nil
+	}
+	if m := c.metrics; m != nil && c.everConnected {
+		m.Reconnects.Inc()
+	}
+	c.everConnected = true
+	// Death probe: the synopsis protocol is strictly one-way after the
+	// hello ack (already consumed by open), so a returning Read means the
+	// analyzer hung up (FIN/RST). Closing the connection here makes the
+	// next write fail locally and spill its batch, instead of flushing
+	// frames into a dead socket where they would be lost unaccounted.
+	go func(nc net.Conn) {
+		var b [1]byte
+		_, _ = nc.Read(b[:])
+		_ = nc.Close()
+	}(l.conn)
+	return l
+}
+
+// redial brings a down client back: it dials, sleeping the jittered backoff
+// after each attempt that failed (at the dial, or later during the replay),
+// until a link is up with the whole ring replayed through it. It returns
+// false when the client closed meanwhile.
+func (c *Client) redial() bool {
 	rc := c.reconnect
-	rng := vtime.NewRNG(rc.Seed)
 	backoff := rc.InitialBackoff
-	var l *link // the live link, nil while down
-
-	dropLink := func() {
-		if l != nil {
-			_ = c.shut(l)
-			l = nil
-		}
-	}
-	defer dropLink()
-
-	// connect performs one dial attempt.
-	connect := func() bool {
-		nl, err := c.open()
-		if err != nil {
-			c.setErr(err)
-			if m := c.metrics; m != nil {
-				m.Errors.Inc()
-			}
-			return false
-		}
-		if m := c.metrics; m != nil && c.everConnected {
-			m.Reconnects.Inc()
-		}
-		c.everConnected = true
-		backoff = rc.InitialBackoff
-		l = nl
-		// Death probe: the synopsis protocol is strictly one-way after the
-		// hello ack (already consumed by open), so a returning Read means the
-		// analyzer hung up (FIN/RST). Closing the connection here makes the
-		// supervisor's next write fail locally and replay its batch,
-		// instead of flushing frames into a dead socket where they would
-		// be lost unaccounted.
-		go func(nc net.Conn) {
-			var b [1]byte
-			_, _ = nc.Read(b[:])
-			_ = nc.Close()
-		}(nl.conn)
-		return true
-	}
-
-	// ensure dials until connected, sleeping the jittered backoff between
-	// attempts; it returns false when the client closed meanwhile.
-	ensure := func() bool {
-		for l == nil {
-			if connect() {
+	for {
+		if l := c.dial(); l != nil {
+			if c.replay(l) {
 				return true
 			}
-			d := jitter(backoff, rc.Jitter, rng)
-			backoff = time.Duration(float64(backoff) * rc.Multiplier)
-			if backoff > rc.MaxBackoff {
-				backoff = rc.MaxBackoff
-			}
-			select {
-			case <-time.After(d):
-			case <-c.stop:
-				return false
-			}
+			backoff = rc.InitialBackoff // the analyzer did answer
 		}
-		return true
-	}
-
-	popBatch := func() []*synopsis.Synopsis {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		// Load-responsive drain: a deep ring (post-outage backlog) is
-		// flushed in larger frames so the catch-up amortizes framing and
-		// write syscalls, bounded by the protocol's frame limit.
-		target := rc.BatchSize
-		if depth := c.ring.len(); depth > 4*rc.BatchSize {
-			target = min(depth, 8*rc.BatchSize, synopsis.MaxBatchRecords)
-		}
-		return c.ring.popBatch(target)
-	}
-	replay := func(batch []*synopsis.Synopsis) {
-		c.mu.Lock()
-		evicted := c.ring.pushFront(batch)
-		c.mu.Unlock()
-		if m := c.metrics; m != nil && evicted > 0 {
-			m.FramesDropped.Add(uint64(evicted))
-		}
-	}
-
-	// deliver writes one batch; on failure the batch goes back to the ring
-	// head and the link is torn down for redial.
-	deliver := func(batch []*synopsis.Synopsis) {
-		if err := c.write(l, batch); err != nil {
-			c.setErr(err)
-			dropLink()
-			replay(batch)
-		}
-	}
-
-	// finalize is the shutdown drain: at most one fresh dial and one
-	// attempt per batch — shutdown must not hang on a dead analyzer.
-	// deliver tears the link down on error, which ends the loop;
-	// whatever stays spilled is counted as dropped, keeping the
-	// sent+dropped accounting complete.
-	finalize := func() {
-		if l == nil {
-			connect()
-		}
-		for l != nil {
-			batch := popBatch()
-			if len(batch) == 0 {
-				break
-			}
-			deliver(batch)
-		}
-		c.mu.Lock()
-		remaining := c.ring.len()
-		c.ring.popBatch(remaining)
-		c.mu.Unlock()
-		if m := c.metrics; m != nil && remaining > 0 {
-			m.FramesDropped.Add(uint64(remaining))
-		}
-	}
-
-	for {
+		d := jitter(backoff, rc.Jitter, c.rng)
+		backoff = min(time.Duration(float64(backoff)*rc.Multiplier), rc.MaxBackoff)
 		select {
+		case <-time.After(d):
 		case <-c.stop:
-			finalize()
-			return
-		case <-c.wake:
+			return false
 		}
-		for {
-			batch := popBatch()
-			if len(batch) == 0 {
-				break
-			}
-			if l == nil {
-				// Frames must not be stranded outside the ring while we
-				// dial; return them (accounted) and reclaim after.
-				replay(batch)
-				if !ensure() {
-					finalize()
-					return
-				}
-				continue
-			}
-			deliver(batch)
+	}
+}
+
+// replay writes the spill ring to l, oldest first in BatchSize frames, and
+// installs l as the client's link in the critical section that finds the
+// ring empty — so nothing can spill behind a link that is already up, and
+// emit order holds across the outage. The writes run outside c.mu (l is
+// nobody else's yet): emits keep spilling while the backlog drains. A failed
+// write returns its frame to the ring head, shuts l and reports false.
+func (c *Client) replay(l *link) bool {
+	for {
+		c.mu.Lock()
+		if c.ring.len() == 0 {
+			c.link, c.err = l, nil
+			c.mu.Unlock()
+			return true
+		}
+		batch := c.ring.popBatch(c.reconnect.BatchSize)
+		c.mu.Unlock()
+		if err := c.write(l, batch); err != nil {
+			c.mu.Lock()
+			c.err = err
+			c.drop(c.ring.pushFront(batch))
+			c.mu.Unlock()
+			_ = c.shut(l)
+			return false
 		}
 	}
 }

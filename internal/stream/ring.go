@@ -66,8 +66,8 @@ func (rc *RingClient) Emit(s *synopsis.Synopsis) {
 
 // Send hands s to the link for addr, dialing when there is none, and
 // reports whether the link took it. It did not when the dial failed, the
-// ring client is closed, or the link can take nothing any more (a
-// direct-mode link latches its first transport error): that link is closed
+// ring client is closed, or the link can take nothing any more (without
+// WithReconnect a link latches its first failed write): that link is closed
 // and evicted, so the next record redials and a peer that restarted on the
 // same address is found again.
 func (rc *RingClient) Send(addr string, s *synopsis.Synopsis) bool {
@@ -118,10 +118,11 @@ func (rc *RingClient) client(addr string) *Client {
 // owner, or a link that did not take them.
 func (rc *RingClient) Dropped() uint64 { return rc.dropped.Load() }
 
-// Flush pushes every link's pending batch onto the wire, so everything
-// taken so far has been written (test/shutdown barrier; Close also
-// flushes). A link's write error is its own to latch: the next Send evicts
-// it.
+// Flush writes every link's pending batch, so everything taken so far has
+// been written (test/shutdown barrier; Close also flushes) — on every link
+// that is up: a WithReconnect link that is down keeps what it took in its
+// spill ring. A link's write error is its own to latch or heal: a latched
+// link is evicted by the next Send.
 func (rc *RingClient) Flush() {
 	rc.mu.Lock()
 	clients := make([]*Client, 0, len(rc.clients))

@@ -14,6 +14,7 @@ import (
 	"saad/internal/synopsis"
 	"saad/internal/trace"
 	"saad/internal/tracker"
+	"saad/internal/vtime"
 )
 
 // DefaultDialTimeout bounds connection establishment; a monitoring client
@@ -24,15 +25,24 @@ const DefaultDialTimeout = 10 * time.Second
 // wedged connection before it is treated as a transport error.
 const DefaultWriteTimeout = 10 * time.Second
 
-// Direct-mode adaptive batching bounds: the pending batch is flushed when it
-// reaches the current target (size trigger) or on the background flush tick
-// (latency trigger); the target doubles on size triggers and halves when a
-// tick finds the batch underfilled, so batch size tracks offered load.
+// Adaptive batching bounds: the pending batch is written when it reaches the
+// current target (size trigger) or on the background flush tick (latency
+// trigger); the target doubles on size triggers and halves when a tick finds
+// the batch underfilled, so batch size tracks offered load.
 const (
 	minDirectBatch     = 8
 	initialDirectBatch = 16
 	maxDirectBatch     = 2048
 )
+
+// reconnectFlushEvery is the flush tick of a WithReconnect client dialed
+// with flushEvery <= 0. Such a client always has a background goroutine (it
+// redials), and a tick is what bounds how long a synopsis pends on it.
+const reconnectFlushEvery = 2 * time.Millisecond
+
+// errNotConnected is a WithReconnect client's Err until its first dial
+// attempt resolves: Dial returns before making one.
+var errNotConnected = errors.New("stream: not connected yet")
 
 // countingWriter charges bytes written to a counter; it wraps the client
 // connection, so it observes wire bytes.
@@ -60,16 +70,23 @@ func (cr countingReader) Read(p []byte) (int, error) {
 }
 
 // Client streams synopses to a remote analyzer over TCP in batch frames
-// (DESIGN §15). It implements tracker.Sink. Emit never blocks on the
-// network beyond the kernel send buffer, because a monitoring layer must
-// not take the server down with it.
+// (DESIGN §15). It implements tracker.Sink. There is one delivery path:
+// every Emit pends into an adaptive batch, and the batch is written to the
+// link as one frame by the size trigger, the flush tick, Flush or Close — on
+// the emitter's goroutine or the client's one background goroutine, under
+// the client's lock. Emit blocks on the network no further than the kernel
+// send buffer and the write timeout, because a monitoring layer must not
+// take the server down with it.
 //
-// Without WithReconnect the client latches the first transport error and
-// drops (and counts) every subsequent emit. With WithReconnect the client
-// is self-healing: emits are parked in a bounded spill ring, a supervisor
-// goroutine redials with capped exponential backoff + jitter, and spilled
-// synopses are replayed after reconnecting; when the ring overflows the
-// oldest synopsis is dropped and counted.
+// What a failed write means is the only thing WithReconnect changes (DESIGN
+// §9). Without it the link is shut, the batch is dropped and counted, and
+// the error latches: every later Emit is dropped and counted too. With it
+// the link is shut, the batch moves in order into a bounded spill ring and
+// later emits spill behind it; the background goroutine redials with capped
+// exponential backoff + jitter, replays the ring oldest first and installs
+// the new link at the instant the ring is empty — a non-empty ring means
+// there is no link. When the ring overflows the oldest synopsis is dropped
+// and counted.
 type Client struct {
 	addr         string
 	dialTimeout  time.Duration
@@ -80,18 +97,20 @@ type Client struct {
 	err    error
 	closed bool
 
-	// Direct mode: records pend in a batch and are flushed onto link by
-	// size trigger, the background flush tick, or Close. The reconnect
-	// supervisor owns its own link.
+	// link is nil when there is nothing to write to: a failed write shut
+	// it, or a WithReconnect client has not connected yet. pending is empty
+	// whenever link is nil.
 	link        *link
 	pending     []*synopsis.Synopsis
 	batchTarget int
 
-	// Reconnect mode state (nil ring = direct mode).
+	// ring holds what a WithReconnect client could not write (nil without
+	// the option). Non-empty only while link is nil.
 	reconnect     ReconnectConfig
 	ring          *spillRing
-	wake          chan struct{}
-	everConnected bool // supervisor goroutine only
+	down          chan struct{} // a failed write tells run to redial now, not at the next tick
+	rng           *vtime.RNG    // backoff jitter; run goroutine only
+	everConnected bool          // run goroutine, then Close once it has exited
 
 	stop chan struct{}
 	done chan struct{}
@@ -143,19 +162,22 @@ func WithWriteTimeout(d time.Duration) ClientOption {
 // edited (ROADMAP item 2).
 func WithProtocol(int) ClientOption { return func(*Client) {} }
 
-// WithReconnect makes the client self-healing (see Client). The zero
-// ReconnectConfig selects the documented defaults. With reconnect enabled,
-// Dial returns immediately without a synchronous connection attempt: the
-// supervisor establishes (and re-establishes) the connection in the
-// background, so the client is usable even while the analyzer is down.
+// WithReconnect makes the client self-healing: a failed write parks its
+// batch in the spill ring for replay over a new connection instead of
+// dropping it and latching (see Client). The zero ReconnectConfig selects
+// the documented defaults. With reconnect enabled, Dial returns immediately
+// without a synchronous connection attempt: the background goroutine
+// establishes (and re-establishes) the connection, so the client is usable,
+// spilling, even while the analyzer is down.
 func WithReconnect(cfg ReconnectConfig) ClientOption {
 	return func(c *Client) { c.reconnect = cfg.withDefaults() }
 }
 
 // Dial connects to a synopsis server at addr. flushEvery bounds how long a
-// synopsis may sit in the pending batch (0 disables the background
-// flusher; Close still flushes). In reconnect mode delivery is batched and
-// flushed per batch, and flushEvery is ignored.
+// synopsis may sit in the pending batch. Without WithReconnect, 0 disables
+// the background flusher (the size trigger, Flush and Close still write) and
+// the client runs no goroutine at all; with it, flushEvery <= 0 selects a
+// 2 ms tick.
 func Dial(addr string, flushEvery time.Duration, opts ...ClientOption) (*Client, error) {
 	c := &Client{
 		addr:         addr,
@@ -174,17 +196,21 @@ func Dial(addr string, flushEvery time.Duration, opts ...ClientOption) (*Client,
 				m.SpillDepth.Set(float64(n))
 			}
 		})
-		c.wake = make(chan struct{}, 1)
-		go c.runReconnect()
-		return c, nil
+		c.down = make(chan struct{}, 1)
+		c.rng = vtime.NewRNG(c.reconnect.Seed)
+		c.err = errNotConnected
+		if flushEvery <= 0 {
+			flushEvery = reconnectFlushEvery
+		}
+	} else {
+		l, err := c.open()
+		if err != nil {
+			return nil, err
+		}
+		c.link = l
 	}
-	l, err := c.open()
-	if err != nil {
-		return nil, err
-	}
-	c.link = l
 	if flushEvery > 0 {
-		go c.flushLoop(flushEvery)
+		go c.run(flushEvery)
 	} else {
 		close(c.done)
 	}
@@ -237,12 +263,16 @@ func (c *Client) open() (*link, error) {
 	return l, nil
 }
 
-// shut closes l's connection and zeroes the protocol gauge.
+// shut closes l's connection and zeroes the protocol gauge. Finding it
+// closed already is no error: the death probe got there first.
 func (c *Client) shut(l *link) error {
 	if m := c.metrics; m != nil {
 		m.ProtocolVersion.Set(0)
 	}
-	return l.conn.Close()
+	if err := l.conn.Close(); !errors.Is(err, net.ErrClosed) {
+		return err
+	}
+	return nil
 }
 
 // write sends one batch on l as v2 frames, bounded by the write timeout.
@@ -278,27 +308,35 @@ func (c *Client) write(l *link, batch []*synopsis.Synopsis) error {
 	return err
 }
 
-func (c *Client) flushLoop(every time.Duration) {
+// run is the client's one background goroutine. Each tick is the latency
+// trigger: it writes whatever pended since the last one and shrinks the size
+// target when load is light. Finding the link gone — at a tick, or told so
+// at once by the write that failed — ends the goroutine (no WithReconnect:
+// the error is latched and there is nothing left to write, ever) or redials
+// before the next tick.
+func (c *Client) run(every time.Duration) {
 	defer close(c.done)
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
+	down := c.ring != nil // a WithReconnect client starts without a link
 	for {
+		if down && (c.ring == nil || !c.redial()) {
+			return
+		}
 		select {
 		case <-ticker.C:
-			c.mu.Lock()
-			if c.err == nil && !c.closed {
-				// Latency trigger: ship whatever pended since the last
-				// tick, and shrink the size target when load is light.
-				underfilled := len(c.pending) < c.batchTarget/4
-				c.flushPendingLocked()
-				if underfilled && c.batchTarget > minDirectBatch {
-					c.batchTarget /= 2
-				}
-			}
-			c.mu.Unlock()
+		case <-c.down:
 		case <-c.stop:
 			return
 		}
+		c.mu.Lock()
+		underfilled := len(c.pending) < c.batchTarget/4
+		c.flushPendingLocked()
+		if underfilled && c.batchTarget > minDirectBatch {
+			c.batchTarget /= 2
+		}
+		down = c.link == nil
+		c.mu.Unlock()
 	}
 }
 
@@ -307,130 +345,110 @@ func (c *Client) flushLoop(every time.Duration) {
 // dropped and counted in FramesDropped.
 func (c *Client) Emit(s *synopsis.Synopsis) {
 	if !c.offer(s) {
-		if m := c.metrics; m != nil {
-			m.FramesDropped.Inc()
-		}
+		c.drop(1)
+	}
+}
+
+// drop counts n synopses the client gave up on.
+func (c *Client) drop(n int) {
+	if m := c.metrics; m != nil && n > 0 {
+		m.FramesDropped.Add(uint64(n))
 	}
 }
 
 // offer takes s for delivery. It returns false, leaving s unaccounted, when
-// the client can take nothing any more: it is closed, or it is a
-// direct-mode client with a latched error (in reconnect mode an error is
-// one failed attempt and the ring keeps accepting).
+// the client can take nothing any more: it is closed, or a failed write
+// latched (a WithReconnect client spills instead while it has no link).
 func (c *Client) offer(s *synopsis.Synopsis) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed || (c.ring == nil && c.err != nil) {
+	if c.closed {
 		return false
 	}
-	if c.ring != nil {
-		if evicted := c.ring.push(s); evicted > 0 {
-			if m := c.metrics; m != nil {
-				m.FramesDropped.Add(uint64(evicted))
-			}
+	if c.link == nil {
+		if c.ring == nil {
+			return false
 		}
-		select {
-		case c.wake <- struct{}{}:
-		default:
-		}
+		c.drop(c.ring.push(s))
 		return true
 	}
-	// Direct mode: pend into the adaptive batch; the size trigger flushes
-	// a full batch, the background tick bounds latency.
+	// Pend into the adaptive batch; the size trigger writes a full batch,
+	// the background tick bounds latency.
 	c.pending = append(c.pending, s)
 	if len(c.pending) >= c.batchTarget {
 		c.flushPendingLocked()
-		if c.err == nil && c.batchTarget < maxDirectBatch {
+		if c.link != nil && c.batchTarget < maxDirectBatch {
 			c.batchTarget *= 2 // size-triggered: load supports bigger batches
 		}
 	}
 	return true
 }
 
-// flushPendingLocked writes the pending direct-mode batch to the link.
-// Callers hold c.mu. A write error latches and the batch is dropped and
-// counted: the direct-mode contract is that every Emit lands in FramesSent
-// or FramesDropped.
+// flushPendingLocked writes the pending batch to the link as one frame.
+// Callers hold c.mu. A failed write shuts the link and decides the batch's
+// fate, the one place the two kinds of client differ: without WithReconnect
+// it is dropped and counted and the error stays latched; with it the batch
+// becomes the head of the spill ring (empty until now, so emit order holds)
+// for the background goroutine to replay. Either way every Emit ends in
+// FramesSent or FramesDropped.
 func (c *Client) flushPendingLocked() {
-	if len(c.pending) == 0 || c.err != nil {
-		return
+	if len(c.pending) == 0 {
+		return // always the case while link is nil
 	}
-	n := len(c.pending)
-	c.err = c.write(c.link, c.pending)
+	if err := c.write(c.link, c.pending); err != nil {
+		c.err = err
+		_ = c.shut(c.link)
+		c.link = nil
+		if c.ring == nil {
+			c.drop(len(c.pending))
+		} else {
+			c.drop(c.ring.pushFront(c.pending))
+			select {
+			case c.down <- struct{}{}:
+			default: // run has one to read already
+			}
+		}
+	}
 	clear(c.pending)
 	c.pending = c.pending[:0]
-	if m := c.metrics; m != nil && c.err != nil {
-		m.FramesDropped.Add(uint64(n))
-	}
 }
 
-// Flush pushes the pending direct-mode batch onto the wire. A delivery
-// barrier for callers that need bounded handoff latency — the federation
-// forward path uses it before control-plane transitions. In reconnect
-// mode delivery is the supervisor's business and Flush is a no-op.
+// Flush writes the pending batch to the link: a delivery barrier for
+// callers that need bounded handoff latency (the federation forward path
+// uses it before control-plane transitions). A nil return means everything
+// taken so far has been written. A non-nil one is Err: the latched error,
+// or under WithReconnect the reason the client is down, with what it took
+// parked in the spill ring.
 func (c *Client) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ring == nil && !c.closed {
-		c.flushPendingLocked()
-	}
+	c.flushPendingLocked()
 	return c.err
 }
 
-// Err returns the latched transport error (direct mode) or the most recent
-// transport error observed by the reconnect supervisor, if any.
+// Err returns the latched transport error or, under WithReconnect, the
+// error behind the current outage: the failed write that opened it or the
+// latest failed dial. It is nil while such a client is connected.
 func (c *Client) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.err
 }
 
-// setErr records the most recent transport error (reconnect supervisor).
-func (c *Client) setErr(err error) {
-	c.mu.Lock()
-	c.err = err
-	c.mu.Unlock()
-}
-
 // Spilled returns the number of synopses currently parked in the reconnect
-// spill ring (always 0 in direct mode).
+// spill ring (always 0 without WithReconnect).
 func (c *Client) Spilled() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ring == nil {
-		return 0
-	}
 	return c.ring.len()
 }
 
-// Close flushes buffered synopses, stops the background goroutine and
-// closes the connection. In reconnect mode it performs one final
-// best-effort drain of the spill ring (bounded by the dial and write
-// timeouts, never by the backoff schedule); synopses it cannot deliver are
-// counted in FramesDropped.
+// Close refuses further emits, stops the background goroutine, writes the
+// pending batch and closes the connection. A WithReconnect client that is
+// down makes one last dial and replay of its spill ring (bounded by the dial
+// and write timeouts, never by the backoff schedule); what it still cannot
+// deliver is counted in FramesDropped, not returned.
 func (c *Client) Close() error {
-	if c.ring != nil {
-		c.mu.Lock()
-		alreadyClosed := c.closed
-		c.closed = true
-		c.mu.Unlock()
-		if !alreadyClosed {
-			close(c.stop)
-		}
-		<-c.done
-		// An Emit racing Close may have pushed after the supervisor's
-		// final drain; sweep the ring so every synopsis is accounted.
-		c.mu.Lock()
-		if remaining := c.ring.len(); remaining > 0 {
-			c.ring.popBatch(remaining)
-			if m := c.metrics; m != nil {
-				m.FramesDropped.Add(uint64(remaining))
-			}
-		}
-		c.mu.Unlock()
-		return nil
-	}
-
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -438,16 +456,32 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	c.flushPendingLocked()
-	flushErr := c.err
-	closeErr := c.shut(c.link)
 	c.mu.Unlock()
-
 	close(c.stop)
 	<-c.done
 
-	if flushErr != nil {
-		return fmt.Errorf("stream: close flush: %w", flushErr)
+	c.mu.Lock()
+	c.flushPendingLocked()
+	spilled := c.ring.len() > 0
+	c.mu.Unlock()
+	if spilled {
+		if l := c.dial(); l != nil {
+			c.replay(l)
+		}
+	}
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := c.ring.len(); n > 0 {
+		c.ring.popBatch(n)
+		c.drop(n)
+	}
+	var closeErr error
+	if c.link != nil {
+		closeErr = c.shut(c.link)
+	}
+	if c.ring == nil && c.err != nil {
+		return fmt.Errorf("stream: close flush: %w", c.err)
 	}
 	if closeErr != nil {
 		return fmt.Errorf("stream: close conn: %w", closeErr)
@@ -464,38 +498,57 @@ func (c *Client) Close() error {
 // loop.
 type Server struct {
 	ln       net.Listener
-	sink     tracker.Sink
 	metrics  *metrics.TCPServerMetrics
 	sampler  *trace.Sampler
 	readIdle time.Duration
+
+	// batchSink is the frame entry point of the sink NewServer was given:
+	// the sink itself when it is a BatchSink, an adapter otherwise.
+	batchSink BatchSink
 
 	// pool, when set, recycles decoded synopses: the handler draws each
 	// record's synopsis from the pool and the sink (an engine built
 	// WithSynopsisRelease) returns it after detection — the zero-alloc
 	// receive path.
 	pool *synopsis.Pool
-	// batchSink is sink's batch extension, when it has one: a whole
-	// frame is delivered in one call, amortizing sink synchronization.
-	batchSink BatchSink
 
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	ended  uint64 // connections that have come and gone
+	mu      sync.Mutex
+	conns   map[net.Conn]struct{}
+	closed  bool
+	closing chan struct{} // closed by Close: cuts the accept back-off short
+	ended   uint64        // connections that have come and gone
 
 	wg sync.WaitGroup
 }
 
-// BatchSink is the batch extension of tracker.Sink: a sink that also
-// implements EmitBatch receives each decoded v2 batch frame as one call —
-// the engine maps it to FeedBatch, amortizing per-record queue operations.
-// Ownership of the synopses passes to the sink; the slice is only lent. The
-// sink may overwrite its elements during the call (synopsis.Pool.PutN clears
-// them) and must not keep the slice once EmitBatch returns: the connection
-// refills it with the next frame.
+// BatchSink is the batch extension of tracker.Sink, and the only way the
+// server hands anything on: each decoded frame is one EmitBatch call, whole
+// or — when the connection fails before the frame's last record — not at
+// all. The engine maps the call to FeedBatch, amortizing per-record queue
+// operations; a tracker.Sink without EmitBatch is fed record by record by an
+// adapter, under the same whole-frame rule. Ownership of the synopses passes
+// to the sink; the slice is only lent. The sink may overwrite its elements
+// during the call (synopsis.Pool.PutN clears them) and must not keep the
+// slice once EmitBatch returns: the connection refills it with the next
+// frame.
 type BatchSink interface {
 	EmitBatch(batch []*synopsis.Synopsis)
 }
+
+// perRecordSink feeds a plain tracker.Sink a frame at a time.
+type perRecordSink struct{ sink tracker.Sink }
+
+func (p perRecordSink) EmitBatch(batch []*synopsis.Synopsis) {
+	for _, s := range batch {
+		p.sink.Emit(s)
+	}
+}
+
+// discardSink stands in for a nil sink: the frame is counted and its
+// records go straight back to the receive pool, if there is one.
+type discardSink struct{ pool *synopsis.Pool }
+
+func (d discardSink) EmitBatch(batch []*synopsis.Synopsis) { d.pool.PutN(batch) }
 
 // ServerOption customizes a Server.
 type ServerOption func(*Server)
@@ -561,15 +614,20 @@ func Listen(addr string, sink tracker.Sink, opts ...ServerOption) (*Server, erro
 // sink. The server takes ownership of ln.
 func NewServer(ln net.Listener, sink tracker.Sink, opts ...ServerOption) *Server {
 	s := &Server{
-		ln:    ln,
-		sink:  sink,
-		conns: make(map[net.Conn]struct{}),
+		ln:      ln,
+		conns:   make(map[net.Conn]struct{}),
+		closing: make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	if bs, ok := sink.(BatchSink); ok {
+	switch bs, ok := sink.(BatchSink); {
+	case ok:
 		s.batchSink = bs
+	case sink != nil:
+		s.batchSink = perRecordSink{sink}
+	default:
+		s.batchSink = discardSink{s.pool}
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -598,10 +656,12 @@ func (s *Server) acceptLoop() {
 			if m := s.metrics; m != nil {
 				m.AcceptErrors.Inc()
 			}
-			time.Sleep(retry)
-			if retry < time.Second {
-				retry *= 2
+			select {
+			case <-time.After(retry):
+			case <-s.closing:
+				return
 			}
+			retry = min(2*retry, time.Second)
 			continue
 		}
 		retry = 5 * time.Millisecond
@@ -767,10 +827,12 @@ func (c *connPool) release() {
 }
 
 // receive is the per-connection receive loop: records decode into
-// pool-drawn synopses and whole frames are handed to the sink's batch entry
-// point when it has one, so queue synchronization amortizes across the
-// batch. The batch slice is the connection's own, lent to the sink one frame
-// at a time (see BatchSink), so a frame costs no allocation here.
+// pool-drawn synopses and a frame is handed to the sink, in one EmitBatch,
+// once its last record has decoded — so a frame is delivered whole or not at
+// all, and a client replaying a batch after a cut cannot duplicate records
+// the server already passed on. The batch slice is the connection's own,
+// lent to the sink one frame at a time (see BatchSink), so a frame costs no
+// allocation here.
 func (s *Server) receive(conn net.Conn, br *bufio.Reader) {
 	m := s.metrics
 	dec := synopsis.NewBatchDecoder(br)
@@ -803,19 +865,6 @@ func (s *Server) receive(conn net.Conn, br *bufio.Reader) {
 			return
 		}
 		s.stampRecv(syn)
-		if s.sink == nil {
-			if m != nil {
-				m.FramesReceived.Inc()
-			}
-			continue
-		}
-		if s.batchSink == nil {
-			if m != nil {
-				m.FramesReceived.Inc()
-			}
-			s.sink.Emit(syn)
-			continue
-		}
 		if frame := dec.Remaining() + 1; len(batch) == 0 && cap(batch) < frame {
 			// The first record of a frame larger than any before it: size
 			// the slice for the whole frame (the decoder admits at most
@@ -863,6 +912,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	close(s.closing)
 	err := s.ln.Close()
 	for conn := range s.conns {
 		_ = conn.Close()

@@ -260,9 +260,12 @@ func NewSpawner(dict *Dictionary, tr *Tracker, name string, now func() time.Time
 func NewChannelSink(capacity int) *stream.Channel { return stream.NewChannel(capacity) }
 
 // DialAnalyzer connects a synopsis stream to a remote analyzer (see
-// cmd/saad-analyzer). flushEvery bounds buffering latency. With
-// WithReconnect the client survives analyzer outages: it spills synopses to
-// a bounded in-memory ring and replays them after redialling with backoff.
+// cmd/saad-analyzer). flushEvery bounds how long a synopsis pends in the
+// client's batch (0: only the size trigger, Flush and Close write — or,
+// with WithReconnect, a 2 ms tick). With WithReconnect the client survives
+// analyzer outages: a failed write parks its batch, and what is emitted
+// after it, in a bounded in-memory ring that is replayed in order after
+// redialling with backoff; everything else about delivery is the same.
 func DialAnalyzer(addr string, flushEvery time.Duration, opts ...StreamClientOption) (*stream.Client, error) {
 	return stream.Dial(addr, flushEvery, opts...)
 }
