@@ -70,6 +70,8 @@ type degradeStatus struct {
 	Degraded       bool   `json:"degraded"`
 	DegradedShards int    `json:"degraded_shards"`
 	ShedSynopses   uint64 `json:"shed_synopses"`
+	// Connections is empty once every stream's handler has read to EOF.
+	Connections []string `json:"connections"`
 }
 
 // TestShutdownFlipsReadyBeforeDrain: with -drain-grace, shutdown must flip
@@ -317,14 +319,16 @@ func TestChaosRetryStormDegradesAndRecovers(t *testing.T) {
 
 	// Exact accounting: the engine is the server's sink, so every frame the
 	// server ever decoded was offered to admission — processed + shed must
-	// meet frames_received exactly once the handlers drain.
+	// meet frames_received exactly once the handlers drain — all of them:
+	// the sum also balances while host 2's frames still sit unread in the
+	// socket, and a shutdown begun then would cut them off.
 	pollUntil(t, 15*time.Second, "processed + shed to meet frames_received", func() bool {
 		fr, ok := metricValue(t, httpAddr, "saad_stream_tcp_server_frames_received_total")
 		if !ok {
 			return false
 		}
 		doc := status()
-		return uint64(fr) == doc.Processed+doc.ShedSynopses && fr > 0
+		return len(doc.Connections) == 0 && uint64(fr) == doc.Processed+doc.ShedSynopses && fr > 0
 	})
 	finalStatus := status()
 	if finalStatus.ShedSynopses == 0 {

@@ -514,17 +514,19 @@ func detectMode(dict *logpoint.Dictionary, opts detectOptions) error {
 	// The anomaly sink runs on shard worker goroutines; the mutex serializes
 	// report output and latches the first event-log write error (a dead
 	// event log must not stop detection mid-stream — the error surfaces at
-	// shutdown).
+	// shutdown). The count is an atomic outside it: /statusz and the
+	// heartbeat must answer while a stalled stdout pipe or event log holds a
+	// worker inside the sink.
 	var (
+		anomalies atomic.Int64
 		sinkMu    sync.Mutex
-		anomalies int
 		sinkErr   error
 		events    *report.EventWriter
 	)
 	emit := func(found []analyzer.Anomaly) {
+		anomalies.Add(int64(len(found)))
 		sinkMu.Lock()
 		defer sinkMu.Unlock()
-		anomalies += len(found)
 		for _, a := range found {
 			fmt.Println(report.FormatAnomaly(a, dict))
 		}
@@ -730,6 +732,7 @@ func detectMode(dict *logpoint.Dictionary, opts detectOptions) error {
 	if err != nil {
 		return fail(err)
 	}
+	closers = append(closers, srv.Close)
 	fmt.Printf("detecting: listening on %s (model trained on %d synopses, %d shards)\n",
 		srv.Addr(), model.TrainedOn, eng.Shards())
 	if peer != nil {
@@ -739,10 +742,10 @@ func detectMode(dict *logpoint.Dictionary, opts detectOptions) error {
 		peer.Membership().SetSelfIngestAddr(srv.Addr())
 		g, err := federation.StartGossiper(peer.Membership(), opts.gossipAddr, 0)
 		if err != nil {
-			_ = srv.Close()
 			return fail(err)
 		}
 		gossiper = g
+		closers = append(closers, gossiper.Close)
 		for _, seed := range seeds {
 			if seed.ID == opts.peerID {
 				continue // self in a shared seed list
@@ -781,11 +784,7 @@ func detectMode(dict *logpoint.Dictionary, opts detectOptions) error {
 			sampleEvery: opts.traceSample,
 			trainedOn:   model.TrainedOn,
 			start:       time.Now(),
-			anomalies: func() int {
-				sinkMu.Lock()
-				defer sinkMu.Unlock()
-				return anomalies
-			},
+			anomalies:   func() int { return int(anomalies.Load()) },
 			connections: srv.Remotes,
 			federation: func() *federation.Status {
 				if peer == nil {
@@ -797,7 +796,6 @@ func detectMode(dict *logpoint.Dictionary, opts detectOptions) error {
 		}))
 		msrv, err := metrics.ServeMux(opts.httpAddr, mux)
 		if err != nil {
-			_ = srv.Close()
 			return fail(err)
 		}
 		defer func() { _ = msrv.Close() }()
@@ -886,15 +884,12 @@ func detectMode(dict *logpoint.Dictionary, opts detectOptions) error {
 	for {
 		select {
 		case <-heartbeat:
-			sinkMu.Lock()
-			found := anomalies
-			sinkMu.Unlock()
 			var shardLine strings.Builder
 			for _, st := range eng.ShardStats() {
 				fmt.Fprintf(&shardLine, " s%d=%d/p%d/q%d", st.Shard, st.Fed, st.Pending, st.QueueLen)
 			}
 			fmt.Fprintf(os.Stderr, "saad-analyzer: processed=%d anomalies=%d shards=%d goroutines=%d%s\n",
-				eng.Fed(), found, eng.Shards(), runtime.NumGoroutine(), shardLine.String())
+				eng.Fed(), anomalies.Load(), eng.Shards(), runtime.NumGoroutine(), shardLine.String())
 		case <-checkpoint:
 			// A failed periodic checkpoint must not stop detection; the
 			// shutdown checkpoint still gets a chance to persist state.

@@ -14,7 +14,8 @@
 //	saad-instrument -dict dict.json -hitpkg saadlog -write ./server
 //
 // Verify already-instrumented sources against their committed dictionary
-// (the same checks the logpointcheck analyzer in saad-vet runs):
+// (unique ids, ids known to the dictionary, templates unchanged, every log
+// statement still preceded by its Hit):
 //
 //	saad-instrument -dict dict.json -hitpkg saadlog -check ./server
 //
@@ -100,8 +101,7 @@ func run(args []string) error {
 
 	// Re-instrumentation guard: if a dictionary is already committed at the
 	// output path, a fresh pass must not silently reassign the meaning of an
-	// existing id. DiffDictionaries is the same drift detection logpointcheck
-	// applies at vet time.
+	// existing id. DiffDictionaries is the drift detection -check applies.
 	if old, err := readDict(*dictPath); err == nil {
 		if problems := instrument.DiffDictionaries(old, res.Dictionary); len(problems) > 0 {
 			for _, p := range problems {
@@ -152,8 +152,7 @@ func run(args []string) error {
 }
 
 // runCheck verifies already-instrumented sources against the committed
-// dictionary, using the same scan/verify implementation logpointcheck runs
-// at vet time (internal/instrument.ScanInstrumented + Scan.Verify).
+// dictionary (internal/instrument.ScanInstrumented + Scan.Verify).
 func runCheck(files []instrument.File, dictPath, logger, methods, hitpkg string) error {
 	dict, err := readDict(dictPath)
 	if err != nil {

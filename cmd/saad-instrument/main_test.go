@@ -110,6 +110,17 @@ func TestRunCheckMode(t *testing.T) {
 	}
 }
 
+// TestCommittedExampleChecksClean holds examples/instrumented to the
+// dictionary committed next to it: an id used twice or unknown to the
+// dictionary, a template edited after its id was assigned, or a log
+// statement that lost its Hit fails tier-1 here.
+func TestCommittedExampleChecksClean(t *testing.T) {
+	dir := filepath.Join("..", "..", "examples", "instrumented")
+	if err := run([]string{"-dict", filepath.Join(dir, "saad-dict.json"), "-hitpkg", "saadlog", "-check", dir}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRunRefusesDriftedRedictionary(t *testing.T) {
 	dir := writeSample(t)
 	dictPath := filepath.Join(t.TempDir(), "dict.json")

@@ -1,11 +1,9 @@
 // The simplified HDFS DataXceiver of the paper's Figure 3, carrying the
-// instrumentation cmd/saad-instrument inserted. The //saad:instrumented
-// directive below declares the committed dictionary this file's log-point
-// ids were assigned from; `saad-vet` (logpointcheck) verifies on every CI
-// run that the ids are unique, known to the dictionary, and that no
-// template has drifted since assignment.
-//
-//saad:instrumented dict=saad-dict.json hitpkg=saadlog logger=log
+// instrumentation cmd/saad-instrument inserted. Its log-point ids were
+// assigned from the committed saad-dict.json; cmd/saad-instrument's tests
+// run `saad-instrument -check` over this directory, so tier-1 fails when an
+// id is duplicated or unknown to the dictionary, a template has drifted
+// since assignment, or a log statement has lost its Hit.
 
 package main
 

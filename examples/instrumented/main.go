@@ -9,8 +9,9 @@
 // tracker through the saadlog shim; ending the task emits a synopsis whose
 // frequency vector this program prints back through the dictionary.
 //
-// `saad-vet` (logpointcheck) machine-checks the committed pair on every
-// run: unique ids, ids known to the dictionary, templates unchanged.
+// cmd/saad-instrument's tests hold the committed pair together with
+// `saad-instrument -check`: unique ids, ids known to the dictionary,
+// templates unchanged.
 //
 // Run with: go run ./examples/instrumented
 package main

@@ -108,8 +108,6 @@ func WithAdmission(cfg AdmissionConfig) EngineOption {
 
 // admit decides one synopsis's fate against sh's queue. It returns false
 // when the synopsis must be shed (already counted); true admits it.
-//
-//saad:hotpath
 func (e *Engine) admit(sh *shard) bool {
 	a := &sh.adm
 	depth := len(sh.ch)

@@ -259,7 +259,7 @@ func TestEngineAdmissionIsolatesShards(t *testing.T) {
 	var coreFedB uint64
 	e.quiesce(func(i int, sh *shard) {
 		if i == e.shardIndex(hostB, 1) {
-			coreFedB = sh.nfed
+			coreFedB = sh.nfed.Load()
 		}
 	})
 	if coreFedB != nB {
@@ -355,10 +355,10 @@ func TestEngineAdmissionConcurrentStorm(t *testing.T) {
 	if got := e.Fed() + e.Shed(); got != offered {
 		t.Fatalf("fed %d + shed %d = %d, want offered %d", e.Fed(), e.Shed(), got, offered)
 	}
-	// Everything admitted must reach a core (nfed is worker-owned: read it
-	// under quiesce, one slot per shard).
+	// Everything admitted must reach a core (quiesce is the barrier; one
+	// slot per shard).
 	fedPer := make([]uint64, len(e.shards))
-	e.quiesce(func(i int, sh *shard) { fedPer[i] = sh.nfed })
+	e.quiesce(func(i int, sh *shard) { fedPer[i] = sh.nfed.Load() })
 	var coreFed uint64
 	for _, n := range fedPer {
 		coreFed += n

@@ -202,7 +202,7 @@ func ReadCheckpoint(r io.Reader) (*Detector, error) {
 		if d.open[key] != nil {
 			return nil, wj.errorf("more than one window for the group")
 		}
-		d.open[key] = ws
+		d.adopt(key, ws)
 	}
 	for _, st := range raw.History {
 		d.stats = append(d.stats, WindowStats{

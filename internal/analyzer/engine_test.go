@@ -319,6 +319,7 @@ func TestEngineShardStatsAndMetrics(t *testing.T) {
 	defer eng.Close()
 	stream := multiGroupStream(4)
 	feedEngineConcurrently(eng, stream)
+	eng.Drain() // ShardStats reads published counts and is no barrier itself
 	stats := eng.ShardStats()
 	if len(stats) != 4 {
 		t.Fatalf("ShardStats len = %d", len(stats))
@@ -350,6 +351,51 @@ func TestEngineShardStatsAndMetrics(t *testing.T) {
 	}
 	if got := snap.Counter("saad_analyzer_late_synopses_total"); got != eng.LateSynopses() {
 		t.Fatalf("late metric = %d, engine reports %d", got, eng.LateSynopses())
+	}
+}
+
+// TestShardCountsAnswerWhileSinkBlocks: reading state never parks behind the
+// data path. With the one shard's worker stuck inside the anomaly sink — a
+// stalled event log, a full stdout pipe — ShardStats and LateSynopses still
+// answer at once, with the counts as of the last message the worker finished;
+// once the sink lets go and a barrier has passed they are exact again.
+func TestShardCountsAnswerWhileSinkBlocks(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	letGo := sync.OnceFunc(func() { close(release) })
+	e := NewEngine(trainedModel(t), WithShards(1), WithAnomalySink(func([]Anomaly) {
+		close(entered) // the one anomaly batch of this stream
+		<-release
+	}))
+	defer e.Close()
+	defer letGo() // on the way out of a failure too, or Close waits for ever
+
+	e.Feed(makeSyn(1, 1, epoch, 10*time.Millisecond, 9))                             // a flow the model never saw
+	e.Feed(makeSyn(1, 1, epoch.Add(2*time.Minute), 10*time.Millisecond, 1, 2, 4, 5)) // closes its window: the sink blocks
+	e.Feed(makeSyn(1, 1, epoch, 10*time.Millisecond, 1, 2, 4, 5))                    // queued behind it, late once observed
+	<-entered
+
+	type counts struct {
+		stat ShardStat
+		late uint64
+	}
+	read := func() counts { return counts{e.ShardStats()[0], e.LateSynopses()} }
+	answered := make(chan counts, 1)
+	go func() { answered <- read() }()
+	select {
+	case got := <-answered:
+		want := counts{stat: ShardStat{QueueLen: 1, QueueCap: 1024, Fed: 1, Pending: 1}}
+		if got != want {
+			t.Fatalf("while the sink blocks: %+v, want %+v", got, want)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("ShardStats and LateSynopses did not answer within 100 ms of the sink blocking")
+	}
+
+	letGo()
+	e.Drain()
+	want := counts{stat: ShardStat{QueueCap: 1024, Fed: 3, Pending: 1}, late: 1}
+	if got := read(); got != want || e.PendingTasks() != want.stat.Pending {
+		t.Fatalf("after the barrier: %+v (PendingTasks %d), want %+v", got, e.PendingTasks(), want)
 	}
 }
 

@@ -39,9 +39,10 @@ func (e *Engine) ExportGroups(selectGroup func(host uint16, stage logpoint.Stage
 		d := sh.core
 		for _, k := range d.openKeys() {
 			if selectGroup(k.host, k.stage) {
-				sec = append(sec, windowToJSON(k, d.open[k]))
-				d.recycle(d.open[k])
-				delete(d.open, k)
+				w := d.open[k]
+				sec = append(sec, windowToJSON(k, w))
+				d.evict(k, w)
+				d.recycle(w)
 			}
 		}
 		return sec
@@ -127,7 +128,7 @@ func (e *Engine) importGroups(data []byte, dropConflicts bool) (int, int, error)
 	}
 	e.quiesce(func(i int, sh *shard) {
 		for k, ws := range parts[i] {
-			sh.core.open[k] = ws
+			sh.core.adopt(k, ws)
 		}
 	})
 	return len(raw.Windows) - dropped, dropped, nil

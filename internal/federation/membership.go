@@ -165,8 +165,6 @@ func (m *Membership) SetSelfGossipAddr(addr string) {
 }
 
 // Ring returns the current ring. Wait-free; safe from any goroutine.
-//
-//saad:hotpath
 func (m *Membership) Ring() *Ring { return m.ring.Load() }
 
 // Epoch returns the current topology version.

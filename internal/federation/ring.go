@@ -25,8 +25,6 @@ const DefaultVirtualNodes = 128
 // exactly one owner per topology. (The engine's internal shard hash is a
 // different, per-process function; the two partitions are independent
 // layers.)
-//
-//saad:hotpath
 func KeyHash(host uint16, stage logpoint.StageID) uint64 {
 	// FNV-1a over the 4 identity bytes, unrolled so the hot path makes no
 	// hash.Hash allocation.
@@ -116,8 +114,6 @@ func (r *Ring) Peers() []string { return r.peers }
 
 // OwnerOfHash returns the peer owning a precomputed key hash: the first
 // virtual node clockwise from the hash. Empty string on an empty ring.
-//
-//saad:hotpath
 func (r *Ring) OwnerOfHash(h uint64) string {
 	pts := r.points
 	if len(pts) == 0 {
@@ -140,8 +136,6 @@ func (r *Ring) OwnerOfHash(h uint64) string {
 }
 
 // Owner returns the peer owning the (host, stage) group key.
-//
-//saad:hotpath
 func (r *Ring) Owner(host uint16, stage logpoint.StageID) string {
 	return r.OwnerOfHash(KeyHash(host, stage))
 }

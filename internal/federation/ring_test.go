@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"saad/internal/logpoint"
+	"saad/internal/raceflag"
 )
 
 // allKeys enumerates a representative slab of the group-key space.
@@ -154,5 +155,28 @@ func BenchmarkRingOwner(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = r.Owner(uint16(i), logpoint.StageID(i%7))
+	}
+}
+
+// TestRoutingAllocs pins what the fleet pays to route one record: reading
+// the current ring off the membership, hashing the group key and finding its
+// owner allocate nothing.
+func TestRoutingAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	m := NewMembership(PeerInfo{ID: "peer-a"}, MembershipConfig{})
+	m.AddPeer(PeerInfo{ID: "peer-b"})
+	m.AddPeer(PeerInfo{ID: "peer-c"})
+	var host uint16
+	got := testing.AllocsPerRun(1000, func() {
+		host++
+		r := m.Ring()
+		if byHash, byKey := r.OwnerOfHash(KeyHash(host, 3)), r.Owner(host, 3); byHash == "" || byHash != byKey {
+			t.Fatalf("host %d: OwnerOfHash says %q, Owner says %q", host, byHash, byKey)
+		}
+	})
+	if got != 0 {
+		t.Errorf("Membership.Ring + KeyHash + OwnerOfHash + Owner = %v allocs, want 0", got)
 	}
 }

@@ -4,9 +4,8 @@
 // committed log template dictionary, it detects the drift classes that
 // silently corrupt SAAD signatures — duplicate or unknown log-point ids,
 // templates edited without a new id, and log statements that lost their
-// Hit. Both cmd/saad-instrument (-check and re-instrumentation guard) and
-// the logpointcheck analyzer in internal/lint call this one implementation,
-// so the build-time pass and the vet-time pass cannot disagree.
+// Hit. cmd/saad-instrument's -check and its re-instrumentation guard both
+// call this one implementation.
 package instrument
 
 import (

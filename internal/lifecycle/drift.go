@@ -212,8 +212,6 @@ func (m *DriftMonitor) sigKey(s *synopsis.Synopsis) []byte {
 
 // Observe feeds one live synopsis to the monitor. It returns a report when
 // the synopsis completes an evaluation epoch and nil otherwise.
-//
-//saad:hotpath
 func (m *DriftMonitor) Observe(s *synopsis.Synopsis) *DriftReport {
 	m.total++
 	st := m.stages[s.Stage]

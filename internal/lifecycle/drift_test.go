@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"saad/internal/raceflag"
 )
 
 func driftTestConfig() DriftConfig {
@@ -204,5 +206,28 @@ func TestDriftDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("drift evaluation is nondeterministic:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestDriftObserveAllocs pins the monitor's per-synopsis cost: short of the
+// one that completes an epoch, Observe allocates nothing — the signature is
+// looked up through the scratch buffer and the duration lands in a bucket
+// that already exists.
+func TestDriftObserveAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	model := trainOn(t, traffic(12000, 10, epoch, nil))
+	m := NewDriftMonitor(model, DriftConfig{EpochTasks: 1 << 30})
+	live := traffic(512, 11, epoch.Add(time.Hour), nil)
+	i := 0
+	got := testing.AllocsPerRun(2000, func() {
+		if rep := m.Observe(live[i%len(live)]); rep != nil {
+			t.Fatalf("epoch closed after %d synopses", m.Total())
+		}
+		i++
+	})
+	if got != 0 {
+		t.Errorf("DriftMonitor.Observe = %v allocs, want 0", got)
 	}
 }

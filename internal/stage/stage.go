@@ -117,7 +117,7 @@ func (e *Executor) Submit(req any) error {
 	// between the check and the send. The queue is buffered, so the common
 	// case does not block; when it does, submitters serialize, which is
 	// the backpressure a bounded stage queue is meant to apply.
-	e.queue <- req //saad:allow lockcheck send-under-lock is the Close-safety protocol; workers always drain
+	e.queue <- req
 	e.mu.Unlock()
 	return nil
 }

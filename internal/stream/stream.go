@@ -57,8 +57,6 @@ func (c *Channel) RegisterMetrics(r *metrics.Registry) {
 // Emit implements tracker.Sink. When the buffer is full or the channel is
 // closed the synopsis is dropped and counted: SAAD is a monitoring layer
 // and must never apply backpressure to the server it observes.
-//
-//saad:hotpath
 func (c *Channel) Emit(s *synopsis.Synopsis) {
 	// An emitter that loads closed as false while Close runs may still
 	// win the send; that synopsis is buffered and remains drainable, so

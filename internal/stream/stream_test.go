@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"saad/internal/raceflag"
 	"saad/internal/synopsis"
 )
 
@@ -44,6 +45,31 @@ func TestChannelDropsWhenFull(t *testing.T) {
 	}
 	if got := ch.Drain(); len(got) != 2 {
 		t.Fatalf("kept %d", len(got))
+	}
+}
+
+// TestChannelEmitAllocs pins the in-process transport at zero allocations
+// per synopsis on all three ways out of Emit: buffered, dropped on a full
+// buffer, dropped after Close.
+func TestChannelEmitAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	ch := NewChannel(1)
+	s := syn(1)
+	buffered := testing.AllocsPerRun(1000, func() {
+		ch.Emit(s)
+		<-ch.C()
+	})
+	ch.Emit(s)
+	full := testing.AllocsPerRun(1000, func() { ch.Emit(s) })
+	ch.Close()
+	closed := testing.AllocsPerRun(1000, func() { ch.Emit(s) })
+	if buffered != 0 || full != 0 || closed != 0 {
+		t.Errorf("Channel.Emit = %v allocs buffered, %v full, %v closed; want 0 each", buffered, full, closed)
+	}
+	if ch.Emitted() != 1002 || ch.Dropped() != 2002 {
+		t.Errorf("emitted %d, dropped %d; want 1002 and 2002 (AllocsPerRun adds a warm-up call)", ch.Emitted(), ch.Dropped())
 	}
 }
 

@@ -42,8 +42,6 @@ const maxRecordSize = 1 << 20
 var ErrRecordTooLarge = errors.New("synopsis: record exceeds size limit")
 
 // uvarintLen returns the number of bytes binary.PutUvarint emits for v.
-//
-//saad:hotpath
 func uvarintLen(v uint64) int {
 	n := 1
 	for v >= 0x80 {
@@ -54,8 +52,6 @@ func uvarintLen(v uint64) int {
 }
 
 // tracePayloadSize returns the encoded size of the extTrace payload.
-//
-//saad:hotpath
 func tracePayloadSize(sp *trace.Span) int {
 	return uvarintLen(uint64(sp.Emit)) + uvarintLen(uint64(sp.Send))
 }
@@ -63,8 +59,6 @@ func tracePayloadSize(sp *trace.Span) int {
 // bodySize returns the exact encoded body length of s — the record bytes
 // after the length prefix — computed arithmetically so encoders can reserve
 // or prefix without producing the encoding first.
-//
-//saad:hotpath
 func bodySize(s *Synopsis) int {
 	n := uvarintLen(uint64(s.Stage)) +
 		uvarintLen(uint64(s.Host)) +
@@ -85,8 +79,6 @@ func bodySize(s *Synopsis) int {
 }
 
 // appendBody appends the record body of s (no length prefix) to dst.
-//
-//saad:hotpath
 func appendBody(dst []byte, s *Synopsis) []byte {
 	dst = binary.AppendUvarint(dst, uint64(s.Stage))
 	dst = binary.AppendUvarint(dst, uint64(s.Host))
@@ -106,8 +98,6 @@ func appendBody(dst []byte, s *Synopsis) []byte {
 // appendExtensions appends the extensions s carries — id, payload length,
 // payload each — in the form both framings share; nothing when it carries
 // none.
-//
-//saad:hotpath
 func appendExtensions(dst []byte, s *Synopsis) []byte {
 	if sp := s.Trace; sp != nil {
 		dst = binary.AppendUvarint(dst, extTrace)
@@ -121,8 +111,6 @@ func appendExtensions(dst []byte, s *Synopsis) []byte {
 // AppendRecord appends the canonical binary encoding of s to dst and returns
 // the extended slice. The synopsis should be normalized. It is truly
 // append-only: with sufficient capacity in dst it performs no allocation.
-//
-//saad:hotpath
 func AppendRecord(dst []byte, s *Synopsis) []byte {
 	dst = binary.AppendUvarint(dst, uint64(bodySize(s)))
 	return appendBody(dst, s)
@@ -130,8 +118,6 @@ func AppendRecord(dst []byte, s *Synopsis) []byte {
 
 // EncodedSize returns the number of bytes AppendRecord would emit for s,
 // computed arithmetically without producing the encoding.
-//
-//saad:hotpath
 func EncodedSize(s *Synopsis) int {
 	b := bodySize(s)
 	return uvarintLen(uint64(b)) + b
@@ -151,8 +137,6 @@ func NewDecoder(r io.Reader) *Decoder {
 
 // Decode reads the next record into s. It returns io.EOF at a clean end of
 // stream and io.ErrUnexpectedEOF for a truncated record.
-//
-//saad:hotpath
 func (d *Decoder) Decode(s *Synopsis) error {
 	size, err := binary.ReadUvarint(d.r)
 	if err != nil {
@@ -177,7 +161,6 @@ func (d *Decoder) Decode(s *Synopsis) error {
 	return decodeBody(d.buf, s)
 }
 
-//saad:hotpath
 func decodeBody(buf []byte, s *Synopsis) error {
 	get := func() (uint64, error) {
 		v, n := binary.Uvarint(buf)
@@ -277,8 +260,6 @@ func decodeBody(buf []byte, s *Synopsis) error {
 // least the inline size and twice the old one: a pooled record meets tasks
 // of every size in turn, and growing to exactly n would re-make its array
 // for each one point larger than the last.
-//
-//saad:hotpath
 func (s *Synopsis) resizePoints(n int) {
 	if c := cap(s.Points); c < n {
 		s.Points = make([]PointCount, max(n, inlinePoints, 2*c))

@@ -79,15 +79,15 @@ type record struct {
 // Pinning rule: because Points may point into the block, a holder of
 // s.Points alone keeps the whole 128-byte block alive, not just the points.
 // Code that retains points past the synopsis should copy them out.
-//
-//saad:hotpath
 func New(pts []PointCount) *Synopsis {
 	r := &record{}
 	if len(pts) <= inlinePoints {
 		r.Points = r.inline[:len(pts):inlinePoints]
 		copy(r.Points, pts)
 	} else {
-		r.Points = append([]PointCount(nil), pts...) //saad:allow hotpathcheck runs once per task (never per hit), and only for the few tasks with more distinct points than the block holds inline
+		// Once per task, never per hit, and only for the few tasks with more
+		// distinct points than the block holds inline.
+		r.Points = append([]PointCount(nil), pts...)
 	}
 	return &r.Synopsis
 }
@@ -107,8 +107,6 @@ func (s *Synopsis) Clone() *Synopsis {
 
 // Normalize sorts Points by id and merges duplicates, establishing the
 // canonical form the codec and Signature rely on. It allocates nothing.
-//
-//saad:hotpath
 func (s *Synopsis) Normalize() {
 	if len(s.Points) < 2 {
 		return

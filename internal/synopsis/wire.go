@@ -196,11 +196,8 @@ func PeekHello(br *bufio.Reader) (int, bool, error) {
 
 // zigzag maps a signed delta onto the uvarint range so small magnitudes of
 // either sign stay one byte.
-//
-//saad:hotpath
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
-//saad:hotpath
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // BatchEncoder builds v2 batch frames with per-connection flow interning.
@@ -233,8 +230,6 @@ func (e *BatchEncoder) InternedRefs() uint64 { return e.interned }
 // appendRecordV2 appends one self-delimiting v2 record to dst, updating
 // the intern table and the frame's start-delta base. Only a definition the
 // table takes allocates (its map key).
-//
-//saad:hotpath
 func (e *BatchEncoder) appendRecordV2(dst []byte, s *Synopsis) []byte {
 	var flags uint64
 	if s.Trace != nil {
@@ -302,8 +297,6 @@ func (e *BatchEncoder) appendRecordV2(dst []byte, s *Synopsis) []byte {
 // size bound, and returns the extended slice. With sufficient capacity in
 // dst and the encoder's scratch, steady-state encoding performs no
 // allocation.
-//
-//saad:hotpath
 func (e *BatchEncoder) AppendFrames(dst []byte, batch []*Synopsis) []byte {
 	for len(batch) > 0 {
 		body := e.body[:0]
@@ -436,8 +429,6 @@ func (d *BatchDecoder) nextFrame() error {
 // the stream when the current one is exhausted. Decoding into a reused s
 // (or one drawn from a Pool) performs no steady-state allocation: the
 // frame scratch, the intern table and s.Points are all reused.
-//
-//saad:hotpath
 func (d *BatchDecoder) Decode(s *Synopsis) error {
 	if d.left == 0 {
 		if err := d.nextFrame(); err != nil {
@@ -463,8 +454,6 @@ func (d *BatchDecoder) Decode(s *Synopsis) error {
 // the remainder; ok is false on truncation or overflow. The one-byte fast
 // path is taken by nearly every field of a steady-state record (flow refs,
 // deltas, counts), keeping the whole call inlinable.
-//
-//saad:hotpath
 func uvarint(buf []byte) (v uint64, rest []byte, ok bool) {
 	if len(buf) > 0 && buf[0] < 0x80 {
 		return uint64(buf[0]), buf[1:], true
@@ -476,7 +465,6 @@ func uvarint(buf []byte) (v uint64, rest []byte, ok bool) {
 	return v, buf[n:], true
 }
 
-//saad:hotpath
 func (d *BatchDecoder) decodeRecordV2(s *Synopsis) error {
 	buf := d.body
 	var ok bool
@@ -628,8 +616,6 @@ func NewPool(capacity int) *Pool {
 // GetN fills every element of dst with an idle or fresh synopsis under a
 // single lock — the receive loop's bulk refill, so per-record pool cost
 // amortizes to near zero.
-//
-//saad:hotpath
 func (p *Pool) GetN(dst []*Synopsis) {
 	if p == nil {
 		for i := range dst {
@@ -656,8 +642,6 @@ func (p *Pool) GetN(dst []*Synopsis) {
 
 // Put recycles s. The caller must not touch s afterwards. When the pool is
 // full (or nil) s is left to the garbage collector.
-//
-//saad:hotpath
 func (p *Pool) Put(s *Synopsis) {
 	if p == nil || s == nil {
 		return
@@ -674,8 +658,6 @@ func (p *Pool) Put(s *Synopsis) {
 // PutN recycles a batch under a single lock. The caller must not touch the
 // elements (or the slice, which is cleared) afterwards; synopses beyond
 // the pool's capacity are left to the garbage collector.
-//
-//saad:hotpath
 func (p *Pool) PutN(batch []*Synopsis) {
 	if p == nil {
 		return

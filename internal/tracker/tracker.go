@@ -93,8 +93,6 @@ func (t *Tracker) Host() uint16 { return t.host }
 // equivalent of the paper's setContext(stageId) stage delimiter. It returns
 // nil when the tracker is disabled or nil; all Task methods are nil-safe so
 // instrumented code needs no branches.
-//
-//saad:hotpath
 func (t *Tracker) Begin(stage logpoint.StageID, now time.Time) *Task {
 	if t == nil || !t.enabled.Load() {
 		return nil
@@ -132,8 +130,6 @@ type Task struct {
 // Hit registers one encounter of the log point at virtual time now. This is
 // what the interposed logging shim calls for every log statement the task
 // executes, regardless of verbosity level.
-//
-//saad:hotpath
 func (t *Task) Hit(id logpoint.ID, now time.Time) {
 	if t == nil {
 		return
@@ -180,8 +176,6 @@ func (t *Task) Start() time.Time {
 // (the paper's definition); a task that hit no log points falls back to the
 // termination time. End is idempotent only in the sense that a nil task is a
 // no-op; the Task must not be used after End.
-//
-//saad:hotpath
 func (t *Task) End(now time.Time) {
 	if t == nil {
 		return
