@@ -286,23 +286,22 @@ func (d *Detector) recycle(w *windowState) {
 // LateSynopses returns how many synopses were dropped as late arrivals.
 func (d *Detector) LateSynopses() uint64 { return d.late }
 
-// sigKey packs the synopsis's signature bytes into the detector's scratch
-// buffer (no allocation). A synopsis in canonical form (Normalize) has its
-// points sorted and distinct, so the packed bytes equal s.Signature(); a
-// malformed one falls back to the allocating, canonicalizing path.
-func (d *Detector) sigKey(s *synopsis.Synopsis) []byte {
-	buf := d.scratch[:0]
+// sigKey packs the synopsis's signature bytes into buf's storage and returns
+// them (no allocation once buf has grown). A synopsis in canonical form
+// (Normalize) has its points sorted and distinct, so the packed bytes equal
+// s.Signature(); a malformed one falls back to the allocating,
+// canonicalizing path. The detector and the trainer each pass a scratch
+// buffer they reuse.
+func sigKey(buf []byte, s *synopsis.Synopsis) []byte {
+	buf = buf[:0]
 	var prev logpoint.ID
 	for i, pc := range s.Points {
 		if i > 0 && pc.Point <= prev {
-			buf = append(buf[:0], s.Signature()...)
-			d.scratch = buf
-			return buf
+			return append(buf[:0], s.Signature()...)
 		}
 		buf = append(buf, byte(pc.Point>>8), byte(pc.Point))
 		prev = pc.Point
 	}
-	d.scratch = buf
 	return buf
 }
 
@@ -322,7 +321,8 @@ func (d *Detector) observe(w *windowState, s *synopsis.Synopsis) {
 	w.tasks++
 	d.pending++
 	sm := w.sm
-	buf := d.sigKey(s)
+	d.scratch = sigKey(d.scratch, s)
+	buf := d.scratch
 	var (
 		id int32
 		ok bool

@@ -169,8 +169,11 @@ func (m *Model) Knows(stage logpoint.StageID, sig synopsis.Signature) bool {
 // Trainer is not safe for concurrent use.
 type Trainer struct {
 	cfg    Config
-	groups map[logpoint.StageID]map[synopsis.Signature][]time.Duration
+	groups map[logpoint.StageID]map[synopsis.Signature]*[]time.Duration
 	count  int
+	// scratch holds the packed signature bytes of the synopsis being added;
+	// a Signature is materialized only the first time a flow is seen.
+	scratch []byte
 }
 
 // NewTrainer returns a trainer with the given configuration.
@@ -180,7 +183,7 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	}
 	return &Trainer{
 		cfg:    cfg,
-		groups: make(map[logpoint.StageID]map[synopsis.Signature][]time.Duration),
+		groups: make(map[logpoint.StageID]map[synopsis.Signature]*[]time.Duration),
 	}, nil
 }
 
@@ -188,11 +191,16 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 func (t *Trainer) Add(s *synopsis.Synopsis) {
 	byStage := t.groups[s.Stage]
 	if byStage == nil {
-		byStage = make(map[synopsis.Signature][]time.Duration)
+		byStage = make(map[synopsis.Signature]*[]time.Duration)
 		t.groups[s.Stage] = byStage
 	}
-	sig := s.Signature()
-	byStage[sig] = append(byStage[sig], s.Duration)
+	t.scratch = sigKey(t.scratch, s)
+	durs := byStage[synopsis.Signature(t.scratch)] // converting inside the index does not allocate
+	if durs == nil {
+		durs = new([]time.Duration)
+		byStage[synopsis.Signature(t.scratch)] = durs
+	}
+	*durs = append(*durs, s.Duration)
 	t.count++
 }
 
@@ -219,17 +227,17 @@ func (t *Trainer) Train() (*Model, error) {
 	return model, nil
 }
 
-func (t *Trainer) trainStage(stage logpoint.StageID, sigs map[synopsis.Signature][]time.Duration) (*StageModel, error) {
+func (t *Trainer) trainStage(stage logpoint.StageID, sigs map[synopsis.Signature]*[]time.Duration) (*StageModel, error) {
 	sm := &StageModel{
 		Stage:      stage,
 		Signatures: make(map[synopsis.Signature]*SignatureModel, len(sigs)),
 	}
 	for _, durs := range sigs {
-		sm.Total += len(durs)
+		sm.Total += len(*durs)
 	}
 	outlierTasks := 0
 	for sig, durs := range sigs {
-		sigModel, err := t.trainSignature(sig, durs, sm.Total)
+		sigModel, err := t.trainSignature(sig, *durs, sm.Total)
 		if err != nil {
 			return nil, err
 		}

@@ -3,11 +3,13 @@ package analyzer
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"saad/internal/logpoint"
+	"saad/internal/raceflag"
 	"saad/internal/synopsis"
 	"saad/internal/vtime"
 )
@@ -216,6 +218,42 @@ func TestTrainerIncremental(t *testing.T) {
 	}
 	if model.TrainedOn != 100 {
 		t.Fatalf("TrainedOn = %d", model.TrainedOn)
+	}
+}
+
+// TestTrainerAddAllocs pins what a training synopsis costs once its flow has
+// been seen: the bucket is found through the reused packed key, no Signature
+// is built, and with room in the duration slice nothing is allocated — the
+// slice's amortised growth is the trainer's only per-synopsis memory.
+func TestTrainerAddAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	tr, err := NewTrainer(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := trainTrace(2, 100, 5, time.Millisecond)
+	for _, s := range trace {
+		tr.Add(s)
+	}
+	const runs = 100
+	for _, durs := range tr.groups[2] {
+		*durs = slices.Grow(*durs, (runs+1)*len(trace))
+	}
+	got := testing.AllocsPerRun(runs, func() {
+		for _, s := range trace {
+			tr.Add(s)
+		}
+	})
+	if got != 0 {
+		t.Fatalf("Add of %d synopses of known flows allocated %v times, want 0", len(trace), got)
+	}
+	if want := (runs + 2) * len(trace); tr.Count() != want {
+		t.Fatalf("Count = %d, want %d", tr.Count(), want)
+	}
+	if n := len(tr.groups[2]); n != 2 {
+		t.Fatalf("%d signature groups, want 2", n)
 	}
 }
 

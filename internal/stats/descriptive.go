@@ -11,7 +11,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrNoData is returned by operations that need at least one observation.
@@ -49,7 +48,9 @@ func (w *Welford) Variance() float64 {
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. xs is not modified.
+// interpolation between closest ranks. xs is not modified. Only the two
+// order statistics the interpolation reads are selected, on a private copy;
+// the result is the one a full sort gives.
 func Percentile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrNoData
@@ -60,21 +61,52 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	if p >= 100 {
 		return maxFloat(xs), nil
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p), nil
+	work := make([]float64, len(xs))
+	copy(work, xs)
+	rank := p / 100 * float64(len(work)-1)
+	lo := int(math.Floor(rank))
+	selectNth(work, lo)
+	frac := rank - float64(lo)
+	if frac == 0 {
+		return work[lo], nil
+	}
+	// Everything after lo is no smaller, so the next order statistic is the
+	// least of it (rank is fractional and at most len-1, so lo+1 exists).
+	return work[lo]*(1-frac) + minFloat(work[lo+1:])*frac, nil
 }
 
-func percentileSorted(sorted []float64, p float64) float64 {
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
+// selectNth reorders xs so that xs[k] is its k-th order statistic, nothing
+// before it is larger and nothing after it is smaller: Hoare's quickselect
+// on the middle element, linear on average. xs must hold no NaN.
+func selectNth(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		pivot := xs[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for pivot < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// xs[lo..j] <= pivot <= xs[i..hi], and anything between j and i
+		// equals the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
 	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 func minFloat(xs []float64) float64 {

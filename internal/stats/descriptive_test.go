@@ -3,6 +3,9 @@ package stats
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -90,6 +93,85 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	for i := range xs {
 		if xs[i] != orig[i] {
 			t.Fatalf("input mutated: %v != %v", xs, orig)
+		}
+	}
+}
+
+// percentileSorted is the reference Percentile is held to: the definition
+// read off a fully sorted copy, as Percentile computed it before it selected.
+func percentileSorted(sorted []float64, p float64) float64 {
+	rank := p / 100 * float64(len(sorted)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := rank - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// Selection gives the sort's value exactly (==, no tolerance) on every
+// shape that could trip a quickselect, and never writes to its input.
+func TestPercentileEqualsSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	shapes := []struct {
+		name string
+		gen  func(i, n int) float64
+	}{
+		{"random", func(i, n int) float64 { return rng.ExpFloat64() * 1e6 }},
+		{"ties", func(i, n int) float64 { return float64(rng.Intn(3)) }},
+		{"constant", func(i, n int) float64 { return 7 }},
+		{"sorted", func(i, n int) float64 { return float64(i) * 1.5 }},
+		{"reversed", func(i, n int) float64 { return float64(n-i) * 1.5 }},
+		{"sawtooth", func(i, n int) float64 { return float64(i % 17) }},
+	}
+	for _, shape := range shapes {
+		name := shape.name
+		for _, n := range []int{1, 2, 3, 4, 5, 101, 10000} {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = shape.gen(i, n)
+			}
+			orig := append([]float64(nil), xs...)
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			for _, p := range []float64{0.1, 1, 25, 50, 99, 99.9} {
+				got, err := Percentile(xs, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := percentileSorted(sorted, p); got != want {
+					t.Errorf("%s n=%d p=%v: Percentile = %v, sorted reference = %v", name, n, p, got, want)
+				}
+			}
+			if !slices.Equal(xs, orig) {
+				t.Fatalf("%s n=%d: input modified", name, n)
+			}
+		}
+	}
+}
+
+// selectNth leaves the k-th order statistic at k with nothing larger before
+// it and nothing smaller after it, for every k.
+func TestSelectNthPartitions(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(60)
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(rng.Intn(1 + n/2))
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		k := rng.Intn(n)
+		selectNth(xs, k)
+		if xs[k] != sorted[k] {
+			t.Fatalf("trial %d: xs[%d] = %v, want %v", trial, k, xs[k], sorted[k])
+		}
+		for i, x := range xs {
+			if (i < k && x > xs[k]) || (i > k && x < xs[k]) {
+				t.Fatalf("trial %d: xs[%d] = %v on the wrong side of xs[%d] = %v", trial, i, x, k, xs[k])
+			}
 		}
 	}
 }

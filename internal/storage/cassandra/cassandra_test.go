@@ -1,6 +1,9 @@
 package cassandra
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"testing"
 	"time"
@@ -421,5 +424,71 @@ func TestThroughputDropsWhenAllHostsDelayed(t *testing.T) {
 	}))
 	if float64(slowed) > 0.5*float64(baseline) {
 		t.Fatalf("closed-loop throughput did not drop: %d vs %d", slowed, baseline)
+	}
+}
+
+// traceHash folds (stage, host, task id, start, duration, points) of every
+// synopsis, in emission order, into one SHA-256.
+func traceHash(syns []*synopsis.Synopsis) string {
+	h := sha256.New()
+	var b []byte
+	for _, s := range syns {
+		b = binary.LittleEndian.AppendUint16(b[:0], uint16(s.Stage))
+		b = binary.LittleEndian.AppendUint16(b, s.Host)
+		b = binary.LittleEndian.AppendUint64(b, s.TaskID)
+		b = binary.LittleEndian.AppendUint64(b, uint64(s.Start.UnixNano()))
+		b = binary.LittleEndian.AppendUint64(b, uint64(s.Duration))
+		for _, pc := range s.Points {
+			b = binary.LittleEndian.AppendUint16(b, uint16(pc.Point))
+			b = binary.LittleEndian.AppendUint32(b, pc.Count)
+		}
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestTraceGolden pins the virtual-time cluster's output to the bit: the
+// run every benchmark set-up and experiment starts from (4 hosts, 40
+// clients, 150 ms think, write-heavy over 2000 records — inserts grow the
+// keyspace, memtables flush and compact), fault-free and with the WAL-delay
+// fault. The hashes were recorded at the commit before the Zipfian
+// chooser, the LSM flush path and stats.Percentile were made cheaper; a
+// change to any of them that moves one task by one nanosecond fails here.
+func TestTraceGolden(t *testing.T) {
+	const horizon = 50 * time.Second
+	cases := []struct {
+		name  string
+		inj   *faults.Injector
+		count int
+		hash  string
+	}{
+		{name: "fault-free", count: 176170,
+			hash: "850f0f792396357011c90a348fbee02ceec38eb63ebcbee1322725145c23005e"},
+		{name: "wal-delay", inj: faults.NewInjector(faults.Fault{
+			Name: "delay-wal", Point: faults.PointWALAppend, Mode: faults.ModeDelay,
+			Probability: 1, Delay: 100 * time.Millisecond, Host: 4,
+			From: epoch.Add(horizon * 3 / 10), To: epoch.Add(horizon * 7 / 10),
+		}), count: 169223,
+			hash: "39bd56b0da64d5a3db948abbf5916cbb7ef8eec9f30d225f3b2c3eed1377d784"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := stream.NewChannel(1 << 20)
+			c := newCluster(t, sink, tc.inj)
+			gen := workload.NewGenerator(workload.Config{Records: 2000, Seed: 8, Mix: workload.WriteHeavy()})
+			pool := workload.NewClientPool(40, epoch, 150*time.Millisecond)
+			for {
+				id, at := pool.Acquire()
+				if at.After(epoch.Add(horizon)) {
+					break
+				}
+				done, _ := c.Execute(gen.Next(), at)
+				pool.Release(id, done)
+			}
+			syns := sink.Drain()
+			if got := traceHash(syns); len(syns) != tc.count || got != tc.hash {
+				t.Fatalf("trace drifted: %d synopses, hash %s; want %d, %s", len(syns), got, tc.count, tc.hash)
+			}
+		})
 	}
 }

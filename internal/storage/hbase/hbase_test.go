@@ -1,6 +1,9 @@
 package hbase
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"testing"
 	"time"
@@ -369,5 +372,61 @@ func TestStageDiversity(t *testing.T) {
 	}
 	if total < 20 {
 		t.Fatalf("distinct signatures = %d", total)
+	}
+}
+
+// traceHash folds (stage, host, task id, start, duration, points) of every
+// synopsis, in emission order, into one SHA-256.
+func traceHash(syns []*synopsis.Synopsis) string {
+	h := sha256.New()
+	var b []byte
+	for _, s := range syns {
+		b = binary.LittleEndian.AppendUint16(b[:0], uint16(s.Stage))
+		b = binary.LittleEndian.AppendUint16(b, s.Host)
+		b = binary.LittleEndian.AppendUint64(b, s.TaskID)
+		b = binary.LittleEndian.AppendUint64(b, uint64(s.Start.UnixNano()))
+		b = binary.LittleEndian.AppendUint64(b, uint64(s.Duration))
+		for _, pc := range s.Points {
+			b = binary.LittleEndian.AppendUint16(b, uint16(pc.Point))
+			b = binary.LittleEndian.AppendUint32(b, pc.Count)
+		}
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestHBaseTraceGolden pins the HBase tier's output to the bit, fault-free
+// and with the WAL delayed (the HLog reaches disk through the HDFS write
+// pipeline, so the fault sits on host 4's disk writes): it shares
+// internal/storage/lsm and internal/workload with the Cassandra run
+// TestTraceGolden pins, and the hashes were recorded at the same parent
+// commit.
+func TestHBaseTraceGolden(t *testing.T) {
+	const horizon = 30 * time.Second
+	cases := []struct {
+		name  string
+		inj   *faults.Injector
+		count int
+		hash  string
+	}{
+		{name: "fault-free", count: 251258,
+			hash: "dd9a5b2098ed07c3ebd2e7dd1cf37922c9d00b0b3969b746553cd7497db16821"},
+		{name: "wal-delay", inj: faults.NewInjector(faults.Fault{
+			Name: "delay-wal", Point: faults.PointDiskWrite, Mode: faults.ModeDelay,
+			Probability: 1, Delay: 100 * time.Millisecond, Host: 4,
+			From: epoch.Add(horizon * 3 / 10), To: epoch.Add(horizon * 7 / 10),
+		}), count: 221855,
+			hash: "4de9ebf7c24d1789d8fa0877fd247e59bd8c07bbe077fde33afa1a5d5dc1211d"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := stream.NewChannel(1 << 20)
+			h := newTier(t, sink, nil, func(c *Config) { c.Injector = tc.inj })
+			drive(t, h, 8, workload.WriteHeavy(), 40, horizon)
+			syns := sink.Drain()
+			if got := traceHash(syns); len(syns) != tc.count || got != tc.hash {
+				t.Fatalf("trace drifted: %d synopses, hash %s; want %d, %s", len(syns), got, tc.count, tc.hash)
+			}
+		})
 	}
 }

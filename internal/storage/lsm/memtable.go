@@ -118,6 +118,7 @@ func (m *Memtable) Each(fn func(key string, value []byte) bool) {
 }
 
 // Entries materializes the sorted contents, the input to an SSTable build.
+// The values are the memtable's own, not copies.
 func (m *Memtable) Entries() []Entry {
 	out := make([]Entry, 0, m.entries)
 	m.Each(func(k string, v []byte) bool {

@@ -1,9 +1,6 @@
 package lsm
 
-import (
-	"bytes"
-	"sort"
-)
+import "sort"
 
 // Entry is one key/value pair.
 type Entry struct {
@@ -21,11 +18,13 @@ type SSTable struct {
 }
 
 // BuildSSTable creates an SSTable from sorted entries (as produced by
-// Memtable.Entries or a merge). Entries are copied.
+// Memtable.Entries or a merge). The table takes ownership of the run and of
+// its values: a value is copied once, by Memtable.Put, and flush and
+// compaction move it, so the caller must neither reuse nor write the slice
+// or any Value in it afterwards.
 func BuildSSTable(seq uint64, entries []Entry) *SSTable {
-	t := &SSTable{Seq: seq, entries: make([]Entry, len(entries))}
-	for i, e := range entries {
-		t.entries[i] = Entry{Key: e.Key, Value: bytes.Clone(e.Value)}
+	t := &SSTable{Seq: seq, entries: entries}
+	for _, e := range entries {
 		t.bytes += len(e.Key) + len(e.Value)
 	}
 	return t

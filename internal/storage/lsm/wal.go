@@ -35,13 +35,15 @@ func (w *WAL) Append(key string, value []byte) uint64 {
 }
 
 // Trim discards all records with Seq <= upTo (the memtable covering them
-// has been flushed durably).
+// has been flushed durably) and zeroes their slots, so the backing array
+// stops pinning their keys and values.
 func (w *WAL) Trim(upTo uint64) {
 	i := 0
 	for i < len(w.records) && w.records[i].Seq <= upTo {
 		w.bytes -= len(w.records[i].Key) + len(w.records[i].Value) + 8
 		i++
 	}
+	clear(w.records[:i])
 	w.records = w.records[i:]
 }
 

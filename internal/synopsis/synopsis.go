@@ -170,7 +170,7 @@ func Compute(ids []logpoint.ID) Signature {
 	}
 	sorted := make([]logpoint.ID, len(ids))
 	copy(sorted, ids)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	buf := make([]byte, 0, 2*len(sorted))
 	var prev logpoint.ID
 	for i, id := range sorted {

@@ -71,6 +71,8 @@ type ZipfianChooser struct {
 	alpha float64
 	eta   float64
 	zeta2 float64
+	// halfPowTheta is 0.5^theta, the width of the second item's band.
+	halfPowTheta float64
 	// Scramble scatters hot keys over the keyspace when true.
 	Scramble bool
 }
@@ -94,11 +96,20 @@ func (z *ZipfianChooser) prepare(n int) {
 	if z.n == n {
 		return
 	}
+	// zetaN is zeta's running sum: a keyspace that grew (every insert of a
+	// run grows it by one) adds the next terms in zeta's order, so the float
+	// is zeta(n, theta) bit for bit; a smaller n starts the sum over.
+	if n < z.n {
+		z.n, z.zetaN = 0, 0
+	}
+	for i := z.n + 1; i <= n; i++ {
+		z.zetaN += 1 / math.Pow(float64(i), z.theta)
+	}
 	z.n = n
-	z.zetaN = zeta(n, z.theta)
 	z.zeta2 = zeta(2, z.theta)
 	z.alpha = 1 / (1 - z.theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-z.theta)) / (1 - z.zeta2/z.zetaN)
+	z.halfPowTheta = math.Pow(0.5, z.theta)
 }
 
 // Next implements KeyChooser.
@@ -113,7 +124,7 @@ func (z *ZipfianChooser) Next(r *vtime.RNG, n int) int {
 	switch {
 	case uz < 1:
 		idx = 0
-	case uz < 1+math.Pow(0.5, z.theta):
+	case uz < 1+z.halfPowTheta:
 		idx = 1
 	default:
 		idx = int(float64(n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

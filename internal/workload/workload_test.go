@@ -91,6 +91,53 @@ func TestZipfianAdaptsToN(t *testing.T) {
 	}
 }
 
+// Growing n by one at random points (what a run's inserts do) must leave
+// the chooser's running ζ exactly the from-scratch sum — equal as floats,
+// not within a tolerance, or traces would drift — and every other cached
+// constant with it; a smaller n must start the sum over.
+func TestZipfianIncrementalZetaIsExact(t *testing.T) {
+	r := vtime.NewRNG(5)
+	z := NewZipfianChooser(true)
+	n, checked := 2000, 0
+	for i := 0; i < 10000; i++ {
+		if r.Bool(0.1) {
+			n++
+		}
+		if i == 5000 {
+			n = 1500
+		}
+		z.Next(r, n)
+		if n == checked {
+			continue // prepare had nothing to do
+		}
+		checked = n
+		if want := zeta(n, z.theta); z.zetaN != want {
+			t.Fatalf("call %d, n=%d: zetaN = %v, zeta from scratch = %v", i, n, z.zetaN, want)
+		}
+		if i%100 == 0 || i == 5000 {
+			fresh := ZipfianChooser{theta: z.theta, Scramble: true}
+			fresh.prepare(n)
+			if *z != fresh {
+				t.Fatalf("call %d, n=%d: incremental state %+v, from scratch %+v", i, n, *z, fresh)
+			}
+		}
+	}
+}
+
+// One insert in ten, the paper's mix: the cost of Next must not grow with
+// the keyspace (it did, quadratically over a run, while every insert
+// re-summed ζ from 1).
+func BenchmarkGeneratorNextWithInserts(b *testing.B) {
+	g := NewGenerator(Config{Records: 2000, Seed: 1, Mix: WriteHeavy()})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opSink = g.Next()
+	}
+}
+
+var opSink Op
+
 func TestGeneratorMix(t *testing.T) {
 	g := NewGenerator(Config{Records: 1000, Seed: 6, Mix: WriteHeavy()})
 	var reads, updates, inserts, scans int
