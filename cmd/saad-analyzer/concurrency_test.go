@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"saad/internal/logpoint"
 	"saad/internal/stream"
 	"saad/internal/tracker"
 )
@@ -24,29 +23,13 @@ func TestConcurrentScrapeAdminAndFeed(t *testing.T) {
 	modelPath := filepath.Join(dir, "model.json")
 	trainModelFile(t, modelPath)
 
-	addr := freePort(t)
-	stop := make(chan struct{})
-	done := make(chan error, 1)
-	httpCh := make(chan string, 1)
-	go func() {
-		done <- detectMode(logpoint.NewDictionary(), detectOptions{
-			listen:      addr,
-			modelPath:   modelPath,
-			httpAddr:    "127.0.0.1:0",
-			traceSample: 4,
-			storeDir:    filepath.Join(dir, "models"),
-			stop:        stop,
-			httpBound:   func(a string) { httpCh <- a },
-		})
-	}()
-	var httpAddr string
-	select {
-	case httpAddr = <-httpCh:
-	case err := <-done:
-		t.Fatalf("detect mode exited early: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("observability server never bound")
-	}
+	d, stop := runDaemon(t, detectOptions{
+		modelPath:   modelPath,
+		httpAddr:    "127.0.0.1:0",
+		traceSample: 4,
+		storeDir:    filepath.Join(dir, "models"),
+	})
+	addr, httpAddr := d.srv.Addr(), d.http.Addr()
 
 	const rounds = 50
 	var wg sync.WaitGroup
@@ -147,13 +130,5 @@ func TestConcurrentScrapeAdminAndFeed(t *testing.T) {
 		}
 	}
 
-	close(stop)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("detect mode never shut down")
-	}
+	stop()
 }

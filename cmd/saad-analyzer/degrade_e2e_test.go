@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,23 +15,9 @@ import (
 	"time"
 
 	"saad/internal/analyzer"
-	"saad/internal/logpoint"
 	"saad/internal/stream"
 	"saad/internal/tracker"
 )
-
-// pollUntil retries cond every few milliseconds until it holds or the
-// deadline passes.
-func pollUntil(t *testing.T, timeout time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(3 * time.Millisecond)
-	}
-}
 
 // metricValue scrapes one counter/gauge from the Prometheus text exposition.
 func metricValue(t *testing.T, httpAddr, name string) (float64, bool) {
@@ -83,28 +70,12 @@ func TestShutdownFlipsReadyBeforeDrain(t *testing.T) {
 	modelPath := filepath.Join(dir, "model.json")
 	trainModelFile(t, modelPath)
 
-	addr := freePort(t)
-	stop := make(chan struct{})
-	done := make(chan error, 1)
-	httpCh := make(chan string, 1)
-	go func() {
-		done <- detectMode(logpoint.NewDictionary(), detectOptions{
-			listen:     addr,
-			modelPath:  modelPath,
-			httpAddr:   "127.0.0.1:0",
-			drainGrace: 800 * time.Millisecond,
-			stop:       stop,
-			httpBound:  func(a string) { httpCh <- a },
-		})
-	}()
-	var httpAddr string
-	select {
-	case httpAddr = <-httpCh:
-	case err := <-done:
-		t.Fatalf("detect mode exited early: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("observability server never bound")
-	}
+	d, stop := runDaemon(t, detectOptions{
+		modelPath:  modelPath,
+		httpAddr:   "127.0.0.1:0",
+		drainGrace: 800 * time.Millisecond,
+	})
+	addr, httpAddr := d.srv.Addr(), d.http.Addr()
 
 	readyStatus := func() int {
 		resp, err := http.Get("http://" + httpAddr + "/readyz")
@@ -115,20 +86,24 @@ func TestShutdownFlipsReadyBeforeDrain(t *testing.T) {
 		_ = resp.Body.Close()
 		return resp.StatusCode
 	}
-	pollUntil(t, 5*time.Second, "initial /readyz 200", func() bool {
+	waitUntil(t, 5*time.Second, "initial /readyz 200", func() bool {
 		return readyStatus() == http.StatusOK
 	})
 
-	close(stop)
-	pollUntil(t, 5*time.Second, "/readyz to flip to 503", func() bool {
+	stopped := make(chan struct{})
+	go func() {
+		stop()
+		close(stopped)
+	}()
+	waitUntil(t, 5*time.Second, "/readyz to flip to 503", func() bool {
 		return readyStatus() == http.StatusServiceUnavailable
 	})
 
 	// We are inside the drain grace: not-ready is visible, but shutdown has
 	// not finished and the synopsis listener still accepts streams.
 	select {
-	case err := <-done:
-		t.Fatalf("shutdown finished before the drain grace elapsed: %v", err)
+	case <-stopped:
+		t.Fatal("shutdown finished before the drain grace elapsed")
 	default:
 	}
 	cli, err := stream.Dial(addr, 0)
@@ -147,14 +122,7 @@ func TestShutdownFlipsReadyBeforeDrain(t *testing.T) {
 		t.Fatalf("/readyz = %d during drain grace, want 503", got)
 	}
 
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("shutdown never finished")
-	}
+	<-stopped
 }
 
 // TestChaosRetryStormDegradesAndRecovers is the acceptance path for graceful
@@ -170,37 +138,21 @@ func TestChaosRetryStormDegradesAndRecovers(t *testing.T) {
 	eventsPath := filepath.Join(dir, "events.jsonl")
 	trainModelFile(t, modelPath)
 
-	addr := freePort(t)
-	stop := make(chan struct{})
-	done := make(chan error, 1)
-	httpCh := make(chan string, 1)
-	go func() {
-		done <- detectMode(logpoint.NewDictionary(), detectOptions{
-			listen:     addr,
-			modelPath:  modelPath,
-			eventsPath: eventsPath,
-			httpAddr:   "127.0.0.1:0",
-			shards:     1,
-			shardQueue: 64,
-			admission: analyzer.AdmissionConfig{
-				HighWater:     0.5,
-				LowWater:      0.05,
-				SaturateAfter: 8,
-				RecoverAfter:  64,
-				KeepEvery:     4,
-			},
-			stop:      stop,
-			httpBound: func(a string) { httpCh <- a },
-		})
-	}()
-	var httpAddr string
-	select {
-	case httpAddr = <-httpCh:
-	case err := <-done:
-		t.Fatalf("detect mode exited early: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("observability server never bound")
-	}
+	d, stop := runDaemon(t, detectOptions{
+		modelPath:  modelPath,
+		eventsPath: eventsPath,
+		httpAddr:   "127.0.0.1:0",
+		shards:     1,
+		shardQueue: 64,
+		admission: analyzer.AdmissionConfig{
+			HighWater:     0.5,
+			LowWater:      0.05,
+			SaturateAfter: 8,
+			RecoverAfter:  64,
+			KeepEvery:     4,
+		},
+	})
+	addr, httpAddr := d.srv.Addr(), d.http.Addr()
 
 	status := func() degradeStatus {
 		var doc degradeStatus
@@ -221,7 +173,7 @@ func TestChaosRetryStormDegradesAndRecovers(t *testing.T) {
 			for !stormStop.Load() {
 				cli, err := stream.Dial(addr, 0)
 				if err != nil {
-					time.Sleep(5 * time.Millisecond)
+					runtime.Gosched() // a full accept backlog: try again
 					continue
 				}
 				tr := tracker.New(1, cli)
@@ -241,7 +193,7 @@ func TestChaosRetryStormDegradesAndRecovers(t *testing.T) {
 	// Degradation must be observed while the storm rages: the shard flips
 	// degraded and sheds. Both surfaces must answer the whole time (getJSON
 	// fatals on any non-200 /statusz).
-	pollUntil(t, 30*time.Second, "shard to degrade and shed under the storm", func() bool {
+	waitUntil(t, 30*time.Second, "shard to degrade and shed under the storm", func() bool {
 		doc := status()
 		return doc.Degraded && doc.DegradedShards == 1 && doc.ShedSynopses > 0
 	})
@@ -255,27 +207,35 @@ func TestChaosRetryStormDegradesAndRecovers(t *testing.T) {
 	stormStop.Store(true)
 	wg.Wait()
 
-	// Recovery is observation-driven: paced traffic on the same group keeps
-	// the queue calm until the hysteresis streak flips the shard back.
-	paced, err := stream.Dial(addr, time.Millisecond)
+	// Recovery is observation-driven: traffic on the same group that keeps
+	// the queue calm until the hysteresis streak flips the shard back. The
+	// pace is closed-loop — a task is sent once the shard has consumed (or
+	// shed) the one before it — so every arrival finds the queue empty.
+	waitUntil(t, 15*time.Second, "the storm's streams to be read to their end", func() bool {
+		return len(d.srv.Remotes()) == 0
+	})
+	offered := d.eng.Fed() + d.eng.Shed()
+	paced, err := stream.Dial(addr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pacedTr := tracker.New(1, paced)
 	at := epoch.Add(30 * time.Second)
-	recovered := false
-	for i := 0; i < 5000 && !recovered; i++ {
+	for i := 0; i < 5000 && d.eng.Degraded(); i++ {
 		task := pacedTr.Begin(1, at)
 		task.Hit(1, at.Add(time.Microsecond))
 		task.Hit(2, at.Add(2*time.Microsecond))
 		task.End(at.Add(2 * time.Microsecond))
 		at = at.Add(3 * time.Microsecond)
-		time.Sleep(500 * time.Microsecond)
-		if i%50 == 49 {
-			doc := status()
-			recovered = !doc.Degraded && doc.DegradedShards == 0
+		if err := paced.Flush(); err != nil {
+			t.Fatal(err)
 		}
+		offered++
+		waitUntil(t, 5*time.Second, "the shard to take the paced task", func() bool {
+			return d.eng.Fed()+d.eng.Shed() == offered && d.eng.ShardStats()[0].QueueLen == 0
+		})
 	}
+	recovered := !status().Degraded
 	if err := paced.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +282,7 @@ func TestChaosRetryStormDegradesAndRecovers(t *testing.T) {
 	// meet frames_received exactly once the handlers drain — all of them:
 	// the sum also balances while host 2's frames still sit unread in the
 	// socket, and a shutdown begun then would cut them off.
-	pollUntil(t, 15*time.Second, "processed + shed to meet frames_received", func() bool {
+	waitUntil(t, 15*time.Second, "processed + shed to meet frames_received", func() bool {
 		fr, ok := metricValue(t, httpAddr, "saad_stream_tcp_server_frames_received_total")
 		if !ok {
 			return false
@@ -335,15 +295,7 @@ func TestChaosRetryStormDegradesAndRecovers(t *testing.T) {
 		t.Fatal("shed_synopses = 0 after the storm, want > 0")
 	}
 
-	close(stop)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("shutdown never finished")
-	}
+	stop()
 
 	// The flush at shutdown closes host 2's window; its anomaly must be in
 	// the event log attributed to host 2.

@@ -3,18 +3,12 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
-	"saad/internal/analyzer"
 	"saad/internal/federation"
-	"saad/internal/logpoint"
-	"saad/internal/stream"
-	"saad/internal/tracker"
 )
 
 func TestParsePeerSeeds(t *testing.T) {
@@ -62,72 +56,23 @@ func TestFederationTwoPeerE2E(t *testing.T) {
 	dir := t.TempDir()
 	modelPath := filepath.Join(dir, "model.json")
 
-	train := stream.NewChannel(1 << 12)
-	tr := tracker.New(1, train)
-	for i := 0; i < 600; i++ {
-		at := epoch.Add(time.Duration(i) * time.Millisecond)
-		task := tr.Begin(1, at)
-		task.Hit(1, at.Add(time.Millisecond))
-		task.Hit(2, at.Add(2*time.Millisecond))
-		task.End(at.Add(2 * time.Millisecond))
-	}
-	model, err := analyzer.Train(analyzer.DefaultConfig(), train.Drain())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mf, err := os.Create(modelPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := model.WriteTo(mf); err != nil {
-		t.Fatal(err)
-	}
-	if err := mf.Close(); err != nil {
-		t.Fatal(err)
-	}
+	trainModelFile(t, modelPath)
 
-	// Reserve a gossip port for the seed peer (bind-and-release; detect
-	// mode rebinds it a moment later).
-	uc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
+	// a1 gossips on a port of its own choosing; a2 is seeded with it.
+	peer := func(id, seeds string) *daemon {
+		d, _ := runDaemon(t, detectOptions{
+			modelPath:   modelPath,
+			httpAddr:    "127.0.0.1:0",
+			peerID:      id,
+			peers:       seeds,
+			gossipAddr:  "127.0.0.1:0",
+			handoffAddr: "127.0.0.1:0",
+		})
+		return d
 	}
-	gossipA := uc.LocalAddr().String()
-	if err := uc.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	start := func(id, ingest, gossip, seeds string) (string, chan struct{}, chan error) {
-		httpCh := make(chan string, 1)
-		stop := make(chan struct{})
-		done := make(chan error, 1)
-		go func() {
-			done <- detectMode(logpoint.NewDictionary(), detectOptions{
-				listen:      ingest,
-				modelPath:   modelPath,
-				httpAddr:    "127.0.0.1:0",
-				peerID:      id,
-				peers:       seeds,
-				gossipAddr:  gossip,
-				handoffAddr: "127.0.0.1:0",
-				stop:        stop,
-				httpBound:   func(addr string) { httpCh <- addr },
-			})
-		}()
-		select {
-		case addr := <-httpCh:
-			return addr, stop, done
-		case err := <-done:
-			t.Fatalf("peer %s exited before binding: %v", id, err)
-		case <-time.After(10 * time.Second):
-			t.Fatalf("peer %s never bound its observability server", id)
-		}
-		return "", nil, nil
-	}
-
-	ingestA := freePort(t)
-	httpA, stopA, doneA := start("a1", ingestA, gossipA, "")
-	httpB, stopB, doneB := start("a2", freePort(t), "127.0.0.1:0", "a1="+gossipA)
+	a := peer("a1", "")
+	b := peer("a2", "a1="+a.gossiper.Addr())
+	httpA, httpB, ingestA := a.http.Addr(), b.http.Addr(), a.srv.Addr()
 
 	type statusDoc struct {
 		Processed  uint64             `json:"processed"`
@@ -144,45 +89,22 @@ func TestFederationTwoPeerE2E(t *testing.T) {
 	}
 
 	// Gossip converges: both peers' rings settle on {a1, a2}.
-	deadline := time.Now().Add(15 * time.Second)
-	for {
+	waitUntil(t, 15*time.Second, "both rings to hold both peers", func() bool {
 		a, errA := statusz(httpA)
 		b, errB := statusz(httpB)
-		if errA == nil && errB == nil &&
+		return errA == nil && errB == nil &&
 			a.Federation != nil && len(a.Federation.RingPeers) == 2 &&
-			b.Federation != nil && len(b.Federation.RingPeers) == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rings never converged: a=%+v b=%+v (%v %v)", a.Federation, b.Federation, errA, errB)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+			b.Federation != nil && len(b.Federation.RingPeers) == 2
+	})
 
 	// Stream through one ingest point only; the ring decides who owns the
 	// groups and the fleet forwards the rest.
 	const records = 600
 	emit(t, ingestA, records)
-	deadline = time.Now().Add(15 * time.Second)
-	for {
+	waitUntil(t, 15*time.Second, "the fleet to process every record", func() bool {
 		a, errA := statusz(httpA)
 		b, errB := statusz(httpB)
-		if errA == nil && errB == nil && a.Processed+b.Processed == records {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fleet processed %d+%d records, want %d (%v %v)",
-				a.Processed, b.Processed, records, errA, errB)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	close(stopB)
-	if err := <-doneB; err != nil {
-		t.Fatalf("peer a2 shutdown: %v", err)
-	}
-	close(stopA)
-	if err := <-doneA; err != nil {
-		t.Fatalf("peer a1 shutdown: %v", err)
-	}
+		return errA == nil && errB == nil && a.Processed+b.Processed == records
+	})
+	// Cleanup stops a2, then a1: each leaves the fleet on its way out.
 }

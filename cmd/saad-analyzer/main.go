@@ -187,21 +187,20 @@ func run(args []string) error {
 	}
 
 	if opts.trainN > 0 {
-		return trainMode(opts.listen, opts.modelPath, opts.storeDir, opts.trainN, opts.window, opts.alpha)
+		return trainMode(opts.listen, opts.modelPath, opts.storeDir, opts.trainN, opts.window)
 	}
 	return detectMode(dict, *opts)
 }
 
 // detectOptions is the daemon's configuration: one field per flag, bound by
-// bindFlags, and two hooks for tests. The zero value of every detect-mode
-// field means "off" or "the default".
+// bindFlags, and nothing else. The zero value of every detect-mode field
+// means "off" or "the default".
 type detectOptions struct {
 	listen    string
 	modelPath string
 	dictPath  string
 	trainN    int           // train mode: exit after this many synopses (0 = detect mode)
 	window    time.Duration // train mode: detection window of the trained model
-	alpha     float64       // train mode: significance level of the trained model
 
 	httpAddr           string // serve /metrics, /debug/vars, pprof ("" = off)
 	eventsPath         string // append anomalies as JSONL ("" = off)
@@ -226,9 +225,6 @@ type detectOptions struct {
 	gossipAddr  string
 	handoffAddr string
 	ringVnodes  int
-
-	stop      <-chan struct{}   // optional programmatic shutdown (tests)
-	httpBound func(addr string) // called with the observability server's bound address (tests)
 }
 
 // bindFlags declares the command's flags on fs, each bound to its field of
@@ -240,7 +236,6 @@ func bindFlags(fs *flag.FlagSet) *detectOptions {
 	fs.StringVar(&o.dictPath, "dict", "", "optional log template dictionary for readable reports")
 	fs.IntVar(&o.trainN, "train", 0, "train on the first N synopses and exit (0 = detect mode)")
 	fs.DurationVar(&o.window, "window", time.Minute, "detection window")
-	fs.Float64Var(&o.alpha, "alpha", 0.001, "significance level")
 	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics, /debug/vars and pprof on this address (detect mode; empty = off)")
 	fs.StringVar(&o.eventsPath, "events", "", "append anomalies as JSONL to this file (detect mode; empty = off)")
 	fs.DurationVar(&o.statsInterval, "stats-interval", 30*time.Second, "stderr stats heartbeat interval (detect mode; 0 = off)")
@@ -302,11 +297,11 @@ func parsePeerSeeds(spec string) ([]federation.PeerInfo, error) {
 }
 
 // trainMode collects synopses and writes the trained model — to the model
-// file, and as a new version of the model store when one is configured.
-func trainMode(listen, modelPath, storeDir string, n int, window time.Duration, alpha float64) error {
+// file, and as a new version of the model store when one is configured. The
+// model is trained at the paper's significance level (DefaultConfig's Alpha).
+func trainMode(listen, modelPath, storeDir string, n int, window time.Duration) error {
 	cfg := analyzer.DefaultConfig()
 	cfg.Window = window
-	cfg.Alpha = alpha
 	trainer, err := analyzer.NewTrainer(cfg)
 	if err != nil {
 		return err
@@ -377,164 +372,198 @@ func trainMode(listen, modelPath, storeDir string, n int, window time.Duration, 
 	return nil
 }
 
-// statuszInfo feeds the /statusz handler: static identity plus live
-// counters read per request.
-type statuszInfo struct {
-	engine      *analyzer.Engine
-	tracer      *trace.Tracer
-	listen      string
-	sampleEvery int
-	trainedOn   int
-	start       time.Time
-	anomalies   func() int
-	// connections snapshots the remote addresses of the live synopsis
-	// streams.
-	connections func() []string
-	// federation snapshots the fleet membership view (nil = standalone).
-	federation func() *federation.Status
+// daemon is detect mode as one value: what start opened, in the fields close
+// shuts. The bound addresses are read off it — srv.Addr(), http.Addr(),
+// gossiper.Addr(), peer.Self().HandoffAddr.
+type daemon struct {
+	opts    detectOptions
+	dict    *logpoint.Dictionary
+	started time.Time
+	// tracer is nil without -trace-sample, which keeps every touch point a
+	// no-op; with it, one in N synopses carries a pipeline span from emit (or
+	// arrival, for untraced peers) through the detection verdict, and the
+	// engine's flight recorder runs.
+	tracer *trace.Tracer
+	eng    *analyzer.Engine
+	// trainedOn is /statusz's model_trained_on, read once: Engine.Model
+	// copies the model under the control lock, which a scrape must not take.
+	trainedOn int
+	mgr       *lifecycle.Manager // nil without -model-store
+	peer      *federation.Peer   // nil outside a fleet, as is gossiper
+	gossiper  *federation.Gossiper
+	srv       *stream.Server
+	http      *metrics.Server // nil without -http
+
+	// ready is /readyz: true from the end of start until close begins.
+	ready  atomic.Bool
+	closed bool
+
+	// The anomaly sink runs on shard worker goroutines; sinkMu serializes
+	// report output and latches the first event-log write error (a dead
+	// event log must not stop detection mid-stream — the error surfaces at
+	// shutdown). The count is an atomic outside it: /statusz and the
+	// heartbeat must answer while a stalled stdout pipe or event log holds a
+	// worker inside the sink.
+	anomalies  atomic.Int64
+	sinkMu     sync.Mutex
+	sinkErr    error
+	events     *report.EventWriter // nil without -events, as is eventsFile
+	eventsFile *os.File
 }
 
-// statuszHandler serves a one-page JSON operational summary: what this
-// analyzer is, how long it has been up, and how much it has processed —
-// the first thing to curl when an alert fires.
-func statuszHandler(info statuszInfo) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		type shardStatus struct {
-			Shard    int    `json:"shard"`
-			Fed      uint64 `json:"fed"`
-			Pending  int    `json:"pending"`
-			QueueLen int    `json:"queue_len"`
-			Degraded bool   `json:"degraded"`
-		}
-		doc := struct {
-			Mode           string        `json:"mode"`
-			Listen         string        `json:"listen"`
-			UptimeSeconds  float64       `json:"uptime_seconds"`
-			TrainedOn      int           `json:"model_trained_on"`
-			Shards         []shardStatus `json:"shards"`
-			Processed      uint64        `json:"processed"`
-			Late           uint64        `json:"late"`
-			Anomalies      int           `json:"anomalies"`
-			Degraded       bool          `json:"degraded"`
-			DegradedShards int           `json:"degraded_shards"`
-			ShedSynopses   uint64        `json:"shed_synopses"`
-			TraceSample    int           `json:"trace_sample_every"`
-			TracedSpans    int           `json:"traced_spans_retained"`
-			// Connections lists each live synopsis stream's remote address.
-			Connections []string `json:"connections"`
-			// Federation is the fleet membership view: peers with state and
-			// heartbeat age, this peer's owned hash arcs, the ring epoch and
-			// the handoff/forward counters. Absent for a standalone analyzer.
-			Federation *federation.Status `json:"federation,omitempty"`
-		}{
-			Mode:           "detecting",
-			Listen:         info.listen,
-			UptimeSeconds:  time.Since(info.start).Seconds(),
-			TrainedOn:      info.trainedOn,
-			Processed:      info.engine.Fed(),
-			Late:           info.engine.LateSynopses(),
-			Anomalies:      info.anomalies(),
-			Degraded:       info.engine.Degraded(),
-			DegradedShards: info.engine.DegradedShards(),
-			ShedSynopses:   info.engine.Shed(),
-			TraceSample:    info.sampleEvery,
-			TracedSpans:    len(info.tracer.Spans()),
-		}
-		for _, st := range info.engine.ShardStats() {
-			doc.Shards = append(doc.Shards, shardStatus{Shard: st.Shard, Fed: st.Fed, Pending: st.Pending, QueueLen: st.QueueLen, Degraded: st.Degraded})
-		}
-		if info.connections != nil {
-			doc.Connections = info.connections()
-		}
-		if info.federation != nil {
-			doc.Federation = info.federation()
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(doc)
-	})
-}
-
-// lifecycleTee routes every received synopsis to the engine first (FIFO
-// into the owning shard) and then to the lifecycle manager's observers.
-// The engine recycles pooled synopses after observation, but the manager's
-// retraining ring retains what it is handed — so the tee gives the manager
-// its own clones, cut before the engine can release the originals.
-type lifecycleTee struct {
-	eng *analyzer.Engine
-	mgr *lifecycle.Manager
-}
-
-func (t *lifecycleTee) Emit(s *synopsis.Synopsis) {
-	c := s.Clone()
-	t.eng.Emit(s)
-	t.mgr.Observe(c)
-}
-
-// EmitBatch implements stream.BatchSink so v2 connections keep their
-// amortized per-frame engine hand-off through the tee. The borrowed slice
-// is read, passed on to FeedBatch (which copies out of it) and dropped.
-func (t *lifecycleTee) EmitBatch(batch []*synopsis.Synopsis) {
-	clones := make([]*synopsis.Synopsis, len(batch))
-	for i, s := range batch {
-		clones[i] = s.Clone()
+// report is the engine's anomaly sink: print, and log when -events is set.
+func (d *daemon) report(found []analyzer.Anomaly) {
+	d.anomalies.Add(int64(len(found)))
+	d.sinkMu.Lock()
+	defer d.sinkMu.Unlock()
+	for _, a := range found {
+		fmt.Println(report.FormatAnomaly(a, d.dict))
 	}
-	t.eng.FeedBatch(batch)
-	for _, c := range clones {
-		t.mgr.Observe(c)
+	if d.events != nil && len(found) > 0 {
+		if err := d.events.WriteAll(found); err != nil && d.sinkErr == nil {
+			d.sinkErr = err
+		}
 	}
 }
 
-// detectMode loads the model — or restores a full checkpoint when one
-// exists — and runs the sharded analyzer engine as the TCP server's sink:
-// every connection handler feeds decoded synopses straight into the engine,
-// which fans them out across shard workers by (host, stage). Anomalies are
-// printed (and logged) from the engine's anomaly sink as windows close.
-func detectMode(dict *logpoint.Dictionary, opts detectOptions) error {
+// statusz serves a one-page JSON operational summary: what this analyzer
+// is, how long it has been up, and how much it has processed — the first
+// thing to curl when an alert fires.
+func (d *daemon) statusz(w http.ResponseWriter, _ *http.Request) {
+	type shardStatus struct {
+		Shard    int    `json:"shard"`
+		Fed      uint64 `json:"fed"`
+		Pending  int    `json:"pending"`
+		QueueLen int    `json:"queue_len"`
+		Degraded bool   `json:"degraded"`
+	}
+	doc := struct {
+		Mode           string        `json:"mode"`
+		Listen         string        `json:"listen"`
+		UptimeSeconds  float64       `json:"uptime_seconds"`
+		TrainedOn      int           `json:"model_trained_on"`
+		Shards         []shardStatus `json:"shards"`
+		Processed      uint64        `json:"processed"`
+		Late           uint64        `json:"late"`
+		Anomalies      int           `json:"anomalies"`
+		Degraded       bool          `json:"degraded"`
+		DegradedShards int           `json:"degraded_shards"`
+		ShedSynopses   uint64        `json:"shed_synopses"`
+		TraceSample    int           `json:"trace_sample_every"`
+		TracedSpans    int           `json:"traced_spans_retained"`
+		// Connections lists each live synopsis stream's remote address.
+		Connections []string `json:"connections"`
+		// Federation is the fleet membership view: peers with state and
+		// heartbeat age, this peer's owned hash arcs, the ring epoch and
+		// the handoff/forward counters. Absent for a standalone analyzer.
+		Federation *federation.Status `json:"federation,omitempty"`
+	}{
+		Mode:           "detecting",
+		Listen:         d.srv.Addr(),
+		UptimeSeconds:  time.Since(d.started).Seconds(),
+		TrainedOn:      d.trainedOn,
+		Processed:      d.eng.Fed(),
+		Late:           d.eng.LateSynopses(),
+		Anomalies:      int(d.anomalies.Load()),
+		Degraded:       d.eng.Degraded(),
+		DegradedShards: d.eng.DegradedShards(),
+		ShedSynopses:   d.eng.Shed(),
+		TraceSample:    d.opts.traceSample,
+		TracedSpans:    len(d.tracer.Spans()),
+		Connections:    d.srv.Remotes(),
+	}
+	for _, st := range d.eng.ShardStats() {
+		doc.Shards = append(doc.Shards, shardStatus{Shard: st.Shard, Fed: st.Fed, Pending: st.Pending, QueueLen: st.QueueLen, Degraded: st.Degraded})
+	}
+	if d.peer != nil {
+		st := d.peer.Status()
+		doc.Federation = &st
+	}
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(doc)
+}
+
+// loadEngine builds the serving engine from the first source that has one:
+// the checkpoint file (the model and the live window state), the newest
+// version in the store, or the -model file — which an empty store imports as
+// version 1, so lineage starts there. serving is the store version the
+// engine serves: nil without a store, and nil when a checkpoint restored a
+// model that is not the store's latest.
+func loadEngine(opts *detectOptions, store *lifecycle.Store, engineOpts []analyzer.EngineOption) (eng *analyzer.Engine, serving *lifecycle.Meta, err error) {
+	if _, statErr := os.Stat(opts.checkpointPath); statErr == nil { // no -checkpoint, no file: Stat("") fails
+		eng, err = analyzer.LoadEngineCheckpointFile(opts.checkpointPath, engineOpts...)
+		if err != nil {
+			return nil, nil, fmt.Errorf("restore checkpoint %s: %w", opts.checkpointPath, err)
+		}
+		fmt.Printf("restored checkpoint %s (%d tasks pending in open windows)\n",
+			opts.checkpointPath, eng.PendingTasks())
+		if store == nil {
+			return eng, nil, nil
+		}
+		// The checkpoint carries the serving model but not its version: find
+		// it in the store, or the manager would report version 0 and record
+		// the next retrain as a root.
+		meta, same, err := latestIfServing(store, eng.Model())
+		if err != nil {
+			_ = eng.Close()
+			return nil, nil, err
+		}
+		if !same {
+			fmt.Printf("restored model is not the latest version in %s: serving it as version 0, lineage restarts\n", opts.storeDir)
+			return eng, nil, nil
+		}
+		fmt.Printf("restored model is version %d of %s\n", meta.Version, opts.storeDir)
+		return eng, &meta, nil
+	}
+	if store == nil {
+		model, err := readModelFile(opts.modelPath)
+		if err != nil {
+			return nil, nil, err
+		}
+		return analyzer.NewEngine(model, engineOpts...), nil, nil
+	}
+	model, meta, err := store.LoadLatest()
+	switch {
+	case err == nil:
+		fmt.Printf("serving model version %d from %s\n", meta.Version, opts.storeDir)
+	case errors.Is(err, lifecycle.ErrEmptyStore):
+		if model, err = readModelFile(opts.modelPath); err != nil {
+			return nil, nil, err
+		}
+		if meta, err = store.Put(model, lifecycle.PutInfo{}); err != nil {
+			return nil, nil, err
+		}
+		fmt.Printf("imported %s into %s as version %d\n", opts.modelPath, opts.storeDir, meta.Version)
+	default:
+		return nil, nil, err
+	}
+	return analyzer.NewEngine(model, engineOpts...), &meta, nil
+}
+
+// start brings detect mode up and returns once every listener is bound: the
+// engine loaded, the sink chain server → {engine | manager → engine | peer →
+// engine} assembled, the fleet joined, the observability server mounted. On
+// any error it closes what it had opened.
+func start(dict *logpoint.Dictionary, opts detectOptions) (_ *daemon, err error) {
 	seeds, err := opts.fleetSeeds()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// The full pipeline family is registered even though the standalone
 	// analyzer tracks no tasks itself: every series exists at zero, so the
 	// scrape schema is identical to an embedded Monitor's.
 	pipe := metrics.NewPipeline(metrics.NewRegistry())
 	pipe.Monitor.Mode.Set(2) // detecting
-
-	// With -trace-sample, one in N synopses carries a pipeline span from
-	// emit (or arrival, for untraced peers) through the detection verdict,
-	// and the engine's flight recorder runs. The nil tracer keeps every
-	// touch point a no-op.
-	var tracer *trace.Tracer
+	d := &daemon{opts: opts, dict: dict, started: time.Now()}
+	defer func() {
+		if err != nil {
+			_ = d.close()
+		}
+	}()
 	if opts.traceSample > 0 {
-		tracer = trace.New(trace.Config{SampleEvery: opts.traceSample})
-	}
-
-	// The anomaly sink runs on shard worker goroutines; the mutex serializes
-	// report output and latches the first event-log write error (a dead
-	// event log must not stop detection mid-stream — the error surfaces at
-	// shutdown). The count is an atomic outside it: /statusz and the
-	// heartbeat must answer while a stalled stdout pipe or event log holds a
-	// worker inside the sink.
-	var (
-		anomalies atomic.Int64
-		sinkMu    sync.Mutex
-		sinkErr   error
-		events    *report.EventWriter
-	)
-	emit := func(found []analyzer.Anomaly) {
-		anomalies.Add(int64(len(found)))
-		sinkMu.Lock()
-		defer sinkMu.Unlock()
-		for _, a := range found {
-			fmt.Println(report.FormatAnomaly(a, dict))
-		}
-		if events != nil && len(found) > 0 {
-			if err := events.WriteAll(found); err != nil && sinkErr == nil {
-				sinkErr = err
-			}
-		}
+		d.tracer = trace.New(trace.Config{SampleEvery: opts.traceSample})
 	}
 
 	// The server decodes v2 frames into pooled synopses and the engine
@@ -545,12 +574,12 @@ func detectMode(dict *logpoint.Dictionary, opts detectOptions) error {
 	engineOpts := []analyzer.EngineOption{
 		analyzer.WithShards(opts.shards),
 		analyzer.WithEngineMetrics(pipe.Analyzer),
-		analyzer.WithAnomalySink(emit),
+		analyzer.WithAnomalySink(d.report),
 		analyzer.WithSynopsisRelease(pool.Put),
 		analyzer.WithSynopsisReleaseBatch(pool.PutN),
 	}
-	if tracer != nil {
-		engineOpts = append(engineOpts, analyzer.WithEngineTracer(tracer))
+	if d.tracer != nil {
+		engineOpts = append(engineOpts, analyzer.WithEngineTracer(d.tracer))
 	}
 	if opts.shardQueue > 0 {
 		engineOpts = append(engineOpts, analyzer.WithShardQueue(opts.shardQueue))
@@ -560,147 +589,65 @@ func detectMode(dict *logpoint.Dictionary, opts detectOptions) error {
 	}
 	var store *lifecycle.Store
 	if opts.storeDir != "" {
-		opened, err := lifecycle.Open(opts.storeDir)
-		if err != nil {
-			return err
-		}
-		store = opened
-	}
-	var (
-		eng         *analyzer.Engine
-		servingMeta lifecycle.Meta
-		hasServing  bool
-	)
-	if opts.checkpointPath != "" {
-		if _, statErr := os.Stat(opts.checkpointPath); statErr == nil {
-			restored, err := analyzer.LoadEngineCheckpointFile(opts.checkpointPath, engineOpts...)
-			if err != nil {
-				return fmt.Errorf("restore checkpoint %s: %w", opts.checkpointPath, err)
-			}
-			eng = restored
-			fmt.Printf("restored checkpoint %s (%d tasks pending in open windows)\n",
-				opts.checkpointPath, eng.PendingTasks())
+		if store, err = lifecycle.Open(opts.storeDir); err != nil {
+			return nil, err
 		}
 	}
-	if eng == nil && store != nil {
-		// Serve the store's latest version; an empty store bootstraps from
-		// the -model file, recorded as version 1 so lineage starts there.
-		switch model, meta, err := store.LoadLatest(); {
-		case err == nil:
-			eng = analyzer.NewEngine(model, engineOpts...)
-			servingMeta, hasServing = meta, true
-			fmt.Printf("serving model version %d from %s\n", meta.Version, opts.storeDir)
-		case errors.Is(err, lifecycle.ErrEmptyStore):
-			model, err := readModelFile(opts.modelPath)
-			if err != nil {
-				return err
-			}
-			meta, err := store.Put(model, lifecycle.PutInfo{})
-			if err != nil {
-				return err
-			}
-			eng = analyzer.NewEngine(model, engineOpts...)
-			servingMeta, hasServing = meta, true
-			fmt.Printf("imported %s into %s as version %d\n", opts.modelPath, opts.storeDir, meta.Version)
-		default:
-			return err
-		}
+	var serving *lifecycle.Meta
+	if d.eng, serving, err = loadEngine(&opts, store, engineOpts); err != nil {
+		return nil, err
 	}
-	if eng == nil {
-		model, err := readModelFile(opts.modelPath)
-		if err != nil {
-			return err
-		}
-		eng = analyzer.NewEngine(model, engineOpts...)
-	}
-	model := eng.Model()
-
-	var closers []func() error // teardown for early error returns, LIFO
-	fail := func(err error) error {
-		for i := len(closers) - 1; i >= 0; i-- {
-			_ = closers[i]()
-		}
-		_ = eng.Close()
-		return err
-	}
-
-	if store != nil && !hasServing {
-		// Restored from a checkpoint, which carries the serving model but
-		// not its version: find it in the store, or the manager would
-		// report version 0 and record the next retrain as a root.
-		meta, same, err := latestIfServing(store, model)
-		if err != nil {
-			return fail(err)
-		}
-		if same {
-			servingMeta, hasServing = meta, true
-			fmt.Printf("restored model is version %d of %s\n", meta.Version, opts.storeDir)
-		} else {
-			fmt.Printf("restored model is not the latest version in %s: serving it as version 0, lineage restarts\n", opts.storeDir)
-		}
-	}
+	model := d.eng.Model()
+	d.trainedOn = model.TrainedOn
 
 	if opts.eventsPath != "" {
-		ef, err := os.OpenFile(opts.eventsPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		d.eventsFile, err = os.OpenFile(opts.eventsPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
-		closers = append(closers, sync.OnceValue(ef.Close))
-		events = report.NewEventWriter(ef, dict, model.Config.Window)
+		d.events = report.NewEventWriter(d.eventsFile, dict, model.Config.Window)
 		if opts.peerID != "" {
 			// Merged fleet event logs stay attributable to the emitting peer.
-			events.SetPeer(opts.peerID)
+			d.events.SetPeer(opts.peerID)
 		}
-		if tracer != nil {
+		if d.tracer != nil {
 			// Each anomaly event carries what the pipeline was doing around
 			// emit time: the flight recorder's most recent events.
-			events.SetFlightSnapshot(func() []trace.Event { return tracer.FlightSnapshot(64) })
+			d.events.SetFlightSnapshot(func() []trace.Event { return d.tracer.FlightSnapshot(64) })
 		}
 	}
-	closeEvents := func() error { return nil }
-	if len(closers) > 0 {
-		closeEvents = closers[len(closers)-1]
-	}
 
-	// With a model store, a lifecycle manager rides shotgun on the stream:
-	// it buffers recent synopses for retraining, watches for drift, shadow-
-	// evaluates candidates and hot-swaps promoted models into the engine.
-	var mgr *lifecycle.Manager
+	// The engine is the server's sink: each connection handler's frame is
+	// partitioned straight onto the owning shards, so connections are decoded
+	// in parallel and the per-connection synopsis order is preserved per
+	// (host, stage) group — exactly the ordering the detection semantics
+	// need. With a model store the lifecycle manager stands in front of it:
+	// it feeds the engine, then buffers clones for retraining, watches for
+	// drift, shadow-evaluates candidates and hot-swaps promoted models in.
+	var sink tracker.Sink = d.eng
 	if store != nil {
 		mcfg := lifecycle.ManagerConfig{
 			DisableShadow: !opts.shadow,
 			KeepVersions:  opts.keepVersions,
 		}
 		mopts := []lifecycle.ManagerOption{lifecycle.WithLifecycleMetrics(pipe.Lifecycle)}
-		if tracer != nil {
-			mopts = append(mopts, lifecycle.WithLifecycleTracer(tracer))
+		if d.tracer != nil {
+			mopts = append(mopts, lifecycle.WithLifecycleTracer(d.tracer))
 		}
-		if hasServing {
-			mopts = append(mopts, lifecycle.WithServingVersion(servingMeta))
+		if serving != nil {
+			mopts = append(mopts, lifecycle.WithServingVersion(*serving))
 		}
-		mgr = lifecycle.NewManager(eng, store, mcfg, mopts...)
-	}
-
-	// The engine is the server's sink: each connection handler's Emit routes
-	// directly to the owning shard, so connections are decoded in parallel
-	// and the per-connection synopsis order is preserved per (host, stage)
-	// group — exactly the ordering the detection semantics need. With a
-	// lifecycle manager the sink is a tee: engine first (FIFO into the
-	// shard), then the manager's observers.
-	var sink tracker.Sink = eng
-	if mgr != nil {
-		sink = &lifecycleTee{eng: eng, mgr: mgr}
+		d.mgr = lifecycle.NewManager(d.eng, store, mcfg, mopts...)
+		sink = d.mgr
 	}
 	// In a fleet the peer fronts the engine instead: records whose group the
 	// consistent-hash ring assigns to this peer feed the engine, the rest are
 	// forwarded to their owners, and ring changes move open-window state over
 	// the checkpoint-handoff channel.
-	var peer *federation.Peer
-	var gossiper *federation.Gossiper
 	if opts.peerID != "" {
-		p, err := federation.NewPeer(federation.PeerConfig{
+		d.peer, err = federation.NewPeer(federation.PeerConfig{
 			Self:       federation.PeerInfo{ID: opts.peerID, HandoffAddr: opts.handoffAddr},
-			Engine:     eng,
+			Engine:     d.eng,
 			Membership: federation.MembershipConfig{VNodes: opts.ringVnodes},
 			Metrics:    metrics.NewFederationMetrics(pipe.Registry),
 			Release:    pool.Put,
@@ -709,178 +656,171 @@ func detectMode(dict *logpoint.Dictionary, opts detectOptions) error {
 			},
 		})
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
-		peer = p
-		closers = append(closers, sync.OnceValue(peer.Close))
-		sink = peer
+		sink = d.peer
 	}
-	srvMetrics := metrics.NewTCPServerMetrics(pipe.Registry)
 	srvOpts := []stream.ServerOption{
-		stream.WithServerMetrics(srvMetrics),
+		stream.WithServerMetrics(metrics.NewTCPServerMetrics(pipe.Registry)),
 		stream.WithServerPool(pool),
 	}
 	if opts.readIdleTimeout > 0 {
 		srvOpts = append(srvOpts, stream.WithReadIdleTimeout(opts.readIdleTimeout))
 	}
-	if tracer != nil {
+	if d.tracer != nil {
 		// Frames from old (trace-unaware) trackers get a partial span
 		// originated at arrival, so wire-side latency still shows up.
-		srvOpts = append(srvOpts, stream.WithServerSampler(tracer.Sampler()))
+		srvOpts = append(srvOpts, stream.WithServerSampler(d.tracer.Sampler()))
 	}
-	srv, err := stream.Listen(opts.listen, sink, srvOpts...)
-	if err != nil {
-		return fail(err)
+	if d.srv, err = stream.Listen(opts.listen, sink, srvOpts...); err != nil {
+		return nil, err
 	}
-	closers = append(closers, srv.Close)
 	fmt.Printf("detecting: listening on %s (model trained on %d synopses, %d shards)\n",
-		srv.Addr(), model.TrainedOn, eng.Shards())
-	if peer != nil {
+		d.srv.Addr(), model.TrainedOn, d.eng.Shards())
+	if d.peer != nil {
 		// The ingest address resolves only now (a "-listen :0" binds late);
 		// publish it so peers can open forward links, then start gossiping
 		// and seed the fleet view.
-		peer.Membership().SetSelfIngestAddr(srv.Addr())
-		g, err := federation.StartGossiper(peer.Membership(), opts.gossipAddr, 0)
-		if err != nil {
-			return fail(err)
+		d.peer.Membership().SetSelfIngestAddr(d.srv.Addr())
+		if d.gossiper, err = federation.StartGossiper(d.peer.Membership(), opts.gossipAddr, 0); err != nil {
+			return nil, err
 		}
-		gossiper = g
-		closers = append(closers, gossiper.Close)
 		for _, seed := range seeds {
 			if seed.ID == opts.peerID {
 				continue // self in a shared seed list
 			}
-			peer.Membership().AddPeer(seed)
+			d.peer.Membership().AddPeer(seed)
 		}
 		fmt.Printf("federation: peer %s gossiping on %s, handoff on %s (%d seeds)\n",
-			opts.peerID, gossiper.Addr(), peer.Self().HandoffAddr, len(seeds))
+			opts.peerID, d.gossiper.Addr(), d.peer.Self().HandoffAddr, len(seeds))
 	}
-	var ready atomic.Bool
-	ready.Store(true)
 
 	if opts.httpAddr != "" {
 		mux := metrics.NewMux(pipe.Registry)
-		if mgr != nil {
-			mux.Handle("/model", mgr)
+		if d.mgr != nil {
+			mux.Handle("/model", d.mgr)
 		}
 		// Readiness carries the degraded-mode detail: a shedding analyzer is
 		// still ready (it keeps a deterministic sample flowing), but the
 		// orchestrator can see it is running hot and by how much.
-		mux.Handle("/readyz", metrics.ReadyDetailHandler(ready.Load, func() map[string]any {
+		mux.Handle("/readyz", metrics.ReadyDetailHandler(d.ready.Load, func() map[string]any {
 			return map[string]any{
-				"degraded":        eng.Degraded(),
-				"degraded_shards": eng.DegradedShards(),
-				"shed_synopses":   eng.Shed(),
+				"degraded":        d.eng.Degraded(),
+				"degraded_shards": d.eng.DegradedShards(),
+				"shed_synopses":   d.eng.Shed(),
 			}
 		}))
 		// Trace surfaces are always mounted; with tracing off they serve
 		// empty documents rather than a confusing 404.
-		mux.Handle("/trace", tracer.SpansHandler())
-		mux.Handle("/flight", tracer.FlightHandler(256))
-		mux.Handle("/statusz", statuszHandler(statuszInfo{
-			engine:      eng,
-			tracer:      tracer,
-			listen:      srv.Addr(),
-			sampleEvery: opts.traceSample,
-			trainedOn:   model.TrainedOn,
-			start:       time.Now(),
-			anomalies:   func() int { return int(anomalies.Load()) },
-			connections: srv.Remotes,
-			federation: func() *federation.Status {
-				if peer == nil {
-					return nil
-				}
-				st := peer.Status()
-				return &st
-			},
-		}))
-		msrv, err := metrics.ServeMux(opts.httpAddr, mux)
-		if err != nil {
-			return fail(err)
+		mux.Handle("/trace", d.tracer.SpansHandler())
+		mux.Handle("/flight", d.tracer.FlightHandler(256))
+		mux.HandleFunc("/statusz", d.statusz)
+		if d.http, err = metrics.ServeMux(opts.httpAddr, mux); err != nil {
+			return nil, err
 		}
-		defer func() { _ = msrv.Close() }()
-		fmt.Printf("metrics: http://%s/metrics (also /debug/vars, /debug/pprof)\n", msrv.Addr())
-		if opts.httpBound != nil {
-			opts.httpBound(msrv.Addr())
-		}
-		if mgr != nil {
-			fmt.Printf("model admin: http://%s/model (GET status, POST action=retrain|promote)\n", msrv.Addr())
+		fmt.Printf("metrics: http://%s/metrics (also /debug/vars, /debug/pprof)\n", d.http.Addr())
+		if d.mgr != nil {
+			fmt.Printf("model admin: http://%s/model (GET status, POST action=retrain|promote)\n", d.http.Addr())
 		}
 	}
+	d.ready.Store(true)
+	return d, nil
+}
 
-	interrupt := make(chan os.Signal, 1)
-	signal.Notify(interrupt, os.Interrupt, syscall.SIGTERM)
-
-	var heartbeat <-chan time.Time
-	if opts.statsInterval > 0 {
-		ticker := time.NewTicker(opts.statsInterval)
-		defer ticker.Stop()
-		heartbeat = ticker.C
+// close is the only teardown, of a daemon that ran and of one start gave up
+// on; a second call does nothing. Its steps, in order, each skipped when
+// what it shuts was never opened, the first error kept without skipping
+// later steps:
+//
+//  1. flip /readyz to not-ready, so load balancers stop routing new streams
+//     while existing ones still work, and keep serving through -drain-grace;
+//  2. stop accepting synopses — which waits for the connection handlers, so
+//     everything received is queued on a shard;
+//  3. leave the fleet: hand every open group to the survivors (Leave's
+//     rebalance runs synchronously), push out what is still buffered on the
+//     forward links, stop gossiping, release the sockets;
+//  4. flush the open windows this analyzer still owns (for a clean leave,
+//     none) — their anomalies reach the sink — and write the final
+//     checkpoint;
+//  5. stop the shard workers, surface a latched event-log error, close the
+//     event log, print the summary line;
+//  6. stop the observability server.
+//
+// Draining (the grace in 1, the leave in 3, all of 4 and the summary) is
+// for a daemon that finished starting; one that did not only lets go.
+func (d *daemon) close() error {
+	if d.closed {
+		return nil
 	}
-	var checkpoint <-chan time.Time
-	if opts.checkpointPath != "" && opts.checkpointInterval > 0 {
-		ticker := time.NewTicker(opts.checkpointInterval)
-		defer ticker.Stop()
-		checkpoint = ticker.C
-	}
-	var retrain <-chan time.Time
-	if mgr != nil && opts.retrainEvery > 0 {
-		ticker := time.NewTicker(opts.retrainEvery)
-		defer ticker.Stop()
-		retrain = ticker.C
-	}
-
-	// shutdown is the graceful exit: flip /readyz to not-ready FIRST (so
-	// load balancers stop routing new streams while existing ones still
-	// work), optionally keep serving through the drain grace, then stop
-	// accepting (which waits for the connection handlers, so everything
-	// received is enqueued on a shard), flush open windows (their anomalies
-	// reach the sink), persist the final checkpoint, stop the shard
-	// workers, and close the event log — in that order, collecting the
-	// first error without skipping later steps.
-	shutdown := func() error {
-		ready.Store(false)
-		if opts.drainGrace > 0 {
-			time.Sleep(opts.drainGrace)
-		}
-		err := srv.Close()
-		if peer != nil {
-			// Graceful fleet exit: hand every open group to the survivors
-			// (Leave's rebalance runs synchronously), push out anything still
-			// buffered on the forward links, then stop gossiping and release
-			// the sockets. The engine flush below then closes only windows
-			// this peer still owns — for a clean leave, none.
-			peer.Leave()
-			peer.Flush()
-			if gossiper != nil {
-				if gErr := gossiper.Close(); err == nil {
-					err = gErr
-				}
-			}
-			if pErr := peer.Close(); err == nil {
-				err = pErr
-			}
-		}
-		eng.Flush()
-		if opts.checkpointPath != "" {
-			if ckErr := eng.WriteCheckpointFile(opts.checkpointPath); err == nil {
-				err = ckErr
-			}
-		}
-		if closeErr := eng.Close(); err == nil {
-			err = closeErr
-		}
-		sinkMu.Lock()
+	d.closed = true
+	var err error
+	keep := func(e error) {
 		if err == nil {
-			err = sinkErr
+			err = e
 		}
-		sinkMu.Unlock()
-		if closeErr := closeEvents(); err == nil {
-			err = closeErr
-		}
-		fmt.Printf("processed %d synopses (%d late)\n", eng.Fed(), eng.LateSynopses())
-		return err
 	}
+	ran := d.ready.Swap(false)
+	if ran && d.opts.drainGrace > 0 {
+		time.Sleep(d.opts.drainGrace)
+	}
+	if d.srv != nil {
+		keep(d.srv.Close())
+	}
+	if d.peer != nil {
+		if ran {
+			d.peer.Leave()
+			d.peer.Flush()
+		}
+		if d.gossiper != nil {
+			keep(d.gossiper.Close())
+		}
+		keep(d.peer.Close())
+	}
+	if d.eng != nil {
+		if ran {
+			d.eng.Flush()
+			if d.opts.checkpointPath != "" {
+				keep(d.eng.WriteCheckpointFile(d.opts.checkpointPath))
+			}
+		}
+		keep(d.eng.Close())
+	}
+	d.sinkMu.Lock()
+	keep(d.sinkErr)
+	d.sinkMu.Unlock()
+	if d.eventsFile != nil {
+		keep(d.eventsFile.Close())
+	}
+	if ran {
+		fmt.Printf("processed %d synopses (%d late)\n", d.eng.Fed(), d.eng.LateSynopses())
+	}
+	if d.http != nil {
+		_ = d.http.Close()
+	}
+	return err
+}
+
+// run is the daemon's loop — heartbeat, periodic checkpoint, periodic
+// retrain — until stop delivers.
+func (d *daemon) run(stop <-chan os.Signal) {
+	opts, eng := &d.opts, d.eng
+	var tickers []*time.Ticker
+	defer func() {
+		for _, t := range tickers {
+			t.Stop()
+		}
+	}()
+	every := func(on bool, interval time.Duration) <-chan time.Time {
+		if !on || interval <= 0 {
+			return nil // never fires
+		}
+		t := time.NewTicker(interval)
+		tickers = append(tickers, t)
+		return t.C
+	}
+	heartbeat := every(true, opts.statsInterval)
+	checkpoint := every(opts.checkpointPath != "", opts.checkpointInterval)
+	retrain := every(d.mgr != nil, opts.retrainEvery)
 	for {
 		select {
 		case <-heartbeat:
@@ -889,7 +829,7 @@ func detectMode(dict *logpoint.Dictionary, opts detectOptions) error {
 				fmt.Fprintf(&shardLine, " s%d=%d/p%d/q%d", st.Shard, st.Fed, st.Pending, st.QueueLen)
 			}
 			fmt.Fprintf(os.Stderr, "saad-analyzer: processed=%d anomalies=%d shards=%d goroutines=%d%s\n",
-				eng.Fed(), anomalies.Load(), eng.Shards(), runtime.NumGoroutine(), shardLine.String())
+				eng.Fed(), d.anomalies.Load(), eng.Shards(), runtime.NumGoroutine(), shardLine.String())
 		case <-checkpoint:
 			// A failed periodic checkpoint must not stop detection; the
 			// shutdown checkpoint still gets a chance to persist state.
@@ -899,16 +839,27 @@ func detectMode(dict *logpoint.Dictionary, opts detectOptions) error {
 		case <-retrain:
 			// A failed retrain (typically too few buffered synopses yet)
 			// must not stop detection; the next tick retries.
-			if meta, err := mgr.Retrain(); err != nil {
+			if meta, err := d.mgr.Retrain(); err != nil {
 				fmt.Fprintln(os.Stderr, "saad-analyzer: retrain:", err)
 			} else {
 				fmt.Fprintf(os.Stderr, "saad-analyzer: retrained candidate version %d (parent %d)\n",
 					meta.Version, meta.Parent)
 			}
-		case <-interrupt:
-			return shutdown()
-		case <-opts.stop:
-			return shutdown()
+		case <-stop:
+			return
 		}
 	}
+}
+
+// detectMode runs the analyzer until SIGINT or SIGTERM: start, the loop,
+// close.
+func detectMode(dict *logpoint.Dictionary, opts detectOptions) error {
+	d, err := start(dict, opts)
+	if err != nil {
+		return err
+	}
+	interrupt := make(chan os.Signal, 1)
+	signal.Notify(interrupt, os.Interrupt, syscall.SIGTERM)
+	d.run(interrupt)
+	return d.close()
 }

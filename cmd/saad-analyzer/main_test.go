@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -44,21 +45,56 @@ func healthyTasks(tr *tracker.Tracker, n int) {
 	}
 }
 
-func TestTrainAndDetectOnFixedPort(t *testing.T) {
-	// Pick a free port by listening and closing.
-	probe, err := stream.Listen("127.0.0.1:0", nil)
+// waitUntil re-checks cond on a ticker until it holds, and fails the test
+// with what once d has passed: the package's one way to wait for something
+// the daemon does on its own goroutines.
+func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	tick := time.NewTicker(2 * time.Millisecond)
+	defer tick.Stop()
+	for deadline := time.After(d); !cond(); {
+		select {
+		case <-tick.C:
+		case <-deadline:
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// runDaemon starts detect mode on an ephemeral ingest port — every bound
+// address is read back off the daemon — and runs its loop. stop ends it the
+// way a signal would and fails the test on a shutdown error; it also runs at
+// cleanup, where a second call does nothing.
+func runDaemon(t *testing.T, opts detectOptions) (d *daemon, stop func()) {
+	t.Helper()
+	opts.listen = "127.0.0.1:0"
+	d, err := start(logpoint.NewDictionary(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := probe.Addr()
-	if err := probe.Close(); err != nil {
-		t.Fatal(err)
-	}
+	interrupt := make(chan os.Signal)
+	ran := make(chan struct{})
+	go func() {
+		d.run(interrupt)
+		close(ran)
+	}()
+	stop = sync.OnceFunc(func() {
+		close(interrupt)
+		<-ran
+		if err := d.close(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	t.Cleanup(stop)
+	return d, stop
+}
 
+func TestTrainAndDetectOnFixedPort(t *testing.T) {
+	addr := freePort(t)
 	modelPath := filepath.Join(t.TempDir(), "model.json")
 	trainDone := make(chan error, 1)
 	go func() {
-		trainDone <- trainMode(addr, modelPath, "", 500, time.Minute, 0.001)
+		trainDone <- trainMode(addr, modelPath, "", 500, time.Minute)
 	}()
 	waitListening(t, addr)
 	emit(t, addr, 600)
@@ -72,21 +108,16 @@ func TestTrainAndDetectOnFixedPort(t *testing.T) {
 	}
 }
 
-// waitListening retries until something accepts synopsis connections on addr.
+// waitListening waits until the trainer accepts synopsis connections on addr.
 func waitListening(t *testing.T, addr string) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitUntil(t, 5*time.Second, "the trainer to listen", func() bool {
 		cli, err := stream.Dial(addr, 0)
 		if err == nil {
 			_ = cli.Close()
-			return
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("trainer never listened")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return err == nil
+	})
 }
 
 // awaitModel waits for trainMode to return and reads the model it wrote.
@@ -125,7 +156,7 @@ func TestTrainModeConcurrentTrackers(t *testing.T) {
 	modelPath := filepath.Join(t.TempDir(), "model.json")
 	trainDone := make(chan error, 1)
 	go func() {
-		trainDone <- trainMode(addr, modelPath, "", want, time.Minute, 0.001)
+		trainDone <- trainMode(addr, modelPath, "", want, time.Minute)
 	}()
 	waitListening(t, addr)
 
@@ -154,7 +185,9 @@ func TestTrainModeConcurrentTrackers(t *testing.T) {
 	}
 }
 
-// freePort reserves an address by listening and closing.
+// freePort reserves an address by listening and closing: train mode prints
+// the address it bound and returns nothing to read it from. Detect-mode
+// tests bind port 0 and read the address off the daemon instead.
 func freePort(t *testing.T) string {
 	t.Helper()
 	probe, err := stream.Listen("127.0.0.1:0", nil)
@@ -206,85 +239,24 @@ func TestDetectCheckpointRestart(t *testing.T) {
 	ckptPath := filepath.Join(dir, "analyzer.ckpt")
 	eventsPath := filepath.Join(dir, "events.jsonl")
 
-	// Train in-process on healthy {1,2} flows and persist the model.
-	train := stream.NewChannel(1 << 12)
-	tr := tracker.New(1, train)
-	for i := 0; i < 600; i++ {
-		at := epoch.Add(time.Duration(i) * time.Millisecond)
-		task := tr.Begin(1, at)
-		task.Hit(1, at.Add(time.Millisecond))
-		task.Hit(2, at.Add(2*time.Millisecond))
-		task.End(at.Add(2 * time.Millisecond))
-	}
-	model, err := analyzer.Train(analyzer.DefaultConfig(), train.Drain())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mf, err := os.Create(modelPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := model.WriteTo(mf); err != nil {
-		t.Fatal(err)
-	}
-	if err := mf.Close(); err != nil {
-		t.Fatal(err)
-	}
+	trainModelFile(t, modelPath)
 
-	// runDetect starts detect mode and returns its stop/done channels.
-	runDetect := func(addr, modelPath string) (chan struct{}, chan error) {
-		stop := make(chan struct{})
-		done := make(chan error, 1)
-		go func() {
-			done <- detectMode(logpoint.NewDictionary(), detectOptions{
-				listen:             addr,
-				modelPath:          modelPath,
-				eventsPath:         eventsPath,
-				checkpointPath:     ckptPath,
-				checkpointInterval: 20 * time.Millisecond,
-				stop:               stop,
-			})
-		}()
-		// Wait until it is listening.
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			cli, err := stream.Dial(addr, 0)
-			if err == nil {
-				_ = cli.Close()
-				return stop, done
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("detector never listened")
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+	runDetect := func(modelPath string) (*daemon, func()) {
+		return runDaemon(t, detectOptions{
+			modelPath:          modelPath,
+			eventsPath:         eventsPath,
+			checkpointPath:     ckptPath,
+			checkpointInterval: 20 * time.Millisecond,
+		})
 	}
-	// waitPending polls the periodic checkpoint until the detector has n
+	// waitPending watches the periodic checkpoint until the detector has n
 	// tasks pending in open windows — proof the emitted phase was consumed.
 	waitPending := func(n int) {
 		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			if det, err := analyzer.LoadCheckpointFile(ckptPath); err == nil && det.PendingTasks() == n {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("checkpoint never reached %d pending tasks", n)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	stopDetect := func(stop chan struct{}, done chan error) {
-		t.Helper()
-		close(stop)
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("detect mode never shut down")
-		}
+		waitUntil(t, 10*time.Second, "the periodic checkpoint to hold the emitted phase", func() bool {
+			det, err := analyzer.LoadCheckpointFile(ckptPath)
+			return err == nil && det.PendingTasks() == n
+		})
 	}
 	countEvents := func() int {
 		t.Helper()
@@ -303,22 +275,20 @@ func TestDetectCheckpointRestart(t *testing.T) {
 
 	// Run 1: anomalies accumulate in an open window, then a graceful stop
 	// flushes the window (reporting its anomaly) and checkpoints.
-	addr := freePort(t)
-	stop, done := runDetect(addr, modelPath)
-	emitPhase(t, addr, epoch, 100, 5)
+	d, stop := runDetect(modelPath)
+	emitPhase(t, d.srv.Addr(), epoch, 100, 5)
 	waitPending(105)
-	stopDetect(stop, done)
+	stop()
 	if got := countEvents(); got != 1 {
 		t.Fatalf("events after run 1 = %d, want 1 new-signature anomaly", got)
 	}
 
 	// Run 2: restarts from the checkpoint alone — the model path is bogus,
 	// so starting proves the state came from the checkpoint file.
-	addr = freePort(t)
-	stop, done = runDetect(addr, filepath.Join(dir, "bogus-model.json"))
-	emitPhase(t, addr, epoch.Add(2*time.Minute), 50, 5)
+	d, stop = runDetect(filepath.Join(dir, "bogus-model.json"))
+	emitPhase(t, d.srv.Addr(), epoch.Add(2*time.Minute), 50, 5)
 	waitPending(55)
-	stopDetect(stop, done)
+	stop()
 	if got := countEvents(); got != 2 {
 		t.Fatalf("events after restart = %d, want 2 (one anomaly per run)", got)
 	}
@@ -366,42 +336,14 @@ func TestCheckpointRestartKeepsModelLineage(t *testing.T) {
 	// its ingest and /model addresses and a stop function.
 	run := func() (addr, modelURL string, stop func()) {
 		t.Helper()
-		addr = freePort(t)
-		httpCh := make(chan string, 1)
-		stopCh := make(chan struct{})
-		done := make(chan error, 1)
-		go func() {
-			done <- detectMode(logpoint.NewDictionary(), detectOptions{
-				listen:         addr,
-				modelPath:      modelPath,
-				httpAddr:       "127.0.0.1:0",
-				checkpointPath: filepath.Join(dir, "analyzer.ckpt"),
-				storeDir:       filepath.Join(dir, "models"),
-				shadow:         true,
-				stop:           stopCh,
-				httpBound:      func(a string) { httpCh <- a },
-			})
-		}()
-		select {
-		case a := <-httpCh:
-			modelURL = "http://" + a + "/model"
-		case err := <-done:
-			t.Fatalf("detect mode exited early: %v", err)
-		case <-time.After(10 * time.Second):
-			t.Fatal("observability server never bound")
-		}
-		return addr, modelURL, func() {
-			t.Helper()
-			close(stopCh)
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatal(err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("detect mode never shut down")
-			}
-		}
+		d, stop := runDaemon(t, detectOptions{
+			modelPath:      modelPath,
+			httpAddr:       "127.0.0.1:0",
+			checkpointPath: filepath.Join(dir, "analyzer.ckpt"),
+			storeDir:       filepath.Join(dir, "models"),
+			shadow:         true,
+		})
+		return d.srv.Addr(), "http://" + d.http.Addr() + "/model", stop
 	}
 	status := func(modelURL string) (st lifecycle.Status) {
 		t.Helper()
@@ -413,13 +355,9 @@ func TestCheckpointRestartKeepsModelLineage(t *testing.T) {
 	retrain := func(addr, modelURL string) (meta lifecycle.Meta) {
 		t.Helper()
 		emit(t, addr, 2500)
-		deadline := time.Now().Add(10 * time.Second)
-		for status(modelURL).Buffered < 2500 {
-			if time.Now().After(deadline) {
-				t.Fatal("the lifecycle manager never buffered the stream")
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+		waitUntil(t, 10*time.Second, "the lifecycle manager to buffer the stream", func() bool {
+			return status(modelURL).Buffered >= 2500
+		})
 		resp, err := http.PostForm(modelURL, url.Values{"action": {"retrain"}})
 		if err != nil {
 			t.Fatal(err)
@@ -452,8 +390,7 @@ func TestCheckpointRestartKeepsModelLineage(t *testing.T) {
 	stop()
 
 	// Run 2 restores the checkpoint: same serving version, same lineage.
-	addr, modelURL, stop = run()
-	defer stop()
+	addr, modelURL, _ = run()
 	if got := status(modelURL).ServingVersion; got != 2 {
 		t.Fatalf("serving version after restart = %d, want 2", got)
 	}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"saad/internal/analyzer"
-	"saad/internal/logpoint"
 	"saad/internal/report"
 	"saad/internal/stream"
 	"saad/internal/trace"
@@ -72,29 +71,13 @@ func TestTraceEndToEnd(t *testing.T) {
 	eventsPath := filepath.Join(dir, "events.jsonl")
 	trainModelFile(t, modelPath)
 
-	addr := freePort(t)
-	stop := make(chan struct{})
-	done := make(chan error, 1)
-	httpCh := make(chan string, 1)
-	go func() {
-		done <- detectMode(logpoint.NewDictionary(), detectOptions{
-			listen:      addr,
-			modelPath:   modelPath,
-			eventsPath:  eventsPath,
-			httpAddr:    "127.0.0.1:0",
-			traceSample: 1,
-			stop:        stop,
-			httpBound:   func(a string) { httpCh <- a },
-		})
-	}()
-	var httpAddr string
-	select {
-	case httpAddr = <-httpCh:
-	case err := <-done:
-		t.Fatalf("detect mode exited early: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("observability server never bound")
-	}
+	d, stop := runDaemon(t, detectOptions{
+		modelPath:   modelPath,
+		eventsPath:  eventsPath,
+		httpAddr:    "127.0.0.1:0",
+		traceSample: 1,
+	})
+	addr, httpAddr := d.srv.Addr(), d.http.Addr()
 
 	// A span-sampling tracker: every task carries a span from Task.End on.
 	cli, err := stream.Dial(addr, 0)
@@ -128,17 +111,10 @@ func TestTraceEndToEnd(t *testing.T) {
 		Processed   uint64 `json:"processed"`
 		TraceSample int    `json:"trace_sample_every"`
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	waitUntil(t, 10*time.Second, "/statusz to show the whole stream processed", func() bool {
 		getJSON(t, "http://"+httpAddr+"/statusz", &status)
-		if status.Processed == 105 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("statusz processed = %d, want 105", status.Processed)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return status.Processed == 105
+	})
 	if status.Mode != "detecting" || status.TraceSample != 1 {
 		t.Fatalf("statusz = %+v", status)
 	}
@@ -184,15 +160,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 
 	// Graceful stop flushes the open window, emitting the anomaly event.
-	close(stop)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("detect mode never shut down")
-	}
+	stop()
 
 	ef, err := os.Open(eventsPath)
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -270,6 +271,29 @@ func TestFig10Shape(t *testing.T) {
 	}
 	if callPerf == 0 {
 		t.Error("no Call perf anomalies during the medium fault")
+	}
+}
+
+// TestFig10Deterministic: the figure is a function of its configuration.
+// It was not while the crashed RegionServer's regions went to the survivors
+// in map order (hbase.TestRecoveryCrashTraceIsDeterministic): one seed gave
+// a different trace, and a different figure, nearly every run.
+func TestFig10Deterministic(t *testing.T) {
+	cfg := Config{MinuteScale: time.Second, Clients: 8, Think: 80 * time.Millisecond, Seed: 1, Runs: 1}
+	first, _, err := Fig10(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.RS3CrashMinute < 0 {
+		t.Fatal("RegionServer 3 never crashed: the run does not reach the reassignment")
+	}
+	second, _, err := Fig10(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("two runs of one configuration differ: %d and %d anomalies, RS3 crash at minute %d and %d",
+			len(first.Anomalies), len(second.Anomalies), first.RS3CrashMinute, second.RS3CrashMinute)
 	}
 }
 

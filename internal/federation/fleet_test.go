@@ -159,23 +159,33 @@ func fleetInfos(fleet []*fleetPeer) []PeerInfo {
 	return infos
 }
 
-// waitFed polls until the engines have collectively fed want synopses
+// waitUntil re-checks cond on a ticker until it holds, and fails the test
+// with what once d has passed: the package's one way to wait for something
+// another goroutine (a link, a gossiper, a shard worker) does.
+func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	tick := time.NewTicker(2 * time.Millisecond)
+	defer tick.Stop()
+	for deadline := time.After(d); !cond(); {
+		select {
+		case <-tick.C:
+		case <-deadline:
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// waitFed waits until the engines have collectively fed want synopses
 // (records in flight through TCP links and forwards arrive asynchronously).
 func waitFed(t *testing.T, want uint64, engines ...*analyzer.Engine) {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	var sum uint64
-	for time.Now().Before(deadline) {
-		sum = 0
+	waitUntil(t, 15*time.Second, fmt.Sprintf("the fleet to feed %d synopses", want), func() bool {
+		var sum uint64
 		for _, e := range engines {
 			sum += e.Fed()
 		}
-		if sum == want {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("fleet fed %d synopses, want %d", sum, want)
+		return sum == want
+	})
 }
 
 // TestFleetEquivalenceGracefulLeave is the federation acceptance proof: a
@@ -365,18 +375,10 @@ func TestFleetChaos(t *testing.T) {
 	// Rebalance completes: the survivors' rings converge on the 2-peer
 	// topology without the victim.
 	wantRing := []string{ids[0], ids[2]}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		a := fleet[0].peer.Membership().Ring().Peers()
-		c := fleet[2].peer.Membership().Ring().Peers()
-		if reflect.DeepEqual(a, wantRing) && reflect.DeepEqual(c, wantRing) {
-			break
-		}
-		if !time.Now().Before(deadline) {
-			t.Fatalf("rings never converged: a=%v c=%v", a, c)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitUntil(t, 10*time.Second, "the survivors' rings to converge", func() bool {
+		return reflect.DeepEqual(fleet[0].peer.Membership().Ring().Peers(), wantRing) &&
+			reflect.DeepEqual(fleet[2].peer.Membership().Ring().Peers(), wantRing)
+	})
 
 	// A stale tracker keeps routing by the 3-peer ring, with the victim's
 	// address pointing at a live peer (any real deployment's connection

@@ -37,13 +37,7 @@ func TestForwardLinkRedialsRestartedPeer(t *testing.T) {
 	}
 	poll := func(what string, cond func() bool) {
 		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
+		waitUntil(t, 10*time.Second, what, cond)
 	}
 
 	forward()

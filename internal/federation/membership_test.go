@@ -171,14 +171,7 @@ func TestGossipConvergence(t *testing.T) {
 
 	waitRing := func(m *Membership, want []string, what string) {
 		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			if reflect.DeepEqual(m.Ring().Peers(), want) {
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatalf("%s: ring %v never became %v", what, m.Ring().Peers(), want)
+		waitUntil(t, 5*time.Second, what, func() bool { return reflect.DeepEqual(m.Ring().Peers(), want) })
 	}
 	all := []string{"a", "b", "c"}
 	waitRing(ma, all, "a discovers fleet")

@@ -40,7 +40,7 @@ type Peer struct {
 	fwd *stream.RingClient
 
 	// parkMu guards the rebalance parking buffer. While a rebalance is in
-	// flight (parkDepth > 0) arriving records are parked and re-dispatched
+	// flight (parkDepth > 0) arriving frames are parked whole and routed
 	// once the handoffs complete, preserving per-group FIFO order across
 	// the ownership transfer.
 	parkMu    sync.Mutex
@@ -137,34 +137,61 @@ func (p *Peer) Membership() *Membership { return p.ms }
 // Self returns this peer's identity with resolved addresses.
 func (p *Peer) Self() PeerInfo { return p.ms.Self() }
 
-// Emit implements tracker.Sink: feed locally when the ring says this peer
-// owns the record's group, forward to the owner otherwise, park while a
-// rebalance is moving state.
+// Emit implements tracker.Sink: the one-record case of EmitBatch.
 func (p *Peer) Emit(s *synopsis.Synopsis) {
-	if p.parkIfRebalancing(s) {
-		return
-	}
-	p.dispatch(s)
+	one := [1]*synopsis.Synopsis{s}
+	p.EmitBatch(one[:])
 }
 
-// EmitBatch implements stream.BatchSink. Records are dispatched
-// individually: a tracker batch spans whatever groups its host produced,
-// which the ring may scatter across peers, and the rebalance park check
-// stays one record wide. The borrowed slice is only ranged over.
+// EmitBatch implements stream.BatchSink. A frame is handled as a frame: one
+// park decision — while a rebalance is moving state the whole frame waits in
+// the parking buffer, behind what is already there — and otherwise one
+// routing pass. The records pass to the peer; the borrowed slice may be
+// reordered (route) and is not kept.
 func (p *Peer) EmitBatch(batch []*synopsis.Synopsis) {
-	for _, s := range batch {
-		p.Emit(s)
+	p.parkMu.Lock()
+	parking := p.parkDepth > 0
+	if parking {
+		p.parkedBuf = append(p.parkedBuf, batch...)
 	}
-}
-
-// dispatch routes one record by current ring ownership.
-func (p *Peer) dispatch(s *synopsis.Synopsis) {
-	owner := p.ms.Ring().OwnerOfHash(KeyHash(s.Host, s.Stage))
-	if owner == p.selfID {
-		p.eng.Emit(s)
+	p.parkMu.Unlock()
+	if parking {
+		p.parked.Add(uint64(len(batch)))
+		p.m.ForwardsParked.Add(uint64(len(batch)))
 		return
 	}
-	p.forward(s, owner)
+	p.route(batch)
+}
+
+// route splits batch by ownership under ONE ring snapshot: records of groups
+// this peer owns are packed, in frame order, into a prefix of the slice and
+// reach the engine in one FeedBatch; the others are forwarded to their
+// owners as they are met, also in frame order. A group has one owner per
+// ring, so per-group FIFO order holds on both sides. A frame that is all
+// local — every frame, while trackers route by the ring the fleet agrees on
+// — is handed over exactly as it came: nothing moved, nothing written.
+func (p *Peer) route(batch []*synopsis.Synopsis) {
+	ring := p.ms.Ring()
+	local := 0
+	for i, s := range batch {
+		owner := ring.OwnerOfHash(KeyHash(s.Host, s.Stage))
+		if owner != p.selfID {
+			p.forward(s, owner)
+			continue
+		}
+		if local != i {
+			batch[local] = s
+		}
+		local++
+	}
+	switch local {
+	case 0:
+	case 1:
+		// A lone record needs no feed buffer behind it while it is queued.
+		p.eng.Emit(batch[0])
+	default:
+		p.eng.FeedBatch(batch[:local])
+	}
 }
 
 // forward pushes a misrouted record to its owner; one the owner's link does
@@ -185,20 +212,6 @@ func (p *Peer) forward(s *synopsis.Synopsis, owner string) {
 	}
 	p.forwards.Add(1)
 	p.m.Forwards.Inc()
-}
-
-// parkIfRebalancing buffers s while a rebalance is in flight.
-func (p *Peer) parkIfRebalancing(s *synopsis.Synopsis) bool {
-	p.parkMu.Lock()
-	if p.parkDepth == 0 {
-		p.parkMu.Unlock()
-		return false
-	}
-	p.parkedBuf = append(p.parkedBuf, s)
-	p.parkMu.Unlock()
-	p.parked.Add(1)
-	p.m.ForwardsParked.Inc()
-	return true
 }
 
 // onRingChange is the membership subscriber: park arrivals, move the
@@ -266,7 +279,7 @@ func (p *Peer) rebalance(cur *Ring) {
 	}
 }
 
-// drainParked re-dispatches everything parked during the rebalance, in
+// drainParked routes everything parked during the rebalance, as one batch in
 // arrival order, through the post-rebalance topology.
 func (p *Peer) drainParked() {
 	p.parkMu.Lock()
@@ -276,9 +289,7 @@ func (p *Peer) drainParked() {
 		batch, p.parkedBuf = p.parkedBuf, nil
 	}
 	p.parkMu.Unlock()
-	for _, s := range batch {
-		p.dispatch(s)
-	}
+	p.route(batch)
 }
 
 // Leave gracefully exits the fleet: this peer's own view drops self, the

@@ -93,7 +93,7 @@ type Manager struct {
 	// retrainMu serializes Retrain end-to-end (the retrain ticker and the
 	// POST /model?action=retrain handler can fire together), which is what
 	// upholds the store's single-writer contract. It is separate from mu so
-	// Observe keeps flowing while a retrain trains and stores.
+	// frames keep flowing while a retrain trains and stores.
 	retrainMu sync.Mutex
 
 	mu          sync.Mutex
@@ -184,13 +184,52 @@ func (m *Manager) LastVerdict() *Verdict {
 	return m.lastVerdict
 }
 
-// Observe feeds one live synopsis to the lifecycle: the retrain ring, the
-// drift monitor and any active shadow evaluation. Call it from the same
-// tee that feeds the engine. A passing shadow verdict triggers promotion
-// here when AutoPromote is set.
-func (m *Manager) Observe(s *synopsis.Synopsis) {
-	var promote bool
-	m.mu.Lock()
+// Emit implements tracker.Sink: the one-record case of EmitBatch.
+func (m *Manager) Emit(s *synopsis.Synopsis) {
+	one := [1]*synopsis.Synopsis{s}
+	m.EmitBatch(one[:])
+}
+
+// EmitBatch implements stream.BatchSink: the manager stands in front of its
+// engine as the server's sink. The engine is fed first (FIFO into the owning
+// shards, the frame still a frame) and the lifecycle observes after — but on
+// clones cut before the feed: the retrain ring keeps what it is handed,
+// while the engine may release a record to its pool, to be overwritten by
+// the next frame, as soon as a shard has observed it. The borrowed slice is
+// read and passed on to FeedBatch, which copies out of it.
+func (m *Manager) EmitBatch(batch []*synopsis.Synopsis) {
+	clones := make([]*synopsis.Synopsis, len(batch))
+	for i, s := range batch {
+		clones[i] = s.Clone()
+	}
+	m.eng.FeedBatch(batch)
+	m.observe(clones)
+}
+
+// observe hands records the manager owns to the retrain ring, the drift
+// monitor and any active shadow evaluation, under one acquisition of mu per
+// frame. A passing shadow verdict promotes here unless DisableAutoPromote is
+// set: the frame is cut at that record, the swap runs outside the lock, and
+// the rest of the frame meets the promoted model's drift monitor.
+func (m *Manager) observe(recs []*synopsis.Synopsis) {
+	for len(recs) > 0 {
+		n, promote := 0, false
+		m.mu.Lock()
+		for n < len(recs) && !promote {
+			promote = m.observeLocked(recs[n])
+			n++
+		}
+		m.mu.Unlock()
+		if promote {
+			m.promote()
+		}
+		recs = recs[n:]
+	}
+}
+
+// observeLocked is observe for one record, with mu held. It reports whether
+// the caller must now run promote (m.swapping is then already set).
+func (m *Manager) observeLocked(s *synopsis.Synopsis) (promote bool) {
 	m.ring[m.ringNext] = s
 	m.ringNext = (m.ringNext + 1) % len(m.ring)
 	if m.ringCount < len(m.ring) {
@@ -209,36 +248,38 @@ func (m *Manager) Observe(s *synopsis.Synopsis) {
 		m.tracer.ControlRing().Record(trace.EventDriftEpoch,
 			uint16(s.Stage), s.Host, uint64(rep.Score*1e6), drifted)
 	}
-	if m.shadow != nil {
-		m.shadow.Observe(s)
-		if m.shadow.Fed()%m.cfg.VerdictEvery == 0 {
-			v := m.shadow.Verdict()
-			if v.Ready {
-				m.lastVerdict = &v
-				if m.lm != nil {
-					m.lm.ShadowDivergence.Set(v.Divergence)
-				}
-				if !v.Promote {
-					// Rejected: drop the candidate, keep its store version
-					// for forensics. The divergence gauge resets with the
-					// shadow — a dead evaluation must not keep exporting
-					// its last reading as if it were current.
-					m.shadow = nil
-					m.candModel = nil
-					if m.lm != nil {
-						m.lm.ShadowDivergence.Set(0)
-					}
-				} else if !m.cfg.DisableAutoPromote && !m.swapping {
-					m.swapping = true
-					promote = true
-				}
-			}
+	if m.shadow == nil {
+		return false
+	}
+	m.shadow.Observe(s)
+	if m.shadow.Fed()%m.cfg.VerdictEvery != 0 {
+		return false
+	}
+	v := m.shadow.Verdict()
+	if !v.Ready {
+		return false
+	}
+	m.lastVerdict = &v
+	if m.lm != nil {
+		m.lm.ShadowDivergence.Set(v.Divergence)
+	}
+	if !v.Promote {
+		// Rejected: drop the candidate, keep its store version for
+		// forensics. The divergence gauge resets with the shadow — a dead
+		// evaluation must not keep exporting its last reading as if it
+		// were current.
+		m.shadow = nil
+		m.candModel = nil
+		if m.lm != nil {
+			m.lm.ShadowDivergence.Set(0)
 		}
+		return false
 	}
-	m.mu.Unlock()
-	if promote {
-		m.promote()
+	if m.cfg.DisableAutoPromote || m.swapping {
+		return false
 	}
+	m.swapping = true
+	return true
 }
 
 // snapshotRing copies the buffered synopses in arrival order.
@@ -273,8 +314,8 @@ func (m *Manager) Retrain() (Meta, error) {
 	parent := m.serving.Version
 	m.mu.Unlock()
 
-	// Train outside the lock: training is O(trace) and must not stall
-	// Observe.
+	// Train outside the lock: training is O(trace) and must not stall the
+	// sink.
 	cfg := m.eng.Model().Config
 	model, err := analyzer.Train(cfg, trace)
 	if err != nil {
@@ -346,7 +387,7 @@ func (m *Manager) Promote() (Meta, error) {
 
 // promote performs the hot swap. The engine swap runs outside the
 // manager's lock: SwapModel has its own quiesce protocol and concurrent
-// Observe calls must keep flowing while shards cut over. m.swapping (set
+// frames must keep flowing while shards cut over. m.swapping (set
 // by the caller) excludes concurrent promotions; a promotion requested
 // while the swap was in flight is recorded in pendingPromote and applied
 // here before swapping is released, so a deferred candidate never waits

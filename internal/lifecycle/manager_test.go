@@ -12,6 +12,7 @@ import (
 	"saad/internal/analyzer"
 	"saad/internal/faults"
 	"saad/internal/metrics"
+	"saad/internal/stream"
 	"saad/internal/synopsis"
 )
 
@@ -25,8 +26,14 @@ func managerTestConfig() ManagerConfig {
 	}
 }
 
+// The daemon mounts the manager as the ingest server's sink; a frame must
+// reach it as a frame.
+var _ stream.BatchSink = (*Manager)(nil)
+
 // newServingStack trains a model, stores it as version 1 and builds an
-// engine + manager pair serving it.
+// engine + manager pair serving it. The engine releases what it is fed into
+// a pool, as the daemon's does, which wipes the record: a manager that kept
+// a fed record instead of a clone would retrain on blanks.
 func newServingStack(t *testing.T, cfg ManagerConfig, opts ...ManagerOption) (*analyzer.Engine, *Manager, *Store, *metrics.LifecycleMetrics) {
 	t.Helper()
 	model := trainOn(t, traffic(6000, 30, epoch, nil))
@@ -35,20 +42,11 @@ func newServingStack(t *testing.T, cfg ManagerConfig, opts ...ManagerOption) (*a
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := analyzer.NewEngine(model, analyzer.WithShards(2))
+	eng := analyzer.NewEngine(model, analyzer.WithShards(2), analyzer.WithSynopsisRelease(synopsis.NewPool(64).Put))
 	t.Cleanup(func() { _ = eng.Close() })
 	lm := metrics.NewLifecycleMetrics(metrics.NewRegistry())
 	opts = append([]ManagerOption{WithServingVersion(meta), WithLifecycleMetrics(lm)}, opts...)
 	return eng, NewManager(eng, store, cfg, opts...), store, lm
-}
-
-// feed tees a stream to the engine and the manager, like the analyzer CLI's
-// sink does.
-func feed(eng *analyzer.Engine, mgr *Manager, stream []*synopsis.Synopsis) {
-	for _, s := range stream {
-		eng.Feed(s)
-		mgr.Observe(s)
-	}
 }
 
 // TestManagerAutoPromote closes the whole loop: buffer live traffic,
@@ -57,8 +55,12 @@ func feed(eng *analyzer.Engine, mgr *Manager, stream []*synopsis.Synopsis) {
 func TestManagerAutoPromote(t *testing.T) {
 	eng, mgr, _, lm := newServingStack(t, managerTestConfig())
 
+	// The records are the manager's once emitted (its engine recycles them):
+	// what the test needs of them is read first.
 	live := traffic(3000, 31, epoch.Add(time.Hour), nil)
-	feed(eng, mgr, live)
+	first, last, next := live[0].Start, live[len(live)-1].Start, after(live)
+	mgr.EmitBatch(live)
+	eng.Drain() // every record is back in the engine's pool, wiped: the retrain reads clones or blanks
 
 	meta, err := mgr.Retrain()
 	if err != nil {
@@ -70,7 +72,7 @@ func TestManagerAutoPromote(t *testing.T) {
 	if meta.Synopses != 3000 {
 		t.Fatalf("candidate trained on %d synopses, want the 3000 buffered", meta.Synopses)
 	}
-	if !meta.TrainedFrom.Equal(live[0].Start) || !meta.TrainedTo.Equal(live[len(live)-1].Start) {
+	if !meta.TrainedFrom.Equal(first) || !meta.TrainedTo.Equal(last) {
 		t.Fatalf("trained window = %v..%v", meta.TrainedFrom, meta.TrainedTo)
 	}
 	st := mgr.Status()
@@ -83,7 +85,7 @@ func TestManagerAutoPromote(t *testing.T) {
 
 	// More healthy traffic: the shadow accumulates windows, the verdict
 	// passes and the manager swaps the engine over, all inside Observe.
-	feed(eng, mgr, traffic(3000, 32, after(live), nil))
+	mgr.EmitBatch(traffic(3000, 32, next, nil))
 
 	if got := mgr.ServingVersion(); got != 2 {
 		t.Fatalf("serving version = %d, want auto-promotion to 2", got)
@@ -125,7 +127,8 @@ func TestManagerRejectsPoisonedCandidate(t *testing.T) {
 
 	inj := faults.NewInjector(netSendError())
 	faulted := traffic(2000, 33, epoch.Add(time.Hour), inj)
-	feed(eng, mgr, faulted)
+	next := after(faulted)
+	mgr.EmitBatch(faulted)
 
 	meta, err := mgr.Retrain()
 	if err != nil {
@@ -136,7 +139,7 @@ func TestManagerRejectsPoisonedCandidate(t *testing.T) {
 	}
 
 	// The fault clears; live traffic is healthy again.
-	feed(eng, mgr, traffic(3000, 34, after(faulted), nil))
+	mgr.EmitBatch(traffic(3000, 34, next, nil))
 
 	if got := mgr.ServingVersion(); got != 1 {
 		t.Fatalf("poisoned candidate promoted to serving (version %d)", got)
@@ -159,8 +162,8 @@ func TestManagerRejectsPoisonedCandidate(t *testing.T) {
 }
 
 func TestManagerRetrainTooFew(t *testing.T) {
-	eng, mgr, _, _ := newServingStack(t, managerTestConfig())
-	feed(eng, mgr, traffic(10, 35, epoch.Add(time.Hour), nil))
+	_, mgr, _, _ := newServingStack(t, managerTestConfig())
+	mgr.EmitBatch(traffic(10, 35, epoch.Add(time.Hour), nil))
 	if _, err := mgr.Retrain(); !errors.Is(err, ErrRetrainTooFew) {
 		t.Fatalf("Retrain on near-empty buffer: %v", err)
 	}
@@ -174,7 +177,7 @@ func TestManagerPromoteForcesPendingCandidate(t *testing.T) {
 	if _, err := mgr.Promote(); !errors.Is(err, ErrNoCandidate) {
 		t.Fatalf("Promote with no candidate: %v", err)
 	}
-	feed(eng, mgr, traffic(2000, 36, epoch.Add(time.Hour), nil))
+	mgr.EmitBatch(traffic(2000, 36, epoch.Add(time.Hour), nil))
 	if _, err := mgr.Retrain(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +198,9 @@ func TestManagerDisableShadowPromotesImmediately(t *testing.T) {
 	cfg := managerTestConfig()
 	cfg.DisableShadow = true
 	cfg.KeepVersions = 2
-	eng, mgr, store, _ := newServingStack(t, cfg)
+	_, mgr, store, _ := newServingStack(t, cfg)
 
-	feed(eng, mgr, traffic(2000, 37, epoch.Add(time.Hour), nil))
+	mgr.EmitBatch(traffic(2000, 37, epoch.Add(time.Hour), nil))
 	meta, err := mgr.Retrain()
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +209,7 @@ func TestManagerDisableShadowPromotesImmediately(t *testing.T) {
 		t.Fatalf("shadowless retrain did not promote: serving %d, new %d", mgr.ServingVersion(), meta.Version)
 	}
 	// KeepVersions bounds the store.
-	feed(eng, mgr, traffic(2000, 38, epoch.Add(2*time.Hour), nil))
+	mgr.EmitBatch(traffic(2000, 38, epoch.Add(2*time.Hour), nil))
 	if _, err := mgr.Retrain(); err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +230,8 @@ func TestManagerDisableShadowPromotesImmediately(t *testing.T) {
 func TestManagerConcurrentRetrainSerialized(t *testing.T) {
 	cfg := managerTestConfig()
 	cfg.DisableAutoPromote = true
-	eng, mgr, store, _ := newServingStack(t, cfg)
-	feed(eng, mgr, traffic(2000, 41, epoch.Add(time.Hour), nil))
+	_, mgr, store, _ := newServingStack(t, cfg)
+	mgr.EmitBatch(traffic(2000, 41, epoch.Add(time.Hour), nil))
 
 	metas := make([]Meta, 2)
 	errs := make([]error, 2)
@@ -268,7 +271,7 @@ func TestManagerDeferredPromotionAfterInFlightSwap(t *testing.T) {
 	cfg := managerTestConfig()
 	cfg.DisableShadow = true
 	eng, mgr, _, _ := newServingStack(t, cfg)
-	feed(eng, mgr, traffic(2000, 42, epoch.Add(time.Hour), nil))
+	mgr.EmitBatch(traffic(2000, 42, epoch.Add(time.Hour), nil))
 
 	// Simulate a swap in flight at the moment the retrain lands.
 	mgr.mu.Lock()
@@ -300,7 +303,7 @@ func TestManagerDeferredPromotionAfterInFlightSwap(t *testing.T) {
 
 // TestManagerServeHTTP drives the /model admin endpoint end to end.
 func TestManagerServeHTTP(t *testing.T) {
-	eng, mgr, _, _ := newServingStack(t, managerTestConfig())
+	_, mgr, _, _ := newServingStack(t, managerTestConfig())
 
 	do := func(method, target string) *httptest.ResponseRecorder {
 		t.Helper()
@@ -335,7 +338,7 @@ func TestManagerServeHTTP(t *testing.T) {
 		t.Fatalf("PUT = %d", rec.Code)
 	}
 
-	feed(eng, mgr, traffic(2000, 39, epoch.Add(time.Hour), nil))
+	mgr.EmitBatch(traffic(2000, 39, epoch.Add(time.Hour), nil))
 	rec = do(http.MethodPost, "/model?action=retrain")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("retrain = %d: %s", rec.Code, rec.Body)

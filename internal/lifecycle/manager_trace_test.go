@@ -12,14 +12,15 @@ import (
 // against the old model and the candidate's shadow run, so neither gauge
 // may keep exporting its pre-swap reading.
 func TestManagerGaugeResetOnPromote(t *testing.T) {
-	eng, mgr, _, lm := newServingStack(t, managerTestConfig())
+	_, mgr, _, lm := newServingStack(t, managerTestConfig())
 
 	live := traffic(3000, 31, epoch.Add(time.Hour), nil)
-	feed(eng, mgr, live)
+	next := after(live)
+	mgr.EmitBatch(live)
 	if _, err := mgr.Retrain(); err != nil {
 		t.Fatal(err)
 	}
-	feed(eng, mgr, traffic(3000, 32, after(live), nil))
+	mgr.EmitBatch(traffic(3000, 32, next, nil))
 
 	if got := mgr.ServingVersion(); got != 2 {
 		t.Fatalf("serving version = %d, want auto-promotion to 2", got)
@@ -36,15 +37,16 @@ func TestManagerGaugeResetOnPromote(t *testing.T) {
 // its last divergence reading must not linger on /metrics as if a shadow
 // were still running.
 func TestManagerGaugeResetOnRejection(t *testing.T) {
-	eng, mgr, _, lm := newServingStack(t, managerTestConfig())
+	_, mgr, _, lm := newServingStack(t, managerTestConfig())
 
 	inj := faults.NewInjector(netSendError())
 	faulted := traffic(2000, 33, epoch.Add(time.Hour), inj)
-	feed(eng, mgr, faulted)
+	next := after(faulted)
+	mgr.EmitBatch(faulted)
 	if _, err := mgr.Retrain(); err != nil {
 		t.Fatal(err)
 	}
-	feed(eng, mgr, traffic(3000, 34, after(faulted), nil))
+	mgr.EmitBatch(traffic(3000, 34, next, nil))
 
 	v := mgr.LastVerdict()
 	if v == nil || !v.Ready || v.Promote {
@@ -60,11 +62,11 @@ func TestManagerGaugeResetOnRejection(t *testing.T) {
 // flight snapshot shows recent model-health context.
 func TestManagerDriftEpochsReachFlightRecorder(t *testing.T) {
 	tr := trace.New(trace.Config{SampleEvery: 1})
-	eng, mgr, _, _ := newServingStack(t, managerTestConfig(), WithLifecycleTracer(tr))
+	_, mgr, _, _ := newServingStack(t, managerTestConfig(), WithLifecycleTracer(tr))
 
 	// managerTestConfig evaluates drift every 1000 tasks; 3000 synopses
 	// complete three epochs.
-	feed(eng, mgr, traffic(3000, 35, epoch.Add(time.Hour), nil))
+	mgr.EmitBatch(traffic(3000, 35, epoch.Add(time.Hour), nil))
 	if mgr.LastDrift() == nil {
 		t.Fatal("no drift report after 3000 synopses")
 	}

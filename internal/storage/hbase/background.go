@@ -1,6 +1,7 @@
 package hbase
 
 import (
+	"sort"
 	"time"
 
 	"saad/internal/vtime"
@@ -230,11 +231,15 @@ func (h *HBase) crashRS(idx int, at time.Time) {
 	if len(survivors) == 0 {
 		return
 	}
-	rrIdx := 0
+	// In region order: which survivor opens which region decides every task
+	// after the crash, and map order would decide it differently each run.
+	regions := make([]int, 0, len(rs.regions))
 	for region := range rs.regions {
-		target := survivors[rrIdx%len(survivors)]
-		rrIdx++
-		h.openRegion(target, region, splitDone)
+		regions = append(regions, region)
+	}
+	sort.Ints(regions)
+	for i, region := range regions {
+		h.openRegion(survivors[i%len(survivors)], region, splitDone)
 	}
 	rs.regions = make(map[int]bool)
 }

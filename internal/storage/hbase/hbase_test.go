@@ -430,3 +430,36 @@ func TestHBaseTraceGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestRecoveryCrashTraceIsDeterministic: a fixed-seed run through the
+// recovery bug — a hog trips it, RegionServer 3 aborts, the survivors reopen
+// its regions — gives the same trace every time. The regions used to go to
+// the survivors in map-iteration order, so every run after the crash was a
+// different one (and Fig. 10 with it).
+func TestRecoveryCrashTraceIsDeterministic(t *testing.T) {
+	run := func() (string, int) {
+		sink := stream.NewChannel(1 << 20)
+		hogs := faults.NewHogSchedule(faults.HogWindow{
+			From: epoch.Add(5 * time.Second), To: epoch.Add(30 * time.Second),
+			Procs: 4, Host: faults.AllHosts,
+		})
+		h := newTier(t, sink, hogs, func(c *Config) {
+			c.RecoveryBugHost = 3
+			c.RecoveryTriggerLatency = 12 * time.Millisecond
+			c.MaxRecoveryRetries = 8
+			c.RecoveryRetryEvery = time.Second
+		})
+		drive(t, h, 7, workload.WriteHeavy(), 20, 30*time.Second)
+		if !h.RSCrashed(3) {
+			t.Fatal("RegionServer 3 did not crash: the run never reached the reassignment")
+		}
+		syns := sink.Drain()
+		return traceHash(syns), len(syns)
+	}
+	want, n := run()
+	for i := 2; i <= 5; i++ {
+		if got, m := run(); got != want || m != n {
+			t.Fatalf("run %d: %d synopses, hash %s; run 1 had %d, %s", i, m, got, n, want)
+		}
+	}
+}

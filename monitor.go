@@ -52,12 +52,15 @@ var (
 	ErrNotDetecting = errors.New("saad: monitor has no trained model")
 )
 
+// monitorBuffer is the capacity of the channel between the monitor's tracker
+// and its Poll; past it synopses are dropped and counted (Dropped).
+const monitorBuffer = 1 << 16
+
 // MonitorOption customizes a Monitor.
 type MonitorOption func(*monitorOptions)
 
 type monitorOptions struct {
 	host             uint16
-	buffer           int
 	analyzer         AnalyzerConfig
 	filterMinWindows int
 	filterSpan       int
@@ -69,11 +72,6 @@ type monitorOptions struct {
 // WithHost sets the host id stamped on synopses (default 1).
 func WithHost(host uint16) MonitorOption {
 	return func(o *monitorOptions) { o.host = host }
-}
-
-// WithBuffer sets the synopsis buffer capacity (default 65536).
-func WithBuffer(n int) MonitorOption {
-	return func(o *monitorOptions) { o.buffer = n }
 }
 
 // WithAnalyzerConfig overrides the analyzer settings (default
@@ -122,7 +120,7 @@ func WithMetricsAddr(addr string) MonitorOption {
 
 // NewMonitor creates a monitor in training mode.
 func NewMonitor(opts ...MonitorOption) (*Monitor, error) {
-	o := monitorOptions{host: 1, buffer: 1 << 16, analyzer: DefaultAnalyzerConfig(), engineShards: 1}
+	o := monitorOptions{host: 1, analyzer: DefaultAnalyzerConfig(), engineShards: 1}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -130,7 +128,7 @@ func NewMonitor(opts ...MonitorOption) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	ch := stream.NewChannel(o.buffer)
+	ch := stream.NewChannel(monitorBuffer)
 	pipeline := metrics.NewPipeline(metrics.NewRegistry())
 	ch.RegisterMetrics(pipeline.Registry)
 	tr := NewTracker(o.host, ch)

@@ -1,0 +1,67 @@
+package saad_test
+
+import (
+	"testing"
+
+	"saad"
+)
+
+// TestMonitorModelStoreVersions: a monitor built WithModelStore records
+// every Train as the next version of the store, parent-linked to the one
+// before it, and ModelVersion follows; the versions outlive the monitors
+// that wrote them.
+func TestMonitorModelStoreVersions(t *testing.T) {
+	dir := t.TempDir()
+	// trainOne runs one monitor over the store through a Train (a monitor
+	// trains once: the second version comes from its successor).
+	trainOne := func() (version int, model *saad.Model) {
+		t.Helper()
+		mon, err := saad.NewMonitor(saad.WithAnalyzerConfig(eqConfig()), saad.WithHost(eqHost), saad.WithModelStore(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mon.Close()
+		if mon.ModelStore() == nil {
+			t.Fatal("WithModelStore left the monitor without a store")
+		}
+		if got := mon.ModelVersion(); got != 0 {
+			t.Fatalf("ModelVersion before Train = %d, want 0", got)
+		}
+		for _, name := range []string{"A", "B", "C"} {
+			buildStage(t, mon.Dictionary(), name)
+		}
+		eqTrain(mon.Tracker())
+		model, err = mon.Train()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mon.ModelVersion(), model
+	}
+	if v, _ := trainOne(); v != 1 {
+		t.Fatalf("first Train stored version %d, want 1", v)
+	}
+	v, model := trainOne()
+	if v != 2 {
+		t.Fatalf("second Train stored version %d, want 2", v)
+	}
+
+	store, err := saad.OpenModelStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(metas) != 2 || metas[0].Version != 1 || metas[0].Parent != 0 || metas[1].Version != 2 || metas[1].Parent != 1 {
+		t.Fatalf("reopened store lists %+v, want version 1 (a root) and version 2 (its child)", metas)
+	}
+	latest, meta, err := store.LoadLatest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Version != 2 || meta.Synopses != model.TrainedOn || latest.TrainedOn != model.TrainedOn {
+		t.Fatalf("latest = version %d over %d synopses (model says %d), want version 2 over %d",
+			meta.Version, meta.Synopses, latest.TrainedOn, model.TrainedOn)
+	}
+}

@@ -94,19 +94,6 @@ type (
 	ModelStore = lifecycle.Store
 	// ModelMeta describes one stored model version.
 	ModelMeta = lifecycle.Meta
-	// DriftMonitor watches the live synopsis stream for model drift
-	// (never-seen signature rate, per-stage duration-distribution shift).
-	DriftMonitor = lifecycle.DriftMonitor
-	// DriftReport is one drift evaluation epoch's outcome.
-	DriftReport = lifecycle.DriftReport
-	// Shadow runs a candidate model side-by-side with the serving model.
-	Shadow = lifecycle.Shadow
-	// ShadowVerdict is a shadow evaluation's promotion decision.
-	ShadowVerdict = lifecycle.Verdict
-	// LifecycleManager closes the train → serve → drift → retrain loop
-	// around an engine: retrain buffer, drift monitor, shadow evaluation
-	// and hot swap.
-	LifecycleManager = lifecycle.Manager
 
 	// Executor is the producer-consumer stage runtime.
 	Executor = stage.Executor
@@ -227,17 +214,6 @@ func LoadEngineCheckpointFile(path string, opts ...EngineOption) (*Engine, error
 // OpenModelStore opens (creating if needed) a versioned model store at
 // dir; see Monitor's WithModelStore for the integrated flow.
 func OpenModelStore(dir string) (*ModelStore, error) { return lifecycle.Open(dir) }
-
-// NewDriftMonitor watches a live synopsis stream for drift away from the
-// serving model.
-func NewDriftMonitor(m *Model, cfg lifecycle.DriftConfig) *DriftMonitor {
-	return lifecycle.NewDriftMonitor(m, cfg)
-}
-
-// NewShadow starts a shadow evaluation of candidate against serving.
-func NewShadow(serving, candidate *Model, cfg lifecycle.ShadowConfig) *Shadow {
-	return lifecycle.NewShadow(serving, candidate, cfg)
-}
 
 // NewAlarmFilter returns an anomaly de-bouncer: anomalies pass only when
 // the same (host, stage, kind) group alarmed in minWindows of the last
