@@ -36,13 +36,14 @@
 //	saad-analyzer -listen :7077 -model model.json -checkpoint analyzer.ckpt
 //
 // Model lifecycle (detect mode): with -model-store the analyzer serves the
-// newest model from a versioned on-disk store (falling back to importing
-// -model as version 1 when the store is empty), buffers recent synopses,
-// and retrains every -retrain-every. A retrained candidate is stored with
-// full lineage metadata and shadow-evaluated side-by-side with the serving
-// model on the live stream (-shadow, on by default); when its anomaly rate
-// stays within the false-positive budget it is hot-swapped into the engine
-// at a window boundary with zero dropped synopses. The /model endpoint on
+// version a versioned on-disk store records as serving — the last one
+// promoted, never a candidate that was only stored (falling back to
+// importing -model as version 1 when the store is empty), buffers recent
+// synopses, and retrains every -retrain-every. A retrained candidate is
+// stored with full lineage metadata and shadow-evaluated side-by-side with
+// the serving model on the live stream (-shadow, on by default); when its
+// anomaly rate stays within the false-positive budget it is hot-swapped into
+// the engine at a window boundary with zero dropped synopses. The /model endpoint on
 // -http exposes the lifecycle: GET returns the serving version, lineage,
 // drift reports and shadow verdicts; POST ?action=retrain and
 // ?action=promote drive it manually:
@@ -51,7 +52,8 @@
 //	    -retrain-every 30m -http :9090
 //
 // The store is garbage-collected after each retrain to the newest
-// -model-keep versions (default 16; 0 keeps every version forever).
+// -model-keep versions plus the serving one (default 16; 0 keeps every
+// version forever).
 //
 // Graceful degradation (detect mode): with -admission-keep N, a shard
 // whose queue stays saturated (a metastable retry storm, a healed
@@ -134,11 +136,12 @@ func readModelFile(path string) (*analyzer.Model, error) {
 	return model, nil
 }
 
-// latestIfServing reports whether the store's latest version is the model
-// being served — the two serialise to the same bytes — and that version's
-// metadata. An empty store holds no version of anything.
-func latestIfServing(store *lifecycle.Store, serving *analyzer.Model) (lifecycle.Meta, bool, error) {
-	latest, meta, err := store.LoadLatest()
+// storedIfServing reports whether the version the store would serve
+// (Store.LoadServing) is the model being served — the two serialise to the
+// same bytes — and that version's metadata. An empty store holds no version
+// of anything.
+func storedIfServing(store *lifecycle.Store, serving *analyzer.Model) (lifecycle.Meta, bool, error) {
+	stored, meta, err := store.LoadServing()
 	if errors.Is(err, lifecycle.ErrEmptyStore) {
 		return lifecycle.Meta{}, false, nil
 	}
@@ -149,7 +152,7 @@ func latestIfServing(store *lifecycle.Store, serving *analyzer.Model) (lifecycle
 	if _, err := serving.WriteTo(&a); err != nil {
 		return lifecycle.Meta{}, false, err
 	}
-	if _, err := latest.WriteTo(&b); err != nil {
+	if _, err := stored.WriteTo(&b); err != nil {
 		return lifecycle.Meta{}, false, err
 	}
 	return meta, bytes.Equal(a.Bytes(), b.Bytes()), nil
@@ -243,7 +246,7 @@ func bindFlags(fs *flag.FlagSet) *detectOptions {
 	fs.DurationVar(&o.checkpointInterval, "checkpoint-interval", 30*time.Second, "how often to persist the checkpoint (detect mode; 0 = only at shutdown)")
 	fs.IntVar(&o.shards, "shards", 0, "analyzer shard workers (detect mode; 0 = GOMAXPROCS)")
 	fs.IntVar(&o.traceSample, "trace-sample", 0, "trace one in N synopses end to end through the pipeline and run the anomaly flight recorder (detect mode; 0 = off)")
-	fs.StringVar(&o.storeDir, "model-store", "", "versioned model store directory: serve its latest version, record retrains as new versions (empty = off)")
+	fs.StringVar(&o.storeDir, "model-store", "", "versioned model store directory: serve the version it records as serving, store retrains as new versions (empty = off)")
 	fs.DurationVar(&o.retrainEvery, "retrain-every", 0, "retrain a candidate from the live stream this often (detect mode; needs -model-store; 0 = only via POST /model)")
 	fs.BoolVar(&o.shadow, "shadow", true, "shadow-evaluate retrained candidates against the serving model before promoting (detect mode; false = promote immediately)")
 	fs.IntVar(&o.keepVersions, "model-keep", 16, "model store versions to retain, older ones are garbage-collected after each retrain (0 = keep all, unbounded)")
@@ -367,6 +370,10 @@ func trainMode(listen, modelPath, storeDir string, n int, window time.Duration) 
 		if err != nil {
 			return err
 		}
+		// Train mode is the operator choosing a model: detect mode serves it.
+		if err := store.MarkServing(meta.Version); err != nil {
+			return err
+		}
 		fmt.Printf("model stored as version %d in %s\n", meta.Version, storeDir)
 	}
 	return nil
@@ -486,11 +493,12 @@ func (d *daemon) statusz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // loadEngine builds the serving engine from the first source that has one:
-// the checkpoint file (the model and the live window state), the newest
-// version in the store, or the -model file — which an empty store imports as
-// version 1, so lineage starts there. serving is the store version the
-// engine serves: nil without a store, and nil when a checkpoint restored a
-// model that is not the store's latest.
+// the checkpoint file (the model and the live window state), the version the
+// store records as serving — never a newer one, which is a candidate nothing
+// has promoted — or the -model file, which an empty store imports as version
+// 1, so lineage starts there. serving is the store version the engine
+// serves: nil without a store, and nil when a checkpoint restored a model
+// that is not the one the store would serve.
 func loadEngine(opts *detectOptions, store *lifecycle.Store, engineOpts []analyzer.EngineOption) (eng *analyzer.Engine, serving *lifecycle.Meta, err error) {
 	if _, statErr := os.Stat(opts.checkpointPath); statErr == nil { // no -checkpoint, no file: Stat("") fails
 		eng, err = analyzer.LoadEngineCheckpointFile(opts.checkpointPath, engineOpts...)
@@ -505,13 +513,13 @@ func loadEngine(opts *detectOptions, store *lifecycle.Store, engineOpts []analyz
 		// The checkpoint carries the serving model but not its version: find
 		// it in the store, or the manager would report version 0 and record
 		// the next retrain as a root.
-		meta, same, err := latestIfServing(store, eng.Model())
+		meta, same, err := storedIfServing(store, eng.Model())
 		if err != nil {
 			_ = eng.Close()
 			return nil, nil, err
 		}
 		if !same {
-			fmt.Printf("restored model is not the latest version in %s: serving it as version 0, lineage restarts\n", opts.storeDir)
+			fmt.Printf("restored model is not the serving version of %s: serving it as version 0, lineage restarts\n", opts.storeDir)
 			return eng, nil, nil
 		}
 		fmt.Printf("restored model is version %d of %s\n", meta.Version, opts.storeDir)
@@ -524,7 +532,7 @@ func loadEngine(opts *detectOptions, store *lifecycle.Store, engineOpts []analyz
 		}
 		return analyzer.NewEngine(model, engineOpts...), nil, nil
 	}
-	model, meta, err := store.LoadLatest()
+	model, meta, err := store.LoadServing()
 	switch {
 	case err == nil:
 		fmt.Printf("serving model version %d from %s\n", meta.Version, opts.storeDir)
@@ -596,6 +604,14 @@ func start(dict *logpoint.Dictionary, opts detectOptions) (_ *daemon, err error)
 	var serving *lifecycle.Meta
 	if d.eng, serving, err = loadEngine(&opts, store, engineOpts); err != nil {
 		return nil, err
+	}
+	if serving != nil {
+		// What this start serves is what the next one must: a freshly
+		// imported -model, or the newest version of a store that had no
+		// record yet, would otherwise lose to the first retrain's candidate.
+		if err = store.MarkServing(serving.Version); err != nil {
+			return nil, err
+		}
 	}
 	model := d.eng.Model()
 	d.trainedOn = model.TrainedOn

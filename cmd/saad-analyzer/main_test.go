@@ -323,59 +323,70 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
+// storeRuns starts detect mode, run after run, on one model store in dir —
+// and on one checkpoint file when checkpoint is set.
+type storeRuns struct {
+	dir        string
+	checkpoint bool
+}
+
+// start runs the daemon and returns its ingest and /model addresses and a
+// stop function.
+func (r storeRuns) start(t *testing.T) (addr, modelURL string, stop func()) {
+	t.Helper()
+	opts := detectOptions{
+		modelPath: filepath.Join(r.dir, "model.json"),
+		httpAddr:  "127.0.0.1:0",
+		storeDir:  filepath.Join(r.dir, "models"),
+		shadow:    true,
+	}
+	if r.checkpoint {
+		opts.checkpointPath = filepath.Join(r.dir, "analyzer.ckpt")
+	}
+	d, stop := runDaemon(t, opts)
+	return d.srv.Addr(), "http://" + d.http.Addr() + "/model", stop
+}
+
+func modelStatus(t *testing.T, modelURL string) (st lifecycle.Status) {
+	t.Helper()
+	getJSON(t, modelURL, &st)
+	return st
+}
+
+// retrain feeds enough for a retrain, waits for the manager to have buffered
+// it, and returns the candidate the retrain stored.
+func retrain(t *testing.T, addr, modelURL string) (meta lifecycle.Meta) {
+	t.Helper()
+	emit(t, addr, 2500)
+	waitUntil(t, 10*time.Second, "the lifecycle manager to buffer the stream", func() bool {
+		return modelStatus(t, modelURL).Buffered >= 2500
+	})
+	resp, err := http.PostForm(modelURL, url.Values{"action": {"retrain"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("retrain: status %d", resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&meta); err != nil {
+		t.Fatal(err)
+	}
+	return meta
+}
+
 // TestCheckpointRestartKeepsModelLineage: a daemon run with both a
 // checkpoint and a model store comes back from the checkpoint still knowing
 // which store version it serves — /model reports it, and the next retrain
 // records it as the parent rather than starting a new root.
 func TestCheckpointRestartKeepsModelLineage(t *testing.T) {
-	dir := t.TempDir()
-	modelPath := filepath.Join(dir, "model.json")
-	trainModelFile(t, modelPath)
-
-	// run starts the daemon on the shared checkpoint and store and returns
-	// its ingest and /model addresses and a stop function.
-	run := func() (addr, modelURL string, stop func()) {
-		t.Helper()
-		d, stop := runDaemon(t, detectOptions{
-			modelPath:      modelPath,
-			httpAddr:       "127.0.0.1:0",
-			checkpointPath: filepath.Join(dir, "analyzer.ckpt"),
-			storeDir:       filepath.Join(dir, "models"),
-			shadow:         true,
-		})
-		return d.srv.Addr(), "http://" + d.http.Addr() + "/model", stop
-	}
-	status := func(modelURL string) (st lifecycle.Status) {
-		t.Helper()
-		getJSON(t, modelURL, &st)
-		return st
-	}
-	// retrain feeds enough for a retrain, waits for the manager to have
-	// buffered it, and returns the candidate the retrain stored.
-	retrain := func(addr, modelURL string) (meta lifecycle.Meta) {
-		t.Helper()
-		emit(t, addr, 2500)
-		waitUntil(t, 10*time.Second, "the lifecycle manager to buffer the stream", func() bool {
-			return status(modelURL).Buffered >= 2500
-		})
-		resp, err := http.PostForm(modelURL, url.Values{"action": {"retrain"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("retrain: status %d", resp.StatusCode)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&meta); err != nil {
-			t.Fatal(err)
-		}
-		return meta
-	}
+	runs := storeRuns{dir: t.TempDir(), checkpoint: true}
+	trainModelFile(t, filepath.Join(runs.dir, "model.json"))
 
 	// Run 1 imports the model file as version 1, retrains version 2 from
 	// the stream and promotes it; the shutdown checkpoint carries its model.
-	addr, modelURL, stop := run()
-	cand := retrain(addr, modelURL)
+	addr, modelURL, stop := runs.start(t)
+	cand := retrain(t, addr, modelURL)
 	if cand.Version != 2 || cand.Parent != 1 {
 		t.Fatalf("first retrain stored version %d with parent %d, want 2 and 1", cand.Version, cand.Parent)
 	}
@@ -384,17 +395,55 @@ func TestCheckpointRestartKeepsModelLineage(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := status(modelURL).ServingVersion; got != 2 {
+	if got := modelStatus(t, modelURL).ServingVersion; got != 2 {
 		t.Fatalf("serving version after promote = %d, want 2", got)
 	}
 	stop()
 
 	// Run 2 restores the checkpoint: same serving version, same lineage.
-	addr, modelURL, _ = run()
-	if got := status(modelURL).ServingVersion; got != 2 {
+	addr, modelURL, _ = runs.start(t)
+	if got := modelStatus(t, modelURL).ServingVersion; got != 2 {
 		t.Fatalf("serving version after restart = %d, want 2", got)
 	}
-	if cand := retrain(addr, modelURL); cand.Version != 3 || cand.Parent != 2 {
+	if cand := retrain(t, addr, modelURL); cand.Version != 3 || cand.Parent != 2 {
 		t.Fatalf("retrain after restart stored version %d with parent %d, want 3 and 2", cand.Version, cand.Parent)
+	}
+}
+
+// TestRestartNeverPromotes: a retrain stores its candidate before anything
+// has judged it, so a daemon stopped while version 2 is still being shadowed
+// must come back serving version 1 — from the store alone, or from the
+// checkpoint with the store telling it which version that model is — with
+// version 2 still in the lineage and the next retrain a child of 1.
+func TestRestartNeverPromotes(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		checkpoint bool
+	}{{"store", false}, {"store and checkpoint", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			runs := storeRuns{dir: t.TempDir(), checkpoint: tc.checkpoint}
+			trainModelFile(t, filepath.Join(runs.dir, "model.json"))
+
+			addr, modelURL, stop := runs.start(t)
+			if cand := retrain(t, addr, modelURL); cand.Version != 2 || cand.Parent != 1 {
+				t.Fatalf("retrain stored version %d with parent %d, want 2 and 1", cand.Version, cand.Parent)
+			}
+			if st := modelStatus(t, modelURL); st.ServingVersion != 1 || st.Candidate == nil {
+				t.Fatalf("before the restart: serving %d, candidate %+v; want 1 and version 2 pending", st.ServingVersion, st.Candidate)
+			}
+			stop()
+
+			addr, modelURL, _ = runs.start(t)
+			st := modelStatus(t, modelURL)
+			if st.ServingVersion != 1 {
+				t.Fatalf("serving version after restart = %d, want 1: nothing promoted version 2", st.ServingVersion)
+			}
+			if len(st.Lineage) != 2 || st.Lineage[1].Version != 2 {
+				t.Fatalf("lineage after restart = %+v, want versions 1 and 2", st.Lineage)
+			}
+			if cand := retrain(t, addr, modelURL); cand.Version != 3 || cand.Parent != 1 {
+				t.Fatalf("retrain after restart stored version %d with parent %d, want 3 and 1", cand.Version, cand.Parent)
+			}
+		})
 	}
 }

@@ -40,16 +40,10 @@ func TestIntegrationCassandraOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		gen := workload.NewGenerator(workload.Config{Records: 500, Seed: seed + 1, Mix: workload.WriteHeavy()})
-		pool := workload.NewClientPool(16, epoch, 40*time.Millisecond)
-		end := epoch.Add(horizon)
-		for {
-			id, at := pool.Acquire()
-			if at.After(end) {
-				break
-			}
+		workload.NewClientPool(16, epoch, 40*time.Millisecond).Run(epoch.Add(horizon), func(_ int, at time.Time) time.Time {
 			done, _ := cass.Execute(gen.Next(), at)
-			pool.Release(id, done)
-		}
+			return done
+		})
 		if err := client.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -300,39 +300,48 @@ func decodeSigEntry(sigHex string, examples []string) (synopsis.Signature, []*sy
 	return synopsis.Signature(sigBytes), exs, nil
 }
 
-// WriteCheckpointFile atomically persists the checkpoint at path: it writes
-// to a temporary file in the same directory, syncs, and renames it into
-// place, so a crash mid-write never leaves a truncated checkpoint where the
-// next startup would read it.
+// WriteCheckpointFile atomically persists the checkpoint at path (see
+// WriteFileAtomic), so a crash mid-write never leaves a truncated checkpoint
+// where the next startup would read it.
 func (d *Detector) WriteCheckpointFile(path string) error {
-	return writeCheckpointFileAtomic(path, func(w io.Writer) error {
+	return WriteFileAtomic(path, 0o600, func(w io.Writer) error {
 		_, err := d.WriteCheckpoint(w)
 		return err
 	})
 }
 
-// writeCheckpointFileAtomic runs write against a same-directory temp file,
-// syncs, and renames it into place (shared by Detector and Engine).
-func writeCheckpointFileAtomic(path string, write func(io.Writer) error) error {
+// WriteFileAtomic installs what write produces at path with the given mode:
+// a temporary file in the same directory is written, synced and renamed into
+// place, so a reader — or the next start after a crash — sees the old file or
+// the whole new one, never a torn one. The directory is then synced as well
+// (best effort: not every filesystem can), so that the rename itself
+// survives a power loss.
+func WriteFileAtomic(path string, mode os.FileMode, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("analyzer: checkpoint temp file: %w", err)
+		return fmt.Errorf("analyzer: temp file for %s: %w", path, err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := write(tmp); err != nil {
-		_ = tmp.Close()
-		return err
+	err = tmp.Chmod(mode)       // CreateTemp's is 0600
+	if err == nil {
+		err = write(tmp)
 	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("analyzer: sync checkpoint: %w", err)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("analyzer: close checkpoint: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("analyzer: install checkpoint: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		return fmt.Errorf("analyzer: write %s: %w", path, err)
+	}
+	if d, err := os.Open(dir); err == nil {
+		_ = d.Sync()
+		_ = d.Close()
 	}
 	return nil
 }

@@ -173,7 +173,7 @@ func TestExportImportExportIdentical(t *testing.T) {
 	if err != nil || n == 0 {
 		t.Fatalf("export: %d groups, err %v", n, err)
 	}
-	if m, err := b.ImportGroups(blob); err != nil || m != n {
+	if m, _, err := b.ImportGroups(blob); err != nil || m != n {
 		t.Fatalf("import: %d of %d groups, err %v", m, n, err)
 	}
 	// The open-task count moves with the windows, on the running count and

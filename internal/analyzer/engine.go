@@ -786,9 +786,9 @@ func (e *Engine) WriteCheckpoint(w io.Writer) (int64, error) {
 }
 
 // WriteCheckpointFile atomically persists the engine checkpoint at path
-// (same temp+sync+rename dance as Detector.WriteCheckpointFile).
+// (WriteFileAtomic, as Detector.WriteCheckpointFile).
 func (e *Engine) WriteCheckpointFile(path string) error {
-	return writeCheckpointFileAtomic(path, func(w io.Writer) error {
+	return WriteFileAtomic(path, 0o600, func(w io.Writer) error {
 		_, err := e.WriteCheckpoint(w)
 		return err
 	})

@@ -61,23 +61,11 @@ func (e *Engine) ExportGroups(selectGroup func(host uint16, stage logpoint.Stage
 // each group's open window is inserted into the shard that owns it here
 // (the local shard hash re-partitions freely — shard counts need not
 // match). The engines must serve the same trained model, since per-
-// signature state references model signatures. A group that already has an
-// open window locally is an ownership violation and fails the whole import
-// before any state is adopted. Returns the number of groups imported.
-func (e *Engine) ImportGroups(data []byte) (int, error) {
-	imported, _, err := e.importGroups(data, false)
-	return imported, err
-}
-
-// ImportGroupsDropConflicts is ImportGroups for racing topology
-// transitions: groups whose window is already open locally (a record
-// overtook its state transfer) are dropped instead of failing the whole
-// import. Returns how many groups were adopted and how many dropped.
-func (e *Engine) ImportGroupsDropConflicts(data []byte) (imported, dropped int, err error) {
-	return e.importGroups(data, true)
-}
-
-func (e *Engine) importGroups(data []byte, dropConflicts bool) (int, int, error) {
+// signature state references model signatures. A group whose window is
+// already open locally (a record overtook its state transfer during a
+// topology transition) is dropped and the local window left untouched.
+// Returns how many groups were adopted and how many dropped.
+func (e *Engine) ImportGroups(data []byte) (imported, dropped int, err error) {
 	var raw groupExportJSON
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return 0, 0, fmt.Errorf("analyzer: decode group export: %w", err)
@@ -103,34 +91,18 @@ func (e *Engine) importGroups(data []byte, dropConflicts bool) (int, int, error)
 		}
 		parts[i][key] = ws
 	}
-	// Two quiesce passes: find conflicts everywhere, then adopt — so in
-	// strict mode a conflict on one shard cannot leave a partial import.
-	conflicts := gather(e, func(i int, sh *shard) (found []groupKey) {
-		for k := range parts[i] {
-			if _, exists := sh.core.open[k]; exists {
-				found = append(found, k)
+	for _, n := range gather(e, func(i int, sh *shard) (conflicts int) {
+		for k, ws := range parts[i] {
+			if _, open := sh.core.open[k]; open {
+				conflicts++
+			} else {
+				sh.core.adopt(k, ws)
 			}
 		}
-		return found
-	})
-	dropped := 0
-	for i, ks := range conflicts {
-		if len(ks) == 0 {
-			continue
-		}
-		if !dropConflicts {
-			return 0, 0, fmt.Errorf("analyzer: import group host=%d stage=%d: window already open here", ks[0].host, ks[0].stage)
-		}
-		for _, k := range ks {
-			delete(parts[i], k)
-			dropped++
-		}
+		return conflicts
+	}) {
+		dropped += n
 	}
-	e.quiesce(func(i int, sh *shard) {
-		for k, ws := range parts[i] {
-			sh.core.adopt(k, ws)
-		}
-	})
 	return len(raw.Windows) - dropped, dropped, nil
 }
 

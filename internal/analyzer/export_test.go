@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -50,12 +51,12 @@ func TestExportImportEquivalence(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no groups exported; odd hosts must have open windows at the cut")
 	}
-	imported, err := b.ImportGroups(blob)
+	imported, dropped, err := b.ImportGroups(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if imported != n {
-		t.Fatalf("imported %d groups, exported %d", imported, n)
+	if imported != n || dropped != 0 {
+		t.Fatalf("imported %d groups and dropped %d, exported %d", imported, dropped, n)
 	}
 
 	// Phase 2: the remainder routes by the new ownership.
@@ -81,48 +82,72 @@ func TestExportImportEquivalence(t *testing.T) {
 	}
 }
 
-// TestImportGroupsConflict pins the ownership invariant: importing a group
-// that already has an open window locally must fail without adopting any
-// state.
+// TestImportGroupsConflict pins the ownership invariant: a group that
+// already has an open window locally (a record overtook its state transfer)
+// is dropped from the import and the local window is left as it was, while
+// the blob's other groups are adopted.
 func TestImportGroupsConflict(t *testing.T) {
 	model := trainedModel(t)
 	stream := multiGroupStream(2)
 	cut := len(stream) / 2
+	// b, and its twin ref, already have one of a's groups open — from half
+	// of a's tasks, so an overwritten window would show.
+	local := func(host uint16, stage logpoint.StageID) bool { return host == 1 && stage == 1 }
 
 	a := NewEngine(model, WithShards(2))
 	defer a.Close()
 	b := NewEngine(model, WithShards(2))
 	defer b.Close()
-	for _, s := range stream[:cut] {
+	ref := NewEngine(model, WithShards(2))
+	defer ref.Close()
+	for i, s := range stream[:cut] {
 		a.Feed(s)
-		b.Feed(s) // b opens the same groups
+		if i%2 == 0 && local(s.Host, s.Stage) {
+			b.Feed(s)
+			ref.Feed(s)
+		}
 	}
 	a.Drain()
 	b.Drain()
+	ref.Drain()
 
 	blob, n, err := a.ExportGroups(func(uint16, logpoint.StageID) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
-		t.Fatal("nothing exported")
+	if n < 2 {
+		t.Fatalf("exported %d groups, want the conflicting one and at least one more", n)
 	}
-	if _, err := b.ImportGroups(blob); err == nil {
-		t.Fatal("conflicting import succeeded")
+	if imported, dropped, err := b.ImportGroups(blob); err != nil || dropped != 1 || imported != n-1 {
+		t.Fatalf("conflicting import: imported %d, dropped %d, err %v; want %d, 1, nil", imported, dropped, err, n-1)
 	}
-	// A's windows are gone (moved out), so a re-import into a fresh engine
-	// still works: the failed import must not have consumed the blob.
+	if groups := b.OpenGroups(); len(groups) != n {
+		t.Fatalf("%d groups open after the import, want %d", len(groups), n)
+	}
+	got, _, err := b.ExportGroups(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := ref.ExportGroups(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the dropped group's local window changed:\n got %s\nwant %s", got, want)
+	}
+	// A's windows are gone (moved out), so the same blob still imports whole
+	// into a fresh engine.
 	c := NewEngine(model, WithShards(1))
 	defer c.Close()
-	if m, err := c.ImportGroups(blob); err != nil || m != n {
-		t.Fatalf("import into fresh engine: n=%d err=%v", m, err)
+	if m, dropped, err := c.ImportGroups(blob); err != nil || m != n || dropped != 0 {
+		t.Fatalf("import into fresh engine: n=%d dropped=%d err=%v", m, dropped, err)
 	}
 	if groups := c.OpenGroups(); len(groups) != n {
 		t.Fatalf("fresh engine has %d open groups, want %d", len(groups), n)
 	}
 
 	// A blob that contradicts itself (it arrives over the handoff channel,
-	// so a peer wrote it) is refused whole, strict or not.
+	// so a peer wrote it) is refused whole.
 	seed := NewDetector(model)
 	for _, s := range hostileWindowSeed() {
 		seed.Feed(s)
@@ -133,7 +158,7 @@ func TestImportGroupsConflict(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := NewEngine(model, WithShards(2))
-		if m, dropped, err := d.ImportGroupsDropConflicts(hostile); err == nil || !strings.Contains(err.Error(), "host=1 stage=1") {
+		if m, dropped, err := d.ImportGroups(hostile); err == nil || !strings.Contains(err.Error(), "host=1 stage=1") {
 			t.Errorf("%s: imported %d, dropped %d, err %v; want an error naming the group", tc.name, m, dropped, err)
 		}
 		if groups := d.OpenGroups(); len(groups) != 0 {

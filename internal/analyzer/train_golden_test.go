@@ -24,15 +24,10 @@ func goldenTrace(t testing.TB) []*synopsis.Synopsis {
 		t.Fatal(err)
 	}
 	gen := workload.NewGenerator(workload.Config{Records: 2000, Seed: 8, Mix: workload.WriteHeavy()})
-	pool := workload.NewClientPool(40, epoch, 150*time.Millisecond)
-	for {
-		id, at := pool.Acquire()
-		if at.After(epoch.Add(50 * time.Second)) {
-			break
-		}
+	workload.NewClientPool(40, epoch, 150*time.Millisecond).Run(epoch.Add(50*time.Second), func(_ int, at time.Time) time.Time {
 		done, _ := c.Execute(gen.Next(), at)
-		pool.Release(id, done)
-	}
+		return done
+	})
 	return sink.Drain()
 }
 

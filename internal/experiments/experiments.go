@@ -15,13 +15,13 @@ import (
 
 	"saad/internal/analyzer"
 	"saad/internal/cluster"
-	"saad/internal/faults"
 	"saad/internal/logpoint"
 	"saad/internal/report"
 	"saad/internal/storage/cassandra"
 	"saad/internal/storage/hbase"
 	"saad/internal/stream"
 	"saad/internal/synopsis"
+	"saad/internal/tracker"
 	"saad/internal/workload"
 )
 
@@ -93,132 +93,145 @@ func (c Config) windowIndex(at time.Time) int {
 	return int(at.Sub(Epoch) / c.MinuteScale)
 }
 
-// cassandraRun drives the Cassandra cluster for `minutes` paper minutes with
-// the given faults, returning the synopsis trace. mutate may adjust the
-// cluster config before construction.
-func (c Config) cassandraRun(minutes int, inj *faults.Injector, seedOffset uint64, mutate func(*cassandra.Config)) (runResult, *cassandra.Cassandra, error) {
-	sink := stream.NewChannel(1 << 22)
-	ccfg := cassandra.Config{
-		Hosts:    4,
-		Seed:     c.Seed + seedOffset,
-		Sink:     sink,
-		Epoch:    Epoch,
-		Injector: inj,
+// run describes one simulated run: minutes paper minutes of the write-heavy
+// workload. The zero value of every other field is the plain fault-free,
+// tracked, untuned run.
+type run struct {
+	minutes int
+	// seed is the run's offset from Config.Seed: the cluster is seeded with
+	// Seed+seed and the operation generator with one more.
+	seed uint64
+	scenarioFaults
+	// untracked turns every host's tracker off (Figure 7's baseline).
+	untracked bool
+	// batch, when above 1, buffers that many puts per client before one
+	// multi-put RPC (HBase only: the YCSB 0.1.4 misconfiguration).
+	batch int
+	// cassandra and hbase adjust the system's config before construction.
+	cassandra func(*cassandra.Config)
+	hbase     func(*hbase.Config)
+}
+
+// sink returns what the run's trackers emit into — the channel the trace is
+// drained from, behind the run's clock skew when it has one: the skewed host
+// stamps synopses with its wrong clock, so start times shift by the offset
+// and measured durations stretch by the factor.
+func (r run) sink() (tracker.Sink, *stream.Channel) {
+	ch := stream.NewChannel(1 << 22)
+	skew := r.skew
+	if skew == nil {
+		return ch, ch
 	}
-	if mutate != nil {
-		mutate(&ccfg)
+	return tracker.SinkFunc(func(s *synopsis.Synopsis) {
+		host, at := int(s.Host), s.Start
+		if f := skew.DurationFactor(host, at); f != 1 {
+			s.Duration = time.Duration(float64(s.Duration) * f)
+		}
+		if off := skew.Offset(host, at); off != 0 {
+			s.Start = at.Add(off)
+		}
+		ch.Emit(s)
+	}), ch
+}
+
+// drive owns what every run repeats: the closed client loop, the completed
+// operations per paper minute, the drain of ch and the hosts' error logs. op
+// issues client id's next operation and returns its completion time and how
+// many client operations completed with it (0 when it failed).
+func (c Config) drive(r run, cl *cluster.Cluster, ch *stream.Channel, clients int, op func(id int, at time.Time) (done time.Time, n int)) runResult {
+	if r.untracked {
+		for _, h := range cl.Hosts() {
+			h.Tracker.SetEnabled(false)
+		}
+	}
+	res := runResult{dict: cl.Dict, throughput: make([]int, r.minutes+1)}
+	workload.NewClientPool(clients, Epoch, c.Think).Run(c.Minute(float64(r.minutes)), func(id int, at time.Time) time.Time {
+		done, n := op(id, at)
+		if w := c.windowIndex(done); n > 0 && w >= 0 && w < len(res.throughput) {
+			res.throughput[w] += n
+		}
+		res.ops += n
+		return done
+	})
+	res.syns = ch.Drain()
+	for _, h := range cl.Hosts() {
+		res.errors = append(res.errors, h.Errors()...)
+	}
+	return res
+}
+
+// issue executes op at the given time and re-issues it while the run's
+// retry policy says to — the metastable ingredient: failed or merely slow
+// operations consume cluster resources again.
+func (r run) issue(exec func(workload.Op, time.Time) (time.Time, error), op workload.Op, at time.Time) (done time.Time, n int) {
+	done, err := exec(op, at)
+	for attempt := 1; r.retry.ShouldRetry(attempt, err, done.Sub(at)); attempt++ {
+		at = done.Add(r.retry.Backoff)
+		done, err = exec(op, at)
+	}
+	return done, completed(err)
+}
+
+// completed is an operation's contribution to the completed-operation count.
+func completed(err error) int {
+	if err != nil {
+		return 0
+	}
+	return 1
+}
+
+// newGenerator is the write-heavy YCSB generator of every key-value run.
+func newGenerator(seed uint64) *workload.Generator {
+	return workload.NewGenerator(workload.Config{Records: 2000, Seed: seed, Mix: workload.WriteHeavy()})
+}
+
+// cassandraRun drives the Cassandra cluster through r and returns the
+// synopsis trace.
+func (c Config) cassandraRun(r run) (runResult, *cassandra.Cassandra, error) {
+	sink, ch := r.sink()
+	ccfg := cassandra.Config{Hosts: 4, Seed: c.Seed + r.seed, Sink: sink, Epoch: Epoch, Injector: r.inj, Hogs: r.hogs}
+	if r.cassandra != nil {
+		r.cassandra(&ccfg)
 	}
 	cass, err := cassandra.New(ccfg)
 	if err != nil {
 		return runResult{}, nil, err
 	}
-	gen := workload.NewGenerator(workload.Config{
-		Records: 2000,
-		Seed:    c.Seed + seedOffset + 1,
-		Mix:     workload.WriteHeavy(),
-	})
-	res := runResult{dict: cass.Dict(), throughput: make([]int, minutes+1)}
-	pool := workload.NewClientPool(c.Clients, Epoch, c.Think)
-	end := c.Minute(float64(minutes))
-	for {
-		id, at := pool.Acquire()
-		if at.After(end) {
-			break
-		}
-		done, opErr := cass.Execute(gen.Next(), at)
-		if opErr == nil {
-			if w := c.windowIndex(done); w >= 0 && w < len(res.throughput) {
-				res.throughput[w]++
-			}
-			res.ops++
-		}
-		pool.Release(id, done)
-	}
-	res.syns = sink.Drain()
-	for _, h := range cass.Cluster().Hosts() {
-		res.errors = append(res.errors, h.Errors()...)
-	}
-	return res, cass, nil
+	gen := newGenerator(ccfg.Seed + 1)
+	return c.drive(r, cass.Cluster(), ch, c.Clients, func(_ int, at time.Time) (time.Time, int) {
+		return r.issue(cass.Execute, gen.Next(), at)
+	}), cass, nil
 }
 
-// hbaseRun drives the HBase/HDFS cluster for `minutes` paper minutes.
-// batchDuring enables client-side put batching (the YCSB 0.1.4
-// misconfiguration) for the whole run when non-zero, with the given batch
-// size.
-func (c Config) hbaseRun(minutes int, hogs *faults.HogSchedule, seedOffset uint64, batchSize int, mutate func(*hbase.Config)) (runResult, *hbase.HBase, error) {
-	sink := stream.NewChannel(1 << 22)
-	hcfg := hbase.Config{
-		Hosts: 4,
-		Seed:  c.Seed + seedOffset,
-		Sink:  sink,
-		Epoch: Epoch,
-		Hogs:  hogs,
-	}
-	if mutate != nil {
-		mutate(&hcfg)
+// hbaseRun drives the HBase/HDFS cluster through r.
+func (c Config) hbaseRun(r run) (runResult, *hbase.HBase, error) {
+	sink, ch := r.sink()
+	hcfg := hbase.Config{Hosts: 4, Seed: c.Seed + r.seed, Sink: sink, Epoch: Epoch, Injector: r.inj, Hogs: r.hogs}
+	if r.hbase != nil {
+		r.hbase(&hcfg)
 	}
 	hb, err := hbase.New(hcfg)
 	if err != nil {
 		return runResult{}, nil, err
 	}
-	gen := workload.NewGenerator(workload.Config{
-		Records: 2000,
-		Seed:    c.Seed + seedOffset + 1,
-		Mix:     workload.WriteHeavy(),
-	})
-	res := runResult{dict: hb.Cluster().Dict, throughput: make([]int, minutes+1)}
-	pool := workload.NewClientPool(c.Clients, Epoch, c.Think)
-	end := c.Minute(float64(minutes))
-	// Per-client put batches for the misconfigured-YCSB mode.
-	batches := make(map[int][]workload.Op)
-	record := func(done time.Time, n int) {
-		if w := c.windowIndex(done); w >= 0 && w < len(res.throughput) {
-			res.throughput[w] += n
-		}
-		res.ops += n
-	}
-	for {
-		id, at := pool.Acquire()
-		if at.After(end) {
-			break
-		}
+	gen := newGenerator(hcfg.Seed + 1)
+	batches := make(map[int][]workload.Op) // per client, when r.batch > 1
+	return c.drive(r, hb.Cluster(), ch, c.Clients, func(id int, at time.Time) (time.Time, int) {
 		op := gen.Next()
-		var (
-			done  time.Time
-			opErr error
-		)
-		if batchSize > 1 && op.Type.IsWrite() {
-			// Buffer the put client-side; only a full batch issues an RPC.
-			buf := append(batches[id], cloneOp(op))
-			if len(buf) >= batchSize {
-				done, opErr = hb.ExecuteMulti(buf, at)
-				if opErr == nil {
-					record(done, len(buf))
-				}
-				buf = buf[:0]
-			} else {
-				done = at.Add(time.Millisecond) // client-side ack only
-				record(done, 1)
-			}
-			batches[id] = buf
-		} else {
-			done, opErr = hb.Execute(op, at)
-			if opErr == nil {
-				record(done, 1)
-			}
+		if r.batch <= 1 || !op.Type.IsWrite() {
+			return r.issue(hb.Execute, op, at)
 		}
-		pool.Release(id, done)
-	}
-	res.syns = sink.Drain()
-	for _, h := range hb.Cluster().Hosts() {
-		res.errors = append(res.errors, h.Errors()...)
-	}
-	return res, hb, nil
-}
-
-func cloneOp(op workload.Op) workload.Op {
-	op.Value = append([]byte(nil), op.Value...)
-	return op
+		// Buffer the put client-side; only a full batch issues an RPC.
+		op.Value = append([]byte(nil), op.Value...)
+		buf := append(batches[id], op)
+		if len(buf) < r.batch {
+			batches[id] = buf
+			return at.Add(time.Millisecond), 1 // client-side ack only
+		}
+		batches[id] = buf[:0]
+		done, err := hb.ExecuteMulti(buf, at)
+		return done, len(buf) * completed(err)
+	}), hb, nil
 }
 
 // trainModel trains the paper-configured analyzer on a trace.
@@ -226,14 +239,15 @@ func (c Config) trainModel(trace []*synopsis.Synopsis) (*analyzer.Model, error) 
 	return analyzer.Train(c.analyzerConfig(), trace)
 }
 
-// detect feeds a trace through a fresh detector and returns all anomalies.
-func detect(model *analyzer.Model, trace []*synopsis.Synopsis) []analyzer.Anomaly {
+// detect feeds a trace through a fresh detector and returns every anomaly
+// plus the detector's late-synopsis count (the clock-skew cell's signature
+// side effect).
+func detect(model *analyzer.Model, trace []*synopsis.Synopsis) (anomalies []analyzer.Anomaly, late uint64) {
 	det := analyzer.NewDetector(model)
-	var out []analyzer.Anomaly
 	for _, s := range trace {
-		out = append(out, det.Feed(s)...)
+		anomalies = append(anomalies, det.Feed(s)...)
 	}
-	return append(out, det.Flush()...)
+	return append(anomalies, det.Flush()...), det.LateSynopses()
 }
 
 // ModelSummary trains the paper-configured analyzer on a fault-free
@@ -241,7 +255,7 @@ func detect(model *analyzer.Model, trace []*synopsis.Synopsis) []analyzer.Anomal
 // inspection utility, not a paper artifact.
 func ModelSummary(cfg Config) (string, error) {
 	cfg.applyDefaults()
-	res, _, err := cfg.cassandraRun(15, nil, 2201, nil)
+	res, _, err := cfg.cassandraRun(run{minutes: 15, seed: 2201})
 	if err != nil {
 		return "", err
 	}

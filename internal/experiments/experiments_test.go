@@ -333,3 +333,42 @@ func TestFig11Shape(t *testing.T) {
 		t.Errorf("delay-WAL-low flow during=%.1f, want ~0", low.DuringFlow)
 	}
 }
+
+// TestFig11CleanWindowsAreIndependent: every (fault, repetition) of the
+// false-positive analysis is its own run. Seeding by the fault name's length
+// made three pairs of Table 3 faults (names of 13, 18 and 19 characters)
+// replay the same clean window, so the totals counted 15 of 35 windows twice
+// and each pair printed identical before-columns.
+func TestFig11CleanWindowsAreIndependent(t *testing.T) {
+	seen := map[uint64]string{}
+	for i, f := range Table3Faults {
+		for rep := 0; rep < 10; rep++ {
+			// The cluster's seed and the generator's (one more).
+			for _, seed := range []uint64{fig11Seed(i, rep), fig11Seed(i, rep) + 1} {
+				if prev, dup := seen[seed]; dup {
+					t.Fatalf("%s run %d reuses seed offset %d of %s", f.Name, rep, seed, prev)
+				}
+				seen[seed] = f.Name
+			}
+		}
+	}
+
+	res, err := Fig11(Config{MinuteScale: time.Second, Clients: 8, Think: 80 * time.Millisecond, Seed: 1, Runs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := 0
+	for _, pair := range [][2]string{
+		{"error-WAL-low", "delay-WAL-low"},
+		{"error-WAL-high", "delay-WAL-high"},
+		{"error-MemTable-low", "delay-MemTable-low"},
+	} {
+		a, b := res.Row(pair[0]), res.Row(pair[1])
+		if a.BeforeFlow == b.BeforeFlow && a.BeforePerf == b.BeforePerf {
+			same++
+		}
+	}
+	if same == 3 {
+		t.Fatalf("all three same-name-length pairs have identical clean windows:\n%s", res)
+	}
+}

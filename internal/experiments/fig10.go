@@ -76,20 +76,7 @@ func (r Fig10Result) String() string {
 
 // CountAnomalies tallies anomalies per stage/host/kind (host 0 = any).
 func (r Fig10Result) CountAnomalies(dict *logpoint.Dictionary, stageName string, host uint16, kind analyzer.AnomalyKind) int {
-	n := 0
-	for _, a := range r.Anomalies {
-		if a.Kind != kind {
-			continue
-		}
-		if host != 0 && a.Host != host {
-			continue
-		}
-		if dict.StageName(a.Stage) != stageName {
-			continue
-		}
-		n++
-	}
-	return n
+	return countAnomalies(r.Anomalies, dict, stageName, host, kind)
 }
 
 // CountAnomaliesBetween tallies anomalies in the given paper-minute window.
@@ -104,7 +91,7 @@ func (r Fig10Result) CountAnomaliesBetween(cfg Config, fromMin, toMin int) int {
 	return n
 }
 
-// rsStageNames are the RegionServer-side stages of Figure 10(a).
+// rsStageNames are the RegionServer-side stages of Figures 6(b) and 10(a).
 var rsStageNames = []string{
 	"RSListener", "Connection", "Call", "RSHandler", "DataStreamer",
 	"ResponseProcessor", "LogRoller", "CompactionChecker",
@@ -130,7 +117,7 @@ func Fig10(cfg Config) (Fig10Result, *logpoint.Dictionary, error) {
 	// Training: fault-free, same batching (the misconfiguration is part of
 	// the harness, not the fault), no major compaction (the paper's model
 	// missed it, producing the false positive).
-	train, _, err := cfg.hbaseRun(30, nil, 1101, batchSize, nil)
+	train, _, err := cfg.hbaseRun(run{minutes: 30, seed: 1101, batch: batchSize})
 	if err != nil {
 		return out, nil, err
 	}
@@ -146,9 +133,7 @@ func Fig10(cfg Config) (Fig10Result, *logpoint.Dictionary, error) {
 			Procs: w.Procs, Host: faults.AllHosts,
 		})
 	}
-	hogs := faults.NewHogSchedule(windows...)
-
-	res, hb, err := cfg.hbaseRun(180, hogs, 1105, batchSize, func(hc *hbase.Config) {
+	tune := func(hc *hbase.Config) {
 		hc.RecoveryBugHost = 3
 		// The trigger sits between the medium hog's sync EMA (~11-12 ms at
 		// 2 dd processes) and the high hog's (~19-20 ms at 4), so the bug
@@ -160,7 +145,9 @@ func Fig10(cfg Config) (Fig10Result, *logpoint.Dictionary, error) {
 		hc.CompactionCheckEvery = cfg.MinuteScale
 		hc.LogRollEvery = 2 * cfg.MinuteScale
 		hc.SplitCheckEvery = 2 * cfg.MinuteScale
-	})
+	}
+	res, hb, err := cfg.hbaseRun(run{minutes: 180, seed: 1105, batch: batchSize, hbase: tune,
+		scenarioFaults: scenarioFaults{hogs: faults.NewHogSchedule(windows...)}})
 	if err != nil {
 		return out, nil, err
 	}
@@ -168,44 +155,15 @@ func Fig10(cfg Config) (Fig10Result, *logpoint.Dictionary, error) {
 	if hb.RSCrashed(3) {
 		for _, e := range res.errors {
 			if e.Host == 3 {
-				out.RS3CrashMinute = int(e.At.Sub(Epoch) / cfg.MinuteScale)
+				out.RS3CrashMinute = cfg.windowIndex(e.At)
 			}
 		}
 	}
-	out.Anomalies = detect(model, res.syns)
+	out.Anomalies, _ = detect(model, res.syns)
 	out.FlowCount, out.PerfCount = report.CountByKind(out.Anomalies)
 	out.ErrorLogCount = len(res.errors)
 
-	stageSet := func(names []string) map[logpoint.StageID]bool {
-		set := make(map[logpoint.StageID]bool, len(names))
-		for _, n := range names {
-			if id, ok := hb.Stage(n); ok {
-				set[id] = true
-			}
-		}
-		return set
-	}
-	rsSet, dnSet := stageSet(rsStageNames), stageSet(dnStageNames)
-	split := func(set map[logpoint.StageID]bool) string {
-		tl := report.NewTimeline(res.dict, Epoch, cfg.Minute(180), cfg.MinuteScale)
-		tl.SetThroughput(out.Throughput)
-		var anoms []analyzer.Anomaly
-		for _, a := range out.Anomalies {
-			if set[a.Stage] {
-				anoms = append(anoms, a)
-			}
-		}
-		tl.AddAnomalies(anoms)
-		var events []report.Event
-		for _, e := range res.errors {
-			if set[e.Stage] {
-				events = append(events, report.Event{Host: e.Host, Stage: e.Stage, At: e.At, Mark: 'E'})
-			}
-		}
-		tl.AddEvents(events)
-		return tl.Render()
-	}
-	out.RSTimeline = split(rsSet)
-	out.DNTimeline = split(dnSet)
+	out.RSTimeline = cfg.timeline(res, 180, out.Anomalies, stageSet(res.dict, rsStageNames))
+	out.DNTimeline = cfg.timeline(res, 180, out.Anomalies, stageSet(res.dict, dnStageNames))
 	return out, res.dict, nil
 }

@@ -123,11 +123,11 @@ func Fig11(cfg Config) (Fig11Result, error) {
 	// training so the per-signature duration thresholds absorb run-to-run
 	// variability (the paper trains on a 2-hour trace for the same
 	// reason).
-	trainA, _, err := cfg.cassandraRun(30, nil, 1301, fig11Tuning(cfg))
+	trainA, _, err := cfg.cassandraRun(run{minutes: 30, seed: 1301, cassandra: fig11Tuning(cfg)})
 	if err != nil {
 		return out, err
 	}
-	trainB, _, err := cfg.cassandraRun(30, nil, 1999, fig11Tuning(cfg))
+	trainB, _, err := cfg.cassandraRun(run{minutes: 30, seed: 1999, cassandra: fig11Tuning(cfg)})
 	if err != nil {
 		return out, err
 	}
@@ -136,9 +136,9 @@ func Fig11(cfg Config) (Fig11Result, error) {
 		return out, err
 	}
 
-	for _, fault := range Table3Faults {
+	for i, fault := range Table3Faults {
 		row := Fig11Row{Fault: fault.Name}
-		for run := 0; run < cfg.Runs; run++ {
+		for rep := 0; rep < cfg.Runs; rep++ {
 			inj := faults.NewInjector(faults.Fault{
 				Name:        fault.Name,
 				Point:       fault.Point,
@@ -149,12 +149,12 @@ func Fig11(cfg Config) (Fig11Result, error) {
 				From:        cfg.Minute(cleanMin),
 				To:          cfg.Minute(faultMin),
 			})
-			seed := uint64(1400) + uint64(run)*97 + uint64(len(fault.Name))*13
-			res, _, err := cfg.cassandraRun(faultMin, inj, seed, fig11Tuning(cfg))
+			res, _, err := cfg.cassandraRun(run{minutes: faultMin, seed: fig11Seed(i, rep),
+				scenarioFaults: scenarioFaults{inj: inj}, cassandra: fig11Tuning(cfg)})
 			if err != nil {
 				return out, err
 			}
-			anoms := detect(model, res.syns)
+			anoms, _ := detect(model, res.syns)
 			before := report.FilterWindow(anoms, cfg.Minute(warmupMin), cfg.Minute(cleanMin))
 			during := report.FilterWindow(anoms, cfg.Minute(cleanMin), cfg.Minute(faultMin))
 			bf, bp := report.CountByKind(before)
@@ -175,6 +175,12 @@ func Fig11(cfg Config) (Fig11Result, error) {
 	}
 	return out, nil
 }
+
+// fig11Seed is the seed offset of repetition rep of the fault-th Table 3
+// fault. It is injective, generator seeds (+1) included, for any number of
+// repetitions (13*6 < 97-1), so every clean window behind the
+// false-positive totals is an independent run.
+func fig11Seed(fault, rep int) uint64 { return 1400 + uint64(rep)*97 + uint64(fault)*13 }
 
 // fig11Tuning mirrors fig9Tuning but with a high crash threshold so the
 // 30-minute fault window completes without losing the node (the paper's

@@ -10,10 +10,8 @@ import (
 	"saad/internal/logpoint"
 	"saad/internal/stats"
 	"saad/internal/storage/hdfs"
-	"saad/internal/stream"
 	"saad/internal/synopsis"
 	"saad/internal/vtime"
-	"saad/internal/workload"
 )
 
 // Fig6System is one bar group of Figure 6.
@@ -74,21 +72,11 @@ func Fig6(cfg Config) (Fig6Result, error) {
 	out.Systems = append(out.Systems, summarizeFig6("HDFS Data Node", hres.syns))
 
 	// HBase RegionServers (RS-side stages only, like Figure 6(b)).
-	bres, hb, err := cfg.hbaseRun(minutes, nil, 77, 0, nil)
+	bres, _, err := cfg.hbaseRun(run{minutes: minutes, seed: 77})
 	if err != nil {
 		return out, err
 	}
-	rsStages := make(map[logpoint.StageID]bool)
-	for _, name := range []string{
-		"RSListener", "Connection", "Call", "RSHandler", "DataStreamer",
-		"ResponseProcessor", "LogRoller", "CompactionChecker",
-		"CompactionRequest", "SplitLogWorker", "OpenRegionHandler",
-		"PostOpenDeployTasksThread",
-	} {
-		if id, ok := hb.Stage(name); ok {
-			rsStages[id] = true
-		}
-	}
+	rsStages := stageSet(bres.dict, rsStageNames)
 	var rsSyns []*synopsis.Synopsis
 	for _, s := range bres.syns {
 		if rsStages[s.Stage] {
@@ -98,7 +86,7 @@ func Fig6(cfg Config) (Fig6Result, error) {
 	out.Systems = append(out.Systems, summarizeFig6("HBase Regionserver", rsSyns))
 
 	// Cassandra.
-	cres, _, err := cfg.cassandraRun(minutes, nil, 177, nil)
+	cres, _, err := cfg.cassandraRun(run{minutes: minutes, seed: 177})
 	if err != nil {
 		return out, err
 	}
@@ -139,43 +127,25 @@ func summarizeFig6(name string, syns []*synopsis.Synopsis) Fig6System {
 // hdfsRun drives a standalone DataNode tier: block writes with reads mixed
 // in, plus the periodic IPC stages.
 func (c Config) hdfsRun(minutes int) (runResult, error) {
-	sink := stream.NewChannel(1 << 22)
-	cl := cluster.New(cluster.Config{Hosts: 4, Seed: c.Seed + 991, Sink: sink, Epoch: Epoch})
+	r := run{minutes: minutes, seed: 991}
+	sink, ch := r.sink()
+	cl := cluster.New(cluster.Config{Hosts: 4, Seed: c.Seed + r.seed, Sink: sink, Epoch: Epoch})
 	tier, err := hdfs.New(cl, hdfs.Config{})
 	if err != nil {
 		return runResult{}, err
 	}
-	rng := vtime.NewRNG(c.Seed + 992)
-	pool := workload.NewClientPool(c.Clients/2, Epoch, c.Think)
-	end := c.Minute(float64(minutes))
-	res := runResult{dict: cl.Dict, throughput: make([]int, minutes+1)}
-	for {
-		id, at := pool.Acquire()
-		if at.After(end) {
-			break
-		}
+	rng := vtime.NewRNG(c.Seed + r.seed + 1)
+	return c.drive(r, cl, ch, c.Clients/2, func(_ int, at time.Time) (time.Time, int) {
 		tier.Tick(at)
 		client := rng.Intn(4)
 		// Multi-megabyte blocks: tens of 64 KiB pipeline packets per task,
 		// the chattiness that drives HDFS's Figure 8 reduction factor.
 		size := (rng.Intn(8) + 1) << 20
-		var (
-			done  time.Time
-			opErr error
-		)
+		exec := tier.ReadBlock
 		if rng.Bool(0.7) {
-			done, opErr = tier.WriteBlock(client, size, at)
-		} else {
-			done, opErr = tier.ReadBlock(client, size, at)
+			exec = tier.WriteBlock
 		}
-		if opErr == nil {
-			res.ops++
-			if w := c.windowIndex(done); w >= 0 && w < len(res.throughput) {
-				res.throughput[w]++
-			}
-		}
-		pool.Release(id, done)
-	}
-	res.syns = sink.Drain()
-	return res, nil
+		done, err := exec(client, size, at)
+		return done, completed(err)
+	}), nil
 }

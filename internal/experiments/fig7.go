@@ -3,11 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"saad/internal/storage/cassandra"
-	"saad/internal/storage/hbase"
-	"saad/internal/stream"
-	"saad/internal/workload"
 )
 
 // Fig7System is one bar pair of Figure 7.
@@ -52,105 +47,27 @@ func (r Fig7Result) String() string {
 // counts match.
 func Fig7(cfg Config) (Fig7Result, error) {
 	cfg.applyDefaults()
-	const minutes = 10
-
-	var out Fig7Result
-
-	for _, tracked := range []bool{false, true} {
-		ops, err := fig7Cassandra(cfg, minutes, tracked)
-		if err != nil {
-			return out, err
-		}
-		out.Systems = upsertFig7(out.Systems, "Cassandra", ops, tracked)
+	systems := []struct {
+		name string
+		seed uint64
+		ops  func(run) (int, error)
+	}{
+		{"Cassandra", 311, func(r run) (int, error) { res, _, err := cfg.cassandraRun(r); return res.ops, err }},
+		{"HBase", 321, func(r run) (int, error) { res, _, err := cfg.hbaseRun(r); return res.ops, err }},
 	}
-	for _, tracked := range []bool{false, true} {
-		ops, err := fig7HBase(cfg, minutes, tracked)
+	var out Fig7Result
+	for _, sys := range systems {
+		r := run{minutes: 10, seed: sys.seed, untracked: true}
+		original, err := sys.ops(r)
 		if err != nil {
 			return out, err
 		}
-		out.Systems = upsertFig7(out.Systems, "HBase", ops, tracked)
+		r.untracked = false
+		tracked, err := sys.ops(r)
+		if err != nil {
+			return out, err
+		}
+		out.Systems = append(out.Systems, Fig7System{Name: sys.name, OriginalOps: original, SAADOps: tracked})
 	}
 	return out, nil
-}
-
-func upsertFig7(systems []Fig7System, name string, ops int, tracked bool) []Fig7System {
-	for i := range systems {
-		if systems[i].Name == name {
-			if tracked {
-				systems[i].SAADOps = ops
-			} else {
-				systems[i].OriginalOps = ops
-			}
-			return systems
-		}
-	}
-	s := Fig7System{Name: name}
-	if tracked {
-		s.SAADOps = ops
-	} else {
-		s.OriginalOps = ops
-	}
-	return append(systems, s)
-}
-
-func fig7Cassandra(cfg Config, minutes int, tracked bool) (int, error) {
-	sink := stream.NewChannel(1 << 22)
-	cass, err := cassandra.New(cassandra.Config{
-		Hosts: 4, Seed: cfg.Seed + 311, Sink: sink, Epoch: Epoch,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if !tracked {
-		for _, h := range cass.Cluster().Hosts() {
-			h.Tracker.SetEnabled(false)
-		}
-	}
-	gen := workload.NewGenerator(workload.Config{Records: 2000, Seed: cfg.Seed + 312, Mix: workload.WriteHeavy()})
-	pool := workload.NewClientPool(cfg.Clients, Epoch, cfg.Think)
-	end := cfg.Minute(float64(minutes))
-	ops := 0
-	for {
-		id, at := pool.Acquire()
-		if at.After(end) {
-			break
-		}
-		done, opErr := cass.Execute(gen.Next(), at)
-		if opErr == nil {
-			ops++
-		}
-		pool.Release(id, done)
-	}
-	return ops, nil
-}
-
-func fig7HBase(cfg Config, minutes int, tracked bool) (int, error) {
-	sink := stream.NewChannel(1 << 22)
-	hb, err := hbase.New(hbase.Config{
-		Hosts: 4, Seed: cfg.Seed + 321, Sink: sink, Epoch: Epoch,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if !tracked {
-		for _, h := range hb.Cluster().Hosts() {
-			h.Tracker.SetEnabled(false)
-		}
-	}
-	gen := workload.NewGenerator(workload.Config{Records: 2000, Seed: cfg.Seed + 322, Mix: workload.WriteHeavy()})
-	pool := workload.NewClientPool(cfg.Clients, Epoch, cfg.Think)
-	end := cfg.Minute(float64(minutes))
-	ops := 0
-	for {
-		id, at := pool.Acquire()
-		if at.After(end) {
-			break
-		}
-		done, opErr := hb.Execute(gen.Next(), at)
-		if opErr == nil {
-			ops++
-		}
-		pool.Release(id, done)
-	}
-	return ops, nil
 }

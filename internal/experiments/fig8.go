@@ -63,13 +63,13 @@ func Fig8(cfg Config) (Fig8Result, error) {
 	}
 	out.Systems = append(out.Systems, summarizeFig8("HDFS Data Node", hres))
 
-	bres, _, err := cfg.hbaseRun(minutes, nil, 477, 0, nil)
+	bres, _, err := cfg.hbaseRun(run{minutes: minutes, seed: 477})
 	if err != nil {
 		return out, err
 	}
 	out.Systems = append(out.Systems, summarizeFig8("HBase", bres))
 
-	cres, _, err := cfg.cassandraRun(minutes, nil, 577, nil)
+	cres, _, err := cfg.cassandraRun(run{minutes: minutes, seed: 577})
 	if err != nil {
 		return out, err
 	}

@@ -70,20 +70,52 @@ func (r Fig9Result) String() string {
 // CountAnomalies tallies anomalies for one stage name and host (host 0 =
 // any host) using the given dictionary.
 func (r Fig9Result) CountAnomalies(dict *logpoint.Dictionary, stageName string, host uint16, kind analyzer.AnomalyKind) int {
+	return countAnomalies(r.Anomalies, dict, stageName, host, kind)
+}
+
+// countAnomalies is CountAnomalies of Figures 9 and 10.
+func countAnomalies(anomalies []analyzer.Anomaly, dict *logpoint.Dictionary, stageName string, host uint16, kind analyzer.AnomalyKind) int {
 	n := 0
-	for _, a := range r.Anomalies {
-		if a.Kind != kind {
-			continue
+	for _, a := range anomalies {
+		if a.Kind == kind && (host == 0 || a.Host == host) && dict.StageName(a.Stage) == stageName {
+			n++
 		}
-		if host != 0 && a.Host != host {
-			continue
-		}
-		if dict.StageName(a.Stage) != stageName {
-			continue
-		}
-		n++
 	}
 	return n
+}
+
+// stageSet resolves stage names to their ids in dict.
+func stageSet(dict *logpoint.Dictionary, names []string) map[logpoint.StageID]bool {
+	set := make(map[logpoint.StageID]bool, len(names))
+	for _, n := range names {
+		if id, ok := dict.StageByName(n); ok {
+			set[id] = true
+		}
+	}
+	return set
+}
+
+// timeline renders a run's per-stage grid: the anomalies and the hosts'
+// ERROR log messages ('E' marks) over the throughput, restricted to the
+// stages in only when it is non-nil.
+func (c Config) timeline(res runResult, minutes int, anomalies []analyzer.Anomaly, only map[logpoint.StageID]bool) string {
+	tl := report.NewTimeline(res.dict, Epoch, c.Minute(float64(minutes)), c.MinuteScale)
+	tl.SetThroughput(res.throughput)
+	var anoms []analyzer.Anomaly
+	for _, a := range anomalies {
+		if only == nil || only[a.Stage] {
+			anoms = append(anoms, a)
+		}
+	}
+	tl.AddAnomalies(anoms)
+	var events []report.Event
+	for _, e := range res.errors {
+		if only == nil || only[e.Stage] {
+			events = append(events, report.Event{Host: e.Host, Stage: e.Stage, At: e.At, Mark: 'E'})
+		}
+	}
+	tl.AddEvents(events)
+	return tl.Render()
 }
 
 // Fig9 runs one variant: train on a 30-minute fault-free trace, then run
@@ -95,7 +127,7 @@ func Fig9(cfg Config, variant Fig9Variant) (Fig9Result, *logpoint.Dictionary, er
 
 	// Training trace (the paper trains on a 2-hour fault-free trace; the
 	// compressed equivalent is 30 paper-minutes of the same workload).
-	train, _, err := cfg.cassandraRun(30, nil, 901, fig9Tuning(cfg))
+	train, _, err := cfg.cassandraRun(run{minutes: 30, seed: 901, cassandra: fig9Tuning(cfg)})
 	if err != nil {
 		return out, nil, err
 	}
@@ -104,30 +136,23 @@ func Fig9(cfg Config, variant Fig9Variant) (Fig9Result, *logpoint.Dictionary, er
 		return out, nil, err
 	}
 
-	inj := fig9Injector(cfg, variant)
-	res, cass, err := cfg.cassandraRun(50, inj, 905, fig9Tuning(cfg))
+	res, cass, err := cfg.cassandraRun(run{minutes: 50, seed: 905,
+		scenarioFaults: scenarioFaults{inj: fig9Injector(cfg, variant)}, cassandra: fig9Tuning(cfg)})
 	if err != nil {
 		return out, nil, err
 	}
 	if h4 := cass.Cluster().Host(4); h4.Crashed() {
-		out.Host4CrashedMinute = int(h4.CrashedAt().Sub(Epoch) / cfg.MinuteScale)
+		out.Host4CrashedMinute = cfg.windowIndex(h4.CrashedAt())
 	}
 	out.Throughput = res.throughput
-	out.Anomalies = detect(model, res.syns)
+	out.Anomalies, _ = detect(model, res.syns)
 	out.FlowCount, out.PerfCount = report.CountByKind(out.Anomalies)
 
-	tl := report.NewTimeline(res.dict, Epoch, cfg.Minute(50), cfg.MinuteScale)
-	tl.SetThroughput(out.Throughput)
-	tl.AddAnomalies(out.Anomalies)
-	var events []report.Event
+	out.ErrorLogCount = len(res.errors)
 	for _, e := range res.errors {
-		minute := int(e.At.Sub(Epoch) / cfg.MinuteScale)
-		out.ErrorLogCount++
-		out.ErrorLogMinutes = append(out.ErrorLogMinutes, minute)
-		events = append(events, report.Event{Host: e.Host, Stage: e.Stage, At: e.At, Mark: 'E'})
+		out.ErrorLogMinutes = append(out.ErrorLogMinutes, cfg.windowIndex(e.At))
 	}
-	tl.AddEvents(events)
-	out.Timeline = tl.Render()
+	out.Timeline = cfg.timeline(res, 50, out.Anomalies, nil)
 	return out, res.dict, nil
 }
 

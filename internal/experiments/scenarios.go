@@ -9,10 +9,6 @@ import (
 	"saad/internal/analyzer"
 	"saad/internal/faults"
 	"saad/internal/logpoint"
-	"saad/internal/storage/cassandra"
-	"saad/internal/stream"
-	"saad/internal/synopsis"
-	"saad/internal/tracker"
 	"saad/internal/workload"
 )
 
@@ -47,7 +43,7 @@ type scenarioFaults struct {
 	inj   *faults.Injector
 	hogs  *faults.HogSchedule
 	skew  *faults.SkewSchedule
-	retry *workload.RetryPolicy
+	retry workload.RetryPolicy
 }
 
 // Scenario is one cell of the taxonomy matrix.
@@ -161,7 +157,7 @@ func Scenarios(cfg Config) []Scenario {
 						Mode: faults.ModeDelay, Probability: 0.35, Delay: 100 * time.Millisecond,
 						Host: faults.AllHosts, From: c.Minute(10), To: c.Minute(20),
 					}),
-					retry: &workload.RetryPolicy{
+					retry: workload.RetryPolicy{
 						Max:              3,
 						LatencyThreshold: 80 * time.Millisecond,
 						Backoff:          5 * time.Millisecond,
@@ -265,91 +261,6 @@ func (r ScenarioMatrixResult) String() string {
 	return b.String()
 }
 
-// scenarioRun is cassandraRun with the gray-failure hooks: a hog schedule,
-// a clock-skew transform on emitted synopses, and client-side retries.
-func (c Config) scenarioRun(minutes int, sf scenarioFaults, seedOffset uint64) (runResult, *cassandra.Cassandra, error) {
-	ch := stream.NewChannel(1 << 22)
-	var sink tracker.Sink = ch
-	if sf.skew != nil {
-		skew := sf.skew
-		// The skewed host stamps synopses with its wrong clock: start times
-		// shift by the offset, measured durations stretch by the factor.
-		sink = tracker.SinkFunc(func(s *synopsis.Synopsis) {
-			host := int(s.Host)
-			at := s.Start
-			if f := skew.DurationFactor(host, at); f != 1 {
-				s.Duration = time.Duration(float64(s.Duration) * f)
-			}
-			if off := skew.Offset(host, at); off != 0 {
-				s.Start = at.Add(off)
-			}
-			ch.Emit(s)
-		})
-	}
-	ccfg := cassandra.Config{
-		Hosts:    4,
-		Seed:     c.Seed + seedOffset,
-		Sink:     sink,
-		Epoch:    Epoch,
-		Injector: sf.inj,
-		Hogs:     sf.hogs,
-	}
-	fig9Tuning(c)(&ccfg)
-	cass, err := cassandra.New(ccfg)
-	if err != nil {
-		return runResult{}, nil, err
-	}
-	gen := workload.NewGenerator(workload.Config{
-		Records: 2000,
-		Seed:    c.Seed + seedOffset + 1,
-		Mix:     workload.WriteHeavy(),
-	})
-	res := runResult{dict: cass.Dict(), throughput: make([]int, minutes+1)}
-	pool := workload.NewClientPool(c.Clients, Epoch, c.Think)
-	end := c.Minute(float64(minutes))
-	for {
-		id, at := pool.Acquire()
-		if at.After(end) {
-			break
-		}
-		op := gen.Next()
-		start := at
-		done, opErr := cass.Execute(op, start)
-		if sf.retry != nil {
-			// The metastable ingredient: failed or merely slow operations
-			// are re-issued, consuming cluster resources again.
-			for attempt := 1; sf.retry.ShouldRetry(attempt, opErr, done.Sub(start)); attempt++ {
-				start = done.Add(sf.retry.Backoff)
-				done, opErr = cass.Execute(op, start)
-			}
-		}
-		if opErr == nil {
-			if w := c.windowIndex(done); w >= 0 && w < len(res.throughput) {
-				res.throughput[w]++
-			}
-			res.ops++
-		}
-		pool.Release(id, done)
-	}
-	res.syns = ch.Drain()
-	for _, h := range cass.Cluster().Hosts() {
-		res.errors = append(res.errors, h.Errors()...)
-	}
-	return res, cass, nil
-}
-
-// detectWithLate is detect plus the detector's late-synopsis count (the
-// clock-skew cell's signature side effect).
-func detectWithLate(model *analyzer.Model, trace []*synopsis.Synopsis) ([]analyzer.Anomaly, uint64) {
-	det := analyzer.NewDetector(model)
-	var out []analyzer.Anomaly
-	for _, s := range trace {
-		out = append(out, det.Feed(s)...)
-	}
-	out = append(out, det.Flush()...)
-	return out, det.LateSynopses()
-}
-
 // scoreScenario reduces a run's anomaly list to one matrix cell.
 func (c Config) scoreScenario(sc Scenario, anomalies []analyzer.Anomaly, dict *logpoint.Dictionary, late uint64, ops int) ScenarioCell {
 	cell := ScenarioCell{
@@ -436,7 +347,7 @@ func ScenarioMatrix(cfg Config, names ...string) (ScenarioMatrixResult, error) {
 	for _, n := range names {
 		want[n] = true
 	}
-	train, _, err := cfg.cassandraRun(scenarioMinutes, nil, 901, fig9Tuning(cfg))
+	train, _, err := cfg.cassandraRun(run{minutes: scenarioMinutes, seed: 901, cassandra: fig9Tuning(cfg)})
 	if err != nil {
 		return ScenarioMatrixResult{}, err
 	}
@@ -449,12 +360,12 @@ func ScenarioMatrix(cfg Config, names ...string) (ScenarioMatrixResult, error) {
 		if len(want) > 0 && !want[sc.Name] {
 			continue
 		}
-		sf := sc.build(cfg)
-		res, _, err := cfg.scenarioRun(scenarioMinutes, sf, 1300+uint64(i)*17)
+		res, _, err := cfg.cassandraRun(run{minutes: scenarioMinutes, seed: 1300 + uint64(i)*17,
+			scenarioFaults: sc.build(cfg), cassandra: fig9Tuning(cfg)})
 		if err != nil {
 			return out, fmt.Errorf("scenario %s: %w", sc.Name, err)
 		}
-		anomalies, late := detectWithLate(model, res.syns)
+		anomalies, late := detect(model, res.syns)
 		out.Cells = append(out.Cells, cfg.scoreScenario(sc, anomalies, res.dict, late, res.ops))
 	}
 	if len(want) > 0 && len(out.Cells) != len(want) {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"saad/internal/analyzer"
 	"saad/internal/textmine"
 )
 
@@ -60,11 +59,11 @@ func Sec533(cfg Config) (Sec533Result, error) {
 	)
 	var out Sec533Result
 
-	train, _, err := cfg.cassandraRun(trainMinutes, nil, 733, nil)
+	train, _, err := cfg.cassandraRun(run{minutes: trainMinutes, seed: 733})
 	if err != nil {
 		return out, err
 	}
-	res, _, err := cfg.cassandraRun(detectMinutes, nil, 737, nil)
+	res, _, err := cfg.cassandraRun(run{minutes: detectMinutes, seed: 737})
 	if err != nil {
 		return out, err
 	}
@@ -109,11 +108,7 @@ func Sec533(cfg Config) (Sec533Result, error) {
 	out.TrainDuration = time.Since(startTrain)
 
 	startDetect := time.Now()
-	det := analyzer.NewDetector(model)
-	for _, s := range res.syns {
-		det.Feed(s)
-	}
-	det.Flush()
+	detect(model, res.syns)
 	out.AnalyzeDuration = time.Since(startDetect)
 	if secs := out.AnalyzeDuration.Seconds(); secs > 0 {
 		out.SynopsesPerSec = float64(out.Synopses) / secs

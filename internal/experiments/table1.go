@@ -37,8 +37,8 @@ func Table1(cfg Config) (Table1Result, error) {
 	cfg.applyDefaults()
 	var out Table1Result
 
-	inj := fig9Injector(cfg, Fig9ErrorWAL)
-	res, cass, err := cfg.cassandraRun(45, inj, 905, fig9Tuning(cfg))
+	res, cass, err := cfg.cassandraRun(run{minutes: 45, seed: 905,
+		scenarioFaults: scenarioFaults{inj: fig9Injector(cfg, Fig9ErrorWAL)}, cassandra: fig9Tuning(cfg)})
 	if err != nil {
 		return out, err
 	}

@@ -77,7 +77,7 @@ func (p *Peer) handleHandoff(conn net.Conn) {
 		p.logf("federation: decode handoff: %v", err)
 		return
 	}
-	imported, dropped, err := p.eng.ImportGroupsDropConflicts(msg.Groups)
+	imported, dropped, err := p.eng.ImportGroups(msg.Groups)
 	ack := handoffAck{OK: err == nil, Imported: imported, Dropped: dropped}
 	if err != nil {
 		ack.Error = err.Error()

@@ -266,7 +266,7 @@ func (p *Peer) rebalance(cur *Ring) {
 			// The new owner is unreachable (likely mid-death churn). Adopt
 			// the state back rather than lose it; the next ring change —
 			// or the group's own window close — resolves it.
-			if _, _, ierr := p.eng.ImportGroupsDropConflicts(blob); ierr != nil {
+			if _, _, ierr := p.eng.ImportGroups(blob); ierr != nil {
 				p.logf("federation: re-adopt after failed handoff: %v", ierr)
 			}
 			continue

@@ -76,6 +76,9 @@ type Status struct {
 	Retrains       uint64       `json:"retrains"`
 	Swaps          uint64       `json:"swaps"`
 	Lineage        []Meta       `json:"lineage,omitempty"`
+	// RecordError is why the last promotion could not be recorded in the
+	// store: until one is, a restart serves the version promoted before it.
+	RecordError string `json:"record_error,omitempty"`
 }
 
 // Manager owns the adaptive model lifecycle around a serving engine: it
@@ -110,6 +113,7 @@ type Manager struct {
 	lastVerdict *Verdict
 	retrains    uint64
 	swaps       uint64
+	recordErr   error // the last promotion's Store.MarkServing result
 	swapping    bool
 	// pendingPromote records a promotion request that landed while a swap
 	// was in flight; the goroutine finishing the swap applies it.
@@ -265,9 +269,10 @@ func (m *Manager) observeLocked(s *synopsis.Synopsis) (promote bool) {
 	}
 	if !v.Promote {
 		// Rejected: drop the candidate, keep its store version for
-		// forensics. The divergence gauge resets with the shadow — a dead
-		// evaluation must not keep exporting its last reading as if it
-		// were current.
+		// forensics (the store's serving record is what keeps a restart
+		// from loading it). The divergence gauge resets with the shadow —
+		// a dead evaluation must not keep exporting its last reading as
+		// if it were current.
 		m.shadow = nil
 		m.candModel = nil
 		if m.lm != nil {
@@ -296,11 +301,11 @@ func (m *Manager) snapshotRing() []*synopsis.Synopsis {
 }
 
 // Retrain trains a candidate on the buffered recent synopses, stores it as
-// a new version (parent = serving version) and — unless shadow evaluation
-// is disabled — starts shadowing it against the serving model. With shadow
-// disabled the candidate is promoted immediately (or, when a swap is
-// already in flight, as soon as that swap completes). It returns the new
-// version's metadata. Concurrent Retrain calls serialize.
+// a new version (parent = serving version; stored, not yet serving) and —
+// unless shadow evaluation is disabled — starts shadowing it against the
+// serving model. With shadow disabled the candidate is promoted immediately
+// (or, when a swap is already in flight, as soon as that swap completes). It
+// returns the new version's metadata. Concurrent Retrain calls serialize.
 func (m *Manager) Retrain() (Meta, error) {
 	m.retrainMu.Lock()
 	defer m.retrainMu.Unlock()
@@ -406,8 +411,12 @@ func (m *Manager) promote() {
 		m.mu.Unlock()
 
 		m.eng.SwapModel(model)
+		// The promotion is what a restart must serve: Retrain's Put only
+		// stored a candidate.
+		recordErr := m.store.MarkServing(meta.Version)
 
 		m.mu.Lock()
+		m.recordErr = recordErr
 		m.serving = meta
 		m.hasServing = true
 		m.swaps++
@@ -464,6 +473,9 @@ func (m *Manager) Status() Status {
 	if m.candModel != nil {
 		cand := m.candidate
 		st.Candidate = &cand
+	}
+	if m.recordErr != nil {
+		st.RecordError = m.recordErr.Error()
 	}
 	return st
 }

@@ -30,8 +30,9 @@ func managerTestConfig() ManagerConfig {
 // reach it as a frame.
 var _ stream.BatchSink = (*Manager)(nil)
 
-// newServingStack trains a model, stores it as version 1 and builds an
-// engine + manager pair serving it. The engine releases what it is fed into
+// newServingStack trains a model, stores it as version 1, records it as
+// serving (as the daemon's start does) and builds an engine + manager pair
+// serving it. The engine releases what it is fed into
 // a pool, as the daemon's does, which wipes the record: a manager that kept
 // a fed record instead of a clone would retrain on blanks.
 func newServingStack(t *testing.T, cfg ManagerConfig, opts ...ManagerOption) (*analyzer.Engine, *Manager, *Store, *metrics.LifecycleMetrics) {
@@ -40,6 +41,9 @@ func newServingStack(t *testing.T, cfg ManagerConfig, opts ...ManagerOption) (*a
 	store := openStore(t)
 	meta, err := store.Put(model, PutInfo{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.MarkServing(meta.Version); err != nil {
 		t.Fatal(err)
 	}
 	eng := analyzer.NewEngine(model, analyzer.WithShards(2), analyzer.WithSynopsisRelease(synopsis.NewPool(64).Put))
@@ -53,7 +57,16 @@ func newServingStack(t *testing.T, cfg ManagerConfig, opts ...ManagerOption) (*a
 // retrain, shadow the candidate against the serving model and hot-swap it
 // into the engine when the verdict passes.
 func TestManagerAutoPromote(t *testing.T) {
-	eng, mgr, _, lm := newServingStack(t, managerTestConfig())
+	eng, mgr, store, lm := newServingStack(t, managerTestConfig())
+	// restartServes is the version a restart on this store would serve.
+	restartServes := func() int {
+		t.Helper()
+		_, meta, err := store.LoadServing()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return meta.Version
+	}
 
 	// The records are the manager's once emitted (its engine recycles them):
 	// what the test needs of them is read first.
@@ -82,6 +95,9 @@ func TestManagerAutoPromote(t *testing.T) {
 	if mgr.ServingVersion() != 1 {
 		t.Fatal("promoted before any shadow windows closed")
 	}
+	if got := restartServes(); got != 1 {
+		t.Fatalf("a restart would serve version %d while the candidate is still being shadowed, want 1", got)
+	}
 
 	// More healthy traffic: the shadow accumulates windows, the verdict
 	// passes and the manager swaps the engine over, all inside Observe.
@@ -92,6 +108,9 @@ func TestManagerAutoPromote(t *testing.T) {
 	}
 	if got := eng.Model().TrainedOn; got != 3000 {
 		t.Fatalf("engine model TrainedOn = %d, want the retrained 3000", got)
+	}
+	if got := restartServes(); got != 2 {
+		t.Fatalf("a restart would serve version %d after the promotion, want 2", got)
 	}
 	v := mgr.LastVerdict()
 	if v == nil || !v.Ready || !v.Promote {
@@ -123,7 +142,7 @@ func TestManagerAutoPromote(t *testing.T) {
 // recorded under fault injection alarms on clean traffic; the shadow gate
 // drops it and the serving model stays.
 func TestManagerRejectsPoisonedCandidate(t *testing.T) {
-	eng, mgr, _, _ := newServingStack(t, managerTestConfig())
+	eng, mgr, store, _ := newServingStack(t, managerTestConfig())
 
 	inj := faults.NewInjector(netSendError())
 	faulted := traffic(2000, 33, epoch.Add(time.Hour), inj)
@@ -155,9 +174,13 @@ func TestManagerRejectsPoisonedCandidate(t *testing.T) {
 	if st.ShadowActive || st.Candidate != nil || st.Swaps != 0 {
 		t.Fatalf("status after rejection = %+v", st)
 	}
-	// The rejected version stays in the store for forensics.
+	// The rejected version stays in the store for forensics — where a
+	// restart does not pick it up.
 	if len(st.Lineage) != 2 {
 		t.Fatalf("lineage = %+v, want both versions kept", st.Lineage)
+	}
+	if _, meta, err := store.LoadServing(); err != nil || meta.Version != 1 {
+		t.Fatalf("a restart would serve version %d (err %v), want 1: version 2 was rejected", meta.Version, err)
 	}
 }
 

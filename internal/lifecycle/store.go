@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -63,8 +64,9 @@ type storedModel struct {
 }
 
 // Store is a directory of immutable, versioned model files
-// (model-NNNNNN.json). Writes are atomic (temp + fsync + rename), versions
-// only ever increase, and concurrent readers always see a complete file.
+// (model-NNNNNN.json) plus the record of which one is serving. Writes are
+// atomic (temp + fsync + rename), versions only ever increase, and
+// concurrent readers always see a complete file.
 // Store methods are safe for one writer with any number of readers; guard
 // multi-writer use externally.
 type Store struct {
@@ -216,15 +218,71 @@ func (s *Store) Put(model *analyzer.Model, info PutInfo) (Meta, error) {
 	if err != nil {
 		return Meta{}, fmt.Errorf("lifecycle: encode version %d: %w", next, err)
 	}
-	if err := writeFileAtomic(versionPath(s.dir, next), payload); err != nil {
-		return Meta{}, err
+	// Stored models are plain artifacts: world-readable.
+	err = analyzer.WriteFileAtomic(versionPath(s.dir, next), 0o644, func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	})
+	if err != nil {
+		return Meta{}, fmt.Errorf("lifecycle: store version %d: %w", next, err)
 	}
 	return meta, nil
 }
 
+// servingFile is the one file in the store directory that is not a version:
+// it records, as a decimal number, which version is being served.
+const servingFile = "serving"
+
+// MarkServing records version as the one being served — a promotion, or
+// the first model a store is given. It is the version LoadServing returns
+// after a restart and the one GC never removes: a candidate that was only
+// Put has been judged by nothing yet.
+func (s *Store) MarkServing(version int) error {
+	err := analyzer.WriteFileAtomic(filepath.Join(s.dir, servingFile), 0o644, func(w io.Writer) error {
+		_, err := fmt.Fprintln(w, version)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("lifecycle: record serving version %d: %w", version, err)
+	}
+	return nil
+}
+
+// recorded returns the version MarkServing last recorded, 0 when the store
+// has no record.
+func (s *Store) recorded() (int, error) {
+	raw, err := os.ReadFile(filepath.Join(s.dir, servingFile))
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("lifecycle: read serving record: %w", err)
+	}
+	v, err := strconv.Atoi(strings.TrimSpace(string(raw)))
+	if err != nil || v <= 0 {
+		return 0, fmt.Errorf("lifecycle: serving record holds %q, want a version number", raw)
+	}
+	return v, nil
+}
+
+// LoadServing returns the model a start serves: the recorded version, or —
+// only for a store that has no record, one no daemon has served from yet —
+// the newest. ErrEmptyStore when there is none.
+func (s *Store) LoadServing() (*analyzer.Model, Meta, error) {
+	v, err := s.recorded()
+	if err != nil {
+		return nil, Meta{}, err
+	}
+	if v == 0 {
+		return s.LoadLatest()
+	}
+	return s.read(v, true)
+}
+
 // GC removes all but the newest keep versions and returns the versions it
 // deleted. keep < 1 is treated as 1 — the store never deletes its newest
-// version.
+// version — and the version recorded as serving stays however old it is: a
+// run of rejected candidates must not age out the model they lost to.
 func (s *Store) GC(keep int) ([]int, error) {
 	if keep < 1 {
 		keep = 1
@@ -236,9 +294,16 @@ func (s *Store) GC(keep int) ([]int, error) {
 	if len(vs) <= keep {
 		return nil, nil
 	}
+	serving, err := s.recorded()
+	if err != nil {
+		return nil, err
+	}
 	doomed := vs[:len(vs)-keep]
 	removed := make([]int, 0, len(doomed))
 	for _, v := range doomed {
+		if v == serving {
+			continue
+		}
 		if err := os.Remove(versionPath(s.dir, v)); err != nil {
 			return removed, fmt.Errorf("lifecycle: gc version %d: %w", v, err)
 		}
@@ -258,45 +323,4 @@ func ConfigHash(cfg analyzer.Config) string {
 	}
 	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:8])
-}
-
-// writeFileAtomic writes payload to path via a same-directory temp file,
-// fsync and rename, so readers never observe a torn file.
-func writeFileAtomic(path string, payload []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("lifecycle: create temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() {
-		tmp.Close()
-		os.Remove(tmpName)
-	}
-	// CreateTemp defaults to 0600; stored models are plain artifacts.
-	if err := tmp.Chmod(0o644); err != nil {
-		cleanup()
-		return fmt.Errorf("lifecycle: chmod temp: %w", err)
-	}
-	if _, err := tmp.Write(payload); err != nil {
-		cleanup()
-		return fmt.Errorf("lifecycle: write temp: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("lifecycle: sync temp: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("lifecycle: close temp: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("lifecycle: rename: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }

@@ -148,6 +148,56 @@ func TestStoreVersioningAndLineage(t *testing.T) {
 	}
 }
 
+// TestStoreServingRecord: a store with no record serves its newest version;
+// once a version is recorded as serving, newer versions are candidates — a
+// start does not load them and GC does not trade the serving one for them.
+func TestStoreServingRecord(t *testing.T) {
+	s := openStore(t)
+	model := trainOn(t, traffic(4000, 6, epoch, nil))
+	serves := func() int {
+		t.Helper()
+		_, meta, err := s.LoadServing()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return meta.Version
+	}
+	if _, _, err := s.LoadServing(); !errors.Is(err, ErrEmptyStore) {
+		t.Fatalf("LoadServing on empty store: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := s.Put(model, PutInfo{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := serves(); got != 2 {
+		t.Fatalf("store without a record serves version %d, want the newest, 2", got)
+	}
+	if err := s.MarkServing(1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // candidates 3, 4, 5: none promoted
+		if _, err := s.Put(model, PutInfo{Parent: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := serves(); got != 1 {
+		t.Fatalf("store serves version %d, want the recorded 1", got)
+	}
+	if removed, err := s.GC(2); err != nil || !reflect.DeepEqual(removed, []int{2, 3}) {
+		t.Fatalf("GC(2) = %v, %v, want [2 3]: the serving version stays", removed, err)
+	}
+	if got := serves(); got != 1 {
+		t.Fatalf("after GC the store serves version %d, want 1", got)
+	}
+	if err := os.WriteFile(filepath.Join(s.Dir(), servingFile), []byte("latest\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.LoadServing(); err == nil || !strings.Contains(err.Error(), "serving record") {
+		t.Fatalf("LoadServing with a garbled record: %v", err)
+	}
+}
+
 // TestStoreNoTempLeftovers: atomic writes leave only complete version files
 // behind.
 func TestStoreNoTempLeftovers(t *testing.T) {

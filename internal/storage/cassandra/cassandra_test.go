@@ -21,18 +21,12 @@ var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 // and returns completion count.
 func runWorkload(t *testing.T, c *Cassandra, gen *workload.Generator, clients int, horizon time.Duration) int {
 	t.Helper()
-	pool := workload.NewClientPool(clients, epoch, 50*time.Millisecond)
-	end := epoch.Add(horizon)
 	completions := 0
-	for {
-		id, at := pool.Acquire()
-		if at.After(end) {
-			break
-		}
+	workload.NewClientPool(clients, epoch, 50*time.Millisecond).Run(epoch.Add(horizon), func(_ int, at time.Time) time.Time {
 		done, _ := c.Execute(gen.Next(), at)
 		completions++
-		pool.Release(id, done)
-	}
+		return done
+	})
 	return completions
 }
 
@@ -476,15 +470,10 @@ func TestTraceGolden(t *testing.T) {
 			sink := stream.NewChannel(1 << 20)
 			c := newCluster(t, sink, tc.inj)
 			gen := workload.NewGenerator(workload.Config{Records: 2000, Seed: 8, Mix: workload.WriteHeavy()})
-			pool := workload.NewClientPool(40, epoch, 150*time.Millisecond)
-			for {
-				id, at := pool.Acquire()
-				if at.After(epoch.Add(horizon)) {
-					break
-				}
+			workload.NewClientPool(40, epoch, 150*time.Millisecond).Run(epoch.Add(horizon), func(_ int, at time.Time) time.Time {
 				done, _ := c.Execute(gen.Next(), at)
-				pool.Release(id, done)
-			}
+				return done
+			})
 			syns := sink.Drain()
 			if got := traceHash(syns); len(syns) != tc.count || got != tc.hash {
 				t.Fatalf("trace drifted: %d synopses, hash %s; want %d, %s", len(syns), got, tc.count, tc.hash)

@@ -33,18 +33,12 @@ func newTier(t *testing.T, sink *stream.Channel, hogs *faults.HogSchedule, mutat
 func drive(t *testing.T, h *HBase, seed uint64, mix workload.Mix, clients int, horizon time.Duration) int {
 	t.Helper()
 	gen := workload.NewGenerator(workload.Config{Records: 400, Seed: seed, Mix: mix})
-	pool := workload.NewClientPool(clients, epoch, 50*time.Millisecond)
-	end := epoch.Add(horizon)
 	n := 0
-	for {
-		id, at := pool.Acquire()
-		if at.After(end) {
-			break
-		}
+	workload.NewClientPool(clients, epoch, 50*time.Millisecond).Run(epoch.Add(horizon), func(_ int, at time.Time) time.Time {
 		done, _ := h.Execute(gen.Next(), at)
 		n++
-		pool.Release(id, done)
-	}
+		return done
+	})
 	return n
 }
 

@@ -285,5 +285,15 @@ func (p *ClientPool) Release(id int, done time.Time) {
 	heap.Push(&p.heap, clientSlot{free: done.Add(p.think), id: id})
 }
 
+// Run drives the closed loop until the next issue time is past end: the
+// client that frees up first issues op at that time and is released at the
+// completion time op returns.
+func (p *ClientPool) Run(end time.Time, op func(id int, at time.Time) (done time.Time)) {
+	for p.Len() > 0 && !p.heap[0].free.After(end) {
+		id, at := p.Acquire()
+		p.Release(id, op(id, at))
+	}
+}
+
 // Len returns the number of idle clients currently in the pool.
 func (p *ClientPool) Len() int { return p.heap.Len() }

@@ -245,22 +245,48 @@ func TestClientPoolClosedLoop(t *testing.T) {
 	}
 }
 
+// TestClientPoolRun: Run is the closed loop — clients issue in free-time
+// order, op is never called for an issue time past end, and a client released
+// at done comes back at done + think.
+func TestClientPoolRun(t *testing.T) {
+	const think = 10 * time.Millisecond
+	end := epoch.Add(time.Second)
+	// Client 0 is fast, client 1 slow: every issue is logged and checked.
+	service := []time.Duration{5 * time.Millisecond, 70 * time.Millisecond}
+	next := []time.Time{epoch, epoch}
+	last := epoch
+	issues := make([]int, 2)
+	NewClientPool(2, epoch, think).Run(end, func(id int, at time.Time) time.Time {
+		if at.Before(last) {
+			t.Fatalf("client %d issued at %v, before the previous issue %v", id, at, last)
+		}
+		if at.After(end) {
+			t.Fatalf("client %d issued at %v, past end %v", id, at, end)
+		}
+		if !at.Equal(next[id]) {
+			t.Fatalf("client %d issued at %v, want done + think = %v", id, at, next[id])
+		}
+		last = at
+		issues[id]++
+		done := at.Add(service[id])
+		next[id] = done.Add(think)
+		return done
+	})
+	// 1 s / (service + think), plus the issue at the epoch.
+	if issues[0] != 67 || issues[1] != 13 {
+		t.Fatalf("issues = %v, want [67 13]", issues)
+	}
+}
+
 func TestClientPoolThroughputRespondsToLatency(t *testing.T) {
 	// With closed-loop clients, doubling service time roughly halves
 	// completions in a fixed horizon.
 	run := func(service time.Duration) int {
-		p := NewClientPool(10, epoch, 0)
-		horizon := epoch.Add(time.Second)
 		completions := 0
-		for {
-			id, at := p.Acquire()
-			if at.After(horizon) {
-				break
-			}
-			done := at.Add(service)
+		NewClientPool(10, epoch, 0).Run(epoch.Add(time.Second), func(_ int, at time.Time) time.Time {
 			completions++
-			p.Release(id, done)
-		}
+			return at.Add(service)
+		})
 		return completions
 	}
 	fast := run(time.Millisecond)

@@ -269,6 +269,9 @@ func (m *Monitor) Train() (*Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("saad: store trained model: %w", err)
 		}
+		if err := m.store.MarkServing(meta.Version); err != nil {
+			return nil, fmt.Errorf("saad: store trained model: %w", err)
+		}
 		m.modelVer = meta.Version
 		m.pipeline.Lifecycle.ModelVersion.Set(float64(meta.Version))
 	}

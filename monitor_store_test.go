@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"saad"
+	"saad/internal/lifecycle"
 )
 
 // TestMonitorModelStoreVersions: a monitor built WithModelStore records
 // every Train as the next version of the store, parent-linked to the one
-// before it, and ModelVersion follows; the versions outlive the monitors
-// that wrote them.
+// before it and recorded as the one serving, and ModelVersion follows; the
+// versions outlive the monitors that wrote them.
 func TestMonitorModelStoreVersions(t *testing.T) {
 	dir := t.TempDir()
 	// trainOne runs one monitor over the store through a Train (a monitor
@@ -56,12 +57,17 @@ func TestMonitorModelStoreVersions(t *testing.T) {
 	if len(metas) != 2 || metas[0].Version != 1 || metas[0].Parent != 0 || metas[1].Version != 2 || metas[1].Parent != 1 {
 		t.Fatalf("reopened store lists %+v, want version 1 (a root) and version 2 (its child)", metas)
 	}
-	latest, meta, err := store.LoadLatest()
+	// Train recorded version 2 as serving: a version that is only stored
+	// afterwards — a retrain's candidate — is not what the next start loads.
+	if _, err := store.Put(model, lifecycle.PutInfo{Parent: 2}); err != nil {
+		t.Fatal(err)
+	}
+	serving, meta, err := store.LoadServing()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Version != 2 || meta.Synopses != model.TrainedOn || latest.TrainedOn != model.TrainedOn {
-		t.Fatalf("latest = version %d over %d synopses (model says %d), want version 2 over %d",
-			meta.Version, meta.Synopses, latest.TrainedOn, model.TrainedOn)
+	if meta.Version != 2 || meta.Synopses != model.TrainedOn || serving.TrainedOn != model.TrainedOn {
+		t.Fatalf("serving = version %d over %d synopses (model says %d), want version 2 over %d",
+			meta.Version, meta.Synopses, serving.TrainedOn, model.TrainedOn)
 	}
 }
