@@ -44,9 +44,9 @@
 // the serving model on the live stream (-shadow, on by default); when its
 // anomaly rate stays within the false-positive budget it is hot-swapped into
 // the engine at a window boundary with zero dropped synopses. The /model endpoint on
-// -http exposes the lifecycle: GET returns the serving version, lineage,
-// drift reports and shadow verdicts; POST ?action=retrain and
-// ?action=promote drive it manually:
+// -http exposes the lifecycle: GET returns the serving version, lineage and
+// shadow verdicts; POST ?action=retrain and ?action=promote drive it
+// manually:
 //
 //	saad-analyzer -listen :7077 -model model.json -model-store ./models \
 //	    -retrain-every 30m -http :9090
@@ -362,16 +362,9 @@ func trainMode(listen, modelPath, storeDir string, n int, window time.Duration) 
 		if err != nil {
 			return err
 		}
-		parent := 0
-		if latest, err := store.Latest(); err == nil {
-			parent = latest.Version
-		}
-		meta, err := store.Put(model, lifecycle.PutInfo{Parent: parent})
-		if err != nil {
-			return err
-		}
 		// Train mode is the operator choosing a model: detect mode serves it.
-		if err := store.MarkServing(meta.Version); err != nil {
+		meta, err := store.PutServing(model)
+		if err != nil {
 			return err
 		}
 		fmt.Printf("model stored as version %d in %s\n", meta.Version, storeDir)
@@ -638,8 +631,8 @@ func start(dict *logpoint.Dictionary, opts detectOptions) (_ *daemon, err error)
 	// in parallel and the per-connection synopsis order is preserved per
 	// (host, stage) group — exactly the ordering the detection semantics
 	// need. With a model store the lifecycle manager stands in front of it:
-	// it feeds the engine, then buffers clones for retraining, watches for
-	// drift, shadow-evaluates candidates and hot-swaps promoted models in.
+	// it feeds the engine, then buffers clones for retraining,
+	// shadow-evaluates candidates and hot-swaps promoted models in.
 	var sink tracker.Sink = d.eng
 	if store != nil {
 		mcfg := lifecycle.ManagerConfig{
@@ -647,9 +640,6 @@ func start(dict *logpoint.Dictionary, opts detectOptions) (_ *daemon, err error)
 			KeepVersions:  opts.keepVersions,
 		}
 		mopts := []lifecycle.ManagerOption{lifecycle.WithLifecycleMetrics(pipe.Lifecycle)}
-		if d.tracer != nil {
-			mopts = append(mopts, lifecycle.WithLifecycleTracer(d.tracer))
-		}
 		if serving != nil {
 			mopts = append(mopts, lifecycle.WithServingVersion(*serving))
 		}

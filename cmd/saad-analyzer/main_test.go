@@ -185,6 +185,52 @@ func TestTrainModeConcurrentTrackers(t *testing.T) {
 	}
 }
 
+// TestTrainModeStoresChildOfServing: -train with -model-store stores the
+// model as the child of the version serving, not of the newest one — here a
+// retrain's candidate, stored after version 2 was promoted and never served.
+func TestTrainModeStoresChildOfServing(t *testing.T) {
+	dir := t.TempDir()
+	modelPath := filepath.Join(dir, "model.json")
+	storeDir := filepath.Join(dir, "models")
+	trainModelFile(t, modelPath)
+	model, err := readModelFile(modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := lifecycle.Open(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for parent := 0; parent < 3; parent++ {
+		if _, err := store.Put(model, lifecycle.PutInfo{Parent: parent}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.MarkServing(2); err != nil {
+		t.Fatal(err)
+	}
+
+	addr := freePort(t)
+	trainDone := make(chan error, 1)
+	go func() {
+		trainDone <- trainMode(addr, modelPath, storeDir, 500, time.Minute)
+	}()
+	waitListening(t, addr)
+	emit(t, addr, 600)
+	awaitModel(t, trainDone, modelPath)
+
+	metas, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metas[len(metas)-1]; got.Version != 4 || got.Parent != 2 {
+		t.Fatalf("train mode stored version %d with parent %d, want 4 with parent 2 (the serving version)", got.Version, got.Parent)
+	}
+	if _, meta, err := store.LoadServing(); err != nil || meta.Version != 4 {
+		t.Fatalf("a start after train mode would serve version %d (err %v), want 4", meta.Version, err)
+	}
+}
+
 // freePort reserves an address by listening and closing: train mode prints
 // the address it bound and returns nothing to read it from. Detect-mode
 // tests bind port 0 and read the address off the daemon instead.

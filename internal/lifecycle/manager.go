@@ -11,7 +11,6 @@ import (
 	"saad/internal/analyzer"
 	"saad/internal/metrics"
 	"saad/internal/synopsis"
-	"saad/internal/trace"
 )
 
 // ErrRetrainTooFew is returned when the retrain buffer holds fewer
@@ -34,10 +33,6 @@ type ManagerConfig struct {
 	// only promoted when its verdict passes. When false, Retrain promotes
 	// immediately. Default true (set DisableShadow to turn off).
 	DisableShadow bool
-	// DisableAutoPromote stops a passing shadow verdict from being
-	// applied automatically; the verdict is only recorded and promotion
-	// waits for an explicit Promote call.
-	DisableAutoPromote bool
 	// VerdictEvery is how often (in observed synopses) an active shadow
 	// evaluation is polled for a verdict. Default 256.
 	VerdictEvery int
@@ -47,9 +42,8 @@ type ManagerConfig struct {
 	// limit. Long-running deployments should set a small positive number
 	// (the saad-analyzer CLI defaults to 16 via -model-keep).
 	KeepVersions int
-	// ShadowConfig and Drift tune the two evaluators.
+	// ShadowConfig tunes the shadow evaluation.
 	ShadowConfig ShadowConfig
-	Drift        DriftConfig
 }
 
 func (c *ManagerConfig) applyDefaults() {
@@ -66,32 +60,30 @@ func (c *ManagerConfig) applyDefaults() {
 
 // Status is the manager's introspectable state, served on /model.
 type Status struct {
-	ServingVersion int          `json:"serving_version"`
-	Serving        *Meta        `json:"serving,omitempty"`
-	Candidate      *Meta        `json:"candidate,omitempty"`
-	ShadowActive   bool         `json:"shadow_active"`
-	LastDrift      *DriftReport `json:"last_drift,omitempty"`
-	LastVerdict    *Verdict     `json:"last_verdict,omitempty"`
-	Buffered       int          `json:"buffered"`
-	Retrains       uint64       `json:"retrains"`
-	Swaps          uint64       `json:"swaps"`
-	Lineage        []Meta       `json:"lineage,omitempty"`
+	ServingVersion int      `json:"serving_version"`
+	Serving        *Meta    `json:"serving,omitempty"`
+	Candidate      *Meta    `json:"candidate,omitempty"`
+	ShadowActive   bool     `json:"shadow_active"`
+	LastVerdict    *Verdict `json:"last_verdict,omitempty"`
+	Buffered       int      `json:"buffered"`
+	Retrains       uint64   `json:"retrains"`
+	Swaps          uint64   `json:"swaps"`
+	Lineage        []Meta   `json:"lineage,omitempty"`
 	// RecordError is why the last promotion could not be recorded in the
 	// store: until one is, a restart serves the version promoted before it.
 	RecordError string `json:"record_error,omitempty"`
 }
 
 // Manager owns the adaptive model lifecycle around a serving engine: it
-// buffers recent synopses for retraining, watches the stream for drift,
-// shadow-evaluates candidates and hot-swaps promoted models into the
-// engine. All methods are safe for concurrent use; the engine swap itself
-// happens outside the manager's lock (it has its own quiesce protocol).
+// buffers recent synopses for retraining, shadow-evaluates candidates and
+// hot-swaps promoted models into the engine. All methods are safe for
+// concurrent use; the engine swap itself happens outside the manager's lock
+// (it has its own quiesce protocol).
 type Manager struct {
-	eng    *analyzer.Engine
-	store  *Store
-	cfg    ManagerConfig
-	lm     *metrics.LifecycleMetrics
-	tracer *trace.Tracer
+	eng   *analyzer.Engine
+	store *Store
+	cfg   ManagerConfig
+	lm    *metrics.LifecycleMetrics
 
 	// retrainMu serializes Retrain end-to-end (the retrain ticker and the
 	// POST /model?action=retrain handler can fire together), which is what
@@ -102,14 +94,12 @@ type Manager struct {
 	mu          sync.Mutex
 	serving     Meta
 	hasServing  bool
-	drift       *DriftMonitor
 	ring        []*synopsis.Synopsis
 	ringNext    int
 	ringCount   int
 	shadow      *Shadow
 	candidate   Meta
 	candModel   *analyzer.Model
-	lastDrift   *DriftReport
 	lastVerdict *Verdict
 	retrains    uint64
 	swaps       uint64
@@ -128,13 +118,6 @@ func WithLifecycleMetrics(lm *metrics.LifecycleMetrics) ManagerOption {
 	return func(m *Manager) { m.lm = lm }
 }
 
-// WithLifecycleTracer attaches the pipeline tracer: drift epochs land on
-// its control flight ring, so the anomaly flight recorder shows model
-// health context around an alarm.
-func WithLifecycleTracer(t *trace.Tracer) ManagerOption {
-	return func(m *Manager) { m.tracer = t }
-}
-
 // WithServingVersion records which store version the engine is serving.
 func WithServingVersion(meta Meta) ManagerOption {
 	return func(m *Manager) {
@@ -144,8 +127,7 @@ func WithServingVersion(meta Meta) ManagerOption {
 }
 
 // NewManager builds a manager around a serving engine and a store. The
-// engine must already be serving; the manager reads its current model to
-// seed the drift monitor.
+// engine must already be serving.
 func NewManager(eng *analyzer.Engine, store *Store, cfg ManagerConfig, opts ...ManagerOption) *Manager {
 	cfg.applyDefaults()
 	m := &Manager{
@@ -153,7 +135,6 @@ func NewManager(eng *analyzer.Engine, store *Store, cfg ManagerConfig, opts ...M
 		store: store,
 		cfg:   cfg,
 		ring:  make([]*synopsis.Synopsis, cfg.RetrainWindow),
-		drift: NewDriftMonitor(eng.Model(), cfg.Drift),
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -170,14 +151,6 @@ func (m *Manager) ServingVersion() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.serving.Version
-}
-
-// LastDrift returns the most recent drift report (nil before the first
-// epoch completes).
-func (m *Manager) LastDrift() *DriftReport {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastDrift
 }
 
 // LastVerdict returns the most recent shadow verdict (nil before one is
@@ -210,11 +183,10 @@ func (m *Manager) EmitBatch(batch []*synopsis.Synopsis) {
 	m.observe(clones)
 }
 
-// observe hands records the manager owns to the retrain ring, the drift
-// monitor and any active shadow evaluation, under one acquisition of mu per
-// frame. A passing shadow verdict promotes here unless DisableAutoPromote is
-// set: the frame is cut at that record, the swap runs outside the lock, and
-// the rest of the frame meets the promoted model's drift monitor.
+// observe hands records the manager owns to the retrain ring and any active
+// shadow evaluation, under one acquisition of mu per frame. A passing shadow
+// verdict promotes here: the frame is cut at that record, the swap runs
+// outside the lock, and the rest of the frame is observed after it.
 func (m *Manager) observe(recs []*synopsis.Synopsis) {
 	for len(recs) > 0 {
 		n, promote := 0, false
@@ -238,19 +210,6 @@ func (m *Manager) observeLocked(s *synopsis.Synopsis) (promote bool) {
 	m.ringNext = (m.ringNext + 1) % len(m.ring)
 	if m.ringCount < len(m.ring) {
 		m.ringCount++
-	}
-	if rep := m.drift.Observe(s); rep != nil {
-		m.lastDrift = rep
-		if m.lm != nil {
-			m.lm.DriftScore.Set(rep.Score)
-		}
-		var drifted uint64
-		if rep.Drifted {
-			drifted = 1
-		}
-		// Score in millionths: the flight ring carries integer payloads.
-		m.tracer.ControlRing().Record(trace.EventDriftEpoch,
-			uint16(s.Stage), s.Host, uint64(rep.Score*1e6), drifted)
 	}
 	if m.shadow == nil {
 		return false
@@ -280,7 +239,7 @@ func (m *Manager) observeLocked(s *synopsis.Synopsis) (promote bool) {
 		}
 		return false
 	}
-	if m.cfg.DisableAutoPromote || m.swapping {
+	if m.swapping {
 		return false
 	}
 	m.swapping = true
@@ -427,13 +386,9 @@ func (m *Manager) promote() {
 		// A retrain that landed mid-swap may have replaced the candidate;
 		// that newer candidate (and its shadow, when one started) stays
 		// pending, and the branch below promotes it when asked to.
-		// The drift monitor restarts against the promoted model: its known
-		// signatures and reference distributions all change.
-		m.drift = NewDriftMonitor(model, m.cfg.Drift)
 		if m.lm != nil {
 			m.lm.Swaps.Inc()
 			m.lm.ModelVersion.Set(float64(meta.Version))
-			m.lm.DriftScore.Set(0)
 			if m.shadow == nil {
 				// The promoted candidate's shadow is over; its divergence
 				// reading is history, not state.
@@ -459,7 +414,6 @@ func (m *Manager) Status() Status {
 	st := Status{
 		ServingVersion: m.serving.Version,
 		ShadowActive:   m.shadow != nil,
-		LastDrift:      m.lastDrift,
 		LastVerdict:    m.lastVerdict,
 		Buffered:       m.ringCount,
 		Retrains:       m.retrains,
@@ -482,7 +436,7 @@ func (m *Manager) Status() Status {
 
 // ServeHTTP implements the /model admin endpoint:
 //
-//	GET  /model                  → Status JSON (version, lineage, drift, verdict)
+//	GET  /model                  → Status JSON (version, lineage, verdict)
 //	POST /model?action=retrain   → train + store a candidate from the buffer
 //	POST /model?action=promote   → force-promote the pending candidate
 func (m *Manager) ServeHTTP(w http.ResponseWriter, r *http.Request) {

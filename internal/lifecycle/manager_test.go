@@ -22,7 +22,6 @@ func managerTestConfig() ManagerConfig {
 		MinRetrain:    1000,
 		VerdictEvery:  100,
 		ShadowConfig:  ShadowConfig{MinWindows: 5, FalsePositiveBudget: 0.05},
-		Drift:         DriftConfig{EpochTasks: 1000, MinStageTasks: 200},
 	}
 }
 
@@ -132,10 +131,6 @@ func TestManagerAutoPromote(t *testing.T) {
 	if got := lm.Retrains.Value(); got != 1 {
 		t.Fatalf("retrains counter = %v", got)
 	}
-	// The drift monitor restarted against the promoted model.
-	if rep := mgr.LastDrift(); rep == nil {
-		t.Fatal("no drift report despite 6000 observed synopses")
-	}
 }
 
 // TestManagerRejectsPoisonedCandidate: a candidate retrained from a buffer
@@ -193,9 +188,7 @@ func TestManagerRetrainTooFew(t *testing.T) {
 }
 
 func TestManagerPromoteForcesPendingCandidate(t *testing.T) {
-	cfg := managerTestConfig()
-	cfg.DisableAutoPromote = true
-	eng, mgr, _, _ := newServingStack(t, cfg)
+	eng, mgr, _, _ := newServingStack(t, managerTestConfig())
 
 	if _, err := mgr.Promote(); !errors.Is(err, ErrNoCandidate) {
 		t.Fatalf("Promote with no candidate: %v", err)
@@ -251,9 +244,7 @@ func TestManagerDisableShadowPromotesImmediately(t *testing.T) {
 // single-writer — unserialized, both would compute the same next version
 // and one candidate would silently vanish under the other's rename).
 func TestManagerConcurrentRetrainSerialized(t *testing.T) {
-	cfg := managerTestConfig()
-	cfg.DisableAutoPromote = true
-	_, mgr, store, _ := newServingStack(t, cfg)
+	_, mgr, store, _ := newServingStack(t, managerTestConfig())
 	mgr.EmitBatch(traffic(2000, 41, epoch.Add(time.Hour), nil))
 
 	metas := make([]Meta, 2)

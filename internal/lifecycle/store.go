@@ -1,7 +1,7 @@
-// Package lifecycle closes the train → serve → drift → retrain loop around
-// the analyzer: a versioned on-disk model store, a drift monitor fed from
-// the live synopsis stream, a shadow evaluator that runs a candidate model
-// side-by-side with the serving one, and a manager that hot-swaps promoted
+// Package lifecycle closes the train → serve → retrain loop around the
+// analyzer: a versioned on-disk model store, a shadow evaluator that runs a
+// candidate model side-by-side with the serving one, and a manager that
+// buffers the live synopsis stream for retraining and hot-swaps promoted
 // candidates into the serving engine at a window boundary.
 package lifecycle
 
@@ -265,18 +265,52 @@ func (s *Store) recorded() (int, error) {
 	return v, nil
 }
 
+// serving is LoadServing's choice of version without the load: 0 for an
+// empty store.
+func (s *Store) serving() (int, error) {
+	v, err := s.recorded()
+	if err != nil || v != 0 {
+		return v, err
+	}
+	vs, err := s.versions()
+	if err != nil || len(vs) == 0 {
+		return 0, err
+	}
+	return vs[len(vs)-1], nil
+}
+
 // LoadServing returns the model a start serves: the recorded version, or —
 // only for a store that has no record, one no daemon has served from yet —
 // the newest. ErrEmptyStore when there is none.
 func (s *Store) LoadServing() (*analyzer.Model, Meta, error) {
-	v, err := s.recorded()
+	v, err := s.serving()
 	if err != nil {
 		return nil, Meta{}, err
 	}
 	if v == 0 {
-		return s.LoadLatest()
+		return nil, Meta{}, ErrEmptyStore
 	}
 	return s.read(v, true)
+}
+
+// PutServing stores model as the version that replaces the one serving —
+// its parent is the version LoadServing returns, 0 for an empty store — and
+// records it as serving. It is an operator choosing a model: train mode and
+// Monitor.Train. A candidate stored after the serving version is not the
+// parent; it was never served.
+func (s *Store) PutServing(model *analyzer.Model) (Meta, error) {
+	parent, err := s.serving()
+	if err != nil {
+		return Meta{}, err
+	}
+	meta, err := s.Put(model, PutInfo{Parent: parent})
+	if err != nil {
+		return Meta{}, err
+	}
+	if err := s.MarkServing(meta.Version); err != nil {
+		return Meta{}, err
+	}
+	return meta, nil
 }
 
 // GC removes all but the newest keep versions and returns the versions it
@@ -314,7 +348,7 @@ func (s *Store) GC(keep int) ([]int, error) {
 
 // ConfigHash fingerprints an analyzer configuration: a short hex digest of
 // its canonical JSON form. Models trained under different hashes are not
-// comparable for drift or shadow purposes.
+// comparable.
 func ConfigHash(cfg analyzer.Config) string {
 	raw, err := json.Marshal(cfg)
 	if err != nil {

@@ -245,14 +245,11 @@ func NewMonitorMetrics(r *Registry) *MonitorMetrics {
 }
 
 // LifecycleMetrics instruments the adaptive model lifecycle: versioned
-// store, drift monitoring, shadow evaluation and hot swaps.
+// store, shadow evaluation and hot swaps.
 type LifecycleMetrics struct {
 	// ModelVersion is the store version currently serving (0 when the
 	// serving model never came from a store).
 	ModelVersion *Gauge
-	// DriftScore is the score of the most recent drift report (0 = no
-	// drift observed, approaching 1 = strong drift evidence).
-	DriftScore *Gauge
 	// ShadowDivergence is the candidate-minus-serving anomaly-rate
 	// divergence of the most recent shadow verdict.
 	ShadowDivergence *Gauge
@@ -266,7 +263,6 @@ type LifecycleMetrics struct {
 func NewLifecycleMetrics(r *Registry) *LifecycleMetrics {
 	return &LifecycleMetrics{
 		ModelVersion:     r.NewGauge("saad_lifecycle_model_version", "Store version of the model currently serving."),
-		DriftScore:       r.NewGauge("saad_lifecycle_drift_score", "Drift score of the most recent drift report (0 none, 1 strong)."),
 		ShadowDivergence: r.NewGauge("saad_lifecycle_shadow_divergence", "Candidate minus serving anomaly-rate divergence of the last shadow verdict."),
 		Swaps:            r.NewCounter("saad_lifecycle_model_swaps_total", "Hot model swaps applied to the serving engine."),
 		Retrains:         r.NewCounter("saad_lifecycle_retrains_total", "Candidate models trained from the live synopsis stream."),

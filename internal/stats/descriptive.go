@@ -11,6 +11,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"sort"
 )
 
 // ErrNoData is returned by operations that need at least one observation.
@@ -127,6 +128,38 @@ func maxFloat(xs []float64) float64 {
 		}
 	}
 	return m
+}
+
+// CumulativeShare reports, for counts sorted descending, the minimum number
+// of items whose summed counts reach the given share (0 < share <= 1) of the
+// grand total. This is the computation behind Figure 6 ("6 of 29 signatures
+// account for 95% of tasks").
+func CumulativeShare(counts []int, share float64) (items int, totalItems int) {
+	if len(counts) == 0 || share <= 0 {
+		return 0, len(counts)
+	}
+	sorted := make([]int, len(counts))
+	copy(sorted, counts)
+	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
+	var total int
+	for _, c := range sorted {
+		total += c
+	}
+	if total == 0 {
+		return 0, len(counts)
+	}
+	if share > 1 {
+		share = 1
+	}
+	target := share * float64(total)
+	var cum int
+	for i, c := range sorted {
+		cum += c
+		if float64(cum) >= target {
+			return i + 1, len(counts)
+		}
+	}
+	return len(counts), len(counts)
 }
 
 // Skewness returns the adjusted Fisher-Pearson sample skewness of xs. The

@@ -83,91 +83,6 @@ func betaCF(a, b, x float64) float64 {
 	return h
 }
 
-// RegularizedGammaP computes P(a, x), the regularized lower incomplete
-// gamma function, via the series expansion for x < a+1 and the continued
-// fraction (modified Lentz) otherwise — the Numerical Recipes gammp split.
-// It powers the chi-square CDF.
-func RegularizedGammaP(a, x float64) float64 {
-	switch {
-	case a <= 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x <= 0:
-		return 0
-	case math.IsInf(x, 1):
-		return 1
-	}
-	if x < a+1 {
-		return gammaPSeries(a, x)
-	}
-	return 1 - gammaQContinuedFraction(a, x)
-}
-
-// gammaPSeries evaluates P(a, x) by its power series (converges fast for
-// x < a+1).
-func gammaPSeries(a, x float64) float64 {
-	const (
-		maxIter = 500
-		eps     = 3e-14
-	)
-	ap := a
-	sum := 1 / a
-	del := sum
-	for i := 0; i < maxIter; i++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*eps {
-			break
-		}
-	}
-	return sum * math.Exp(-x+a*math.Log(x)-lgamma(a))
-}
-
-// gammaQContinuedFraction evaluates Q(a, x) = 1 - P(a, x) by the continued
-// fraction with the modified Lentz method (converges fast for x >= a+1).
-func gammaQContinuedFraction(a, x float64) float64 {
-	const (
-		maxIter = 500
-		eps     = 3e-14
-		fpMin   = 1e-300
-	)
-	b := x + 1 - a
-	c := 1 / fpMin
-	d := 1 / b
-	h := d
-	for i := 1; i <= maxIter; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < fpMin {
-			d = fpMin
-		}
-		c = b + an/c
-		if math.Abs(c) < fpMin {
-			c = fpMin
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < eps {
-			break
-		}
-	}
-	return h * math.Exp(-x+a*math.Log(x)-lgamma(a))
-}
-
-// ChiSquareCDF returns P(X <= x) for a chi-square variate with df degrees
-// of freedom. For df <= 0 it returns NaN.
-func ChiSquareCDF(x, df float64) float64 {
-	if df <= 0 {
-		return math.NaN()
-	}
-	if x <= 0 {
-		return 0
-	}
-	return RegularizedGammaP(df/2, x/2)
-}
-
 // StudentTCDF returns P(T <= t) for a Student-t variate with df degrees of
 // freedom. For df <= 0 it returns NaN; as df grows it converges to
 // NormalCDF.

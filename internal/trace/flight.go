@@ -22,9 +22,6 @@ const (
 	// EventModelSwap is a shard cutting over to a new model (A = model
 	// store version when known).
 	EventModelSwap
-	// EventDriftEpoch is a drift-monitor epoch completing (A = score in
-	// millionths, B = 1 when the epoch reported drift).
-	EventDriftEpoch
 	// EventLateDrop is a synopsis dropped as a late arrival (A = task id).
 	EventLateDrop
 	// EventDegradeEnter is a shard entering degraded (load-shedding) mode
@@ -46,8 +43,6 @@ func (k EventKind) String() string {
 		return "window_close"
 	case EventModelSwap:
 		return "model_swap"
-	case EventDriftEpoch:
-		return "drift_epoch"
 	case EventLateDrop:
 		return "late_drop"
 	case EventDegradeEnter:

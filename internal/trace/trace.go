@@ -194,8 +194,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Tracer aggregates the tracing state one pipeline shares: the sampler,
-// the completed-span buffer, one flight ring per engine shard and one
-// control ring for pipeline-level events (drift epochs, lifecycle moves).
+// the completed-span buffer and one flight ring per engine shard.
 // All methods are safe for concurrent use and nil-receiver-safe, so
 // pipeline layers hold an optional *Tracer exactly like an optional
 // metrics bundle.
@@ -204,14 +203,8 @@ type Tracer struct {
 	sampler *Sampler
 	spans   *SpanBuffer
 
-	// OnSpanDone, when set, observes every completed span (the wiring
-	// point for the detection-latency histogram). Set before the tracer is
-	// shared; called from shard worker goroutines.
-	OnSpanDone func(*Span)
-
-	mu      sync.Mutex
-	shards  []*FlightRing
-	control *FlightRing
+	mu     sync.Mutex
+	shards []*FlightRing
 }
 
 // New returns a tracer for cfg.
@@ -247,29 +240,12 @@ func (t *Tracer) ShardRing(i int) *FlightRing {
 	return t.shards[i]
 }
 
-// ControlRing returns the ring for pipeline-level events outside any shard.
-func (t *Tracer) ControlRing() *FlightRing {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.control == nil {
-		t.control = NewFlightRing(t.cfg.RingCapacity)
-	}
-	return t.control
-}
-
-// SpanDone publishes a completed span to the /trace buffer and the
-// OnSpanDone hook.
+// SpanDone publishes a completed span to the /trace buffer.
 func (t *Tracer) SpanDone(sp *Span) {
 	if t == nil || sp == nil {
 		return
 	}
 	t.spans.Push(sp)
-	if t.OnSpanDone != nil {
-		t.OnSpanDone(sp)
-	}
 }
 
 // Spans returns the retained completed spans, newest first.
@@ -280,17 +256,14 @@ func (t *Tracer) Spans() []*Span {
 	return t.spans.Snapshot()
 }
 
-// FlightSnapshot merges every ring's events (shards and control), newest
-// first, bounded to max events (max <= 0 = all retained).
+// FlightSnapshot merges every shard ring's events, newest first, bounded to
+// max events (max <= 0 = all retained).
 func (t *Tracer) FlightSnapshot(max int) []Event {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	rings := append([]*FlightRing(nil), t.shards...)
-	if t.control != nil {
-		rings = append(rings, t.control)
-	}
 	t.mu.Unlock()
 	var out []Event
 	for _, r := range rings {

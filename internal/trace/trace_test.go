@@ -234,13 +234,14 @@ func TestFlightRingConcurrent(t *testing.T) {
 
 func TestEventKindString(t *testing.T) {
 	cases := map[EventKind]string{
-		EventSynopsis:    "synopsis",
-		EventWindowOpen:  "window_open",
-		EventWindowClose: "window_close",
-		EventModelSwap:   "model_swap",
-		EventDriftEpoch:  "drift_epoch",
-		EventLateDrop:    "late_drop",
-		EventKind(99):    "unknown",
+		EventSynopsis:     "synopsis",
+		EventWindowOpen:   "window_open",
+		EventWindowClose:  "window_close",
+		EventModelSwap:    "model_swap",
+		EventLateDrop:     "late_drop",
+		EventDegradeEnter: "degrade_enter",
+		EventDegradeExit:  "degrade_exit",
+		EventKind(99):     "unknown",
 	}
 	for k, want := range cases {
 		if got := k.String(); got != want {
@@ -254,12 +255,10 @@ func TestTracerLifecycle(t *testing.T) {
 	if tr.Sampler() == nil {
 		t.Fatal("sampling on must yield a sampler")
 	}
-	var observed []*Span
-	tr.OnSpanDone = func(sp *Span) { observed = append(observed, sp) }
 	sp := &Span{TaskID: 1, Done: time.Now().UnixNano()}
 	tr.SpanDone(sp)
-	if len(tr.Spans()) != 1 || len(observed) != 1 {
-		t.Fatalf("span not published: spans=%d observed=%d", len(tr.Spans()), len(observed))
+	if len(tr.Spans()) != 1 {
+		t.Fatalf("span not published: spans=%d", len(tr.Spans()))
 	}
 	r0 := tr.ShardRing(0)
 	r2 := tr.ShardRing(2)
@@ -269,11 +268,8 @@ func TestTracerLifecycle(t *testing.T) {
 	if tr.ShardRing(0) != r0 {
 		t.Fatal("shard ring must be stable across calls")
 	}
-	if tr.ControlRing() == nil || tr.ControlRing() != tr.ControlRing() {
-		t.Fatal("control ring must be stable and non-nil")
-	}
 	r0.Record(EventWindowOpen, 1, 1, 0, 0)
-	tr.ControlRing().Record(EventDriftEpoch, 0, 0, 123, 1)
+	r2.Record(EventModelSwap, 0, 0, 0, 0)
 	evs := tr.FlightSnapshot(0)
 	if len(evs) != 2 {
 		t.Fatalf("FlightSnapshot merged %d events, want 2", len(evs))
@@ -291,7 +287,7 @@ func TestTracerNilSafe(t *testing.T) {
 	if tr.Sampler() != nil || tr.Spans() != nil || tr.FlightSnapshot(0) != nil {
 		t.Fatal("nil tracer accessors must return zero values")
 	}
-	if tr.ShardRing(0) != nil || tr.ControlRing() != nil {
+	if tr.ShardRing(0) != nil {
 		t.Fatal("nil tracer rings must be nil")
 	}
 	tr.SpanDone(&Span{}) // must not panic

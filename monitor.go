@@ -261,15 +261,8 @@ func (m *Monitor) Train() (*Model, error) {
 	m.pipeline.Monitor.TrainSeconds.Set(time.Since(start).Seconds())
 	m.model = model
 	if m.store != nil {
-		parent := 0
-		if latest, lerr := m.store.Latest(); lerr == nil {
-			parent = latest.Version
-		}
-		meta, err := m.store.Put(model, lifecycle.PutInfo{Parent: parent})
+		meta, err := m.store.PutServing(model)
 		if err != nil {
-			return nil, fmt.Errorf("saad: store trained model: %w", err)
-		}
-		if err := m.store.MarkServing(meta.Version); err != nil {
 			return nil, fmt.Errorf("saad: store trained model: %w", err)
 		}
 		m.modelVer = meta.Version

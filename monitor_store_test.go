@@ -70,4 +70,18 @@ func TestMonitorModelStoreVersions(t *testing.T) {
 		t.Fatalf("serving = version %d over %d synopses (model says %d), want version 2 over %d",
 			meta.Version, meta.Synopses, serving.TrainedOn, model.TrainedOn)
 	}
+	// The next Train replaces version 2, the one serving: version 3 was only
+	// ever a candidate, so it is not the new version's parent.
+	if v, _ := trainOne(); v != 4 {
+		t.Fatalf("third Train stored version %d, want 4", v)
+	}
+	if metas, err = store.List(); err != nil {
+		t.Fatal(err)
+	}
+	if got := metas[len(metas)-1]; got.Version != 4 || got.Parent != 2 {
+		t.Fatalf("third Train stored version %d with parent %d, want 4 with parent 2 (the serving version)", got.Version, got.Parent)
+	}
+	if _, meta, err := store.LoadServing(); err != nil || meta.Version != 4 {
+		t.Fatalf("after the third Train a restart would serve version %d (err %v), want 4", meta.Version, err)
+	}
 }
