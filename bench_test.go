@@ -11,6 +11,7 @@ package saad_test
 import (
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -269,7 +270,7 @@ func engineBenchModel(tb testing.TB) (*saad.Model, []*saad.Synopsis) {
 func BenchmarkEngineFeed(b *testing.B) {
 	model, feed := engineBenchModel(b)
 	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run("shards="+itoa(shards), func(b *testing.B) {
+		b.Run("shards="+strconv.Itoa(shards), func(b *testing.B) {
 			eng := saad.NewEngine(model, saad.WithShards(shards))
 			defer eng.Close()
 			b.ReportAllocs()
@@ -286,20 +287,6 @@ func BenchmarkEngineFeed(b *testing.B) {
 			eng.Drain()
 		})
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // TestEngineScalingSmoke guards the tentpole's reason to exist: a

@@ -227,8 +227,11 @@ func (wj *windowJSON) errorf(format string, args ...any) error {
 // The model must be the one the window was serialized against: perSig
 // entries reference model-known signatures by content. The blob may come
 // from a peer (federation handoff), so what no detector writes is refused:
-// a signature listed twice, and counts that are negative, exceed the tasks
-// they are drawn from, or (per signature) are zero.
+// a signature listed twice, a new signature the model knows, counts that
+// are negative, exceed the tasks they are drawn from, or (per signature)
+// are zero, and tallies that account for more tasks than the window has or
+// for more new-signature tasks than flow outliers. The tallies are bounds,
+// not equalities, so no checkpoint an earlier release wrote is refused.
 func windowFromJSON(model *Model, wj windowJSON) (*windowState, error) {
 	ws := &windowState{
 		start:        time.Unix(0, wj.StartUnixNs).UTC(),
@@ -239,6 +242,7 @@ func windowFromJSON(model *Model, wj windowJSON) (*windowState, error) {
 		return nil, wj.errorf("%d flow outliers of %d tasks", wj.FlowOutliers, wj.Tasks)
 	}
 	var err error
+	newTasks, accounted := 0, wj.FlowOutliers
 	if ws.flowExamples, err = decodeSynopses(wj.FlowExamples); err != nil {
 		return nil, wj.errorf("%w", err)
 	}
@@ -253,10 +257,17 @@ func windowFromJSON(model *Model, wj windowJSON) (*windowState, error) {
 		if ws.newSigs[sig] != nil {
 			return nil, wj.errorf("new signature %s listed twice", sig)
 		}
+		if model.Knows(wj.Stage, sig) {
+			return nil, wj.errorf("new signature %s is in the model", sig)
+		}
 		if ej.Count < 1 || ej.Count > wj.Tasks {
 			return nil, wj.errorf("new signature %s: count %d of %d tasks", sig, ej.Count, wj.Tasks)
 		}
 		ws.newSigs[sig] = &sigEvidence{count: ej.Count, examples: examples}
+		newTasks += ej.Count
+	}
+	if newTasks > wj.FlowOutliers {
+		return nil, wj.errorf("%d new-signature tasks of %d flow outliers", newTasks, wj.FlowOutliers)
 	}
 	ws.setStage(model.Stage(wj.Stage))
 	for _, sj := range wj.PerSig {
@@ -284,6 +295,10 @@ func windowFromJSON(model *Model, wj windowJSON) (*windowState, error) {
 		}
 		ws.perSig[id] = sigWindow{tasks: sj.Tasks, perfOutliers: sj.PerfOutliers, examples: examples}
 		ws.touched = append(ws.touched, id)
+		accounted += sj.Tasks
+	}
+	if accounted > wj.Tasks {
+		return nil, wj.errorf("%d tasks accounted for in a window of %d", accounted, wj.Tasks)
 	}
 	return ws, nil
 }

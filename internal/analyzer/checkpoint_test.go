@@ -2,8 +2,8 @@ package analyzer
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,131 +13,12 @@ import (
 
 	"saad/internal/logpoint"
 	"saad/internal/synopsis"
-	"saad/internal/vtime"
 )
-
-// mixedDetectStream builds a detection stream with healthy traffic plus
-// injected anomalies (a new signature burst and a latency burst) spread
-// across several windows.
-func mixedDetectStream() []*synopsis.Synopsis {
-	rng := vtime.NewRNG(99)
-	var syns []*synopsis.Synopsis
-	ts := epoch
-	for i := 0; i < 8000; i++ {
-		dur := 9*time.Millisecond + time.Duration(rng.Intn(int(2*time.Millisecond)))
-		pts := []logpoint.ID{1, 2, 4, 5}
-		switch {
-		case i >= 3000 && i < 3300:
-			// Premature exits: a flow never seen in training.
-			pts = []logpoint.ID{1}
-			dur = time.Millisecond
-		case i >= 5000 && i < 5600:
-			// Latency burst on the dominant flow.
-			dur = 40 * time.Millisecond
-		case i%250 == 0:
-			pts = []logpoint.ID{1, 2, 3, 4, 5}
-		}
-		syns = append(syns, makeSyn(1, 1, ts, dur, pts...))
-		ts = ts.Add(time.Millisecond)
-	}
-	return syns
-}
-
-// anomalySummary reduces an anomaly to a comparable string: everything that
-// matters for equivalence except the example pointers.
-func anomalySummary(a Anomaly) string {
-	ids := make([]uint64, 0, len(a.Examples))
-	for _, e := range a.Examples {
-		ids = append(ids, e.TaskID)
-	}
-	return fmt.Sprintf("%s sig=%x test=%+v examples=%v", a.String(), a.Signature, a.Test, ids)
-}
-
-func summarize(anomalies []Anomaly) []string {
-	out := make([]string, 0, len(anomalies))
-	for _, a := range anomalies {
-		out = append(out, anomalySummary(a))
-	}
-	return out
-}
-
-// TestCheckpointRestartEquivalence is the acceptance property: a detector
-// checkpointed mid-stream (inside an open window, with anomalies already
-// behind it) and restored in a fresh process-equivalent must report exactly
-// the same anomalies and window history as one that never stopped.
-func TestCheckpointRestartEquivalence(t *testing.T) {
-	model := trainedModel(t)
-	stream := mixedDetectStream()
-	// Split mid-stream, deliberately inside the new-signature burst so the
-	// open window carries live outlier evidence across the restart.
-	cut := 3150
-
-	uninterrupted := NewDetector(model)
-	want := feedAll(uninterrupted, stream)
-
-	first := NewDetector(model)
-	var got []Anomaly
-	for _, s := range stream[:cut] {
-		got = append(got, first.Feed(s)...)
-	}
-	var buf bytes.Buffer
-	if _, err := first.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range stream[cut:] {
-		got = append(got, restored.Feed(s)...)
-	}
-	got = append(got, restored.Flush()...)
-
-	if len(want) == 0 {
-		t.Fatal("stream produced no anomalies; the equivalence check is vacuous")
-	}
-	if w, g := summarize(want), summarize(got); !reflect.DeepEqual(w, g) {
-		t.Fatalf("anomalies diverged after restart:\nuninterrupted: %v\nrestarted:     %v", w, g)
-	}
-	if w, g := uninterrupted.WindowHistory(), restored.WindowHistory(); !reflect.DeepEqual(w, g) {
-		t.Fatalf("window history diverged after restart:\nuninterrupted: %+v\nrestarted:     %+v", w, g)
-	}
-}
-
-// TestCheckpointIsNonDestructive: the checkpointed detector keeps working
-// and agrees with its own restored copy.
-func TestCheckpointIsNonDestructive(t *testing.T) {
-	model := trainedModel(t)
-	stream := mixedDetectStream()
-	det := NewDetector(model)
-	var before []Anomaly
-	for _, s := range stream[:4000] {
-		before = append(before, det.Feed(s)...)
-	}
-	var buf bytes.Buffer
-	if _, err := det.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b []Anomaly
-	for _, s := range stream[4000:] {
-		a = append(a, det.Feed(s)...)
-		b = append(b, restored.Feed(s)...)
-	}
-	a = append(a, det.Flush()...)
-	b = append(b, restored.Flush()...)
-	if !reflect.DeepEqual(summarize(a), summarize(b)) {
-		t.Fatalf("original and restored detectors diverged:\noriginal: %v\nrestored: %v", summarize(a), summarize(b))
-	}
-}
 
 func TestCheckpointFileAtomicWriteAndLoad(t *testing.T) {
 	model := trainedModel(t)
 	det := NewDetector(model)
-	for _, s := range mixedDetectStream()[:3200] {
+	for _, s := range multiGroupStream(1)[:3200] {
 		det.Feed(s)
 	}
 	dir := t.TempDir()
@@ -253,6 +134,12 @@ var hostileWindows = []struct {
 	}},
 	{"perSig tasks beyond the window's", func(w []windowJSON) []windowJSON { w[0].PerSig[0].Tasks = w[0].Tasks + 1; return w }},
 	{"new signature without a count", func(w []windowJSON) []windowJSON { w[0].NewSigs[0].Count = 0; return w }},
+	{"more tasks accounted for than the window's", func(w []windowJSON) []windowJSON { w[0].PerSig[0].Tasks = w[0].Tasks; return w }},
+	{"new signatures beyond the flow outliers", func(w []windowJSON) []windowJSON { w[0].NewSigs[0].Count = w[0].Tasks; return w }},
+	{"new signature the model knows", func(w []windowJSON) []windowJSON {
+		w[0].NewSigs[0].SignatureHex = hex.EncodeToString([]byte(synopsis.Compute([]logpoint.ID{1, 2, 4, 5})))
+		return w
+	}},
 }
 
 // TestCheckpointTimePrecision: window starts survive the round trip at

@@ -142,8 +142,8 @@ func TestRecycledWindowsMatchFresh(t *testing.T) {
 		if len(want) == 0 || long.LateSynopses() == 0 {
 			t.Fatalf("seed %d: %d anomalies, %d late: the stream should produce both", seed, len(want), long.LateSynopses())
 		}
-		if w, g := summarize(want), summarize(got); !reflect.DeepEqual(w, g) {
-			t.Fatalf("seed %d: anomalies differ:\nrecycled: %v\nfresh:    %v", seed, w, g)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("seed %d: anomalies differ:\nrecycled: %v\nfresh:    %v", seed, want, got)
 		}
 		if !reflect.DeepEqual(long.WindowHistory(), fresh.WindowHistory()) {
 			t.Fatalf("seed %d: window history differs", seed)

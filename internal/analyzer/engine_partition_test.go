@@ -76,7 +76,10 @@ func (msg shardMsg) finish() {
 // every shard is handed exactly the sequence the map-append reference
 // builds, the same records are shed in the same order, the fed count agrees
 // and the caller's slice is left alone. A single shard without admission is
-// in the table like any other: there is one routine.
+// in the table like any other: there is one routine. This is the one
+// equivalence proof not held to analyzertest.Spec: what it pins — which
+// records each shard is handed, in what order and capacity, and which are
+// shed — is routing structure the verdict spec does not define.
 func TestPartitionMatchesReference(t *testing.T) {
 	model := trainedModel(t)
 	for _, shards := range []int{1, 2, 3, 4, 8, 65} {

@@ -39,75 +39,6 @@ func trainedModelB(t testing.TB) *Model {
 	return model
 }
 
-// TestEngineSwapModelEquivalence is the hot-swap acceptance property: a
-// stream fed concurrently with a SwapModel issued mid-stream loses nothing —
-// every pre-swap synopsis is judged by the old model exactly as a detector
-// on the old model would, and the post-swap results are bit-identical to a
-// fresh engine started on the new model and fed only the tail.
-func TestEngineSwapModelEquivalence(t *testing.T) {
-	modelA := trainedModel(t)
-	modelB := trainedModelB(t)
-	stream := multiGroupStream(4)
-	cut := len(stream) / 2
-
-	// Pre-swap baseline: a detector on A over the prefix, flushed at the
-	// swap point (SwapModel closes the open windows under the old model).
-	detA := NewDetector(modelA)
-	preWant := feedAll(detA, stream[:cut])
-	sortAnomalies(preWant)
-	preHist := detA.WindowHistory()
-	preLate := detA.LateSynopses()
-
-	// Post-swap baseline: a fresh start on B over the suffix.
-	postWant, postHist, postPending, postLate := detectorBaseline(modelB, stream[cut:])
-
-	// Non-vacuity: A and B must actually disagree about the suffix.
-	aWant, _, _, _ := detectorBaseline(modelA, stream[cut:])
-	if reflect.DeepEqual(summarize(postWant), summarize(aWant)) {
-		t.Fatal("models A and B judge the suffix identically; swap test is vacuous")
-	}
-	if len(postWant) == 0 || len(preWant) == 0 {
-		t.Fatalf("baselines produced no anomalies (pre=%d post=%d); swap test is vacuous", len(preWant), len(postWant))
-	}
-
-	wantHist := append(append([]WindowStats(nil), preHist...), postHist...)
-	sortStats(wantHist)
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		t.Run("shards="+itoa(shards), func(t *testing.T) {
-			eng := NewEngine(modelA, WithShards(shards))
-			defer eng.Close()
-			feedEngineConcurrently(eng, stream[:cut])
-
-			pre := eng.SwapModel(modelB)
-			if got, want := summarize(pre), summarize(preWant); !reflect.DeepEqual(got, want) {
-				t.Fatalf("pre-swap anomalies diverged from old-model detector:\ngot:  %v\nwant: %v", got, want)
-			}
-			if got := eng.Model(); got.TrainedOn != modelB.TrainedOn {
-				t.Fatalf("Model().TrainedOn = %d after swap, want %d", got.TrainedOn, modelB.TrainedOn)
-			}
-
-			feedEngineConcurrently(eng, stream[cut:])
-			post := eng.Flush()
-			if got, want := summarize(post), summarize(postWant); !reflect.DeepEqual(got, want) {
-				t.Fatalf("post-swap anomalies diverged from fresh new-model engine:\ngot:  %v\nwant: %v", got, want)
-			}
-			if got := eng.WindowHistory(); !reflect.DeepEqual(got, wantHist) {
-				t.Fatalf("window history diverged across swap:\ngot:  %+v\nwant: %+v", got, wantHist)
-			}
-			if got := eng.PendingTasks(); got != postPending {
-				t.Fatalf("PendingTasks = %d, want %d", got, postPending)
-			}
-			if got, want := eng.LateSynopses(), preLate+postLate; got != want {
-				t.Fatalf("LateSynopses = %d, want %d (pre %d + post %d)", got, want, preLate, postLate)
-			}
-			if got := eng.Fed(); got != uint64(len(stream)) {
-				t.Fatalf("Fed = %d, want %d: synopses dropped across swap", got, len(stream))
-			}
-		})
-	}
-}
-
 // TestEngineSwapDuringConcurrentFeed races repeated SwapModel calls against
 // live concurrent feeders and proves the zero-drop invariant directly: with
 // an in-order stream, every synopsis must land in exactly one closed window
@@ -176,78 +107,6 @@ func TestEngineSwapDuringConcurrentFeed(t *testing.T) {
 	}
 }
 
-// TestEngineSwapCheckpointRoundTrip: a checkpoint written after a SwapModel
-// carries the new model, and restoring it — into a single detector or into
-// engines of any shard count — continues exactly where the swapped engine
-// left off.
-func TestEngineSwapCheckpointRoundTrip(t *testing.T) {
-	modelA := trainedModel(t)
-	modelB := trainedModelB(t)
-	stream := multiGroupStream(4)
-	cut1 := len(stream) / 2     // swap point
-	cut2 := 3 * len(stream) / 4 // checkpoint point
-
-	detA := NewDetector(modelA)
-	preWant := feedAll(detA, stream[:cut1])
-	postWant, wantPostHist, _, _ := detectorBaseline(modelB, stream[cut1:])
-	want := append(append([]Anomaly(nil), preWant...), postWant...)
-	sortAnomalies(want)
-	wantHist := append(detA.WindowHistory(), wantPostHist...)
-	sortStats(wantHist)
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		t.Run("shards="+itoa(shards), func(t *testing.T) {
-			eng := NewEngine(modelA, WithShards(shards))
-			feedEngineConcurrently(eng, stream[:cut1])
-			early := eng.SwapModel(modelB)
-			feedEngineConcurrently(eng, stream[cut1:cut2])
-			mid := eng.Drain()
-			var buf bytes.Buffer
-			if _, err := eng.WriteCheckpoint(&buf); err != nil {
-				t.Fatal(err)
-			}
-			eng.Close()
-			raw := buf.Bytes()
-			sofar := append(append([]Anomaly(nil), early...), mid...)
-
-			// Restore into a single detector: the swapped model must be the
-			// one serialized.
-			det, err := ReadCheckpoint(bytes.NewReader(raw))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := det.Model(); got.TrainedOn != modelB.TrainedOn {
-				t.Fatalf("restored detector model TrainedOn = %d, want %d (swapped model lost)", got.TrainedOn, modelB.TrainedOn)
-			}
-			got := append(append([]Anomaly(nil), sofar...), feedAll(det, stream[cut2:])...)
-			sortAnomalies(got)
-			if g, w := summarize(got), summarize(want); !reflect.DeepEqual(g, w) {
-				t.Fatalf("swap→checkpoint→detector diverged:\ngot:  %v\nwant: %v", g, w)
-			}
-
-			// Restore into an engine with a different shard count.
-			restoreShards := shards*2 + 1
-			eng2, err := ReadEngineCheckpoint(bytes.NewReader(raw), WithShards(restoreShards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng2.Close()
-			if got := eng2.Model(); got.TrainedOn != modelB.TrainedOn {
-				t.Fatalf("restored engine model TrainedOn = %d, want %d", got.TrainedOn, modelB.TrainedOn)
-			}
-			feedEngineConcurrently(eng2, stream[cut2:])
-			got2 := append(append([]Anomaly(nil), sofar...), eng2.Flush()...)
-			sortAnomalies(got2)
-			if g, w := summarize(got2), summarize(want); !reflect.DeepEqual(g, w) {
-				t.Fatalf("swap→checkpoint→engine diverged:\ngot:  %v\nwant: %v", g, w)
-			}
-			if got := eng2.WindowHistory(); !reflect.DeepEqual(got, wantHist) {
-				t.Fatalf("restored history diverged:\ngot:  %+v\nwant: %+v", got, wantHist)
-			}
-		})
-	}
-}
-
 // TestEngineSwapChaosKill simulates the analyzer dying mid-swap: the last
 // durable checkpoint predates the swap, the process is killed right after
 // the cutover, and a replacement restores from the checkpoint. The restored
@@ -300,7 +159,7 @@ func TestEngineSwapChaosKill(t *testing.T) {
 	}
 	feedEngineConcurrently(eng2, stream[cut:])
 	if anoms := eng2.Flush(); len(anoms) != 0 {
-		t.Fatalf("restored engine raised %d spurious anomalies on healthy traffic: %v", len(anoms), summarize(anoms))
+		t.Fatalf("restored engine raised %d spurious anomalies on healthy traffic: %v", len(anoms), anoms)
 	}
 	if got := eng2.LateSynopses(); got != 0 {
 		t.Fatalf("restored engine counted %d late synopses on an in-order stream", got)
@@ -380,8 +239,9 @@ func TestEngineSwapControlPlaneConcurrent(t *testing.T) {
 // copies — a caller can sabotage every field of the returned model without
 // changing what the serving detector reports.
 func TestModelDefensiveCopy(t *testing.T) {
-	stream := mixedDetectStream()
+	stream := multiGroupStream(1)
 	want := feedAll(NewDetector(trainedModel(t)), stream)
+	sortAnomalies(want)
 	if len(want) == 0 {
 		t.Fatal("baseline produced no anomalies; mutation check is vacuous")
 	}
@@ -405,8 +265,9 @@ func TestModelDefensiveCopy(t *testing.T) {
 		det := NewDetector(trainedModel(t))
 		sabotage(det.Model())
 		got := feedAll(det, stream)
-		if g, w := summarize(got), summarize(want); !reflect.DeepEqual(g, w) {
-			t.Fatalf("mutating Model()'s return changed detection output:\ngot:  %v\nwant: %v", g, w)
+		sortAnomalies(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("mutating Model()'s return changed detection output:\ngot:  %v\nwant: %v", got, want)
 		}
 		// The serving model still reports intact state through a new copy.
 		if m := det.Model(); m.Stages[1] == nil || len(m.Stages[1].Signatures) == 0 {
@@ -421,9 +282,8 @@ func TestModelDefensiveCopy(t *testing.T) {
 		for _, s := range stream {
 			eng.Feed(s)
 		}
-		got := eng.Flush()
-		if g, w := summarize(got), summarize(want); !reflect.DeepEqual(g, w) {
-			t.Fatalf("mutating Engine.Model()'s return changed detection output:\ngot:  %v\nwant: %v", g, w)
+		if got := eng.Flush(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("mutating Engine.Model()'s return changed detection output:\ngot:  %v\nwant: %v", got, want)
 		}
 	})
 }

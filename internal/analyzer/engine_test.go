@@ -1,9 +1,7 @@
 package analyzer
 
 import (
-	"bytes"
-	"reflect"
-	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -16,9 +14,8 @@ import (
 
 // multiGroupStream builds a detection stream spanning several (host, stage)
 // groups: per host, healthy stage-1 traffic with a new-signature burst and
-// a latency burst (as mixedDetectStream), plus an untrained stage-2 trickle
-// and a few late stragglers whose Start has fallen a full window behind
-// their group.
+// a latency burst, plus an untrained stage-2 trickle and a few late
+// stragglers whose Start has fallen a full window behind their group.
 func multiGroupStream(hosts int) []*synopsis.Synopsis {
 	rng := vtime.NewRNG(7)
 	var syns []*synopsis.Synopsis
@@ -50,18 +47,13 @@ func multiGroupStream(hosts int) []*synopsis.Synopsis {
 	return syns
 }
 
-// groupOf keys a synopsis by its detection group.
-func groupOf(s *synopsis.Synopsis) groupKey {
-	return groupKey{host: s.Host, stage: s.Stage}
-}
-
 // feedEngineConcurrently partitions the stream by group and feeds each
 // group's subsequence from its own goroutine, preserving per-group order
 // while randomizing cross-group interleaving — the worst legal schedule.
 func feedEngineConcurrently(e *Engine, stream []*synopsis.Synopsis) {
 	parts := make(map[groupKey][]*synopsis.Synopsis)
 	for _, s := range stream {
-		k := groupOf(s)
+		k := groupKey{host: s.Host, stage: s.Stage}
 		parts[k] = append(parts[k], s)
 	}
 	var wg sync.WaitGroup
@@ -80,150 +72,6 @@ func feedEngineConcurrently(e *Engine, stream []*synopsis.Synopsis) {
 		}(part)
 	}
 	wg.Wait()
-}
-
-// detectorBaseline runs the stream through a single detector and returns
-// its canonical outputs.
-func detectorBaseline(model *Model, stream []*synopsis.Synopsis) ([]Anomaly, []WindowStats, int, uint64) {
-	det := NewDetector(model)
-	anomalies := feedAll(det, stream)
-	sortAnomalies(anomalies)
-	hist := det.WindowHistory()
-	sortStats(hist)
-	return anomalies, hist, det.PendingTasks(), det.LateSynopses()
-}
-
-func sortStats(stats []WindowStats) {
-	sort.Slice(stats, func(i, j int) bool {
-		a, b := stats[i], stats[j]
-		if a.Host != b.Host {
-			return a.Host < b.Host
-		}
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
-		}
-		return a.Window.Before(b.Window)
-	})
-}
-
-// TestEngineMatchesDetector is the tentpole equivalence property: for any
-// shard count, the engine fed concurrently (per-group order preserved,
-// cross-group interleaving randomized) produces the same anomalies, window
-// history, pending-task count and late count as a single detector fed
-// sequentially.
-func TestEngineMatchesDetector(t *testing.T) {
-	model := trainedModel(t)
-	stream := multiGroupStream(6)
-	wantAnoms, wantHist, wantPending, wantLate := detectorBaseline(model, stream)
-	if len(wantAnoms) == 0 {
-		t.Fatal("baseline produced no anomalies; equivalence check is vacuous")
-	}
-	if wantLate == 0 {
-		t.Fatal("baseline saw no late synopses; stream should include stragglers")
-	}
-
-	for _, shards := range []int{1, 2, 3, 4, 8} {
-		t.Run("shards="+itoa(shards), func(t *testing.T) {
-			eng := NewEngine(model, WithShards(shards))
-			defer eng.Close()
-			if eng.Shards() != shards {
-				t.Fatalf("Shards() = %d, want %d", eng.Shards(), shards)
-			}
-			feedEngineConcurrently(eng, stream)
-			anoms := eng.Flush()
-			if got, want := summarize(anoms), summarize(wantAnoms); !reflect.DeepEqual(got, want) {
-				t.Fatalf("anomalies diverged from single detector:\nengine:   %v\ndetector: %v", got, want)
-			}
-			if got := eng.WindowHistory(); !reflect.DeepEqual(got, wantHist) {
-				t.Fatalf("window history diverged:\nengine:   %+v\ndetector: %+v", got, wantHist)
-			}
-			if got := eng.PendingTasks(); got != wantPending {
-				t.Fatalf("PendingTasks = %d, want %d", got, wantPending)
-			}
-			if got := eng.LateSynopses(); got != wantLate {
-				t.Fatalf("LateSynopses = %d, want %d", got, wantLate)
-			}
-			if got := eng.Fed(); got != uint64(len(stream)) {
-				t.Fatalf("Fed = %d, want %d", got, len(stream))
-			}
-		})
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
-}
-
-// TestEngineCheckpointEquivalence: an engine checkpointed mid-stream writes
-// the exact single-detector format; restoring it into either a detector or
-// a differently-sharded engine and replaying the rest of the stream lands
-// on the uninterrupted baseline.
-func TestEngineCheckpointEquivalence(t *testing.T) {
-	model := trainedModel(t)
-	stream := multiGroupStream(4)
-	wantAnoms, wantHist, wantPending, wantLate := detectorBaseline(model, stream)
-
-	cut := len(stream) / 2
-	eng := NewEngine(model, WithShards(4))
-	feedEngineConcurrently(eng, stream[:cut])
-	early := eng.Drain()
-	var buf bytes.Buffer
-	if _, err := eng.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	eng.Close()
-	raw := buf.Bytes()
-
-	// Restore into a single detector: cross-shard merge must read as one.
-	det, err := ReadCheckpoint(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := append(append([]Anomaly(nil), early...), feedAll(det, stream[cut:])...)
-	sortAnomalies(got)
-	if g, w := summarize(got), summarize(wantAnoms); !reflect.DeepEqual(g, w) {
-		t.Fatalf("engine→detector restart diverged:\ngot:  %v\nwant: %v", g, w)
-	}
-	hist := det.WindowHistory()
-	sortStats(hist)
-	if !reflect.DeepEqual(hist, wantHist) {
-		t.Fatalf("engine→detector history diverged:\ngot:  %+v\nwant: %+v", hist, wantHist)
-	}
-
-	// Restore into an engine with a different shard count.
-	eng2, err := ReadEngineCheckpoint(bytes.NewReader(raw), WithShards(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng2.Close()
-	if got := eng2.LateSynopses(); got == 0 && wantLate > 0 {
-		t.Fatal("late count lost across engine restore")
-	}
-	feedEngineConcurrently(eng2, stream[cut:])
-	got2 := append(append([]Anomaly(nil), early...), eng2.Flush()...)
-	sortAnomalies(got2)
-	if g, w := summarize(got2), summarize(wantAnoms); !reflect.DeepEqual(g, w) {
-		t.Fatalf("engine→engine restart diverged:\ngot:  %v\nwant: %v", g, w)
-	}
-	if got := eng2.WindowHistory(); !reflect.DeepEqual(got, wantHist) {
-		t.Fatalf("engine→engine history diverged:\ngot:  %+v\nwant: %+v", got, wantHist)
-	}
-	if got := eng2.PendingTasks(); got != wantPending {
-		t.Fatalf("PendingTasks = %d, want %d", got, wantPending)
-	}
-	if got := eng2.LateSynopses(); got != wantLate {
-		t.Fatalf("LateSynopses = %d, want %d", got, wantLate)
-	}
 }
 
 // TestEngineCheckpointFile: the engine's atomic file checkpoint loads via
@@ -252,60 +100,6 @@ func TestEngineCheckpointFile(t *testing.T) {
 	defer eng2.Close()
 	if eng2.PendingTasks() != wantPending {
 		t.Fatalf("engine restore pending = %d, want %d", eng2.PendingTasks(), wantPending)
-	}
-}
-
-// TestEngineFeedBatch: batched feeding preserves per-group order and lands
-// on the same outputs as one-at-a-time feeding.
-func TestEngineFeedBatch(t *testing.T) {
-	model := trainedModel(t)
-	stream := multiGroupStream(3)
-	wantAnoms, wantHist, _, _ := detectorBaseline(model, stream)
-
-	eng := NewEngine(model, WithShards(4), WithShardQueue(64))
-	defer eng.Close()
-	for i := 0; i < len(stream); i += 256 {
-		end := i + 256
-		if end > len(stream) {
-			end = len(stream)
-		}
-		eng.FeedBatch(stream[i:end])
-	}
-	got := eng.Flush()
-	if g, w := summarize(got), summarize(wantAnoms); !reflect.DeepEqual(g, w) {
-		t.Fatalf("batched anomalies diverged:\ngot:  %v\nwant: %v", g, w)
-	}
-	if got := eng.WindowHistory(); !reflect.DeepEqual(got, wantHist) {
-		t.Fatalf("batched history diverged")
-	}
-}
-
-// TestEngineAnomalySink: with a sink attached anomalies are pushed as
-// windows close, Drain returns nothing, and the union matches the
-// baseline.
-func TestEngineAnomalySink(t *testing.T) {
-	model := trainedModel(t)
-	stream := multiGroupStream(2)
-	wantAnoms, _, _, _ := detectorBaseline(model, stream)
-
-	var mu sync.Mutex
-	var got []Anomaly
-	eng := NewEngine(model, WithShards(3), WithAnomalySink(func(batch []Anomaly) {
-		mu.Lock()
-		got = append(got, batch...)
-		mu.Unlock()
-	}))
-	defer eng.Close()
-	feedEngineConcurrently(eng, stream)
-	if drained := eng.Drain(); len(drained) != 0 {
-		t.Fatalf("Drain returned %d anomalies despite sink", len(drained))
-	}
-	if fl := eng.Flush(); len(fl) != 0 {
-		t.Fatalf("Flush returned %d anomalies despite sink", len(fl))
-	}
-	sortAnomalies(got)
-	if g, w := summarize(got), summarize(wantAnoms); !reflect.DeepEqual(g, w) {
-		t.Fatalf("sink anomalies diverged:\ngot:  %v\nwant: %v", g, w)
 	}
 }
 
@@ -344,7 +138,7 @@ func TestEngineShardStatsAndMetrics(t *testing.T) {
 	snap := reg.Snapshot()
 	var metricFed uint64
 	for i := 0; i < 4; i++ {
-		metricFed += snap.Counter(`saad_analyzer_shard_synopses_total{shard="` + itoa(i) + `"}`)
+		metricFed += snap.Counter(`saad_analyzer_shard_synopses_total{shard="` + strconv.Itoa(i) + `"}`)
 	}
 	if metricFed != uint64(len(stream)) {
 		t.Fatalf("shard metric sum = %d, want %d", metricFed, len(stream))

@@ -3,84 +3,11 @@ package analyzer
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 
 	"saad/internal/logpoint"
 )
-
-// TestExportImportEquivalence is the single-process version of the
-// federation handoff proof: a stream split across two engines — with half
-// the groups MOVED from one engine to the other mid-stream via
-// ExportGroups/ImportGroups — must produce exactly the anomalies of one
-// engine fed the whole stream, after the canonical merge sort.
-func TestExportImportEquivalence(t *testing.T) {
-	model := trainedModel(t)
-	stream := multiGroupStream(4)
-
-	ref := NewEngine(model, WithShards(4))
-	for _, s := range stream {
-		ref.Feed(s)
-	}
-	want := ref.Flush()
-	if err := ref.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("reference run produced no anomalies; the stream should trip detections")
-	}
-
-	// Phase 1: engine A owns everything and sees 60% of the stream.
-	a := NewEngine(model, WithShards(3))
-	b := NewEngine(model, WithShards(2)) // shard counts deliberately differ
-	cut := len(stream) * 6 / 10
-	for _, s := range stream[:cut] {
-		a.Feed(s)
-	}
-	// Barrier: everything fed is observed before the export. Drain returns
-	// (and clears) phase-1 anomalies, so they join the merged output.
-	got := a.Drain()
-
-	// Handoff: odd hosts move to engine B with their open-window state.
-	moved := func(host uint16, stage logpoint.StageID) bool { return host%2 == 1 }
-	blob, n, err := a.ExportGroups(moved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("no groups exported; odd hosts must have open windows at the cut")
-	}
-	imported, dropped, err := b.ImportGroups(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imported != n || dropped != 0 {
-		t.Fatalf("imported %d groups and dropped %d, exported %d", imported, dropped, n)
-	}
-
-	// Phase 2: the remainder routes by the new ownership.
-	for _, s := range stream[cut:] {
-		if moved(s.Host, s.Stage) {
-			b.Feed(s)
-		} else {
-			a.Feed(s)
-		}
-	}
-	got = append(got, a.Flush()...)
-	got = append(got, b.Flush()...)
-	SortAnomalies(got)
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if g, w := summarize(got), summarize(want); !reflect.DeepEqual(g, w) {
-		t.Fatalf("split run (%d anomalies) diverges from reference (%d):\n got %v\nwant %v", len(g), len(w), g, w)
-	}
-}
 
 // TestImportGroupsConflict pins the ownership invariant: a group that
 // already has an open window locally (a record overtook its state transfer)

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"saad/internal/logpoint"
@@ -254,6 +255,66 @@ func TestTrainerAddAllocs(t *testing.T) {
 	}
 	if n := len(tr.groups[2]); n != 2 {
 		t.Fatalf("%d signature groups, want 2", n)
+	}
+}
+
+// TestTrainerRobustnessProperty trains on arbitrary synopsis multisets and
+// checks model invariants: shares sum to 1 per stage, flow-outlier share in
+// [0, 1], thresholds non-negative.
+func TestTrainerRobustnessProperty(t *testing.T) {
+	f := func(raw []struct {
+		Stage uint8
+		DurUs uint32
+		Pts   []uint8
+	}) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		tr, err := NewTrainer(DefaultConfig())
+		if err != nil {
+			return false
+		}
+		for i, r := range raw {
+			s := &synopsis.Synopsis{
+				Stage:    logpoint.StageID(r.Stage%3 + 1),
+				TaskID:   uint64(i),
+				Start:    epoch,
+				Duration: time.Duration(r.DurUs) * time.Microsecond,
+			}
+			for _, p := range r.Pts {
+				s.Points = append(s.Points, synopsis.PointCount{Point: logpoint.ID(p%6 + 1), Count: 1})
+			}
+			s.Normalize()
+			tr.Add(s)
+		}
+		model, err := tr.Train()
+		if err != nil {
+			return false
+		}
+		for _, sm := range model.Stages {
+			if sm.FlowOutlierShare < 0 || sm.FlowOutlierShare > 1 {
+				return false
+			}
+			var shares float64
+			count := 0
+			for _, sig := range sm.Signatures {
+				if sig.Share < 0 || sig.Share > 1 || sig.DurationThreshold < 0 {
+					return false
+				}
+				shares += sig.Share
+				count += sig.Count
+			}
+			if count != sm.Total {
+				return false
+			}
+			if shares < 0.999 || shares > 1.001 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -8,92 +8,11 @@ import (
 	"time"
 
 	"saad/internal/analyzer"
-	"saad/internal/logpoint"
+	"saad/internal/analyzer/analyzertest"
 	"saad/internal/stream"
 	"saad/internal/synopsis"
 	"saad/internal/vtime"
 )
-
-var fedEpoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-
-func fedSyn(stage logpoint.StageID, host uint16, start time.Time, dur time.Duration, pts ...logpoint.ID) *synopsis.Synopsis {
-	s := &synopsis.Synopsis{Stage: stage, Host: host, Start: start, Duration: dur}
-	for _, p := range pts {
-		s.Points = append(s.Points, synopsis.PointCount{Point: p, Count: 1})
-	}
-	s.Normalize()
-	return s
-}
-
-// fedTrainedModel mirrors the analyzer package's test model: stage 1 with
-// a ~99% common signature, a ~0.4% rare one, durations around 10ms.
-func fedTrainedModel(t testing.TB) *analyzer.Model {
-	t.Helper()
-	rng := vtime.NewRNG(42)
-	var trace []*synopsis.Synopsis
-	ts := fedEpoch
-	for i := 0; i < 20000; i++ {
-		dur := 9*time.Millisecond + time.Duration(rng.Intn(int(2*time.Millisecond)))
-		pts := []logpoint.ID{1, 2, 4, 5}
-		if i%250 == 0 {
-			pts = []logpoint.ID{1, 2, 3, 4, 5}
-		}
-		trace = append(trace, fedSyn(1, 1, ts, dur, pts...))
-		ts = ts.Add(time.Millisecond)
-	}
-	model, err := analyzer.Train(analyzer.DefaultConfig(), trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return model
-}
-
-// fedStream builds a detection stream over the given hosts: healthy
-// stage-1 traffic with a new-signature burst, a latency burst, a rare-flow
-// trickle and an untrained stage-2 trickle per host.
-func fedStream(hosts []uint16, perHost int) []*synopsis.Synopsis {
-	rng := vtime.NewRNG(7)
-	var syns []*synopsis.Synopsis
-	for _, h := range hosts {
-		ts := fedEpoch
-		for i := 0; i < perHost; i++ {
-			dur := 9*time.Millisecond + time.Duration(rng.Intn(int(2*time.Millisecond)))
-			pts := []logpoint.ID{1, 2, 4, 5}
-			switch {
-			case i >= perHost*3/8 && i < perHost*3/8+150:
-				pts = []logpoint.ID{1}
-				dur = time.Millisecond
-			case i >= perHost*5/8 && i < perHost*5/8+300:
-				dur = 40 * time.Millisecond
-			case i%250 == 0:
-				pts = []logpoint.ID{1, 2, 3, 4, 5}
-			}
-			syns = append(syns, fedSyn(1, h, ts, dur, pts...))
-			if i%500 == 499 {
-				syns = append(syns, fedSyn(2, h, ts, dur, 1, 2))
-			}
-			ts = ts.Add(30 * time.Millisecond)
-		}
-	}
-	return syns
-}
-
-// summarize reduces anomalies to the canonical comparison form the
-// analyzer's checkpoint tests established: the String form plus signature,
-// test outcome and example task ids — everything semantically meaningful,
-// nothing representation-dependent (time.Time internals differ across a
-// codec round trip).
-func summarize(as []analyzer.Anomaly) []string {
-	out := make([]string, 0, len(as))
-	for _, a := range as {
-		ids := make([]uint64, 0, len(a.Examples))
-		for _, ex := range a.Examples {
-			ids = append(ids, ex.TaskID)
-		}
-		out = append(out, fmt.Sprintf("%s sig=%x test=%+v examples=%v", a.String(), a.Signature, a.Test, ids))
-	}
-	return out
-}
 
 // fleetPeer is one in-process fleet member: engine + federation peer +
 // TCP ingest server.
@@ -114,8 +33,10 @@ func (fp *fleetPeer) kill(t *testing.T) {
 }
 
 // startFleet brings up one peer per id (ingest server on an ephemeral
-// port, protocol v2) and joins them into a full mesh statically.
-func startFleet(t *testing.T, model *analyzer.Model, ids []string, mcfg MembershipConfig) []*fleetPeer {
+// port); joinMesh makes them a mesh. With release set, every engine and
+// every peer hands each record it is done with to it. The members are
+// killed and their engines closed when the test ends.
+func startFleet(t *testing.T, model *analyzer.Model, ids []string, mcfg MembershipConfig, release func(*synopsis.Synopsis)) []*fleetPeer {
 	t.Helper()
 	fleet := make([]*fleetPeer, 0, len(ids))
 	for i, id := range ids {
@@ -123,18 +44,29 @@ func startFleet(t *testing.T, model *analyzer.Model, ids []string, mcfg Membersh
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := analyzer.NewEngine(model, analyzer.WithShards(1+i%3))
+		opts := []analyzer.EngineOption{analyzer.WithShards(1 + i%3)}
+		if release != nil {
+			opts = append(opts, analyzer.WithSynopsisRelease(release))
+		}
+		eng := analyzer.NewEngine(model, opts...)
 		p, err := NewPeer(PeerConfig{
 			Self:       PeerInfo{ID: id, Addr: ln.Addr().String()},
 			Engine:     eng,
 			Membership: mcfg,
+			Release:    release,
 			Logf:       t.Logf,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := stream.NewServer(ln, p)
-		fleet = append(fleet, &fleetPeer{eng: eng, peer: p, srv: srv})
+		fp := &fleetPeer{eng: eng, peer: p, srv: stream.NewServer(ln, p)}
+		fleet = append(fleet, fp)
+		t.Cleanup(func() {
+			fp.kill(t)
+			if err := eng.Close(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 	return fleet
 }
@@ -189,93 +121,69 @@ func waitFed(t *testing.T, want uint64, engines ...*analyzer.Engine) {
 }
 
 // TestFleetEquivalenceGracefulLeave is the federation acceptance proof: a
-// 3-peer fleet fed over TCP — including one graceful leave mid-stream with
-// checkpoint handoff — must produce exactly the anomaly set of a single
-// engine fed the whole stream, after the canonical merge ordering.
+// 3-peer fleet fed over TCP — one peer leaving gracefully at 60% of the
+// stream and handing its open windows to the survivors — decides what the
+// spec decides over the whole stream, on each of eight corpus streams.
 func TestFleetEquivalenceGracefulLeave(t *testing.T) {
-	model := fedTrainedModel(t)
-	full := fedStream([]uint16{1, 2, 3, 4, 5, 6}, 3000)
+	model := analyzertest.Model(t)
+	var handedOver uint64
+	for seed := int64(1); seed <= 8; seed++ {
+		stream := analyzertest.Stream(seed)
+		got, moved := leaveMidStream(t, model, stream)
+		analyzertest.Check(t, fmt.Sprintf("seed %d", seed), analyzertest.Want(model, stream), got)
+		handedOver += moved
+	}
+	if handedOver == 0 {
+		t.Fatal("no leave moved an open window: the handoff went untested")
+	}
+}
 
-	ref := analyzer.NewEngine(model, analyzer.WithShards(4))
-	for _, s := range full {
-		ref.Feed(s)
-	}
-	want := ref.Flush()
-	if err := ref.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("reference run produced no anomalies; the stream should trip detections")
-	}
-
+// leaveMidStream routes the first 60% of full across a 3-peer ring, has
+// analyzer-2 leave, routes the rest across the two survivors and observes
+// the fleet. It also returns how many groups the leave handed over.
+func leaveMidStream(t *testing.T, model *analyzer.Model, full []*synopsis.Synopsis) (analyzertest.Outcome, uint64) {
 	ids := []string{"analyzer-1", "analyzer-2", "analyzer-3"}
-	fleet := startFleet(t, model, ids, MembershipConfig{})
+	fleet := startFleet(t, model, ids, MembershipConfig{}, nil)
 	joinMesh(fleet)
-
-	// Phase 1: trackers route 60% of the stream across the 3-peer ring.
-	rc := stream.NewRingClient(NewStaticRouter(fleetInfos(fleet), 0), time.Millisecond)
-	cut := len(full) * 6 / 10
-	for _, s := range full[:cut] {
-		rc.Emit(s)
-	}
-	if err := rc.Close(); err != nil {
-		t.Fatal(err)
-	}
 	engines := []*analyzer.Engine{fleet[0].eng, fleet[1].eng, fleet[2].eng}
+	cut := len(full) * 6 / 10
+	route(t, fleet, full[:cut])
 	waitFed(t, uint64(cut), engines...)
 
 	// Graceful leave: analyzer-2 hands its open groups to the survivors,
 	// who then drop it from their own views.
-	leaving := fleet[1]
+	leaving, survivors := fleet[1], []*fleetPeer{fleet[0], fleet[2]}
 	fedByLeaving := leaving.eng.Fed()
 	leaving.peer.Leave()
 	st := leaving.peer.Status()
-	if st.HandoffsOut == 0 || st.GroupsOut == 0 {
-		t.Fatalf("leave moved no state: %+v", st)
-	}
 	if remaining := leaving.eng.OpenGroups(); len(remaining) != 0 {
 		t.Fatalf("leaving peer still holds %d open groups", len(remaining))
 	}
-	survivors := []*fleetPeer{fleet[0], fleet[2]}
-	for _, fp := range survivors {
-		fp.peer.Membership().RemovePeer(ids[1])
-	}
-	got := leaving.eng.Flush() // anomalies from windows it closed before leaving
-	leaving.kill(t)
-	if err := leaving.eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The moved groups must have landed on the survivors.
 	var groupsIn uint64
 	for _, fp := range survivors {
+		fp.peer.Membership().RemovePeer(ids[1])
 		groupsIn += fp.peer.Status().GroupsIn
 	}
 	if groupsIn != st.GroupsOut {
 		t.Fatalf("survivors imported %d groups, leaver exported %d", groupsIn, st.GroupsOut)
 	}
+	leaving.kill(t)
 
-	// Phase 2: the remaining 40% routes across the 2-peer ring.
-	rc2 := stream.NewRingClient(NewStaticRouter(fleetInfos(survivors), 0), time.Millisecond)
-	for _, s := range full[cut:] {
-		rc2.Emit(s)
-	}
-	if err := rc2.Close(); err != nil {
-		t.Fatal(err)
-	}
+	route(t, survivors, full[cut:])
 	waitFed(t, uint64(len(full))-fedByLeaving, survivors[0].eng, survivors[1].eng)
+	return analyzertest.FlushEngines(nil, engines...), st.GroupsOut
+}
 
-	for _, fp := range survivors {
-		got = append(got, fp.eng.Flush()...)
-		fp.kill(t)
-		if err := fp.eng.Close(); err != nil {
-			t.Fatal(err)
-		}
+// route sends records as trackers would: through a RingClient over the
+// fleet's ring.
+func route(t *testing.T, fleet []*fleetPeer, records []*synopsis.Synopsis) {
+	t.Helper()
+	rc := stream.NewRingClient(NewStaticRouter(fleetInfos(fleet), 0), time.Millisecond)
+	for _, s := range records {
+		rc.Emit(s)
 	}
-	analyzer.SortAnomalies(got)
-
-	if g, w := summarize(got), summarize(want); !reflect.DeepEqual(g, w) {
-		t.Fatalf("fleet run (%d anomalies) diverges from single engine (%d):\n got %v\nwant %v", len(g), len(w), g, w)
+	if err := rc.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -286,7 +194,7 @@ func TestFleetEquivalenceGracefulLeave(t *testing.T) {
 // peer-to-peer forwarding of records a stale tracker keeps sending to the
 // wrong place.
 func TestFleetChaos(t *testing.T) {
-	model := fedTrainedModel(t)
+	model := analyzertest.Model(t)
 	ids := []string{"analyzer-1", "analyzer-2", "analyzer-3"}
 
 	// Pick the fault host so its group is owned by the victim before the
@@ -313,7 +221,7 @@ func TestFleetChaos(t *testing.T) {
 		SuspectAfter: 150 * time.Millisecond,
 		DeadAfter:    400 * time.Millisecond,
 		ProbeBase:    200 * time.Millisecond,
-	})
+	}, nil)
 	var gossipers []*Gossiper
 	for _, fp := range fleet {
 		g, err := StartGossiper(fp.peer.Membership(), "127.0.0.1:0", 20*time.Millisecond)
@@ -335,13 +243,13 @@ func TestFleetChaos(t *testing.T) {
 	mkHalf := func(h uint16, from, to int, faulty bool) []*synopsis.Synopsis {
 		rng := vtime.NewRNG(uint64(h)*1000 + uint64(from))
 		var out []*synopsis.Synopsis
-		ts := fedEpoch.Add(time.Duration(from) * 30 * time.Millisecond)
+		ts := analyzertest.Epoch.Add(time.Duration(from) * 30 * time.Millisecond)
 		for i := from; i < to; i++ {
 			dur := 9*time.Millisecond + time.Duration(rng.Intn(int(2*time.Millisecond)))
 			if faulty {
 				dur = 60 * time.Millisecond
 			}
-			out = append(out, fedSyn(1, h, ts, dur, 1, 2, 4, 5))
+			out = append(out, analyzertest.Syn(1, h, ts, dur, 1, 2, 4, 5))
 			ts = ts.Add(30 * time.Millisecond)
 		}
 		return out
@@ -422,6 +330,6 @@ func TestFleetChaos(t *testing.T) {
 		}
 	}
 	if !foundFault {
-		t.Fatalf("injected fault on host %d not localized; merged anomalies: %v", faultHost, summarize(merged))
+		t.Fatalf("injected fault on host %d not localized; merged anomalies: %v", faultHost, merged)
 	}
 }

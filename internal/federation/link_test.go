@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"saad/internal/analyzer/analyzertest"
 	"saad/internal/stream"
 )
 
@@ -12,27 +13,18 @@ import (
 // latches its transport error; the forwarding peer must evict it, count the
 // records that met the gap as dropped, and redial.
 func TestForwardLinkRedialsRestartedPeer(t *testing.T) {
-	model := fedTrainedModel(t)
-	fleet := startFleet(t, model, []string{"a", "b"}, MembershipConfig{})
+	fleet := startFleet(t, analyzertest.Model(t), []string{"a", "b"}, MembershipConfig{}, nil)
 	joinMesh(fleet)
 	a, b := fleet[0], fleet[1]
-	defer func() {
-		for _, fp := range fleet {
-			fp.kill(t)
-			if err := fp.eng.Close(); err != nil {
-				t.Error(err)
-			}
-		}
-	}()
 
 	// A group b owns in a's view: everything a receives for it is forwarded.
 	host := uint16(0)
 	for a.peer.Membership().Ring().Owner(host, 1) != "b" {
 		host++
 	}
-	ts := fedEpoch
+	ts := analyzertest.Epoch
 	forward := func() {
-		a.peer.Emit(fedSyn(1, host, ts, 10*time.Millisecond, 1, 2, 4, 5))
+		a.peer.Emit(analyzertest.Syn(1, host, ts, 10*time.Millisecond, 1, 2, 4, 5))
 		ts = ts.Add(time.Millisecond)
 	}
 	poll := func(what string, cond func() bool) {

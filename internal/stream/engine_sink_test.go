@@ -1,239 +1,68 @@
 package stream
 
 import (
-	"reflect"
-	"sort"
+	"fmt"
 	"testing"
 	"time"
 
 	"saad/internal/analyzer"
+	"saad/internal/analyzer/analyzertest"
 	"saad/internal/synopsis"
-	"saad/internal/vtime"
 )
 
 // TestServerDeliversToEngine runs the deployment shape the sharded engine
 // was built for: one TCP client per host streams its synopses over its own
-// connection into a server whose sink IS the engine — no fan-in channel in
-// between — and the merged output must match a single Detector fed the
-// union of the streams. Each connection handler preserves its client's
-// order and each (host, stage) group arrives on one connection, so the
-// per-group FIFO the detection semantics need survives the network hop.
+// connection into a server whose sink is the engine — no fan-in channel in
+// between — and the engine must decide what the spec decides over the union
+// of the streams. Each connection handler keeps its client's order and each
+// (host, stage) group travels one connection, so the per-group order the
+// verdicts depend on survives the network hop; the corpus keeps its times on
+// the codec's microsecond grid, so every record arrives as it left.
 func TestServerDeliversToEngine(t *testing.T) {
-	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	rng := vtime.NewRNG(7)
-	var trace []*synopsis.Synopsis
-	for i := 0; i < 20000; i++ {
-		pts := []synopsis.PointCount{{Point: 1, Count: 1}, {Point: 2, Count: 1}}
-		if i%250 == 0 {
-			pts = append(pts, synopsis.PointCount{Point: 3, Count: 1})
-		}
-		// Durations at whole microseconds: the wire codec's µs precision
-		// then round-trips losslessly, keeping evidence comparable.
-		s := &synopsis.Synopsis{
-			Stage: 1, Host: 1, TaskID: uint64(i),
-			Start:    epoch.Add(time.Duration(i) * time.Millisecond),
-			Duration: 9*time.Millisecond + time.Duration(rng.Intn(2000))*time.Microsecond,
-			Points:   pts,
-		}
-		s.Normalize()
-		trace = append(trace, s)
+	model := analyzertest.Model(t)
+	for seed := int64(1); seed <= 16; seed++ {
+		stream := analyzertest.Stream(seed)
+		analyzertest.Check(t, fmt.Sprintf("seed %d", seed), analyzertest.Want(model, stream), deliver(t, model, stream))
 	}
-	model, err := analyzer.Train(analyzer.DefaultConfig(), trace)
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	// Per-host streams: healthy traffic plus, on host 2, a burst of a flow
-	// unseen in training (premature exit) that must alarm.
-	const hosts = 4
-	streams := make([][]*synopsis.Synopsis, hosts)
-	for h := 0; h < hosts; h++ {
-		rng := vtime.NewRNG(uint64(100 + h))
-		for i := 0; i < 1500; i++ {
-			pts := []synopsis.PointCount{{Point: 1, Count: 1}, {Point: 2, Count: 1}}
-			if h == 1 && i >= 600 && i < 750 {
-				pts = []synopsis.PointCount{{Point: 1, Count: 1}}
-			}
-			s := &synopsis.Synopsis{
-				Stage: 1, Host: uint16(h + 1), TaskID: uint64(h*1500 + i),
-				Start:    epoch.Add(time.Duration(i) * 30 * time.Millisecond),
-				Duration: 9*time.Millisecond + time.Duration(rng.Intn(2000))*time.Microsecond,
-				Points:   pts,
-			}
-			s.Normalize()
-			streams[h] = append(streams[h], s)
-		}
-	}
-
-	// Baseline: one detector fed every stream, host-by-host (the order
-	// across hosts does not matter — groups are independent).
-	det := analyzer.NewDetector(model)
-	var want []analyzer.Anomaly
-	for _, stream := range streams {
-		for _, s := range stream {
-			want = append(want, det.Feed(s)...)
-		}
-	}
-	want = append(want, det.Flush()...)
-	wantHist := det.WindowHistory()
-
-	// Live path: engine terminates the TCP server, one connection per host.
+// deliver sends each host's records over a connection of its own into a
+// server feeding a 3-shard engine, and observes the engine.
+func deliver(t *testing.T, model *analyzer.Model, stream []*synopsis.Synopsis) analyzertest.Outcome {
 	eng := analyzer.NewEngine(model, analyzer.WithShards(3), analyzer.WithShardQueue(64))
+	defer eng.Close()
 	srv, err := Listen("127.0.0.1:0", eng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	errs := make(chan error, hosts)
-	for h := 0; h < hosts; h++ {
-		go func(stream []*synopsis.Synopsis) {
+	defer srv.Close()
+	hosts := map[uint16][]*synopsis.Synopsis{}
+	for _, s := range stream {
+		hosts[s.Host] = append(hosts[s.Host], s)
+	}
+	errs := make(chan error, len(hosts))
+	for _, part := range hosts {
+		go func() {
 			cli, err := Dial(srv.Addr(), 0)
 			if err != nil {
 				errs <- err
 				return
 			}
-			for _, s := range stream {
+			for _, s := range part {
 				cli.Emit(s)
 			}
 			errs <- cli.Close()
-		}(streams[h])
+		}()
 	}
-	for h := 0; h < hosts; h++ {
+	for range hosts {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Server.Close force-closes live connections, so wait until every
-	// synopsis has crossed the wire before shutting down (clients have
-	// closed; the handlers just need to finish decoding).
-	total := uint64(0)
-	for _, stream := range streams {
-		total += uint64(len(stream))
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for eng.Fed() < total {
-		if time.Now().After(deadline) {
-			t.Fatalf("engine received %d of %d synopses", eng.Fed(), total)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Server.Close cuts live connections: every record crosses first.
+	waitUntil(t, 10*time.Second, "every synopsis to reach the engine", func() bool { return eng.Fed() == uint64(len(stream)) })
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got := eng.Flush()
-	gotHist := eng.WindowHistory()
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The engine's Flush is canonically sorted; sort the baseline the same
-	// way before comparing. The comparison runs on a normalized summary —
-	// timestamps as unix nanos, example evidence as task ids — because the
-	// TCP codec round-trip yields time.Time values with a different internal
-	// representation than the originals (same instant, so reflect.DeepEqual
-	// on the raw structs would be comparing codec internals, not semantics).
-	sortLikeEngine(want)
-	sortHist(wantHist)
-	if len(got) == 0 {
-		t.Fatal("no anomalies over TCP; expected the premature-exit burst to alarm")
-	}
-	if g, w := summarizeAnomalies(got), summarizeAnomalies(want); !reflect.DeepEqual(g, w) {
-		t.Fatalf("TCP->engine anomalies diverge from single-detector baseline:\n got %+v\nwant %+v", g, w)
-	}
-	if g, w := summarizeHist(gotHist), summarizeHist(wantHist); !reflect.DeepEqual(g, w) {
-		t.Fatalf("window history diverges:\n got %+v\nwant %+v", g, w)
-	}
-}
-
-// anomalyKey is the semantic content of an anomaly, codec-normalized.
-type anomalyKey struct {
-	Kind     analyzer.AnomalyKind
-	NewSig   bool
-	Stage    uint8
-	Host     uint16
-	WindowNs int64
-	Sig      string
-	Outliers int
-	Tasks    int
-	Examples string
-}
-
-func summarizeAnomalies(in []analyzer.Anomaly) []anomalyKey {
-	out := make([]anomalyKey, 0, len(in))
-	for _, a := range in {
-		k := anomalyKey{
-			Kind: a.Kind, NewSig: a.NewSignature,
-			Stage: uint8(a.Stage), Host: a.Host,
-			WindowNs: a.Window.UnixNano(), Sig: string(a.Signature),
-			Outliers: a.Outliers, Tasks: a.Tasks,
-		}
-		for _, ex := range a.Examples {
-			k.Examples += " " + ex.String()
-		}
-		out = append(out, k)
-	}
-	return out
-}
-
-type histKey struct {
-	Stage         uint8
-	Host          uint16
-	WindowNs      int64
-	Tasks, FO, PO int
-}
-
-func summarizeHist(in []analyzer.WindowStats) []histKey {
-	out := make([]histKey, 0, len(in))
-	for _, w := range in {
-		out = append(out, histKey{
-			Stage: uint8(w.Stage), Host: w.Host, WindowNs: w.Window.UnixNano(),
-			Tasks: w.Tasks, FO: w.FlowOutliers, PO: w.PerfOutliers,
-		})
-	}
-	return out
-}
-
-// sortLikeEngine mirrors the engine's canonical anomaly order (host, stage,
-// window, then new-signature / flow / performance, then signature) for
-// baseline comparison.
-func sortLikeEngine(out []analyzer.Anomaly) {
-	rank := func(a analyzer.Anomaly) int {
-		switch {
-		case a.NewSignature:
-			return 0
-		case a.Kind == analyzer.FlowAnomaly:
-			return 1
-		default:
-			return 2
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Host != b.Host {
-			return a.Host < b.Host
-		}
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
-		}
-		if !a.Window.Equal(b.Window) {
-			return a.Window.Before(b.Window)
-		}
-		if ra, rb := rank(a), rank(b); ra != rb {
-			return ra < rb
-		}
-		return a.Signature < b.Signature
-	})
-}
-
-// sortHist mirrors the engine's window-history order.
-func sortHist(hist []analyzer.WindowStats) {
-	sort.SliceStable(hist, func(i, j int) bool {
-		a, b := hist[i], hist[j]
-		if a.Host != b.Host {
-			return a.Host < b.Host
-		}
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
-		}
-		return a.Window.Before(b.Window)
-	})
+	return analyzertest.FlushEngines(nil, eng)
 }

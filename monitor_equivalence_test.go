@@ -1,12 +1,11 @@
 package saad_test
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
 	"saad"
-	"saad/internal/analyzer"
+	"saad/internal/analyzer/analyzertest"
 )
 
 // The equivalence script: three stages on one host, a healthy training
@@ -85,8 +84,8 @@ func eqConfig() saad.AnalyzerConfig {
 }
 
 // eqReference is the script's verdict from the reference pipeline: a bare
-// tracker, saad.Train and one analyzer.Detector fed record by record, its
-// returns passed through filter when one is given.
+// tracker, saad.Train and the analyzer's executable specification fed
+// record by record, its returns passed through filter when one is given.
 func eqReference(t *testing.T, filter *saad.AlarmFilter) []saad.Anomaly {
 	t.Helper()
 	var syns []*saad.Synopsis
@@ -106,14 +105,12 @@ func eqReference(t *testing.T, filter *saad.AlarmFilter) []saad.Anomaly {
 		}
 		return as
 	}
-	det := analyzer.NewDetector(model)
+	spec := analyzertest.NewSpec(model)
 	var out []saad.Anomaly
 	for _, s := range syns {
-		out = append(out, pass(det.Feed(s))...)
+		out = append(out, pass(spec.Feed(s))...)
 	}
-	out = append(out, pass(det.Flush())...)
-	analyzer.SortAnomalies(out)
-	return out
+	return append(out, pass(spec.Flush())...)
 }
 
 // eqMonitor is the script's verdict from a Monitor: trained through its own
@@ -153,14 +150,13 @@ func eqMonitor(t *testing.T, opts ...saad.MonitorOption) []saad.Anomaly {
 	if dropped := mon.Dropped(); dropped != 0 {
 		t.Fatalf("monitor dropped %d synopses", dropped)
 	}
-	analyzer.SortAnomalies(out)
 	return out
 }
 
 // TestMonitorMatchesReferenceDetector holds the monitor to the reference
-// detector's verdicts, anomaly for anomaly: Poll... + Flush, in canonical
-// order, equals one Detector fed the same synopses — on the default
-// one-shard engine and on four shards, with and without the alarm filter.
+// verdicts, anomaly for anomaly, examples included: Poll... + Flush equals
+// the spec fed the same synopses — on the default one-shard engine and on
+// four shards, with and without the alarm filter.
 func TestMonitorMatchesReferenceDetector(t *testing.T) {
 	unfiltered := eqReference(t, nil)
 	var newSig, flow, perf int
@@ -193,15 +189,8 @@ func TestMonitorMatchesReferenceDetector(t *testing.T) {
 		{"shards=4/filter", []saad.MonitorOption{saad.WithEngineShards(4), saad.WithAlarmFilter(2, 3)}, filtered},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := eqMonitor(t, tc.opts...)
-			if len(got) != len(tc.want) {
-				t.Fatalf("monitor reported %d anomalies, reference %d", len(got), len(tc.want))
-			}
-			for i := range got {
-				if !reflect.DeepEqual(got[i], tc.want[i]) {
-					t.Fatalf("anomaly %d differs:\nmonitor   %+v\nreference %+v", i, got[i], tc.want[i])
-				}
-			}
+			want := analyzertest.Observe(tc.want, nil, 0)
+			analyzertest.Check(t, "the script", want, analyzertest.Observe(eqMonitor(t, tc.opts...), nil, 0))
 		})
 	}
 }

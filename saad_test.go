@@ -206,7 +206,7 @@ func TestMonitorSetModelAndSerialization(t *testing.T) {
 // TestMonitorEngineMode runs the end-to-end monitor flow through executors
 // on a four-shard engine and checks the premature exit is reported, and that
 // Flush after Close is safe. TestMonitorMatchesReferenceDetector holds the
-// verdicts themselves to the reference detector's.
+// verdicts themselves to the analyzer's executable specification.
 func TestMonitorEngineMode(t *testing.T) {
 	cfg := saad.DefaultAnalyzerConfig()
 	cfg.Window = time.Second
