@@ -55,16 +55,11 @@
 // -model-keep versions plus the serving one (default 16; 0 keeps every
 // version forever).
 //
-// Graceful degradation (detect mode): with -admission-keep N, a shard
-// whose queue stays saturated (a metastable retry storm, a healed
-// partition replaying its spill) sheds load to a deterministic 1-in-N
-// sample instead of blocking the connection handlers, and recovers via
-// hysteresis once the queue stays calm. Shedding is accounted exactly
-// (saad_analyzer_shed_synopses_total; degraded flags in /statusz and the
-// /readyz detail) and enter/exit transitions land in the flight recorder.
-// -shard-queue sizes the per-shard queues; -read-idle-timeout reaps
-// connections whose peer went silent (a half-open link behind an
-// asymmetric partition).
+// Overload (detect mode): a full shard queue blocks the connection handler
+// feeding it, which stops reading its socket until the shard catches up —
+// nothing received is dropped, and saad_analyzer_shard_overflows_total
+// counts each wait. -read-idle-timeout reaps connections whose peer went
+// silent (a half-open link behind an asymmetric partition).
 //
 // Scaling out (detect mode): with -peer-id the analyzer joins a federated
 // fleet. Each peer owns a slice of the (host, stage) group-key space on a
@@ -218,10 +213,6 @@ type detectOptions struct {
 	keepVersions       int           // store versions retained by GC (0 = unbounded)
 	readIdleTimeout    time.Duration // reap silent synopsis connections (0 = off)
 	drainGrace         time.Duration // serve not-ready before draining on shutdown (0 = immediate)
-	shardQueue         int           // per-shard queue capacity (0 = engine default)
-	// admission is the graceful-degradation policy; -admission-keep sets
-	// its KeepEvery, and KeepEvery 0 means pure backpressure.
-	admission analyzer.AdmissionConfig
 
 	peerID      string // analyzer fleet membership ("" = standalone)
 	peers       string // seed peers, "id=gossip-addr,..."
@@ -252,8 +243,6 @@ func bindFlags(fs *flag.FlagSet) *detectOptions {
 	fs.IntVar(&o.keepVersions, "model-keep", 16, "model store versions to retain, older ones are garbage-collected after each retrain (0 = keep all, unbounded)")
 	fs.DurationVar(&o.readIdleTimeout, "read-idle-timeout", 0, "reap synopsis connections that deliver nothing for this long (0 = off)")
 	fs.DurationVar(&o.drainGrace, "drain-grace", 0, "on SIGTERM, keep serving with /readyz not-ready for this long before draining, so load balancers stop routing first (detect mode; 0 = drain immediately)")
-	fs.IntVar(&o.admission.KeepEvery, "admission-keep", 0, "enable graceful degradation: past sustained shard-queue saturation, shed to 1-in-N sampling instead of blocking readers (detect mode; 0 = off, pure backpressure)")
-	fs.IntVar(&o.shardQueue, "shard-queue", 0, "per-shard synopsis queue capacity (detect mode; 0 = default 1024)")
 	fs.StringVar(&o.peerID, "peer-id", "", "federation: this analyzer's unique fleet id (detect mode; empty = standalone)")
 	fs.StringVar(&o.peers, "peers", "", "federation: comma-separated seed peers as id=gossip-addr (needs -peer-id)")
 	fs.StringVar(&o.gossipAddr, "gossip-addr", "127.0.0.1:0", "federation: UDP gossip bind address (needs -peer-id)")
@@ -435,22 +424,18 @@ func (d *daemon) statusz(w http.ResponseWriter, _ *http.Request) {
 		Fed      uint64 `json:"fed"`
 		Pending  int    `json:"pending"`
 		QueueLen int    `json:"queue_len"`
-		Degraded bool   `json:"degraded"`
 	}
 	doc := struct {
-		Mode           string        `json:"mode"`
-		Listen         string        `json:"listen"`
-		UptimeSeconds  float64       `json:"uptime_seconds"`
-		TrainedOn      int           `json:"model_trained_on"`
-		Shards         []shardStatus `json:"shards"`
-		Processed      uint64        `json:"processed"`
-		Late           uint64        `json:"late"`
-		Anomalies      int           `json:"anomalies"`
-		Degraded       bool          `json:"degraded"`
-		DegradedShards int           `json:"degraded_shards"`
-		ShedSynopses   uint64        `json:"shed_synopses"`
-		TraceSample    int           `json:"trace_sample_every"`
-		TracedSpans    int           `json:"traced_spans_retained"`
+		Mode          string        `json:"mode"`
+		Listen        string        `json:"listen"`
+		UptimeSeconds float64       `json:"uptime_seconds"`
+		TrainedOn     int           `json:"model_trained_on"`
+		Shards        []shardStatus `json:"shards"`
+		Processed     uint64        `json:"processed"`
+		Late          uint64        `json:"late"`
+		Anomalies     int           `json:"anomalies"`
+		TraceSample   int           `json:"trace_sample_every"`
+		TracedSpans   int           `json:"traced_spans_retained"`
 		// Connections lists each live synopsis stream's remote address.
 		Connections []string `json:"connections"`
 		// Federation is the fleet membership view: peers with state and
@@ -458,22 +443,19 @@ func (d *daemon) statusz(w http.ResponseWriter, _ *http.Request) {
 		// the handoff/forward counters. Absent for a standalone analyzer.
 		Federation *federation.Status `json:"federation,omitempty"`
 	}{
-		Mode:           "detecting",
-		Listen:         d.srv.Addr(),
-		UptimeSeconds:  time.Since(d.started).Seconds(),
-		TrainedOn:      d.trainedOn,
-		Processed:      d.eng.Fed(),
-		Late:           d.eng.LateSynopses(),
-		Anomalies:      int(d.anomalies.Load()),
-		Degraded:       d.eng.Degraded(),
-		DegradedShards: d.eng.DegradedShards(),
-		ShedSynopses:   d.eng.Shed(),
-		TraceSample:    d.opts.traceSample,
-		TracedSpans:    len(d.tracer.Spans()),
-		Connections:    d.srv.Remotes(),
+		Mode:          "detecting",
+		Listen:        d.srv.Addr(),
+		UptimeSeconds: time.Since(d.started).Seconds(),
+		TrainedOn:     d.trainedOn,
+		Processed:     d.eng.Fed(),
+		Late:          d.eng.LateSynopses(),
+		Anomalies:     int(d.anomalies.Load()),
+		TraceSample:   d.opts.traceSample,
+		TracedSpans:   len(d.tracer.Spans()),
+		Connections:   d.srv.Remotes(),
 	}
 	for _, st := range d.eng.ShardStats() {
-		doc.Shards = append(doc.Shards, shardStatus{Shard: st.Shard, Fed: st.Fed, Pending: st.Pending, QueueLen: st.QueueLen, Degraded: st.Degraded})
+		doc.Shards = append(doc.Shards, shardStatus{Shard: st.Shard, Fed: st.Fed, Pending: st.Pending, QueueLen: st.QueueLen})
 	}
 	if d.peer != nil {
 		st := d.peer.Status()
@@ -581,12 +563,6 @@ func start(dict *logpoint.Dictionary, opts detectOptions) (_ *daemon, err error)
 	}
 	if d.tracer != nil {
 		engineOpts = append(engineOpts, analyzer.WithEngineTracer(d.tracer))
-	}
-	if opts.shardQueue > 0 {
-		engineOpts = append(engineOpts, analyzer.WithShardQueue(opts.shardQueue))
-	}
-	if opts.admission.KeepEvery > 0 {
-		engineOpts = append(engineOpts, analyzer.WithAdmission(opts.admission))
 	}
 	var store *lifecycle.Store
 	if opts.storeDir != "" {
@@ -706,16 +682,7 @@ func start(dict *logpoint.Dictionary, opts detectOptions) (_ *daemon, err error)
 		if d.mgr != nil {
 			mux.Handle("/model", d.mgr)
 		}
-		// Readiness carries the degraded-mode detail: a shedding analyzer is
-		// still ready (it keeps a deterministic sample flowing), but the
-		// orchestrator can see it is running hot and by how much.
-		mux.Handle("/readyz", metrics.ReadyDetailHandler(d.ready.Load, func() map[string]any {
-			return map[string]any{
-				"degraded":        d.eng.Degraded(),
-				"degraded_shards": d.eng.DegradedShards(),
-				"shed_synopses":   d.eng.Shed(),
-			}
-		}))
+		mux.Handle("/readyz", metrics.ReadyHandler(d.ready.Load))
 		// Trace surfaces are always mounted; with tracing off they serve
 		// empty documents rather than a confusing 404.
 		mux.Handle("/trace", d.tracer.SpansHandler())

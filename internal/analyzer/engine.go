@@ -34,15 +34,18 @@ import (
 // after feeders have stopped or between their calls — the engine briefly
 // parks every shard, so a concurrent feeder would only block, not corrupt,
 // but the snapshot would be ambiguous. The readers an operator polls (Fed,
-// Shed, Degraded, ShardStats, LateSynopses) take no lock and queue nothing:
-// they answer while a worker is busy or stuck.
+// ShardStats, LateSynopses) take no lock and queue nothing: they answer
+// while a worker is busy or stuck.
+//
+// Overload has one answer: a full shard queue blocks the feeder (DESIGN
+// §14), so nothing offered is ever dropped and Fed counts all of it.
 //
 // What holds the contract (DESIGN §11): every field two goroutines touch is
 // a sync/atomic type (go vet's copylocks refuses a copy; the -race run of
 // the engine tests watches the rest); the feed path allocates nothing and
 // reads no clock unless tracing or metrics ask (TestFeedBatchAllocs, with
-// admission control and its metrics on); the polled readers are held to
-// 100 ms against a blocked sink (TestShardCountsAnswerWhileSinkBlocks).
+// and without the metrics bundle); the polled readers are held to 100 ms
+// against a blocked sink (TestShardCountsAnswerWhileSinkBlocks).
 type Engine struct {
 	// ctl serializes the control-plane methods against each other; model is
 	// only read or written with ctl held (the shard data path never touches
@@ -53,19 +56,8 @@ type Engine struct {
 	mask   uint32 // len(shards)-1 when power of two, else 0 and mod is used
 	closed atomic.Bool
 
-	// fed counts synopses accepted by Feed/FeedBatch/Emit across shards;
-	// with admission control on, shed synopses are excluded (they count in
-	// shed instead, so fed + shed = offered).
+	// fed counts synopses accepted by Feed/FeedBatch/Emit across shards.
 	fed atomic.Uint64
-
-	// Admission control (see admission.go). admOn gates the whole feature
-	// with one branch on the hot path; admHigh/admLow are the config's
-	// water marks precomputed as absolute queue depths.
-	admOn           bool
-	admCfg          AdmissionConfig
-	admHigh, admLow int
-	degraded        atomic.Int64  // shards currently degraded
-	shed            atomic.Uint64 // synopses shed engine-wide
 
 	// anomalies buffers what closed windows emitted between Drain calls,
 	// collected under quiesce so no lock is needed.
@@ -76,10 +68,9 @@ type Engine struct {
 	tracer *trace.Tracer
 
 	// release, when set, is called exactly once for every synopsis the
-	// engine is done with — after its shard observed it, or immediately
-	// when admission control sheds it. Cores run in clone-on-retain mode
-	// so no example kept for an anomaly report aliases a released (and
-	// possibly recycled) synopsis.
+	// engine is done with, after its shard observed it. Cores run in
+	// clone-on-retain mode so no example kept for an anomaly report aliases
+	// a released (and possibly recycled) synopsis.
 	release func(*synopsis.Synopsis)
 	// releaseBatch, when set, replaces per-record release for whole batch
 	// messages: one call recycles the batch under a single free-list lock.
@@ -115,10 +106,6 @@ type shard struct {
 	// the worker goroutine records sampled arrivals, the core records window
 	// opens/closes and late drops.
 	flight *trace.FlightRing
-
-	// adm is the shard's admission-control state (inert unless the engine
-	// was built WithAdmission).
-	adm admissionState
 }
 
 // shardMsg carries either synopses or a control function through the same
@@ -188,7 +175,6 @@ type engineOptions struct {
 	metrics      *metrics.AnalyzerMetrics
 	sink         func([]Anomaly)
 	tracer       *trace.Tracer
-	admission    *AdmissionConfig
 	release      func(*synopsis.Synopsis)
 	releaseBatch func([]*synopsis.Synopsis)
 }
@@ -231,12 +217,11 @@ func WithEngineTracer(t *trace.Tracer) EngineOption {
 }
 
 // WithSynopsisRelease registers fn as the engine's synopsis free-list hook
-// (typically synopsis.Pool.Put): it is called exactly once per fed synopsis
-// — on the shard worker after the core observed it, or inline on the feeder
-// when admission control sheds it — so a zero-allocation receive path can
-// recycle record structs. The engine automatically switches its detector
-// cores to clone-on-retain: any synopsis kept as an anomaly example is
-// deep-copied first, so recycling can never corrupt a report.
+// (typically synopsis.Pool.Put): it is called exactly once per fed synopsis,
+// on the shard worker after the core observed it, so a zero-allocation
+// receive path can recycle record structs. The engine automatically switches
+// its detector cores to clone-on-retain: any synopsis kept as an anomaly
+// example is deep-copied first, so recycling can never corrupt a report.
 func WithSynopsisRelease(fn func(*synopsis.Synopsis)) EngineOption {
 	return func(o *engineOptions) { o.release = fn }
 }
@@ -245,8 +230,8 @@ func WithSynopsisRelease(fn func(*synopsis.Synopsis)) EngineOption {
 // the bulk variant of the release hook: whole batch messages are recycled
 // with one call instead of one per record, so free-list synchronization
 // amortizes across the batch. Use it alongside WithSynopsisRelease, which
-// still covers single-record feeds and admission sheds; the exactly-once
-// contract is unchanged — every fed synopsis reaches exactly one hook.
+// still covers single-record feeds; the exactly-once contract is unchanged —
+// every fed synopsis reaches exactly one hook.
 func WithSynopsisReleaseBatch(fn func([]*synopsis.Synopsis)) EngineOption {
 	return func(o *engineOptions) { o.releaseBatch = fn }
 }
@@ -281,8 +266,8 @@ func newEngine(model *Model, opts ...EngineOption) (*Engine, *engineOptions) {
 	}
 	e.releaseBatch = o.releaseBatch
 	// Given one hook, derive the other: the worker releases whole batch
-	// messages through releaseBatch and everything else (single-record
-	// feeds, admission sheds) through release, exactly once either way.
+	// messages through releaseBatch and single-record feeds through release,
+	// exactly once either way.
 	switch {
 	case e.release == nil && e.releaseBatch != nil:
 		rb := e.releaseBatch
@@ -304,15 +289,6 @@ func newEngine(model *Model, opts ...EngineOption) (*Engine, *engineOptions) {
 	}
 	if o.shards&(o.shards-1) == 0 {
 		e.mask = uint32(o.shards - 1)
-	}
-	if o.admission != nil {
-		e.admOn = true
-		e.admCfg = *o.admission
-		e.admHigh = int(e.admCfg.HighWater * float64(o.queueCap))
-		if e.admHigh < 1 {
-			e.admHigh = 1
-		}
-		e.admLow = int(e.admCfg.LowWater * float64(o.queueCap))
 	}
 	for i := range e.shards {
 		sh := &shard{
@@ -463,22 +439,17 @@ func (e *Engine) send(sh *shard, msg shardMsg) {
 
 // Feed routes one synopsis to its shard. Safe for concurrent use. Unlike
 // Detector.Feed it returns nothing: anomalies surface via Drain, Flush, or
-// the WithAnomalySink callback. With admission control on, a synopsis
-// arriving at a degraded shard may be shed instead of queued (see
-// admission.go).
+// the WithAnomalySink callback.
+//
+// Feed queues the record itself (shardMsg's syn arm) rather than partition a
+// one-element batch: on the embedded workload that partition cost ≈ 45% more
+// CPU per synopsis (DESIGN §15).
 func (e *Engine) Feed(s *synopsis.Synopsis) {
-	sh := e.shardFor(s)
-	if e.admOn && !e.admit(sh) {
-		if e.release != nil {
-			e.release(s)
-		}
-		return
-	}
 	e.fed.Add(1)
 	if sp := s.Trace; sp != nil {
 		sp.Enqueue = time.Now().UnixNano()
 	}
-	e.send(sh, shardMsg{syn: s})
+	e.send(e.shardFor(s), shardMsg{syn: s})
 }
 
 // stampEnqueue marks a sampled span's hand-over to its shard queue; *now
@@ -493,11 +464,9 @@ func stampEnqueue(s *synopsis.Synopsis, now *int64) {
 }
 
 // FeedBatch routes a batch, partitioning it per shard with stable order so
-// per-group FIFO is preserved while channel operations amortize. With
-// admission control on, each element is admitted or shed against its
-// shard's state in batch order. The engine takes the records and borrows
-// the slice: it is neither mutated nor kept, so the caller may reuse it as
-// soon as the call returns.
+// per-group FIFO is preserved while channel operations amortize. The engine
+// takes the records and borrows the slice: it is neither mutated nor kept,
+// so the caller may reuse it as soon as the call returns.
 func (e *Engine) FeedBatch(batch []*synopsis.Synopsis) {
 	if len(batch) > 0 {
 		e.partition(batch)
@@ -510,11 +479,10 @@ const maxStackShards = 64
 
 // partition is FeedBatch on every engine, allocating nothing once the feed
 // buffers are warm: a counting pass sizes each shard's region of one
-// recycled backing array, a second pass fills the regions in batch order —
-// admitting or shedding each element on the way when admission control is
-// on — and every non-empty region goes to its shard as one message, in
-// shard order. Regions are capacity-limited sub-slices, so a shard (or the
-// release hook it hands its batch to) can never reach a neighbour's records.
+// recycled backing array, a second pass fills the regions in batch order,
+// and every non-empty region goes to its shard as one message, in shard
+// order. Regions are capacity-limited sub-slices, so a shard (or the release
+// hook it hands its batch to) can never reach a neighbour's records.
 func (e *Engine) partition(batch []*synopsis.Synopsis) {
 	var stack [2][maxStackShards]int
 	count, next := stack[0][:], stack[1][:]
@@ -532,22 +500,14 @@ func (e *Engine) partition(batch []*synopsis.Synopsis) {
 	}
 	fb := getFeedBuf(len(batch))
 	out := fb.recs[:len(batch)]
-	kept := len(batch)
 	var now int64
 	for _, s := range batch {
 		i := e.shardIndex(s.Host, s.Stage)
-		if e.admOn && !e.admit(e.shards[i]) {
-			kept--
-			if e.release != nil {
-				e.release(s)
-			}
-			continue
-		}
 		stampEnqueue(s, &now)
 		out[next[i]] = s
 		next[i]++
 	}
-	e.fed.Add(uint64(kept))
+	e.fed.Add(uint64(len(batch)))
 	// The feeder holds a reference of its own while it queues the regions: a
 	// worker may be done with one before the next is sent.
 	fb.refs.Store(1)
@@ -559,7 +519,7 @@ func (e *Engine) partition(batch []*synopsis.Synopsis) {
 		}
 		lo += count[i]
 	}
-	fb.done(nil) // a batch shed whole goes back here, at once
+	fb.done(nil)
 }
 
 // Emit implements tracker.Sink, so the engine can terminate any synopsis
@@ -572,8 +532,13 @@ func (e *Engine) Emit(s *synopsis.Synopsis) { e.Feed(s) }
 // synopses passes to the engine; the slice stays the caller's (FeedBatch).
 func (e *Engine) EmitBatch(batch []*synopsis.Synopsis) { e.FeedBatch(batch) }
 
-// Fed returns how many synopses the engine accepted.
+// Fed returns how many synopses the engine accepted: every one offered.
 func (e *Engine) Fed() uint64 { return e.fed.Load() }
+
+// Shed is always 0: the engine drops nothing it is offered. It stays only
+// because benchmark/pipeline.go:377 still adds it to the synopses its oracle
+// counts as lost, and goes with the next benchmark-only change.
+func (e *Engine) Shed() uint64 { return 0 }
 
 // Closed reports whether Close has been called. Feeding a closed engine
 // panics; the inspection methods keep working (inline on the caller).
@@ -727,9 +692,6 @@ type ShardStat struct {
 	Fed uint64
 	// Pending is the shard's open-window task count.
 	Pending int
-	// Degraded reports whether admission control is currently shedding on
-	// this shard.
-	Degraded bool
 }
 
 // ShardStats snapshots per-shard load. It reads what each worker published
@@ -748,7 +710,6 @@ func (e *Engine) ShardStats() []ShardStat {
 			QueueCap: e.queueCap,
 			Fed:      sh.nfed.Load(),
 			Pending:  int(sh.pending.Load()),
-			Degraded: sh.adm.degraded.Load(),
 		}
 	}
 	return out

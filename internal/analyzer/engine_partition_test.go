@@ -17,38 +17,42 @@ import (
 )
 
 // referencePartition is the partition FeedBatch used before it counted and
-// filled one backing array: a map of per-shard slices grown by append, each
-// element admitted or shed in batch order. It lives on here as the model the
-// new routine must reproduce exactly.
-func referencePartition(e *Engine, batch []*synopsis.Synopsis) (parts map[*shard][]*synopsis.Synopsis, shed []*synopsis.Synopsis) {
-	parts = make(map[*shard][]*synopsis.Synopsis, len(e.shards))
+// filled one backing array: a map of per-shard slices grown by append. It
+// lives on here as the model the new routine must reproduce exactly.
+func referencePartition(e *Engine, batch []*synopsis.Synopsis) map[*shard][]*synopsis.Synopsis {
+	parts := make(map[*shard][]*synopsis.Synopsis, len(e.shards))
 	for _, s := range batch {
 		sh := e.shardFor(s)
-		if e.admOn && !e.admit(sh) {
-			shed = append(shed, s)
-			continue
-		}
 		parts[sh] = append(parts[sh], s)
 	}
-	return parts, shed
+	return parts
+}
+
+// park blocks sh's worker inside a control message until the returned
+// release func is called, and returns once the worker has picked the
+// message up, so whatever is queued behind it stays queued.
+func park(t *testing.T, sh *shard) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	entered := make(chan struct{})
+	sh.ch <- shardMsg{ctl: &control{cmd: func(*Detector) { close(entered); <-gate }}}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("shard worker never picked up the park command")
+	}
+	return func() { close(gate) }
 }
 
 // parkedEngine returns an engine whose workers all sit inside a control
 // message, so whatever FeedBatch queues stays in the shard channels for the
-// test to read. Every third shard starts degraded when admission is on.
-func parkedEngine(t *testing.T, model *Model, shards int, admission bool, opts ...EngineOption) *Engine {
+// test to read.
+func parkedEngine(t *testing.T, model *Model, shards int, opts ...EngineOption) *Engine {
 	t.Helper()
-	opts = append(opts, WithShards(shards), WithShardQueue(4))
-	if admission {
-		opts = append(opts, WithAdmission(AdmissionConfig{RecoverAfter: 150, KeepEvery: 3}))
-	}
-	e := NewEngine(model, opts...)
+	e := NewEngine(model, append(opts, WithShards(shards), WithShardQueue(4))...)
 	t.Cleanup(func() { e.Close() }) // cleanups run last-in first-out: after the workers are let go
-	for i, sh := range e.shards {
+	for _, sh := range e.shards {
 		t.Cleanup(park(t, sh))
-		if admission && i%3 == 0 {
-			e.enterDegraded(sh, 0)
-		}
 	}
 	return e
 }
@@ -71,64 +75,54 @@ func (msg shardMsg) finish() {
 }
 
 // TestPartitionMatchesReference: for random batches over shard counts on
-// both sides of the power-of-two and the stack-counter limits, with and
-// without admission control (some shards degraded, recovering on the way),
-// every shard is handed exactly the sequence the map-append reference
-// builds, the same records are shed in the same order, the fed count agrees
-// and the caller's slice is left alone. A single shard without admission is
-// in the table like any other: there is one routine. This is the one
-// equivalence proof not held to analyzertest.Spec: what it pins — which
-// records each shard is handed, in what order and capacity, and which are
-// shed — is routing structure the verdict spec does not define.
+// both sides of the power-of-two and the stack-counter limits, every shard
+// is handed exactly the sequence the map-append reference builds, the fed
+// count agrees, nothing reaches the release hook on the feeder and the
+// caller's slice is left alone. A single shard is in the table like any
+// other: there is one routine. This is the one equivalence proof not held
+// to analyzertest.Spec: what it pins — which records each shard is handed,
+// in what order and capacity — is routing structure the verdict spec does
+// not define.
 func TestPartitionMatchesReference(t *testing.T) {
 	model := trainedModel(t)
 	for _, shards := range []int{1, 2, 3, 4, 8, 65} {
-		for _, admission := range []bool{false, true} {
-			rng := rand.New(rand.NewSource(int64(shards)))
-			var released []*synopsis.Synopsis
-			got := parkedEngine(t, model, shards, admission,
-				WithSynopsisRelease(func(s *synopsis.Synopsis) { released = append(released, s) }))
-			ref := parkedEngine(t, model, shards, admission)
-			var fed uint64
-			for round := 0; round < 60; round++ {
-				batch := make([]*synopsis.Synopsis, 1+rng.Intn(300))
-				for i := range batch {
-					batch[i] = makeSyn(logpoint.StageID(1+rng.Intn(6)), uint16(1+rng.Intn(24)), epoch, time.Millisecond, 1)
-				}
-				before := append([]*synopsis.Synopsis(nil), batch...)
-				released = released[:0]
-
-				got.FeedBatch(batch)
-				wantParts, wantShed := referencePartition(ref, before)
-
-				if !slices.Equal(batch, before) {
-					t.Fatalf("shards=%d admission=%v: FeedBatch reordered the caller's slice", shards, admission)
-				}
-				for i, sh := range got.shards {
-					msg := popQueued(sh)
-					part := msg.batch
-					if want := wantParts[ref.shards[i]]; !slices.Equal(part, want) {
-						t.Fatalf("shards=%d admission=%v round %d: shard %d got %d records, reference %d (or a different order)",
-							shards, admission, round, i, len(part), len(want))
-					}
-					if cap(part) != len(part) {
-						t.Fatalf("shard %d's batch has spare capacity %d reaching into a neighbour's region", i, cap(part)-len(part))
-					}
-					fed += uint64(len(part))
-					msg.finish()
-				}
-				if !slices.Equal(released, wantShed) {
-					t.Fatalf("shards=%d admission=%v round %d: shed %d records, reference %d (or a different order)",
-						shards, admission, round, len(released), len(wantShed))
-				}
-				if got.Fed() != fed || got.shed.Load() != ref.shed.Load() || got.degraded.Load() != ref.degraded.Load() {
-					t.Fatalf("shards=%d admission=%v round %d: fed %d (want %d), shed %d (want %d), degraded shards %d (want %d)",
-						shards, admission, round, got.Fed(), fed, got.shed.Load(), ref.shed.Load(), got.degraded.Load(), ref.degraded.Load())
-				}
+		rng := rand.New(rand.NewSource(int64(shards)))
+		var released int
+		got := parkedEngine(t, model, shards,
+			WithSynopsisRelease(func(*synopsis.Synopsis) { released++ }))
+		ref := parkedEngine(t, model, shards)
+		var fed uint64
+		for round := 0; round < 60; round++ {
+			batch := make([]*synopsis.Synopsis, 1+rng.Intn(300))
+			for i := range batch {
+				batch[i] = makeSyn(logpoint.StageID(1+rng.Intn(6)), uint16(1+rng.Intn(24)), epoch, time.Millisecond, 1)
 			}
-			if started := int64(shards+2) / 3; admission && (ref.shed.Load() == 0 || ref.degraded.Load() >= started) {
-				t.Fatalf("shards=%d: the admission run shed %d records and left %d of %d shards degraded; it should shed some and see some recover",
-					shards, ref.shed.Load(), ref.degraded.Load(), started)
+			before := append([]*synopsis.Synopsis(nil), batch...)
+
+			got.FeedBatch(batch)
+			wantParts := referencePartition(ref, before)
+
+			if !slices.Equal(batch, before) {
+				t.Fatalf("shards=%d: FeedBatch reordered the caller's slice", shards)
+			}
+			for i, sh := range got.shards {
+				msg := popQueued(sh)
+				part := msg.batch
+				if want := wantParts[ref.shards[i]]; !slices.Equal(part, want) {
+					t.Fatalf("shards=%d round %d: shard %d got %d records, reference %d (or a different order)",
+						shards, round, i, len(part), len(want))
+				}
+				if cap(part) != len(part) {
+					t.Fatalf("shard %d's batch has spare capacity %d reaching into a neighbour's region", i, cap(part)-len(part))
+				}
+				fed += uint64(len(part))
+				msg.finish()
+			}
+			if got.Fed() != fed {
+				t.Fatalf("shards=%d round %d: fed %d, the shards were handed %d", shards, round, got.Fed(), fed)
+			}
+			if released != 0 {
+				t.Fatalf("shards=%d round %d: %d records released before any shard observed them", shards, round, released)
 			}
 		}
 	}
@@ -136,31 +130,19 @@ func TestPartitionMatchesReference(t *testing.T) {
 
 // TestFeedBatchAllocs pins the routing cost of a frame: once one call has
 // warmed the feed buffer, nothing — whatever the shard count or batch size,
-// with admission control deciding per record (alone, and with the metrics
-// bundle the daemon attaches counting each shed record), and when it sheds
-// the whole batch (every shard degraded, the one record each keeps spent on
-// the warm-up call).
+// alone and with the metrics bundle the daemon attaches.
 func TestFeedBatchAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are exact only without the race detector")
 	}
 	model := trainedModel(t)
 	for _, shards := range []int{1, 2, 4} {
-		for _, mode := range []string{"plain", "admission", "admission, metrics", "shed whole"} {
-			var e *Engine
-			switch mode {
-			case "plain":
-				e = parkedEngine(t, model, shards, false)
-			case "admission":
-				e = parkedEngine(t, model, shards, true)
-			case "admission, metrics":
-				e = parkedEngine(t, model, shards, true, WithEngineMetrics(metrics.NewAnalyzerMetrics(metrics.NewRegistry())))
-			case "shed whole":
-				e = parkedEngine(t, model, shards, false, WithAdmission(AdmissionConfig{RecoverAfter: 1 << 30, KeepEvery: 1 << 30}))
-				for _, sh := range e.shards {
-					e.enterDegraded(sh, 0)
-				}
+		for _, mode := range []string{"plain", "metrics"} {
+			var opts []EngineOption
+			if mode == "metrics" {
+				opts = append(opts, WithEngineMetrics(metrics.NewAnalyzerMetrics(metrics.NewRegistry())))
 			}
+			e := parkedEngine(t, model, shards, opts...)
 			for _, n := range []int{8, 512, 4096} {
 				batch := make([]*synopsis.Synopsis, n)
 				for i := range batch {
@@ -176,9 +158,6 @@ func TestFeedBatchAllocs(t *testing.T) {
 				if got := testing.AllocsPerRun(50, feed); got != 0 {
 					t.Errorf("%d shards, %s: FeedBatch(%d records) = %v allocs, want 0", shards, mode, n, got)
 				}
-			}
-			if mode == "shed whole" && e.Fed() != uint64(shards) {
-				t.Errorf("%d shards: the shed-whole engine fed %d records, want the %d the warm-up kept", shards, e.Fed(), shards)
 			}
 		}
 	}

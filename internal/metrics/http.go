@@ -82,30 +82,6 @@ func ReadyHandler(ready func() bool) http.Handler {
 	})
 }
 
-// ReadyDetailHandler is ReadyHandler with a JSON body: the verdict plus
-// caller-supplied detail fields (e.g. an analyzer's degraded flag and shed
-// counts), so orchestrators and humans get the "why" with the yes/no. The
-// HTTP status still carries the verdict alone — a degraded-but-sampling
-// analyzer is ready; detail never flips readiness.
-func ReadyDetailHandler(ready func() bool, detail func() map[string]any) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		ok := ready == nil || ready()
-		doc := map[string]any{"ready": ok}
-		if detail != nil {
-			for k, v := range detail() {
-				doc[k] = v
-			}
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if !ok {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(doc)
-	})
-}
-
 // NewMux returns a mux with the full observability surface: /metrics
 // (Prometheus), /debug/vars (JSON), /healthz (liveness) and /debug/pprof
 // (CPU, heap, goroutine and friends, wired explicitly rather than through

@@ -192,35 +192,23 @@ type AnalyzerMetrics struct {
 	// originated there, receive otherwise) to its detection verdict,
 	// labeled by stage id. Only span-sampled synopses are observed.
 	DetectionLatency *HistogramVec
-	// ShedSynopses counts synopses shed by admission control while a shard
-	// was degraded. Offered load = synopses_fed + shed_synopses, exactly.
-	ShedSynopses *Counter
-	// DegradedShards tracks how many engine shards are currently in
-	// degraded (load-shedding) mode.
-	DegradedShards *Gauge
-	// DegradedTransitions counts enter/exit transitions of shard degraded
-	// mode (an enter and the matching exit count as two).
-	DegradedTransitions *Counter
 }
 
 // NewAnalyzerMetrics registers the analyzer metric family on r.
 func NewAnalyzerMetrics(r *Registry) *AnalyzerMetrics {
 	return &AnalyzerMetrics{
-		SynopsesFed:         r.NewCounter("saad_analyzer_synopses_fed_total", "Synopses consumed by the online detector."),
-		WindowsClosed:       r.NewCounter("saad_analyzer_windows_closed_total", "Detection windows closed."),
-		WindowCloseLatency:  r.NewHistogram("saad_analyzer_window_close_seconds", "Wall-clock seconds spent closing one detection window.", LatencyBuckets),
-		Anomalies:           r.NewCounterVec("saad_analyzer_anomalies_total", "Anomalies raised before alarm filtering.", "kind", "stage"),
-		FilterHeld:          r.NewGauge("saad_analyzer_filter_held", "Anomalies currently suppressed by the alarm filter."),
-		FilterPassed:        r.NewCounter("saad_analyzer_filter_passed_total", "Anomalies that passed the alarm filter."),
-		LateSynopses:        r.NewCounter("saad_analyzer_late_synopses_total", "Synopses dropped because they arrived after their window closed."),
-		ShardQueueDepth:     r.NewGaugeVec("saad_analyzer_shard_queue_depth", "Synopses queued per engine shard.", "shard"),
-		ShardBusyNanos:      r.NewCounterVec("saad_analyzer_shard_busy_nanos_total", "Nanoseconds each engine shard spent processing synopses.", "shard"),
-		ShardSynopses:       r.NewCounterVec("saad_analyzer_shard_synopses_total", "Synopses processed per engine shard.", "shard"),
-		ShardOverflows:      r.NewCounterVec("saad_analyzer_shard_overflows_total", "Feeds that found a full shard queue and blocked (backpressure).", "shard"),
-		DetectionLatency:    r.NewHistogramVec("saad_detection_latency_seconds", "End-to-end seconds from sampled synopsis emission (or receive) to detection verdict, per stage.", LatencyBuckets, "stage"),
-		ShedSynopses:        r.NewCounter("saad_analyzer_shed_synopses_total", "Synopses shed by admission control while degraded (fed + shed = offered)."),
-		DegradedShards:      r.NewGauge("saad_analyzer_degraded_shards", "Engine shards currently in degraded (load-shedding) mode."),
-		DegradedTransitions: r.NewCounter("saad_analyzer_degraded_transitions_total", "Shard degraded-mode enter/exit transitions."),
+		SynopsesFed:        r.NewCounter("saad_analyzer_synopses_fed_total", "Synopses consumed by the online detector."),
+		WindowsClosed:      r.NewCounter("saad_analyzer_windows_closed_total", "Detection windows closed."),
+		WindowCloseLatency: r.NewHistogram("saad_analyzer_window_close_seconds", "Wall-clock seconds spent closing one detection window.", LatencyBuckets),
+		Anomalies:          r.NewCounterVec("saad_analyzer_anomalies_total", "Anomalies raised before alarm filtering.", "kind", "stage"),
+		FilterHeld:         r.NewGauge("saad_analyzer_filter_held", "Anomalies currently suppressed by the alarm filter."),
+		FilterPassed:       r.NewCounter("saad_analyzer_filter_passed_total", "Anomalies that passed the alarm filter."),
+		LateSynopses:       r.NewCounter("saad_analyzer_late_synopses_total", "Synopses dropped because they arrived after their window closed."),
+		ShardQueueDepth:    r.NewGaugeVec("saad_analyzer_shard_queue_depth", "Synopses queued per engine shard.", "shard"),
+		ShardBusyNanos:     r.NewCounterVec("saad_analyzer_shard_busy_nanos_total", "Nanoseconds each engine shard spent processing synopses.", "shard"),
+		ShardSynopses:      r.NewCounterVec("saad_analyzer_shard_synopses_total", "Synopses processed per engine shard.", "shard"),
+		ShardOverflows:     r.NewCounterVec("saad_analyzer_shard_overflows_total", "Feeds that found a full shard queue and blocked (backpressure).", "shard"),
+		DetectionLatency:   r.NewHistogramVec("saad_detection_latency_seconds", "End-to-end seconds from sampled synopsis emission (or receive) to detection verdict, per stage.", LatencyBuckets, "stage"),
 	}
 }
 

@@ -24,12 +24,6 @@ const (
 	EventModelSwap
 	// EventLateDrop is a synopsis dropped as a late arrival (A = task id).
 	EventLateDrop
-	// EventDegradeEnter is a shard entering degraded (load-shedding) mode
-	// (A = observed queue depth, B = keep-1-in-N sampling divisor).
-	EventDegradeEnter
-	// EventDegradeExit is a shard recovering from degraded mode (A =
-	// observed queue depth, B = synopses shed engine-wide so far).
-	EventDegradeExit
 )
 
 // String implements fmt.Stringer with the JSON-facing names.
@@ -45,10 +39,6 @@ func (k EventKind) String() string {
 		return "model_swap"
 	case EventLateDrop:
 		return "late_drop"
-	case EventDegradeEnter:
-		return "degrade_enter"
-	case EventDegradeExit:
-		return "degrade_exit"
 	default:
 		return "unknown"
 	}

@@ -234,14 +234,12 @@ func TestFlightRingConcurrent(t *testing.T) {
 
 func TestEventKindString(t *testing.T) {
 	cases := map[EventKind]string{
-		EventSynopsis:     "synopsis",
-		EventWindowOpen:   "window_open",
-		EventWindowClose:  "window_close",
-		EventModelSwap:    "model_swap",
-		EventLateDrop:     "late_drop",
-		EventDegradeEnter: "degrade_enter",
-		EventDegradeExit:  "degrade_exit",
-		EventKind(99):     "unknown",
+		EventSynopsis:    "synopsis",
+		EventWindowOpen:  "window_open",
+		EventWindowClose: "window_close",
+		EventModelSwap:   "model_swap",
+		EventLateDrop:    "late_drop",
+		EventKind(99):    "unknown",
 	}
 	for k, want := range cases {
 		if got := k.String(); got != want {
