@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -141,17 +142,30 @@ func windowToJSON(k groupKey, ws *windowState) windowJSON {
 // historyJSON snapshots the closed-window history in close order.
 func (d *Detector) historyJSON() []windowStatsJSON {
 	out := make([]windowStatsJSON, 0, len(d.stats))
-	for _, st := range d.stats {
+	for _, e := range d.stats {
 		out = append(out, windowStatsJSON{
-			Stage:        st.Stage,
-			Host:         st.Host,
-			WindowUnixNs: st.Window.UnixNano(),
-			Tasks:        st.Tasks,
-			FlowOutliers: st.FlowOutliers,
-			PerfOutliers: st.PerfOutliers,
+			Stage:        e.stage,
+			Host:         e.host,
+			WindowUnixNs: e.start,
+			Tasks:        int(e.tasks),
+			FlowOutliers: int(e.flowOutliers),
+			PerfOutliers: int(e.perfOutliers),
 		})
 	}
 	return out
+}
+
+// entry packs one history entry, refusing what no detector writes: a
+// negative count, a count above MaxUint32 (the packed width) and outliers
+// exceeding the window's tasks.
+func (st *windowStatsJSON) entry() (windowEntry, error) {
+	if st.Tasks < 0 || int64(st.Tasks) > math.MaxUint32 ||
+		st.FlowOutliers < 0 || st.FlowOutliers > st.Tasks ||
+		st.PerfOutliers < 0 || st.PerfOutliers > st.Tasks {
+		return windowEntry{}, fmt.Errorf("analyzer: checkpoint history host=%d stage=%d window=%d: %d flow and %d perf outliers of %d tasks",
+			st.Host, st.Stage, st.WindowUnixNs, st.FlowOutliers, st.PerfOutliers, st.Tasks)
+	}
+	return packWindow(st.Host, st.Stage, st.WindowUnixNs, st.Tasks, st.FlowOutliers, st.PerfOutliers), nil
 }
 
 // WriteCheckpoint serializes the detector — model and live window state —
@@ -204,15 +218,11 @@ func ReadCheckpoint(r io.Reader) (*Detector, error) {
 		}
 		d.adopt(key, ws)
 	}
-	for _, st := range raw.History {
-		d.stats = append(d.stats, WindowStats{
-			Stage:        st.Stage,
-			Host:         st.Host,
-			Window:       time.Unix(0, st.WindowUnixNs).UTC(),
-			Tasks:        st.Tasks,
-			FlowOutliers: st.FlowOutliers,
-			PerfOutliers: st.PerfOutliers,
-		})
+	d.stats = make([]windowEntry, len(raw.History))
+	for i := range raw.History {
+		if d.stats[i], err = raw.History[i].entry(); err != nil {
+			return nil, err
+		}
 	}
 	d.late = raw.Late
 	return d, nil

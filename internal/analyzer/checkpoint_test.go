@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -90,6 +91,58 @@ func TestCheckpointRejectsBadInput(t *testing.T) {
 		}
 		if _, err := ReadCheckpoint(&buf); err == nil || !strings.Contains(err.Error(), "host=1 stage=1") {
 			t.Errorf("%s: accepted, or rejected without naming the group: %v", tc.name, err)
+		}
+	}
+}
+
+// TestCheckpointRejectsBadHistory: a history entry no detector writes — a
+// negative count, a count beyond the packed width, more outliers than tasks —
+// is refused by name instead of adopted (a negative count would wrap). The
+// largest count that packs is accepted and survives.
+func TestCheckpointRejectsBadHistory(t *testing.T) {
+	det := NewDetector(trainedModel(t))
+	for _, s := range hostileWindowSeed() {
+		det.Feed(s)
+	}
+	det.Flush()
+	good := checkpointBytes(t, det)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*windowStatsJSON)
+		ok     bool
+	}{
+		{"as written", func(*windowStatsJSON) {}, true},
+		{"MaxUint32 tasks", func(h *windowStatsJSON) { h.Tasks, h.FlowOutliers = math.MaxUint32, math.MaxUint32 }, true},
+		{"negative tasks", func(h *windowStatsJSON) { h.Tasks, h.FlowOutliers, h.PerfOutliers = -1, 0, 0 }, false},
+		{"negative flow outliers", func(h *windowStatsJSON) { h.FlowOutliers = -1 }, false},
+		{"negative perf outliers", func(h *windowStatsJSON) { h.PerfOutliers = -1 }, false},
+		{"tasks beyond MaxUint32", func(h *windowStatsJSON) { h.Tasks = math.MaxUint32 + 1 }, false},
+		{"more flow outliers than tasks", func(h *windowStatsJSON) { h.FlowOutliers = h.Tasks + 1 }, false},
+		{"more perf outliers than tasks", func(h *windowStatsJSON) { h.PerfOutliers = h.Tasks + 1 }, false},
+	} {
+		var raw checkpointJSON
+		if err := json.Unmarshal(good, &raw); err != nil {
+			t.Fatal(err)
+		}
+		if len(raw.History) != 1 {
+			t.Fatalf("the seed closed %d windows, want 1", len(raw.History))
+		}
+		tc.mutate(&raw.History[0])
+		var buf bytes.Buffer
+		if _, err := writeCheckpointJSON(&buf, raw); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := ReadCheckpoint(&buf)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.ok:
+			h := raw.History[0]
+			if got := restored.WindowHistory()[0]; got.Tasks != h.Tasks || got.FlowOutliers != h.FlowOutliers || got.PerfOutliers != h.PerfOutliers {
+				t.Errorf("%s: restored %+v from %+v", tc.name, got, h)
+			}
+		case err == nil || !strings.Contains(err.Error(), "host=1 stage=1"):
+			t.Errorf("%s: accepted, or refused without naming the group: %v", tc.name, err)
 		}
 	}
 }

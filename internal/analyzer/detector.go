@@ -2,6 +2,7 @@ package analyzer
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"time"
@@ -83,6 +84,53 @@ type WindowStats struct {
 	PerfOutliers int
 }
 
+// windowEntry is one closed window as the history keeps it: 24 bytes, no
+// padding and no pointer, so the history — one entry per (host, stage) window
+// for the life of the process — is never scanned by the GC. WindowStats is
+// built from it only when someone reads the history.
+type windowEntry struct {
+	start                             int64 // window start, Unix ns
+	tasks, flowOutliers, perfOutliers uint32
+	stage                             logpoint.StageID
+	host                              uint16
+}
+
+// packWindow packs one closed window. A count above MaxUint32 saturates; one
+// group would need more than 4.29 G tasks in one window to reach it.
+func packWindow(host uint16, stage logpoint.StageID, startNs int64, tasks, flowOutliers, perfOutliers int) windowEntry {
+	return windowEntry{
+		start:        startNs,
+		tasks:        sat32(tasks),
+		flowOutliers: sat32(flowOutliers),
+		perfOutliers: sat32(perfOutliers),
+		stage:        stage,
+		host:         host,
+	}
+}
+
+func sat32(n int) uint32 { return uint32(min(int64(n), math.MaxUint32)) }
+
+// unpack rebuilds the window's WindowStats, its start in UTC as a checkpoint
+// restores it.
+func (e windowEntry) unpack() WindowStats {
+	return WindowStats{
+		Stage:        e.stage,
+		Host:         e.host,
+		Window:       time.Unix(0, e.start).UTC(),
+		Tasks:        int(e.tasks),
+		FlowOutliers: int(e.flowOutliers),
+		PerfOutliers: int(e.perfOutliers),
+	}
+}
+
+func unpackHistory(entries []windowEntry) []WindowStats {
+	out := make([]WindowStats, len(entries))
+	for i, e := range entries {
+		out[i] = e.unpack()
+	}
+	return out
+}
+
 // Detector consumes a time-ordered stream of synopses and emits anomalies
 // at window boundaries. It is the runtime half of the analyzer: per task it
 // performs only hash-map lookups and floating point comparisons; the
@@ -100,8 +148,8 @@ type Detector struct {
 	// free holds the storage of closed windows for Feed to open the next
 	// window in; it never outgrows the most windows open at once.
 	free []*windowState
-	// closedStats accumulates per-window statistics for reporting.
-	stats []WindowStats
+	// stats is the closed-window history in close order, packed.
+	stats []windowEntry
 	// late counts synopses dropped because their Start preceded the open
 	// window of their group (out-of-order arrivals past a window boundary).
 	late uint64
@@ -394,9 +442,11 @@ func (d *Detector) Flush() []Anomaly {
 
 // WindowHistory returns per-window statistics for all closed windows in
 // close order.
-func (d *Detector) WindowHistory() []WindowStats {
-	return append([]WindowStats(nil), d.stats...)
-}
+func (d *Detector) WindowHistory() []WindowStats { return unpackHistory(d.stats) }
+
+// ClosedWindows returns how many windows the detector has closed: the length
+// of WindowHistory, without building it.
+func (d *Detector) ClosedWindows() int { return len(d.stats) }
 
 func (d *Detector) closeWindow(key groupKey, w *windowState) []Anomaly {
 	if m := d.metrics; m != nil {
@@ -490,14 +540,7 @@ func (d *Detector) closeWindow(key groupKey, w *windowState) []Anomaly {
 		})
 	}
 
-	d.stats = append(d.stats, WindowStats{
-		Stage:        key.stage,
-		Host:         key.host,
-		Window:       w.start,
-		Tasks:        w.tasks,
-		FlowOutliers: w.flowOutliers,
-		PerfOutliers: perf,
-	})
+	d.stats = append(d.stats, packWindow(key.host, key.stage, w.start.UnixNano(), w.tasks, w.flowOutliers, perf))
 	d.flight.Record(trace.EventWindowClose, uint16(key.stage), key.host, uint64(w.tasks), uint64(len(anomalies)))
 	d.recycle(w)
 	if m := d.metrics; m != nil {

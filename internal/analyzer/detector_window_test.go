@@ -217,7 +217,7 @@ func TestWindowAllocs(t *testing.T) {
 		det := NewDetector(model)
 		// The window history grows for the life of the process (ROADMAP item
 		// 1); give it room so the pin sees the window's own storage only.
-		det.stats = make([]WindowStats, 0, 4*(runs+3))
+		det.stats = make([]windowEntry, 0, 4*(runs+3))
 		// One window of two interleaved groups of different stages per call;
 		// every call closes the previous window of both.
 		windows := make([][]*synopsis.Synopsis, runs+3)

@@ -655,11 +655,11 @@ func (e *Engine) Flush() []Anomaly {
 func (e *Engine) WindowHistory() []WindowStats {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
-	out := slices.Concat(gather(e, func(_ int, sh *shard) []WindowStats { return sh.core.stats })...)
-	slices.SortFunc(out, func(a, b WindowStats) int {
-		return cmp.Or(cmpGroup(a.Host, a.Stage, b.Host, b.Stage), a.Window.Compare(b.Window))
+	all := slices.Concat(gather(e, func(_ int, sh *shard) []windowEntry { return sh.core.stats })...)
+	slices.SortFunc(all, func(a, b windowEntry) int {
+		return cmp.Or(cmpGroup(a.host, a.stage, b.host, b.stage), cmp.Compare(a.start, b.start))
 	})
-	return out
+	return unpackHistory(all)
 }
 
 // PendingTasks sums tasks in still-open windows across shards.
@@ -765,7 +765,7 @@ func NewEngineFromDetector(d *Detector, opts ...EngineOption) *Engine {
 	// Partition the detector's state to the owning shards.
 	type adopted struct {
 		open  map[groupKey]*windowState
-		stats []WindowStats
+		stats []windowEntry
 	}
 	parts := make([]adopted, len(e.shards))
 	for k, ws := range d.open {
@@ -776,7 +776,7 @@ func NewEngineFromDetector(d *Detector, opts ...EngineOption) *Engine {
 		parts[i].open[k] = ws
 	}
 	for _, st := range d.stats {
-		i := e.shardIndex(st.Host, st.Stage)
+		i := e.shardIndex(st.host, st.stage)
 		parts[i].stats = append(parts[i].stats, st)
 	}
 	e.quiesce(func(i int, sh *shard) {

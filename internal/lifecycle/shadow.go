@@ -1,8 +1,6 @@
 package lifecycle
 
 import (
-	"fmt"
-
 	"saad/internal/analyzer"
 	"saad/internal/synopsis"
 )
@@ -49,7 +47,9 @@ type Verdict struct {
 	// Divergence is CandidateRate - ServingRate (positive = candidate is
 	// noisier).
 	Divergence float64 `json:"divergence"`
-	// Reason explains the decision.
+	// Reason explains the decision in words. It is a fixed phrase per
+	// outcome, so computing a verdict allocates nothing; the numbers behind
+	// it are the fields above and the ShadowConfig.
 	Reason string `json:"reason"`
 }
 
@@ -91,11 +91,11 @@ func (s *Shadow) Observe(syn *synopsis.Synopsis) {
 func (s *Shadow) Fed() int { return s.fed }
 
 // Verdict computes the current promotion verdict without ending the
-// evaluation. Windows are counted from the serving detector's closed
-// windows; both detectors close identical windows because windowing
-// depends only on the synopsis stream.
+// evaluation, allocating nothing. Windows are counted from the serving
+// detector's closed windows; both detectors close identical windows because
+// windowing depends only on the synopsis stream.
 func (s *Shadow) Verdict() Verdict {
-	windows := len(s.serving.WindowHistory())
+	windows := s.serving.ClosedWindows()
 	v := Verdict{
 		Fed:                s.fed,
 		Windows:            windows,
@@ -103,7 +103,7 @@ func (s *Shadow) Verdict() Verdict {
 		CandidateAnomalies: s.candAnoms,
 	}
 	if windows < s.cfg.MinWindows {
-		v.Reason = fmt.Sprintf("need %d closed windows, have %d", s.cfg.MinWindows, windows)
+		v.Reason = "fewer closed windows than MinWindows"
 		return v
 	}
 	v.Ready = true
@@ -112,11 +112,9 @@ func (s *Shadow) Verdict() Verdict {
 	v.Divergence = v.CandidateRate - v.ServingRate
 	if v.Divergence <= s.cfg.FalsePositiveBudget {
 		v.Promote = true
-		v.Reason = fmt.Sprintf("candidate rate %.3f within budget %.3f of serving rate %.3f",
-			v.CandidateRate, s.cfg.FalsePositiveBudget, v.ServingRate)
+		v.Reason = "candidate rate within the false-positive budget of the serving rate"
 	} else {
-		v.Reason = fmt.Sprintf("candidate rate %.3f exceeds serving rate %.3f by %.3f (budget %.3f)",
-			v.CandidateRate, v.ServingRate, v.Divergence, s.cfg.FalsePositiveBudget)
+		v.Reason = "candidate rate exceeds the serving rate by more than the false-positive budget"
 	}
 	return v
 }

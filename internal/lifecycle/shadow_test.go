@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"saad/internal/analyzer"
 	"saad/internal/faults"
+	"saad/internal/raceflag"
 )
 
 func shadowTestConfig() ShadowConfig {
@@ -86,6 +88,38 @@ func TestShadowRejectsPoisonedCandidate(t *testing.T) {
 	}
 	if !strings.Contains(v.Reason, "exceeds") {
 		t.Fatalf("reason = %q", v.Reason)
+	}
+}
+
+// TestShadowVerdictAllocs pins Verdict, which the manager calls every
+// VerdictEvery synopses, at zero allocations before and after the verdict is
+// ready and on both outcomes: counting the windows must not copy the serving
+// detector's history.
+func TestShadowVerdictAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	serving := trainOn(t, traffic(6000, 20, epoch, nil))
+	for _, tc := range []struct {
+		name      string
+		candidate *analyzer.Model
+	}{
+		{"equivalent", trainOn(t, traffic(6000, 22, epoch, nil))},
+		{"poisoned", trainOn(t, traffic(6000, 24, epoch, faults.NewInjector(netSendError())))},
+	} {
+		sh := NewShadow(serving.Clone(), tc.candidate.Clone(), shadowTestConfig())
+		var v Verdict
+		for i, s := range traffic(2000, 23, epoch.Add(time.Hour), nil) {
+			sh.Observe(s)
+			if i == 100 || i == 1999 {
+				if got := testing.AllocsPerRun(20, func() { v = sh.Verdict() }); got != 0 {
+					t.Errorf("%s, after %d synopses: Verdict allocates %v times, want 0", tc.name, i+1, got)
+				}
+			}
+		}
+		if !v.Ready || v.Promote != (tc.name == "equivalent") {
+			t.Fatalf("%s: the stream should end in a ready verdict that promotes only the equivalent candidate: %+v", tc.name, v)
+		}
 	}
 }
 
