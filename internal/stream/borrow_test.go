@@ -112,15 +112,37 @@ func (r *recyclingSink) EmitBatch(batch []*synopsis.Synopsis) {
 	r.n.Add(n)
 }
 
+const receivePerFrame = 512
+
 // TestServerReceiveAllocs pins the receive path of one frame — socket read,
 // decode into pooled records, delivery to a BatchSink that recycles them —
 // at no allocation once the connection's buffers have seen a frame.
 func TestServerReceiveAllocs(t *testing.T) {
+	if got := receiveAllocs(t, synopsis.NewPool(4096), syn(0).Points); got != 0 {
+		t.Fatalf("receiving a %d-record frame allocates %v times, want 0", receivePerFrame, got)
+	}
+}
+
+// TestUnpooledServerReceiveAllocs: a server without a receive pool mints
+// each record as one block that five points decode into — one allocation
+// per record, not a header and then a points array.
+func TestUnpooledServerReceiveAllocs(t *testing.T) {
+	five := []synopsis.PointCount{{Point: 1, Count: 1}, {Point: 2, Count: 1}, {Point: 3, Count: 2}, {Point: 4, Count: 1}, {Point: 5, Count: 3}}
+	if got := receiveAllocs(t, nil, five); got != receivePerFrame {
+		t.Fatalf("receiving a %d-record frame without a pool allocates %v times, want 1 per record", receivePerFrame, got)
+	}
+}
+
+// receiveAllocs returns the allocations of receiving one frame of
+// receivePerFrame records carrying pts, once the connection's buffers have
+// seen a few, on a server drawing from pool (nil: none) whose sink hands
+// the records back to it.
+func receiveAllocs(t *testing.T, pool *synopsis.Pool, pts []synopsis.PointCount) float64 {
+	t.Helper()
 	if raceflag.Enabled {
 		t.Skip("allocation counts are exact only without the race detector")
 	}
-	const perFrame, warm, runs = 512, 4, 50
-	pool := synopsis.NewPool(4096)
+	const perFrame, warm, runs = receivePerFrame, 4, 50
 	sink := &recyclingSink{pool: pool}
 	srv, err := Listen("127.0.0.1:0", sink, WithServerPool(pool))
 	if err != nil {
@@ -139,6 +161,7 @@ func TestServerReceiveAllocs(t *testing.T) {
 		for i := range batch {
 			batch[i] = syn(id)
 			batch[i].Host = uint16(1 + i%4)
+			batch[i].Points = pts
 			id++
 		}
 		frames[f] = peer.enc.AppendFrames(nil, batch)
@@ -156,9 +179,7 @@ func TestServerReceiveAllocs(t *testing.T) {
 	for sent < warm {
 		deliver()
 	}
-	if got := testing.AllocsPerRun(runs, deliver); got != 0 {
-		t.Fatalf("receiving a %d-record frame allocates %v times, want 0", perFrame, got)
-	}
+	return testing.AllocsPerRun(runs, deliver)
 }
 
 // TestServerReturnsCutFrameToPool: when a connection dies with a frame half

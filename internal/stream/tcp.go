@@ -795,18 +795,21 @@ type connPool struct {
 	next   int
 }
 
+// newConnPool returns the connection's free list over shared, which may be
+// nil: GetN then mints fresh records, and a chunk of one mints each as the
+// loop needs it rather than a chunk ahead.
 func newConnPool(shared *synopsis.Pool) *connPool {
-	return &connPool{shared: shared}
+	chunk := connRefill
+	if shared == nil {
+		chunk = 1
+	}
+	c := &connPool{shared: shared, local: make([]*synopsis.Synopsis, chunk)}
+	c.next = chunk
+	return c
 }
 
 func (c *connPool) get() *synopsis.Synopsis {
-	if c.shared == nil {
-		return &synopsis.Synopsis{}
-	}
 	if c.next == len(c.local) {
-		if c.local == nil {
-			c.local = make([]*synopsis.Synopsis, connRefill)
-		}
 		c.shared.GetN(c.local)
 		c.next = 0
 	}
@@ -819,11 +822,7 @@ func (c *connPool) get() *synopsis.Synopsis {
 // release returns the unconsumed remainder of the current chunk to the
 // shared pool when the connection ends.
 func (c *connPool) release() {
-	if c.shared == nil || c.local == nil {
-		return
-	}
 	c.shared.PutN(c.local[c.next:])
-	c.local = nil
 }
 
 // receive is the per-connection receive loop: records decode into

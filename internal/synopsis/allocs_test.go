@@ -3,14 +3,18 @@ package synopsis
 import (
 	"bufio"
 	"bytes"
+	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"saad/internal/logpoint"
 	"saad/internal/raceflag"
 )
 
 // The allocation pins DESIGN §15 cites: the record constructor costs one
-// block (two past the inline capacity) and the steady-state codec nothing.
+// 112- or 128-byte block (two allocations past five points), a fresh
+// receive record one block, and the steady-state codec nothing.
 
 func skipUnderRace(t *testing.T) {
 	t.Helper()
@@ -31,7 +35,7 @@ var sinkSynopsis *Synopsis
 
 func TestNewAndCloneAllocs(t *testing.T) {
 	skipUnderRace(t)
-	for n, want := range map[int]float64{0: 1, 1: 1, inlinePoints: 1, inlinePoints + 1: 2, 9: 2} {
+	for n, want := range map[int]float64{0: 1, 1: 1, 3: 1, 4: 1, 5: 1, 6: 2, 9: 2} {
 		pts := pointsN(n)
 		if got := testing.AllocsPerRun(200, func() { sinkSynopsis = New(pts) }); got != want {
 			t.Errorf("New(%d points) = %v allocs, want %v", n, got, want)
@@ -43,9 +47,96 @@ func TestNewAndCloneAllocs(t *testing.T) {
 	}
 }
 
+// TestRecordBlockSizes: each record block fills its size class exactly. A
+// field added to Synopsis moves every record into the next class up — this
+// fails first, naming the cost.
+func TestRecordBlockSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Synopsis", unsafe.Sizeof(Synopsis{}), 88},
+		{"record3 (Synopsis + 3 points, the 112-byte class)", unsafe.Sizeof(record3{}), 112},
+		{"record5 (Synopsis + 5 points, the 128-byte class)", unsafe.Sizeof(record5{}), 128},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("unsafe.Sizeof(%s) = %d B, want %d: every tracker record now pays the difference, rounded up to the next size class", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
+// bytesPerCall returns the heap bytes one call of f allocates, averaged over
+// 10,000 calls.
+func bytesPerCall(f func()) float64 {
+	const calls = 10000
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / calls
+}
+
+// TestNewAndCloneBytes pins what a record costs in bytes: the smaller block
+// that holds its points, and past five points a bare header (88 B in the
+// 96-byte class) plus the points' own array.
+func TestNewAndCloneBytes(t *testing.T) {
+	skipUnderRace(t)
+	for n, want := range map[int]float64{0: 112, 1: 112, 3: 112, 4: 128, 5: 128, 6: 96 + 48} {
+		pts := pointsN(n)
+		if got := bytesPerCall(func() { sinkSynopsis = New(pts) }); math.Abs(got-want) > 0.5 {
+			t.Errorf("New(%d points) = %.2f B, want %v", n, got, want)
+		}
+		src := New(pts)
+		if got := bytesPerCall(func() { sinkSynopsis = src.Clone() }); math.Abs(got-want) > 0.5 {
+			t.Errorf("Clone(%d points) = %.2f B, want %v", n, got, want)
+		}
+	}
+}
+
+// TestPoolGetNAllocs: a record the pool mints — when it runs dry, or when
+// there is no pool — is one block, and decoding up to five points into it
+// allocates nothing more.
+func TestPoolGetNAllocs(t *testing.T) {
+	skipUnderRace(t)
+	dst := make([]*Synopsis, 64)
+	for _, p := range []*Pool{NewPool(len(dst)), nil} {
+		if got := testing.AllocsPerRun(100, func() { p.GetN(dst) }); got != float64(len(dst)) {
+			t.Errorf("GetN(%d) on an empty pool (nil: %v) = %v allocs, want 1 per record", len(dst), p == nil, got)
+		}
+	}
+
+	const runs = 1000
+	batch := make([]*Synopsis, 128)
+	for i := range batch {
+		batch[i] = sampleSynopsis(i)
+		batch[i].Points = pointsN(5)
+		batch[i].Normalize()
+	}
+	enc := NewBatchEncoder()
+	var wire []byte
+	for n := 0; n <= runs+1; n += len(batch) {
+		wire = enc.AppendFrames(wire, batch)
+	}
+	dec := NewBatchDecoder(bufio.NewReader(bytes.NewReader(wire)))
+	empty, one := NewPool(1), dst[:1]
+	decodeFresh := func() {
+		empty.GetN(one)
+		if err := dec.Decode(one[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decodeFresh() // warm the frame scratch and the intern table
+	if got := testing.AllocsPerRun(runs, decodeFresh); got != 1 {
+		t.Errorf("minting a record and decoding 5 points into it = %v allocs, want 1", got)
+	}
+}
+
 func TestNormalizeAllocs(t *testing.T) {
 	skipUnderRace(t)
-	for _, n := range []int{2, inlinePoints, 9, 40} {
+	for _, n := range []int{2, 5, 9, 40} {
 		unsorted := pointsN(n)
 		s := &Synopsis{Points: make([]PointCount, n)}
 		got := testing.AllocsPerRun(200, func() {

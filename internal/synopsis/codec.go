@@ -257,12 +257,12 @@ func decodeBody(buf []byte, s *Synopsis) error {
 
 // resizePoints sets len(s.Points) to n, keeping the backing array when it
 // is large enough; the caller overwrites every element. A new array is at
-// least the inline size and twice the old one: a pooled record meets tasks
-// of every size in turn, and growing to exactly n would re-make its array
-// for each one point larger than the last.
+// least four points (32 B, an exact size class) and twice the old one: a
+// pooled record meets tasks of every size in turn, and growing to exactly n
+// would re-make its array for each one point larger than the last.
 func (s *Synopsis) resizePoints(n int) {
 	if c := cap(s.Points); c < n {
-		s.Points = make([]PointCount, max(n, inlinePoints, 2*c))
+		s.Points = make([]PointCount, max(n, 4, 2*c))
 	}
 	s.Points = s.Points[:n]
 }

@@ -58,37 +58,55 @@ type Synopsis struct {
 	RingEpoch uint64
 }
 
-// inlinePoints is how many distinct log points a record block holds inline.
-// 95% of the Cassandra lap's tasks touch at most four, and four keeps the
-// block (88-byte Synopsis + 32) in the 128-byte size class.
-const inlinePoints = 4
-
-// record is the single heap block behind New: the synopsis and, when they
-// fit, the points it owns.
-type record struct {
+// record3 and record5 are the heap blocks behind New: the 88-byte synopsis
+// and, inline, the points it owns. Each fills an exact size class — 112 and
+// 128 B — so a task pays for the points it has: 85% of the Cassandra lap's
+// tasks touch three distinct points and all but a few in 10^4 at most five.
+type record3 struct {
 	Synopsis
-	inline [inlinePoints]PointCount
+	inline [3]PointCount
+}
+
+type record5 struct {
+	Synopsis
+	inline [5]PointCount
 }
 
 // New returns a zero synopsis owning a copy of pts, in one allocation when
-// len(pts) <= 4 (Points then aliases an array inside the same block, capped
-// so an append past it reallocates instead of running on) and in two
-// beyond. The caller fills in the header fields and owns the result like
-// any other *Synopsis.
+// len(pts) <= 5 — the smaller of record3 and record5 that holds them;
+// Points then aliases the block's inline array, which ends the block, so an
+// append past it reallocates instead of running on — and in two beyond. The
+// caller fills in the header fields and owns the result like any other
+// *Synopsis.
 //
 // Pinning rule: because Points may point into the block, a holder of
-// s.Points alone keeps the whole 128-byte block alive, not just the points.
-// Code that retains points past the synopsis should copy them out.
+// s.Points alone keeps the whole block alive, not just the points. Code
+// that retains points past the synopsis should copy them out.
 func New(pts []PointCount) *Synopsis {
-	r := &record{}
-	if len(pts) <= inlinePoints {
-		r.Points = r.inline[:len(pts):inlinePoints]
-		copy(r.Points, pts)
-	} else {
+	var s *Synopsis
+	switch n := len(pts); {
+	case n <= len(record3{}.inline):
+		r := &record3{}
+		r.Points = r.inline[:n]
+		s = &r.Synopsis
+	case n <= len(record5{}.inline):
+		s = blank()
+		s.Points = s.Points[:n]
+	default:
 		// Once per task, never per hit, and only for the few tasks with more
-		// distinct points than the block holds inline.
-		r.Points = append([]PointCount(nil), pts...)
+		// distinct points than the larger block holds inline.
+		s = &Synopsis{Points: make([]PointCount, n)}
 	}
+	copy(s.Points, pts)
+	return s
+}
+
+// blank returns an empty synopsis in a record5 block: the receive paths'
+// fresh record, into which a record of up to five points decodes without
+// another allocation.
+func blank() *Synopsis {
+	r := &record5{}
+	r.Points = r.inline[:0]
 	return &r.Synopsis
 }
 

@@ -111,18 +111,29 @@ func TestSignatureCanonicalProperty(t *testing.T) {
 	}
 }
 
-// TestNewAndCloneOwnTheirPoints: on both sides of the inline capacity, a
+// TestNewAndCloneOwnTheirPoints: across both block edges (3|4 and 5|6), a
 // record built by New or Clone holds a copy of its points — writing through
-// either side, or appending to either, never shows on the other.
+// either side, or appending to either, never shows on the other — and its
+// Points end where its block does, so an append past them reaches no record
+// allocated next to it.
 func TestNewAndCloneOwnTheirPoints(t *testing.T) {
-	for n := 0; n <= 2*inlinePoints; n++ {
+	for n := 0; n <= 8; n++ {
 		pts := make([]PointCount, n)
 		for i := range pts {
 			pts[i] = PointCount{Point: logpoint.ID(i + 1), Count: 1}
 		}
 		s := New(pts)
 		s.Stage, s.TaskID = 2, 7
+		inline := 5
+		if n <= 3 {
+			inline = 3
+		}
+		if n <= 5 && cap(s.Points) != inline {
+			t.Fatalf("n=%d: New's points have capacity %d, want the block's %d", n, cap(s.Points), inline)
+		}
 		c := s.Clone()
+		next := New(pts) // likely the block after c's, in the same size class
+		next.Stage, next.TaskID = 3, 8
 		if c.Stage != 2 || c.TaskID != 7 || len(s.Points) != n || len(c.Points) != n {
 			t.Fatalf("n=%d: New/Clone lost data: %v / %v", n, s, c)
 		}
@@ -130,14 +141,27 @@ func TestNewAndCloneOwnTheirPoints(t *testing.T) {
 			pts[i].Count = 50
 			c.Points[i].Count = 99
 		}
-		grown := append(s.Points, PointCount{Point: 1000, Count: 7})
-		grown = append(grown, grown...) // whatever capacity was left is now overrun
+		for _, r := range []*Synopsis{s, c} {
+			// Overrun whatever capacity was left, then write through the grown
+			// slice: only r's own storage may change.
+			grown := append(r.Points[len(r.Points):], PointCount{Point: 1000, Count: 7})
+			grown = append(grown, grown...)
+			for j := range grown {
+				grown[j] = PointCount{Point: 0xffff, Count: 0xffff}
+			}
+		}
+		if next.Stage != 3 || next.TaskID != 8 || len(next.Points) != n {
+			t.Fatalf("n=%d: appending to a record reached its neighbour: %v", n, next)
+		}
 		for i := range s.Points {
 			if s.Points[i] != (PointCount{Point: logpoint.ID(i + 1), Count: 1}) {
 				t.Fatalf("n=%d: New shares points with its argument or its clone: %v", n, s.Points)
 			}
 			if c.Points[i] != (PointCount{Point: logpoint.ID(i + 1), Count: 99}) {
 				t.Fatalf("n=%d: appending to the source reached the clone: %v", n, c.Points)
+			}
+			if next.Points[i] != (PointCount{Point: logpoint.ID(i + 1), Count: 1}) {
+				t.Fatalf("n=%d: appending to a record reached its neighbour's points: %v", n, next.Points)
 			}
 		}
 	}

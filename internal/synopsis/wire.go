@@ -615,28 +615,23 @@ func NewPool(capacity int) *Pool {
 
 // GetN fills every element of dst with an idle or fresh synopsis under a
 // single lock — the receive loop's bulk refill, so per-record pool cost
-// amortizes to near zero.
+// amortizes to near zero. A fresh synopsis is one record5 block (see New),
+// so decoding up to five points into it costs nothing more.
 func (p *Pool) GetN(dst []*Synopsis) {
-	if p == nil {
-		for i := range dst {
-			dst[i] = &Synopsis{}
+	take := 0
+	if p != nil {
+		p.mu.Lock()
+		n := len(p.free)
+		take = min(len(dst), n)
+		for i := 0; i < take; i++ {
+			dst[i] = p.free[n-1-i]
+			p.free[n-1-i] = nil
 		}
-		return
+		p.free = p.free[:n-take]
+		p.mu.Unlock()
 	}
-	p.mu.Lock()
-	n := len(p.free)
-	take := len(dst)
-	if take > n {
-		take = n
-	}
-	for i := 0; i < take; i++ {
-		dst[i] = p.free[n-1-i]
-		p.free[n-1-i] = nil
-	}
-	p.free = p.free[:n-take]
-	p.mu.Unlock()
 	for i := take; i < len(dst); i++ {
-		dst[i] = &Synopsis{}
+		dst[i] = blank()
 	}
 }
 

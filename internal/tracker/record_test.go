@@ -34,14 +34,15 @@ func checkRecord(t *testing.T, s *synopsis.Synopsis, n int) {
 	}
 }
 
-// TestRecordsOwnTheirPoints: tasks on both sides of the record's inline
-// capacity round-trip, consecutive records off one recycled Task never share
-// point storage, and a sink scribbling on or appending to a record it was
-// handed cannot reach a later one.
+// TestRecordsOwnTheirPoints: tasks on both sides of both record blocks'
+// edges (3|4 and 5|6) round-trip, consecutive records off one recycled Task
+// never share point storage, and a sink scribbling on or appending to a
+// record it was handed — a 3-point block's included — cannot reach a later
+// one.
 func TestRecordsOwnTheirPoints(t *testing.T) {
 	sink := &collectSink{}
 	tr := New(0, sink)
-	sizes := []int{3, 4, 5, 9, 2, 4, 6, 0, 1, 4}
+	sizes := []int{3, 4, 5, 6, 2, 3, 6, 5, 1, 9, 3, 3, 0, 4}
 	for i, n := range sizes {
 		runTask(tr, n)
 		s := sink.all()[i]
@@ -67,8 +68,8 @@ func TestRecordsOwnTheirPoints(t *testing.T) {
 }
 
 // TestTaskEndAllocs pins the tracker's cost in the monitored process: one
-// block per task while the points fit the record, one more slice beyond,
-// plus the span when the task is sampled.
+// block per task while the points fit a record block (five), one more slice
+// beyond, plus the span when the task is sampled.
 func TestTaskEndAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are exact only without the race detector")
@@ -78,8 +79,9 @@ func TestTaskEndAllocs(t *testing.T) {
 		sampled bool
 		want    float64
 	}{
-		{0, false, 1}, {2, false, 1}, {4, false, 1}, {5, false, 2}, {12, false, 2},
-		{4, true, 2}, {5, true, 3},
+		{0, false, 1}, {2, false, 1}, {3, false, 1}, {4, false, 1}, {5, false, 1},
+		{6, false, 2}, {12, false, 2},
+		{3, true, 2}, {5, true, 2}, {6, true, 3},
 	} {
 		tr := New(1, SinkFunc(func(*synopsis.Synopsis) {}))
 		if tc.sampled {
