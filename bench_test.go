@@ -9,9 +9,6 @@
 package saad_test
 
 import (
-	"os"
-	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -262,72 +259,26 @@ func engineBenchModel(tb testing.TB) (*saad.Model, []*saad.Synopsis) {
 	return model, feed
 }
 
-// BenchmarkEngineFeed measures sharded-engine synopsis throughput across
-// shard counts; compare against BenchmarkDetectorFeed for the single
-// in-line detector baseline. FeedBatch amortizes the channel hop, Drain is
-// the consumption barrier so per-op time covers detection work, not just
-// enqueueing.
+// BenchmarkEngineFeed measures engine synopsis throughput; compare against
+// BenchmarkDetectorFeed for the in-line detector baseline. FeedBatch
+// amortizes the channel hop, Drain is the consumption barrier so per-op
+// time covers detection work, not just enqueueing.
 func BenchmarkEngineFeed(b *testing.B) {
 	model, feed := engineBenchModel(b)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run("shards="+strconv.Itoa(shards), func(b *testing.B) {
-			eng := saad.NewEngine(model, saad.WithShards(shards))
-			defer eng.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			fed := 0
-			for fed < b.N {
-				n := len(feed)
-				if rest := b.N - fed; rest < n {
-					n = rest
-				}
-				eng.FeedBatch(feed[:n])
-				fed += n
-			}
-			eng.Drain()
-		})
-	}
-}
-
-// TestEngineScalingSmoke guards the tentpole's reason to exist: a
-// multi-shard engine must not be slower than one shard on a multi-group
-// stream. Gated behind SAAD_SCALING_SMOKE=1 because wall-clock assertions
-// are hostile to loaded CI machines; the dedicated CI step opts in.
-func TestEngineScalingSmoke(t *testing.T) {
-	if os.Getenv("SAAD_SCALING_SMOKE") != "1" {
-		t.Skip("set SAAD_SCALING_SMOKE=1 to run the wall-clock scaling check")
-	}
-	model, feed := engineBenchModel(t)
-	shards := runtime.GOMAXPROCS(0)
-	if shards > 4 {
-		shards = 4
-	}
-	if shards < 2 {
-		t.Skip("needs at least 2 CPUs to demonstrate scaling")
-	}
-	const rounds = 25
-	run := func(n int) time.Duration {
-		eng := saad.NewEngine(model, saad.WithShards(n))
-		defer eng.Close()
-		// Warm up interning and window state outside the timed region.
-		eng.FeedBatch(feed)
-		eng.Drain()
-		start := time.Now()
-		for i := 0; i < rounds; i++ {
-			eng.FeedBatch(feed)
+	eng := saad.NewEngine(model)
+	defer eng.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	fed := 0
+	for fed < b.N {
+		n := len(feed)
+		if rest := b.N - fed; rest < n {
+			n = rest
 		}
-		eng.Drain()
-		return time.Since(start)
+		eng.FeedBatch(feed[:n])
+		fed += n
 	}
-	single := run(1)
-	multi := run(shards)
-	t.Logf("1 shard: %v, %d shards: %v (%.2fx)", single, shards, multi,
-		float64(single)/float64(multi))
-	// Require only parity-or-better: the margin absorbs scheduler noise
-	// while still catching a refactor that serializes the shard workers.
-	if float64(multi) > 1.1*float64(single) {
-		t.Fatalf("%d-shard engine slower than 1 shard: %v vs %v", shards, multi, single)
-	}
+	eng.Drain()
 }
 
 func BenchmarkZipfianNext(b *testing.B) {

@@ -11,12 +11,6 @@
 //
 //	saad-analyzer -listen :7077 -model model.json -dict dict.json
 //
-// Detection runs on a sharded concurrent engine: synopses are routed across
-// -shards workers (default GOMAXPROCS) by hashing the (host, stage) group
-// key, with bit-identical detection semantics at any shard count:
-//
-//	saad-analyzer -listen :7077 -model model.json -shards 8
-//
 // Self-observability (all opt-in):
 //
 //	-http :9090            Prometheus /metrics, /debug/vars, pprof, /healthz,
@@ -55,8 +49,8 @@
 // -model-keep versions plus the serving one (default 16; 0 keeps every
 // version forever).
 //
-// Overload (detect mode): a full shard queue blocks the connection handler
-// feeding it, which stops reading its socket until the shard catches up —
+// Overload (detect mode): a full engine queue blocks the connection handler
+// feeding it, which stops reading its socket until the worker catches up —
 // nothing received is dropped, and saad_analyzer_shard_overflows_total
 // counts each wait. -read-idle-timeout reaps connections whose peer went
 // silent (a half-open link behind an asymmetric partition).
@@ -205,7 +199,6 @@ type detectOptions struct {
 	statsInterval      time.Duration
 	checkpointPath     string        // persist/restore detector state ("" = off)
 	checkpointInterval time.Duration // 0 = only at shutdown
-	shards             int           // engine shard workers (0 = GOMAXPROCS)
 	traceSample        int           // trace 1 in N synopses end to end (0 = off)
 	storeDir           string        // versioned model store ("" = off)
 	retrainEvery       time.Duration // periodic live retraining (0 = off)
@@ -235,7 +228,6 @@ func bindFlags(fs *flag.FlagSet) *detectOptions {
 	fs.DurationVar(&o.statsInterval, "stats-interval", 30*time.Second, "stderr stats heartbeat interval (detect mode; 0 = off)")
 	fs.StringVar(&o.checkpointPath, "checkpoint", "", "restore detector state from this file at startup and persist it periodically (detect mode; empty = off)")
 	fs.DurationVar(&o.checkpointInterval, "checkpoint-interval", 30*time.Second, "how often to persist the checkpoint (detect mode; 0 = only at shutdown)")
-	fs.IntVar(&o.shards, "shards", 0, "analyzer shard workers (detect mode; 0 = GOMAXPROCS)")
 	fs.IntVar(&o.traceSample, "trace-sample", 0, "trace one in N synopses end to end through the pipeline and run the anomaly flight recorder (detect mode; 0 = off)")
 	fs.StringVar(&o.storeDir, "model-store", "", "versioned model store directory: serve the version it records as serving, store retrains as new versions (empty = off)")
 	fs.DurationVar(&o.retrainEvery, "retrain-every", 0, "retrain a candidate from the live stream this often (detect mode; needs -model-store; 0 = only via POST /model)")
@@ -387,12 +379,12 @@ type daemon struct {
 	ready  atomic.Bool
 	closed bool
 
-	// The anomaly sink runs on shard worker goroutines; sinkMu serializes
-	// report output and latches the first event-log write error (a dead
-	// event log must not stop detection mid-stream — the error surfaces at
-	// shutdown). The count is an atomic outside it: /statusz and the
-	// heartbeat must answer while a stalled stdout pipe or event log holds a
-	// worker inside the sink.
+	// The anomaly sink runs on the engine's worker goroutine; sinkMu
+	// serializes report output and latches the first event-log write error (a
+	// dead event log must not stop detection mid-stream — the error surfaces
+	// at shutdown). The count is an atomic outside it: /statusz and the
+	// heartbeat must answer while a stalled stdout pipe or event log holds
+	// the worker inside the sink.
 	anomalies  atomic.Int64
 	sinkMu     sync.Mutex
 	sinkErr    error
@@ -419,23 +411,21 @@ func (d *daemon) report(found []analyzer.Anomaly) {
 // is, how long it has been up, and how much it has processed — the first
 // thing to curl when an alert fires.
 func (d *daemon) statusz(w http.ResponseWriter, _ *http.Request) {
-	type shardStatus struct {
-		Shard    int    `json:"shard"`
-		Fed      uint64 `json:"fed"`
-		Pending  int    `json:"pending"`
-		QueueLen int    `json:"queue_len"`
-	}
+	st := d.eng.ShardStats()[0]
 	doc := struct {
-		Mode          string        `json:"mode"`
-		Listen        string        `json:"listen"`
-		UptimeSeconds float64       `json:"uptime_seconds"`
-		TrainedOn     int           `json:"model_trained_on"`
-		Shards        []shardStatus `json:"shards"`
-		Processed     uint64        `json:"processed"`
-		Late          uint64        `json:"late"`
-		Anomalies     int           `json:"anomalies"`
-		TraceSample   int           `json:"trace_sample_every"`
-		TracedSpans   int           `json:"traced_spans_retained"`
+		Mode          string  `json:"mode"`
+		Listen        string  `json:"listen"`
+		UptimeSeconds float64 `json:"uptime_seconds"`
+		TrainedOn     int     `json:"model_trained_on"`
+		// QueueLen is the messages queued for the engine's worker; Pending
+		// the tasks in its open windows, as of the last message it finished.
+		QueueLen    int    `json:"queue_len"`
+		Pending     int    `json:"pending"`
+		Processed   uint64 `json:"processed"`
+		Late        uint64 `json:"late"`
+		Anomalies   int    `json:"anomalies"`
+		TraceSample int    `json:"trace_sample_every"`
+		TracedSpans int    `json:"traced_spans_retained"`
 		// Connections lists each live synopsis stream's remote address.
 		Connections []string `json:"connections"`
 		// Federation is the fleet membership view: peers with state and
@@ -447,15 +437,14 @@ func (d *daemon) statusz(w http.ResponseWriter, _ *http.Request) {
 		Listen:        d.srv.Addr(),
 		UptimeSeconds: time.Since(d.started).Seconds(),
 		TrainedOn:     d.trainedOn,
+		QueueLen:      st.QueueLen,
+		Pending:       st.Pending,
 		Processed:     d.eng.Fed(),
 		Late:          d.eng.LateSynopses(),
 		Anomalies:     int(d.anomalies.Load()),
 		TraceSample:   d.opts.traceSample,
 		TracedSpans:   len(d.tracer.Spans()),
 		Connections:   d.srv.Remotes(),
-	}
-	for _, st := range d.eng.ShardStats() {
-		doc.Shards = append(doc.Shards, shardStatus{Shard: st.Shard, Fed: st.Fed, Pending: st.Pending, QueueLen: st.QueueLen})
 	}
 	if d.peer != nil {
 		st := d.peer.Status()
@@ -550,12 +539,11 @@ func start(dict *logpoint.Dictionary, opts detectOptions) (_ *daemon, err error)
 	}
 
 	// The server decodes v2 frames into pooled synopses and the engine
-	// releases each one back after its shard has observed it (shard cores
-	// clone anything they retain), so the steady-state receive path
+	// releases each one back after its worker has observed it (the core
+	// clones anything it retains), so the steady-state receive path
 	// allocates nothing per record.
 	pool := synopsis.NewPool(32768)
 	engineOpts := []analyzer.EngineOption{
-		analyzer.WithShards(opts.shards),
 		analyzer.WithEngineMetrics(pipe.Analyzer),
 		analyzer.WithAnomalySink(d.report),
 		analyzer.WithSynopsisRelease(pool.Put),
@@ -602,11 +590,10 @@ func start(dict *logpoint.Dictionary, opts detectOptions) (_ *daemon, err error)
 		}
 	}
 
-	// The engine is the server's sink: each connection handler's frame is
-	// partitioned straight onto the owning shards, so connections are decoded
-	// in parallel and the per-connection synopsis order is preserved per
-	// (host, stage) group — exactly the ordering the detection semantics
-	// need. With a model store the lifecycle manager stands in front of it:
+	// The engine is the server's sink: each connection handler's frame goes
+	// onto the engine's queue as one message, so connections are decoded in
+	// parallel and the per-connection synopsis order is preserved — exactly
+	// the ordering the detection semantics need. With a model store the lifecycle manager stands in front of it:
 	// it feeds the engine, then buffers clones for retraining,
 	// shadow-evaluates candidates and hot-swaps promoted models in.
 	var sink tracker.Sink = d.eng
@@ -657,8 +644,8 @@ func start(dict *logpoint.Dictionary, opts detectOptions) (_ *daemon, err error)
 	if d.srv, err = stream.Listen(opts.listen, sink, srvOpts...); err != nil {
 		return nil, err
 	}
-	fmt.Printf("detecting: listening on %s (model trained on %d synopses, %d shards)\n",
-		d.srv.Addr(), model.TrainedOn, d.eng.Shards())
+	fmt.Printf("detecting: listening on %s (model trained on %d synopses)\n",
+		d.srv.Addr(), model.TrainedOn)
 	if d.peer != nil {
 		// The ingest address resolves only now (a "-listen :0" binds late);
 		// publish it so peers can open forward links, then start gossiping
@@ -708,14 +695,14 @@ func start(dict *logpoint.Dictionary, opts detectOptions) (_ *daemon, err error)
 //  1. flip /readyz to not-ready, so load balancers stop routing new streams
 //     while existing ones still work, and keep serving through -drain-grace;
 //  2. stop accepting synopses — which waits for the connection handlers, so
-//     everything received is queued on a shard;
+//     everything received is queued for the engine's worker;
 //  3. leave the fleet: hand every open group to the survivors (Leave's
 //     rebalance runs synchronously), push out what is still buffered on the
 //     forward links, stop gossiping, release the sockets;
 //  4. flush the open windows this analyzer still owns (for a clean leave,
 //     none) — their anomalies reach the sink — and write the final
 //     checkpoint;
-//  5. stop the shard workers, surface a latched event-log error, close the
+//  5. stop the engine's worker, surface a latched event-log error, close the
 //     event log, print the summary line;
 //  6. stop the observability server.
 //
@@ -797,12 +784,9 @@ func (d *daemon) run(stop <-chan os.Signal) {
 	for {
 		select {
 		case <-heartbeat:
-			var shardLine strings.Builder
-			for _, st := range eng.ShardStats() {
-				fmt.Fprintf(&shardLine, " s%d=%d/p%d/q%d", st.Shard, st.Fed, st.Pending, st.QueueLen)
-			}
-			fmt.Fprintf(os.Stderr, "saad-analyzer: processed=%d anomalies=%d shards=%d goroutines=%d%s\n",
-				eng.Fed(), d.anomalies.Load(), eng.Shards(), runtime.NumGoroutine(), shardLine.String())
+			st := eng.ShardStats()[0]
+			fmt.Fprintf(os.Stderr, "saad-analyzer: processed=%d anomalies=%d pending=%d queue=%d goroutines=%d\n",
+				eng.Fed(), d.anomalies.Load(), st.Pending, st.QueueLen, runtime.NumGoroutine())
 		case <-checkpoint:
 			// A failed periodic checkpoint must not stop detection; the
 			// shutdown checkpoint still gets a chance to persist state.

@@ -148,7 +148,6 @@ func TestChaosRetryStormBackpressure(t *testing.T) {
 		modelPath:  modelPath,
 		eventsPath: eventsPath,
 		httpAddr:   "127.0.0.1:0",
-		shards:     1,
 	})
 	addr, httpAddr := d.srv.Addr(), d.http.Addr()
 

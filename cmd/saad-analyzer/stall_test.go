@@ -22,10 +22,12 @@ import (
 // TestStatuszAnswersWhileSinkIsStalled: /statusz is for the moment something
 // is wrong, so it must not wait on the data path. Stdout is a pipe nobody
 // reads; one window closing with 1,200 never-seen flows prints far more than
-// a pipe holds, which leaves the only shard's worker stuck in the anomaly
-// sink, under the report mutex. /statusz keeps answering within 100 ms and
-// shows the wedge (a frame accepted but not yet observed). Draining the pipe
-// lets the daemon finish.
+// a pipe holds, which leaves the engine's worker stuck in the anomaly sink,
+// under the report mutex. /statusz keeps answering within 100 ms and shows
+// the wedge: every frame accepted and taken off the queue, but the one that
+// closes the window not finished, so the open-window count is still what
+// the earlier frames left, not the one task the closing frame opens.
+// Draining the pipe lets the daemon finish.
 func TestStatuszAnswersWhileSinkIsStalled(t *testing.T) {
 	modelPath := filepath.Join(t.TempDir(), "model.json")
 	trainModelFile(t, modelPath)
@@ -58,7 +60,6 @@ func TestStatuszAnswersWhileSinkIsStalled(t *testing.T) {
 	d, stop = runDaemon(t, detectOptions{
 		modelPath: modelPath,
 		httpAddr:  "127.0.0.1:0",
-		shards:    1,
 	})
 	addr, httpAddr := d.srv.Addr(), d.http.Addr()
 
@@ -86,9 +87,8 @@ func TestStatuszAnswersWhileSinkIsStalled(t *testing.T) {
 	type status struct {
 		Processed uint64 `json:"processed"`
 		Anomalies int    `json:"anomalies"`
-		Shards    []struct {
-			Fed uint64 `json:"fed"`
-		} `json:"shards"`
+		QueueLen  int    `json:"queue_len"`
+		Pending   int    `json:"pending"`
 	}
 	client := &http.Client{Timeout: 2 * time.Second}
 	get := func() (status, time.Duration) {
@@ -115,8 +115,8 @@ func TestStatuszAnswersWhileSinkIsStalled(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		doc, took := get()
 		best = min(best, took)
-		if doc.Processed != flows+1 || len(doc.Shards) != 1 || doc.Shards[0].Fed >= doc.Processed {
-			t.Fatalf("/statusz with the sink stalled: %+v; want %d processed and the shard short of it, mid-frame", doc, flows+1)
+		if doc.Processed != flows+1 || doc.QueueLen != 0 || doc.Pending == 1 {
+			t.Fatalf("/statusz with the sink stalled: %+v; want %d processed, nothing queued and the closing frame unfinished", doc, flows+1)
 		}
 	}
 	if best > 100*time.Millisecond {
@@ -181,7 +181,7 @@ func TestDaemonEarlyErrorsReleaseEverything(t *testing.T) {
 		{"missing model after a store opened", detectOptions{modelPath: filepath.Join(dir, "nope.json"), storeDir: filepath.Join(dir, "models")}, "no such file", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.opts.listen, tc.opts.shards = port0, 1
+			tc.opts.listen = port0
 			baseline := runtime.NumGoroutine()
 			var err error
 			out := stdoutOf(t, func() {
@@ -234,7 +234,7 @@ func TestDaemonEarlyErrorsReleaseEverything(t *testing.T) {
 func TestDaemonCloseTwice(t *testing.T) {
 	modelPath := filepath.Join(t.TempDir(), "model.json")
 	trainModelFile(t, modelPath)
-	d, err := start(logpoint.NewDictionary(), detectOptions{listen: "127.0.0.1:0", modelPath: modelPath, httpAddr: "127.0.0.1:0", shards: 1})
+	d, err := start(logpoint.NewDictionary(), detectOptions{listen: "127.0.0.1:0", modelPath: modelPath, httpAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

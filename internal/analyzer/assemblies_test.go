@@ -17,10 +17,10 @@ import (
 
 // The equivalence proofs of the analyzer package are one table: every way
 // this package assembles a verdict out of a stream — a detector, restored
-// from a checkpoint or not, an engine fed per group or by batch at any shard
-// count, restarted, handing groups to another engine, swapping its model —
-// is a row, and every row is held to analyzertest.Spec over the corpus
-// streams, seed by seed. A row stops at its first failing seed and names it.
+// from a checkpoint or not, an engine fed per group or by batch, restarted,
+// handing groups to another engine, swapping its model — is a row, and
+// every row is held to analyzertest.Spec over the corpus streams, seed by
+// seed. A row stops at its first failing seed and names it.
 // Rows are grouped under the test that runs them (table is keyed by test
 // name); FuzzAssemblies runs all of them on arbitrary bytes.
 
@@ -50,14 +50,13 @@ func corpus(t *testing.T, n int64) []testCase {
 	return cases
 }
 
-// row is one assembly: how it is driven over a case, at how many shards
-// when it is an engine, and — when it swaps models — what the spec wants of
-// it instead of Want(a, stream).
+// row is one assembly: how it is driven over a case and — when it swaps
+// models — what the spec wants of it instead of Want(a, stream). A test with
+// one row runs it unnamed.
 type row struct {
-	name   string
-	shards int
-	run    func(tb testing.TB, c testCase, shards int) analyzertest.Outcome
-	want   func(c testCase) analyzertest.Outcome
+	name string
+	run  func(tb testing.TB, c testCase) analyzertest.Outcome
+	want func(c testCase) analyzertest.Outcome
 }
 
 func (r row) expect(c testCase) analyzertest.Outcome {
@@ -68,29 +67,17 @@ func (r row) expect(c testCase) analyzertest.Outcome {
 }
 
 var table = map[string][]row{
-	"TestDetectorRobustnessProperty":    {{"", 0, detector, nil}},
-	"TestCheckpointRestartEquivalence":  {{"", 0, detectorRestart, nil}},
-	"TestCheckpointIsNonDestructive":    {{"", 0, detectorCheckpointed, nil}},
-	"TestEngineAnomalySink":             {{"", 3, engineSink, nil}},
-	"TestEngineMatchesDetector":         perShards(engineFeed, nil),
-	"TestEngineFeedBatch":               perShards(engineBatch, nil),
-	"TestEngineCheckpointEquivalence":   append(perShards(engineRestart, nil), row{"detector", 4, engineToDetector, nil}),
-	"TestExportImportEquivalence":       perShards(engineHandoff, nil),
-	"TestEngineSwapModelEquivalence":    perShards(engineSwap, wantSwap),
-	"TestEngineSwapCheckpointRoundTrip": perShards(engineSwapRestart, wantSwap),
+	"TestDetectorRobustnessProperty":    {{"", detector, nil}},
+	"TestCheckpointRestartEquivalence":  {{"", detectorRestart, nil}},
+	"TestCheckpointIsNonDestructive":    {{"", detectorCheckpointed, nil}},
+	"TestEngineAnomalySink":             {{"", engineSink, nil}},
+	"TestEngineMatchesDetector":         {{"engine", engineFeed, nil}},
+	"TestEngineFeedBatch":               {{"engine", engineBatch, nil}},
+	"TestEngineCheckpointEquivalence":   {{"engine", engineRestart, nil}, {"detector", engineToDetector, nil}},
+	"TestExportImportEquivalence":       {{"engine", engineHandoff, nil}},
+	"TestEngineSwapModelEquivalence":    {{"engine", engineSwap, wantSwap}},
+	"TestEngineSwapCheckpointRoundTrip": {{"engine", engineSwapRestart, wantSwap}, {"detector", engineSwapToDetector, wantSwap}},
 }
-
-// perShards is one row per shard count, named for it. A row that restarts
-// or hands off moves to an engine of other(shards) shards.
-func perShards(run func(testing.TB, testCase, int) analyzertest.Outcome, want func(testCase) analyzertest.Outcome) []row {
-	var rows []row
-	for _, n := range []int{1, 2, 3, 4, 8, 65} {
-		rows = append(rows, row{fmt.Sprintf("shards=%d", n), n, run, want})
-	}
-	return rows
-}
-
-func other(shards int) int { return 1 + shards%3 }
 
 // holdToSpec runs the rows the table keeps for the calling test over the
 // cases, in seed order.
@@ -102,7 +89,7 @@ func holdToSpec(t *testing.T, cases []testCase) {
 	for _, r := range rows {
 		run := func(t *testing.T) {
 			for i, c := range cases {
-				analyzertest.Check(t, fmt.Sprintf("seed %d", i+1), r.expect(c), r.run(t, c, r.shards))
+				analyzertest.Check(t, fmt.Sprintf("seed %d", i+1), r.expect(c), r.run(t, c))
 			}
 		}
 		if r.name == "" {
@@ -156,7 +143,7 @@ func TestDetectorRobustnessProperty(t *testing.T) {
 	holdToSpec(t, cases)
 }
 
-func detector(_ testing.TB, c testCase, _ int) analyzertest.Outcome {
+func detector(_ testing.TB, c testCase) analyzertest.Outcome {
 	d := analyzer.NewDetector(c.a)
 	return observe(d, feed(d, c.stream))
 }
@@ -165,7 +152,7 @@ func detector(_ testing.TB, c testCase, _ int) analyzertest.Outcome {
 // restored in a fresh one decides what an uninterrupted run decides.
 func TestCheckpointRestartEquivalence(t *testing.T) { holdToSpec(t, corpus(t, 300)) }
 
-func detectorRestart(tb testing.TB, c testCase, _ int) analyzertest.Outcome {
+func detectorRestart(tb testing.TB, c testCase) analyzertest.Outcome {
 	d := analyzer.NewDetector(c.a)
 	out := feed(d, c.stream[:c.cut])
 	d = restore(tb, d)
@@ -176,7 +163,7 @@ func detectorRestart(tb testing.TB, c testCase, _ int) analyzertest.Outcome {
 // the detector that keeps feeding.
 func TestCheckpointIsNonDestructive(t *testing.T) { holdToSpec(t, corpus(t, 300)) }
 
-func detectorCheckpointed(tb testing.TB, c testCase, _ int) analyzertest.Outcome {
+func detectorCheckpointed(tb testing.TB, c testCase) analyzertest.Outcome {
 	d := analyzer.NewDetector(c.a)
 	out := feed(d, c.stream[:c.cut])
 	restore(tb, d)
@@ -188,8 +175,8 @@ func detectorCheckpointed(tb testing.TB, c testCase, _ int) analyzertest.Outcome
 // interleaving left to the scheduler — decides what the detector decides.
 func TestEngineMatchesDetector(t *testing.T) { holdToSpec(t, corpus(t, 50)) }
 
-func engineFeed(_ testing.TB, c testCase, shards int) analyzertest.Outcome {
-	e := newEngine(c.a, shards)
+func engineFeed(_ testing.TB, c testCase) analyzertest.Outcome {
+	e := newEngine(c.a)
 	defer e.Close()
 	feedPerGroup(e, c.stream)
 	return analyzertest.FlushEngines(nil, e)
@@ -199,8 +186,8 @@ func engineFeed(_ testing.TB, c testCase, shards int) analyzertest.Outcome {
 // same, and FeedBatch leaves each lent slice as it was.
 func TestEngineFeedBatch(t *testing.T) { holdToSpec(t, corpus(t, 50)) }
 
-func engineBatch(tb testing.TB, c testCase, shards int) analyzertest.Outcome {
-	e := newEngine(c.a, shards)
+func engineBatch(tb testing.TB, c testCase) analyzertest.Outcome {
+	e := newEngine(c.a)
 	defer e.Close()
 	for rest := c.stream; len(rest) > 0; {
 		batch := rest[:min(len(rest), 1+len(rest)%61)]
@@ -218,10 +205,10 @@ func engineBatch(tb testing.TB, c testCase, shards int) analyzertest.Outcome {
 // close, and Drain and Flush return none.
 func TestEngineAnomalySink(t *testing.T) { holdToSpec(t, corpus(t, 50)) }
 
-func engineSink(tb testing.TB, c testCase, shards int) analyzertest.Outcome {
+func engineSink(tb testing.TB, c testCase) analyzertest.Outcome {
 	var mu sync.Mutex
 	var sunk []analyzer.Anomaly
-	e := newEngine(c.a, shards, analyzer.WithAnomalySink(func(batch []analyzer.Anomaly) {
+	e := newEngine(c.a, analyzer.WithAnomalySink(func(batch []analyzer.Anomaly) {
 		mu.Lock()
 		sunk = append(sunk, batch...)
 		mu.Unlock()
@@ -237,23 +224,22 @@ func engineSink(tb testing.TB, c testCase, shards int) analyzertest.Outcome {
 }
 
 // TestEngineCheckpointEquivalence: an engine checkpointed at the cut
-// resumes, invisibly, on an engine of another shard count or on a detector —
-// the engine writes the one checkpoint format.
+// resumes, invisibly, on a fresh engine or on a detector — the engine writes
+// the one checkpoint format.
 func TestEngineCheckpointEquivalence(t *testing.T) { holdToSpec(t, corpus(t, 50)) }
 
-func engineRestart(tb testing.TB, c testCase, shards int) analyzertest.Outcome {
-	e := newEngine(c.a, shards)
+func engineRestart(tb testing.TB, c testCase) analyzertest.Outcome {
+	e := newEngine(c.a)
 	defer e.Close()
 	feedPerGroup(e, c.stream[:c.cut])
-	d := restore(tb, e)
-	r := analyzer.NewEngineFromDetector(d, analyzer.WithShards(other(shards)), analyzer.WithShardQueue(8))
+	r := analyzer.NewEngineFromDetector(restore(tb, e), analyzer.WithShardQueue(8))
 	defer r.Close()
 	feedPerGroup(r, c.stream[c.cut:])
 	return analyzertest.FlushEngines(e.Drain(), r)
 }
 
-func engineToDetector(tb testing.TB, c testCase, shards int) analyzertest.Outcome {
-	e := newEngine(c.a, shards)
+func engineToDetector(tb testing.TB, c testCase) analyzertest.Outcome {
+	e := newEngine(c.a)
 	defer e.Close()
 	feedPerGroup(e, c.stream[:c.cut])
 	d := restore(tb, e)
@@ -265,8 +251,8 @@ func engineToDetector(tb testing.TB, c testCase, shards int) analyzertest.Outcom
 // on; the two engines together decide what one would.
 func TestExportImportEquivalence(t *testing.T) { holdToSpec(t, corpus(t, 50)) }
 
-func engineHandoff(tb testing.TB, c testCase, shards int) analyzertest.Outcome {
-	from, to := newEngine(c.a, shards), newEngine(c.a, other(shards))
+func engineHandoff(tb testing.TB, c testCase) analyzertest.Outcome {
+	from, to := newEngine(c.a), newEngine(c.a)
 	defer from.Close()
 	defer to.Close()
 	feedPerGroup(from, c.stream[:c.cut])
@@ -310,8 +296,8 @@ func wantSwap(c testCase) analyzertest.Outcome {
 	return spec.Observe(append(out, spec.Flush()...))
 }
 
-func engineSwap(_ testing.TB, c testCase, shards int) analyzertest.Outcome {
-	e := newEngine(c.a, shards)
+func engineSwap(_ testing.TB, c testCase) analyzertest.Outcome {
+	e := newEngine(c.a)
 	defer e.Close()
 	feedPerGroup(e, c.stream[:c.cut])
 	early := e.SwapModel(c.b)
@@ -320,22 +306,35 @@ func engineSwap(_ testing.TB, c testCase, shards int) analyzertest.Outcome {
 }
 
 // TestEngineSwapCheckpointRoundTrip: a checkpoint written after a swap
-// carries the new model, and the engine restored from it goes on where the
-// swapped one stopped.
+// carries the new model, and the engine or detector restored from it goes
+// on where the swapped one stopped.
 func TestEngineSwapCheckpointRoundTrip(t *testing.T) { holdToSpec(t, corpus(t, 50)) }
 
-func engineSwapRestart(tb testing.TB, c testCase, shards int) analyzertest.Outcome {
+// swapThenCheckpoint feeds c up to its cut, swaps to model b, feeds on to
+// mid and checkpoints; it returns the anomalies reported so far, the
+// detector read back from the checkpoint and where the stream resumes.
+func swapThenCheckpoint(tb testing.TB, c testCase) ([]analyzer.Anomaly, *analyzer.Detector, int) {
 	mid := c.cut + (len(c.stream)-c.cut)/2
-	e := newEngine(c.a, shards)
+	e := newEngine(c.a)
 	defer e.Close()
 	feedPerGroup(e, c.stream[:c.cut])
 	early := e.SwapModel(c.b)
 	feedPerGroup(e, c.stream[c.cut:mid])
 	d := restore(tb, e)
-	r := analyzer.NewEngineFromDetector(d, analyzer.WithShards(other(shards)), analyzer.WithShardQueue(8))
+	return append(early, e.Drain()...), d, mid
+}
+
+func engineSwapRestart(tb testing.TB, c testCase) analyzertest.Outcome {
+	early, d, mid := swapThenCheckpoint(tb, c)
+	r := analyzer.NewEngineFromDetector(d, analyzer.WithShardQueue(8))
 	defer r.Close()
 	feedPerGroup(r, c.stream[mid:])
-	return analyzertest.FlushEngines(append(early, e.Drain()...), r)
+	return analyzertest.FlushEngines(early, r)
+}
+
+func engineSwapToDetector(tb testing.TB, c testCase) analyzertest.Outcome {
+	early, d, mid := swapThenCheckpoint(tb, c)
+	return observe(d, append(early, feed(d, c.stream[mid:])...))
 }
 
 // FuzzAssemblies runs every row of the table on a stream decoded from
@@ -355,7 +354,7 @@ func FuzzAssemblies(f *testing.F) {
 		c := newCase(a, b, stream, int(cut)%(len(stream)+1))
 		for _, test := range tests {
 			for _, r := range table[test] {
-				analyzertest.Check(t, test+"/"+r.name, r.expect(c), r.run(t, c, r.shards))
+				analyzertest.Check(t, test+"/"+r.name, r.expect(c), r.run(t, c))
 			}
 		}
 	})
@@ -394,9 +393,9 @@ func restore(tb testing.TB, from checkpointer) *analyzer.Detector {
 	return d
 }
 
-// newEngine queues at most 8 messages a shard, so feeders meet backpressure.
-func newEngine(model *analyzer.Model, shards int, opts ...analyzer.EngineOption) *analyzer.Engine {
-	return analyzer.NewEngine(model, append(opts, analyzer.WithShards(shards), analyzer.WithShardQueue(8))...)
+// newEngine queues at most 8 messages, so feeders meet backpressure.
+func newEngine(model *analyzer.Model, opts ...analyzer.EngineOption) *analyzer.Engine {
+	return analyzer.NewEngine(model, append(opts, analyzer.WithShardQueue(8))...)
 }
 
 // feedPerGroup feeds each (host, stage) group's records in stream order

@@ -93,9 +93,7 @@ func decodeSynopses(in []string) ([]*synopsis.Synopsis, error) {
 }
 
 // windowsJSON snapshots the detector's open windows in deterministic (host,
-// stage) order. The engine reuses this per shard and merges the sections:
-// group keys are unique across shards, so concatenating per-shard sections
-// and sorting yields exactly a single detector's checkpoint layout.
+// stage) order.
 func (d *Detector) windowsJSON() []windowJSON {
 	out := make([]windowJSON, 0, len(d.open))
 	for _, k := range d.openKeys() {

@@ -204,7 +204,7 @@ type sigWindow struct {
 // NewDetector returns a detector for the trained model. The model's
 // configuration governs windows and significance. The model must not be
 // mutated afterwards: its signature interning index is built here and
-// shared read-only (including across engine shards).
+// shared read-only (including with every other detector on the model).
 func NewDetector(model *Model) *Detector {
 	model.ensureIndex()
 	return &Detector{
@@ -234,7 +234,7 @@ func (d *Detector) SetRetainCopy(on bool) { d.retainCopy = on }
 // it, so callers need no separate model file. The copy is defensive:
 // lifecycle code (retraining, stores, admin endpoints) can inspect or even
 // mutate the returned model without perturbing the serving state, whose
-// interning index is shared read-only across engine shards.
+// interning index is shared read-only with every detector on the model.
 func (d *Detector) Model() *Model { return d.model.Clone() }
 
 // PendingTasks returns the number of tasks observed in still-open windows —

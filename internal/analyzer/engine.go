@@ -3,7 +3,6 @@ package analyzer
 import (
 	"cmp"
 	"io"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -16,14 +15,13 @@ import (
 	"saad/internal/trace"
 )
 
-// Engine is the sharded concurrent analyzer: it routes synopses across N
-// shard workers by hashing the (host, stage) group key, each worker owning
-// a private single-threaded Detector core. Because a group lives wholly on
-// one shard and each shard consumes its bounded queue in FIFO order, every
-// window sees exactly the synopses — in exactly the order — a single
-// Detector would have seen, so detection semantics are bit-identical; the
-// merge step sorts anomalies and window history into a canonical order so
-// output is reproducible regardless of shard interleaving.
+// Engine is the concurrent analyzer: any number of goroutines feed it, and
+// one worker goroutine owns a single-threaded Detector core behind a bounded
+// FIFO queue. The queue keeps every feeder's order, so every window sees
+// exactly the synopses — in exactly the order — a Detector fed the same
+// stream would have seen; Drain and Flush sort anomalies, and WindowHistory
+// the closed windows, into a canonical order so output is reproducible
+// whatever the feeders' interleaving.
 //
 // Concurrency contract: Feed, FeedBatch and Emit are safe from any number
 // of goroutines. The control-plane methods (Model, SwapModel, Drain, Flush,
@@ -31,14 +29,14 @@ import (
 // internal mutex, so they too are safe from any goroutine — an
 // auto-promoted SwapModel from a stream handler cannot interleave with a
 // checkpoint tick. Quiescent ones (Flush, Close) should still run only
-// after feeders have stopped or between their calls — the engine briefly
-// parks every shard, so a concurrent feeder would only block, not corrupt,
-// but the snapshot would be ambiguous. The readers an operator polls (Fed,
-// ShardStats, LateSynopses) take no lock and queue nothing: they answer
-// while a worker is busy or stuck.
+// after feeders have stopped or between their calls — a concurrent feeder
+// would only queue behind them, not corrupt anything, but the snapshot
+// would be ambiguous. The readers an operator polls (Fed, ShardStats,
+// LateSynopses) take no lock and queue nothing: they answer while the
+// worker is busy or stuck.
 //
-// Overload has one answer: a full shard queue blocks the feeder (DESIGN
-// §14), so nothing offered is ever dropped and Fed counts all of it.
+// Overload has one answer: a full queue blocks the feeder (DESIGN §14), so
+// nothing offered is ever dropped and Fed counts all of it.
 //
 // What holds the contract (DESIGN §11): every field two goroutines touch is
 // a sync/atomic type (go vet's copylocks refuses a copy; the -race run of
@@ -48,95 +46,78 @@ import (
 // against a blocked sink (TestShardCountsAnswerWhileSinkBlocks).
 type Engine struct {
 	// ctl serializes the control-plane methods against each other; model is
-	// only read or written with ctl held (the shard data path never touches
-	// it — each core holds its own reference).
+	// only read or written with ctl held (the worker never touches it — the
+	// core holds its own reference).
 	ctl    sync.Mutex
 	model  *Model
-	shards []*shard
-	mask   uint32 // len(shards)-1 when power of two, else 0 and mod is used
 	closed atomic.Bool
 
-	// fed counts synopses accepted by Feed/FeedBatch/Emit across shards.
+	// fed counts synopses accepted by Feed/FeedBatch/Emit.
 	fed atomic.Uint64
 
-	// anomalies buffers what closed windows emitted between Drain calls,
-	// collected under quiesce so no lock is needed.
-	anomalies []Anomaly
+	ch   chan workerMsg
+	done chan struct{}
+	// core is owned by the worker goroutine; control functions reach it on
+	// the worker (quiesce), and after Close on the caller.
+	core *Detector
+	// out buffers what closed windows emitted between Drain calls; only the
+	// worker appends, only control functions consume.
+	out []Anomaly
+
+	// observed (synopses the core consumed), late (of those, dropped as
+	// late) and pending (tasks in the core's open windows) are the counts as
+	// of the last message the worker finished: it publishes them once per
+	// message, so ShardStats and LateSynopses read them without queueing
+	// anything behind a worker that may be stuck in the anomaly sink.
+	observed, late atomic.Uint64
+	pending        atomic.Int64
 
 	sink   func([]Anomaly)
 	m      *metrics.AnalyzerMetrics
 	tracer *trace.Tracer
+	// flight is the engine's flight-recorder ring (nil when tracing is off):
+	// the worker records sampled arrivals, the core window opens/closes and
+	// late drops.
+	flight *trace.FlightRing
+
+	// The worker's series of the per-shard metric families, under shard "0";
+	// nil without a metrics bundle.
+	synopses  *metrics.Counter
+	busy      *metrics.Counter
+	overflows *metrics.Counter
+	depth     *metrics.Gauge
 
 	// release, when set, is called exactly once for every synopsis the
-	// engine is done with, after its shard observed it. Cores run in
+	// engine is done with, after the core observed it. The core runs in
 	// clone-on-retain mode so no example kept for an anomaly report aliases
 	// a released (and possibly recycled) synopsis.
 	release func(*synopsis.Synopsis)
 	// releaseBatch, when set, replaces per-record release for whole batch
 	// messages: one call recycles the batch under a single free-list lock.
 	releaseBatch func([]*synopsis.Synopsis)
-
-	queueCap int
 }
 
-// shard is one worker: a bounded FIFO queue in front of a private core.
-type shard struct {
-	ch   chan shardMsg
-	core *Detector // owned by the worker goroutine between control ops
-	done chan struct{}
-
-	// out accumulates anomalies emitted by the core between drains; only
-	// the worker goroutine appends, only control fns (on-worker) consume.
-	out []Anomaly
-	// nfed (synopses the core consumed), late (of those, dropped as late)
-	// and pending (tasks in the core's open windows) are the shard's counts
-	// as of the last message its worker finished: the worker publishes them
-	// once per message, so ShardStats and LateSynopses read them without
-	// queueing anything behind a worker that may be stuck in the anomaly
-	// sink.
-	nfed, late atomic.Uint64
-	pending    atomic.Int64
-
-	fed       *metrics.Counter
-	busy      *metrics.Counter
-	overflows *metrics.Counter
-	depth     *metrics.Gauge
-
-	// flight is the shard's flight-recorder ring (nil when tracing is off);
-	// the worker goroutine records sampled arrivals, the core records window
-	// opens/closes and late drops.
-	flight *trace.FlightRing
-}
-
-// shardMsg carries either synopses or a control function through the same
-// FIFO channel; a control function therefore runs after everything queued
-// before it, with exclusive access to the shard's core. Every shard channel
-// holds queueCap of these, so the struct stays at 48 bytes: the control
-// fields, which data messages never set, share one pointer.
-type shardMsg struct {
+// workerMsg carries one synopsis, one FeedBatch call's records or a control
+// function through the one FIFO queue; a control function therefore runs
+// after everything queued before it, with exclusive access to the core.
+type workerMsg struct {
 	syn *synopsis.Synopsis
-	// batch is one shard's region of buf, FeedBatch's recycled backing
-	// array; the two are set together.
-	batch []*synopsis.Synopsis
-	buf   *feedBuf
-	ctl   *control
+	buf *feedBuf
+	ctl *control
 }
 
 // control is a control message's payload: cmd runs on the worker, which
 // then signals done when it is set.
 type control struct {
-	cmd  func(core *Detector)
+	cmd  func()
 	done chan<- struct{}
 }
 
-// feedBuf is the backing array of one FeedBatch call, cut into per-shard
-// regions. It is recycled rather than garbage: refs counts the regions
-// still queued or being observed (plus the feeder while it queues them),
-// and whoever drops the last reference returns the buffer, every slot nil
-// again, to feedBufs.
+// feedBuf holds the records of one FeedBatch call, copied out of the
+// caller's slice, until the worker has observed them; the worker then
+// returns it, every slot nil again, to feedBufs.
 type feedBuf struct {
 	recs []*synopsis.Synopsis
-	refs atomic.Int32
 }
 
 // feedBufs holds idle feed buffers for every engine in the process. A
@@ -145,7 +126,7 @@ type feedBuf struct {
 // measurement).
 var feedBufs = sync.Pool{New: func() any { return new(feedBuf) }}
 
-// getFeedBuf returns an idle buffer of at least n slots, all nil.
+// getFeedBuf returns an idle buffer of n slots, all nil.
 func getFeedBuf(n int) *feedBuf {
 	fb := feedBufs.Get().(*feedBuf)
 	if cap(fb.recs) < n {
@@ -153,24 +134,20 @@ func getFeedBuf(n int) *feedBuf {
 		// being re-made for each.
 		fb.recs = make([]*synopsis.Synopsis, max(n, 2*cap(fb.recs)))
 	}
+	fb.recs = fb.recs[:n]
 	return fb
 }
 
-// done drops one reference. A worker passes the region it is finished with,
-// whose records the buffer must forget if the release hook has not already
-// cleared them; the feeder passes nil.
-func (fb *feedBuf) done(region []*synopsis.Synopsis) {
-	clear(region)
-	if fb.refs.Add(-1) == 0 {
-		feedBufs.Put(fb)
-	}
+// put forgets the buffer's records and returns it to feedBufs.
+func (fb *feedBuf) put() {
+	clear(fb.recs)
+	feedBufs.Put(fb)
 }
 
 // EngineOption configures NewEngine.
 type EngineOption func(*engineOptions)
 
 type engineOptions struct {
-	shards       int
 	queueCap     int
 	metrics      *metrics.AnalyzerMetrics
 	sink         func([]Anomaly)
@@ -179,12 +156,7 @@ type engineOptions struct {
 	releaseBatch func([]*synopsis.Synopsis)
 }
 
-// WithShards sets the shard count; n < 1 selects GOMAXPROCS.
-func WithShards(n int) EngineOption {
-	return func(o *engineOptions) { o.shards = n }
-}
-
-// WithShardQueue sets each shard's queue capacity (default 1024). A feeder
+// WithShardQueue sets the worker's queue capacity (default 1024). A feeder
 // hitting a full queue blocks (backpressure) and the overflow counter
 // increments.
 func WithShardQueue(n int) EngineOption {
@@ -192,36 +164,37 @@ func WithShardQueue(n int) EngineOption {
 }
 
 // WithEngineMetrics attaches a metrics bundle: shared detector families
-// plus the per-shard queue depth, busy time, throughput and overflow
-// series.
+// plus the worker's queue depth, busy time, throughput and overflow series
+// (labelled shard "0").
 func WithEngineMetrics(m *metrics.AnalyzerMetrics) EngineOption {
 	return func(o *engineOptions) { o.metrics = m }
 }
 
 // WithAnomalySink routes every anomaly batch a closed window produces to
-// fn, called from shard worker goroutines (fn must be safe for concurrent
-// use). Without a sink, anomalies buffer inside the engine until Drain or
-// Flush. With a sink they are delivered immediately — in the shard's
-// deterministic per-window order — and Drain returns nothing.
+// fn, called from the worker goroutine. Without a sink, anomalies buffer
+// inside the engine until Drain or Flush. With a sink they are delivered
+// immediately — in the detector's deterministic per-window order — and
+// Drain returns nothing.
 func WithAnomalySink(fn func([]Anomaly)) EngineOption {
 	return func(o *engineOptions) { o.sink = fn }
 }
 
 // WithEngineTracer attaches pipeline tracing: sampled synopsis spans get
 // their Enqueue/Detect/Done stamps and are published to the tracer on
-// completion, and each shard records flight-recorder events (arrivals,
-// window opens/closes, late drops, model swaps) to its ring. A nil tracer
-// (the default) reduces every touch point to one nil check.
+// completion, and the worker records flight-recorder events (arrivals,
+// window opens/closes, late drops, model swaps) to the tracer's engine
+// ring. A nil tracer (the default) reduces every touch point to one nil
+// check.
 func WithEngineTracer(t *trace.Tracer) EngineOption {
 	return func(o *engineOptions) { o.tracer = t }
 }
 
 // WithSynopsisRelease registers fn as the engine's synopsis free-list hook
 // (typically synopsis.Pool.Put): it is called exactly once per fed synopsis,
-// on the shard worker after the core observed it, so a zero-allocation
-// receive path can recycle record structs. The engine automatically switches
-// its detector cores to clone-on-retain: any synopsis kept as an anomaly
-// example is deep-copied first, so recycling can never corrupt a report.
+// on the worker after the core observed it, so a zero-allocation receive
+// path can recycle record structs. The engine automatically switches its
+// detector core to clone-on-retain: any synopsis kept as an anomaly example
+// is deep-copied first, so recycling can never corrupt a report.
 func WithSynopsisRelease(fn func(*synopsis.Synopsis)) EngineOption {
 	return func(o *engineOptions) { o.release = fn }
 }
@@ -237,47 +210,41 @@ func WithSynopsisReleaseBatch(fn func([]*synopsis.Synopsis)) EngineOption {
 }
 
 // NewEngine returns a running engine for the trained model. The model must
-// not be mutated afterwards (its interning index is shared read-only by
-// every shard).
+// not be mutated afterwards (its interning index is shared read-only).
 func NewEngine(model *Model, opts ...EngineOption) *Engine {
-	e, _ := newEngine(model, opts...)
-	return e
+	return newEngine(NewDetector(model), opts...)
 }
 
-func newEngine(model *Model, opts ...EngineOption) (*Engine, *engineOptions) {
+// newEngine starts the worker on core, which it owns from then on.
+func newEngine(core *Detector, opts ...EngineOption) *Engine {
 	o := engineOptions{queueCap: 1024}
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.shards < 1 {
-		o.shards = runtime.GOMAXPROCS(0)
 	}
 	if o.queueCap < 1 {
 		o.queueCap = 1
 	}
 	e := &Engine{
-		model:    model,
-		shards:   make([]*shard, o.shards),
-		sink:     o.sink,
-		m:        o.metrics,
-		tracer:   o.tracer,
-		release:  o.release,
-		queueCap: o.queueCap,
+		model:        core.model,
+		ch:           make(chan workerMsg, o.queueCap),
+		done:         make(chan struct{}),
+		core:         core,
+		sink:         o.sink,
+		m:            o.metrics,
+		tracer:       o.tracer,
+		release:      o.release,
+		releaseBatch: o.releaseBatch,
 	}
-	e.releaseBatch = o.releaseBatch
 	// Given one hook, derive the other: the worker releases whole batch
 	// messages through releaseBatch and single-record feeds through release,
-	// exactly once either way.
+	// exactly once either way. Only the worker calls either.
 	switch {
 	case e.release == nil && e.releaseBatch != nil:
 		rb := e.releaseBatch
 		one := make([]*synopsis.Synopsis, 1)
-		var mu sync.Mutex
 		e.release = func(s *synopsis.Synopsis) {
-			mu.Lock()
 			one[0] = s
 			rb(one)
-			mu.Unlock()
 		}
 	case e.releaseBatch == nil && e.release != nil:
 		r := e.release
@@ -287,41 +254,30 @@ func newEngine(model *Model, opts ...EngineOption) (*Engine, *engineOptions) {
 			}
 		}
 	}
-	if o.shards&(o.shards-1) == 0 {
-		e.mask = uint32(o.shards - 1)
+	if m := o.metrics; m != nil {
+		e.synopses = m.ShardSynopses.With("0")
+		e.busy = m.ShardBusyNanos.With("0")
+		e.overflows = m.ShardOverflows.With("0")
+		e.depth = m.ShardQueueDepth.With("0")
+		core.SetMetrics(m)
 	}
-	for i := range e.shards {
-		sh := &shard{
-			ch:   make(chan shardMsg, o.queueCap),
-			core: NewDetector(model),
-			done: make(chan struct{}),
-		}
-		if m := o.metrics; m != nil {
-			label := strconv.Itoa(i)
-			sh.fed = m.ShardSynopses.With(label)
-			sh.busy = m.ShardBusyNanos.With(label)
-			sh.overflows = m.ShardOverflows.With(label)
-			sh.depth = m.ShardQueueDepth.With(label)
-			sh.core.SetMetrics(m)
-		}
-		if t := o.tracer; t != nil {
-			sh.flight = t.ShardRing(i)
-			sh.core.SetFlight(sh.flight)
-		}
-		if e.release != nil {
-			sh.core.SetRetainCopy(true)
-		}
-		e.shards[i] = sh
-		go e.run(sh)
+	if t := o.tracer; t != nil {
+		e.flight = t.EngineRing()
+		core.SetFlight(e.flight)
 	}
-	return e, &o
+	if e.release != nil {
+		core.SetRetainCopy(true)
+	}
+	e.publish(0) // a restored core's late and open-task counts, readable at once
+	go e.run()
+	return e
 }
 
-// run is the shard worker loop: it owns the core until the channel closes.
-func (e *Engine) run(sh *shard) {
-	defer close(sh.done)
-	timed := sh.busy != nil
-	for msg := range sh.ch {
+// run is the worker loop: it owns the core until the channel closes.
+func (e *Engine) run() {
+	defer close(e.done)
+	timed := e.busy != nil
+	for msg := range e.ch {
 		var start time.Time
 		fed := 0
 		if timed {
@@ -332,71 +288,72 @@ func (e *Engine) run(sh *shard) {
 		switch {
 		case msg.syn != nil:
 			fed = 1
-			sh.observe(e, msg.syn)
+			e.observe(msg.syn)
 			if e.release != nil {
 				e.release(msg.syn)
 			}
-		case msg.batch != nil:
-			fed = len(msg.batch)
-			for _, s := range msg.batch {
-				sh.observe(e, s)
+		case msg.buf != nil:
+			recs := msg.buf.recs
+			fed = len(recs)
+			for _, s := range recs {
+				e.observe(s)
 			}
 			if e.releaseBatch != nil {
-				e.releaseBatch(msg.batch)
+				e.releaseBatch(recs[:fed:fed])
 			}
-			msg.buf.done(msg.batch)
+			msg.buf.put()
 		case msg.ctl != nil:
-			msg.ctl.cmd(sh.core)
+			msg.ctl.cmd()
 		}
 		if timed {
-			sh.busy.Add(uint64(time.Since(start)))
-			sh.depth.Set(float64(len(sh.ch)))
+			e.busy.Add(uint64(time.Since(start)))
+			e.depth.Set(float64(len(e.ch)))
 		}
 		// Before done is signalled: whoever waited on a control message
 		// reads counts that include it.
-		sh.publish(fed)
+		e.publish(fed)
 		if msg.ctl != nil && msg.ctl.done != nil {
 			msg.ctl.done <- struct{}{}
 		}
 	}
 }
 
-// publish adds fed to the shard's consumed count and copies the core's late
-// and open-task counts to where ShardStats and LateSynopses read them. Only
-// the goroutine that owns the core calls it.
-func (sh *shard) publish(fed int) {
-	sh.nfed.Add(uint64(fed))
-	sh.late.Store(sh.core.late)
-	sh.pending.Store(int64(sh.core.pending))
+// publish adds fed to the consumed count and copies the core's late and
+// open-task counts to where ShardStats and LateSynopses read them. Only the
+// goroutine that owns the core calls it.
+func (e *Engine) publish(fed int) {
+	e.observed.Add(uint64(fed))
+	e.late.Store(e.core.late)
+	e.pending.Store(int64(e.core.pending))
 }
 
-func (sh *shard) observe(e *Engine, s *synopsis.Synopsis) {
-	sh.fed.Inc()
+func (e *Engine) observe(s *synopsis.Synopsis) {
+	e.synopses.Inc()
 	if sp := s.Trace; sp != nil {
 		sp.Detect = time.Now().UnixNano()
 	}
-	if out := sh.core.Feed(s); len(out) > 0 {
+	if out := e.core.Feed(s); len(out) > 0 {
 		if e.sink != nil {
 			e.sink(out)
 		} else {
-			sh.out = append(sh.out, out...)
+			e.out = append(e.out, out...)
 		}
 	}
 	if sp := s.Trace; sp != nil {
-		e.traceDone(sh, sp)
+		e.traceDone(sp)
 	}
 }
 
 // traceDone finishes a sampled span after the detector's verdict: it stamps
-// Done, records the arrival in the shard's flight ring, publishes the span
-// (now immutable) to the tracer, and observes the end-to-end detection
-// latency histogram for the span's stage. It runs on the shard worker
-// goroutine and is deliberately not a hot-path function: it executes once
-// per SAMPLED synopsis, so wall-clock reads and the label lookup are off
-// the unsampled fast path entirely.
-func (e *Engine) traceDone(sh *shard, sp *trace.Span) {
+// Done, records the arrival in the flight ring, publishes the span (now
+// immutable) to the tracer, and observes the end-to-end detection latency
+// histogram for the span's stage. It runs on the worker goroutine and is
+// deliberately not a hot-path function: it executes once per SAMPLED
+// synopsis, so wall-clock reads and the label lookup are off the unsampled
+// fast path entirely.
+func (e *Engine) traceDone(sp *trace.Span) {
 	sp.Done = time.Now().UnixNano()
-	sh.flight.Record(trace.EventSynopsis, sp.Stage, sp.Host, sp.TaskID, uint64(sp.QueueWait()))
+	e.flight.Record(trace.EventSynopsis, sp.Stage, sp.Host, sp.TaskID, uint64(sp.QueueWait()))
 	e.tracer.SpanDone(sp)
 	if m := e.m; m != nil && m.DetectionLatency != nil {
 		if total := sp.Total(); total > 0 {
@@ -405,55 +362,37 @@ func (e *Engine) traceDone(sh *shard, sp *trace.Span) {
 	}
 }
 
-// shardFor hashes the (host, stage) group key to a shard. Any group maps
-// to exactly one shard, preserving per-group FIFO order.
-func (e *Engine) shardFor(s *synopsis.Synopsis) *shard {
-	return e.shards[e.shardIndex(s.Host, s.Stage)]
-}
-
-// shardIndex is the routing hash (a Fibonacci/murmur-style mix of the two
-// key halves): checkpoint adoption must partition state with exactly the
-// same function that routes live synopses.
-func (e *Engine) shardIndex(host uint16, stage logpoint.StageID) int {
-	h := (uint32(host)+1)*0x9E3779B1 ^ (uint32(stage)+1)*0x85EBCA77
-	h ^= h >> 16
-	if e.mask != 0 || len(e.shards) == 1 {
-		return int(h & e.mask)
-	}
-	return int(h % uint32(len(e.shards)))
-}
-
 // send enqueues with backpressure: a full queue blocks the feeder and is
-// counted as an overflow (the signal to raise -shards or the queue size).
-func (e *Engine) send(sh *shard, msg shardMsg) {
+// counted as an overflow — the worker is behind what is offered.
+func (e *Engine) send(msg workerMsg) {
 	select {
-	case sh.ch <- msg:
+	case e.ch <- msg:
 	default:
-		sh.overflows.Inc()
-		sh.ch <- msg
+		e.overflows.Inc()
+		e.ch <- msg
 	}
-	if sh.depth != nil {
-		sh.depth.Set(float64(len(sh.ch)))
+	if e.depth != nil {
+		e.depth.Set(float64(len(e.ch)))
 	}
 }
 
-// Feed routes one synopsis to its shard. Safe for concurrent use. Unlike
-// Detector.Feed it returns nothing: anomalies surface via Drain, Flush, or
-// the WithAnomalySink callback.
+// Feed queues one synopsis. Safe for concurrent use. Unlike Detector.Feed it
+// returns nothing: anomalies surface via Drain, Flush, or the
+// WithAnomalySink callback.
 //
-// Feed queues the record itself (shardMsg's syn arm) rather than partition a
-// one-element batch: on the embedded workload that partition cost ≈ 45% more
-// CPU per synopsis (DESIGN §15).
+// Feed queues the record itself (workerMsg's syn arm) rather than a
+// one-record batch: on the embedded workload routing it as a batch cost
+// ≈ 45% more CPU per synopsis (DESIGN §15).
 func (e *Engine) Feed(s *synopsis.Synopsis) {
 	e.fed.Add(1)
 	if sp := s.Trace; sp != nil {
 		sp.Enqueue = time.Now().UnixNano()
 	}
-	e.send(e.shardFor(s), shardMsg{syn: s})
+	e.send(workerMsg{syn: s})
 }
 
-// stampEnqueue marks a sampled span's hand-over to its shard queue; *now
-// caches the one clock read a whole batch shares.
+// stampEnqueue marks a sampled span's hand-over to the queue; *now caches
+// the one clock read a whole batch shares.
 func stampEnqueue(s *synopsis.Synopsis, now *int64) {
 	if sp := s.Trace; sp != nil {
 		if *now == 0 {
@@ -463,63 +402,23 @@ func stampEnqueue(s *synopsis.Synopsis, now *int64) {
 	}
 }
 
-// FeedBatch routes a batch, partitioning it per shard with stable order so
-// per-group FIFO is preserved while channel operations amortize. The engine
-// takes the records and borrows the slice: it is neither mutated nor kept,
-// so the caller may reuse it as soon as the call returns.
+// FeedBatch queues a batch as one message, allocating nothing once the feed
+// buffers are warm: the records are copied, in order, into one recycled
+// buffer the worker returns after observing them. The engine takes the
+// records and borrows the slice: it is neither mutated nor kept, so the
+// caller may reuse it as soon as the call returns.
 func (e *Engine) FeedBatch(batch []*synopsis.Synopsis) {
-	if len(batch) > 0 {
-		e.partition(batch)
-	}
-}
-
-// maxStackShards bounds the shard counters partition keeps on its stack;
-// engines with more shards pay one extra allocation per batch.
-const maxStackShards = 64
-
-// partition is FeedBatch on every engine, allocating nothing once the feed
-// buffers are warm: a counting pass sizes each shard's region of one
-// recycled backing array, a second pass fills the regions in batch order,
-// and every non-empty region goes to its shard as one message, in shard
-// order. Regions are capacity-limited sub-slices, so a shard (or the release
-// hook it hands its batch to) can never reach a neighbour's records.
-func (e *Engine) partition(batch []*synopsis.Synopsis) {
-	var stack [2][maxStackShards]int
-	count, next := stack[0][:], stack[1][:]
-	if n := len(e.shards); n > maxStackShards {
-		heap := make([]int, 2*n)
-		count, next = heap[:n], heap[n:]
-	}
-	for _, s := range batch {
-		count[e.shardIndex(s.Host, s.Stage)]++
-	}
-	lo := 0
-	for i := range e.shards {
-		next[i] = lo
-		lo += count[i]
+	if len(batch) == 0 {
+		return
 	}
 	fb := getFeedBuf(len(batch))
-	out := fb.recs[:len(batch)]
 	var now int64
-	for _, s := range batch {
-		i := e.shardIndex(s.Host, s.Stage)
+	for i, s := range batch {
 		stampEnqueue(s, &now)
-		out[next[i]] = s
-		next[i]++
+		fb.recs[i] = s
 	}
 	e.fed.Add(uint64(len(batch)))
-	// The feeder holds a reference of its own while it queues the regions: a
-	// worker may be done with one before the next is sent.
-	fb.refs.Store(1)
-	lo = 0
-	for i, sh := range e.shards { // deterministic shard order
-		if hi := next[i]; hi > lo {
-			fb.refs.Add(1)
-			e.send(sh, shardMsg{batch: out[lo:hi:hi], buf: fb})
-		}
-		lo += count[i]
-	}
-	fb.done(nil)
+	e.send(workerMsg{buf: fb})
 }
 
 // Emit implements tracker.Sink, so the engine can terminate any synopsis
@@ -527,9 +426,9 @@ func (e *Engine) partition(batch []*synopsis.Synopsis) {
 func (e *Engine) Emit(s *synopsis.Synopsis) { e.Feed(s) }
 
 // EmitBatch implements stream.BatchSink: a v2 TCP connection hands each
-// decoded frame over in one call, so the engine's per-shard partitioning
-// and channel sends amortize across the whole frame. Ownership of the
-// synopses passes to the engine; the slice stays the caller's (FeedBatch).
+// decoded frame over in one call, so the channel send amortizes across the
+// whole frame. Ownership of the synopses passes to the engine; the slice
+// stays the caller's (FeedBatch).
 func (e *Engine) EmitBatch(batch []*synopsis.Synopsis) { e.FeedBatch(batch) }
 
 // Fed returns how many synopses the engine accepted: every one offered.
@@ -544,71 +443,43 @@ func (e *Engine) Shed() uint64 { return 0 }
 // panics; the inspection methods keep working (inline on the caller).
 func (e *Engine) Closed() bool { return e.closed.Load() }
 
-// Shards returns the shard count.
-func (e *Engine) Shards() int { return len(e.shards) }
+// Shards is always 1, the one worker. It stays only because
+// benchmark/traced.go still reads the shard series by it, and goes with the
+// next benchmark-only change.
+func (e *Engine) Shards() int { return 1 }
 
-// Model returns a deep copy of the trained model every shard currently
-// serves (defensive, like Detector.Model: the live model's interning index
-// is shared read-only across shards and must never be mutated). Safe for
-// concurrent use — SwapModel replaces the model under the same control
-// mutex.
+// Model returns a deep copy of the trained model the core currently serves
+// (defensive, like Detector.Model: the live model's interning index is
+// shared read-only and must never be mutated). Safe for concurrent use —
+// SwapModel replaces the model under the same control mutex.
 func (e *Engine) Model() *Model {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
 	return e.model.Clone()
 }
 
-// quiesce runs fn against every shard's core with the shard parked: the
-// control message traverses the same FIFO queue as data, so fn observes
-// everything enqueued before the quiesce began. After Close, cores are
-// owned by no goroutine and fn runs inline.
-//
-// fn runs on the shard WORKER goroutines, concurrently across shards:
-// callers must only write per-shard slots (index i), never append to or
-// sum into shared state inside fn — merge after quiesce returns.
-func (e *Engine) quiesce(fn func(i int, sh *shard)) {
+// quiesce runs fn with the worker parked: the control message traverses the
+// same FIFO queue as data, so fn observes everything enqueued before the
+// quiesce began and has the core to itself. fn runs on the worker
+// goroutine; after Close the core is owned by no goroutine and fn runs
+// inline.
+func (e *Engine) quiesce(fn func()) {
 	if e.closed.Load() {
-		for i, sh := range e.shards {
-			fn(i, sh)
-			sh.publish(0)
-		}
+		fn()
+		e.publish(0)
 		return
 	}
-	done := make(chan struct{}, len(e.shards))
-	for i, sh := range e.shards {
-		i, sh := i, sh
-		// Blocking send, not e.send: a control message on a full queue is
-		// backpressure by design, not a feed overflow worth counting.
-		sh.ch <- shardMsg{ctl: &control{cmd: func(*Detector) { fn(i, sh) }, done: done}}
-	}
-	for range e.shards {
-		<-done
-	}
-}
-
-// gather runs fn against every shard under quiesce and returns the results
-// indexed by shard: the per-shard slots quiesce asks for, merged by the
-// caller once it has returned.
-func gather[T any](e *Engine, fn func(i int, sh *shard) T) []T {
-	out := make([]T, len(e.shards))
-	e.quiesce(func(i int, sh *shard) { out[i] = fn(i, sh) })
-	return out
+	done := make(chan struct{})
+	// Blocking send, not e.send: a control message on a full queue is
+	// backpressure by design, not a feed overflow worth counting.
+	e.ch <- workerMsg{ctl: &control{cmd: fn, done: done}}
+	<-done
 }
 
 // cmpGroup is the (host, stage) order of everything the analyzer emits
 // group by group: anomalies, window history, checkpoints, exports.
 func cmpGroup(aHost uint16, aStage logpoint.StageID, bHost uint16, bStage logpoint.StageID) int {
 	return cmp.Or(cmp.Compare(aHost, bHost), cmp.Compare(aStage, bStage))
-}
-
-// takeBuffered collects (and clears) every shard's buffered anomalies under
-// quiesce.
-func (e *Engine) takeBuffered() []Anomaly {
-	return slices.Concat(gather(e, func(_ int, sh *shard) []Anomaly {
-		part := sh.out
-		sh.out = nil
-		return part
-	})...)
 }
 
 // Drain processes everything queued so far and returns the anomalies
@@ -618,127 +489,105 @@ func (e *Engine) takeBuffered() []Anomaly {
 func (e *Engine) Drain() []Anomaly {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
-	out := e.takeBuffered()
+	var out []Anomaly
+	e.quiesce(func() { out, e.out = e.out, nil })
 	sortAnomalies(out)
 	return out
 }
 
-// flushShard closes the shard's open windows and returns their anomalies
-// behind the ones it had buffered; with an anomaly sink attached the
-// windows' anomalies go to the sink. It runs under quiesce.
-func (e *Engine) flushShard(sh *shard) []Anomaly {
-	part := sh.out
-	sh.out = nil
-	if fl := sh.core.Flush(); len(fl) > 0 {
+// flushCore closes the core's open windows and returns their anomalies
+// behind the ones it had buffered, in canonical order; with an anomaly sink
+// attached the windows' anomalies go to the sink. It runs under quiesce.
+func (e *Engine) flushCore() []Anomaly {
+	out := e.out
+	e.out = nil
+	if fl := e.core.Flush(); len(fl) > 0 {
 		if e.sink != nil {
 			e.sink(fl)
 		} else {
-			part = append(part, fl...)
+			out = append(out, fl...)
 		}
 	}
-	return part
-}
-
-// Flush closes all open windows on every shard and returns their anomalies
-// together with any buffered ones, in canonical order. Call at end of
-// stream. With an anomaly sink attached, flush anomalies go to the sink.
-func (e *Engine) Flush() []Anomaly {
-	e.ctl.Lock()
-	defer e.ctl.Unlock()
-	out := slices.Concat(gather(e, func(_ int, sh *shard) []Anomaly { return e.flushShard(sh) })...)
 	sortAnomalies(out)
 	return out
 }
 
-// WindowHistory returns the merged closed-window statistics of every
-// shard, sorted by host, stage, then window start.
+// Flush closes all open windows and returns their anomalies together with
+// any buffered ones, in canonical order. Call at end of stream. With an
+// anomaly sink attached, flush anomalies go to the sink.
+func (e *Engine) Flush() []Anomaly {
+	e.ctl.Lock()
+	defer e.ctl.Unlock()
+	var out []Anomaly
+	e.quiesce(func() { out = e.flushCore() })
+	return out
+}
+
+// WindowHistory returns the closed-window statistics sorted by host, stage,
+// then window start.
 func (e *Engine) WindowHistory() []WindowStats {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
-	all := slices.Concat(gather(e, func(_ int, sh *shard) []windowEntry { return sh.core.stats })...)
-	slices.SortFunc(all, func(a, b windowEntry) int {
+	var all []windowEntry
+	e.quiesce(func() { all = slices.Clone(e.core.stats) })
+	slices.SortStableFunc(all, func(a, b windowEntry) int {
 		return cmp.Or(cmpGroup(a.host, a.stage, b.host, b.stage), cmp.Compare(a.start, b.start))
 	})
 	return unpackHistory(all)
 }
 
-// PendingTasks sums tasks in still-open windows across shards.
+// PendingTasks counts tasks in still-open windows.
 func (e *Engine) PendingTasks() int {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
-	n := 0
-	for _, c := range gather(e, func(_ int, sh *shard) int { return sh.core.PendingTasks() }) {
-		n += c
-	}
+	var n int
+	e.quiesce(func() { n = e.core.PendingTasks() })
 	return n
 }
 
-// LateSynopses sums dropped late arrivals across shards, from the counts
-// the workers publish (see ShardStats).
-func (e *Engine) LateSynopses() uint64 {
-	var n uint64
-	for _, sh := range e.shards {
-		n += sh.late.Load()
-	}
-	return n
-}
+// LateSynopses counts dropped late arrivals, from the count the worker
+// publishes (see ShardStats).
+func (e *Engine) LateSynopses() uint64 { return e.late.Load() }
 
-// ShardStat is one shard's live load snapshot for heartbeats.
+// ShardStat is the worker's live load snapshot for heartbeats.
 type ShardStat struct {
+	// Shard is always 0, the one worker.
 	Shard    int
 	QueueLen int
 	QueueCap int
-	// Fed is the number of synopses the shard's core consumed.
+	// Fed is the number of synopses the core consumed.
 	Fed uint64
-	// Pending is the shard's open-window task count.
+	// Pending is the core's open-window task count.
 	Pending int
 }
 
-// ShardStats snapshots per-shard load. It reads what each worker published
-// after the last message it finished, sends nothing through the shard queues
-// and takes no lock, so it answers at once however busy — or stuck, in a
-// blocked anomaly sink — the workers are: reading state never parks the data
-// path. Fed, Pending and LateSynopses therefore trail whatever is still
-// queued; once a barrier (Drain, Flush, any quiescing call) has returned they
-// are exact.
+// ShardStats snapshots the worker's load as one entry. It reads what the
+// worker published after the last message it finished, sends nothing
+// through the queue and takes no lock, so it answers at once however busy —
+// or stuck, in a blocked anomaly sink — the worker is: reading state never
+// parks the data path. Fed, Pending and LateSynopses therefore trail
+// whatever is still queued; once a barrier (Drain, Flush, any quiescing
+// call) has returned they are exact.
 func (e *Engine) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(e.shards))
-	for i, sh := range e.shards {
-		out[i] = ShardStat{
-			Shard:    i,
-			QueueLen: len(sh.ch),
-			QueueCap: e.queueCap,
-			Fed:      sh.nfed.Load(),
-			Pending:  int(sh.pending.Load()),
-		}
-	}
-	return out
+	return []ShardStat{{
+		QueueLen: len(e.ch),
+		QueueCap: cap(e.ch),
+		Fed:      e.observed.Load(),
+		Pending:  int(e.pending.Load()),
+	}}
 }
 
-// WriteCheckpoint serializes the engine in the single-detector checkpoint
-// format: per-shard sections merge into one — group keys are unique across
-// shards, so the union of open windows, the sorted union of histories and
-// the summed late count are exactly what one Detector fed the same stream
-// would have written. ReadCheckpoint/ReadEngineCheckpoint both accept the
-// result.
+// WriteCheckpoint serializes the engine in the detector checkpoint format,
+// with the closed-window history in (host, stage, window) order rather than
+// close order. ReadCheckpoint/ReadEngineCheckpoint both accept the result.
 func (e *Engine) WriteCheckpoint(w io.Writer) (int64, error) {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
 	out := checkpointJSON{Version: checkpointVersion, Model: e.model.toJSON()}
-	type section struct {
-		windows []windowJSON
-		history []windowStatsJSON
-		late    uint64
-	}
-	for _, sec := range gather(e, func(_ int, sh *shard) section {
-		return section{sh.core.windowsJSON(), sh.core.historyJSON(), sh.core.late}
-	}) {
-		out.Windows = append(out.Windows, sec.windows...)
-		out.History = append(out.History, sec.history...)
-		out.Late += sec.late
-	}
-	slices.SortFunc(out.Windows, func(a, b windowJSON) int {
-		return cmpGroup(a.Host, a.Stage, b.Host, b.Stage)
+	e.quiesce(func() {
+		out.Windows = e.core.windowsJSON()
+		out.History = e.core.historyJSON()
+		out.Late = e.core.late
 	})
 	slices.SortStableFunc(out.History, func(a, b windowStatsJSON) int {
 		return cmp.Or(cmpGroup(a.Host, a.Stage, b.Host, b.Stage), cmp.Compare(a.WindowUnixNs, b.WindowUnixNs))
@@ -756,45 +605,17 @@ func (e *Engine) WriteCheckpointFile(path string) error {
 }
 
 // NewEngineFromDetector lifts a single detector — typically one restored
-// via ReadCheckpoint/LoadCheckpointFile — into a running engine: its open
-// windows and history partition across shards by the same (host, stage)
-// hash that routes live synopses, and the late count lands on shard 0. The
-// detector must not be used afterwards.
+// via ReadCheckpoint/LoadCheckpointFile — into a running engine: the
+// detector becomes the engine's core, open windows, history and late count
+// included. The detector must not be used afterwards.
 func NewEngineFromDetector(d *Detector, opts ...EngineOption) *Engine {
-	e, _ := newEngine(d.model, opts...)
-	// Partition the detector's state to the owning shards.
-	type adopted struct {
-		open  map[groupKey]*windowState
-		stats []windowEntry
-	}
-	parts := make([]adopted, len(e.shards))
-	for k, ws := range d.open {
-		i := e.shardIndex(k.host, k.stage)
-		if parts[i].open == nil {
-			parts[i].open = make(map[groupKey]*windowState)
-		}
-		parts[i].open[k] = ws
-	}
-	for _, st := range d.stats {
-		i := e.shardIndex(st.host, st.stage)
-		parts[i].stats = append(parts[i].stats, st)
-	}
-	e.quiesce(func(i int, sh *shard) {
-		for k, ws := range parts[i].open {
-			sh.core.adopt(k, ws)
-		}
-		sh.core.stats = parts[i].stats
-		if i == 0 {
-			sh.core.late = d.late
-		}
-	})
-	return e
+	return newEngine(d, opts...)
 }
 
 // ReadEngineCheckpoint rebuilds a running engine from any checkpoint
 // written by Detector.WriteCheckpoint or Engine.WriteCheckpoint — the two
-// formats are identical, which is what makes single-process deployments
-// free to move between -shards settings across restarts.
+// formats are identical, so a deployment moves freely between a Detector
+// and an Engine across restarts.
 func ReadEngineCheckpoint(r io.Reader, opts ...EngineOption) (*Engine, error) {
 	d, err := ReadCheckpoint(r)
 	if err != nil {
@@ -813,7 +634,7 @@ func LoadEngineCheckpointFile(path string, opts ...EngineOption) (*Engine, error
 	return NewEngineFromDetector(d, opts...), nil
 }
 
-// Close stops every shard worker after its queue drains. Feeding after (or
+// Close stops the worker after its queue drains. Feeding after (or
 // concurrently with) Close panics on the closed channel by design — stop
 // feeders first. Open windows are NOT flushed; call Flush before Close (or
 // WriteCheckpoint to carry them across a restart).
@@ -823,22 +644,18 @@ func (e *Engine) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	for _, sh := range e.shards {
-		close(sh.ch)
-	}
-	for _, sh := range e.shards {
-		// Still under e.ctl: a control call let in before the workers have
-		// drained would run inline on cores they still own.
-		<-sh.done
-	}
+	close(e.ch)
+	// Still under e.ctl: a control call let in before the worker has
+	// drained would run inline on a core it still owns.
+	<-e.done
 	return nil
 }
 
 // sortAnomalies orders anomalies canonically: host, stage, window, then
 // within one window the detector's own emission layers (new-signature flow
 // first sorted by signature, then the proportion flow anomaly, then
-// performance anomalies sorted by signature) — so a merged multi-shard
-// drain reads exactly like a single detector's output re-sorted by group.
+// performance anomalies sorted by signature) — a detector's output
+// re-sorted by group.
 func sortAnomalies(out []Anomaly) {
 	slices.SortStableFunc(out, func(a, b Anomaly) int {
 		return cmp.Or(

@@ -16,182 +16,146 @@ import (
 	"saad/internal/synopsis"
 )
 
-// referencePartition is the partition FeedBatch used before it counted and
-// filled one backing array: a map of per-shard slices grown by append. It
-// lives on here as the model the new routine must reproduce exactly.
-func referencePartition(e *Engine, batch []*synopsis.Synopsis) map[*shard][]*synopsis.Synopsis {
-	parts := make(map[*shard][]*synopsis.Synopsis, len(e.shards))
-	for _, s := range batch {
-		sh := e.shardFor(s)
-		parts[sh] = append(parts[sh], s)
-	}
-	return parts
-}
-
-// park blocks sh's worker inside a control message until the returned
+// park blocks e's worker inside a control message until the returned
 // release func is called, and returns once the worker has picked the
 // message up, so whatever is queued behind it stays queued.
-func park(t *testing.T, sh *shard) (release func()) {
+func park(t *testing.T, e *Engine) (release func()) {
 	t.Helper()
 	gate := make(chan struct{})
 	entered := make(chan struct{})
-	sh.ch <- shardMsg{ctl: &control{cmd: func(*Detector) { close(entered); <-gate }}}
+	e.ch <- workerMsg{ctl: &control{cmd: func() { close(entered); <-gate }}}
 	select {
 	case <-entered:
 	case <-time.After(5 * time.Second):
-		t.Fatal("shard worker never picked up the park command")
+		t.Fatal("the worker never picked up the park command")
 	}
 	return func() { close(gate) }
 }
 
-// parkedEngine returns an engine whose workers all sit inside a control
-// message, so whatever FeedBatch queues stays in the shard channels for the
-// test to read.
-func parkedEngine(t *testing.T, model *Model, shards int, opts ...EngineOption) *Engine {
+// parkedEngine returns an engine whose worker sits inside a control
+// message, so whatever FeedBatch queues stays in the channel for the test to
+// read.
+func parkedEngine(t *testing.T, model *Model, opts ...EngineOption) *Engine {
 	t.Helper()
-	e := NewEngine(model, append(opts, WithShards(shards), WithShardQueue(4))...)
-	t.Cleanup(func() { e.Close() }) // cleanups run last-in first-out: after the workers are let go
-	for _, sh := range e.shards {
-		t.Cleanup(park(t, sh))
-	}
+	e := NewEngine(model, append(opts, WithShardQueue(4))...)
+	t.Cleanup(func() { e.Close() }) // cleanups run last-in first-out: after the worker is let go
+	t.Cleanup(park(t, e))
 	return e
 }
 
-// popQueued pops the one message FeedBatch may have queued on sh; the zero
+// popQueued pops the one message FeedBatch may have queued; the zero
 // message when there is none.
-func popQueued(sh *shard) (msg shardMsg) {
+func popQueued(e *Engine) (msg workerMsg) {
 	select {
-	case msg = <-sh.ch:
+	case msg = <-e.ch:
 	default:
 	}
 	return msg
 }
 
-// finish gives msg's region back the way the worker does after observing it.
-func (msg shardMsg) finish() {
+// finish gives msg's buffer back the way the worker does after observing it.
+func (msg workerMsg) finish() {
 	if msg.buf != nil {
-		msg.buf.done(msg.batch)
+		msg.buf.put()
 	}
 }
 
-// TestPartitionMatchesReference: for random batches over shard counts on
-// both sides of the power-of-two and the stack-counter limits, every shard
-// is handed exactly the sequence the map-append reference builds, the fed
-// count agrees, nothing reaches the release hook on the feeder and the
-// caller's slice is left alone. A single shard is in the table like any
-// other: there is one routine. This is the one equivalence proof not held
-// to analyzertest.Spec: what it pins — which records each shard is handed,
-// in what order and capacity — is routing structure the verdict spec does
-// not define.
+// TestPartitionMatchesReference: for random batches, the worker is handed
+// one message holding exactly the batch, in order and nothing past it, the
+// fed count agrees, nothing reaches the release hook on the feeder and the
+// caller's slice is left alone. This is the one equivalence proof not held
+// to analyzertest.Spec: what it pins — which records the worker is handed,
+// in what order and capacity — is queue structure the verdict spec does not
+// define.
 func TestPartitionMatchesReference(t *testing.T) {
 	model := trainedModel(t)
-	for _, shards := range []int{1, 2, 3, 4, 8, 65} {
-		rng := rand.New(rand.NewSource(int64(shards)))
-		var released int
-		got := parkedEngine(t, model, shards,
-			WithSynopsisRelease(func(*synopsis.Synopsis) { released++ }))
-		ref := parkedEngine(t, model, shards)
-		var fed uint64
-		for round := 0; round < 60; round++ {
-			batch := make([]*synopsis.Synopsis, 1+rng.Intn(300))
-			for i := range batch {
-				batch[i] = makeSyn(logpoint.StageID(1+rng.Intn(6)), uint16(1+rng.Intn(24)), epoch, time.Millisecond, 1)
-			}
-			before := append([]*synopsis.Synopsis(nil), batch...)
+	rng := rand.New(rand.NewSource(1))
+	var released int
+	e := parkedEngine(t, model, WithSynopsisRelease(func(*synopsis.Synopsis) { released++ }))
+	var fed uint64
+	for round := 0; round < 60; round++ {
+		batch := make([]*synopsis.Synopsis, 1+rng.Intn(300))
+		for i := range batch {
+			batch[i] = makeSyn(logpoint.StageID(1+rng.Intn(6)), uint16(1+rng.Intn(24)), epoch, time.Millisecond, 1)
+		}
+		before := slices.Clone(batch)
 
-			got.FeedBatch(batch)
-			wantParts := referencePartition(ref, before)
+		e.FeedBatch(batch)
 
-			if !slices.Equal(batch, before) {
-				t.Fatalf("shards=%d: FeedBatch reordered the caller's slice", shards)
-			}
-			for i, sh := range got.shards {
-				msg := popQueued(sh)
-				part := msg.batch
-				if want := wantParts[ref.shards[i]]; !slices.Equal(part, want) {
-					t.Fatalf("shards=%d round %d: shard %d got %d records, reference %d (or a different order)",
-						shards, round, i, len(part), len(want))
-				}
-				if cap(part) != len(part) {
-					t.Fatalf("shard %d's batch has spare capacity %d reaching into a neighbour's region", i, cap(part)-len(part))
-				}
-				fed += uint64(len(part))
-				msg.finish()
-			}
-			if got.Fed() != fed {
-				t.Fatalf("shards=%d round %d: fed %d, the shards were handed %d", shards, round, got.Fed(), fed)
-			}
-			if released != 0 {
-				t.Fatalf("shards=%d round %d: %d records released before any shard observed them", shards, round, released)
-			}
+		if !slices.Equal(batch, before) {
+			t.Fatalf("round %d: FeedBatch reordered the caller's slice", round)
+		}
+		msg := popQueued(e)
+		if msg.buf == nil || !slices.Equal(msg.buf.recs, before) {
+			t.Fatalf("round %d: the queued message does not hold the %d records fed, in order", round, len(before))
+		}
+		if extra := popQueued(e); extra.buf != nil || extra.syn != nil {
+			t.Fatalf("round %d: one call queued more than one message", round)
+		}
+		fed += uint64(len(msg.buf.recs))
+		msg.finish()
+		if e.Fed() != fed {
+			t.Fatalf("round %d: fed %d, the worker was handed %d", round, e.Fed(), fed)
+		}
+		if released != 0 {
+			t.Fatalf("round %d: %d records released before the worker observed them", round, released)
 		}
 	}
 }
 
 // TestFeedBatchAllocs pins the routing cost of a frame: once one call has
-// warmed the feed buffer, nothing — whatever the shard count or batch size,
-// alone and with the metrics bundle the daemon attaches.
+// warmed the feed buffer, nothing — whatever the batch size, alone and with
+// the metrics bundle the daemon attaches.
 func TestFeedBatchAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are exact only without the race detector")
 	}
 	model := trainedModel(t)
-	for _, shards := range []int{1, 2, 4} {
-		for _, mode := range []string{"plain", "metrics"} {
-			var opts []EngineOption
-			if mode == "metrics" {
-				opts = append(opts, WithEngineMetrics(metrics.NewAnalyzerMetrics(metrics.NewRegistry())))
+	for _, mode := range []string{"plain", "metrics"} {
+		var opts []EngineOption
+		if mode == "metrics" {
+			opts = append(opts, WithEngineMetrics(metrics.NewAnalyzerMetrics(metrics.NewRegistry())))
+		}
+		e := parkedEngine(t, model, opts...)
+		for _, n := range []int{8, 512, 4096} {
+			batch := make([]*synopsis.Synopsis, n)
+			for i := range batch {
+				batch[i] = makeSyn(logpoint.StageID(1+i%5), uint16(1+i%24), epoch, time.Millisecond, 1)
 			}
-			e := parkedEngine(t, model, shards, opts...)
-			for _, n := range []int{8, 512, 4096} {
-				batch := make([]*synopsis.Synopsis, n)
-				for i := range batch {
-					batch[i] = makeSyn(logpoint.StageID(1+i%5), uint16(1+i%24), epoch, time.Millisecond, 1)
-				}
-				feed := func() {
-					e.FeedBatch(batch)
-					for _, sh := range e.shards {
-						popQueued(sh).finish()
-					}
-				}
-				feed()
-				if got := testing.AllocsPerRun(50, feed); got != 0 {
-					t.Errorf("%d shards, %s: FeedBatch(%d records) = %v allocs, want 0", shards, mode, n, got)
-				}
+			feed := func() {
+				e.FeedBatch(batch)
+				popQueued(e).finish()
+			}
+			feed()
+			if got := testing.AllocsPerRun(50, feed); got != 0 {
+				t.Errorf("%s: FeedBatch(%d records) = %v allocs, want 0", mode, n, got)
 			}
 		}
 	}
 }
 
-// TestShardMsgSize keeps the control fields folded: every shard channel
-// holds queueCap messages, so a word added here is 8 KB per default shard.
+// TestShardMsgSize keeps the queue message at three pointers: the channel
+// holds queueCap messages, so a word added here is 8 KB at the default
+// queue.
 func TestShardMsgSize(t *testing.T) {
-	if got := unsafe.Sizeof(shardMsg{}); got != 48 {
-		t.Fatalf("shardMsg is %d bytes, want 48", got)
+	if got := unsafe.Sizeof(workerMsg{}); got != 24 {
+		t.Fatalf("workerMsg is %d bytes, want 24", got)
 	}
 }
 
 // TestFeedBufferHeldWhileQueued: the engine copies out of the caller's slice
-// into a buffer it holds for as long as a region of it is queued. Two calls
-// from one slice, overwritten between them, leave two sets of regions that
-// each still read what was fed; once the workers have drained both, the
-// buffers are back and a third call allocates nothing.
+// into a buffer it holds for as long as the message is queued. Two calls
+// from one slice, overwritten between them, leave two messages that each
+// still read what was fed; once the worker has drained both, the buffers
+// are back and a third call allocates nothing.
 func TestFeedBufferHeldWhileQueued(t *testing.T) {
 	model := trainedModel(t)
-	const shards, n = 4, 257
+	const n = 257
 	var released atomic.Int64
-	e := NewEngine(model, WithShards(shards), WithShardQueue(4),
+	e := NewEngine(model, WithShardQueue(4),
 		WithSynopsisRelease(func(*synopsis.Synopsis) { released.Add(1) }))
 	defer e.Close()
-	var unparks []func()
-	for _, sh := range e.shards {
-		unparks = append(unparks, park(t, sh))
-	}
-	unpark := sync.OnceFunc(func() { // also on the way out of a failure, or Close waits for ever
-		for _, fn := range unparks {
-			fn()
-		}
-	})
+	unpark := sync.OnceFunc(park(t, e)) // also on the way out of a failure, or Close waits for ever
 	defer unpark()
 	fill := func(batch []*synopsis.Synopsis, round int) {
 		for i := range batch {
@@ -207,28 +171,20 @@ func TestFeedBufferHeldWhileQueued(t *testing.T) {
 	}
 	clear(batch) // the caller's slice is its own again
 
-	// Peek without consuming: each shard's queue holds round 0's region, then
-	// round 1's, and every record in them is the one fed, in feed order.
-	for i, sh := range e.shards {
-		var queued [2]shardMsg
-		for round := range queued {
-			queued[round] = <-sh.ch
+	// Peek without consuming: the queue holds round 0's message, then round
+	// 1's, and every record in them is the one fed, in feed order.
+	var queued [2]workerMsg
+	for round := range queued {
+		queued[round] = <-e.ch
+	}
+	for round, msg := range queued {
+		if !slices.Equal(msg.buf.recs, fed[round]) {
+			t.Fatalf("call %d: the queued message no longer reads what was fed", round)
 		}
-		for round, msg := range queued {
-			var want []*synopsis.Synopsis
-			for _, s := range fed[round] {
-				if e.shardIndex(s.Host, s.Stage) == i {
-					want = append(want, s)
-				}
-			}
-			if !slices.Equal(msg.batch, want) {
-				t.Fatalf("shard %d, call %d: the queued region no longer reads what was fed", i, round)
-			}
-			sh.ch <- msg
-		}
-		if queued[0].buf == queued[1].buf {
-			t.Fatalf("shard %d: two calls share one buffer while both are queued", i)
-		}
+		e.ch <- msg
+	}
+	if queued[0].buf == queued[1].buf {
+		t.Fatal("two calls share one buffer while both are queued")
 	}
 	unpark()
 	e.Drain()
@@ -240,9 +196,7 @@ func TestFeedBufferHeldWhileQueued(t *testing.T) {
 	}
 	// Not testing.AllocsPerRun: it lowers GOMAXPROCS, and a sync.Pool
 	// forgets what it holds when that changes.
-	for _, sh := range e.shards {
-		defer park(t, sh)()
-	}
+	defer park(t, e)()
 	fill(batch, 3)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -254,31 +208,24 @@ func TestFeedBufferHeldWhileQueued(t *testing.T) {
 }
 
 // TestEngineFeedBatchBorrowStress: four feeders each refill and re-feed one
-// slice of their own the moment FeedBatch returns, against live workers
-// behind short queues and with both release hooks on. Every record must be
-// observed once, by the shard its group hashes to, and released exactly
-// once; the race detector watches the hand-over of the recycled buffers.
+// slice of their own the moment FeedBatch returns, against a live worker
+// behind a short queue and with both release hooks on. Every record must be
+// observed and released exactly once; the race detector watches the
+// hand-over of the recycled buffers.
 func TestEngineFeedBatchBorrowStress(t *testing.T) {
-	const shards, feeders, rounds, maxBatch = 4, 4, 200, 300
-	var e *Engine
+	const feeders, rounds, maxBatch = 4, 200, 300
 	releases := make([]atomic.Int32, feeders*rounds*maxBatch)
-	var strays atomic.Int64
-	releaseBatch := func(region []*synopsis.Synopsis) {
-		own := e.shardIndex(region[0].Host, region[0].Stage)
-		for _, s := range region {
-			if e.shardIndex(s.Host, s.Stage) != own {
-				strays.Add(1)
-			}
+	releaseBatch := func(batch []*synopsis.Synopsis) {
+		for _, s := range batch {
 			releases[s.TaskID].Add(1)
 		}
-		clear(region) // as synopsis.Pool.PutN does
+		clear(batch) // as synopsis.Pool.PutN does
 	}
-	e = NewEngine(trainedModel(t), WithShards(shards), WithShardQueue(2),
+	e := NewEngine(trainedModel(t), WithShardQueue(2),
 		WithSynopsisRelease(func(s *synopsis.Synopsis) { releases[s.TaskID].Add(1) }),
 		WithSynopsisReleaseBatch(releaseBatch))
 	defer e.Close()
 
-	want := make([]atomic.Uint64, shards)
 	var fed atomic.Uint64
 	var wg sync.WaitGroup
 	for f := 0; f < feeders; f++ {
@@ -294,12 +241,11 @@ func TestEngineFeedBatchBorrowStress(t *testing.T) {
 					s := makeSyn(logpoint.StageID(1+rng.Intn(6)), uint16(1+rng.Intn(24)), epoch, time.Millisecond, 1)
 					s.TaskID = id
 					id++
-					want[e.shardIndex(s.Host, s.Stage)].Add(1)
 					batch[i] = s
 				}
 				fed.Add(uint64(len(batch)))
 				if round%16 == 0 {
-					e.Feed(batch[0]) // the per-record path shares the queues
+					e.Feed(batch[0]) // the per-record path shares the queue
 					e.FeedBatch(batch[1:])
 				} else {
 					e.FeedBatch(batch)
@@ -309,13 +255,8 @@ func TestEngineFeedBatchBorrowStress(t *testing.T) {
 	}
 	wg.Wait()
 	e.Drain() // ShardStats reads published counts and is no barrier itself
-	for i, st := range e.ShardStats() {
-		if st.Fed != want[i].Load() {
-			t.Errorf("shard %d observed %d records, its groups were fed %d", i, st.Fed, want[i].Load())
-		}
-	}
-	if n := strays.Load(); n != 0 {
-		t.Errorf("%d records reached the release hook in another shard's region", n)
+	if got := e.ShardStats()[0].Fed; got != fed.Load() {
+		t.Errorf("the worker observed %d records, %d were fed", got, fed.Load())
 	}
 	var once uint64
 	for i := range releases {

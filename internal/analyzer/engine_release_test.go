@@ -16,8 +16,7 @@ import (
 func TestEngineReleaseAccounting(t *testing.T) {
 	model := trainedModel(t)
 	var released atomic.Uint64
-	eng := NewEngine(model, WithShards(4),
-		WithSynopsisRelease(func(*synopsis.Synopsis) { released.Add(1) }))
+	eng := NewEngine(model, WithSynopsisRelease(func(*synopsis.Synopsis) { released.Add(1) }))
 
 	stream := multiGroupStream(3)
 	fed := 0
@@ -53,7 +52,7 @@ func TestEngineReleaseWithPoolKeepsExamplesIntact(t *testing.T) {
 	var anomalies []Anomaly
 	var mu chan struct{} = make(chan struct{}, 1)
 	mu <- struct{}{}
-	eng := NewEngine(model, WithShards(2),
+	eng := NewEngine(model,
 		WithSynopsisRelease(pool.Put),
 		WithAnomalySink(func(out []Anomaly) {
 			<-mu

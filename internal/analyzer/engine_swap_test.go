@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,18 +66,27 @@ func TestEngineSwapDuringConcurrentFeed(t *testing.T) {
 		}
 	}
 
-	eng := NewEngine(modelA, WithShards(4))
+	eng := NewEngine(modelA)
 	defer eng.Close()
+	// Swap back and forth while the feeders run: once each time they signal
+	// that another fifth of the stream has been fed.
+	models := []*Model{modelB, modelA, modelB, modelA, modelB}
+	fifths := make(chan struct{}, len(models))
+	var fed atomic.Int64
+	feed := func(s *synopsis.Synopsis) {
+		eng.Feed(s)
+		if fed.Add(1)%int64(len(stream)/len(models)) == 0 {
+			fifths <- struct{}{}
+		}
+	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		feedEngineConcurrently(eng, stream)
+		feedEngineConcurrently(feed, stream)
 	}()
-	// Swap back and forth while the feeders run.
-	models := []*Model{modelB, modelA, modelB, modelA, modelB}
 	for _, m := range models {
-		time.Sleep(2 * time.Millisecond)
+		<-fifths
 		eng.SwapModel(m)
 	}
 	wg.Wait()
@@ -135,8 +145,8 @@ func TestEngineSwapChaosKill(t *testing.T) {
 	}
 	cut := len(stream) / 2
 
-	eng := NewEngine(modelA, WithShards(4))
-	feedEngineConcurrently(eng, stream[:cut])
+	eng := NewEngine(modelA)
+	feedEngineConcurrently(eng.Feed, stream[:cut])
 	if spurious := eng.Drain(); len(spurious) != 0 {
 		t.Fatalf("healthy prefix raised %d anomalies before the swap", len(spurious))
 	}
@@ -149,7 +159,7 @@ func TestEngineSwapChaosKill(t *testing.T) {
 	eng.SwapModel(modelB)
 	eng.Close()
 
-	eng2, err := ReadEngineCheckpoint(bytes.NewReader(buf.Bytes()), WithShards(2))
+	eng2, err := ReadEngineCheckpoint(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +167,7 @@ func TestEngineSwapChaosKill(t *testing.T) {
 	if got := eng2.Model(); got.TrainedOn != modelA.TrainedOn {
 		t.Fatalf("restored model TrainedOn = %d, want pre-swap model %d", got.TrainedOn, modelA.TrainedOn)
 	}
-	feedEngineConcurrently(eng2, stream[cut:])
+	feedEngineConcurrently(eng2.Feed, stream[cut:])
 	if anoms := eng2.Flush(); len(anoms) != 0 {
 		t.Fatalf("restored engine raised %d spurious anomalies on healthy traffic: %v", len(anoms), anoms)
 	}
@@ -179,14 +189,14 @@ func TestEngineSwapControlPlaneConcurrent(t *testing.T) {
 	modelB := trainedModelB(t)
 	stream := multiGroupStream(4)
 
-	eng := NewEngine(modelA, WithShards(4))
+	eng := NewEngine(modelA)
 	defer eng.Close()
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		feedEngineConcurrently(eng, stream)
+		feedEngineConcurrently(eng.Feed, stream)
 	}()
 	wholeModel := func(trainedOn int) bool {
 		return trainedOn == modelA.TrainedOn || trainedOn == modelB.TrainedOn
@@ -276,7 +286,7 @@ func TestModelDefensiveCopy(t *testing.T) {
 	})
 
 	t.Run("engine", func(t *testing.T) {
-		eng := NewEngine(trainedModel(t), WithShards(2))
+		eng := NewEngine(trainedModel(t))
 		defer eng.Close()
 		sabotage(eng.Model())
 		for _, s := range stream {

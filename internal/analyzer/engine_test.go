@@ -1,7 +1,7 @@
 package analyzer
 
 import (
-	"strconv"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -48,9 +48,10 @@ func multiGroupStream(hosts int) []*synopsis.Synopsis {
 }
 
 // feedEngineConcurrently partitions the stream by group and feeds each
-// group's subsequence from its own goroutine, preserving per-group order
-// while randomizing cross-group interleaving — the worst legal schedule.
-func feedEngineConcurrently(e *Engine, stream []*synopsis.Synopsis) {
+// group's subsequence through feed (an engine's Feed, or a wrapper of it)
+// from its own goroutine, preserving per-group order while randomizing
+// cross-group interleaving — the worst legal schedule.
+func feedEngineConcurrently(feed func(*synopsis.Synopsis), stream []*synopsis.Synopsis) {
 	parts := make(map[groupKey][]*synopsis.Synopsis)
 	for _, s := range stream {
 		k := groupKey{host: s.Host, stage: s.Stage}
@@ -65,9 +66,9 @@ func feedEngineConcurrently(e *Engine, stream []*synopsis.Synopsis) {
 				if i%64 == 0 {
 					// Vary pacing so goroutine interleavings differ run to
 					// run without breaking per-group order.
-					time.Sleep(time.Microsecond)
+					runtime.Gosched()
 				}
-				e.Feed(s)
+				feed(s)
 			}
 		}(part)
 	}
@@ -78,8 +79,8 @@ func feedEngineConcurrently(e *Engine, stream []*synopsis.Synopsis) {
 // both LoadCheckpointFile (detector) and LoadEngineCheckpointFile.
 func TestEngineCheckpointFile(t *testing.T) {
 	model := trainedModel(t)
-	eng := NewEngine(model, WithShards(2))
-	feedEngineConcurrently(eng, multiGroupStream(2)[:3000])
+	eng := NewEngine(model)
+	feedEngineConcurrently(eng.Feed, multiGroupStream(2)[:3000])
 	path := t.TempDir() + "/engine.ckpt"
 	if err := eng.WriteCheckpointFile(path); err != nil {
 		t.Fatal(err)
@@ -93,7 +94,7 @@ func TestEngineCheckpointFile(t *testing.T) {
 	if det.PendingTasks() != wantPending {
 		t.Fatalf("detector restore pending = %d, want %d", det.PendingTasks(), wantPending)
 	}
-	eng2, err := LoadEngineCheckpointFile(path, WithShards(5))
+	eng2, err := LoadEngineCheckpointFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,45 +104,27 @@ func TestEngineCheckpointFile(t *testing.T) {
 	}
 }
 
-// TestEngineShardStatsAndMetrics: per-shard accounting covers every fed
-// synopsis and the metric families carry the same totals.
+// TestEngineShardStatsAndMetrics: the worker's accounting covers every fed
+// synopsis and its shard "0" series carry the same totals.
 func TestEngineShardStatsAndMetrics(t *testing.T) {
 	model := trainedModel(t)
 	reg := metrics.NewRegistry()
 	am := metrics.NewAnalyzerMetrics(reg)
-	eng := NewEngine(model, WithShards(4), WithEngineMetrics(am))
+	eng := NewEngine(model, WithEngineMetrics(am))
 	defer eng.Close()
 	stream := multiGroupStream(4)
-	feedEngineConcurrently(eng, stream)
+	feedEngineConcurrently(eng.Feed, stream)
 	eng.Drain() // ShardStats reads published counts and is no barrier itself
 	stats := eng.ShardStats()
-	if len(stats) != 4 {
-		t.Fatalf("ShardStats len = %d", len(stats))
+	if len(stats) != 1 {
+		t.Fatalf("ShardStats len = %d, want the one worker", len(stats))
 	}
-	var fed uint64
-	loaded := 0
-	for i, st := range stats {
-		if st.Shard != i || st.QueueCap < 1 || st.QueueLen < 0 {
-			t.Fatalf("bad shard stat %+v", st)
-		}
-		fed += st.Fed
-		if st.Fed > 0 {
-			loaded++
-		}
-	}
-	if fed != uint64(len(stream)) {
-		t.Fatalf("shard fed sum = %d, want %d", fed, len(stream))
-	}
-	if loaded < 2 {
-		t.Fatalf("only %d of 4 shards saw traffic; routing is degenerate", loaded)
+	if st := stats[0]; st.Shard != 0 || st.QueueCap != 1024 || st.QueueLen != 0 || st.Fed != uint64(len(stream)) {
+		t.Fatalf("worker stat %+v after a barrier, want %d fed", st, len(stream))
 	}
 	snap := reg.Snapshot()
-	var metricFed uint64
-	for i := 0; i < 4; i++ {
-		metricFed += snap.Counter(`saad_analyzer_shard_synopses_total{shard="` + strconv.Itoa(i) + `"}`)
-	}
-	if metricFed != uint64(len(stream)) {
-		t.Fatalf("shard metric sum = %d, want %d", metricFed, len(stream))
+	if got := snap.Counter(`saad_analyzer_shard_synopses_total{shard="0"}`); got != uint64(len(stream)) {
+		t.Fatalf("shard metric = %d, want %d", got, len(stream))
 	}
 	if got := snap.Counter("saad_analyzer_late_synopses_total"); got != eng.LateSynopses() {
 		t.Fatalf("late metric = %d, engine reports %d", got, eng.LateSynopses())
@@ -156,7 +139,7 @@ func TestEngineShardStatsAndMetrics(t *testing.T) {
 func TestShardCountsAnswerWhileSinkBlocks(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	letGo := sync.OnceFunc(func() { close(release) })
-	e := NewEngine(trainedModel(t), WithShards(1), WithAnomalySink(func([]Anomaly) {
+	e := NewEngine(trainedModel(t), WithAnomalySink(func([]Anomaly) {
 		close(entered) // the one anomaly batch of this stream
 		<-release
 	}))
@@ -198,16 +181,12 @@ func TestEngineBackpressure(t *testing.T) {
 	model := trainedModel(t)
 	reg := metrics.NewRegistry()
 	am := metrics.NewAnalyzerMetrics(reg)
-	eng := NewEngine(model, WithShards(2), WithShardQueue(1), WithEngineMetrics(am))
+	eng := NewEngine(model, WithShardQueue(1), WithEngineMetrics(am))
 	defer eng.Close()
 	stream := multiGroupStream(2)
-	feedEngineConcurrently(eng, stream)
+	feedEngineConcurrently(eng.Feed, stream)
 	eng.Flush()
-	var fed uint64
-	for _, st := range eng.ShardStats() {
-		fed += st.Fed
-	}
-	if fed != uint64(len(stream)) {
+	if fed := eng.ShardStats()[0].Fed; fed != uint64(len(stream)) {
 		t.Fatalf("fed %d of %d synopses under backpressure", fed, len(stream))
 	}
 }
@@ -217,8 +196,8 @@ func TestEngineBackpressure(t *testing.T) {
 func TestEngineDefaultsAndClose(t *testing.T) {
 	model := trainedModel(t)
 	eng := NewEngine(model)
-	if eng.Shards() < 1 {
-		t.Fatalf("default shards = %d", eng.Shards())
+	if eng.Shards() != 1 {
+		t.Fatalf("Shards() = %d, want the one worker", eng.Shards())
 	}
 	if got := eng.Model(); got == model || got.TrainedOn != model.TrainedOn || len(got.Stages) != len(model.Stages) {
 		t.Fatalf("Model() should return a defensive copy of the trained model: %p vs %p", got, model)
@@ -230,7 +209,7 @@ func TestEngineDefaultsAndClose(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Post-close inspection still works (runs inline on parked cores).
+	// Post-close inspection still works (runs inline on the parked core).
 	if got := eng.PendingTasks(); got != 1 {
 		t.Fatalf("PendingTasks after close = %d, want 1", got)
 	}

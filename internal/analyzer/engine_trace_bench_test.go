@@ -45,7 +45,7 @@ func benchEngineFeed(b *testing.B, eng *Engine, feed []*synopsis.Synopsis) {
 // trace touch points must stay nil-pointer checks — zero allocations, same
 // as an engine without a tracer.
 func BenchmarkEngineFeedTracerOff(b *testing.B) {
-	eng := NewEngine(trainedModel(b), WithShards(2),
+	eng := NewEngine(trainedModel(b),
 		WithEngineTracer(trace.New(trace.Config{SampleEvery: 1})))
 	defer eng.Close()
 	benchEngineFeed(b, eng, engineTraceBenchStream(4096, false))
@@ -55,7 +55,7 @@ func BenchmarkEngineFeedTracerOff(b *testing.B) {
 // per-sampled-synopsis cost of stamping, flight recording, span retention
 // and the latency histogram.
 func BenchmarkEngineFeedTraced(b *testing.B) {
-	eng := NewEngine(trainedModel(b), WithShards(2),
+	eng := NewEngine(trainedModel(b),
 		WithEngineTracer(trace.New(trace.Config{SampleEvery: 1})))
 	defer eng.Close()
 	benchEngineFeed(b, eng, engineTraceBenchStream(4096, true))

@@ -32,7 +32,6 @@ func TestEngineCompletesSpansAndRecordsFlight(t *testing.T) {
 	reg := metrics.NewRegistry()
 	tr := trace.New(trace.Config{SampleEvery: 1, RingCapacity: 8192})
 	e := NewEngine(model,
-		WithShards(2),
 		WithEngineMetrics(metrics.NewPipeline(reg).Analyzer),
 		WithEngineTracer(tr))
 	defer e.Close()
@@ -102,7 +101,7 @@ func keysOf[V any](m map[string]V) []string {
 
 func TestEngineSwapRecordsFlightEvent(t *testing.T) {
 	tr := trace.New(trace.Config{SampleEvery: 1})
-	e := NewEngine(trainedModel(t), WithShards(1), WithEngineTracer(tr))
+	e := NewEngine(trainedModel(t), WithEngineTracer(tr))
 	defer e.Close()
 
 	for _, s := range tracedDetectStream(50) {
@@ -123,7 +122,7 @@ func TestEngineSwapRecordsFlightEvent(t *testing.T) {
 	if swaps == 0 {
 		t.Fatal("model swap left no flight-recorder event")
 	}
-	// Spans fed after the swap still complete against the fresh shards.
+	// Spans fed after the swap still complete against the fresh core.
 	for _, sp := range tr.Spans() {
 		if sp.Done == 0 {
 			t.Fatalf("span not completed after swap: %+v", sp)
@@ -133,7 +132,7 @@ func TestEngineSwapRecordsFlightEvent(t *testing.T) {
 
 func TestEngineLateSynopsisRecordsDrop(t *testing.T) {
 	tr := trace.New(trace.Config{SampleEvery: 1})
-	e := NewEngine(trainedModel(t), WithShards(1), WithEngineTracer(tr))
+	e := NewEngine(trainedModel(t), WithEngineTracer(tr))
 	defer e.Close()
 
 	ts := epoch
@@ -167,7 +166,7 @@ func TestEngineLateSynopsisRecordsDrop(t *testing.T) {
 // tracer retains nothing.
 func TestEngineUntracedFeedKeepsWorking(t *testing.T) {
 	tr := trace.New(trace.Config{SampleEvery: 1})
-	e := NewEngine(trainedModel(t), WithShards(2), WithEngineTracer(tr))
+	e := NewEngine(trainedModel(t), WithEngineTracer(tr))
 	defer e.Close()
 	ts := epoch
 	for i := 0; i < 500; i++ {

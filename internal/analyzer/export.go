@@ -3,7 +3,6 @@ package analyzer
 import (
 	"encoding/json"
 	"fmt"
-	"slices"
 
 	"saad/internal/logpoint"
 )
@@ -11,11 +10,11 @@ import (
 // Group export/import: the federation handoff currency. When the ring
 // reassigns (host, stage) groups to another analyzer peer, the departing
 // peer EXPORTS exactly those groups — removing their open windows from its
-// shards under quiesce, so the worker FIFO guarantees every synopsis fed
+// core under quiesce, so the worker FIFO guarantees every synopsis fed
 // before the export is reflected — and the receiving peer IMPORTS the blob
-// into its own shards, re-partitioned by its local shard hash. The wire
-// form is the PR 2 checkpoint window section, so the state that moves is
-// byte-compatible with what checkpoints already persist.
+// into its own core. The wire form is the checkpoint's window section, so
+// the state that moves is byte-compatible with what checkpoints already
+// persist.
 
 // groupExportJSON is the handoff blob: a versioned subset of checkpointJSON
 // (windows only — closed-window history stays with the peer that closed the
@@ -35,20 +34,16 @@ func (e *Engine) ExportGroups(selectGroup func(host uint16, stage logpoint.Stage
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
 	out := groupExportJSON{Version: checkpointVersion}
-	out.Windows = slices.Concat(gather(e, func(_ int, sh *shard) (sec []windowJSON) {
-		d := sh.core
+	e.quiesce(func() {
+		d := e.core
 		for _, k := range d.openKeys() {
 			if selectGroup(k.host, k.stage) {
 				w := d.open[k]
-				sec = append(sec, windowToJSON(k, w))
+				out.Windows = append(out.Windows, windowToJSON(k, w))
 				d.evict(k, w)
 				d.recycle(w)
 			}
 		}
-		return sec
-	})...)
-	slices.SortFunc(out.Windows, func(a, b windowJSON) int {
-		return cmpGroup(a.Host, a.Stage, b.Host, b.Stage)
 	})
 	data, err := json.Marshal(out)
 	if err != nil {
@@ -58,13 +53,12 @@ func (e *Engine) ExportGroups(selectGroup func(host uint16, stage logpoint.Stage
 }
 
 // ImportGroups adopts a blob produced by ExportGroups on a peer engine:
-// each group's open window is inserted into the shard that owns it here
-// (the local shard hash re-partitions freely — shard counts need not
-// match). The engines must serve the same trained model, since per-
-// signature state references model signatures. A group whose window is
-// already open locally (a record overtook its state transfer during a
-// topology transition) is dropped and the local window left untouched.
-// Returns how many groups were adopted and how many dropped.
+// each group's open window is inserted into the core. The engines must
+// serve the same trained model, since per-signature state references model
+// signatures. A group whose window is already open locally (a record
+// overtook its state transfer during a topology transition) is dropped and
+// the local window left untouched. Returns how many groups were adopted and
+// how many dropped.
 func (e *Engine) ImportGroups(data []byte) (imported, dropped int, err error) {
 	var raw groupExportJSON
 	if err := json.Unmarshal(data, &raw); err != nil {
@@ -75,34 +69,27 @@ func (e *Engine) ImportGroups(data []byte) (imported, dropped int, err error) {
 	}
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
-	parts := make([]map[groupKey]*windowState, len(e.shards))
+	in := make(map[groupKey]*windowState, len(raw.Windows))
 	for _, wj := range raw.Windows {
 		ws, err := windowFromJSON(e.model, wj)
 		if err != nil {
 			return 0, 0, err
 		}
-		i := e.shardIndex(wj.Host, wj.Stage)
-		if parts[i] == nil {
-			parts[i] = make(map[groupKey]*windowState)
-		}
 		key := groupKey{host: wj.Host, stage: wj.Stage}
-		if parts[i][key] != nil {
+		if in[key] != nil {
 			return 0, 0, wj.errorf("more than one window for the group")
 		}
-		parts[i][key] = ws
+		in[key] = ws
 	}
-	for _, n := range gather(e, func(i int, sh *shard) (conflicts int) {
-		for k, ws := range parts[i] {
-			if _, open := sh.core.open[k]; open {
-				conflicts++
+	e.quiesce(func() {
+		for k, ws := range in {
+			if _, open := e.core.open[k]; open {
+				dropped++
 			} else {
-				sh.core.adopt(k, ws)
+				e.core.adopt(k, ws)
 			}
 		}
-		return conflicts
-	}) {
-		dropped += n
-	}
+	})
 	return len(raw.Windows) - dropped, dropped, nil
 }
 
@@ -112,14 +99,11 @@ func (e *Engine) ImportGroups(data []byte) (imported, dropped int, err error) {
 func (e *Engine) OpenGroups() []GroupKey {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
-	out := slices.Concat(gather(e, func(_ int, sh *shard) (sec []GroupKey) {
-		for k := range sh.core.open {
-			sec = append(sec, GroupKey{Host: k.host, Stage: k.stage})
+	var out []GroupKey
+	e.quiesce(func() {
+		for _, k := range e.core.openKeys() {
+			out = append(out, GroupKey{Host: k.host, Stage: k.stage})
 		}
-		return sec
-	})...)
-	slices.SortFunc(out, func(a, b GroupKey) int {
-		return cmpGroup(a.Host, a.Stage, b.Host, b.Stage)
 	})
 	return out
 }

@@ -21,11 +21,11 @@ func TestImportGroupsConflict(t *testing.T) {
 	// of a's tasks, so an overwritten window would show.
 	local := func(host uint16, stage logpoint.StageID) bool { return host == 1 && stage == 1 }
 
-	a := NewEngine(model, WithShards(2))
+	a := NewEngine(model)
 	defer a.Close()
-	b := NewEngine(model, WithShards(2))
+	b := NewEngine(model)
 	defer b.Close()
-	ref := NewEngine(model, WithShards(2))
+	ref := NewEngine(model)
 	defer ref.Close()
 	for i, s := range stream[:cut] {
 		a.Feed(s)
@@ -64,7 +64,7 @@ func TestImportGroupsConflict(t *testing.T) {
 	}
 	// A's windows are gone (moved out), so the same blob still imports whole
 	// into a fresh engine.
-	c := NewEngine(model, WithShards(1))
+	c := NewEngine(model)
 	defer c.Close()
 	if m, dropped, err := c.ImportGroups(blob); err != nil || m != n || dropped != 0 {
 		t.Fatalf("import into fresh engine: n=%d dropped=%d err=%v", m, dropped, err)
@@ -84,7 +84,7 @@ func TestImportGroupsConflict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := NewEngine(model, WithShards(2))
+		d := NewEngine(model)
 		if m, dropped, err := d.ImportGroups(hostile); err == nil || !strings.Contains(err.Error(), "host=1 stage=1") {
 			t.Errorf("%s: imported %d, dropped %d, err %v; want an error naming the group", tc.name, m, dropped, err)
 		}
@@ -99,7 +99,7 @@ func TestImportGroupsConflict(t *testing.T) {
 // keep detecting in place.
 func TestExportGroupsSelective(t *testing.T) {
 	model := trainedModel(t)
-	e := NewEngine(model, WithShards(2))
+	e := NewEngine(model)
 	defer e.Close()
 	stream := multiGroupStream(3)
 	for _, s := range stream[:len(stream)/2] {

@@ -109,7 +109,7 @@ type Model struct {
 	// indexOnce guards the lazy one-time build of the per-stage signature
 	// interning indexes. Once a detector (or engine) is created from the
 	// model, Stages and Signatures must not be mutated: the index — shared
-	// read-only across all engine shards — would go stale.
+	// read-only by every detector on the model — would go stale.
 	indexOnce sync.Once
 }
 

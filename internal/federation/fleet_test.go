@@ -39,12 +39,12 @@ func (fp *fleetPeer) kill(t *testing.T) {
 func startFleet(t *testing.T, model *analyzer.Model, ids []string, mcfg MembershipConfig, release func(*synopsis.Synopsis)) []*fleetPeer {
 	t.Helper()
 	fleet := make([]*fleetPeer, 0, len(ids))
-	for i, id := range ids {
+	for _, id := range ids {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := []analyzer.EngineOption{analyzer.WithShards(1 + i%3)}
+		var opts []analyzer.EngineOption
 		if release != nil {
 			opts = append(opts, analyzer.WithSynopsisRelease(release))
 		}

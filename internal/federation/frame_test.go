@@ -113,30 +113,29 @@ func localFrame(n int, first uint64) []*synopsis.Synopsis {
 	return frame
 }
 
-// TestPeerFrameAllLocalIsOneMessagePerShard: with the shard workers held, a
-// 512-record frame the peer owns whole takes ONE slot in each shard's queue
-// (one per record before frames were routed whole), and the lent slice comes
-// back as it went in.
-func TestPeerFrameAllLocalIsOneMessagePerShard(t *testing.T) {
-	const shards = 2
+// TestPeerFrameAllLocalIsOneMessage: with the engine's worker held, a
+// 512-record frame the peer owns whole takes ONE slot in its queue (one per
+// record before frames were routed whole), and the lent slice comes back as
+// it went in.
+func TestPeerFrameAllLocalIsOneMessage(t *testing.T) {
 	gate := make(chan struct{})
 	var held atomic.Int32
-	eng := analyzer.NewEngine(analyzertest.Model(t), analyzer.WithShards(shards),
+	eng := analyzer.NewEngine(analyzertest.Model(t),
 		analyzer.WithSynopsisRelease(func(*synopsis.Synopsis) {
 			held.Add(1)
 			<-gate
 		}))
 	defer eng.Close()
-	defer close(gate) // before Close, which waits for the workers
+	defer close(gate) // before Close, which waits for the worker
 	p := solePeer(t, eng)
 
-	// One record per host holds each worker in the release hook of the first
-	// it observes; the rest sit in the queues.
+	// The first record holds the worker in the release hook; the rest sit in
+	// the queue.
 	for _, s := range localFrame(32, 1) {
 		p.Emit(s)
 	}
-	waitUntil(t, 5*time.Second, "both shard workers to be held", func() bool { return held.Load() == shards })
-	before := eng.ShardStats()
+	waitUntil(t, 5*time.Second, "the worker to be held", func() bool { return held.Load() == 1 })
+	before := eng.ShardStats()[0].QueueLen
 
 	frame := localFrame(512, 100)
 	asLent := slices.Clone(frame)
@@ -144,10 +143,8 @@ func TestPeerFrameAllLocalIsOneMessagePerShard(t *testing.T) {
 	if !slices.Equal(frame, asLent) {
 		t.Error("an all-local frame came back reordered")
 	}
-	for i, st := range eng.ShardStats() {
-		if got := st.QueueLen - before[i].QueueLen; got != 1 {
-			t.Errorf("shard %d: the frame took %d queue slots, want 1", i, got)
-		}
+	if got := eng.ShardStats()[0].QueueLen - before; got != 1 {
+		t.Errorf("the frame took %d queue slots, want 1", got)
 	}
 	if st := p.Status(); st.Forwards+st.ForwardsDropped+st.Parked != 0 {
 		t.Errorf("a sole peer forwarded/dropped/parked %d/%d/%d", st.Forwards, st.ForwardsDropped, st.Parked)
@@ -158,8 +155,8 @@ func TestPeerFrameAllLocalIsOneMessagePerShard(t *testing.T) {
 // flight is parked as a whole, behind what is parked already, and the
 // parking buffer drains as one batch in arrival order.
 func TestPeerFrameParkedWhole(t *testing.T) {
-	var order []uint64 // appended to by the one shard worker, read after Drain
-	eng := analyzer.NewEngine(analyzertest.Model(t), analyzer.WithShards(1),
+	var order []uint64 // appended to by the worker, read after Drain
+	eng := analyzer.NewEngine(analyzertest.Model(t),
 		analyzer.WithSynopsisRelease(func(s *synopsis.Synopsis) { order = append(order, s.TaskID) }))
 	defer eng.Close()
 	p := solePeer(t, eng)
@@ -195,7 +192,7 @@ func TestPeerEmitBatchAllocs(t *testing.T) {
 		t.Skip("allocation counts are exact only without the race detector")
 	}
 	var done atomic.Uint64
-	eng := analyzer.NewEngine(analyzertest.Model(t), analyzer.WithShards(2),
+	eng := analyzer.NewEngine(analyzertest.Model(t),
 		analyzer.WithSynopsisReleaseBatch(func(b []*synopsis.Synopsis) { done.Add(uint64(len(b))) }))
 	defer eng.Close()
 	p := solePeer(t, eng)

@@ -22,9 +22,7 @@ const DefaultVirtualNodes = 128
 // KeyHash maps one (host, stage) group key onto the ring's 64-bit key
 // space. Every routing decision in the fleet — tracker clients, peer
 // forwarding, rebalance planning — uses this one function, so a group has
-// exactly one owner per topology. (The engine's internal shard hash is a
-// different, per-process function; the two partitions are independent
-// layers.)
+// exactly one owner per topology.
 func KeyHash(host uint16, stage logpoint.StageID) uint64 {
 	// FNV-1a over the 4 identity bytes, unrolled so the hot path makes no
 	// hash.Hash allocation.

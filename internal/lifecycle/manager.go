@@ -168,11 +168,11 @@ func (m *Manager) Emit(s *synopsis.Synopsis) {
 }
 
 // EmitBatch implements stream.BatchSink: the manager stands in front of its
-// engine as the server's sink. The engine is fed first (FIFO into the owning
-// shards, the frame still a frame) and the lifecycle observes after — but on
+// engine as the server's sink. The engine is fed first (FIFO into its
+// queue, the frame still a frame) and the lifecycle observes after — but on
 // clones cut before the feed: the retrain ring keeps what it is handed,
 // while the engine may release a record to its pool, to be overwritten by
-// the next frame, as soon as a shard has observed it. The borrowed slice is
+// the next frame, as soon as its worker has observed it. The borrowed slice is
 // read and passed on to FeedBatch, which copies out of it.
 func (m *Manager) EmitBatch(batch []*synopsis.Synopsis) {
 	clones := make([]*synopsis.Synopsis, len(batch))
@@ -351,7 +351,7 @@ func (m *Manager) Promote() (Meta, error) {
 
 // promote performs the hot swap. The engine swap runs outside the
 // manager's lock: SwapModel has its own quiesce protocol and concurrent
-// frames must keep flowing while shards cut over. m.swapping (set
+// frames must keep flowing while the engine cuts over. m.swapping (set
 // by the caller) excludes concurrent promotions; a promotion requested
 // while the swap was in flight is recorded in pendingPromote and applied
 // here before swapping is released, so a deferred candidate never waits

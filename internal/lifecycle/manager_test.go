@@ -45,7 +45,7 @@ func newServingStack(t *testing.T, cfg ManagerConfig, opts ...ManagerOption) (*a
 	if err := store.MarkServing(meta.Version); err != nil {
 		t.Fatal(err)
 	}
-	eng := analyzer.NewEngine(model, analyzer.WithShards(2), analyzer.WithSynopsisRelease(synopsis.NewPool(64).Put))
+	eng := analyzer.NewEngine(model, analyzer.WithSynopsisRelease(synopsis.NewPool(64).Put))
 	t.Cleanup(func() { _ = eng.Close() })
 	lm := metrics.NewLifecycleMetrics(metrics.NewRegistry())
 	opts = append([]ManagerOption{WithServingVersion(meta), WithLifecycleMetrics(lm)}, opts...)

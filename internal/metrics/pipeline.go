@@ -176,16 +176,18 @@ type AnalyzerMetrics struct {
 	// the group's open window — late/out-of-order arrivals the detector
 	// refuses to misattribute to the current window.
 	LateSynopses *Counter
-	// ShardQueueDepth tracks synopses queued per engine shard, labeled by
-	// shard index.
+	// The four shard families carry one series each, shard="0": the engine
+	// has one worker, and the label stays for the readers that select it.
+	//
+	// ShardQueueDepth tracks the messages queued for the engine's worker.
 	ShardQueueDepth *GaugeVec
-	// ShardBusyNanos counts nanoseconds each shard worker spent processing
-	// (vs blocked on its queue), labeled by shard index.
+	// ShardBusyNanos counts nanoseconds the worker spent processing (vs
+	// blocked on its queue).
 	ShardBusyNanos *CounterVec
-	// ShardSynopses counts synopses processed per engine shard.
+	// ShardSynopses counts synopses the worker processed.
 	ShardSynopses *CounterVec
-	// ShardOverflows counts feeds that found a shard queue full and had to
-	// block (backpressure events), labeled by shard index.
+	// ShardOverflows counts feeds that found the queue full and had to block
+	// (backpressure events).
 	ShardOverflows *CounterVec
 	// DetectionLatency observes the end-to-end seconds from a sampled
 	// synopsis's earliest pipeline stamp (tracker emit when the span

@@ -10,8 +10,7 @@ import (
 	"saad/internal/synopsis"
 )
 
-// TestServerDeliversToEngine runs the deployment shape the sharded engine
-// was built for: one TCP client per host streams its synopses over its own
+// TestServerDeliversToEngine runs the daemon's deployment shape: one TCP client per host streams its synopses over its own
 // connection into a server whose sink is the engine — no fan-in channel in
 // between — and the engine must decide what the spec decides over the union
 // of the streams. Each connection handler keeps its client's order and each
@@ -27,9 +26,9 @@ func TestServerDeliversToEngine(t *testing.T) {
 }
 
 // deliver sends each host's records over a connection of its own into a
-// server feeding a 3-shard engine, and observes the engine.
+// server feeding an engine, and observes the engine.
 func deliver(t *testing.T, model *analyzer.Model, stream []*synopsis.Synopsis) analyzertest.Outcome {
-	eng := analyzer.NewEngine(model, analyzer.WithShards(3), analyzer.WithShardQueue(64))
+	eng := analyzer.NewEngine(model, analyzer.WithShardQueue(64))
 	defer eng.Close()
 	srv, err := Listen("127.0.0.1:0", eng)
 	if err != nil {

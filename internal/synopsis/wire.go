@@ -592,8 +592,8 @@ func (d *BatchDecoder) decodeRecordV2(s *Synopsis) error {
 
 // Pool is a bounded free list of Synopsis values for zero-allocation
 // receive paths: the stream server draws from it per decoded record and
-// the analyzer engine releases each synopsis back once its shard core is
-// done. All methods are nil-safe — a nil *Pool degrades to plain
+// the analyzer engine releases each synopsis back once its detector core
+// is done. All methods are nil-safe — a nil *Pool degrades to plain
 // allocation — and safe for concurrent use.
 //
 // The free list is a mutex-guarded stack rather than a channel: at

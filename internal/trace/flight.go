@@ -19,7 +19,7 @@ const (
 	// EventWindowClose is a detection window closing (A = window task
 	// count, B = anomalies the close emitted).
 	EventWindowClose
-	// EventModelSwap is a shard cutting over to a new model (A = model
+	// EventModelSwap is the engine cutting over to a new model (A = model
 	// store version when known).
 	EventModelSwap
 	// EventLateDrop is a synopsis dropped as a late arrival (A = task id).

@@ -1,6 +1,6 @@
 // Package trace is SAAD's end-to-end pipeline tracing substrate: sampled
 // per-task spans carried from the tracker's synopsis emission through the
-// stream transport and the engine shard queue into the detection verdict,
+// stream transport and the engine queue into the detection verdict,
 // plus a lock-free flight recorder of recent pipeline events that every
 // anomaly event can ship as its own evidence trail.
 //
@@ -19,10 +19,7 @@
 // blocking writers.
 package trace
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Span is one sampled task's journey through the pipeline, stamped with
 // wall-clock unix nanoseconds at each hop boundary. Zero stamps mean the
@@ -44,11 +41,10 @@ type Span struct {
 	Send int64
 	// Recv is when the stream server decoded the synopsis off the wire.
 	Recv int64
-	// Enqueue is when the engine accepted the synopsis onto its shard
-	// queue.
+	// Enqueue is when the engine accepted the synopsis onto its queue.
 	Enqueue int64
-	// Detect is when the shard worker dequeued the synopsis and began
-	// feeding the detector core; Detect-Enqueue is the shard-queue wait.
+	// Detect is when the engine worker dequeued the synopsis and began
+	// feeding the detector core; Detect-Enqueue is the queue wait.
 	Detect int64
 	// Done is when the detector core finished judging the synopsis.
 	Done int64
@@ -62,7 +58,7 @@ func (s *Span) EmitToSend() int64 { return hop(s.Emit, s.Send) }
 // Wire is the transport time between client encode and server decode.
 func (s *Span) Wire() int64 { return hop(s.Send, s.Recv) }
 
-// QueueWait is the time spent on the engine shard queue.
+// QueueWait is the time spent on the engine queue.
 func (s *Span) QueueWait() int64 { return hop(s.Enqueue, s.Detect) }
 
 // DetectTime is the detector core's processing time.
@@ -126,7 +122,7 @@ func (s *Sampler) Sample() bool {
 
 // SpanBuffer retains the most recent completed spans in a fixed-size ring
 // for the /trace endpoint. Publication is an atomic pointer store into a
-// claimed slot, so concurrent shard workers never block each other and
+// claimed slot, so concurrent publishers never block each other and
 // readers snapshot without locks.
 type SpanBuffer struct {
 	slots []atomic.Pointer[Span]
@@ -178,7 +174,7 @@ type Config struct {
 	// SpanCapacity bounds the completed spans retained for /trace
 	// (default 256).
 	SpanCapacity int
-	// RingCapacity bounds each flight ring's event count (default 256;
+	// RingCapacity bounds the flight ring's event count (default 256;
 	// rounded up to a power of two).
 	RingCapacity int
 }
@@ -194,17 +190,14 @@ func (c Config) withDefaults() Config {
 }
 
 // Tracer aggregates the tracing state one pipeline shares: the sampler,
-// the completed-span buffer and one flight ring per engine shard.
-// All methods are safe for concurrent use and nil-receiver-safe, so
-// pipeline layers hold an optional *Tracer exactly like an optional
-// metrics bundle.
+// the completed-span buffer and the engine's flight ring. All methods are
+// safe for concurrent use and nil-receiver-safe, so pipeline layers hold an
+// optional *Tracer exactly like an optional metrics bundle.
 type Tracer struct {
 	cfg     Config
 	sampler *Sampler
 	spans   *SpanBuffer
-
-	mu     sync.Mutex
-	shards []*FlightRing
+	ring    *FlightRing
 }
 
 // New returns a tracer for cfg.
@@ -214,6 +207,7 @@ func New(cfg Config) *Tracer {
 		cfg:     cfg,
 		sampler: NewSampler(cfg.SampleEvery),
 		spans:   NewSpanBuffer(cfg.SpanCapacity),
+		ring:    NewFlightRing(cfg.RingCapacity),
 	}
 }
 
@@ -226,18 +220,13 @@ func (t *Tracer) Sampler() *Sampler {
 	return t.sampler
 }
 
-// ShardRing returns (creating on first use) the flight ring for engine
-// shard i.
-func (t *Tracer) ShardRing(i int) *FlightRing {
-	if t == nil || i < 0 {
+// EngineRing returns the flight ring the analyzer engine records to (nil
+// for a nil tracer).
+func (t *Tracer) EngineRing() *FlightRing {
+	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for len(t.shards) <= i {
-		t.shards = append(t.shards, NewFlightRing(t.cfg.RingCapacity))
-	}
-	return t.shards[i]
+	return t.ring
 }
 
 // SpanDone publishes a completed span to the /trace buffer.
@@ -256,34 +245,15 @@ func (t *Tracer) Spans() []*Span {
 	return t.spans.Snapshot()
 }
 
-// FlightSnapshot merges every shard ring's events, newest first, bounded to
+// FlightSnapshot returns the engine ring's events, newest first, bounded to
 // max events (max <= 0 = all retained).
 func (t *Tracer) FlightSnapshot(max int) []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	rings := append([]*FlightRing(nil), t.shards...)
-	t.mu.Unlock()
-	var out []Event
-	for _, r := range rings {
-		out = append(out, r.Snapshot()...)
-	}
-	// Newest first across rings; ring snapshots are already newest-first,
-	// so a simple merge by timestamp keeps the dump readable.
-	sortEventsByTime(out)
+	out := t.ring.Snapshot()
 	if max > 0 && len(out) > max {
 		out = out[:max]
 	}
 	return out
-}
-
-// sortEventsByTime orders events newest first (insertion sort: snapshots
-// are small and mostly ordered).
-func sortEventsByTime(evs []Event) {
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && evs[j].Nanos > evs[j-1].Nanos; j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
 }

@@ -258,21 +258,20 @@ func TestTracerLifecycle(t *testing.T) {
 	if len(tr.Spans()) != 1 {
 		t.Fatalf("span not published: spans=%d", len(tr.Spans()))
 	}
-	r0 := tr.ShardRing(0)
-	r2 := tr.ShardRing(2)
-	if r0 == nil || r2 == nil || r0 == r2 {
-		t.Fatal("shard rings must be distinct and non-nil")
+	ring := tr.EngineRing()
+	if ring == nil {
+		t.Fatal("the engine ring must exist from New")
 	}
-	if tr.ShardRing(0) != r0 {
-		t.Fatal("shard ring must be stable across calls")
+	if tr.EngineRing() != ring {
+		t.Fatal("the engine ring must be stable across calls")
 	}
-	r0.Record(EventWindowOpen, 1, 1, 0, 0)
-	r2.Record(EventModelSwap, 0, 0, 0, 0)
+	ring.Record(EventWindowOpen, 1, 1, 0, 0)
+	ring.Record(EventModelSwap, 0, 0, 0, 0)
 	evs := tr.FlightSnapshot(0)
 	if len(evs) != 2 {
-		t.Fatalf("FlightSnapshot merged %d events, want 2", len(evs))
+		t.Fatalf("FlightSnapshot returned %d events, want 2", len(evs))
 	}
-	if evs[0].Nanos < evs[1].Nanos {
+	if evs[0].Kind != EventModelSwap || evs[0].Nanos < evs[1].Nanos {
 		t.Fatal("FlightSnapshot must be newest first")
 	}
 	if got := tr.FlightSnapshot(1); len(got) != 1 {
@@ -285,8 +284,8 @@ func TestTracerNilSafe(t *testing.T) {
 	if tr.Sampler() != nil || tr.Spans() != nil || tr.FlightSnapshot(0) != nil {
 		t.Fatal("nil tracer accessors must return zero values")
 	}
-	if tr.ShardRing(0) != nil {
-		t.Fatal("nil tracer rings must be nil")
+	if tr.EngineRing() != nil {
+		t.Fatal("a nil tracer's ring must be nil")
 	}
 	tr.SpanDone(&Span{}) // must not panic
 }
@@ -299,7 +298,7 @@ func TestHandlersServeJSON(t *testing.T) {
 		Emit: base, Send: base + 1, Recv: base + 2,
 		Enqueue: base + 3, Detect: base + 4, Done: base + 5,
 	})
-	tr.ShardRing(0).Record(EventSynopsis, 1, 2, 3, 0)
+	tr.EngineRing().Record(EventSynopsis, 1, 2, 3, 0)
 
 	rec := httptest.NewRecorder()
 	tr.SpansHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/trace", nil))

@@ -33,7 +33,7 @@ type Monitor struct {
 	trainer  *analyzer.Trainer
 	model    *Model
 	engine   *analyzer.Engine
-	opts     monitorOptions // engine size and alarm-filter thresholds
+	opts     monitorOptions // alarm-filter thresholds
 	filter   *AlarmFilter
 	store    *lifecycle.Store
 	modelVer int
@@ -65,7 +65,6 @@ type monitorOptions struct {
 	filterMinWindows int
 	filterSpan       int
 	metricsAddr      string
-	engineShards     int
 	storeDir         string
 }
 
@@ -90,17 +89,6 @@ func WithAlarmFilter(minWindows, span int) MonitorOption {
 	}
 }
 
-// WithEngineShards sizes the analyzer engine the monitor detects on: n
-// shard workers, n < 1 selects GOMAXPROCS, and without the option there is
-// one. The monitor always runs the engine and the verdicts do not depend on
-// n — the engine routes each (host, stage) group wholly to one shard,
-// preserving the per-group order the windowed statistics depend on — but
-// more shards fan the synopses Poll and Flush drain out across cores, which
-// pays off when many hosts or stages stream through one monitor.
-func WithEngineShards(n int) MonitorOption {
-	return func(o *monitorOptions) { o.engineShards = n }
-}
-
 // WithModelStore versions the monitor's trained models in the on-disk
 // store at dir: every Train records the model as a new store version
 // (parent-linked to the previous one), and ModelVersion reports which
@@ -120,7 +108,7 @@ func WithMetricsAddr(addr string) MonitorOption {
 
 // NewMonitor creates a monitor in training mode.
 func NewMonitor(opts ...MonitorOption) (*Monitor, error) {
-	o := monitorOptions{host: 1, analyzer: DefaultAnalyzerConfig(), engineShards: 1}
+	o := monitorOptions{host: 1, analyzer: DefaultAnalyzerConfig()}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -190,9 +178,9 @@ func (m *Monitor) MetricsAddr() string {
 }
 
 // Close stops the metrics HTTP server (if any), the synopsis channel and
-// the engine's shard workers. The tracker side stays safe to
-// call: synopses emitted after Close are dropped and counted. Call Flush
-// before Close to report the open windows' anomalies.
+// the engine's worker. The tracker side stays safe to call: synopses
+// emitted after Close are dropped and counted. Call Flush before Close to
+// report the open windows' anomalies.
 func (m *Monitor) Close() error {
 	m.ch.Close()
 	m.mu.Lock()
@@ -291,9 +279,7 @@ func (m *Monitor) installDetector(model *Model) {
 	if m.engine != nil {
 		_ = m.engine.Close() // SetModel over a live engine: retire its workers
 	}
-	m.engine = analyzer.NewEngine(model,
-		analyzer.WithShards(m.opts.engineShards),
-		analyzer.WithEngineMetrics(m.pipeline.Analyzer))
+	m.engine = analyzer.NewEngine(model, analyzer.WithEngineMetrics(m.pipeline.Analyzer))
 	if m.opts.filterMinWindows > 0 {
 		m.filter = analyzer.NewAlarmFilter(m.opts.filterMinWindows, m.opts.filterSpan, model.Config.Window)
 	}

@@ -155,8 +155,7 @@ func eqMonitor(t *testing.T, opts ...saad.MonitorOption) []saad.Anomaly {
 
 // TestMonitorMatchesReferenceDetector holds the monitor to the reference
 // verdicts, anomaly for anomaly, examples included: Poll... + Flush equals
-// the spec fed the same synopses — on the default one-shard engine and on
-// four shards, with and without the alarm filter.
+// the spec fed the same synopses — with and without the alarm filter.
 func TestMonitorMatchesReferenceDetector(t *testing.T) {
 	unfiltered := eqReference(t, nil)
 	var newSig, flow, perf int
@@ -184,9 +183,7 @@ func TestMonitorMatchesReferenceDetector(t *testing.T) {
 		want []saad.Anomaly
 	}{
 		{"default", nil, unfiltered},
-		{"shards=4", []saad.MonitorOption{saad.WithEngineShards(4)}, unfiltered},
 		{"default/filter", []saad.MonitorOption{saad.WithAlarmFilter(2, 3)}, filtered},
-		{"shards=4/filter", []saad.MonitorOption{saad.WithEngineShards(4), saad.WithAlarmFilter(2, 3)}, filtered},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := analyzertest.Observe(tc.want, nil, 0)

@@ -71,14 +71,13 @@ type (
 	Model = analyzer.Model
 	// Detector is the windowed online anomaly detector.
 	Detector = analyzer.Detector
-	// Engine is the sharded concurrent analyzer: it fans synopses out
-	// across shard workers by (host, stage) with detection semantics
-	// bit-identical to a single Detector.
+	// Engine is the concurrent analyzer: any number of goroutines feed one
+	// worker that owns a Detector, with detection semantics bit-identical
+	// to that Detector fed the same stream.
 	Engine = analyzer.Engine
-	// EngineOption configures NewEngine (shard count, queue size,
-	// anomaly sink).
+	// EngineOption configures NewEngine (queue size, anomaly sink).
 	EngineOption = analyzer.EngineOption
-	// ShardStat is one engine shard's live load snapshot.
+	// ShardStat is the engine worker's live load snapshot.
 	ShardStat = analyzer.ShardStat
 	// Anomaly is one detected flow or performance anomaly.
 	Anomaly = analyzer.Anomaly
@@ -177,23 +176,17 @@ func ReadCheckpoint(r io.Reader) (*Detector, error) { return analyzer.ReadCheckp
 // atomically by Detector.WriteCheckpointFile.
 func LoadCheckpointFile(path string) (*Detector, error) { return analyzer.LoadCheckpointFile(path) }
 
-// NewEngine returns a running sharded analyzer engine for the trained
-// model; it implements Sink, so it can terminate a synopsis transport
-// directly. See WithShards, WithAnomalySink.
+// NewEngine returns a running analyzer engine for the trained model; it
+// implements Sink, so it can terminate a synopsis transport directly. See
+// WithAnomalySink.
 func NewEngine(m *Model, opts ...EngineOption) *Engine { return analyzer.NewEngine(m, opts...) }
 
-// WithShards sets the engine's shard worker count; n < 1 selects
-// GOMAXPROCS.
-func WithShards(n int) EngineOption { return analyzer.WithShards(n) }
-
 // WithAnomalySink delivers every anomaly batch to fn as windows close,
-// called from shard worker goroutines (fn must be safe for concurrent
-// use).
+// called from the engine's worker goroutine.
 func WithAnomalySink(fn func([]Anomaly)) EngineOption { return analyzer.WithAnomalySink(fn) }
 
 // NewEngineFromDetector lifts a detector (typically restored from a
-// checkpoint) into a running engine, partitioning its window state across
-// shards.
+// checkpoint) into a running engine: the detector becomes its core.
 func NewEngineFromDetector(d *Detector, opts ...EngineOption) *Engine {
 	return analyzer.NewEngineFromDetector(d, opts...)
 }

@@ -204,14 +204,14 @@ func TestMonitorSetModelAndSerialization(t *testing.T) {
 }
 
 // TestMonitorEngineMode runs the end-to-end monitor flow through executors
-// on a four-shard engine and checks the premature exit is reported, and that
+// on the analyzer engine and checks the premature exit is reported, and that
 // Flush after Close is safe. TestMonitorMatchesReferenceDetector holds the
 // verdicts themselves to the analyzer's executable specification.
 func TestMonitorEngineMode(t *testing.T) {
 	cfg := saad.DefaultAnalyzerConfig()
 	cfg.Window = time.Second
 	cfg.MinTasksPerSignature = 10
-	mon, err := saad.NewMonitor(saad.WithAnalyzerConfig(cfg), saad.WithHost(3), saad.WithEngineShards(4))
+	mon, err := saad.NewMonitor(saad.WithAnalyzerConfig(cfg), saad.WithHost(3))
 	if err != nil {
 		t.Fatal(err)
 	}
