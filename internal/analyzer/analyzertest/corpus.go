@@ -77,12 +77,29 @@ func train(tb testing.TB, trace []*synopsis.Synopsis) *analyzer.Model {
 // canonical form); durations straddle the trained threshold; one in eight is
 // delivered twice, as a replayed frame would. Times and durations stay on
 // the wire codec's microsecond grid, so a stream crosses TCP unchanged.
+//
+// A stream spans at most 20 minutes, so no group closes more than about 25
+// windows: far under HistoryDepth, no history folds, and an assembly that
+// spreads a group's windows over several engines compares window by window.
 func Stream(seed int64) []*synopsis.Synopsis {
 	rng := rand.New(rand.NewSource(seed))
+	return stream(rng, rng.Intn(600), 2*time.Second)
+}
+
+// LongStream draws a stream like Stream's, of 1,200 to 2,400 synopses on a
+// clock ten times slower: over about five hours most groups close well over
+// HistoryDepth windows, so their histories fold.
+func LongStream(seed int64) []*synopsis.Synopsis {
+	rng := rand.New(rand.NewSource(seed))
+	return stream(rng, 1200+rng.Intn(1200), 20*time.Second)
+}
+
+// stream draws n synopses on a clock that advances up to step a task.
+func stream(rng *rand.Rand, n int, step time.Duration) []*synopsis.Synopsis {
 	var out []*synopsis.Synopsis
 	clock := Epoch
-	for i, n := 0, rng.Intn(600); i < n; i++ {
-		clock = clock.Add(time.Duration(rng.Intn(2000)) * time.Millisecond)
+	for i := 0; i < n; i++ {
+		clock = clock.Add(time.Duration(rng.Intn(int(step/time.Millisecond))) * time.Millisecond)
 		s := &synopsis.Synopsis{
 			Stage:    1,
 			Host:     uint16(rng.Intn(3)),

@@ -37,10 +37,10 @@ type Verdict struct {
 
 // Window is one closed window as compared.
 type Window struct {
-	Host                              uint16
-	Stage                             logpoint.StageID
-	Start                             int64
-	Tasks, FlowOutliers, PerfOutliers int
+	Host                                       uint16
+	Stage                                      logpoint.StageID
+	Start                                      int64
+	Windows, Tasks, FlowOutliers, PerfOutliers int
 }
 
 // Observe puts what an assembly reported — its anomalies, its closed-window
@@ -64,7 +64,7 @@ func Observe(anomalies []analyzer.Anomaly, history []analyzer.WindowStats, late 
 	}
 	for i, w := range history {
 		o.Windows[i] = Window{
-			Host: w.Host, Stage: w.Stage, Start: w.Window.UnixNano(),
+			Host: w.Host, Stage: w.Stage, Start: w.Window.UnixNano(), Windows: w.Windows,
 			Tasks: w.Tasks, FlowOutliers: w.FlowOutliers, PerfOutliers: w.PerfOutliers,
 		}
 	}
@@ -81,7 +81,7 @@ func Observe(anomalies []analyzer.Anomaly, history []analyzer.WindowStats, late 
 	slices.SortFunc(o.Windows, func(a, b Window) int {
 		return cmp.Or(
 			cmp.Compare(a.Host, b.Host), cmp.Compare(a.Stage, b.Stage), cmp.Compare(a.Start, b.Start),
-			cmp.Compare(a.Tasks, b.Tasks), cmp.Compare(a.FlowOutliers, b.FlowOutliers),
+			cmp.Compare(a.Windows, b.Windows), cmp.Compare(a.Tasks, b.Tasks), cmp.Compare(a.FlowOutliers, b.FlowOutliers),
 			cmp.Compare(a.PerfOutliers, b.PerfOutliers),
 		)
 	})
@@ -98,15 +98,24 @@ func flag(b bool) int {
 // FlushEngines flushes every engine and observes them as one analyzer: the
 // anomalies reported earlier (before a restart, by a swap) and the flushed
 // ones, every engine's window history, the late drops summed.
+//
+// The histories fold as one detector's would: read one engine after another,
+// a group's entries past its last HistoryDepth windows join its aggregate. A
+// group whose windows closed on two engines — handed from one to the next —
+// therefore compares exactly, aggregate included, when the engines are passed
+// in the order they held it. Where no group closes more than HistoryDepth
+// windows in all (any Stream), nothing folds and the order does not matter.
 func FlushEngines(earlier []analyzer.Anomaly, engines ...*analyzer.Engine) Outcome {
-	var hist []analyzer.WindowStats
+	hist := history{}
 	var late uint64
 	for _, e := range engines {
 		earlier = append(earlier, e.Flush()...)
-		hist = append(hist, e.WindowHistory()...)
+		for _, w := range e.WindowHistory() {
+			hist.add(w)
+		}
 		late += e.LateSynopses()
 	}
-	return Observe(earlier, hist, late)
+	return Observe(earlier, hist.all(), late)
 }
 
 // Check fails tb at the first difference between what an assembly decided

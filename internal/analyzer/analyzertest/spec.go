@@ -36,14 +36,63 @@ import (
 // Examples: each kind of evidence — one new signature, the rare flows, the
 // slow tasks of one signature — keeps its first MaxExamples tasks, and a new
 // signature keeps at least one, the only record of the unseen flow.
+//
+// History: each group keeps its last HistoryDepth closed windows in full and
+// sums every older one, in the order the group closed them, into one
+// aggregate.
 type Spec struct {
 	// Model judges every task; set it between a Flush and the next Feed to
 	// hand the spec a new model, as Engine.SwapModel does.
 	Model *analyzer.Model
 
 	open map[analyzer.GroupKey]*window
-	hist []analyzer.WindowStats
+	hist history
 	late uint64
+}
+
+// history is a closed-window history: per group, the aggregate (Windows 0
+// until a window folds) and the windows after it, oldest first.
+type history map[analyzer.GroupKey]*past
+
+type past struct {
+	agg    analyzer.WindowStats
+	recent []analyzer.WindowStats
+}
+
+// add appends w to its group's history and folds the oldest entries into the
+// aggregate while more than HistoryDepth remain. w may itself be an
+// aggregate: histories read one after another fold as one.
+func (h history) add(w analyzer.WindowStats) {
+	key := analyzer.GroupKey{Host: w.Host, Stage: w.Stage}
+	if h[key] == nil {
+		h[key] = &past{}
+	}
+	p := h[key]
+	p.recent = append(p.recent, w)
+	for len(p.recent) > analyzer.HistoryDepth {
+		old := p.recent[0]
+		p.recent = p.recent[1:]
+		if p.agg.Windows == 0 {
+			p.agg = old
+			continue
+		}
+		p.agg.Windows += old.Windows
+		p.agg.Tasks += old.Tasks
+		p.agg.FlowOutliers += old.FlowOutliers
+		p.agg.PerfOutliers += old.PerfOutliers
+	}
+}
+
+// all lists every group's aggregate, if any, and its windows.
+func (h history) all() []analyzer.WindowStats {
+	var out []analyzer.WindowStats
+	for _, p := range h {
+		if p.agg.Windows > 0 {
+			out = append(out, p.agg)
+		}
+		out = append(out, p.recent...)
+	}
+	return out
 }
 
 type window struct {
@@ -63,7 +112,7 @@ type evidence struct {
 
 // NewSpec returns a spec with no window open.
 func NewSpec(model *analyzer.Model) *Spec {
-	return &Spec{Model: model, open: map[analyzer.GroupKey]*window{}}
+	return &Spec{Model: model, open: map[analyzer.GroupKey]*window{}, hist: history{}}
 }
 
 // Feed judges one task and returns the anomalies of the window it closed.
@@ -174,8 +223,8 @@ func (d *Spec) close(key analyzer.GroupKey) []analyzer.Anomaly {
 			out = append(out, a)
 		}
 	}
-	d.hist = append(d.hist, analyzer.WindowStats{
-		Stage: key.Stage, Host: key.Host, Window: w.start,
+	d.hist.add(analyzer.WindowStats{
+		Stage: key.Stage, Host: key.Host, Window: w.start, Windows: 1,
 		Tasks: w.tasks, FlowOutliers: w.flowOut, PerfOutliers: slow,
 	})
 	return out
@@ -202,7 +251,7 @@ func (d *Spec) Run(stream []*synopsis.Synopsis) []analyzer.Anomaly {
 
 // Observe is Observe over the spec's window history and late count.
 func (d *Spec) Observe(anomalies []analyzer.Anomaly) Outcome {
-	return Observe(anomalies, d.hist, d.late)
+	return Observe(anomalies, d.hist.all(), d.late)
 }
 
 // Want is what the paper's analyzer decides over stream: the spec fed every

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,28 +25,39 @@ import (
 // Rows are grouped under the test that runs them (table is keyed by test
 // name); FuzzAssemblies runs all of them on arbitrary bytes.
 
-// testCase is one stream, the models that judge it, the seeded point at
-// which a row cuts it to restart, hand off or swap, and what the spec
+// testCase is one named stream, the models that judge it, the seeded point
+// at which a row cuts it to restart, hand off or swap, and what the spec
 // decides over it on model a.
 type testCase struct {
+	name   string
 	a, b   *analyzer.Model
 	stream []*synopsis.Synopsis
 	cut    int
 	want   analyzertest.Outcome
 }
 
-func newCase(a, b *analyzer.Model, stream []*synopsis.Synopsis, cut int) testCase {
-	return testCase{a, b, stream, cut, analyzertest.Want(a, stream)}
+func newCase(name string, a, b *analyzer.Model, stream []*synopsis.Synopsis, cut int) testCase {
+	return testCase{name, a, b, stream, cut, analyzertest.Want(a, stream)}
 }
 
-// corpus is the cases of seeds 1 to n, each cut at a seeded point.
+// longSeeds is how many LongStream cases every corpus carries: the streams
+// whose group histories fold, before and after every row's cut.
+const longSeeds = 3
+
+// corpus is the cases of Stream's seeds 1 to n and LongStream's 1 to
+// longSeeds, each cut at a seeded point.
 func corpus(t *testing.T, n int64) []testCase {
 	a, b := analyzertest.Model(t), analyzertest.ModelB(t)
-	cases := make([]testCase, n)
-	for i := range cases {
-		seed := int64(i) + 1
-		stream := analyzertest.Stream(seed)
-		cases[i] = newCase(a, b, stream, rand.New(rand.NewSource(seed)).Intn(len(stream)+1))
+	var cases []testCase
+	add := func(name string, seed int64, stream []*synopsis.Synopsis) {
+		cut := rand.New(rand.NewSource(seed)).Intn(len(stream) + 1)
+		cases = append(cases, newCase(fmt.Sprintf("%s %d", name, seed), a, b, stream, cut))
+	}
+	for seed := int64(1); seed <= n; seed++ {
+		add("seed", seed, analyzertest.Stream(seed))
+	}
+	for seed := int64(1); seed <= longSeeds; seed++ {
+		add("long seed", seed, analyzertest.LongStream(seed))
 	}
 	return cases
 }
@@ -88,8 +100,8 @@ func holdToSpec(t *testing.T, cases []testCase) {
 	}
 	for _, r := range rows {
 		run := func(t *testing.T) {
-			for i, c := range cases {
-				analyzertest.Check(t, fmt.Sprintf("seed %d", i+1), r.expect(c), r.run(t, c))
+			for _, c := range cases {
+				analyzertest.Check(t, c.name, r.expect(c), r.run(t, c))
 			}
 		}
 		if r.name == "" {
@@ -105,25 +117,32 @@ func holdToSpec(t *testing.T, cases []testCase) {
 // flows, non-canonical point lists, out-of-order and late starts, replayed
 // duplicates — and checks on the spec what makes the comparison worth
 // having: windows and late drops account for every task once, evidence never
-// exceeds its tasks, and the streams reach every kind of verdict.
+// exceeds its tasks, the streams reach every kind of verdict, and the long
+// ones — only those — fold group histories past HistoryDepth windows.
 func TestDetectorRobustnessProperty(t *testing.T) {
 	cases := corpus(t, 1000)
-	var newSig, flow, perf, late int
-	for i, c := range cases {
-		seed, want := i+1, c.want
+	var newSig, flow, perf, late, folded int
+	for _, c := range cases {
+		want := c.want
 		total := int(want.Late)
 		for _, w := range want.Windows {
-			if w.Tasks <= 0 || w.FlowOutliers < 0 || w.PerfOutliers < 0 || w.FlowOutliers+w.PerfOutliers > w.Tasks {
-				t.Fatalf("seed %d: window counts out of range: %+v", seed, w)
+			if w.Windows < 1 || w.Tasks < w.Windows || w.FlowOutliers < 0 || w.PerfOutliers < 0 || w.FlowOutliers+w.PerfOutliers > w.Tasks {
+				t.Fatalf("%s: window counts out of range: %+v", c.name, w)
 			}
 			total += w.Tasks
+			if w.Windows > 1 {
+				folded++
+				if !strings.HasPrefix(c.name, "long") {
+					t.Fatalf("%s: a group of a Stream folds, %+v: the fleet and TCP rows, which spread groups over engines, compare Streams window by window", c.name, w)
+				}
+			}
 		}
 		if total != len(c.stream) {
-			t.Fatalf("seed %d: windows and late drops account for %d of %d tasks", seed, total, len(c.stream))
+			t.Fatalf("%s: windows and late drops account for %d of %d tasks", c.name, total, len(c.stream))
 		}
 		for _, v := range want.Verdicts {
 			if v.Outliers <= 0 || v.Outliers > v.Tasks {
-				t.Fatalf("seed %d: anomaly evidence out of range: %+v", seed, v)
+				t.Fatalf("%s: anomaly evidence out of range: %+v", c.name, v)
 			}
 			switch {
 			case v.NewSignature:
@@ -136,9 +155,9 @@ func TestDetectorRobustnessProperty(t *testing.T) {
 		}
 		late += int(want.Late)
 	}
-	if newSig == 0 || flow == 0 || perf == 0 || late == 0 {
-		t.Fatalf("over all seeds: %d new-signature, %d proportion flow and %d performance anomalies, %d late drops; want some of each",
-			newSig, flow, perf, late)
+	if newSig == 0 || flow == 0 || perf == 0 || late == 0 || folded == 0 {
+		t.Fatalf("over all seeds: %d new-signature, %d proportion flow and %d performance anomalies, %d late drops, %d folded histories; want some of each",
+			newSig, flow, perf, late, folded)
 	}
 	holdToSpec(t, cases)
 }
@@ -343,6 +362,13 @@ func FuzzAssemblies(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{1, 1, 0, 1, 10, 0b11011}, 8), uint16(4))
 	f.Add([]byte{1, 2, 0, 1, 10, 0b11011, 1, 2, 0, 200, 12, 0b11111}, uint16(1)) // crosses a window
 	f.Add([]byte{1, 3, 0, 100, 10, 0b11011, 1, 3, 0, 1, 10, 0b00011}, uint16(1)) // a late straggler
+	// One group through 70 windows: its history folds.
+	var folding []byte
+	for w := 0; w < 70; w++ {
+		at := 60 * w
+		folding = append(folding, 0, 1, byte(at>>8), byte(at), 10, 0b11011)
+	}
+	f.Add(folding, uint16(40))
 	a, b := analyzertest.Model(f), analyzertest.ModelB(f)
 	var tests []string
 	for test := range table {
@@ -351,7 +377,7 @@ func FuzzAssemblies(f *testing.F) {
 	slices.Sort(tests)
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
 		stream := analyzertest.FromBytes(data)
-		c := newCase(a, b, stream, int(cut)%(len(stream)+1))
+		c := newCase("fuzz", a, b, stream, int(cut)%(len(stream)+1))
 		for _, test := range tests {
 			for _, r := range table[test] {
 				analyzertest.Check(t, test+"/"+r.name, r.expect(c), r.run(t, c))

@@ -63,9 +63,12 @@ type windowStatsJSON struct {
 	Stage        logpoint.StageID `json:"stage"`
 	Host         uint16           `json:"host"`
 	WindowUnixNs int64            `json:"windowUnixNs"`
-	Tasks        int              `json:"tasks"`
-	FlowOutliers int              `json:"flowOutliers"`
-	PerfOutliers int              `json:"perfOutliers"`
+	// Windows is written only for a group's aggregate of folded windows;
+	// absent, as in every checkpoint before the history was bounded, it is 1.
+	Windows      *int `json:"windows,omitempty"`
+	Tasks        int  `json:"tasks"`
+	FlowOutliers int  `json:"flowOutliers"`
+	PerfOutliers int  `json:"perfOutliers"`
 }
 
 func encodeSynopses(in []*synopsis.Synopsis) []string {
@@ -96,7 +99,7 @@ func decodeSynopses(in []string) ([]*synopsis.Synopsis, error) {
 // stage) order.
 func (d *Detector) windowsJSON() []windowJSON {
 	out := make([]windowJSON, 0, len(d.open))
-	for _, k := range d.openKeys() {
+	for _, k := range sortedGroups(d.open) {
 		out = append(out, windowToJSON(k, d.open[k]))
 	}
 	return out
@@ -137,33 +140,63 @@ func windowToJSON(k groupKey, ws *windowState) windowJSON {
 	return wj
 }
 
-// historyJSON snapshots the closed-window history in close order.
+// historyJSON snapshots the closed-window history in WindowHistory's order.
 func (d *Detector) historyJSON() []windowStatsJSON {
-	out := make([]windowStatsJSON, 0, len(d.stats))
-	for _, e := range d.stats {
-		out = append(out, windowStatsJSON{
-			Stage:        e.stage,
-			Host:         e.host,
-			WindowUnixNs: e.start,
-			Tasks:        int(e.tasks),
-			FlowOutliers: int(e.flowOutliers),
-			PerfOutliers: int(e.perfOutliers),
-		})
+	hist := d.WindowHistory()
+	out := make([]windowStatsJSON, len(hist))
+	for i, w := range hist {
+		out[i] = windowStatsJSON{
+			Stage:        w.Stage,
+			Host:         w.Host,
+			WindowUnixNs: w.Window.UnixNano(),
+			Tasks:        w.Tasks,
+			FlowOutliers: w.FlowOutliers,
+			PerfOutliers: w.PerfOutliers,
+		}
+		if w.Windows > 1 {
+			out[i].Windows = &hist[i].Windows
+		}
 	}
 	return out
 }
 
-// entry packs one history entry, refusing what no detector writes: a
-// negative count, a count above MaxUint32 (the packed width) and outliers
-// exceeding the window's tasks.
-func (st *windowStatsJSON) entry() (windowEntry, error) {
-	if st.Tasks < 0 || int64(st.Tasks) > math.MaxUint32 ||
+// restoreInto adds one history entry to h in the order the checkpoint lists
+// it, so a group past HistoryDepth windows — an old checkpoint's — folds as
+// it is read. It refuses what no detector writes: fewer than one window, a
+// negative count, outliers exceeding their tasks, a single window's count
+// above MaxUint32 (the packed width) and an aggregate behind other entries
+// of its group.
+func (st *windowStatsJSON) restoreInto(h *history) error {
+	windows := 1
+	if st.Windows != nil {
+		windows = *st.Windows
+	}
+	if windows < 1 || st.Tasks < 0 || (windows == 1 && int64(st.Tasks) > math.MaxUint32) ||
 		st.FlowOutliers < 0 || st.FlowOutliers > st.Tasks ||
 		st.PerfOutliers < 0 || st.PerfOutliers > st.Tasks {
-		return windowEntry{}, fmt.Errorf("analyzer: checkpoint history host=%d stage=%d window=%d: %d flow and %d perf outliers of %d tasks",
-			st.Host, st.Stage, st.WindowUnixNs, st.FlowOutliers, st.PerfOutliers, st.Tasks)
+		return st.errorf("%d windows: %d flow and %d perf outliers of %d tasks", windows, st.FlowOutliers, st.PerfOutliers, st.Tasks)
 	}
-	return packWindow(st.Host, st.Stage, st.WindowUnixNs, st.Tasks, st.FlowOutliers, st.PerfOutliers), nil
+	if windows == 1 {
+		h.add(packWindow(st.Host, st.Stage, st.WindowUnixNs, st.Tasks, st.FlowOutliers, st.PerfOutliers))
+		return nil
+	}
+	g := h.group(groupKey{host: st.Host, stage: st.Stage})
+	if g.agg.windows > 0 || len(g.recent) > 0 {
+		return st.errorf("an aggregate of %d windows behind other entries of its group", windows)
+	}
+	g.agg = windowAggregate{
+		start:        st.WindowUnixNs,
+		windows:      uint64(windows),
+		tasks:        uint64(st.Tasks),
+		flowOutliers: uint64(st.FlowOutliers),
+		perfOutliers: uint64(st.PerfOutliers),
+	}
+	h.closed += windows
+	return nil
+}
+
+func (st *windowStatsJSON) errorf(format string, args ...any) error {
+	return fmt.Errorf("analyzer: checkpoint history host=%d stage=%d window=%d: %s", st.Host, st.Stage, st.WindowUnixNs, fmt.Sprintf(format, args...))
 }
 
 // WriteCheckpoint serializes the detector — model and live window state —
@@ -216,9 +249,8 @@ func ReadCheckpoint(r io.Reader) (*Detector, error) {
 		}
 		d.adopt(key, ws)
 	}
-	d.stats = make([]windowEntry, len(raw.History))
 	for i := range raw.History {
-		if d.stats[i], err = raw.History[i].entry(); err != nil {
+		if err := raw.History[i].restoreInto(&d.hist); err != nil {
 			return nil, err
 		}
 	}
@@ -380,11 +412,11 @@ func LoadCheckpointFile(path string) (*Detector, error) {
 	return ReadCheckpoint(f)
 }
 
-// openKeys lists the groups with an open window by host then stage, the
-// order of everything the detector emits group by group.
-func (d *Detector) openKeys() []groupKey {
-	keys := make([]groupKey, 0, len(d.open))
-	for k := range d.open {
+// sortedGroups lists m's groups by host then stage, the order of everything
+// the detector emits group by group.
+func sortedGroups[V any](m map[groupKey]V) []groupKey {
+	keys := make([]groupKey, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	slices.SortFunc(keys, func(a, b groupKey) int {

@@ -219,3 +219,134 @@ func TestCheckpointTimePrecision(t *testing.T) {
 		t.Fatalf("window start drifted: %v vs %v", a.start, b.start)
 	}
 }
+
+// TestOldCheckpointFoldsOnRead: a checkpoint written before the history was
+// bounded lists every closed window in full, with no "windows" field. One
+// holding 200 windows of one group restores to the history the detector that
+// closed them keeps — an aggregate of the first 136, then the last
+// HistoryDepth — and the restored detector writes that detector's bytes.
+func TestOldCheckpointFoldsOnRead(t *testing.T) {
+	const windows = 200
+	model := stagedModel(t)
+	det := NewDetector(model)
+	var old []windowStatsJSON
+	for w := 0; w < windows; w++ {
+		at := epoch.Add(time.Duration(w) * model.Config.Window)
+		// Three normal tasks, w%3 of them slow, and w%2 of the rare flow.
+		for i := 0; i < 3+w%2; i++ {
+			s := makeSyn(1, 1, at, 10*time.Millisecond, 1, 2, 4, 5)
+			if i < w%3 {
+				s.Duration = 40 * time.Millisecond
+			}
+			if i == 3 {
+				s = makeSyn(1, 1, at, 10*time.Millisecond, 1, 2, 3, 4, 5)
+			}
+			det.Feed(s)
+		}
+		old = append(old, windowStatsJSON{
+			Stage: 1, Host: 1, WindowUnixNs: at.UnixNano(),
+			Tasks: 3 + w%2, FlowOutliers: w % 2, PerfOutliers: w % 3,
+		})
+	}
+	det.Flush()
+	written := checkpointBytes(t, det)
+	var raw checkpointJSON
+	if err := json.Unmarshal(written, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(written, []byte(`"windows": `)); n != 1 || len(raw.History) != 1+HistoryDepth {
+		t.Fatalf(`the detector wrote %d history entries, %d with "windows"; want %d, one`, len(raw.History), n, 1+HistoryDepth)
+	}
+	raw.History = old
+	var buf bytes.Buffer
+	if _, err := writeCheckpointJSON(&buf, raw); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(buf.Bytes(), []byte(`"windows": `)) {
+		t.Fatal(`the old-format checkpoint carries a "windows" field`)
+	}
+	restored, err := ReadCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := restored.WindowHistory()
+	if !reflect.DeepEqual(hist, det.WindowHistory()) || restored.ClosedWindows() != windows || det.ClosedWindows() != windows {
+		t.Fatalf("restored %d windows as %+v...; the writer closed %d as %+v...",
+			restored.ClosedWindows(), hist[0], det.ClosedWindows(), det.WindowHistory()[0])
+	}
+	if agg := hist[0]; agg.Windows != windows-HistoryDepth || !agg.Window.Equal(epoch) {
+		t.Fatalf("aggregate %+v, want the first %d windows from %v", agg, windows-HistoryDepth, epoch)
+	}
+	if got := checkpointBytes(t, restored); !bytes.Equal(got, written) {
+		t.Fatalf("the restored detector writes %d bytes, its writer %d", len(got), len(written))
+	}
+}
+
+// TestCheckpointRejectsBadAggregate: an aggregate entry is refused by name
+// when it sums fewer than one window, holds more outliers than tasks or a
+// negative count, or follows other entries of its group, where no detector
+// writes one. One that holds more tasks than a single window packs is kept.
+func TestCheckpointRejectsBadAggregate(t *testing.T) {
+	det := NewDetector(trainedModel(t))
+	for _, s := range hostileWindowSeed() {
+		det.Feed(s)
+	}
+	det.Flush()
+	good := checkpointBytes(t, det)
+	windows := func(n int) *int { return &n }
+	for _, tc := range []struct {
+		name   string
+		mutate func([]windowStatsJSON) []windowStatsJSON
+		ok     bool
+	}{
+		{"an aggregate", func(h []windowStatsJSON) []windowStatsJSON {
+			h[0].Windows, h[0].Tasks, h[0].FlowOutliers = windows(5), math.MaxUint32+1, 7
+			return h
+		}, true},
+		{"zero windows", func(h []windowStatsJSON) []windowStatsJSON { h[0].Windows = windows(0); return h }, false},
+		{"negative windows", func(h []windowStatsJSON) []windowStatsJSON { h[0].Windows = windows(-2); return h }, false},
+		{"negative tasks", func(h []windowStatsJSON) []windowStatsJSON {
+			h[0].Windows, h[0].Tasks, h[0].FlowOutliers, h[0].PerfOutliers = windows(5), -1, 0, 0
+			return h
+		}, false},
+		{"more flow outliers than tasks", func(h []windowStatsJSON) []windowStatsJSON {
+			h[0].Windows, h[0].FlowOutliers = windows(5), h[0].Tasks+1
+			return h
+		}, false},
+		{"more perf outliers than tasks", func(h []windowStatsJSON) []windowStatsJSON {
+			h[0].Windows, h[0].PerfOutliers = windows(5), h[0].Tasks+1
+			return h
+		}, false},
+		{"behind a window of its group", func(h []windowStatsJSON) []windowStatsJSON {
+			agg := h[0]
+			agg.Windows = windows(5)
+			return append(h, agg)
+		}, false},
+	} {
+		var raw checkpointJSON
+		if err := json.Unmarshal(good, &raw); err != nil {
+			t.Fatal(err)
+		}
+		if len(raw.History) != 1 {
+			t.Fatalf("the seed closed %d windows, want 1", len(raw.History))
+		}
+		raw.History = tc.mutate(raw.History)
+		var buf bytes.Buffer
+		if _, err := writeCheckpointJSON(&buf, raw); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := ReadCheckpoint(&buf)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.ok:
+			h := raw.History[0]
+			got := restored.WindowHistory()[0]
+			if got.Windows != *h.Windows || got.Tasks != h.Tasks || got.FlowOutliers != h.FlowOutliers || restored.ClosedWindows() != *h.Windows {
+				t.Errorf("%s: restored %+v (%d closed) from %+v", tc.name, got, restored.ClosedWindows(), h)
+			}
+		case err == nil || !strings.Contains(err.Error(), "host=1 stage=1"):
+			t.Errorf("%s: accepted, or refused without naming the group: %v", tc.name, err)
+		}
+	}
+}

@@ -73,21 +73,30 @@ func (a Anomaly) String() string {
 		a.Kind, a.Stage, a.Host, a.Window.Format("15:04:05"), a.Outliers, a.Tasks, tag)
 }
 
-// WindowStats summarizes one closed (host, stage) window regardless of
-// whether it was anomalous; the report renderer uses it for timelines.
+// WindowStats summarizes closed (host, stage) windows regardless of whether
+// they were anomalous: one window in full, or the aggregate a group's history
+// folds its older windows into.
 type WindowStats struct {
-	Stage        logpoint.StageID
-	Host         uint16
-	Window       time.Time
+	Stage logpoint.StageID
+	Host  uint16
+	// Window is the window's start; an aggregate's is its first window's.
+	Window time.Time
+	// Windows is how many closed windows the entry sums: 1 for a window in
+	// full, more only for an aggregate.
+	Windows      int
 	Tasks        int
 	FlowOutliers int
 	PerfOutliers int
 }
 
+// HistoryDepth is how many of a group's closed windows the history keeps in
+// full, the most recent ones. Older windows fold into one aggregate per
+// group, so the history grows with the groups, not with uptime.
+const HistoryDepth = 64
+
 // windowEntry is one closed window as the history keeps it: 24 bytes, no
-// padding and no pointer, so the history — one entry per (host, stage) window
-// for the life of the process — is never scanned by the GC. WindowStats is
-// built from it only when someone reads the history.
+// padding and no pointer, so the GC never scans a group's recent windows.
+// WindowStats is built from it only when someone reads the history.
 type windowEntry struct {
 	start                             int64 // window start, Unix ns
 	tasks, flowOutliers, perfOutliers uint32
@@ -117,16 +126,103 @@ func (e windowEntry) unpack() WindowStats {
 		Stage:        e.stage,
 		Host:         e.host,
 		Window:       time.Unix(0, e.start).UTC(),
+		Windows:      1,
 		Tasks:        int(e.tasks),
 		FlowOutliers: int(e.flowOutliers),
 		PerfOutliers: int(e.perfOutliers),
 	}
 }
 
-func unpackHistory(entries []windowEntry) []WindowStats {
-	out := make([]WindowStats, len(entries))
-	for i, e := range entries {
-		out[i] = e.unpack()
+// windowAggregate is the exact sum of the closed windows a group's history
+// no longer keeps in full; zero windows means none has folded yet.
+type windowAggregate struct {
+	start                                      int64 // the first folded window's start, Unix ns
+	windows, tasks, flowOutliers, perfOutliers uint64
+}
+
+func (a *windowAggregate) fold(e windowEntry) {
+	if a.windows == 0 {
+		a.start = e.start
+	}
+	a.windows++
+	a.tasks += uint64(e.tasks)
+	a.flowOutliers += uint64(e.flowOutliers)
+	a.perfOutliers += uint64(e.perfOutliers)
+}
+
+func (a *windowAggregate) unpack(k groupKey) WindowStats {
+	return WindowStats{
+		Stage:        k.stage,
+		Host:         k.host,
+		Window:       time.Unix(0, a.start).UTC(),
+		Windows:      int(a.windows),
+		Tasks:        int(a.tasks),
+		FlowOutliers: int(a.flowOutliers),
+		PerfOutliers: int(a.perfOutliers),
+	}
+}
+
+// groupHistory is one group's closed windows: the last HistoryDepth in full,
+// in a ring whose oldest entry sits at next once it is full, and every older
+// one folded into agg in the order the group closed them.
+type groupHistory struct {
+	agg    windowAggregate
+	recent []windowEntry
+	next   int
+}
+
+func (g *groupHistory) add(e windowEntry) {
+	if len(g.recent) < HistoryDepth {
+		g.recent = append(g.recent, e)
+		return
+	}
+	g.agg.fold(g.recent[g.next])
+	g.recent[g.next] = e
+	g.next = (g.next + 1) % HistoryDepth
+}
+
+// history is the closed-window history, bounded per group: it holds at most
+// HistoryDepth entries and one aggregate for each group that ever closed a
+// window, and counts every window closed.
+type history struct {
+	groups map[groupKey]*groupHistory
+	closed int
+}
+
+// group returns k's history, creating it on first use with room for all
+// HistoryDepth entries, so it never reallocates.
+func (h *history) group(k groupKey) *groupHistory {
+	g := h.groups[k]
+	if g == nil {
+		if h.groups == nil {
+			h.groups = make(map[groupKey]*groupHistory)
+		}
+		g = &groupHistory{recent: make([]windowEntry, 0, HistoryDepth)}
+		h.groups[k] = g
+	}
+	return g
+}
+
+func (h *history) add(e windowEntry) {
+	h.group(groupKey{host: e.host, stage: e.stage}).add(e)
+	h.closed++
+}
+
+// stats lists the history group by group, by host then stage: the group's
+// aggregate, if any window has folded, then its recent windows oldest first.
+func (h *history) stats() []WindowStats {
+	var out []WindowStats
+	for _, k := range sortedGroups(h.groups) {
+		g := h.groups[k]
+		if g.agg.windows > 0 {
+			out = append(out, g.agg.unpack(k))
+		}
+		for _, e := range g.recent[g.next:] {
+			out = append(out, e.unpack())
+		}
+		for _, e := range g.recent[:g.next] {
+			out = append(out, e.unpack())
+		}
 	}
 	return out
 }
@@ -148,8 +244,8 @@ type Detector struct {
 	// free holds the storage of closed windows for Feed to open the next
 	// window in; it never outgrows the most windows open at once.
 	free []*windowState
-	// stats is the closed-window history in close order, packed.
-	stats []windowEntry
+	// hist is the closed-window history, packed and bounded per group.
+	hist history
 	// late counts synopses dropped because their Start preceded the open
 	// window of their group (out-of-order arrivals past a window boundary).
 	late uint64
@@ -356,7 +452,9 @@ func sigKey(buf []byte, s *synopsis.Synopsis) []byte {
 // retain returns the synopsis to keep as an anomaly example: the synopsis
 // itself normally, a deep copy under SetRetainCopy (the fed synopsis may be
 // recycled the moment Feed returns). At most one retention site fires per
-// observe, so the clone cost is bounded by MaxExamples per window.
+// observe, and each site — a window's rare flows, each of its slow
+// signatures, each of its new signatures — keeps at most MaxExamples (a new
+// signature at least one), so the clone cost is bounded per retention site.
 func (d *Detector) retain(s *synopsis.Synopsis) *synopsis.Synopsis {
 	if d.retainCopy {
 		return s.Clone()
@@ -434,19 +532,21 @@ func cap1(n int) int {
 // stream.
 func (d *Detector) Flush() []Anomaly {
 	var out []Anomaly
-	for _, k := range d.openKeys() {
+	for _, k := range sortedGroups(d.open) {
 		out = append(out, d.closeWindow(k, d.open[k])...)
 	}
 	return out
 }
 
-// WindowHistory returns per-window statistics for all closed windows in
-// close order.
-func (d *Detector) WindowHistory() []WindowStats { return unpackHistory(d.stats) }
+// WindowHistory returns the closed-window history group by group, by host
+// then stage: each group's aggregate of the windows older than its last
+// HistoryDepth, if any, then those windows in close order. The Tasks (and
+// outliers) of all entries sum to every closed window's.
+func (d *Detector) WindowHistory() []WindowStats { return d.hist.stats() }
 
-// ClosedWindows returns how many windows the detector has closed: the length
-// of WindowHistory, without building it.
-func (d *Detector) ClosedWindows() int { return len(d.stats) }
+// ClosedWindows returns how many windows the detector has closed: the sum of
+// WindowHistory's Windows, without building it.
+func (d *Detector) ClosedWindows() int { return d.hist.closed }
 
 func (d *Detector) closeWindow(key groupKey, w *windowState) []Anomaly {
 	if m := d.metrics; m != nil {
@@ -540,7 +640,7 @@ func (d *Detector) closeWindow(key groupKey, w *windowState) []Anomaly {
 		})
 	}
 
-	d.stats = append(d.stats, packWindow(key.host, key.stage, w.start.UnixNano(), w.tasks, w.flowOutliers, perf))
+	d.hist.add(packWindow(key.host, key.stage, w.start.UnixNano(), w.tasks, w.flowOutliers, perf))
 	d.flight.Record(trace.EventWindowClose, uint16(key.stage), key.host, uint64(w.tasks), uint64(len(anomalies)))
 	d.recycle(w)
 	if m := d.metrics; m != nil {

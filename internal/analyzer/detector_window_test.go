@@ -115,13 +115,13 @@ func TestRecycledWindowsMatchFresh(t *testing.T) {
 		var want, got []Anomaly
 		for i, s := range stream {
 			want = append(want, long.Feed(s)...)
-			closed := len(fresh.stats)
+			closed := fresh.ClosedWindows()
 			got = append(got, fresh.Feed(s)...)
 			if i == len(stream)/3 || i == 2*len(stream)/3 {
 				want = append(want, long.Flush()...)
 				got = append(got, fresh.Flush()...)
 			}
-			if len(fresh.stats) != closed {
+			if fresh.ClosedWindows() != closed {
 				restored, err := ReadCheckpoint(bytes.NewReader(checkpointBytes(t, fresh)))
 				if err != nil {
 					t.Fatalf("seed %d: restore after synopsis %d: %v", seed, i, err)
@@ -210,9 +210,6 @@ func TestWindowAllocs(t *testing.T) {
 		{"perf outliers", model.Config.MaxExamples},
 	} {
 		det := NewDetector(model)
-		// The window history grows for the life of the process (ROADMAP item
-		// 1); give it room so the pin sees the window's own storage only.
-		det.stats = make([]windowEntry, 0, 4*(runs+3))
 		// One window of two interleaved groups of different stages per call;
 		// every call closes the previous window of both.
 		windows := make([][]*synopsis.Synopsis, runs+3)

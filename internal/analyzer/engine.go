@@ -19,9 +19,9 @@ import (
 // one worker goroutine owns a single-threaded Detector core behind a bounded
 // FIFO queue. The queue keeps every feeder's order, so every window sees
 // exactly the synopses — in exactly the order — a Detector fed the same
-// stream would have seen; Drain and Flush sort anomalies, and WindowHistory
-// the closed windows, into a canonical order so output is reproducible
-// whatever the feeders' interleaving.
+// stream would have seen; Drain and Flush sort anomalies into a canonical
+// order, and WindowHistory lists the closed windows group by group, so output
+// is reproducible whatever the feeders' interleaving.
 //
 // Concurrency contract: Feed, FeedBatch and Emit are safe from any number
 // of goroutines. The control-plane methods (Model, SwapModel, Drain, Flush,
@@ -523,17 +523,14 @@ func (e *Engine) Flush() []Anomaly {
 	return out
 }
 
-// WindowHistory returns the closed-window statistics sorted by host, stage,
-// then window start.
+// WindowHistory returns the core's closed-window history, group by group
+// (Detector.WindowHistory).
 func (e *Engine) WindowHistory() []WindowStats {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
-	var all []windowEntry
-	e.quiesce(func() { all = slices.Clone(e.core.stats) })
-	slices.SortStableFunc(all, func(a, b windowEntry) int {
-		return cmp.Or(cmpGroup(a.host, a.stage, b.host, b.stage), cmp.Compare(a.start, b.start))
-	})
-	return unpackHistory(all)
+	var out []WindowStats
+	e.quiesce(func() { out = e.core.WindowHistory() })
+	return out
 }
 
 // PendingTasks counts tasks in still-open windows.
@@ -577,9 +574,9 @@ func (e *Engine) ShardStats() []ShardStat {
 	}}
 }
 
-// WriteCheckpoint serializes the engine in the detector checkpoint format,
-// with the closed-window history in (host, stage, window) order rather than
-// close order. ReadCheckpoint/ReadEngineCheckpoint both accept the result.
+// WriteCheckpoint serializes the engine in the detector checkpoint format:
+// the bytes Detector.WriteCheckpoint writes of the core.
+// ReadCheckpoint/ReadEngineCheckpoint both accept the result.
 func (e *Engine) WriteCheckpoint(w io.Writer) (int64, error) {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
@@ -588,9 +585,6 @@ func (e *Engine) WriteCheckpoint(w io.Writer) (int64, error) {
 		out.Windows = e.core.windowsJSON()
 		out.History = e.core.historyJSON()
 		out.Late = e.core.late
-	})
-	slices.SortStableFunc(out.History, func(a, b windowStatsJSON) int {
-		return cmp.Or(cmpGroup(a.Host, a.Stage, b.Host, b.Stage), cmp.Compare(a.WindowUnixNs, b.WindowUnixNs))
 	})
 	return writeCheckpointJSON(w, out)
 }

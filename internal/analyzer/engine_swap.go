@@ -34,7 +34,7 @@ func (e *Engine) SwapModel(model *Model) []Anomaly {
 		out = e.flushCore()
 		old := e.core
 		fresh := NewDetector(model)
-		fresh.stats = old.stats
+		fresh.hist = old.hist
 		fresh.late = old.late
 		fresh.metrics = old.metrics
 		fresh.flight = old.flight

@@ -36,7 +36,7 @@ func (e *Engine) ExportGroups(selectGroup func(host uint16, stage logpoint.Stage
 	out := groupExportJSON{Version: checkpointVersion}
 	e.quiesce(func() {
 		d := e.core
-		for _, k := range d.openKeys() {
+		for _, k := range sortedGroups(d.open) {
 			if selectGroup(k.host, k.stage) {
 				w := d.open[k]
 				out.Windows = append(out.Windows, windowToJSON(k, w))
@@ -101,7 +101,7 @@ func (e *Engine) OpenGroups() []GroupKey {
 	defer e.ctl.Unlock()
 	var out []GroupKey
 	e.quiesce(func() {
-		for _, k := range e.core.openKeys() {
+		for _, k := range sortedGroups(e.core.open) {
 			out = append(out, GroupKey{Host: k.host, Stage: k.stage})
 		}
 	})

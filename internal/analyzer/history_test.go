@@ -11,6 +11,7 @@ import (
 
 	"saad/internal/logpoint"
 	"saad/internal/raceflag"
+	"saad/internal/synopsis"
 )
 
 // hasPointers reports whether a value of type t holds anything the GC must
@@ -64,7 +65,7 @@ func TestWindowEntryRoundTrip(t *testing.T) {
 		for _, c := range counts {
 			got := packWindow(math.MaxUint16, logpoint.StageID(7), start.UnixNano(), c.in[0], c.in[1], c.in[2]).unpack()
 			want := WindowStats{
-				Stage: 7, Host: math.MaxUint16, Window: start,
+				Stage: 7, Host: math.MaxUint16, Window: start, Windows: 1,
 				Tasks: c.want[0], FlowOutliers: c.want[1], PerfOutliers: c.want[2],
 			}
 			if !reflect.DeepEqual(got, want) {
@@ -74,21 +75,38 @@ func TestWindowEntryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestClosedWindowsCountsHistory: ClosedWindows is the length of
-// WindowHistory after every task, across flushes and a checkpoint restore.
+// TestClosedWindowsCountsHistory: ClosedWindows is the sum of WindowHistory's
+// Windows after every task, across flushes and a checkpoint restore, on a
+// stream long enough that every group's history folds; and the history's
+// tasks, the open windows' and the late drops account for every task fed.
 func TestClosedWindowsCountsHistory(t *testing.T) {
 	model := stagedModel(t)
 	det := NewDetector(model)
+	fed := 0
 	check := func(when string) {
 		t.Helper()
-		if got, want := det.ClosedWindows(), len(det.WindowHistory()); got != want {
-			t.Fatalf("%s: ClosedWindows = %d, WindowHistory holds %d", when, got, want)
+		windows, tasks := 0, 0
+		for _, w := range det.WindowHistory() {
+			windows += w.Windows
+			tasks += w.Tasks
+		}
+		if got := det.ClosedWindows(); got != windows {
+			t.Fatalf("%s: ClosedWindows = %d, WindowHistory sums %d", when, got, windows)
+		}
+		if got := tasks + det.PendingTasks() + int(det.LateSynopses()); got != fed {
+			t.Fatalf("%s: history, open windows and late drops account for %d of %d tasks", when, got, fed)
 		}
 	}
 	check("new detector")
+	// stagedStream's clock slowed twelvefold: about three hours, well over
+	// HistoryDepth windows for each of its twelve groups.
 	stream := stagedStream(1, 3000)
+	for _, s := range stream {
+		s.Start = epoch.Add(12 * s.Start.Sub(epoch))
+	}
 	for i, s := range stream {
 		det.Feed(s)
+		fed++
 		check("after a task")
 		switch i {
 		case len(stream) / 3:
@@ -105,46 +123,68 @@ func TestClosedWindowsCountsHistory(t *testing.T) {
 	}
 	det.Flush()
 	check("at the end")
-	if det.ClosedWindows() < 100 {
-		t.Fatalf("only %d windows closed: the stream should close far more", det.ClosedWindows())
+	folded := 0
+	for _, g := range det.hist.groups {
+		if g.agg.windows > 0 {
+			folded++
+		}
+	}
+	if len(det.hist.groups) != 12 || folded != 12 {
+		t.Fatalf("%d of %d groups folded: the stream should fold all twelve", folded, len(det.hist.groups))
 	}
 }
 
-// TestWindowHistoryRetainedBytes: what the history keeps per closed window,
-// measured as reachable heap after a collection. A detector closes 60,000
-// windows of one group on a virtual clock; the heap may grow by at most 32 B
-// a window — the 24-byte entry plus the slice's growth headroom. An entry
-// holding a time.Time (56 B) fails it.
+// TestWindowHistoryRetainedBytes: the history is bounded by its groups, not
+// by the windows they close. A detector closes 60,000 windows on a virtual
+// clock, all of one group or spread over 56, and the live heap after a
+// collection may grow by at most HistoryDepth entries and one aggregate a
+// group, plus the group's record and map slot, and 1 KiB the collector's own
+// bookkeeping may move by. A history that keeps every closed window fails it
+// (24 B a window is 1.44 MB), and so does one that keeps twice HistoryDepth
+// windows a group. The heap is process-wide, so a goroutine another test left
+// behind can only add to a measurement: each case takes the least of three.
 func TestWindowHistoryRetainedBytes(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("heap measurements are exact only without the race detector")
 	}
-	const windows, perWindow = 60_000, 32
+	const windows, bookkeeping, slack, rounds = 60_000, 128, 1024, 3
 	model := trainedModel(t)
-	det := NewDetector(model)
-	s := makeSyn(1, 1, epoch, 10*time.Millisecond, 1, 2, 4, 5)
-	det.Feed(s)
 	live := func() int64 {
 		runtime.GC()
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
 		return int64(m.HeapAlloc)
 	}
-	before := live()
-	for w := 1; w <= windows; w++ {
-		s.Start = epoch.Add(time.Duration(w) * model.Config.Window)
-		if out := det.Feed(s); len(out) != 0 {
-			t.Fatalf("window %d: unexpected anomaly %v", w, out[0])
+	for _, groups := range []int{1, 56} {
+		perGroup := windows / groups
+		grown := int64(math.MaxInt64)
+		for r := 0; r < rounds; r++ {
+			det := NewDetector(model)
+			syns := make([]*synopsis.Synopsis, groups)
+			for g := range syns {
+				syns[g] = makeSyn(1, uint16(g+1), epoch, 10*time.Millisecond, 1, 2, 4, 5)
+				det.Feed(syns[g])
+			}
+			before := live()
+			for w := 1; w <= perGroup; w++ {
+				for _, s := range syns {
+					s.Start = epoch.Add(time.Duration(w) * model.Config.Window)
+					if out := det.Feed(s); len(out) != 0 {
+						t.Fatalf("%d groups, window %d: unexpected anomaly %v", groups, w, out[0])
+					}
+				}
+			}
+			grown = min(grown, live()-before)
+			if det.ClosedWindows() != perGroup*groups {
+				t.Fatalf("%d groups: %d windows closed, want %d", groups, det.ClosedWindows(), perGroup*groups)
+			}
+			runtime.KeepAlive(det)
 		}
-	}
-	grown := live() - before
-	if det.ClosedWindows() != windows {
-		t.Fatalf("%d windows closed, want %d", det.ClosedWindows(), windows)
-	}
-	runtime.KeepAlive(det)
-	t.Logf("%d closed windows grew the live heap by %d B, %.1f B a window", windows, grown, float64(grown)/windows)
-	if grown > windows*perWindow {
-		t.Fatalf("%d closed windows grew the live heap by %d B, %.1f B a window; want at most %d",
-			windows, grown, float64(grown)/windows, perWindow)
+		limit := int64(groups)*(HistoryDepth*int64(unsafe.Sizeof(windowEntry{}))+int64(unsafe.Sizeof(windowAggregate{}))+bookkeeping) + slack
+		t.Logf("%d groups closing %d windows grew the live heap by %d B, %d B a group", groups, perGroup*groups, grown, grown/int64(groups))
+		if grown > limit {
+			t.Errorf("%d groups closing %d windows grew the live heap by %d B; want at most %d",
+				groups, perGroup*groups, grown, limit)
+		}
 	}
 }

@@ -159,7 +159,7 @@ func WithWriteTimeout(d time.Duration) ClientOption {
 
 // WithProtocol is a no-op: protocol v2 is the only wire format. The name
 // survives because benchmark/ calls it; it goes when benchmark/ is next
-// edited (ROADMAP item 2).
+// edited (ROADMAP item 7).
 func WithProtocol(int) ClientOption { return func(*Client) {} }
 
 // WithReconnect makes the client self-healing: a failed write parks its
