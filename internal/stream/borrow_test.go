@@ -1,12 +1,15 @@
 package stream
 
 import (
+	"math"
 	"math/rand"
+	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"saad/internal/raceflag"
 	"saad/internal/synopsis"
@@ -183,11 +186,11 @@ func receiveAllocs(t *testing.T, pool *synopsis.Pool, pts []synopsis.PointCount)
 }
 
 // TestServerReturnsCutFrameToPool: when a connection dies with a frame half
-// decoded, the records the server holds for it — those already decoded and
-// the one in hand — go back to the receive pool with the rest of the
-// connection's refill chunk. After every entry of the malformed-frame table
-// has cut a connection in turn, the 64-record pool still hands out only the
-// 64 records it was stocked with.
+// decoded, the records the server drew for it — those already decoded, the
+// one in hand and those not reached — go back to the receive pool. After
+// every entry of the malformed-frame table has cut a connection in turn,
+// the 64-record pool still hands out only the 64 records it was stocked
+// with.
 func TestServerReturnsCutFrameToPool(t *testing.T) {
 	const stock = 64
 	pool := synopsis.NewPool(stock)
@@ -214,8 +217,9 @@ func TestServerReturnsCutFrameToPool(t *testing.T) {
 			t.Fatal(err)
 		}
 		_ = peer.Close()
-		// One connection at a time: two would split the stock between their
-		// refill chunks.
+		// One connection at a time: a cut frame's records go back only as
+		// its handler retires, and a second connection's frame could draw
+		// on the stock meanwhile.
 		waitUntil(t, 10*time.Second, "the cut connection's handler to retire", func() bool {
 			srv.mu.Lock()
 			defer srv.mu.Unlock()
@@ -228,5 +232,113 @@ func TestServerReturnsCutFrameToPool(t *testing.T) {
 			t.Fatalf("record %d of %d out of the pool is fresh: a cut connection kept one of the pool's", i, stock)
 		}
 		delete(own, s)
+	}
+}
+
+// TestServerHoldsNoPoolRecordBetweenFrames: a connection draws each frame's
+// records when the frame arrives and the sink takes them all, so between
+// frames an open connection holds none of the pool's. After frames of
+// several sizes have gone through one connection into a recycling sink, the
+// pool, while the connection stays open, hands out only the records it was
+// stocked with.
+func TestServerHoldsNoPoolRecordBetweenFrames(t *testing.T) {
+	const stock = 1024
+	pool := synopsis.NewPool(stock)
+	own := make(map[*synopsis.Synopsis]bool, stock)
+	recs := make([]*synopsis.Synopsis, stock)
+	pool.GetN(recs) // fresh: the pool is empty
+	for _, s := range recs {
+		own[s] = true
+	}
+	pool.PutN(recs)
+
+	sink := &recyclingSink{pool: pool}
+	srv, err := Listen("127.0.0.1:0", sink, WithServerPool(pool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	peer := dialRaw(t, srv.Addr())
+	defer peer.Close()
+	sent := 0
+	// No frame may need more than the stock, or the pool mints records and
+	// the sink's recycling mixes them into it.
+	for _, n := range []int{100, 300, 1, 257, 500} {
+		frame := make([]*synopsis.Synopsis, n)
+		for i := range frame {
+			frame[i] = syn(uint64(sent + i))
+		}
+		peer.send(t, frame...)
+		sent += n
+	}
+	waitUntil(t, 10*time.Second, "every frame to be delivered", func() bool {
+		return sink.n.Load() == int64(sent)
+	})
+	pool.GetN(recs)
+	for i, s := range recs {
+		if !own[s] {
+			t.Fatalf("record %d of %d out of the pool is fresh: the open connection holds one of the pool's", i, stock)
+		}
+		delete(own, s)
+	}
+}
+
+// TestConnectionHeapBound pins what an open connection costs the server at
+// rest after a frame: its read buffer, the decoder's frame scratch and the
+// batch slice the frame's records were lent in, plus a little bookkeeping —
+// and no worst-case buffering. Sixteen raw peers each send one 2,048-record
+// frame and stay connected; the least growth of three rounds is the
+// measurement.
+func TestConnectionHeapBound(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("heap measurements are exact only without the race detector")
+	}
+	const conns, records, rounds, slack = 16, 2048, 3, 8 << 10
+	batch := make([]*synopsis.Synopsis, records)
+	for i := range batch {
+		batch[i] = syn(uint64(i))
+	}
+	frame := synopsis.NewBatchEncoder().AppendFrames(nil, batch)
+	sink := &recyclingSink{} // no pool: the records are garbage once delivered
+	srv, err := Listen("127.0.0.1:0", sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	live := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	grown := int64(math.MaxInt64)
+	for r := 0; r < rounds; r++ {
+		peers := make([]net.Conn, conns)
+		before := live()
+		for i := range peers {
+			peers[i] = dialRaw(t, srv.Addr()).Conn
+			if _, err := peers[i].Write(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitUntil(t, 10*time.Second, "every frame to be delivered", func() bool {
+			return sink.n.Load() == int64((r+1)*conns*records)
+		})
+		grown = min(grown, live()-before)
+		for _, p := range peers {
+			_ = p.Close()
+		}
+		waitUntil(t, 10*time.Second, "the connection handlers to retire", func() bool {
+			srv.mu.Lock()
+			defer srv.mu.Unlock()
+			return srv.ended == uint64((r+1)*conns)
+		})
+	}
+	perConn := grown / conns
+	limit := int64(readBufferSize + len(frame) + records*int(unsafe.Sizeof((*synopsis.Synopsis)(nil))) + slack)
+	t.Logf("%d connections after a %d-record frame (%d B) grew the live heap by %d B, %d B a connection", conns, records, len(frame), grown, perConn)
+	if perConn > limit {
+		t.Fatalf("an open connection holds %d B after a %d B frame; want at most %d (read buffer %d + frame + batch slice + %d slack)",
+			perConn, len(frame), limit, readBufferSize, slack)
 	}
 }

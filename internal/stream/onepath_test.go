@@ -359,8 +359,9 @@ func TestServerDeliversFramesWhole(t *testing.T) {
 					t.Fatal(err)
 				}
 				_ = peer.Close()
-				// One connection at a time: two would split the stock
-				// between their refill chunks.
+				// One connection at a time: a cut frame's records go back
+				// only as its handler retires, and a second connection's
+				// frame could draw on the stock meanwhile.
 				waitUntil(t, 10*time.Second, "the cut connection's handler to retire", func() bool {
 					srv.mu.Lock()
 					defer srv.mu.Unlock()

@@ -35,6 +35,12 @@ const (
 	maxDirectBatch     = 2048
 )
 
+// readBufferSize is a server connection's read buffer. The decoder reads
+// each frame whole into a scratch of its own, and bufio reads a frame larger
+// than the buffer straight into that scratch, so the buffer only batches the
+// reads of small frames: 4 KiB holds a frame of several hundred records.
+const readBufferSize = 4 << 10
+
 // reconnectFlushEvery is the flush tick of a WithReconnect client dialed
 // with flushEvery <= 0. Such a client always has a background goroutine (it
 // redials), and a tick is what bounds how long a synopsis pends on it.
@@ -748,7 +754,7 @@ func (s *Server) handle(conn net.Conn) {
 	if m != nil {
 		r = countingReader{r: conn, c: m.BytesReceived}
 	}
-	br := bufio.NewReaderSize(r, 64<<10)
+	br := bufio.NewReaderSize(r, readBufferSize)
 
 	// The hello is mandatory. A peer that opens with anything else, or
 	// offers only a version below 2, is counted and hung up on without a
@@ -781,109 +787,59 @@ func (s *Server) handle(conn net.Conn) {
 	s.receive(conn, br)
 }
 
-// connRefill is the per-connection free-list chunk size: the receive loop
-// takes one shared-pool lock per this many records.
-const connRefill = 256
-
-// connPool is a per-connection free list layered over the shared synopsis
-// pool: get pops locally and refills in connRefill-sized chunks, so shared
-// pool synchronization amortizes across the chunk. Not safe for concurrent
-// use — each connection handler owns exactly one.
-type connPool struct {
-	shared *synopsis.Pool
-	local  []*synopsis.Synopsis
-	next   int
-}
-
-// newConnPool returns the connection's free list over shared, which may be
-// nil: GetN then mints fresh records, and a chunk of one mints each as the
-// loop needs it rather than a chunk ahead.
-func newConnPool(shared *synopsis.Pool) *connPool {
-	chunk := connRefill
-	if shared == nil {
-		chunk = 1
-	}
-	c := &connPool{shared: shared, local: make([]*synopsis.Synopsis, chunk)}
-	c.next = chunk
-	return c
-}
-
-func (c *connPool) get() *synopsis.Synopsis {
-	if c.next == len(c.local) {
-		c.shared.GetN(c.local)
-		c.next = 0
-	}
-	s := c.local[c.next]
-	c.local[c.next] = nil
-	c.next++
-	return s
-}
-
-// release returns the unconsumed remainder of the current chunk to the
-// shared pool when the connection ends.
-func (c *connPool) release() {
-	c.shared.PutN(c.local[c.next:])
-}
-
-// receive is the per-connection receive loop: records decode into
-// pool-drawn synopses and a frame is handed to the sink, in one EmitBatch,
-// once its last record has decoded — so a frame is delivered whole or not at
-// all, and a client replaying a batch after a cut cannot duplicate records
-// the server already passed on. The batch slice is the connection's own,
+// receive is the per-connection receive loop. Once the decoder has read a
+// frame, the frame's records are drawn from the pool in one GetN, decoded
+// into, and handed to the sink in one EmitBatch — so a frame is delivered
+// whole or not at all, a client replaying a batch after a cut cannot
+// duplicate records the server already passed on, and the connection holds
+// no pool record between frames. The batch slice is the connection's own,
 // lent to the sink one frame at a time (see BatchSink), so a frame costs no
 // allocation here.
 func (s *Server) receive(conn net.Conn, br *bufio.Reader) {
 	m := s.metrics
 	dec := synopsis.NewBatchDecoder(br)
-	if m != nil {
-		dec.SetFrameHook(func(records int) {
-			m.BatchRecords.Observe(float64(records))
-		})
-	}
 	var batch []*synopsis.Synopsis
 	var lastInterned uint64
-	free := newConnPool(s.pool)
-	defer free.release()
 	for {
-		// Re-arm the idle deadline only at frame boundaries: mid-frame the
-		// bytes are already in flight (usually buffered), and per-record
-		// deadline syscalls are a large fraction of the old loop's cost. A
-		// peer stalling mid-frame still trips the deadline armed at its
-		// frame's start.
-		if s.readIdle > 0 && dec.Remaining() == 0 {
+		// The idle deadline is armed once a frame: the decoder reads each
+		// frame whole, so a peer stalling mid-frame trips the deadline armed
+		// at its frame's start.
+		if s.readIdle > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.readIdle))
 		}
-		syn := free.get()
-		if err := dec.Decode(syn); err != nil {
-			// The connection is over, possibly mid-frame: the record in hand
-			// and those already decoded for the frame are still the
-			// server's, and go back ahead of the unconsumed refill chunk.
-			s.pool.Put(syn)
-			s.pool.PutN(batch)
+		n, err := dec.Next()
+		if err != nil {
 			s.classifyReadErr(err)
 			return
 		}
-		s.stampRecv(syn)
-		if frame := dec.Remaining() + 1; len(batch) == 0 && cap(batch) < frame {
-			// The first record of a frame larger than any before it: size
-			// the slice for the whole frame (the decoder admits at most
-			// synopsis.MaxBatchRecords) instead of growing it by append.
-			batch = make([]*synopsis.Synopsis, 0, frame)
+		if cap(batch) < n {
+			// A frame larger than any before it (the decoder admits at most
+			// synopsis.MaxBatchRecords).
+			batch = make([]*synopsis.Synopsis, n)
 		}
-		batch = append(batch, syn)
-		if dec.Remaining() == 0 {
-			// Record counters update once per frame, not per record.
-			if m != nil {
-				m.FramesReceived.Add(uint64(len(batch)))
+		batch = batch[:n]
+		s.pool.GetN(batch)
+		for _, syn := range batch {
+			if err := dec.Decode(syn); err != nil {
+				// A malformed record ends the connection mid-frame: the
+				// frame's records are still the server's and all go back.
+				s.pool.PutN(batch)
+				s.classifyReadErr(err)
+				return
 			}
-			s.batchSink.EmitBatch(batch)
-			clear(batch) // the records are the sink's now
-			batch = batch[:0]
-			if m != nil {
-				if refs := dec.InternedRefs(); refs > lastInterned {
-					m.InternedHeaders.Add(refs - lastInterned)
-					lastInterned = refs
-				}
+			s.stampRecv(syn)
+		}
+		if m != nil {
+			// Record counters update once per frame, not per record.
+			m.FramesReceived.Add(uint64(n))
+			m.BatchRecords.Observe(float64(n))
+		}
+		s.batchSink.EmitBatch(batch)
+		clear(batch) // the records are the sink's now
+		if m != nil {
+			if refs := dec.InternedRefs(); refs > lastInterned {
+				m.InternedHeaders.Add(refs - lastInterned)
+				lastInterned = refs
 			}
 		}
 	}

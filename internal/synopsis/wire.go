@@ -76,11 +76,12 @@ const (
 	// maxFrameSize bounds one v2 batch frame (corrupt length prefixes must
 	// not allocate unbounded memory).
 	maxFrameSize = 1 << 22
-	// maxFrameBody is the soft cap batch encoders split frames at, leaving
-	// headroom for the frame header itself.
-	maxFrameBody = maxFrameSize - 64
 	// MaxBatchRecords bounds the records carried by one batch frame.
 	MaxBatchRecords = 4096
+	// frameHeaderGap is the room AppendFrames leaves ahead of a frame's
+	// records for its header: the length (4 uvarint bytes hold maxFrameSize),
+	// the kind byte and the record count (2 bytes hold MaxBatchRecords).
+	frameHeaderGap = 4 + 1 + 2
 	// maxInternEntries bounds the per-connection intern table; once full,
 	// further flows are sent inline forever (both sides stop appending at
 	// the same point, keeping the tables identical).
@@ -212,7 +213,6 @@ type BatchEncoder struct {
 	// record sent for each entry, the base of the next one's delta.
 	lastTask  []uint64
 	key       [4 + 2*maxInternPoints]byte // flow-key scratch
-	body      []byte                      // reusable record-section scratch
 	prevStart int64                       // start µs of the frame's previous record
 	interned  uint64
 }
@@ -292,31 +292,52 @@ func (e *BatchEncoder) appendRecordV2(dst []byte, s *Synopsis) []byte {
 	return dst
 }
 
-// AppendFrames appends batch to dst as one or more v2 batch frames,
-// splitting whenever the accumulated record section would exceed the frame
-// size bound, and returns the extended slice. With sufficient capacity in
-// dst and the encoder's scratch, steady-state encoding performs no
-// allocation.
+// maxRecordV2Size bounds the bytes appendRecordV2 can write for s, whatever
+// the intern table holds: an inline definition, every count and the trace
+// extension, each uvarint at its widest.
+func maxRecordV2Size(s *Synopsis) int {
+	const (
+		head     = 3                                   // ref <= maxInternEntries, two flag bits
+		flow     = 3 + 3 + 10                          // stage, host, point count
+		fixed    = 3 * binary.MaxVarintLen64           // task delta, start delta, duration
+		perPoint = 3 + 5                               // id delta, count
+		ext      = 1 + 1 + 1 + 2*binary.MaxVarintLen64 // count, id, length, Emit, Send
+	)
+	return head + flow + fixed + perPoint*len(s.Points) + ext
+}
+
+// AppendFrames appends batch to dst as one or more v2 batch frames and
+// returns the extended slice. A frame ends at MaxBatchRecords, or before a
+// record that could carry it past maxFrameSize — judged before the record
+// is encoded, since encoding moves the intern table — so the decoder takes
+// every frame unless one record alone outgrows a frame. Records are encoded
+// straight into dst behind a gap the header then fills, so with sufficient
+// capacity in dst encoding performs no allocation.
 func (e *BatchEncoder) AppendFrames(dst []byte, batch []*Synopsis) []byte {
 	for len(batch) > 0 {
-		body := e.body[:0]
+		start := len(dst)
+		var gap [frameHeaderGap]byte
+		dst = append(dst, gap[:]...)
+		body := len(dst)
 		e.prevStart = 0 // a frame's first start is absolute
 		n := 0
 		for _, s := range batch {
-			body = e.appendRecordV2(body, s)
-			n++
-			if n == MaxBatchRecords || len(body) >= maxFrameBody {
+			// The frame length counts the kind byte and at most a two-byte
+			// record count besides the records.
+			if n == MaxBatchRecords || n > 0 && 1+2+len(dst)-body+maxRecordV2Size(s) > maxFrameSize {
 				break
 			}
+			dst = e.appendRecordV2(dst, s)
+			n++
 		}
-		e.body = body
 		batch = batch[n:]
 		// frameLen covers the kind byte, the record count and the records.
-		frameLen := 1 + uvarintLen(uint64(n)) + len(body)
-		dst = binary.AppendUvarint(dst, uint64(frameLen))
-		dst = append(dst, frameBatch)
-		dst = binary.AppendUvarint(dst, uint64(n))
-		dst = append(dst, body...)
+		frameLen := 1 + uvarintLen(uint64(n)) + len(dst) - body
+		h := binary.PutUvarint(gap[:], uint64(frameLen))
+		gap[h] = frameBatch
+		h += 1 + binary.PutUvarint(gap[h+1:], uint64(n))
+		copy(dst[start:], gap[:h])
+		dst = dst[:start+h+copy(dst[start+h:], dst[body:])]
 	}
 	return dst
 }
@@ -333,10 +354,10 @@ type flow struct {
 }
 
 // BatchDecoder reads v2 batch frames from a stream, mirroring the
-// encoder's intern table. Decode has the same contract as Decoder.Decode —
-// one synopsis per call, io.EOF at a clean frame boundary end of stream —
-// so both protocol versions feed the same receive loop. Not safe for
-// concurrent use.
+// encoder's intern table. Decode reads one synopsis per call, pulling the
+// next frame when the current one is done, with io.EOF at a clean frame
+// boundary end of stream; Next pulls the next frame explicitly and says how
+// many records it holds. Not safe for concurrent use.
 type BatchDecoder struct {
 	r *bufio.Reader
 	// flows is the decoder-side intern table and points the arena its
@@ -348,9 +369,6 @@ type BatchDecoder struct {
 	body      []byte // unconsumed record bytes of the current frame
 	left      int    // records left in the current frame
 	prevStart int64  // start µs of the frame's previous record
-	// frameHook, when set, is called at each frame header with the record
-	// count it announces (metrics: batch-size histogram).
-	frameHook func(records int)
 	interned  uint64
 }
 
@@ -361,34 +379,29 @@ func NewBatchDecoder(br *bufio.Reader) *BatchDecoder {
 	return &BatchDecoder{r: br}
 }
 
-// SetFrameHook registers fn to observe each frame's record count.
-func (d *BatchDecoder) SetFrameHook(fn func(records int)) { d.frameHook = fn }
-
 // InternedRefs returns how many records arrived as references to a known
 // (stage, host, signature) flow since construction.
 func (d *BatchDecoder) InternedRefs() uint64 { return d.interned }
 
-// Remaining reports how many records of the current frame are still
-// undecoded. Zero means the next Decode will read a fresh frame — i.e. the
-// last Decode completed a frame, which is the natural batch boundary for
-// handing decoded records downstream.
-func (d *BatchDecoder) Remaining() int { return d.left }
-
-// nextFrame reads one frame into the scratch buffer and prepares its
-// record section. io.EOF means a clean end of stream at a frame boundary.
-func (d *BatchDecoder) nextFrame() error {
+// Next reads the next frame whole into the scratch buffer, drops whatever
+// of the current one is undecoded, and returns the frame's record count:
+// the next that many Decode calls read its records. A receive loop calls it
+// at each frame boundary to size the frame's records before decoding them.
+// io.EOF means a clean end of stream at a frame boundary.
+func (d *BatchDecoder) Next() (int, error) {
+	d.left, d.body = 0, nil
 	frameLen, err := binary.ReadUvarint(d.r)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
-			return io.EOF
+			return 0, io.EOF
 		}
-		return fmt.Errorf("synopsis: read frame length: %w", err)
+		return 0, fmt.Errorf("synopsis: read frame length: %w", err)
 	}
 	if frameLen > maxFrameSize {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, frameLen)
+		return 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, frameLen)
 	}
 	if frameLen < 2 {
-		return fmt.Errorf("synopsis: frame length %d below header size", frameLen)
+		return 0, fmt.Errorf("synopsis: frame length %d below header size", frameLen)
 	}
 	if cap(d.buf) < int(frameLen) {
 		d.buf = make([]byte, frameLen)
@@ -396,33 +409,30 @@ func (d *BatchDecoder) nextFrame() error {
 	d.buf = d.buf[:frameLen]
 	if _, err := io.ReadFull(d.r, d.buf); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return io.ErrUnexpectedEOF
+			return 0, io.ErrUnexpectedEOF
 		}
-		return fmt.Errorf("synopsis: read frame: %w", err)
+		return 0, fmt.Errorf("synopsis: read frame: %w", err)
 	}
 	kind := d.buf[0]
 	if kind != frameBatch {
-		return fmt.Errorf("synopsis: unknown frame kind %d", kind)
+		return 0, fmt.Errorf("synopsis: unknown frame kind %d", kind)
 	}
 	rest := d.buf[1:]
 	count, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return fmt.Errorf("synopsis: decode frame record count: %w", io.ErrUnexpectedEOF)
+		return 0, fmt.Errorf("synopsis: decode frame record count: %w", io.ErrUnexpectedEOF)
 	}
 	rest = rest[n:]
 	if count == 0 || count > MaxBatchRecords {
-		return fmt.Errorf("synopsis: frame record count %d out of range", count)
+		return 0, fmt.Errorf("synopsis: frame record count %d out of range", count)
 	}
 	if count*minRecordSize > uint64(len(rest)) {
-		return fmt.Errorf("synopsis: %d records of at least %d bytes exceed remaining %d frame bytes", count, minRecordSize, len(rest))
+		return 0, fmt.Errorf("synopsis: %d records of at least %d bytes exceed remaining %d frame bytes", count, minRecordSize, len(rest))
 	}
 	d.body = rest
 	d.left = int(count)
 	d.prevStart = 0
-	if d.frameHook != nil {
-		d.frameHook(int(count))
-	}
-	return nil
+	return d.left, nil
 }
 
 // Decode reads the next record into s, pulling the next batch frame off
@@ -431,7 +441,7 @@ func (d *BatchDecoder) nextFrame() error {
 // frame scratch, the intern table and s.Points are all reused.
 func (d *BatchDecoder) Decode(s *Synopsis) error {
 	if d.left == 0 {
-		if err := d.nextFrame(); err != nil {
+		if _, err := d.Next(); err != nil {
 			return err
 		}
 	}
@@ -591,15 +601,15 @@ func (d *BatchDecoder) decodeRecordV2(s *Synopsis) error {
 }
 
 // Pool is a bounded free list of Synopsis values for zero-allocation
-// receive paths: the stream server draws from it per decoded record and
-// the analyzer engine releases each synopsis back once its detector core
-// is done. All methods are nil-safe — a nil *Pool degrades to plain
+// receive paths: the stream server draws a frame's records from it at once
+// and the analyzer engine releases each synopsis back once its detector
+// core is done. All methods are nil-safe — a nil *Pool degrades to plain
 // allocation — and safe for concurrent use.
 //
 // The free list is a mutex-guarded stack rather than a channel: at
 // millions of records per second the two channel operations per record
 // dominate the receive loop, while a stack pop is a fraction of the cost
-// and GetN amortizes even that across a whole refill chunk.
+// and GetN amortizes even that across a whole frame.
 type Pool struct {
 	mu   sync.Mutex
 	free []*Synopsis
@@ -614,9 +624,10 @@ func NewPool(capacity int) *Pool {
 }
 
 // GetN fills every element of dst with an idle or fresh synopsis under a
-// single lock — the receive loop's bulk refill, so per-record pool cost
-// amortizes to near zero. A fresh synopsis is one record5 block (see New),
-// so decoding up to five points into it costs nothing more.
+// single lock — the receive loop draws a whole frame's records with one
+// call, so per-record pool cost amortizes to near zero. A fresh synopsis
+// is one record5 block (see New), so decoding up to five points into it
+// costs nothing more.
 func (p *Pool) GetN(dst []*Synopsis) {
 	take := 0
 	if p != nil {

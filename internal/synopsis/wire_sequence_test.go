@@ -96,12 +96,20 @@ func runSequence(t *testing.T, base *Synopsis, script []byte) (calls, frames int
 	endConnection := func() {
 		flush()
 		dec := NewBatchDecoder(bufio.NewReader(bytes.NewReader(wire)))
-		dec.SetFrameHook(func(int) { frames++ })
 		var got Synopsis // reused: stale points and spans must not leak
+		left := 0        // records of the current frame
 		for i, w := range want {
+			if left == 0 {
+				var err error
+				if left, err = dec.Next(); err != nil {
+					t.Fatalf("frame before record %d of %d: %v", i, len(want), err)
+				}
+				frames++
+			}
 			if err := dec.Decode(&got); err != nil {
 				t.Fatalf("decode record %d of %d: %v", i, len(want), err)
 			}
+			left--
 			assertEqualSynopsis(t, i, &got, w)
 		}
 		if err := dec.Decode(&got); !errors.Is(err, io.EOF) {

@@ -178,19 +178,23 @@ func TestBatchFrameSplitting(t *testing.T) {
 	}
 	wire := enc.AppendFrames(nil, batch)
 	dec := NewBatchDecoder(bufio.NewReader(bytes.NewReader(wire)))
-	frames := 0
-	dec.SetFrameHook(func(int) { frames++ })
-	n := 0
+	frames, n := 0, 0
 	for {
-		var s Synopsis
-		err := dec.Decode(&s)
+		records, err := dec.Next()
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		n++
+		frames++
+		for ; records > 0; records-- {
+			var s Synopsis
+			if err := dec.Decode(&s); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
 	}
 	if n != len(batch) {
 		t.Fatalf("decoded %d records, want %d", n, len(batch))
@@ -280,7 +284,7 @@ func testFrame(kind byte, n uint64, body []byte) []byte {
 	return append(out, body...)
 }
 
-// TestFrameRecordCountBound pins nextFrame's sanity bound to the layout's
+// TestFrameRecordCountBound pins Next's sanity bound to the layout's
 // true minimum record: a frame of minimum-size records decodes, and the
 // same bytes announcing one record more are refused at the frame header,
 // before any record is parsed.
