@@ -35,9 +35,9 @@
 // importing -model as version 1 when the store is empty), buffers recent
 // synopses, and retrains every -retrain-every. A retrained candidate is
 // stored with full lineage metadata and shadow-evaluated side-by-side with
-// the serving model on the live stream (-shadow, on by default); when its
-// anomaly rate stays within the false-positive budget it is hot-swapped into
-// the engine at a window boundary with zero dropped synopses. The /model endpoint on
+// the serving model on the live stream; when its anomaly rate stays within
+// the false-positive budget it is hot-swapped into the engine at a window
+// boundary with zero dropped synopses. The /model endpoint on
 // -http exposes the lifecycle: GET returns the serving version, lineage and
 // shadow verdicts; POST ?action=retrain and ?action=promote drive it
 // manually:
@@ -202,7 +202,6 @@ type detectOptions struct {
 	traceSample        int           // trace 1 in N synopses end to end (0 = off)
 	storeDir           string        // versioned model store ("" = off)
 	retrainEvery       time.Duration // periodic live retraining (0 = off)
-	shadow             bool          // shadow-evaluate candidates before promotion
 	keepVersions       int           // store versions retained by GC (0 = unbounded)
 	readIdleTimeout    time.Duration // reap silent synopsis connections (0 = off)
 	drainGrace         time.Duration // serve not-ready before draining on shutdown (0 = immediate)
@@ -231,7 +230,6 @@ func bindFlags(fs *flag.FlagSet) *detectOptions {
 	fs.IntVar(&o.traceSample, "trace-sample", 0, "trace one in N synopses end to end through the pipeline and run the anomaly flight recorder (detect mode; 0 = off)")
 	fs.StringVar(&o.storeDir, "model-store", "", "versioned model store directory: serve the version it records as serving, store retrains as new versions (empty = off)")
 	fs.DurationVar(&o.retrainEvery, "retrain-every", 0, "retrain a candidate from the live stream this often (detect mode; needs -model-store; 0 = only via POST /model)")
-	fs.BoolVar(&o.shadow, "shadow", true, "shadow-evaluate retrained candidates against the serving model before promoting (detect mode; false = promote immediately)")
 	fs.IntVar(&o.keepVersions, "model-keep", 16, "model store versions to retain, older ones are garbage-collected after each retrain (0 = keep all, unbounded)")
 	fs.DurationVar(&o.readIdleTimeout, "read-idle-timeout", 0, "reap synopsis connections that deliver nothing for this long (0 = off)")
 	fs.DurationVar(&o.drainGrace, "drain-grace", 0, "on SIGTERM, keep serving with /readyz not-ready for this long before draining, so load balancers stop routing first (detect mode; 0 = drain immediately)")
@@ -598,10 +596,7 @@ func start(dict *logpoint.Dictionary, opts detectOptions) (_ *daemon, err error)
 	// shadow-evaluates candidates and hot-swaps promoted models in.
 	var sink tracker.Sink = d.eng
 	if store != nil {
-		mcfg := lifecycle.ManagerConfig{
-			DisableShadow: !opts.shadow,
-			KeepVersions:  opts.keepVersions,
-		}
+		mcfg := lifecycle.ManagerConfig{KeepVersions: opts.keepVersions}
 		mopts := []lifecycle.ManagerOption{lifecycle.WithLifecycleMetrics(pipe.Lifecycle)}
 		if serving != nil {
 			mopts = append(mopts, lifecycle.WithServingVersion(*serving))

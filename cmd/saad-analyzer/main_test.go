@@ -384,7 +384,6 @@ func (r storeRuns) start(t *testing.T) (addr, modelURL string, stop func()) {
 		modelPath: filepath.Join(r.dir, "model.json"),
 		httpAddr:  "127.0.0.1:0",
 		storeDir:  filepath.Join(r.dir, "models"),
-		shadow:    true,
 	}
 	if r.checkpoint {
 		opts.checkpointPath = filepath.Join(r.dir, "analyzer.ckpt")

@@ -42,7 +42,7 @@ import (
 // aggregate.
 type Spec struct {
 	// Model judges every task; set it between a Flush and the next Feed to
-	// hand the spec a new model, as Engine.SwapModel does.
+	// hand the spec a new model, as Detector.SwapModel does.
 	Model *analyzer.Model
 
 	open map[analyzer.GroupKey]*window

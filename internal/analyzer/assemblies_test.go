@@ -87,7 +87,7 @@ var table = map[string][]row{
 	"TestEngineFeedBatch":               {{"engine", engineBatch, nil}},
 	"TestEngineCheckpointEquivalence":   {{"engine", engineRestart, nil}, {"detector", engineToDetector, nil}},
 	"TestExportImportEquivalence":       {{"engine", engineHandoff, nil}},
-	"TestEngineSwapModelEquivalence":    {{"engine", engineSwap, wantSwap}},
+	"TestEngineSwapModelEquivalence":    {{"detector", detectorSwap, wantSwap}, {"engine", engineSwap, wantSwap}},
 	"TestEngineSwapCheckpointRoundTrip": {{"engine", engineSwapRestart, wantSwap}, {"detector", engineSwapToDetector, wantSwap}},
 }
 
@@ -296,9 +296,10 @@ func engineHandoff(tb testing.TB, c testCase) analyzertest.Outcome {
 	return analyzertest.FlushEngines(nil, from, to)
 }
 
-// TestEngineSwapModelEquivalence: SwapModel at the cut judges every window
-// open so far by the old model and everything after by the new one — the
-// spec on model A over the prefix, flushed, then on model B.
+// TestEngineSwapModelEquivalence: SwapModel at the cut — the detector's, and
+// the engine's, which is the detector's on its one core — judges every
+// window open so far by the old model and everything after by the new one:
+// the spec on model A over the prefix, flushed, then on model B.
 func TestEngineSwapModelEquivalence(t *testing.T) {
 	cases := corpus(t, 50)
 	if !slices.ContainsFunc(cases, func(c testCase) bool { return !slices.Equal(wantSwap(c).Verdicts, c.want.Verdicts) }) {
@@ -315,13 +316,20 @@ func wantSwap(c testCase) analyzertest.Outcome {
 	return spec.Observe(append(out, spec.Flush()...))
 }
 
+func detectorSwap(_ testing.TB, c testCase) analyzertest.Outcome {
+	d := analyzer.NewDetector(c.a)
+	out := feed(d, c.stream[:c.cut])
+	out = append(out, d.SwapModel(c.b)...)
+	return observe(d, append(out, feed(d, c.stream[c.cut:])...))
+}
+
 func engineSwap(_ testing.TB, c testCase) analyzertest.Outcome {
 	e := newEngine(c.a)
 	defer e.Close()
 	feedPerGroup(e, c.stream[:c.cut])
-	early := e.SwapModel(c.b)
+	e.SwapModel(c.b)
 	feedPerGroup(e, c.stream[c.cut:])
-	return analyzertest.FlushEngines(early, e)
+	return analyzertest.FlushEngines(nil, e)
 }
 
 // TestEngineSwapCheckpointRoundTrip: a checkpoint written after a swap
@@ -337,10 +345,10 @@ func swapThenCheckpoint(tb testing.TB, c testCase) ([]analyzer.Anomaly, *analyze
 	e := newEngine(c.a)
 	defer e.Close()
 	feedPerGroup(e, c.stream[:c.cut])
-	early := e.SwapModel(c.b)
+	e.SwapModel(c.b)
 	feedPerGroup(e, c.stream[c.cut:mid])
 	d := restore(tb, e)
-	return append(early, e.Drain()...), d, mid
+	return e.Drain(), d, mid
 }
 
 func engineSwapRestart(tb testing.TB, c testCase) analyzertest.Outcome {

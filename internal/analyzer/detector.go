@@ -333,6 +333,24 @@ func (d *Detector) SetRetainCopy(on bool) { d.retainCopy = on }
 // interning index is shared read-only with every detector on the model.
 func (d *Detector) Model() *Model { return d.model.Clone() }
 
+// SwapModel makes model the one the detector judges by and returns the
+// anomalies of the windows it closed to get there. The cutover is at a
+// window boundary: every open window is closed and tested against the old
+// model first — evidence gathered under one model is never judged by
+// another — and the next Feed opens its window under the new one.
+// Everything else the detector holds carries over: the closed-window
+// history, the late count, metrics, the flight ring, example retention and
+// the storage of closed windows. The swap is recorded in the flight ring
+// right after the last old-model window closes. The model must not be
+// mutated afterwards (its interning index becomes shared read-only).
+func (d *Detector) SwapModel(model *Model) []Anomaly {
+	out := d.Flush()
+	model.ensureIndex()
+	d.model, d.cfg = model, model.Config
+	d.flight.Record(trace.EventModelSwap, 0, 0, 0, 0)
+	return out
+}
+
 // PendingTasks returns the number of tasks observed in still-open windows —
 // the live evidence a checkpoint would carry across a restart.
 func (d *Detector) PendingTasks() int { return d.pending }

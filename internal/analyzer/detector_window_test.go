@@ -10,6 +10,7 @@ import (
 	"saad/internal/logpoint"
 	"saad/internal/raceflag"
 	"saad/internal/synopsis"
+	"saad/internal/trace"
 )
 
 // stagedModel trains three stages whose signature counts differ, so a window
@@ -248,5 +249,88 @@ func TestWindowAllocs(t *testing.T) {
 				t.Fatalf("%s: window %v counted %d perf outliers, want %d", tc.name, w.Window, w.PerfOutliers, tc.slow)
 			}
 		}
+	}
+}
+
+// TestSwapModelKeepsTheCore: a swap replaces the model and closes the open
+// windows, and keeps everything else the detector holds — the history, the
+// late count, example retention, the flight ring (which shows the swap right
+// after the last old-model window closed) and the storage of every window
+// the swap closed, which the next windows open in.
+func TestSwapModelKeepsTheCore(t *testing.T) {
+	model := stagedModel(t)
+	ring := trace.NewFlightRing(1 << 12)
+	d := NewDetector(model)
+	d.SetRetainCopy(true)
+	d.SetFlight(ring)
+	for _, s := range stagedStream(5, 3000) {
+		d.Feed(s)
+	}
+	open, closed, late := len(d.open), d.ClosedWindows(), d.LateSynopses()
+	hist := d.WindowHistory()
+	if open == 0 || late == 0 {
+		t.Fatalf("%d windows open, %d late: the stream should leave both", open, late)
+	}
+	next := model.Clone()
+	d.SwapModel(next)
+	if d.model != next || d.cfg != next.Config {
+		t.Fatal("SwapModel left the old model serving")
+	}
+	if d.PendingTasks() != 0 || len(d.open) != 0 || d.ClosedWindows() != closed+open {
+		t.Fatalf("after the swap: %d pending in %d open windows, %d closed; want 0 in 0, %d", d.PendingTasks(), len(d.open), d.ClosedWindows(), closed+open)
+	}
+	if d.LateSynopses() != late || !d.retainCopy || d.flight != ring {
+		t.Fatalf("the swap lost the core's state: late %d (want %d), retainCopy %v, flight ring kept %v", d.LateSynopses(), late, d.retainCopy, d.flight == ring)
+	}
+	if after := d.WindowHistory(); len(after) < len(hist) {
+		t.Fatalf("history shrank across the swap: %d entries, %d before", len(after), len(hist))
+	}
+	if len(d.free) < open {
+		t.Fatalf("%d windows on the free list, want the %d the swap closed", len(d.free), open)
+	}
+	events := ring.Snapshot() // newest first
+	if len(events) < 2 || events[0].Kind != trace.EventModelSwap || events[1].Kind != trace.EventWindowClose {
+		t.Fatalf("flight ring ends %v, want the last window close, then the swap", events[:min(len(events), 2)])
+	}
+}
+
+// TestSwapModelAllocs pins what a swap between windows costs a warm
+// detector: the one list of open groups its flush sorts. The windows after
+// it open in the storage the swap closed, under either model.
+func TestSwapModelAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	models := []*Model{stagedModel(t), stagedModel(t)}
+	const runs, perWindow = 8, 200
+	det := NewDetector(models[0])
+	windows := make([][]*synopsis.Synopsis, runs+3)
+	for w := range windows {
+		for i := 0; i < perWindow; i++ {
+			at := epoch.Add(time.Duration(w)*models[0].Config.Window + time.Duration(i)*time.Millisecond)
+			windows[w] = append(windows[w],
+				makeSyn(1, 1, at, 10*time.Millisecond, 1, 2, 4, 5),
+				makeSyn(2, 1, at, 10*time.Millisecond, 1, logpoint.ID(2+i%6)))
+		}
+	}
+	next := 0
+	swapAndFeed := func() {
+		if out := det.SwapModel(models[next%2]); len(out) != 0 {
+			t.Fatalf("unexpected anomaly %v", out[0])
+		}
+		for _, s := range windows[next] {
+			if out := det.Feed(s); len(out) != 0 {
+				t.Fatalf("unexpected anomaly %v", out[0])
+			}
+		}
+		next++
+	}
+	swapAndFeed() // warm-up: both models indexed, the first windows' blocks made
+	swapAndFeed()
+	if got := testing.AllocsPerRun(runs, swapAndFeed); got > 1 {
+		t.Errorf("%v allocations per swap and pair of windows, want at most 1", got)
+	}
+	if got := det.ClosedWindows(); got != 2*(next-1) {
+		t.Fatalf("%d windows closed, want %d", got, 2*(next-1))
 	}
 }

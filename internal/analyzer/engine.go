@@ -332,15 +332,21 @@ func (e *Engine) observe(s *synopsis.Synopsis) {
 	if sp := s.Trace; sp != nil {
 		sp.Detect = time.Now().UnixNano()
 	}
-	if out := e.core.Feed(s); len(out) > 0 {
-		if e.sink != nil {
-			e.sink(out)
-		} else {
-			e.out = append(e.out, out...)
-		}
-	}
+	e.report(e.core.Feed(s))
 	if sp := s.Trace; sp != nil {
 		e.traceDone(sp)
+	}
+}
+
+// report hands what closed windows emitted to the sink, or buffers it for
+// the next Drain or Flush. Only the goroutine that owns the core calls it.
+func (e *Engine) report(out []Anomaly) {
+	switch {
+	case len(out) == 0:
+	case e.sink != nil:
+		e.sink(out)
+	default:
+		e.out = append(e.out, out...)
 	}
 }
 
@@ -495,23 +501,6 @@ func (e *Engine) Drain() []Anomaly {
 	return out
 }
 
-// flushCore closes the core's open windows and returns their anomalies
-// behind the ones it had buffered, in canonical order; with an anomaly sink
-// attached the windows' anomalies go to the sink. It runs under quiesce.
-func (e *Engine) flushCore() []Anomaly {
-	out := e.out
-	e.out = nil
-	if fl := e.core.Flush(); len(fl) > 0 {
-		if e.sink != nil {
-			e.sink(fl)
-		} else {
-			out = append(out, fl...)
-		}
-	}
-	sortAnomalies(out)
-	return out
-}
-
 // Flush closes all open windows and returns their anomalies together with
 // any buffered ones, in canonical order. Call at end of stream. With an
 // anomaly sink attached, flush anomalies go to the sink.
@@ -519,8 +508,32 @@ func (e *Engine) Flush() []Anomaly {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
 	var out []Anomaly
-	e.quiesce(func() { out = e.flushCore() })
+	e.quiesce(func() {
+		e.report(e.core.Flush())
+		out, e.out = e.out, nil
+	})
+	sortAnomalies(out)
 	return out
+}
+
+// SwapModel replaces the serving model: it is Detector.SwapModel on the one
+// core, run on the worker through quiesce, so the cutover needs no new lock
+// and cannot drop or reorder a synopsis. Every synopsis enqueued before the
+// swap is judged by the old model, every one enqueued after by the new one.
+// The windows the swap closes report like any closed window: to the sink,
+// or to the next Drain or Flush. Safe from any goroutine, like the other
+// control-plane methods: a lifecycle promotion firing on a stream handler
+// cannot interleave with a checkpoint or a second swap. The model must not
+// be mutated after the call.
+func (e *Engine) SwapModel(model *Model) {
+	e.ctl.Lock()
+	defer e.ctl.Unlock()
+	// Built here, so the worker stays parked only for the flush.
+	model.ensureIndex()
+	e.quiesce(func() { e.report(e.core.SwapModel(model)) })
+	// e.model is only read or written with e.ctl held; the worker never
+	// touches it.
+	e.model = model
 }
 
 // WindowHistory returns the core's closed-window history, group by group

@@ -122,7 +122,7 @@ func TestEngineSwapRecordsFlightEvent(t *testing.T) {
 	if swaps == 0 {
 		t.Fatal("model swap left no flight-recorder event")
 	}
-	// Spans fed after the swap still complete against the fresh core.
+	// Spans fed after the swap still complete on the swapped core.
 	for _, sp := range tr.Spans() {
 		if sp.Done == 0 {
 			t.Fatalf("span not completed after swap: %+v", sp)

@@ -28,11 +28,6 @@ type ManagerConfig struct {
 	// MinRetrain is the minimum ring occupancy before Retrain succeeds.
 	// Default 2000.
 	MinRetrain int
-	// Shadow gates promotion behind a shadow evaluation: a freshly
-	// trained candidate runs side-by-side with the serving model and is
-	// only promoted when its verdict passes. When false, Retrain promotes
-	// immediately. Default true (set DisableShadow to turn off).
-	DisableShadow bool
 	// VerdictEvery is how often (in observed synopses) an active shadow
 	// evaluation is polled for a verdict. Default 256.
 	VerdictEvery int
@@ -75,10 +70,10 @@ type Status struct {
 }
 
 // Manager owns the adaptive model lifecycle around a serving engine: it
-// buffers recent synopses for retraining, shadow-evaluates candidates and
-// hot-swaps promoted models into the engine. All methods are safe for
-// concurrent use; the engine swap itself happens outside the manager's lock
-// (it has its own quiesce protocol).
+// buffers recent synopses for retraining, shadow-evaluates every candidate
+// against the serving model and hot-swaps a promoted one into the engine.
+// All methods are safe for concurrent use; the engine swap itself happens
+// outside the manager's lock (it has its own quiesce protocol).
 type Manager struct {
 	eng   *analyzer.Engine
 	store *Store
@@ -90,6 +85,11 @@ type Manager struct {
 	// upholds the store's single-writer contract. It is separate from mu so
 	// frames keep flowing while a retrain trains and stores.
 	retrainMu sync.Mutex
+	// swapMu serializes promotions: one candidate's engine swap and store
+	// record finish before the next promotion looks at the candidate. It too
+	// is separate from mu, so frames keep flowing and Status answers while
+	// the engine cuts over.
+	swapMu sync.Mutex
 
 	mu          sync.Mutex
 	serving     Meta
@@ -104,10 +104,6 @@ type Manager struct {
 	retrains    uint64
 	swaps       uint64
 	recordErr   error // the last promotion's Store.MarkServing result
-	swapping    bool
-	// pendingPromote records a promotion request that landed while a swap
-	// was in flight; the goroutine finishing the swap applies it.
-	pendingPromote bool
 }
 
 // ManagerOption customizes a Manager.
@@ -189,61 +185,58 @@ func (m *Manager) EmitBatch(batch []*synopsis.Synopsis) {
 // outside the lock, and the rest of the frame is observed after it.
 func (m *Manager) observe(recs []*synopsis.Synopsis) {
 	for len(recs) > 0 {
-		n, promote := 0, false
+		n := 0
+		var passed *analyzer.Model
 		m.mu.Lock()
-		for n < len(recs) && !promote {
-			promote = m.observeLocked(recs[n])
+		for n < len(recs) && passed == nil {
+			passed = m.observeLocked(recs[n])
 			n++
 		}
 		m.mu.Unlock()
-		if promote {
-			m.promote()
+		if passed != nil {
+			m.promote(passed)
 		}
 		recs = recs[n:]
 	}
 }
 
-// observeLocked is observe for one record, with mu held. It reports whether
-// the caller must now run promote (m.swapping is then already set).
-func (m *Manager) observeLocked(s *synopsis.Synopsis) (promote bool) {
+// observeLocked is observe for one record, with mu held. It returns the
+// candidate whose shadow verdict this record passed, for the caller to
+// promote; the evaluation is then over.
+func (m *Manager) observeLocked(s *synopsis.Synopsis) (passed *analyzer.Model) {
 	m.ring[m.ringNext] = s
 	m.ringNext = (m.ringNext + 1) % len(m.ring)
 	if m.ringCount < len(m.ring) {
 		m.ringCount++
 	}
 	if m.shadow == nil {
-		return false
+		return nil
 	}
 	m.shadow.Observe(s)
 	if m.shadow.Fed()%m.cfg.VerdictEvery != 0 {
-		return false
+		return nil
 	}
 	v := m.shadow.Verdict()
 	if !v.Ready {
-		return false
+		return nil
 	}
 	m.lastVerdict = &v
 	if m.lm != nil {
 		m.lm.ShadowDivergence.Set(v.Divergence)
 	}
-	if !v.Promote {
-		// Rejected: drop the candidate, keep its store version for
-		// forensics (the store's serving record is what keeps a restart
-		// from loading it). The divergence gauge resets with the shadow —
-		// a dead evaluation must not keep exporting its last reading as
-		// if it were current.
-		m.shadow = nil
-		m.candModel = nil
-		if m.lm != nil {
-			m.lm.ShadowDivergence.Set(0)
-		}
-		return false
+	m.shadow = nil
+	if v.Promote {
+		return m.candModel
 	}
-	if m.swapping {
-		return false
+	// Rejected: drop the candidate, keep its store version for forensics
+	// (the store's serving record is what keeps a restart from loading it).
+	// The divergence gauge resets with the shadow — a dead evaluation must
+	// not keep exporting its last reading as if it were current.
+	m.candModel = nil
+	if m.lm != nil {
+		m.lm.ShadowDivergence.Set(0)
 	}
-	m.swapping = true
-	return true
+	return nil
 }
 
 // snapshotRing copies the buffered synopses in arrival order.
@@ -260,11 +253,10 @@ func (m *Manager) snapshotRing() []*synopsis.Synopsis {
 }
 
 // Retrain trains a candidate on the buffered recent synopses, stores it as
-// a new version (parent = serving version; stored, not yet serving) and —
-// unless shadow evaluation is disabled — starts shadowing it against the
-// serving model. With shadow disabled the candidate is promoted immediately
-// (or, when a swap is already in flight, as soon as that swap completes). It
-// returns the new version's metadata. Concurrent Retrain calls serialize.
+// a new version (parent = serving version; stored, not yet serving) and
+// starts shadowing it against the serving model, replacing any candidate
+// still pending. It returns the new version's metadata. Concurrent Retrain
+// calls serialize.
 func (m *Manager) Retrain() (Meta, error) {
 	m.retrainMu.Lock()
 	defer m.retrainMu.Unlock()
@@ -306,104 +298,62 @@ func (m *Manager) Retrain() (Meta, error) {
 	}
 	m.candidate = meta
 	m.candModel = model
-	if m.cfg.DisableShadow {
-		immediate := !m.swapping
-		if immediate {
-			m.swapping = true
-		} else {
-			// A swap is in flight: the goroutine running it promotes this
-			// candidate as soon as it finishes.
-			m.pendingPromote = true
-		}
-		m.mu.Unlock()
-		if immediate {
-			m.promote()
-		}
-		return meta, nil
-	}
 	m.shadow = NewShadow(m.eng.Model(), model.Clone(), m.cfg.ShadowConfig)
 	m.lastVerdict = nil
 	m.mu.Unlock()
 	return meta, nil
 }
 
-// Promote forces promotion of the pending candidate regardless of the
-// shadow verdict (operator override). It returns the promoted version's
-// metadata. When a swap is already in flight the promotion is deferred:
-// the goroutine finishing that swap applies it immediately after.
-func (m *Manager) Promote() (Meta, error) {
+// Promote forces promotion of the pending candidate before its shadow
+// verdict (operator override) and returns the promoted version's metadata.
+// A promotion already in flight finishes first; ErrNoCandidate means none
+// is pending after it.
+func (m *Manager) Promote() (Meta, error) { return m.promote(nil) }
+
+// promote hot-swaps a candidate into the engine and records it as serving:
+// want, if it is still the pending candidate when this promotion's turn
+// comes, or for nil whichever candidate is pending then. swapMu gives the
+// turns, so two promotions never swap at once and a verdict that passed one
+// candidate never promotes a newer one a retrain put in its place. The
+// engine swap runs outside mu: SwapModel has its own quiesce protocol, and
+// frames keep flowing while the engine cuts over.
+func (m *Manager) promote(want *analyzer.Model) (Meta, error) {
+	m.swapMu.Lock()
+	defer m.swapMu.Unlock()
 	m.mu.Lock()
-	if m.candModel == nil {
-		m.mu.Unlock()
+	model, meta := m.candModel, m.candidate
+	m.mu.Unlock()
+	if model == nil || (want != nil && model != want) {
 		return Meta{}, ErrNoCandidate
 	}
-	meta := m.candidate
-	if m.swapping {
-		m.pendingPromote = true
-		m.mu.Unlock()
-		return meta, nil
+
+	m.eng.SwapModel(model)
+	// The promotion is what a restart must serve: Retrain's Put only stored
+	// a candidate.
+	recordErr := m.store.MarkServing(meta.Version)
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.recordErr = recordErr
+	m.serving = meta
+	m.hasServing = true
+	m.swaps++
+	// A retrain that landed mid-swap has replaced the candidate; that newer
+	// candidate and its shadow stay pending.
+	if m.candModel == model {
+		m.candModel = nil
+		m.shadow = nil
 	}
-	m.swapping = true
-	m.mu.Unlock()
-	m.promote()
+	if m.lm != nil {
+		m.lm.Swaps.Inc()
+		m.lm.ModelVersion.Set(float64(meta.Version))
+		if m.shadow == nil {
+			// The promoted candidate's shadow is over; its divergence
+			// reading is history, not state.
+			m.lm.ShadowDivergence.Set(0)
+		}
+	}
 	return meta, nil
-}
-
-// promote performs the hot swap. The engine swap runs outside the
-// manager's lock: SwapModel has its own quiesce protocol and concurrent
-// frames must keep flowing while the engine cuts over. m.swapping (set
-// by the caller) excludes concurrent promotions; a promotion requested
-// while the swap was in flight is recorded in pendingPromote and applied
-// here before swapping is released, so a deferred candidate never waits
-// for a manual nudge.
-func (m *Manager) promote() {
-	for {
-		m.mu.Lock()
-		model := m.candModel
-		meta := m.candidate
-		if model == nil {
-			m.swapping = false
-			m.pendingPromote = false
-			m.mu.Unlock()
-			return
-		}
-		m.mu.Unlock()
-
-		m.eng.SwapModel(model)
-		// The promotion is what a restart must serve: Retrain's Put only
-		// stored a candidate.
-		recordErr := m.store.MarkServing(meta.Version)
-
-		m.mu.Lock()
-		m.recordErr = recordErr
-		m.serving = meta
-		m.hasServing = true
-		m.swaps++
-		if m.candModel == model {
-			m.candModel = nil
-			m.shadow = nil
-		}
-		// A retrain that landed mid-swap may have replaced the candidate;
-		// that newer candidate (and its shadow, when one started) stays
-		// pending, and the branch below promotes it when asked to.
-		if m.lm != nil {
-			m.lm.Swaps.Inc()
-			m.lm.ModelVersion.Set(float64(meta.Version))
-			if m.shadow == nil {
-				// The promoted candidate's shadow is over; its divergence
-				// reading is history, not state.
-				m.lm.ShadowDivergence.Set(0)
-			}
-		}
-		again := m.pendingPromote && m.candModel != nil
-		m.pendingPromote = false
-		if !again {
-			m.swapping = false
-			m.mu.Unlock()
-			return
-		}
-		m.mu.Unlock()
-	}
 }
 
 // Status reports the manager's current state, including the store lineage.

@@ -1,10 +1,12 @@
 package lifecycle
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -179,6 +181,46 @@ func TestManagerRejectsPoisonedCandidate(t *testing.T) {
 	}
 }
 
+// TestManagerPromotionLosesNoAnomaly: the windows a promotion closes under
+// the old model report like any closed window — to the engine's sink, or to
+// its next Drain or Flush. The manager used to drop what the swap returned,
+// so over an engine without a sink those windows' anomalies, and every one
+// buffered since the last Drain, were lost.
+func TestManagerPromotionLosesNoAnomaly(t *testing.T) {
+	eng, mgr, _, _ := newServingStack(t, managerTestConfig())
+	faulted := traffic(2000, 43, epoch.Add(time.Hour), faults.NewInjector(netSendError()))
+	// Read before the engine recycles the records: what the serving model
+	// reports over the faulted traffic, examples aside.
+	type verdict struct {
+		kind      analyzer.AnomalyKind
+		window    time.Time
+		signature synopsis.Signature
+		outliers  int
+	}
+	verdicts := func(as []analyzer.Anomaly) []verdict {
+		analyzer.SortAnomalies(as)
+		var out []verdict
+		for _, a := range as {
+			out = append(out, verdict{a.Kind, a.Window, a.Signature, a.Outliers})
+		}
+		return out
+	}
+	want := verdicts(detect(eng.Model(), faulted))
+	if len(want) == 0 {
+		t.Fatal("the serving model reports nothing over the faulted traffic: the test proves nothing")
+	}
+	mgr.EmitBatch(faulted)
+	if _, err := mgr.Retrain(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if got := verdicts(eng.Flush()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the promotion the engine reports %d anomalies, want the serving model's %d:\ngot  %v\nwant %v", len(got), len(want), got, want)
+	}
+}
+
 func TestManagerRetrainTooFew(t *testing.T) {
 	_, mgr, _, _ := newServingStack(t, managerTestConfig())
 	mgr.EmitBatch(traffic(10, 35, epoch.Add(time.Hour), nil))
@@ -210,31 +252,68 @@ func TestManagerPromoteForcesPendingCandidate(t *testing.T) {
 	}
 }
 
-func TestManagerDisableShadowPromotesImmediately(t *testing.T) {
+// TestManagerKeepVersionsBoundsStore: every candidate is shadowed — a
+// retrain never promotes, and the next one replaces the pending candidate —
+// and KeepVersions bounds the store to the newest versions plus the serving
+// one.
+func TestManagerKeepVersionsBoundsStore(t *testing.T) {
 	cfg := managerTestConfig()
-	cfg.DisableShadow = true
 	cfg.KeepVersions = 2
+	cfg.ShadowConfig.MinWindows = 1 << 20 // no shadow reaches a verdict
 	_, mgr, store, _ := newServingStack(t, cfg)
 
-	mgr.EmitBatch(traffic(2000, 37, epoch.Add(time.Hour), nil))
-	meta, err := mgr.Retrain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mgr.ServingVersion() != meta.Version {
-		t.Fatalf("shadowless retrain did not promote: serving %d, new %d", mgr.ServingVersion(), meta.Version)
-	}
-	// KeepVersions bounds the store.
-	mgr.EmitBatch(traffic(2000, 38, epoch.Add(2*time.Hour), nil))
-	if _, err := mgr.Retrain(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		mgr.EmitBatch(traffic(2000, 37+uint64(i), epoch.Add(time.Duration(i+1)*time.Hour), nil))
+		meta, err := mgr.Retrain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := mgr.Status()
+		if st.ServingVersion != 1 || !st.ShadowActive || st.Candidate == nil || st.Candidate.Version != meta.Version {
+			t.Fatalf("retrain %d: serving %d, shadow active %v, candidate %+v; want version 1 serving and version %d shadowed",
+				i, st.ServingVersion, st.ShadowActive, st.Candidate, meta.Version)
+		}
 	}
 	metas, err := store.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(metas) != 2 {
-		t.Fatalf("store holds %d versions, want GC to keep 2", len(metas))
+	if len(metas) != 3 || metas[0].Version != 1 || metas[1].Version != 3 || metas[2].Version != 4 {
+		t.Fatalf("store holds %+v, want GC to keep versions 3 and 4 and the serving 1", metas)
+	}
+}
+
+// TestManagerStaleVerdictNeverPromotes: a verdict passes one candidate, and
+// a retrain puts a newer one in its place before that promotion's turn: the
+// promotion does nothing, and the newer candidate stays pending under its
+// own shadow until its verdict, or an operator, promotes it.
+func TestManagerStaleVerdictNeverPromotes(t *testing.T) {
+	eng, mgr, _, _ := newServingStack(t, managerTestConfig())
+	mgr.EmitBatch(traffic(2000, 42, epoch.Add(time.Hour), nil))
+	if _, err := mgr.Retrain(); err != nil {
+		t.Fatal(err)
+	}
+	mgr.mu.Lock()
+	passed := mgr.candModel
+	mgr.mu.Unlock()
+	newer, err := mgr.Retrain()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := mgr.promote(passed); !errors.Is(err, ErrNoCandidate) {
+		t.Fatalf("promoting a replaced candidate: err %v, want ErrNoCandidate", err)
+	}
+	st := mgr.Status()
+	if st.ServingVersion != 1 || st.Swaps != 0 || eng.Model().TrainedOn != 6000 {
+		t.Fatalf("a replaced candidate was swapped in: serving %d, %d swaps, engine model over %d synopses",
+			st.ServingVersion, st.Swaps, eng.Model().TrainedOn)
+	}
+	if !st.ShadowActive || st.Candidate == nil || st.Candidate.Version != newer.Version {
+		t.Fatalf("status = %+v, want version %d pending under its shadow", st, newer.Version)
+	}
+	if meta, err := mgr.Promote(); err != nil || meta.Version != newer.Version || mgr.ServingVersion() != newer.Version {
+		t.Fatalf("operator promote: meta %+v, err %v, serving %d; want version %d", meta, err, mgr.ServingVersion(), newer.Version)
 	}
 }
 
@@ -276,42 +355,85 @@ func TestManagerConcurrentRetrainSerialized(t *testing.T) {
 	}
 }
 
-// TestManagerDeferredPromotionAfterInFlightSwap: with shadow disabled,
-// Retrain's contract is immediate promotion — even when it lands while
-// another swap is in flight. The retrain defers, and the goroutine
-// finishing the swap must pick the candidate up instead of leaving it
-// waiting for a manual POST promote.
-func TestManagerDeferredPromotionAfterInFlightSwap(t *testing.T) {
-	cfg := managerTestConfig()
-	cfg.DisableShadow = true
-	eng, mgr, _, _ := newServingStack(t, cfg)
-	mgr.EmitBatch(traffic(2000, 42, epoch.Add(time.Hour), nil))
+// TestManagerPromotionsTakeTurns: three stream handlers feed the manager,
+// and so fire auto-promotions, while retrains and operator promotions run
+// beside them and beside each other. Promotions take turns, so at the end
+// the engine serves the model of the version the manager reports, which is
+// the version a restart would load, and every synopsis reached the engine.
+func TestManagerPromotionsTakeTurns(t *testing.T) {
+	eng, mgr, store, _ := newServingStack(t, managerTestConfig())
+	const feeders, perFeeder, chunk, every = 3, 6000, 200, 15
+	// One tick per chunk fed: the buffer holds every send, so no feeder
+	// waits on the loop that reads them.
+	ticks := make(chan struct{}, feeders*perFeeder/chunk)
+	var feeding, control sync.WaitGroup
+	for h := uint16(1); h <= feeders; h++ {
+		recs := traffic(perFeeder, 50+uint64(h), epoch.Add(time.Hour), nil)
+		for _, s := range recs {
+			s.Host = h // one group per handler keeps each group in order
+		}
+		feeding.Add(1)
+		go func() {
+			defer feeding.Done()
+			for len(recs) > 0 {
+				n := min(chunk, len(recs))
+				mgr.EmitBatch(recs[:n])
+				recs = recs[n:]
+				ticks <- struct{}{}
+			}
+		}()
+	}
+	promote := func() {
+		if _, err := mgr.Promote(); err != nil && !errors.Is(err, ErrNoCandidate) {
+			t.Error(err)
+		}
+	}
+	retrains := 0
+	for i := 1; i <= feeders*perFeeder/chunk; i++ {
+		<-ticks
+		if i%every != 0 {
+			continue
+		}
+		retrains++
+		control.Add(2)
+		go func() {
+			defer control.Done()
+			if _, err := mgr.Retrain(); err != nil {
+				t.Error(err)
+			}
+			promote()
+		}()
+		go func() {
+			defer control.Done()
+			promote()
+		}()
+	}
+	feeding.Wait()
+	control.Wait()
 
-	// Simulate a swap in flight at the moment the retrain lands.
-	mgr.mu.Lock()
-	mgr.swapping = true
-	mgr.mu.Unlock()
-	meta, err := mgr.Retrain()
+	st := mgr.Status()
+	if st.Retrains != uint64(retrains) || st.Swaps == 0 || st.RecordError != "" {
+		t.Fatalf("%d retrains, %d swaps, record error %q; want %d retrains, some swaps, no error", st.Retrains, st.Swaps, st.RecordError, retrains)
+	}
+	stored, meta, err := store.LoadServing()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mgr.ServingVersion(); got != 1 {
-		t.Fatalf("retrain promoted during an in-flight swap (serving %d)", got)
+	if meta.Version != st.ServingVersion {
+		t.Fatalf("the manager serves version %d, a restart would load %d", st.ServingVersion, meta.Version)
 	}
-	mgr.mu.Lock()
-	pending := mgr.pendingPromote
-	mgr.mu.Unlock()
-	if !pending {
-		t.Fatal("retrain during an in-flight swap did not defer the promotion")
+	var served, want bytes.Buffer
+	if _, err := eng.Model().WriteTo(&served); err != nil {
+		t.Fatal(err)
 	}
-	// The in-flight swap completes: its promote() tail must apply the
-	// deferred candidate.
-	mgr.promote()
-	if got := mgr.ServingVersion(); got != meta.Version {
-		t.Fatalf("deferred candidate never promoted: serving %d, want %d", got, meta.Version)
+	if _, err := stored.WriteTo(&want); err != nil {
+		t.Fatal(err)
 	}
-	if got := eng.Model().TrainedOn; got != 2000 {
-		t.Fatalf("engine model TrainedOn = %d, want the deferred candidate's 2000", got)
+	if !bytes.Equal(served.Bytes(), want.Bytes()) {
+		t.Fatalf("the engine serves a model other than version %d's", meta.Version)
+	}
+	if got := eng.Fed(); got != feeders*perFeeder {
+		t.Fatalf("the engine was fed %d synopses, want %d", got, feeders*perFeeder)
 	}
 }
 

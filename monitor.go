@@ -247,22 +247,21 @@ func (m *Monitor) Train() (*Model, error) {
 		return nil, fmt.Errorf("saad: train monitor: %w", err)
 	}
 	m.pipeline.Monitor.TrainSeconds.Set(time.Since(start).Seconds())
-	m.model = model
+	version := 0
 	if m.store != nil {
 		meta, err := m.store.PutServing(model)
 		if err != nil {
 			return nil, fmt.Errorf("saad: store trained model: %w", err)
 		}
-		m.modelVer = meta.Version
-		m.pipeline.Lifecycle.ModelVersion.Set(float64(meta.Version))
+		version = meta.Version
 	}
-	m.installDetector(model)
+	m.serve(model, version)
 	return model, nil
 }
 
 // ModelVersion returns the store version of the serving model, or 0 when
 // the monitor has no model store (WithModelStore) or the model never went
-// through one.
+// through one (SetModel).
 func (m *Monitor) ModelVersion() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -273,11 +272,23 @@ func (m *Monitor) ModelVersion() int {
 // WithModelStore.
 func (m *Monitor) ModelStore() *lifecycle.Store { return m.store }
 
-// installDetector starts the analyzer engine (and the alarm filter, when
-// one was requested) for model and flips to detection mode.
-func (m *Monitor) installDetector(model *Model) {
+// serve makes model, of store version version (0 for none), the serving
+// model, with mu held: Train and SetModel both change it here. The first
+// model starts the analyzer engine (and the alarm filter, when one was
+// requested) and flips to detection mode; a later one is hot-swapped in on
+// the engine's core (Engine.SwapModel) after the engine has been handed
+// everything the tracker emitted so far, so what ran under the old model is
+// judged by it.
+func (m *Monitor) serve(model *Model, version int) {
+	m.model, m.modelVer, m.trainer = model, version, nil
+	m.pipeline.Lifecycle.ModelVersion.Set(float64(version))
 	if m.engine != nil {
-		_ = m.engine.Close() // SetModel over a live engine: retire its workers
+		m.feed()
+		m.engine.SwapModel(model)
+		if m.filter != nil {
+			m.filter.Window = model.Config.Window
+		}
+		return
 	}
 	m.engine = analyzer.NewEngine(model, analyzer.WithEngineMetrics(m.pipeline.Analyzer))
 	if m.opts.filterMinWindows > 0 {
@@ -287,14 +298,16 @@ func (m *Monitor) installDetector(model *Model) {
 	m.pipeline.Monitor.Mode.Set(float64(modeDetecting))
 }
 
-// SetModel installs a previously trained model (e.g. loaded with
-// ReadModel) and switches to detection mode.
+// SetModel makes a previously trained model (e.g. loaded with ReadModel)
+// the serving one and switches to detection mode. Over a serving model it
+// is a hot swap: the open windows close under the old model, their
+// anomalies come out of the next Poll or Flush, and the window history and
+// late count carry on. The model went through no store: ModelVersion
+// reports 0.
 func (m *Monitor) SetModel(model *Model) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.model = model
-	m.installDetector(model)
-	m.trainer = nil
+	m.serve(model, 0)
 }
 
 // Model returns the trained model (nil while training).
@@ -313,6 +326,13 @@ func (m *Monitor) Poll() ([]Anomaly, error) {
 	return m.detect((*analyzer.Engine).Drain)
 }
 
+// feed hands the engine what the tracker emitted since the last call.
+func (m *Monitor) feed() {
+	if syns := m.ch.Drain(); len(syns) > 0 && !m.engine.Closed() {
+		m.engine.FeedBatch(syns)
+	}
+}
+
 // detect feeds the pending synopses to the engine and passes what collect
 // (Drain or Flush) returns through the optional de-bouncer.
 func (m *Monitor) detect(collect func(*analyzer.Engine) []Anomaly) ([]Anomaly, error) {
@@ -321,9 +341,7 @@ func (m *Monitor) detect(collect func(*analyzer.Engine) []Anomaly) ([]Anomaly, e
 	if m.mode != modeDetecting {
 		return nil, ErrNotDetecting
 	}
-	if syns := m.ch.Drain(); len(syns) > 0 && !m.engine.Closed() {
-		m.engine.FeedBatch(syns)
-	}
+	m.feed()
 	anoms := collect(m.engine)
 	if m.filter != nil {
 		anoms = m.filter.Filter(anoms)

@@ -1,6 +1,7 @@
 package saad_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -190,4 +191,78 @@ func TestMonitorMatchesReferenceDetector(t *testing.T) {
 			analyzertest.Check(t, "the script", want, analyzertest.Observe(eqMonitor(t, tc.opts...), nil, 0))
 		})
 	}
+}
+
+// TestMonitorSetModelSwapsOnTheCore: SetModel over a serving model is the
+// engine's hot swap. What the tracker emitted before the call is judged by
+// the old model, the windows open at the call close under it, and what
+// follows is judged by the new one — the spec on model A over windows 0-2,
+// flushed, then on model B over windows 3-4. Before SetModel went through
+// Engine.SwapModel it closed the engine instead and lost those windows.
+func TestMonitorSetModelSwapsOnTheCore(t *testing.T) {
+	const cut = 3 // windows played before SetModel
+	cfgB := eqConfig()
+	cfgB.MinEffect = 0.5 // B shrugs off the slow bursts A alarms on
+
+	var syns []*saad.Synopsis
+	tr := saad.NewTracker(eqHost, saad.SinkFunc(func(s *saad.Synopsis) { syns = append(syns, s) }))
+	eqTrain(tr)
+	a, err := saad.Train(eqConfig(), syns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := saad.Train(cfgB, syns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syns = syns[:0]
+	at := 0 // where the swap lands
+	for w := 0; w < eqWindows; w++ {
+		if w == cut {
+			at = len(syns)
+		}
+		eqDetectWindow(tr, w)
+	}
+	spec := analyzertest.NewSpec(a)
+	want := append(spec.Run(syns[:at]), spec.Flush()...)
+	spec.Model = b
+	want = append(append(want, spec.Run(syns[at:])...), spec.Flush()...)
+	if unswapped := eqReference(t, nil); slices.Equal(analyzertest.Observe(unswapped, nil, 0).Verdicts, analyzertest.Observe(want, nil, 0).Verdicts) {
+		t.Fatalf("model B judges windows %d-%d as A does: the swap proves nothing", cut, eqWindows-1)
+	}
+
+	mon, err := saad.NewMonitor(saad.WithAnalyzerConfig(eqConfig()), saad.WithHost(eqHost))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	for _, name := range []string{"A", "B", "C"} {
+		buildStage(t, mon.Dictionary(), name)
+	}
+	eqTrain(mon.Tracker())
+	if _, err := mon.Train(); err != nil {
+		t.Fatal(err)
+	}
+	var got []saad.Anomaly
+	for w := 0; w < eqWindows; w++ {
+		eqDetectWindow(mon.Tracker(), w)
+		switch {
+		case w == cut-1:
+			// Window 2 is still in the tracker's channel, window 1 open in
+			// the engine.
+			mon.SetModel(b)
+		case w < cut-1:
+			polled, err := mon.Poll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, polled...)
+		}
+	}
+	flushed, err := mon.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, flushed...)
+	analyzertest.Check(t, "the script swapped at window 3", analyzertest.Observe(want, nil, 0), analyzertest.Observe(got, nil, 0))
 }

@@ -85,3 +85,36 @@ func TestMonitorModelStoreVersions(t *testing.T) {
 		t.Fatalf("after the third Train a restart would serve version %d (err %v), want 4", meta.Version, err)
 	}
 }
+
+// TestMonitorSetModelIsNoStoreVersion: a model set with SetModel went
+// through no store, so once it serves ModelVersion is 0 — not the version
+// the Train before it stored — and the store is left as it was.
+func TestMonitorSetModelIsNoStoreVersion(t *testing.T) {
+	dir := t.TempDir()
+	mon, err := saad.NewMonitor(saad.WithAnalyzerConfig(eqConfig()), saad.WithHost(eqHost), saad.WithModelStore(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	for _, name := range []string{"A", "B", "C"} {
+		buildStage(t, mon.Dictionary(), name)
+	}
+	eqTrain(mon.Tracker())
+	model, err := mon.Train()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, gauge := mon.ModelVersion(), mon.MetricsSnapshot().Gauge("saad_lifecycle_model_version"); got != 1 || gauge != 1 {
+		t.Fatalf("ModelVersion after Train = %d (gauge %v), want 1", got, gauge)
+	}
+	mon.SetModel(model.Clone())
+	if got := mon.ModelVersion(); got != 0 {
+		t.Fatalf("ModelVersion after SetModel = %d, want 0: the set model is no store version", got)
+	}
+	if got := mon.MetricsSnapshot().Gauge("saad_lifecycle_model_version"); got != 0 {
+		t.Fatalf("model_version gauge after SetModel = %v, want 0", got)
+	}
+	if metas, err := mon.ModelStore().List(); err != nil || len(metas) != 1 {
+		t.Fatalf("store lists %+v (err %v) after SetModel, want the one trained version", metas, err)
+	}
+}
