@@ -71,28 +71,37 @@ type windowStatsJSON struct {
 	PerfOutliers int  `json:"perfOutliers"`
 }
 
-func encodeSynopses(in []*synopsis.Synopsis) []string {
-	out := make([]string, 0, len(in))
-	for _, s := range in {
-		out = append(out, hex.EncodeToString(synopsis.AppendRecord(nil, s)))
+// encodeExamples encodes the examples kept at site, in arrival order: the
+// per-site list the checkpoint form has always carried.
+func encodeExamples(in []example, site int32) []string {
+	var out []string
+	for _, e := range in {
+		if e.site == site {
+			out = append(out, hex.EncodeToString(synopsis.AppendRecord(nil, e.s)))
+		}
 	}
 	return out
 }
 
-func decodeSynopses(in []string) ([]*synopsis.Synopsis, error) {
-	out := make([]*synopsis.Synopsis, 0, len(in))
+// addExamples decodes the examples a checkpoint lists at site onto the
+// window's list. A detector keeps at most one example per outlier of a site
+// and at most limit there, so a list longer than either is refused.
+func (ws *windowState) addExamples(site int32, in []string, outliers, limit int) error {
+	if len(in) > outliers || len(in) > limit {
+		return fmt.Errorf("%d examples of %d outliers, at most %d kept", len(in), outliers, limit)
+	}
 	for _, h := range in {
 		raw, err := hex.DecodeString(h)
 		if err != nil {
-			return nil, fmt.Errorf("example synopsis: %w", err)
+			return fmt.Errorf("example synopsis: %w", err)
 		}
 		var s synopsis.Synopsis
 		if err := synopsis.NewDecoder(bytes.NewReader(raw)).Decode(&s); err != nil {
-			return nil, fmt.Errorf("example synopsis: %w", err)
+			return fmt.Errorf("example synopsis: %w", err)
 		}
-		out = append(out, &s)
+		ws.examples = append(ws.examples, example{site: site, s: &s})
 	}
-	return out, nil
+	return nil
 }
 
 // windowsJSON snapshots the detector's open windows in deterministic (host,
@@ -114,14 +123,14 @@ func windowToJSON(k groupKey, ws *windowState) windowJSON {
 		StartUnixNs:  ws.start.UnixNano(),
 		Tasks:        ws.tasks,
 		FlowOutliers: ws.flowOutliers,
-		FlowExamples: encodeSynopses(ws.flowExamples),
+		FlowExamples: encodeExamples(ws.examples, flowSite),
 	}
 	for _, sig := range sortedSignatures(ws.newSigs) {
 		ev := ws.newSigs[sig]
 		wj.NewSigs = append(wj.NewSigs, sigEvidenceJSON{
 			SignatureHex: hex.EncodeToString([]byte(sig)),
 			Count:        ev.count,
-			Examples:     encodeSynopses(ev.examples),
+			Examples:     encodeExamples(ws.examples, ev.site),
 		})
 	}
 	// Interned ids sort like their signatures, so iterating ids in
@@ -134,7 +143,7 @@ func windowToJSON(k groupKey, ws *windowState) windowJSON {
 			SignatureHex: hex.EncodeToString([]byte(ws.sm.sigByID[id].Signature)),
 			Tasks:        sw.tasks,
 			PerfOutliers: sw.perfOutliers,
-			Examples:     encodeSynopses(sw.examples),
+			Examples:     encodeExamples(ws.examples, id),
 		})
 	}
 	return wj
@@ -269,25 +278,28 @@ func (wj *windowJSON) errorf(format string, args ...any) error {
 // from a peer (federation handoff), so what no detector writes is refused:
 // a signature listed twice, a new signature the model knows, counts that
 // are negative, exceed the tasks they are drawn from, or (per signature)
-// are zero, and tallies that account for more tasks than the window has or
-// for more new-signature tasks than flow outliers. The tallies are bounds,
-// not equalities, so no checkpoint an earlier release wrote is refused.
+// are zero, tallies that account for more tasks than the window has or
+// for more new-signature tasks than flow outliers, and more examples at a
+// site than its outliers or than the detector keeps there (MaxExamples,
+// at least one for a new signature). The tallies are bounds, not
+// equalities, so no checkpoint an earlier release wrote is refused.
 func windowFromJSON(model *Model, wj windowJSON) (*windowState, error) {
 	ws := &windowState{
 		start:        time.Unix(0, wj.StartUnixNs).UTC(),
 		tasks:        wj.Tasks,
 		flowOutliers: wj.FlowOutliers,
+		flowExamples: len(wj.FlowExamples),
 	}
 	if wj.FlowOutliers < 0 || wj.FlowOutliers > wj.Tasks {
 		return nil, wj.errorf("%d flow outliers of %d tasks", wj.FlowOutliers, wj.Tasks)
 	}
-	var err error
-	newTasks, accounted := 0, wj.FlowOutliers
-	if ws.flowExamples, err = decodeSynopses(wj.FlowExamples); err != nil {
-		return nil, wj.errorf("%w", err)
+	maxExamples := model.Config.MaxExamples
+	if err := ws.addExamples(flowSite, wj.FlowExamples, wj.FlowOutliers, maxExamples); err != nil {
+		return nil, wj.errorf("rare flows: %w", err)
 	}
-	for _, ej := range wj.NewSigs {
-		sig, examples, err := decodeSigEntry(ej.SignatureHex, ej.Examples)
+	newTasks, accounted := 0, wj.FlowOutliers
+	for i, ej := range wj.NewSigs {
+		sig, err := decodeSignature(ej.SignatureHex)
 		if err != nil {
 			return nil, wj.errorf("%w", err)
 		}
@@ -303,7 +315,11 @@ func windowFromJSON(model *Model, wj windowJSON) (*windowState, error) {
 		if ej.Count < 1 || ej.Count > wj.Tasks {
 			return nil, wj.errorf("new signature %s: count %d of %d tasks", sig, ej.Count, wj.Tasks)
 		}
-		ws.newSigs[sig] = &sigEvidence{count: ej.Count, examples: examples}
+		ev := &sigEvidence{count: ej.Count, examples: len(ej.Examples), site: newSigSite(i)}
+		if err := ws.addExamples(ev.site, ej.Examples, ej.Count, cap1(maxExamples)); err != nil {
+			return nil, wj.errorf("new signature %s: %w", sig, err)
+		}
+		ws.newSigs[sig] = ev
 		newTasks += ej.Count
 	}
 	if newTasks > wj.FlowOutliers {
@@ -311,7 +327,7 @@ func windowFromJSON(model *Model, wj windowJSON) (*windowState, error) {
 	}
 	ws.setStage(model.Stage(wj.Stage))
 	for _, sj := range wj.PerSig {
-		sig, examples, err := decodeSigEntry(sj.SignatureHex, sj.Examples)
+		sig, err := decodeSignature(sj.SignatureHex)
 		if err != nil {
 			return nil, wj.errorf("%w", err)
 		}
@@ -333,7 +349,10 @@ func windowFromJSON(model *Model, wj windowJSON) (*windowState, error) {
 		if sj.Tasks < 1 || sj.Tasks > wj.Tasks || sj.PerfOutliers < 0 || sj.PerfOutliers > sj.Tasks {
 			return nil, wj.errorf("signature %s: %d perf outliers of %d tasks in a window of %d", sig, sj.PerfOutliers, sj.Tasks, wj.Tasks)
 		}
-		ws.perSig[id] = sigWindow{tasks: sj.Tasks, perfOutliers: sj.PerfOutliers, examples: examples}
+		if err := ws.addExamples(id, sj.Examples, sj.PerfOutliers, maxExamples); err != nil {
+			return nil, wj.errorf("signature %s: %w", sig, err)
+		}
+		ws.perSig[id] = sigWindow{tasks: sj.Tasks, perfOutliers: sj.PerfOutliers, examples: len(sj.Examples)}
 		ws.touched = append(ws.touched, id)
 		accounted += sj.Tasks
 	}
@@ -343,16 +362,12 @@ func windowFromJSON(model *Model, wj windowJSON) (*windowState, error) {
 	return ws, nil
 }
 
-func decodeSigEntry(sigHex string, examples []string) (synopsis.Signature, []*synopsis.Synopsis, error) {
+func decodeSignature(sigHex string) (synopsis.Signature, error) {
 	sigBytes, err := hex.DecodeString(sigHex)
 	if err != nil {
-		return "", nil, fmt.Errorf("signature %q: %w", sigHex, err)
+		return "", fmt.Errorf("signature %q: %w", sigHex, err)
 	}
-	exs, err := decodeSynopses(examples)
-	if err != nil {
-		return "", nil, err
-	}
-	return synopsis.Signature(sigBytes), exs, nil
+	return synopsis.Signature(sigBytes), nil
 }
 
 // WriteCheckpointFile atomically persists the checkpoint at path (see

@@ -59,7 +59,9 @@ type Anomaly struct {
 	// the tested group.
 	Outliers, Tasks int
 	// Examples holds up to Config.MaxExamples sample outlier synopses for
-	// root-cause inspection.
+	// root-cause inspection. The slice is the anomaly's own, never the
+	// window's storage. Under Detector.SetRetainCopy so is every synopsis in
+	// it; otherwise they are the records the caller fed.
 	Examples []*synopsis.Synopsis
 }
 
@@ -244,6 +246,10 @@ type Detector struct {
 	// free holds the storage of closed windows for Feed to open the next
 	// window in; it never outgrows the most windows open at once.
 	free []*windowState
+	// spare holds the copies closed windows kept as examples under
+	// SetRetainCopy, for retain to copy the next examples into; it never
+	// outgrows the most examples the open windows have held at once.
+	spare []*synopsis.Synopsis
 	// hist is the closed-window history, packed and bounded per group.
 	hist history
 	// late counts synopses dropped because their Start preceded the open
@@ -253,10 +259,10 @@ type Detector struct {
 	// observed, reused across Feed calls so the interned-id lookup does not
 	// allocate.
 	scratch []byte
-	// retainCopy makes the detector deep-copy any synopsis it keeps as an
-	// anomaly example. Off by default (callers own their synopses for the
-	// process lifetime); the engine turns it on when a release hook recycles
-	// synopses after observation.
+	// retainCopy makes the detector keep its own copy of any synopsis it
+	// keeps as an anomaly example. Off by default (callers own their
+	// synopses for the process lifetime); the engine turns it on when a
+	// release hook recycles synopses after observation.
 	retainCopy bool
 
 	metrics *metrics.AnalyzerMetrics
@@ -275,26 +281,46 @@ type windowState struct {
 	sm           *StageModel
 	tasks        int
 	flowOutliers int
+	// flowExamples counts the examples kept of the known rare flows.
+	flowExamples int
 	// newSigs is nil until a signature unknown to the model appears.
-	newSigs      map[synopsis.Signature]*sigEvidence
-	flowExamples []*synopsis.Synopsis
+	newSigs map[synopsis.Signature]*sigEvidence
 	// perSig is indexed by the model's interned signature id (dense per
 	// stage, see StageModel.buildIndex) and sized to the stage; touched
 	// lists the ids whose entry has tasks > 0. Only signatures known to the
 	// model land here; unknown ones go to newSigs, keyed by the signature.
 	perSig  []sigWindow
 	touched []int32
+	// examples is every example the window keeps, in arrival order; the
+	// counts above say how many each site holds.
+	examples []example
 }
+
+// example is one outlier synopsis a window keeps for its anomaly reports.
+// Its site says whose evidence it is: flowSite for the known rare flows, a
+// performance signature's interned id (>= 0), or newSigSite(i) for the
+// window's i-th new signature.
+type example struct {
+	site int32
+	s    *synopsis.Synopsis
+}
+
+// flowSite is the site of the examples of a window's known rare flows.
+const flowSite int32 = -1
+
+// newSigSite is the site of the examples of a window's i-th new signature.
+func newSigSite(i int) int32 { return -2 - int32(i) }
 
 type sigEvidence struct {
 	count    int
-	examples []*synopsis.Synopsis
+	examples int
+	site     int32
 }
 
 type sigWindow struct {
 	tasks        int
 	perfOutliers int
-	examples     []*synopsis.Synopsis
+	examples     int
 }
 
 // NewDetector returns a detector for the trained model. The model's
@@ -319,11 +345,23 @@ func (d *Detector) SetMetrics(m *metrics.AnalyzerMetrics) { d.metrics = m }
 // few atomic stores, so the detector's per-task cost is unchanged.
 func (d *Detector) SetFlight(r *trace.FlightRing) { d.flight = r }
 
-// SetRetainCopy controls example retention: when on, every synopsis kept in
-// an anomaly report is deep-copied at retention time, so the caller may
-// recycle (or mutate) the fed synopsis as soon as Feed returns. Required
-// whenever the feeder pools synopses (see analyzer.WithSynopsisRelease).
-func (d *Detector) SetRetainCopy(on bool) { d.retainCopy = on }
+// SetRetainCopy controls example retention. When on, the detector copies
+// every synopsis it keeps as an example into storage of its own, so the
+// caller may recycle (or mutate) the fed synopsis as soon as Feed returns;
+// a closed window's copies are reused for later examples, and each anomaly
+// gets fresh copies of its own. Turning it on copies the examples the open
+// windows already hold, which are the caller's records. Required whenever
+// the feeder pools synopses (see analyzer.WithSynopsisRelease).
+func (d *Detector) SetRetainCopy(on bool) {
+	if on && !d.retainCopy {
+		for _, w := range d.open {
+			for i := range w.examples {
+				w.examples[i].s = w.examples[i].s.Clone()
+			}
+		}
+	}
+	d.retainCopy = on
+}
 
 // Model returns a deep copy of the trained model the detector judges
 // against. A detector restored from a checkpoint carries its model with
@@ -340,9 +378,10 @@ func (d *Detector) Model() *Model { return d.model.Clone() }
 // another — and the next Feed opens its window under the new one.
 // Everything else the detector holds carries over: the closed-window
 // history, the late count, metrics, the flight ring, example retention and
-// the storage of closed windows. The swap is recorded in the flight ring
-// right after the last old-model window closes. The model must not be
-// mutated afterwards (its interning index becomes shared read-only).
+// the storage of closed windows and of their examples. The swap is recorded
+// in the flight ring right after the last old-model window closes. The
+// model must not be mutated afterwards (its interning index becomes shared
+// read-only).
 func (d *Detector) SwapModel(model *Model) []Anomaly {
 	out := d.Flush()
 	model.ensureIndex()
@@ -433,15 +472,24 @@ func (w *windowState) setStage(sm *StageModel) {
 	w.perSig = w.perSig[:n]
 }
 
-// recycle puts a window that left d.open on the free list. The counts and
-// the per-signature block are reused; example slices and the new-signature
-// map are dropped, not pooled, because the anomalies the window produced
-// alias them.
+// recycle puts a window that left d.open on the free list. The counts, the
+// per-signature block and the example list are reused: closeWindow gave
+// every anomaly examples of its own. Under SetRetainCopy the window's
+// copies go to d.spare, their Trace cleared so that no spare keeps a span
+// alive. The new-signature map is dropped; only a window that saw an
+// unknown flow has one.
 func (d *Detector) recycle(w *windowState) {
 	for _, id := range w.touched {
 		w.perSig[id] = sigWindow{}
 	}
-	*w = windowState{perSig: w.perSig[:0], touched: w.touched[:0]}
+	if d.retainCopy {
+		for _, e := range w.examples {
+			e.s.Trace = nil
+			d.spare = append(d.spare, e.s)
+		}
+	}
+	clear(w.examples)
+	*w = windowState{perSig: w.perSig[:0], touched: w.touched[:0], examples: w.examples[:0]}
 	d.free = append(d.free, w)
 }
 
@@ -467,17 +515,27 @@ func sigKey(buf []byte, s *synopsis.Synopsis) []byte {
 	return buf
 }
 
-// retain returns the synopsis to keep as an anomaly example: the synopsis
-// itself normally, a deep copy under SetRetainCopy (the fed synopsis may be
-// recycled the moment Feed returns). At most one retention site fires per
-// observe, and each site — a window's rare flows, each of its slow
-// signatures, each of its new signatures — keeps at most MaxExamples (a new
-// signature at least one), so the clone cost is bounded per retention site.
-func (d *Detector) retain(s *synopsis.Synopsis) *synopsis.Synopsis {
+// retain keeps s as an example of w at site: the synopsis itself normally;
+// under SetRetainCopy a copy (the fed synopsis may be recycled the moment
+// Feed returns), made in a spare copy's storage when there is one. At most
+// one retention site fires per observe, and each site — a window's rare
+// flows, each of its slow signatures, each of its new signatures — keeps at
+// most MaxExamples (a new signature at least one), so a warm detector's
+// windows keep their examples in storage they already have.
+func (d *Detector) retain(w *windowState, site int32, s *synopsis.Synopsis) {
 	if d.retainCopy {
-		return s.Clone()
+		if n := len(d.spare); n > 0 {
+			c := d.spare[n-1]
+			d.spare = d.spare[:n-1]
+			pts := append(c.Points[:0], s.Points...)
+			*c = *s
+			c.Points = pts
+			s = c
+		} else {
+			s = s.Clone()
+		}
 	}
-	return s
+	w.examples = append(w.examples, example{site: site, s: s})
 }
 
 // observe classifies one synopsis against the model inside window w.
@@ -505,12 +563,13 @@ func (d *Detector) observe(w *windowState, s *synopsis.Synopsis) {
 		}
 		ev := w.newSigs[sig]
 		if ev == nil {
-			ev = &sigEvidence{}
+			ev = &sigEvidence{site: newSigSite(len(w.newSigs))}
 			w.newSigs[sig] = ev
 		}
 		ev.count++
-		if len(ev.examples) < cap1(d.cfg.MaxExamples) {
-			ev.examples = append(ev.examples, d.retain(s))
+		if ev.examples < cap1(d.cfg.MaxExamples) {
+			ev.examples++
+			d.retain(w, ev.site, s)
 		}
 		w.flowOutliers++
 		return
@@ -518,8 +577,9 @@ func (d *Detector) observe(w *windowState, s *synopsis.Synopsis) {
 	sigModel := sm.sigByID[id]
 	if sigModel.FlowOutlier {
 		w.flowOutliers++
-		if len(w.flowExamples) < d.cfg.MaxExamples {
-			w.flowExamples = append(w.flowExamples, d.retain(s))
+		if w.flowExamples < d.cfg.MaxExamples {
+			w.flowExamples++
+			d.retain(w, flowSite, s)
 		}
 		return
 	}
@@ -531,14 +591,16 @@ func (d *Detector) observe(w *windowState, s *synopsis.Synopsis) {
 	sw.tasks++
 	if sigModel.PerfEligible && s.Duration > sigModel.DurationThreshold {
 		sw.perfOutliers++
-		if len(sw.examples) < d.cfg.MaxExamples {
-			sw.examples = append(sw.examples, d.retain(s))
+		if sw.examples < d.cfg.MaxExamples {
+			sw.examples++
+			d.retain(w, id, s)
 		}
 	}
 }
 
 // cap1 returns at least 1 so new-signature evidence is retained even with
-// MaxExamples = 0 disabled example collection elsewhere.
+// MaxExamples = 0 disabled example collection elsewhere: the one retained
+// example is the only record of the unseen flow.
 func cap1(n int) int {
 	if n < 1 {
 		return 1
@@ -593,10 +655,7 @@ func (d *Detector) closeWindow(key groupKey, w *windowState) []Anomaly {
 			NewSignature: true,
 			Outliers:     ev.count,
 			Tasks:        w.tasks,
-			// cap1, matching observe: even with MaxExamples = 0 the one
-			// retained example — the only record of the unseen flow — is
-			// kept on the anomaly.
-			Examples: clipExamples(ev.examples, cap1(d.cfg.MaxExamples)),
+			Examples:     d.examplesOf(w, ev.site, ev.examples),
 		})
 	}
 
@@ -615,7 +674,7 @@ func (d *Detector) closeWindow(key groupKey, w *windowState) []Anomaly {
 				Test:     res,
 				Outliers: w.flowOutliers,
 				Tasks:    w.tasks,
-				Examples: clipExamples(w.flowExamples, d.cfg.MaxExamples),
+				Examples: d.examplesOf(w, flowSite, w.flowExamples),
 			})
 		}
 	}
@@ -654,7 +713,7 @@ func (d *Detector) closeWindow(key groupKey, w *windowState) []Anomaly {
 			Test:      res,
 			Outliers:  sw.perfOutliers,
 			Tasks:     sw.tasks,
-			Examples:  clipExamples(sw.examples, d.cfg.MaxExamples),
+			Examples:  d.examplesOf(w, id, sw.examples),
 		})
 	}
 
@@ -667,6 +726,31 @@ func (d *Detector) closeWindow(key groupKey, w *windowState) []Anomaly {
 		}
 	}
 	return anomalies
+}
+
+// examplesOf returns the n examples w keeps at site, in arrival order, in a
+// slice of the anomaly's own, since recycle reuses w's list. Under
+// SetRetainCopy each is a fresh copy as well, since recycle reuses w's
+// copies. Observe and the checkpoint reader hold a site to MaxExamples (a
+// new signature to cap1 of it), so n needs no clipping.
+func (d *Detector) examplesOf(w *windowState, site int32, n int) []*synopsis.Synopsis {
+	if n == 0 {
+		return nil
+	}
+	out := make([]*synopsis.Synopsis, 0, n)
+	for _, e := range w.examples {
+		if e.site != site {
+			continue
+		}
+		s := e.s
+		if d.retainCopy {
+			s = s.Clone()
+		}
+		if out = append(out, s); len(out) == n {
+			break
+		}
+	}
+	return out
 }
 
 func (d *Detector) propTest(successes, n int, p0 float64) (stats.ProportionTestResult, error) {
@@ -689,11 +773,4 @@ func (d *Detector) propTest(successes, n int, p0 float64) (stats.ProportionTestR
 		res.Reject = false
 	}
 	return res, nil
-}
-
-func clipExamples(in []*synopsis.Synopsis, max int) []*synopsis.Synopsis {
-	if len(in) <= max {
-		return in
-	}
-	return in[:max]
 }

@@ -194,9 +194,10 @@ func TestExportImportExportIdentical(t *testing.T) {
 }
 
 // TestWindowAllocs pins what a window boundary costs once the detector is
-// warm: nothing for model-known, non-outlier traffic — the window opens in
-// the storage the closed one left — and only the retained examples when
-// tasks are slow.
+// warm: nothing, for model-known traffic healthy or slow enough to keep as
+// examples, whether the detector keeps the fed records or copies of them —
+// the window opens in the storage the closed one left, its example list
+// and the copies in it included.
 func TestWindowAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are exact only without the race detector")
@@ -204,13 +205,16 @@ func TestWindowAllocs(t *testing.T) {
 	model := stagedModel(t)
 	const runs, perWindow = 8, 200
 	for _, tc := range []struct {
-		name string
-		slow int // stage-1 tasks per window over the threshold: too few to alarm, each retained as an example
+		name   string
+		slow   int  // stage-1 tasks per window over the threshold: too few to alarm, each retained as an example
+		copies bool // SetRetainCopy
 	}{
-		{"healthy", 0},
-		{"perf outliers", model.Config.MaxExamples},
+		{"healthy", 0, false},
+		{"perf outliers", model.Config.MaxExamples, false},
+		{"perf outliers, copies kept", model.Config.MaxExamples, true},
 	} {
 		det := NewDetector(model)
+		det.SetRetainCopy(tc.copies)
 		// One window of two interleaved groups of different stages per call;
 		// every call closes the previous window of both.
 		windows := make([][]*synopsis.Synopsis, runs+3)
@@ -237,8 +241,8 @@ func TestWindowAllocs(t *testing.T) {
 		}
 		feed() // warm-up: the first windows and their blocks
 		feed()
-		if got := testing.AllocsPerRun(runs, feed); got > float64(tc.slow) {
-			t.Errorf("%s: %v allocations per pair of windows, want at most %d", tc.name, got, tc.slow)
+		if got := testing.AllocsPerRun(runs, feed); got != 0 {
+			t.Errorf("%s: %v allocations per pair of windows, want 0", tc.name, got)
 		}
 		hist := det.WindowHistory()
 		if len(hist) != 2*(next-1) {

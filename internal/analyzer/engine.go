@@ -88,9 +88,9 @@ type Engine struct {
 	depth     *metrics.Gauge
 
 	// release, when set, is called exactly once for every synopsis the
-	// engine is done with, after the core observed it. The core runs in
-	// clone-on-retain mode so no example kept for an anomaly report aliases
-	// a released (and possibly recycled) synopsis.
+	// engine is done with, after the core observed it. The core keeps
+	// copies of its own as examples (Detector.SetRetainCopy), so no anomaly
+	// report aliases a released (and possibly recycled) synopsis.
 	release func(*synopsis.Synopsis)
 	// releaseBatch, when set, replaces per-record release for whole batch
 	// messages: one call recycles the batch under a single free-list lock.
@@ -193,8 +193,9 @@ func WithEngineTracer(t *trace.Tracer) EngineOption {
 // (typically synopsis.Pool.Put): it is called exactly once per fed synopsis,
 // on the worker after the core observed it, so a zero-allocation receive
 // path can recycle record structs. The engine automatically switches its
-// detector core to clone-on-retain: any synopsis kept as an anomaly example
-// is deep-copied first, so recycling can never corrupt a report.
+// detector core to copy-on-retain (Detector.SetRetainCopy): a synopsis kept
+// as an example is copied into storage the core owns and reuses, and each
+// anomaly gets copies of its own, so recycling can never corrupt a report.
 func WithSynopsisRelease(fn func(*synopsis.Synopsis)) EngineOption {
 	return func(o *engineOptions) { o.release = fn }
 }
